@@ -572,21 +572,21 @@ let ablation ctx =
   let topo, pairs = wan_small () in
   let paths = paths_of topo pairs in
   let avg = base_demand pairs in
-  let run name encoding envelope =
-    let sp = { (spec ~threshold:1e-5 ()) with Raha.Bilevel.encoding } in
-    let t0 = Unix.gettimeofday () in
-    let r = analyze ctx sp topo paths envelope in
-    row "%-26s %-12s %-10.2f %-8d@." name (deg_str r)
-      (Unix.gettimeofday () -. t0)
-      r.Raha.Analysis.nodes
+  let sp = spec ~threshold:1e-5 () in
+  let encoding name encoding =
+    arm name (fun o -> { o with Raha.Analysis.spec = { o.Raha.Analysis.spec with encoding } })
   in
-  row "%-26s %-12s %-10s %-8s@." "encoding" "degradation" "time(s)" "nodes";
-  run "sd:3 / fixed" (Raha.Bilevel.Strong_duality { levels = 3 }) (Traffic.Envelope.fixed avg);
-  run "kkt  / fixed" Raha.Bilevel.Kkt (Traffic.Envelope.fixed avg);
-  let var = Traffic.Envelope.from_zero ~slack:0.3 avg in
-  run "sd:3 / variable" (Raha.Bilevel.Strong_duality { levels = 3 }) var;
-  run "sd:5 / variable" (Raha.Bilevel.Strong_duality { levels = 5 }) var;
-  if not ctx.quick then run "kkt  / variable" Raha.Bilevel.Kkt var;
+  ignore
+    (ablate ctx ~id:"ablation" ~fields:[ "deg"; "nodes"; "pivots"; "cert" ]
+       [
+         ("fixed", sp, topo, paths, Traffic.Envelope.fixed avg);
+         ("variable", sp, topo, paths, Traffic.Envelope.from_zero ~slack:0.3 avg);
+       ]
+       [
+         encoding "sd:3" (Raha.Bilevel.Strong_duality { levels = 3 });
+         encoding "kkt" Raha.Bilevel.Kkt;
+         encoding "sd:5" (Raha.Bilevel.Strong_duality { levels = 5 });
+       ]);
   row
     "(strong duality explores far fewer nodes; KKT is exact for continuous demands      but searches more)@."
 
@@ -600,24 +600,7 @@ let presolve_bench ctx =
   section ctx ~id:"presolve"
     ~paper:"MILP presolve / big-M tightening ablation (DESIGN.md)"
     ~config:"fig1 worked example (sd:5, kkt) + africa-like WAN (8 nodes, sd:3)";
-  let cells =
-    let f1 = Wan.Generators.fig1 () in
-    let f1_paths = paths_of ~primary:2 ~backup:0 f1 [ (1, 3); (2, 3) ] in
-    let f1_env =
-      Traffic.Envelope.around ~slack:0.5
-        (Traffic.Demand.of_list [ ((1, 3), 12.); ((2, 3), 10.) ])
-    in
-    let sp5 = spec ~max_failures:1 ~levels:5 () in
-    let topo, pairs = wan_small () in
-    let paths = paths_of topo pairs in
-    let env = Traffic.Envelope.from_zero ~slack:0.3 (base_demand pairs) in
-    [
-      ("fig1 / sd:5", sp5, f1, f1_paths, f1_env);
-      ("fig1 / kkt", { sp5 with Raha.Bilevel.encoding = Raha.Bilevel.Kkt }, f1,
-       f1_paths, f1_env);
-      ("wan8 / sd:3", spec ~threshold:1e-5 (), topo, paths, env);
-    ]
-  in
+  let cells = solver_cells () in
   row "%-14s %8s %6s %5s %4s %8s %6s %5s %6s %6s@." "model" "rows" "cols" "int"
     "->" "rows" "cols" "bigM" "fixed" "passes";
   List.iter
@@ -633,184 +616,59 @@ let presolve_bench ctx =
           stats.Milp.Presolve.cols_fixed stats.Milp.Presolve.passes
       | Milp.Presolve.Infeasible _ -> row "%-14s infeasible@." name)
     cells;
-  row "@.%-14s %-9s %-12s %-8s %-8s %-10s@." "cell" "presolve" "degradation"
-    "time(s)" "nodes" "pivots";
-  List.iter
-    (fun (name, sp, topo, paths, env) ->
-      List.iter
-        (fun ps ->
-          let opts = { (options ctx sp) with Raha.Analysis.presolve = ps } in
-          let p0 = Milp.Simplex.cumulative_iterations () in
-          let t0 = Unix.gettimeofday () in
-          let r = Raha.Analysis.analyze ~options:opts topo paths env in
-          row "%-14s %-9s %-12s %-8.2f %-8d %-10d@." name
-            (if ps then "on" else "off")
-            (deg_str r)
-            (Unix.gettimeofday () -. t0)
-            r.Raha.Analysis.nodes
-            (Milp.Simplex.cumulative_iterations () - p0))
-        [ true; false ])
-    cells
+  row "@.";
+  ignore
+    (ablate ctx ~id:"presolve" ~fields:[ "deg"; "nodes"; "pivots"; "certify"; "cert" ] cells
+       [ arm "on" Fun.id; arm "off" (fun o -> { o with Raha.Analysis.presolve = false }) ])
+
+let no_cuts o = { o with Raha.Analysis.cuts = Milp.Cuts.disabled }
 
 (* -------------------------------------------------------------- revised *)
 
 (* Revised-simplex ablation: the same cells as the presolve experiment,
    solved end-to-end with the legacy dense tableau vs the revised engine
-   (sparse LU basis + dual-simplex warm starts across B&B nodes). The
-   [counters:] lines carry only deterministic quantities (no wall
-   clock), so CI can run the experiment twice and diff them. The
-   measured rows are recorded in BENCH_revised.json. *)
+   (sparse LU basis + dual-simplex warm starts across B&B nodes). Cuts
+   are off in both arms so this stays a pure engine ablation (the cut
+   ablation is the "cuts" experiment) and the BENCH_revised.json
+   baselines remain comparable. *)
 let revised_bench ctx =
   section ctx ~id:"revised"
     ~paper:"revised simplex / dual warm-start ablation (DESIGN.md §9)"
     ~config:
       "fig1 worked example (sd:5, kkt) + africa-like WAN (8 nodes, sd:3); cuts disabled (pure engine ablation)";
-  let cells =
-    let f1 = Wan.Generators.fig1 () in
-    let f1_paths = paths_of ~primary:2 ~backup:0 f1 [ (1, 3); (2, 3) ] in
-    let f1_env =
-      Traffic.Envelope.around ~slack:0.5
-        (Traffic.Demand.of_list [ ((1, 3), 12.); ((2, 3), 10.) ])
-    in
-    let sp5 = spec ~max_failures:1 ~levels:5 () in
-    let topo, pairs = wan_small () in
-    let paths = paths_of topo pairs in
-    let env = Traffic.Envelope.from_zero ~slack:0.3 (base_demand pairs) in
-    let base =
-      [
-        ("fig1 / sd:5", sp5, f1, f1_paths, f1_env);
-        ("fig1 / kkt", { sp5 with Raha.Bilevel.encoding = Raha.Bilevel.Kkt }, f1,
-         f1_paths, f1_env);
-      ]
-    in
-    if ctx.quick then base
-    else base @ [ ("wan8 / sd:3", spec ~threshold:1e-5 (), topo, paths, env) ]
-  in
-  row "%-14s %-8s %-12s %-8s %-7s %-8s %-6s %-5s %-5s %-9s@." "cell" "engine"
-    "degradation" "time(s)" "nodes" "pivots" "dual" "fact" "eta" "warm";
-  List.iter
-    (fun (name, sp, topo, paths, env) ->
-      List.iter
-        (fun dense ->
-          (* fresh counters per cell: residual high-water marks and the
-             cumulative cut counters must not leak across cells *)
-          Milp.Lp_stats.reset_all ();
-          (* cuts off in both arms so this stays a pure engine ablation
-             (the cut ablation is the "cuts" experiment) and the
-             BENCH_revised.json baselines remain comparable *)
-          let opts =
-            { (options ctx sp) with Raha.Analysis.dense_simplex = dense;
-              cuts = Milp.Cuts.disabled }
-          in
-          let p0 = Milp.Simplex.cumulative_iterations ()
-          and d0 = Milp.Simplex.cumulative_dual_pivots ()
-          and f0 = Milp.Simplex.cumulative_factorizations ()
-          and e0 = Milp.Simplex.cumulative_eta_updates ()
-          and wa0 = Milp.Simplex.cumulative_warm_attempts ()
-          and wh0 = Milp.Simplex.cumulative_warm_hits ()
-          and c0 = Milp.Certify.cumulative_checks ()
-          and cf0 = Milp.Certify.cumulative_failures () in
-          let t0 = Unix.gettimeofday () in
-          let r = Raha.Analysis.analyze ~options:opts topo paths env in
-          let dt = Unix.gettimeofday () -. t0 in
-          let pivots = Milp.Simplex.cumulative_iterations () - p0
-          and duals = Milp.Simplex.cumulative_dual_pivots () - d0
-          and facts = Milp.Simplex.cumulative_factorizations () - f0
-          and etas = Milp.Simplex.cumulative_eta_updates () - e0
-          and wa = Milp.Simplex.cumulative_warm_attempts () - wa0
-          and wh = Milp.Simplex.cumulative_warm_hits () - wh0 in
-          let engine = if dense then "dense" else "revised" in
-          row "%-14s %-8s %-12s %-8.2f %-7d %-8d %-6d %-5d %-5d %-9s@." name
-            engine (deg_str r) dt r.Raha.Analysis.nodes pivots duals facts etas
-            (if wa = 0 then "-" else Printf.sprintf "%d/%d" wh wa);
-          let cc = Milp.Certify.cumulative_checks () - c0
-          and cf = Milp.Certify.cumulative_failures () - cf0 in
-          row
-            "counters: %s | %s | deg=%s nodes=%d pivots=%d dual=%d fact=%d        eta=%d warm=%d/%d certify=%d/%d cert=%s@."
-            name engine (deg_str r) r.Raha.Analysis.nodes pivots duals facts
-            etas wh wa cf cc (cert_str r))
-        [ true; false ])
-    cells;
+  ignore
+    (ablate ctx ~id:"revised"
+       ~fields:[ "deg"; "nodes"; "pivots"; "dual"; "fact"; "eta"; "warm"; "certify"; "cert" ]
+       (solver_cells ~wan8:(not ctx.quick) ())
+       [
+         arm "dense" (fun o -> { (no_cuts o) with Raha.Analysis.dense_simplex = true });
+         arm "revised" no_cuts;
+       ]);
   row
-    "(warm column is dual-simplex hits/attempts; identical node counts with      fewer pivots show the per-node saving)@."
+    "(warm is dual-simplex hits/attempts; identical node counts with      fewer pivots show the per-node saving)@."
 
 (* ----------------------------------------------------------------- cuts *)
 
-(* Cutting-plane ablation: the same cells as the revised-simplex
-   experiment, solved with the cut subsystem enabled vs disabled (the
-   revised engine in both arms). Cuts are globally valid tightenings of
-   the LP relaxation, so the two arms must report bit-identical
-   degradations while branch-and-bound visits fewer nodes with cuts on.
-   The [counters:] lines add the cut-pool counters — gen (candidates
+(* Cutting-plane ablation: the same cells solved with the cut subsystem
+   enabled vs disabled (the revised engine in both arms). Cuts are
+   globally valid tightenings of the LP relaxation, so the two arms must
+   report bit-identical degradations while branch-and-bound visits fewer
+   nodes with cuts on. The cut-pool fields are gen (candidates
    generated), app (cuts admitted to the pool), pruned (aged out or
-   removed by audit), aud (incumbent-audit failures, must stay 0) — all
-   deterministic, so CI runs the experiment twice and diffs them. The
-   measured rows are recorded in BENCH_cuts.json. *)
+   removed by audit) and aud (incumbent-audit failures, must stay 0).
+   The measured rows are recorded in BENCH_cuts.json. *)
 let cuts_bench ctx =
   section ctx ~id:"cuts"
     ~paper:"cutting-plane ablation: Gomory/cover/clique pool (DESIGN.md §11)"
     ~config:
       "fig1 worked example (sd:5, kkt) + africa-like WAN (8 nodes, sd:3); revised engine";
-  let cells =
-    let f1 = Wan.Generators.fig1 () in
-    let f1_paths = paths_of ~primary:2 ~backup:0 f1 [ (1, 3); (2, 3) ] in
-    let f1_env =
-      Traffic.Envelope.around ~slack:0.5
-        (Traffic.Demand.of_list [ ((1, 3), 12.); ((2, 3), 10.) ])
-    in
-    let sp5 = spec ~max_failures:1 ~levels:5 () in
-    let topo, pairs = wan_small () in
-    let paths = paths_of topo pairs in
-    let env = Traffic.Envelope.from_zero ~slack:0.3 (base_demand pairs) in
-    let base =
-      [
-        ("fig1 / sd:5", sp5, f1, f1_paths, f1_env);
-        ("fig1 / kkt", { sp5 with Raha.Bilevel.encoding = Raha.Bilevel.Kkt }, f1,
-         f1_paths, f1_env);
-      ]
-    in
-    if ctx.quick then base
-    else base @ [ ("wan8 / sd:3", spec ~threshold:1e-5 (), topo, paths, env) ]
-  in
-  row "%-14s %-5s %-12s %-8s %-7s %-8s %-6s %-5s %-7s %-5s %-9s@." "cell"
-    "cuts" "degradation" "time(s)" "nodes" "pivots" "gen" "app" "pruned" "aud"
-    "warm";
-  List.iter
-    (fun (name, sp, topo, paths, env) ->
-      List.iter
-        (fun cuts_on ->
-          (* fresh counters per cell (Lp_stats.reset_all): the raw
-             cumulative reads below are then per-cell values *)
-          Milp.Lp_stats.reset_all ();
-          let copts =
-            if cuts_on then cut_options { ctx with cuts = true }
-            else Milp.Cuts.disabled
-          in
-          let opts = { (options ctx sp) with Raha.Analysis.cuts = copts } in
-          let t0 = Unix.gettimeofday () in
-          let r = Raha.Analysis.analyze ~options:opts topo paths env in
-          let dt = Unix.gettimeofday () -. t0 in
-          let pivots = Milp.Simplex.cumulative_iterations ()
-          and duals = Milp.Simplex.cumulative_dual_pivots ()
-          and wa = Milp.Simplex.cumulative_warm_attempts ()
-          and wh = Milp.Simplex.cumulative_warm_hits ()
-          and gen = Milp.Cuts.cumulative_generated ()
-          and app = Milp.Cuts.cumulative_applied ()
-          and pruned = Milp.Cuts.cumulative_pruned ()
-          and aud = Milp.Cuts.cumulative_audit_failures ()
-          and cc = Milp.Certify.cumulative_checks ()
-          and cf = Milp.Certify.cumulative_failures () in
-          let arm = if cuts_on then "on" else "off" in
-          row "%-14s %-5s %-12s %-8.2f %-7d %-8d %-6d %-5d %-7d %-5d %-9s@."
-            name arm (deg_str r) dt r.Raha.Analysis.nodes pivots gen app pruned
-            aud
-            (if wa = 0 then "-" else Printf.sprintf "%d/%d" wh wa);
-          row
-            "counters: %s | cuts=%s | deg=%s nodes=%d pivots=%d dual=%d warm=%d/%d gen=%d app=%d pruned=%d aud=%d certify=%d/%d cert=%s@."
-            name arm (deg_str r) r.Raha.Analysis.nodes pivots duals wh wa gen
-            app pruned aud cf cc (cert_str r))
-        [ true; false ])
-    cells;
+  ignore
+    (ablate ctx ~id:"cuts"
+       ~fields:
+         [ "deg"; "nodes"; "pivots"; "dual"; "warm"; "gen"; "app"; "pruned"; "aud";
+           "certify"; "cert" ]
+       (solver_cells ~wan8:(not ctx.quick) ())
+       [ arm "on" Fun.id; arm "off" no_cuts ]);
   row
     "(bit-identical degradations with fewer nodes when cuts are on; aud      counts incumbent-audit failures and must be 0)@."
 
@@ -865,12 +723,11 @@ let montecarlo ctx =
    (batch=on) vs a full formulation/model/factorization rebuild per
    scenario (batch=off). Both arms hand the simplex bit-identical
    inputs, so every per-scenario degradation must match to the last
-   bit — the "identical=true" diff line asserts it. The [counters:]
-   lines carry no wall clock and are deterministic, so CI runs the
-   experiment twice and diffs them; it also gates on bwarm (batched
-   warm hits) staying nonzero and cert=ok (zero Batch.check audit
-   failures) in the on arm. Measured scenarios/sec rows are recorded
-   in BENCH_batch.json. *)
+   bit — the "identical=true" line asserts it. The sweeps run on one
+   domain so the scope counters see every scenario; CI gates on bwarm
+   (batched warm hits) staying nonzero and cert=ok (zero Batch.check
+   audit failures) in the on arm. Measured scenarios/sec rows are
+   recorded in BENCH_batch.json. *)
 let batch_bench ctx =
   section ctx ~id:"batch"
     ~paper:"batched scenario engine: one symbolic factorization, warm overlay solves (DESIGN.md §12)"
@@ -880,76 +737,55 @@ let batch_bench ctx =
   let peak = Traffic.Demand.scale 1.3 (base_demand pairs) in
   let mc_samples = if ctx.quick then 512 else 2048 in
   let bits = Array.map Int64.bits_of_float in
-  row "%-10s %-4s %-6s %-8s %-8s %-11s %-9s %-6s@." "cell" "arm" "scen"
-    "time(s)" "scen/s" "warm" "overlays" "prep";
-  let run_cell name scen_count solve =
+  let fields = [ "scen"; "warm"; "bwarm"; "overlays"; "prepares"; "fact"; "certify"; "cert" ] in
+  print_header fields;
+  let run_cell name scen solve =
     let arm arm_name batch =
-      (* fresh counters per arm: the cumulative reads below are then
-         per-arm values *)
-      Milp.Lp_stats.reset_all ();
-      let t0 = Unix.gettimeofday () in
-      let degs = solve ~batch in
-      let dt = Unix.gettimeofday () -. t0 in
-      let wa = Milp.Simplex.cumulative_warm_attempts ()
-      and wh = Milp.Simplex.cumulative_warm_hits ()
-      and bwh = Milp.Batch.cumulative_warm_hits ()
-      and ov = Milp.Batch.cumulative_overlays ()
-      and np = Milp.Batch.cumulative_prepares ()
-      and facts = Milp.Simplex.cumulative_factorizations ()
-      and cc = Milp.Certify.cumulative_checks ()
-      and cf = Milp.Certify.cumulative_failures () in
-      row "%-10s %-4s %-6d %-8.2f %-8.0f %-11s %-9d %-6d@." name arm_name
-        scen_count dt
-        (float_of_int scen_count /. Float.max 1e-9 dt)
-        (if wa = 0 then "-" else Printf.sprintf "%d/%d" wh wa)
-        ov np;
-      row
-        "counters: %s | batch=%s | scen=%d warm=%d/%d bwarm=%d overlays=%d prepares=%d fact=%d certify=%d/%d cert=%s@."
-        name arm_name scen_count wh wa bwh ov np facts cf cc
-        (if cf = 0 then "ok" else "FAIL");
-      (degs, dt)
+      let degs, counts, wall = scoped (fun () -> solve ~batch) in
+      print_run ~id:"batch" ~cell:name ~arm:arm_name ~fields ~wall
+        (("scen", string_of_int scen)
+        :: ("cert", if count counts "certify-failures" = 0 then "ok" else "FAIL")
+        :: count_fields counts);
+      (degs, wall)
     in
     let degs_off, dt_off = arm "off" false in
     let degs_on, dt_on = arm "on" true in
     let identical = bits degs_on = bits degs_off in
-    row "%s: speedup %.1fx (off %.2fs / on %.2fs), degradations %s@." name
-      (dt_off /. Float.max 1e-9 dt_on)
-      dt_off dt_on
+    let per_s dt = float_of_int scen /. Float.max 1e-9 dt in
+    row "%s: speedup %.1fx (off %.2fs, %.0f scen/s / on %.2fs, %.0f scen/s), degradations %s@."
+      name (dt_off /. Float.max 1e-9 dt_on) dt_off (per_s dt_off) dt_on (per_s dt_on)
       (if identical then "bit-identical" else "MISMATCH");
-    row "counters: %s | diff | identical=%b@." name identical
+    row "counters: batch | %s | identical=%b@." name identical
   in
   run_cell "mc" mc_samples (fun ~batch ->
       fst
-        (Te.Monte_carlo.sample_degradations ~domains:ctx.domains ~batch ~seed:1
+        (Te.Monte_carlo.sample_degradations ~domains:1 ~batch ~seed:1
            ~samples:mc_samples topo paths peak));
   List.iter
     (fun k ->
-      let scen_count = List.length (Failure.Enumerate.up_to_k topo ~k) in
       run_cell
         (Printf.sprintf "enum k=%d" k)
-        scen_count
+        (List.length (Failure.Enumerate.up_to_k topo ~k))
         (fun ~batch ->
-          let r =
-            Raha.Baselines.enumerate_failures ~domains:ctx.domains ~batch ~k topo
-              paths peak
-          in
-          [| r.Raha.Baselines.worst |]))
+          [| (Raha.Baselines.enumerate_failures ~domains:1 ~batch ~k topo paths peak)
+               .Raha.Baselines.worst |]))
     (if ctx.quick then [ 1 ] else [ 1; 2 ]);
   row
     "(off rebuilds formulation+factorization per scenario; on pays them once.      bwarm counts warm dual overlay solves, certify the Batch.check audits —      failures must be 0)@."
 
 (* ----------------------------------------------------------- bb-parallel *)
 
+(* Parallel rounds engage on these small trees at this width and grain. *)
+let small_rounds o = { o with Raha.Analysis.bb_width = 2; bb_grain = 4 }
+
 (* Parallel branch-and-bound (DESIGN.md §14): bilevel cells solved twice
-   — domains=1 (no pool, rounds run inline) and domains=ctx (pool) —
-   with a tiny round width/grain so the parallel scheduler engages even
-   on these small trees. Everything on the [counters:] lines is
-   schedule-independent (degradation bits, bound bits, node and round
-   counts, certificates, cut audits), so CI runs the whole experiment
-   at --domains 1 and --domains 4 and diffs the lines; the per-cell
-   [identical=] flag additionally compares the two arms of a single run
-   bit for bit. Wall-clock and the pool's busy/wall overlap are printed
-   as plain rows (not diffed) and recorded in BENCH_bb_parallel.json. *)
+   — sequentially (no pool, rounds run inline) and on a ctx.domains
+   pool — with a tiny round width/grain so the parallel scheduler
+   engages. Both arms print only schedule-independent fields, so CI runs
+   the experiment at --domains 1 and --domains 4 and diffs the lines;
+   the per-cell [identical=] flag also compares the two arms of one run
+   bit for bit. Wall-clock and the pool's busy/wall overlap are plain
+   rows (not diffed), recorded in BENCH_bb_parallel.json. *)
 let bb_parallel ctx =
   section ctx ~id:"bb-parallel"
     ~paper:"parallel branch-and-bound: subtree rounds, shared incumbent (DESIGN.md §14)"
@@ -961,194 +797,64 @@ let bb_parallel ctx =
   let topo2, pairs2 = wan_small () in
   let paths2 = paths_of topo2 pairs2 in
   let env2 = Traffic.Envelope.from_zero ~slack:0.2 (base_demand pairs2) in
-  let cells =
-    [
-      ("fig1 k=1", spec ~max_failures:1 ~levels:5 (), fig1_topo, fig1_paths, fig1_env);
-      ("fig1 k=2", spec ~max_failures:2 ~levels:5 (), fig1_topo, fig1_paths, fig1_env);
-      ("africa", spec ~threshold:1e-4 ~max_failures:2 (), topo2, paths2, env2);
-    ]
+  let runs =
+    ablate ctx ~id:"bb-parallel" ~fields:identity_fields
+      [
+        ("fig1 k=1", spec ~max_failures:1 ~levels:5 (), fig1_topo, fig1_paths, fig1_env);
+        ("fig1 k=2", spec ~max_failures:2 ~levels:5 (), fig1_topo, fig1_paths, fig1_env);
+        ("africa", spec ~threshold:1e-4 ~max_failures:2 (), topo2, paths2, env2);
+      ]
+      [ arm "dom=1" small_rounds; arm ~pooled:true "dom=N" small_rounds ]
   in
-  let total_rounds = ref 0 in
-  row "%-10s %-6s %-12s %-8s %-8s %-8s@." "cell" "arm" "deg" "nodes" "rounds"
-    "time(s)";
-  List.iter
-    (fun (name, sp, topo, paths, env) ->
-      let opt domains =
-        { (options ctx sp) with Raha.Analysis.domains; bb_width = 2; bb_grain = 4 }
-      in
-      let arm arm_name pool domains =
-        let r0 = Milp.Branch_bound.cumulative_rounds () in
-        let a0 = Milp.Cuts.cumulative_audit_failures () in
-        let t0 = Unix.gettimeofday () in
-        let r = Raha.Analysis.analyze ?pool ~options:(opt domains) topo paths env in
-        let dt = Unix.gettimeofday () -. t0 in
-        let rounds = Milp.Branch_bound.cumulative_rounds () - r0 in
-        let aud = Milp.Cuts.cumulative_audit_failures () - a0 in
-        row "%-10s %-6s %-12s %-8d %-8d %-8.2f@." name arm_name (deg_str r)
-          r.Raha.Analysis.nodes rounds dt;
-        (r, rounds, aud)
-      in
-      let seq, seq_rounds, seq_aud = arm "dom=1" None 1 in
-      let (par, par_rounds, par_aud), pool_line =
-        if ctx.domains <= 1 then (arm "dom=1b" None 1, None)
-        else
-          Parallel.Pool.with_pool ~counters:Milp.Solver.stats_counters
-            ~domains:ctx.domains (fun pool ->
-              let r = arm (Printf.sprintf "dom=%d" ctx.domains) (Some pool) ctx.domains in
-              (r, Some (Format.asprintf "%a" Parallel.Pool.pp_stats (Parallel.Pool.stats pool))))
-      in
-      (match pool_line with Some l -> row "%s@." l | None -> ());
-      total_rounds := !total_rounds + par_rounds;
-      let identical =
-        Int64.bits_of_float seq.Raha.Analysis.degradation
-        = Int64.bits_of_float par.Raha.Analysis.degradation
-        && Int64.bits_of_float seq.Raha.Analysis.bound
-           = Int64.bits_of_float par.Raha.Analysis.bound
-        && seq.Raha.Analysis.nodes = par.Raha.Analysis.nodes
-        && seq_rounds = par_rounds
-        && Failure.Scenario.equal seq.Raha.Analysis.scenario par.Raha.Analysis.scenario
-      in
-      row
-        "counters: bb-parallel | cell=%s | deg=%s bound=%016Lx nodes=%d rounds=%d cert=%s aud=%d identical=%b@."
-        name (deg_str par)
-        (Int64.bits_of_float par.Raha.Analysis.bound)
-        par.Raha.Analysis.nodes par_rounds (cert_str par) (seq_aud + par_aud)
-        identical)
-    cells;
-  row "counters: bb-parallel | total | rounds=%d engaged=%b@." !total_rounds
-    (!total_rounds > 0);
+  print_identity ~id:"bb-parallel" runs;
+  let rounds = total ~keep:(( = ) "dom=N") runs "bb-rounds" in
+  row "counters: bb-parallel | total | rounds=%d engaged=%b@." rounds (rounds > 0);
   row
     "(both arms run the same round scheduler — it engages on frontier width, the      pool only moves where subtrees solve — so every line above must be identical      at --domains 1 and --domains 4, and aud must be 0)@."
 
 (* ----------------------------------------------------------- branching *)
 
-(* Branching-rule and primal-heuristics ablation: the cuts-bench cells
+(* Branching-rule and primal-heuristics ablation: the solver cells
    solved with the legacy search (most-fractional branching, plunge-only
    incumbents — the exact pre-pseudocost code path) versus the default
    reliability branching with the pump/RINS heuristics enabled. Both
    arms solve the same bilevel MILPs to optimality, so the degradations
    must agree; the reliability arm must visit fewer nodes (recorded in
    BENCH_branching.json against BENCH_cuts.json's 53/15-node baselines).
-   The [counters:] lines add sb (strong-branching probes), pcu
-   (pseudocost observations), hs/hr (heuristic incumbents accepted /
-   rejected by the unified-tolerance re-check — hr must stay 0 on this
-   corpus, and every hs passed the same tolerance Certify enforces) and
-   the usual aud/certify gates. Everything printed is deterministic (no
-   wall clock), so CI double-runs the experiment and diffs, and an
-   in-run identity check re-solves the reliability arm at bb_width=2
-   under domains 1 vs N — pseudocost tables are frozen during parallel
-   rounds and merged in frontier order, so the [identical=] flag must
-   hold at any pool width. *)
+   The fields add sb (strong-branching probes), pcu (pseudocost
+   observations), hs/hr (heuristic incumbents accepted / rejected by the
+   unified-tolerance re-check — hr must stay 0 on this corpus, and every
+   hs passed the same tolerance Certify enforces). A second table
+   re-solves the reliability arm at bb_width=2 sequentially and on a
+   ctx.domains pool — pseudocost tables are frozen during parallel
+   rounds and merged in frontier order, so [identical=] must hold at any
+   pool width. *)
 let branching_bench ctx =
   section ctx ~id:"branching"
     ~paper:"reliability branching + primal heuristics vs most-fractional (DESIGN.md §15)"
     ~config:
       "fig1 worked example (sd:5, kkt) + africa-like WAN (8 nodes, sd:3); revised engine";
-  let cells =
-    let f1 = Wan.Generators.fig1 () in
-    let f1_paths = paths_of ~primary:2 ~backup:0 f1 [ (1, 3); (2, 3) ] in
-    let f1_env =
-      Traffic.Envelope.around ~slack:0.5
-        (Traffic.Demand.of_list [ ((1, 3), 12.); ((2, 3), 10.) ])
-    in
-    let sp5 = spec ~max_failures:1 ~levels:5 () in
-    let topo, pairs = wan_small () in
-    let paths = paths_of topo pairs in
-    let env = Traffic.Envelope.from_zero ~slack:0.3 (base_demand pairs) in
-    let base =
+  let cells = solver_cells ~wan8:(not ctx.quick) () in
+  let runs =
+    ablate ctx ~id:"branching"
+      ~fields:
+        [ "deg"; "nodes"; "pivots"; "dual"; "sb"; "pcu"; "hs"; "hr"; "aud"; "certify"; "cert" ]
+      cells
       [
-        ("fig1 / sd:5", sp5, f1, f1_paths, f1_env);
-        ("fig1 / kkt", { sp5 with Raha.Bilevel.encoding = Raha.Bilevel.Kkt }, f1,
-         f1_paths, f1_env);
+        arm "frac" (fun o ->
+            { o with Raha.Analysis.branching = Milp.Branch_bound.Fractional; heuristics = false });
+        (* the defaults: reliability branching, pump and RINS on *)
+        arm "rel" Fun.id;
       ]
-    in
-    if ctx.quick then base
-    else base @ [ ("wan8 / sd:3", spec ~threshold:1e-5 (), topo, paths, env) ]
   in
-  let total_sb = ref 0 and total_pcu = ref 0 in
-  let total_hs = ref 0 and total_hr = ref 0 in
-  row "%-14s %-5s %-12s %-8s %-7s %-8s %-5s %-6s %-5s %-5s %-5s@." "cell" "arm"
-    "degradation" "time(s)" "nodes" "pivots" "sb" "pcu" "hs" "hr" "aud";
-  List.iter
-    (fun (name, sp, topo, paths, env) ->
-      let run arm_name opts =
-        (* fresh counters per arm (Lp_stats.reset_all): the raw
-           cumulative reads below are then per-arm values *)
-        Milp.Lp_stats.reset_all ();
-        let t0 = Unix.gettimeofday () in
-        let r = Raha.Analysis.analyze ~options:opts topo paths env in
-        let dt = Unix.gettimeofday () -. t0 in
-        let pivots = Milp.Simplex.cumulative_iterations ()
-        and duals = Milp.Simplex.cumulative_dual_pivots ()
-        and sb = Milp.Branch_bound.cumulative_sb_probes ()
-        and pcu = Milp.Branch_bound.cumulative_pseudocost_updates ()
-        and hs = Milp.Branch_bound.cumulative_heuristic_solutions ()
-        and hr = Milp.Branch_bound.cumulative_heuristic_rejections ()
-        and aud = Milp.Cuts.cumulative_audit_failures ()
-        and cc = Milp.Certify.cumulative_checks ()
-        and cf = Milp.Certify.cumulative_failures () in
-        total_sb := !total_sb + sb;
-        total_pcu := !total_pcu + pcu;
-        total_hs := !total_hs + hs;
-        total_hr := !total_hr + hr;
-        row "%-14s %-5s %-12s %-8.2f %-7d %-8d %-5d %-6d %-5d %-5d %-5d@." name
-          arm_name (deg_str r) dt r.Raha.Analysis.nodes pivots sb pcu hs hr aud;
-        row
-          "counters: %s | arm=%s | deg=%s nodes=%d pivots=%d dual=%d sb=%d pcu=%d hs=%d hr=%d aud=%d certify=%d/%d cert=%s@."
-          name arm_name (deg_str r) r.Raha.Analysis.nodes pivots duals sb pcu hs
-          hr aud cf cc (cert_str r);
-        r
-      in
-      (* frac arm = the exact pre-pseudocost search: most-fractional
-         branching, plunge-only incumbents, no pump/RINS *)
-      let frac_opts =
-        { (options ctx sp) with
-          Raha.Analysis.branching = Milp.Branch_bound.Fractional;
-          heuristics = false }
-      in
-      let rel_opts =
-        { (options ctx sp) with
-          Raha.Analysis.branching = Milp.Branch_bound.Reliability;
-          heuristics = true }
-      in
-      let _frac = run "frac" frac_opts in
-      let _rel = run "rel" rel_opts in
-      (* identity check: reliability branching under parallel rounds
-         (bb_width=2 so rounds engage on these small trees) must be
-         bit-identical at domains 1 vs N — frozen pseudocost tables,
-         frontier-order merge *)
-      let ident domains pool =
-        Milp.Lp_stats.reset_all ();
-        let opts =
-          { rel_opts with Raha.Analysis.domains; bb_width = 2; bb_grain = 4 }
-        in
-        Raha.Analysis.analyze ?pool ~options:opts topo paths env
-      in
-      let seq = ident 1 None in
-      let par =
-        if ctx.domains <= 1 then ident 1 None
-        else
-          Parallel.Pool.with_pool ~counters:Milp.Solver.stats_counters
-            ~domains:ctx.domains (fun pool -> ident ctx.domains (Some pool))
-      in
-      let identical =
-        Int64.bits_of_float seq.Raha.Analysis.degradation
-        = Int64.bits_of_float par.Raha.Analysis.degradation
-        && Int64.bits_of_float seq.Raha.Analysis.bound
-           = Int64.bits_of_float par.Raha.Analysis.bound
-        && seq.Raha.Analysis.nodes = par.Raha.Analysis.nodes
-        && Failure.Scenario.equal seq.Raha.Analysis.scenario
-             par.Raha.Analysis.scenario
-      in
-      row
-        "counters: %s | ident | deg=%s bound=%016Lx nodes=%d cert=%s identical=%b@."
-        name (deg_str par)
-        (Int64.bits_of_float par.Raha.Analysis.bound)
-        par.Raha.Analysis.nodes (cert_str par) identical)
-    cells;
-  row "counters: branching | total | sb=%d pcu=%d hs=%d hr=%d engaged=%b@."
-    !total_sb !total_pcu !total_hs !total_hr
-    (!total_sb > 0 && !total_pcu > 0);
+  print_identity ~id:"branching"
+    (ablate ctx ~id:"branching" ~fields:identity_fields cells
+       [ arm "ident-seq" small_rounds; arm ~pooled:true "ident" small_rounds ]);
+  let sb = total runs "sb-probes" and pcu = total runs "pseudocost-updates" in
+  row "counters: branching | total | sb=%d pcu=%d hs=%d hr=%d engaged=%b@." sb pcu
+    (total runs "heuristic-solutions")
+    (total runs "heuristic-rejections")
+    (sb > 0 && pcu > 0);
   row
     "(same degradations both arms; fewer nodes under rel; hr must be 0 — every      heuristic incumbent is re-checked at the certifier's tolerance before      acceptance; identical= must hold at any --domains)@."
 

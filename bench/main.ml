@@ -8,21 +8,19 @@
      dune exec bench/main.exe -- --quick      trimmed grids (smoke run)
      dune exec bench/main.exe -- --full       larger topologies and budgets
      dune exec bench/main.exe -- --budget 30  per-solve budget (seconds)
-     dune exec bench/main.exe -- --domains 4  parallelism of the scenario sweeps
-     dune exec bench/main.exe -- --skip-micro skip the Bechamel timings *)
+     dune exec bench/main.exe -- --domains 4  parallelism of the sweeps and the MILP core
+     dune exec bench/main.exe -- --skip-micro skip the Bechamel timings
+
+   These seven options are the whole interface. Solver layers have no
+   flags: each on/off experiment (presolve, revised, cuts, batch,
+   branching, bb-parallel, ablation) runs its arms as overrides of the
+   one Raha.Analysis.options record (README, "Ablations"). *)
 
 let () =
   let only = ref [] and list = ref false in
   let budget = ref Common.default_ctx.Common.budget in
   let domains = ref (Domain.recommended_domain_count ()) in
   let quick = ref false and full = ref false and skip_micro = ref false in
-  let no_presolve = ref false and dense_simplex = ref false in
-  let no_certify = ref false in
-  let no_cuts = ref false and cut_rounds = ref 0 and cut_rounds_set = ref false in
-  let no_batch = ref false in
-  let branching = ref Milp.Branch_bound.Reliability in
-  let no_heuristics = ref false in
-  let rins_freq = ref Common.default_ctx.Common.rins_freq in
   let args =
     [
       ("--list", Arg.Set list, " list experiment ids");
@@ -33,33 +31,10 @@ let () =
       ("--quick", Arg.Set quick, " trimmed grids");
       ("--full", Arg.Set full, " larger topologies and budgets");
       ("--skip-micro", Arg.Set skip_micro, " skip the Bechamel micro-benchmarks");
-      ("--no-presolve", Arg.Set no_presolve, " disable the MILP presolve reductions");
-      ("--dense-simplex", Arg.Set dense_simplex,
-       " use the legacy dense-tableau LP engine (no warm starts)");
-      ("--no-certify", Arg.Set no_certify,
-       " skip the independent solution audit of every solver answer");
-      ("--no-cuts", Arg.Set no_cuts,
-       " disable the cutting-plane subsystem (Gomory/cover/clique pool)");
-      ("--cut-rounds",
-       Arg.Int (fun n -> cut_rounds := n; cut_rounds_set := true),
-       "N cut separation rounds at the branch-and-bound root (default 6)");
-      ("--no-batch", Arg.Set no_batch,
-       " disable the batched scenario engine (per-scenario prepares instead)");
-      ("--branching",
-       Arg.String
-         (function
-           | "reliability" -> branching := Milp.Branch_bound.Reliability
-           | "fractional" -> branching := Milp.Branch_bound.Fractional
-           | s -> raise (Arg.Bad ("unknown branching rule " ^ s))),
-       "RULE branch-and-bound variable selection: reliability (default) or fractional");
-      ("--no-heuristics", Arg.Set no_heuristics,
-       " disable the feasibility-pump and RINS primal heuristics");
-      ("--rins-freq", Arg.Set_int rins_freq,
-       "N RINS cadence in branch-and-bound nodes (default 200; 0 disables)");
     ]
   in
   Arg.parse (Arg.align args) (fun s -> raise (Arg.Bad ("unexpected argument " ^ s)))
-    "bench/main.exe [--list] [--only IDS] [--budget S] [--domains N] [--quick|--full]";
+    "bench/main.exe [--list] [--only IDS] [--budget S] [--domains N] [--quick|--full] [--skip-micro]";
   if !list then begin
     List.iter
       (fun (id, desc, _) -> Format.printf "%-8s %s@." id desc)
@@ -73,15 +48,6 @@ let () =
         full = !full;
         quick = !quick;
         domains = max 1 !domains;
-        presolve = not !no_presolve;
-        dense_simplex = !dense_simplex;
-        certify = not !no_certify;
-        cuts = not !no_cuts;
-        cut_rounds = (if !cut_rounds_set then Some !cut_rounds else None);
-        batch = not !no_batch;
-        branching = !branching;
-        heuristics = not !no_heuristics;
-        rins_freq = !rins_freq;
       }
     in
     (* an unknown id in --only would otherwise be silently skipped *)

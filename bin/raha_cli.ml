@@ -167,81 +167,6 @@ let domains_arg =
         ~doc:
           "OCaml domains used for scenario-evaluation sweeps and the MILP core               (parallel branch-and-bound subtree rounds, concurrent cluster-block               waves). Default: all cores; $(b,1) forces the sequential path —               results are bit-identical either way.")
 
-let no_presolve_arg =
-  Arg.(
-    value & flag
-    & info [ "no-presolve" ]
-        ~doc:
-          "Disable the MILP presolve reductions (bound propagation, big-M               tightening, probing) and hand the raw encoding to branch-and-bound.")
-
-let dense_simplex_arg =
-  Arg.(
-    value & flag
-    & info [ "dense-simplex" ]
-        ~doc:
-          "Solve LP relaxations with the legacy dense-tableau simplex instead of               the revised engine (sparse LU basis, dual-simplex warm starts).               Slower; kept for differential debugging.")
-
-let no_certify_arg =
-  Arg.(
-    value & flag
-    & info [ "no-certify" ]
-        ~doc:
-          "Skip the independent solution audit (primal/integrality/objective/               bound residuals against the original model, dual certificates for               pure LPs). Certified runs downgrade unsound answers instead of               reporting them.")
-
-let no_cuts_arg =
-  Arg.(
-    value & flag
-    & info [ "no-cuts" ]
-        ~doc:
-          "Disable the cutting-plane subsystem (Gomory mixed-integer, knapsack               cover and clique cuts over a managed pool) and run the cut-free               branch-and-bound search.")
-
-let no_batch_arg =
-  Arg.(
-    value & flag
-    & info [ "no-batch" ]
-        ~doc:
-          "Disable the batched scenario engine (one symbolic factorization,               rhs overlays, warm dual solves from the healthy basis) for               scenario-evaluation sweeps; every scenario rebuilds its own               formulation and factorization. Bit-identical results, kept for               differential debugging and ablation.")
-
-let cut_rounds_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "cut-rounds" ] ~docv:"N"
-        ~doc:
-          "Number of cut separation rounds at the branch-and-bound root               (default 6). Ignored under $(b,--no-cuts).")
-
-let branching_arg =
-  let parse = function
-    | "reliability" -> Ok Milp.Branch_bound.Reliability
-    | "fractional" -> Ok Milp.Branch_bound.Fractional
-    | _ -> Error (`Msg "branching: reliability or fractional")
-  in
-  let print ppf = function
-    | Milp.Branch_bound.Reliability -> Format.pp_print_string ppf "reliability"
-    | Milp.Branch_bound.Fractional -> Format.pp_print_string ppf "fractional"
-  in
-  Arg.(
-    value
-    & opt (conv (parse, print)) Milp.Branch_bound.Reliability
-    & info [ "branching" ] ~docv:"RULE"
-        ~doc:
-          "Branch-and-bound variable selection: $(b,reliability) (pseudocost               estimates initialized by strong-branching probes; default) or               $(b,fractional) (legacy most-fractional rule).")
-
-let no_heuristics_arg =
-  Arg.(
-    value & flag
-    & info [ "no-heuristics" ]
-        ~doc:
-          "Disable the feasibility-pump and RINS primal heuristics, keeping               only the legacy diving cadence for incumbents.")
-
-let rins_freq_arg =
-  Arg.(
-    value
-    & opt int Milp.Solver.default_options.Milp.Solver.rins_freq
-    & info [ "rins-freq" ] ~docv:"N"
-        ~doc:
-          "Run RINS neighborhood search every N branch-and-bound nodes once an               incumbent exists (default 200; 0 disables RINS). Ignored under               $(b,--no-heuristics).")
-
 let clusters_arg =
   Arg.(value & opt int 1 & info [ "clusters" ] ~doc:"Clusters for Algorithm 1 (1 = off).")
 
@@ -290,8 +215,7 @@ type setup = {
 }
 
 let make_setup topo pairs num_pairs primary backup threshold max_failures ce slack
-    volume timeout domains no_presolve dense_simplex no_certify no_cuts no_batch
-    cut_rounds branching no_heuristics rins_freq encoding objective demand_file =
+    volume timeout domains encoding objective demand_file =
   let base =
     match demand_file with
     | Some path -> Traffic.Demand_io.load path
@@ -318,26 +242,8 @@ let make_setup topo pairs num_pairs primary backup threshold max_failures ce sla
       objective;
     }
   in
-  let cuts =
-    let base = if no_cuts then Milp.Cuts.disabled else Milp.Cuts.default in
-    match cut_rounds with
-    | Some r -> { base with Milp.Cuts.root_rounds = max 0 r }
-    | None -> base
-  in
   let options =
-    {
-      (Raha.Analysis.with_timeout timeout) with
-      spec;
-      domains = max 1 domains;
-      presolve = not no_presolve;
-      dense_simplex;
-      certify = not no_certify;
-      cuts;
-      batch = not no_batch;
-      branching;
-      heuristics = not no_heuristics;
-      rins_freq;
-    }
+    { (Raha.Analysis.with_timeout timeout) with spec; domains = max 1 domains }
   in
   { topo; paths; envelope; options }
 
@@ -345,10 +251,7 @@ let setup_term =
   Term.(
     const make_setup $ topology_arg $ pairs_arg $ num_pairs_arg $ primary_arg
     $ backup_arg $ threshold_arg $ max_failures_arg $ ce_arg $ slack_arg $ volume_arg
-    $ timeout_arg $ domains_arg $ no_presolve_arg $ dense_simplex_arg
-    $ no_certify_arg $ no_cuts_arg $ no_batch_arg $ cut_rounds_arg $ branching_arg
-    $ no_heuristics_arg $ rins_freq_arg $ encoding_arg $ objective_arg
-    $ demand_file_arg)
+    $ timeout_arg $ domains_arg $ encoding_arg $ objective_arg $ demand_file_arg)
 
 (* --- subcommands ------------------------------------------------------- *)
 

@@ -51,7 +51,7 @@ type options = {
           and every [node_interval] in-tree nodes, the LP is re-prepared
           on the extended row set, and parent bases extend over appended
           cut rows so dual warm starts survive. Default {!Cuts.default};
-          [Cuts.disabled] ([--no-cuts]) restores the pre-cut search
+          [Cuts.disabled] restores the pre-cut search
           exactly. A cut that fails its incumbent audit is dropped and
           taints the outcome ([Optimal] -> [Feasible]). *)
   pool : Parallel.Pool.t option;

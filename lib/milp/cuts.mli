@@ -40,7 +40,7 @@ type family = Gomory | Cover | Clique
 val family_name : family -> string
 
 type options = {
-  enable : bool;  (** master switch ([--no-cuts] at the CLI) *)
+  enable : bool;  (** master switch ([false] in {!disabled}) *)
   root_rounds : int;  (** separation rounds at the root node *)
   node_interval : int;
       (** separate one round every this many B&B nodes ([0] disables

@@ -1,6 +1,6 @@
 (** Legacy two-phase primal simplex on a dense tableau.
 
-    Kept as the reference engine behind [--dense-simplex] for
+    Kept as the reference engine behind the [dense_simplex] option for
     differential testing of the revised engine ({!Simplex}); the
     bounded-variable semantics, tolerances and pivot rules are
     unchanged from when this was the only LP kernel. Pivots count into

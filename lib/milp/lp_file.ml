@@ -292,25 +292,30 @@ let of_string s =
   List.iter note !bins;
   List.iter note !gens;
   (* id resolution: the writer's canonical x<id> names keep their ids
-     (unmentioned ids in between become default continuous variables);
-     any other naming falls back to first-appearance order *)
+     when they are dense (0 .. n-1 over n distinct names, which holds
+     for every [to_string] output since it lists each variable under
+     Bounds); any other naming — including sparse ids, which would size
+     the model by the largest one — falls back to first-appearance
+     order *)
   let order = List.rev !order in
   let canonical name =
     let n = String.length name in
     if n >= 2 && name.[0] = 'x' then
+      (* exactly the writer's spelling: "x01" or "x0x1" would alias x1 *)
       match int_of_string_opt (String.sub name 1 (n - 1)) with
-      | Some d when d >= 0 -> Some d
+      | Some d when d >= 0 && var_name d = name -> Some d
       | _ -> None
     else None
   in
-  let all_canonical = List.for_all (fun n -> canonical n <> None) order in
+  let dense =
+    let nv = List.length order in
+    List.for_all
+      (fun n -> match canonical n with Some d -> d < nv | None -> false)
+      order
+  in
   let id_of, nv, name_of_id =
-    if all_canonical then begin
-      let nv =
-        List.fold_left (fun acc n -> max acc (1 + Option.get (canonical n))) 0 order
-      in
-      ((fun n -> Option.get (canonical n)), nv, fun j -> var_name j)
-    end
+    if dense then
+      ((fun n -> Option.get (canonical n)), List.length order, fun j -> var_name j)
     else begin
       let tbl = Hashtbl.create 64 in
       List.iteri (fun i n -> Hashtbl.add tbl n i) order;
@@ -326,7 +331,9 @@ let of_string s =
   Hashtbl.iter (fun n v -> ub.(id_of n) <- v) ubs;
   let m = Model.create ~name:"lp" () in
   for j = 0 to nv - 1 do
-    ignore (Model.add_var m ~name:(name_of_id j) ~kind:kind.(j) ~lb:lb.(j) ~ub:ub.(j))
+    match Model.add_var m ~name:(name_of_id j) ~kind:kind.(j) ~lb:lb.(j) ~ub:ub.(j) with
+    | _ -> ()
+    | exception Invalid_argument msg -> fail "%s" msg
   done;
   List.iter
     (fun (label, terms, const, rel, rhs) ->

@@ -17,10 +17,14 @@ val of_string : string -> Model.t
     constant term), [Subject To] rows with optional labels, [Bounds]
     lines (including [free] and two-sided ranges), [Binaries] and
     [Generals]. The writer's canonical [x<id>] names keep their variable
-    ids, so [of_string (to_string m)] reproduces [m]'s indexing exactly;
-    other naming schemes get ids in order of first appearance.
+    ids when they are dense (the ids of the [n] distinct names are
+    exactly [0 .. n-1], as in every {!to_string} output), so
+    [of_string (to_string m)] reproduces [m]'s indexing exactly; other
+    naming schemes, sparse canonical ids included, get ids in order of
+    first appearance.
 
-    @raise Parse_error on input outside the supported subset. *)
+    @raise Parse_error on input outside the supported subset, including
+    contradictory bounds ([lb > ub]). *)
 
 val read : string -> Model.t
 (** [read path] parses the LP file at [path] with {!of_string}. *)

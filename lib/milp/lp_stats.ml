@@ -58,22 +58,12 @@ let fmax k v =
 
 let fread k () = !(Domain.DLS.get k)
 
-(* Zero every counter and high-water mark of the calling domain. Bench
-   cells call this between runs so cumulative readings double as
-   per-cell absolutes and the certify-* maxes cannot leak across cells.
-   Per-domain by construction: a Parallel.Pool worker's counters are
-   untouched (the pool aggregates those by delta instead). *)
-let reset_all () =
-  List.iter (fun k -> Domain.DLS.get k := 0) int_keys;
-  List.iter (fun k -> Domain.DLS.get k := 0.) float_keys
-
 (* --- per-query scopes --------------------------------------------------
 
-   [reset_all] is a one-shot-CLI tool: in a long-lived daemon it would
-   wipe the process-lifetime telemetry, and two queries separated only
-   by cumulative reads would smear into each other. A scope instead
-   samples the calling domain's counters at entry and reports
-   since-entry deltas at exit, leaving the cumulative values untouched.
+   A scope samples the calling domain's counters at entry and reports
+   since-entry deltas at exit, leaving the cumulative values untouched,
+   so two queries never smear into each other and the process-lifetime
+   telemetry survives.
    The float high-water marks cannot be delta'd (they are maxes), so a
    scope saves them, zeroes them for the query, and folds the query's
    marks back into the saved values at exit — the global high-water

@@ -14,7 +14,7 @@
     budget.
 
     The legacy dense tableau ({!Dense_simplex}) remains reachable
-    through [~engine:Dense] ([--dense-simplex] at the CLI) for
+    through [~engine:Dense] (the [dense_simplex] solver option) for
     differential testing.
 
     Anti-cycling: after [degen_limit] consecutive degenerate pivots

@@ -30,13 +30,13 @@ type options = {
           [false]); forfeits warm starts and basis statuses *)
   certify : bool;
       (** independently re-validate every answer against the original
-          model via {!Certify} (default [true]; [--no-certify] at the
-          CLI). A failed certificate downgrades the status — see
+          model via {!Certify} (default [true]; {!solve}'s [?certify]
+          overrides it for one call). A failed certificate downgrades the status — see
           {!solve} — rather than raising. *)
   cuts : Cuts.options;
       (** cutting planes for MILP solves ({!Cuts}: Gomory mixed-integer,
           knapsack cover and clique cuts over a managed pool). Default
-          {!Cuts.default}; [Cuts.disabled] ([--no-cuts] at the CLI)
+          {!Cuts.default}; [Cuts.disabled]
           restores the cut-free search exactly. *)
   sx_iters : int option;
       (** simplex pivot budget per LP (default [None] = unlimited),
@@ -60,15 +60,15 @@ type options = {
           {!Branch_bound.options.par_grain}. *)
   branching : Branch_bound.branching;
       (** branching-variable selection rule (default
-          {!Branch_bound.Reliability}; [--branching=fractional] at the
-          CLI restores the legacy most-fractional rule exactly) *)
+          {!Branch_bound.Reliability}; [Fractional]
+          restores the legacy most-fractional rule exactly) *)
   heuristics : bool;
       (** enable the feasibility pump and RINS primal heuristics
-          (default [true]; [--no-heuristics] at the CLI keeps only the
+          (default [true]; [false] keeps only the
           legacy diving cadence); see {!Branch_bound.options.heuristics} *)
   rins_freq : int;
       (** RINS cadence in nodes once an incumbent exists; [<= 0]
-          disables RINS (default 200, [--rins-freq] at the CLI) *)
+          disables RINS (default 200) *)
 }
 
 (** Defaults shared with branch-and-bound are derived from

@@ -8,9 +8,7 @@ type options = {
   domains : int;
   presolve : bool;
   dense_simplex : bool;
-  certify : bool;
   cuts : Milp.Cuts.options;
-  batch : bool;
   sx_iters : int option;
   bb_width : int;
   bb_grain : int;
@@ -30,9 +28,7 @@ let default_options =
     domains = 1;
     presolve = true;
     dense_simplex = false;
-    certify = true;
     cuts = Milp.Cuts.default;
-    batch = true;
     sx_iters = None;
     bb_width = Milp.Solver.default_options.Milp.Solver.bb_width;
     bb_grain = Milp.Solver.default_options.Milp.Solver.bb_grain;
@@ -94,7 +90,7 @@ let screening_engine ~spec topo paths envelope =
   Te.Simulate.prepare ~objective:spec.Bilevel.objective topo paths
     (screening_demand spec envelope)
 
-let seed_candidates ?screen ?pool spec topo paths envelope ~limit ~domains ~batch =
+let seed_candidates ?screen ?pool spec topo paths envelope ~limit ~domains =
   let admissible s =
     (match spec.Bilevel.threshold with
     | Some t -> Failure.Scenario.prob topo s >= t
@@ -126,8 +122,7 @@ let seed_candidates ?screen ?pool spec topo paths envelope ~limit ~domains ~batc
   let candidates = List.filter admissible candidates in
   let demand_for = screening_demand spec envelope in
   (* one engine for the whole candidate sweep: prepare + healthy solve
-     once, then a warm overlay (or full rebuild, when batch is off) per
-     candidate. A caller holding a persistent engine for this
+     once, then a warm overlay per candidate. A caller holding a persistent engine for this
      (spec, topo, paths, envelope) — the always-on service — passes it
      as [?screen] and skips the prepare entirely. *)
   let eng =
@@ -135,18 +130,17 @@ let seed_candidates ?screen ?pool spec topo paths envelope ~limit ~domains ~batc
     | Some _ -> screen
     | None -> screening_engine ~spec topo paths envelope
   in
-  let rebuild = not batch in
   let score s =
     match eng with
     | None -> neg_infinity (* healthy network cannot route the demand *)
     | Some eng -> (
       match spec.Bilevel.goal with
       | Bilevel.Max_degradation -> (
-        match Te.Simulate.degradation_prepared ~rebuild eng s with
+        match Te.Simulate.degradation_prepared eng s with
         | Some d -> d
         | None -> neg_infinity)
       | Bilevel.Min_failed_performance -> (
-        match Te.Simulate.route_prepared ~rebuild eng s with
+        match Te.Simulate.route_prepared eng s with
         | Some r -> (
           match spec.Bilevel.objective with
           | Te.Formulation.Mlu _ -> r.Te.Simulate.performance
@@ -189,7 +183,7 @@ let analyze_with ?screen ?(extra_cuts = []) ?pool ~options topo paths envelope =
     | limit ->
       let limit = Option.value limit ~default:6 in
       seed_candidates ?screen ?pool options.spec topo paths envelope ~limit
-        ~domains:options.domains ~batch:options.batch
+        ~domains:options.domains
       |> List.map (fun (s, d) -> Bilevel.hint built ~scenario:s ~demand:d)
   in
   let solver_options =
@@ -203,7 +197,6 @@ let analyze_with ?screen ?(extra_cuts = []) ?pool ~options topo paths envelope =
       plunge_hints = hints;
       presolve = options.presolve;
       dense_simplex = options.dense_simplex;
-      certify = options.certify;
       cuts = options.cuts;
       sx_iters = options.sx_iters;
       pool;

@@ -28,34 +28,19 @@ type options = {
   presolve : bool;
       (** run the {!Milp.Presolve} reductions (big-M tightening, probing
           on the failure binaries, …) before branch-and-bound; default
-          [true]. Disable with the CLI/bench [--no-presolve] flags. *)
+          [true]; the [presolve] bench arm turns it off. *)
   dense_simplex : bool;
       (** solve LP relaxations with the legacy dense tableau instead of
           the revised simplex (no sparse factorization, no dual-simplex
-          warm starts); default [false]. Enable with the CLI/bench
-          [--dense-simplex] flags. *)
-  certify : bool;
-      (** independently re-validate the solver's answer against the
-          original model ({!Milp.Certify}); a failed certificate
-          downgrades [status] instead of reporting an unsound result.
-          Default [true]; disable with the CLI/bench [--no-certify]
-          flags. *)
+          warm starts); default [false]; the [revised] bench arm turns
+          it on. *)
   cuts : Milp.Cuts.options;
       (** cutting planes for the branch-and-bound solve
           ({!Milp.Cuts}: Gomory mixed-integer, knapsack cover and clique
           cuts over a managed pool). Default {!Milp.Cuts.default};
-          [Milp.Cuts.disabled] (the CLI/bench [--no-cuts] flags)
-          restores the cut-free search exactly, and [--cut-rounds N]
-          overrides the number of root separation rounds. *)
-  batch : bool;
-      (** route scenario-evaluation sweeps (seed candidate scoring here,
-          Monte Carlo and enumeration in {!Te.Monte_carlo} /
-          {!Baselines}) through the batched engine
-          ({!Te.Simulate.prepare}): one symbolic factorization, rhs
-          overlays, warm dual solves. Default [true]; [false] (the
-          CLI/bench [--no-batch] flags) rebuilds the per-scenario
-          structures instead — bit-identical results, full per-scenario
-          cost. *)
+          [Milp.Cuts.disabled] (the [cuts] bench arm) restores the
+          cut-free search exactly, and [root_rounds] sets the number of
+          root separation rounds. *)
   sx_iters : int option;
       (** simplex pivot budget per LP relaxation
           ({!Milp.Solver.options.sx_iters}); default [None] = unlimited.
@@ -105,8 +90,8 @@ type report = {
           explain" breakdown. Empty when no incumbent exists. *)
   certificate : Milp.Certify.t option;
       (** the solution-audit verdict and residuals ({!Milp.Certify});
-          [None] when certification is disabled or the outcome carries
-          no point *)
+          every answer with a point is certified, so this is [None]
+          only when the outcome carries no point *)
   elapsed : float;
   nodes : int;
 }

@@ -29,7 +29,8 @@ type enumeration = {
     Scenarios go through the batched engine ({!Te.Simulate.prepare}):
     one prepare, one healthy solve, rhs overlays warm-started from the
     healthy basis. [batch = false] rebuilds the per-scenario structure
-    instead ([--no-batch]); results are bit-identical either way.
+    instead (the batch ablation's off arm); results are bit-identical
+    either way.
     @raise Invalid_argument when the scenario count explodes (see
     {!Failure.Enumerate.up_to_k}). *)
 val enumerate_failures :

@@ -80,19 +80,12 @@ let counters_json (report : Milp.Lp_stats.scope_report) =
        (fun (k, v) -> if v = 0 then None else Some (k, Json.Int v))
        report.Milp.Lp_stats.scope_counters)
 
-(* cert verdict from the scope: every certification and audit that ran
-   inside this query must have passed *)
-let cert_of_scope ~enabled (report : Milp.Lp_stats.scope_report) =
-  if not enabled then "none"
-  else begin
-    let read k =
-      match List.assoc_opt k report.Milp.Lp_stats.scope_counters with
-      | Some v -> v
-      | None -> 0
-    in
-    if read "certify-failures" = 0 && read "cut-audit-failures" = 0 then "ok"
-    else "fail"
-  end
+(* cert verdict from a query's counter deltas: every certification and
+   audit that ran inside the query must have passed *)
+let cert_of_counters counters =
+  let read k = Option.value (List.assoc_opt k counters) ~default:0 in
+  if read "certify-failures" = 0 && read "cut-audit-failures" = 0 then "ok"
+  else "fail"
 
 let rec strip_volatile = function
   | Json.Obj kvs ->
@@ -217,7 +210,6 @@ let worst_verdict t =
 (* Solve inside a counter scope, fold the cert verdict into the cached
    answer, return the wire fields plus the scope report. *)
 let solve_scoped t ~verdict ~budget ~max_nodes =
-  let certify_on = t.cfg.options.Raha.Analysis.certify in
   let scope = Milp.Lp_stats.scope_enter ~hooks:Milp.Solver.stats_counters () in
   let answer, elapsed, certificate = solve_worst t ~verdict ~budget ~max_nodes in
   let report = Milp.Lp_stats.scope_exit scope in
@@ -226,7 +218,7 @@ let solve_scoped t ~verdict ~budget ~max_nodes =
        failures inside the scope also taint the verdict *)
     match certificate with
     | Some c when not c.Milp.Certify.ok -> "fail"
-    | Some _ | None -> cert_of_scope ~enabled:certify_on report
+    | Some _ | None -> cert_of_counters report.Milp.Lp_stats.scope_counters
   in
   let answer = answer @ [ ("cert", Json.String cert) ] in
   (* fold the verdict into the cache so later cached serves repeat it *)
@@ -294,7 +286,7 @@ let query_now t ~down =
   | Error m -> err m
   | Ok (deg, prob) ->
     now_answer t ~down ~deg ~prob
-      ~cert:(cert_of_scope ~enabled:t.cfg.options.Raha.Analysis.certify report)
+      ~cert:(cert_of_counters report.Milp.Lp_stats.scope_counters)
       ~counters:(counters_json report)
 
 (* Concurrent overlay evaluation: the engine is immutable and overlay
@@ -337,15 +329,7 @@ let now_many t downs =
           let r = Parallel.Pool.map_array pool evaluate items in
           (r, (Parallel.Pool.stats pool).Parallel.Pool.counters))
     in
-    let read k =
-      match List.assoc_opt k counters with Some v -> v | None -> 0
-    in
-    let cert =
-      if not t.cfg.options.Raha.Analysis.certify then "none"
-      else if read "certify-failures" = 0 && read "cut-audit-failures" = 0 then
-        "ok"
-      else "fail"
-    in
+    let cert = cert_of_counters counters in
     let counters =
       Json.Obj
         (List.filter_map

@@ -12,8 +12,7 @@
     Query answers carry, besides the result itself:
     - ["cert"]: ["ok"] when the independent audits ({!Milp.Certify} for
       the MILP, {!Milp.Batch.check} for warm overlays) all passed
-      inside this query's counter scope, ["fail"] otherwise, ["none"]
-      when certification was disabled;
+      inside this query's counter scope, ["fail"] otherwise;
     - freshness: ["events_applied"] (ingested events folded into the
       answer), ["staleness"] (events since the answer was computed — 0
       unless the invalidation policy ruled the cache still valid);
@@ -26,7 +25,7 @@ type config = {
       (** the {e configured} demand envelope; {!Event.Demand} events
           re-forecast it per pair from then on ({!State.envelope}) *)
   options : Raha.Analysis.options;
-      (** per-solve options; [spec], [domains], budgets, toggles *)
+      (** per-solve options; [spec], [domains], budgets *)
   drift_tol : float;
       (** max per-link probability-estimate drift a cached answer
           survives ({!Policy.decide}) *)

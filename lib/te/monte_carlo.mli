@@ -33,7 +33,7 @@ type summary = {
 
     Scenarios are solved through the batched engine ({!Simulate.prepare}):
     one shared prepared structure, rhs overlays, warm dual solves from
-    the healthy basis. [batch = false] (the [--no-batch] arm) rebuilds
+    the healthy basis. [batch = false] (the batch ablation's off arm) rebuilds
     formulation + prepared structure per scenario instead — bit-identical
     results, full per-scenario cost. [batch_size] (default 64) only sets
     the chunk granularity fanned over domains; every scenario warm-starts

@@ -121,7 +121,7 @@ let healthy ?objective topo paths demand =
    factorization) serves every scenario, warm-started from the healthy
    network's optimal basis.
 
-   The [rebuild] escape hatch (--no-batch) solves the same scenario LP
+   The [rebuild] escape hatch (the batch ablation's off arm) solves the same scenario LP
    by rebuilding formulation, model and prepared structure from
    scratch — the per-scenario-prepare path. Both paths hand the
    simplex bit-identical inputs (structure, bounds, rhs, warm basis),

@@ -101,7 +101,7 @@ val engine_healthy : engine -> result
     under [scenario]. [rebuild = false] (default) is the batched path:
     rhs overlay + warm dual solve on the shared prepared structure.
     [rebuild = true] is the per-scenario-prepare comparator (the
-    [--no-batch] arm): formulation, model, CSC structure and
+    batch ablation's off arm): formulation, model, CSC structure and
     factorization are rebuilt from scratch for this scenario and solved
     with the same warm basis — bit-identical solver inputs, hence
     bit-identical results, while paying the full structural cost the

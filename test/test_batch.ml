@@ -5,7 +5,7 @@
    the per-scenario-prepare path hand the simplex bit-identical inputs,
    so Monte Carlo and enumeration sweeps must return the very same
    float bits for every batch size, domain count, and batch on/off —
-   that is what makes [--no-batch] a pure performance ablation. The
+   that is what makes batch off a pure performance ablation. The
    warm=cold property is weaker by design (alternate optima can differ
    at the last bit between warm dual and cold primal runs) and is
    checked at objective/status level over the random-LP corpus. *)

@@ -457,6 +457,23 @@ let test_lp_roundtrip_basic () =
   let sol = lp_opt m and sol' = lp_opt m' in
   check_float "same optimum after round-trip" sol.Solver.obj sol'.Solver.obj
 
+let test_lp_parse_untrusted () =
+  (* hostile inputs fail in-band with Parse_error, never another exception *)
+  let rejects what s =
+    match Lp_file.of_string s with
+    | _ -> Alcotest.failf "%s: accepted" what
+    | exception Lp_file.Parse_error _ -> ()
+    | exception e -> Alcotest.failf "%s: raised %s" what (Printexc.to_string e)
+  in
+  rejects "crossed bound" "Maximize\n obj: x\nSubject To\n c0: x <= 5\nBounds\n 4 <= x <= 3\nEnd\n";
+  rejects "crossed canonical bound" "Maximize\n obj: x0\nSubject To\nBounds\n 4 <= x0 <= 3\nEnd\n";
+  (* a sparse canonical id must not size the model: it is read as an
+     ordinary name, in order of first appearance *)
+  let m = Lp_file.of_string "Maximize\n obj: x50000000\nSubject To\n c0: x50000000 <= 2\nEnd\n" in
+  Alcotest.(check int) "one variable" 1 (Model.num_vars m);
+  Alcotest.(check string) "name kept" "x50000000" (Model.var_of_id m 0).Model.vname;
+  check_float "optimum" 2. (lp_opt m).Solver.obj
+
 let prop_lp_roundtrip =
   (* exported then re-parsed models must agree with the original on
      status and optimum *)
@@ -692,6 +709,7 @@ let suite =
     ("model check_feasible", `Quick, test_check_feasible);
     ("lp file export", `Quick, test_lp_file);
     ("lp file round-trip", `Quick, test_lp_roundtrip_basic);
+    ("lp file untrusted input", `Quick, test_lp_parse_untrusted);
     ("lp ge-heavy", `Quick, test_lp_ge_heavy);
     ("lp redundant rows", `Quick, test_lp_redundant_rows);
     ("lp equality system", `Quick, test_lp_equality_system);
