@@ -51,14 +51,8 @@ let default =
 
 type outcome = Optimal | Feasible | No_incumbent | Infeasible | Unbounded
 
-(* Node counter. Domain-local like the simplex pivot counter, so a
-   Parallel.Pool can aggregate per-domain deltas without races. *)
-let nodes_key = Domain.DLS.new_key (fun () -> ref 0)
-let cumulative_nodes () = !(Domain.DLS.get nodes_key)
-
-let rounds_key = Domain.DLS.new_key (fun () -> ref 0)
-let cumulative_rounds () = !(Domain.DLS.get rounds_key)
-
+let cumulative_nodes () = Lp_stats.read Lp_stats.bb_nodes ()
+let cumulative_rounds () = Lp_stats.read Lp_stats.bb_rounds ()
 let cumulative_sb_probes () = Lp_stats.read Lp_stats.sb_probes ()
 let cumulative_pseudocost_updates () = Lp_stats.read Lp_stats.pseudocost_updates ()
 let cumulative_heuristic_solutions () = Lp_stats.read Lp_stats.heuristic_solutions ()
@@ -119,13 +113,15 @@ let pc_rel_threshold = 4
 (* strong-branching probe budget per node *)
 let pc_probe_cap = 8
 
+let frac values id = Float.abs (values.(id) -. Float.round values.(id))
+
 (* Fractional candidates restricted to the highest branch-priority
    class, in ascending variable-id order. *)
 let branch_candidates ~int_tol ~priority int_ids values =
   let best_pri = ref min_int in
   Array.iter
     (fun id ->
-      if Float.abs (values.(id) -. Float.round values.(id)) > int_tol then begin
+      if frac values id > int_tol then begin
         let pri = priority id in
         if pri > !best_pri then best_pri := pri
       end)
@@ -134,10 +130,17 @@ let branch_candidates ~int_tol ~priority int_ids values =
   else
     Array.of_seq
       (Seq.filter
-         (fun id ->
-           Float.abs (values.(id) -. Float.round values.(id)) > int_tol
-           && priority id = !best_pri)
+         (fun id -> frac values id > int_tol && priority id = !best_pri)
          (Array.to_seq int_ids))
+
+(* The legacy rule: the most fractional candidate, ties to the first. *)
+let most_fractional cands values =
+  Array.fold_left
+    (fun best id ->
+      match best with
+      | Some b when frac values b >= frac values id -> best
+      | _ -> Some id)
+    None cands
 
 (* Pseudocost selection under the product rule. [gains] optionally
    carries per-candidate strong-branching measurements for this node
@@ -145,7 +148,7 @@ let branch_candidates ~int_tol ~priority int_ids values =
    proved the child infeasible — the best possible branching outcome).
    Candidates arrive in ascending id order and only a strictly better
    score displaces the leader, so ties break deterministically to the
-   lowest variable id. *)
+   lowest variable id. Returns the leader's index into [cands]. *)
 let pc_select pc ~ipos ?gains cands values =
   let avg_dn = pc_avg pc.dn_sum pc.dn_cnt in
   let avg_up = pc_avg pc.up_sum pc.up_cnt in
@@ -166,7 +169,7 @@ let pc_select pc ~ipos ?gains cands values =
       in
       let score = Float.max dd 1e-6 *. Float.max du 1e-6 in
       if score > !best_score then begin
-        best := id;
+        best := k;
         best_score := score
       end)
     cands;
@@ -281,6 +284,81 @@ module Heap = struct
   let best_key h = if h.len = 0 then None else Some h.a.(0).key
 end
 
+(* --- node expansion, shared by the owner's step and the round tasks --- *)
+
+(* Gap test against the incumbent objective [best], which is
+   [neg_infinity] exactly while no incumbent exists. *)
+let within_gap options ~best k =
+  best > neg_infinity
+  && (k -. best <= options.abs_gap
+     || k -. best <= options.rel_gap *. Float.max 1. (Float.abs best))
+
+(* Lift the parent basis onto [prep], the current (possibly
+   cut-extended) LP; unusable shapes and bases from before the last
+   pruning generation cold-start. *)
+let lift_warm node prep ~last_prune =
+  match node.pbasis with
+  | Some b when node.pgen >= last_prune -> Simplex.extend_basis b prep
+  | Some _ | None -> None
+
+(* Pseudocost observation: a child's own LP measures the true bound
+   degradation of its parent's branching decision. The observation
+   (position, direction, gain per unit of fractional distance) is
+   returned so a round task can log it for the barrier merge. *)
+let observe_child pc ~ipos ~osign ~int_tol node obj =
+  let pos = ipos.(node.bvar) in
+  let g = Float.max 0. (node.parent_bound -. (osign *. obj)) in
+  let gpf = g /. Float.max node.bfrac int_tol in
+  pc_update pc pos ~up:node.bup gpf;
+  Lp_stats.incr Lp_stats.pseudocost_updates;
+  (pos, node.bup, gpf)
+
+(* Push [node]'s two children branching on [id], whose LP value in
+   [values] is fractional. [gd]/[gu] are strong-branching gains of the
+   down/up child ([nan] = not probed): a probe already solved that
+   child's LP, so its measured bound is the child's true key —
+   best-first then never pops the child once the gap closes over it —
+   and an infinite gain (probe-infeasible child) skips the push. The
+   child toward the rounded value goes first (heap tiebreak on depth
+   dives there). *)
+let push_children push node ~bound ~fbasis ~gen id values (gd, gu) =
+  let x = values.(id) in
+  let fl = Float.floor x and ce = Float.ceil x in
+  let child up =
+    let nlb = Array.copy node.nlb and nub = Array.copy node.nub in
+    if up then nlb.(id) <- ce else nub.(id) <- fl;
+    let g = if up then gu else gd in
+    let key = if Float.is_nan g then bound else bound -. g in
+    let depth = node.depth + 1 in
+    if nlb.(id) <= nub.(id) +. 1e-12 && key > neg_infinity then
+      push
+        {
+          Heap.key;
+          depth;
+          node =
+            {
+              nlb;
+              nub;
+              depth;
+              parent_bound = bound;
+              pbasis = fbasis;
+              pgen = gen;
+              bvar = id;
+              bup = up;
+              bfrac = (if up then ce -. x else x -. fl);
+            };
+        }
+  in
+  if x -. fl > 0.5 then (child false; child true) else (child true; child false)
+
+(* Subtrees dropped because their LP hit the iteration budget: the
+   count, and the tightest parent bound over them. *)
+type drops = { mutable dcount : int; mutable dkey : float }
+
+let drop ?(n = 1) d key =
+  d.dcount <- d.dcount + n;
+  if key > d.dkey then d.dkey <- key
+
 (* --- shared incumbent for concurrent subtree solves -------------------- *)
 
 (* An incumbent candidate offered by a subtree task. [iorigin] is the
@@ -311,8 +389,7 @@ let rec offer_incumbent cell cand =
 type task_result = {
   tr_nodes : int;
   tr_iters : int;
-  tr_dropped : int;
-  tr_dropped_key : float;
+  tr_drops : drops;
   tr_left : Heap.elt list;
   tr_pc : (int * bool * float) list;
       (* pseudocost observations (position, direction, gain-per-frac) in
@@ -333,7 +410,7 @@ let solve ?(options = default) model =
   let pc = pc_create nint in
   let reliability = options.branching = Reliability && nint > 0 in
   let lb0, ub0 = Model.bounds model in
-  let nodes = ref 0 and simplex0 = Simplex.last_iterations () in
+  let nodes = ref 0 and simplex0 = Simplex.cumulative_iterations () in
   (* Cutting planes. The pool holds globally valid <= rows over the
      structural variables; the active set is materialized by
      re-preparing the LP on an extended model whenever it changes.
@@ -370,16 +447,17 @@ let solve ?(options = default) model =
      and, in parallel rounds, across concurrently solved subtrees — so
      publish the LU snapshot eagerly. Every warm start then reinstates
      in O(m) and the factorization counter stays schedule-independent. *)
-  let lp ?warm ~lb ~ub () =
+  let solve_lp ?warm prep ~lb ~ub =
     Simplex.solve_prepared ~engine:options.engine ?max_iters:options.sx_iters
-      ?warm ~keep_factor:true ~lb ~ub !prep
+      ?warm ~keep_factor:true ~lb ~ub prep
+  in
+  let node_lp prep ~last_prune node =
+    solve_lp ?warm:(lift_warm node prep ~last_prune) prep ~lb:node.nlb ~ub:node.nub
   in
   (* Nodes whose LP hit the iteration budget are dropped from the search,
      but their subtree is unexplored: remember the tightest parent bound
      over all of them so the final bound and outcome stay sound. *)
-  let dropped = ref 0 in
-  let dropped_bound = ref neg_infinity in
-  let total_nodes = Domain.DLS.get nodes_key in
+  let dropped = { dcount = 0; dkey = neg_infinity } in
   let incumbent = ref None in
   let incumbent_obj = ref neg_infinity in
   let consider_incumbent values obj =
@@ -416,7 +494,7 @@ let solve ?(options = default) model =
      incumbents early, which best-first search alone can fail to do. *)
   let heur_env =
     {
-      Heuristics.lp = (fun warm ~lb ~ub -> lp ?warm ~lb ~ub ());
+      Heuristics.lp = (fun warm ~lb ~ub -> solve_lp ?warm !prep ~lb ~ub);
       int_ids;
       int_tol = options.int_tol;
       abs_gap = options.abs_gap;
@@ -445,24 +523,6 @@ let solve ?(options = default) model =
           Log.warn (fun f ->
               f "%s incumbent rejected at node %d: %s" what !nodes reason))
   in
-  let find_fractional values =
-    (* most fractional among the highest branch priority class *)
-    let best = ref (-1) and best_pri = ref min_int and best_frac = ref options.int_tol in
-    Array.iter
-      (fun id ->
-        let x = values.(id) in
-        let frac = Float.abs (x -. Float.round x) in
-        if frac > options.int_tol then begin
-          let pri = options.branch_priority id in
-          if pri > !best_pri || (pri = !best_pri && frac > !best_frac) then begin
-            best := id;
-            best_pri := pri;
-            best_frac := frac
-          end
-        end)
-      int_ids;
-    if !best < 0 then None else Some !best
-  in
   (* Seed incumbents from caller-provided partial assignments: fix the
      hinted variables and plunge. When a hint fixes all the structural
      binaries the plunge is a single LP solve. *)
@@ -489,70 +549,68 @@ let solve ?(options = default) model =
         try_candidate ~what:"hint dive" (Heuristics.dive heur_env lb ub)
       end)
     options.plunge_hints;
+  let candidates values =
+    branch_candidates ~int_tol:options.int_tol ~priority:options.branch_priority
+      int_ids values
+  in
+  (* The branching rule, shared by the owner and the round tasks: [None]
+     when [values] is integral, else the branching variable and its
+     children's strong-branching gains ([nan] = not probed). *)
+  let select pc ?gains cands values =
+    if not reliability then
+      Option.map (fun id -> (id, (nan, nan))) (most_fractional cands values)
+    else
+      Option.map
+        (fun k ->
+          (cands.(k), match gains with Some g -> g.(k) | None -> (nan, nan)))
+        (pc_select pc ~ipos ?gains cands values)
+  in
   (* Reliability branching, owner-side: strong-branching probes
      initialize the pseudocosts of unreliable candidates (most
-     fractional first, a bounded number per node), then the product
-     rule scores every candidate. Probes are ordinary dual-warm LP
-     solves against the current prepared LP, so their iterations land
-     in the owner's deterministic meter. *)
-  let reliability_branch ~nlb ~nub ~fbasis ~bound values =
-    let cands =
-      branch_candidates ~int_tol:options.int_tol
-        ~priority:options.branch_priority int_ids values
-    in
-    if Array.length cands = 0 then None
-    else begin
-      let gains = Array.make (Array.length cands) (nan, nan) in
-      let frac id = Float.abs (values.(id) -. Float.round values.(id)) in
-      let order = Array.init (Array.length cands) Fun.id in
-      Array.sort
-        (fun a b ->
-          let fa = frac cands.(a) and fb = frac cands.(b) in
-          if fa = fb then compare cands.(a) cands.(b) else compare fb fa)
-        order;
-      let probed = ref 0 in
-      Array.iter
-        (fun k ->
-          let id = cands.(k) in
-          let pos = ipos.(id) in
-          if !probed < pc_probe_cap && pc_reliability pc pos < pc_rel_threshold
-          then begin
-            incr probed;
-            let x = values.(id) in
-            let probe up =
-              Lp_stats.incr Lp_stats.sb_probes;
-              let lb = Array.copy nlb and ub = Array.copy nub in
-              if up then lb.(id) <- Float.ceil x else ub.(id) <- Float.floor x;
-              match lp ?warm:fbasis ~lb ~ub () with
-              | Simplex.Optimal { obj; _ }, _ ->
-                let g = Float.max 0. (bound -. (osign *. obj)) in
-                let f =
-                  Float.max options.int_tol
-                    (if up then Float.ceil x -. x else x -. Float.floor x)
-                in
-                pc_update pc pos ~up (g /. f);
-                Lp_stats.incr Lp_stats.pseudocost_updates;
-                g
-              | Simplex.Infeasible, _ -> infinity
-              | (Simplex.Unbounded | Simplex.Iter_limit), _ -> nan
-            in
-            let gd = probe false in
-            let gu = probe true in
-            gains.(k) <- (gd, gu)
-          end)
-        order;
-      (* hand the selected variable's probe gains back to the caller:
-         they are valid child LP bounds, so branching can push the
-         children under probe-tightened keys (or skip a probe-proven
-         infeasible child outright) *)
-      match pc_select pc ~ipos ~gains cands values with
-      | None -> None
-      | Some id ->
-        let sel = ref (nan, nan) in
-        Array.iteri (fun k c -> if c = id then sel := gains.(k)) cands;
-        let gd, gu = !sel in
-        Some (id, gd, gu)
-    end
+     fractional first, a bounded number per node); [select] then scores
+     every candidate under the product rule. Probes are ordinary
+     dual-warm LP solves against the current prepared LP, so their
+     iterations land in the owner's deterministic meter. *)
+  let strong_branch ~nlb ~nub ~fbasis ~bound cands values =
+    let gains = Array.make (Array.length cands) (nan, nan) in
+    let order = Array.init (Array.length cands) Fun.id in
+    Array.sort
+      (fun a b ->
+        let fa = frac values cands.(a) and fb = frac values cands.(b) in
+        if fa = fb then compare cands.(a) cands.(b) else compare fb fa)
+      order;
+    let probed = ref 0 in
+    Array.iter
+      (fun k ->
+        let id = cands.(k) in
+        let pos = ipos.(id) in
+        if !probed < pc_probe_cap && pc_reliability pc pos < pc_rel_threshold
+        then begin
+          incr probed;
+          let x = values.(id) in
+          let probe up =
+            Lp_stats.incr Lp_stats.sb_probes;
+            let lb = Array.copy nlb and ub = Array.copy nub in
+            if up then lb.(id) <- Float.ceil x else ub.(id) <- Float.floor x;
+            match solve_lp ?warm:fbasis !prep ~lb ~ub with
+            | Simplex.Optimal { obj; _ }, _ ->
+              let g = Float.max 0. (bound -. (osign *. obj)) in
+              let f =
+                Float.max options.int_tol
+                  (if up then Float.ceil x -. x else x -. Float.floor x)
+              in
+              pc_update pc pos ~up (g /. f);
+              Lp_stats.incr Lp_stats.pseudocost_updates;
+              g
+            | Simplex.Infeasible, _ -> infinity
+            | (Simplex.Unbounded | Simplex.Iter_limit), _ -> nan
+          in
+          let gd = probe false in
+          let gu = probe true in
+          gains.(k) <- (gd, gu)
+        end)
+      order;
+    gains
   in
   (* Heuristic schedule, owner-side: dive at the root, periodically
      until an incumbent exists and occasionally after (the original
@@ -582,6 +640,54 @@ let solve ?(options = default) model =
              nlb nub)
       | None -> ()
   in
+  (* Cutting planes, owner-side: a batch of rounds at the root, one
+     round every [node_interval] in-tree nodes. Each round separates at
+     the node's LP optimum, re-prepares the extended LP and re-solves —
+     warm from the extended final basis when the active set only grew
+     (appended rows keep it dual feasible), cold after a prune. *)
+  let separate node obj values fbasis =
+    match pool with
+    | None -> `Ok (obj, values, fbasis)
+    | Some pool ->
+      let rec cut_loop k obj values fbasis =
+        if k = 0 || candidates values = [||] then `Ok (obj, values, fbasis)
+        else begin
+          let basis =
+            Option.map
+              (fun b -> (Simplex.basis_cols b, Simplex.basis_statuses b))
+              fbasis
+          in
+          let added =
+            Cuts.separate_round pool ~sp:(Simplex.prep_sparse !prep)
+              ~rows:!xrows ~point:values ~basis ~incumbent:!incumbent
+          in
+          let pruned = Cuts.age_and_prune pool ~point:values in
+          if added = 0 && pruned = 0 then `Ok (obj, values, fbasis)
+          else begin
+            reprep ();
+            if pruned > 0 then last_prune := !gen;
+            let warm =
+              if pruned = 0 then
+                Option.bind fbasis (fun b -> Simplex.extend_basis b !prep)
+              else None
+            in
+            match solve_lp ?warm !prep ~lb:node.nlb ~ub:node.nub with
+            | Simplex.Optimal { obj; values }, fb -> cut_loop (k - 1) obj values fb
+            | Simplex.Infeasible, _ -> `Cut_off
+            | Simplex.Iter_limit, _ -> `Budget
+            | Simplex.Unbounded, _ -> `Ok (obj, values, fbasis)
+          end
+        end
+      in
+      let rounds =
+        if node.depth = 0 && !nodes = 1 then copts.Cuts.root_rounds
+        else if
+          copts.Cuts.node_interval > 0 && !nodes mod copts.Cuts.node_interval = 0
+        then 1
+        else 0
+      in
+      cut_loop rounds obj values fbasis
+  in
   let heap = Heap.create () in
   let root =
     { nlb = lb0; nub = ub0; depth = 0; parent_bound = infinity; pbasis = None;
@@ -590,12 +696,13 @@ let solve ?(options = default) model =
   Heap.push heap { key = infinity; depth = 0; node = root };
   let status = ref `Running in
   let time_up () = Unix.gettimeofday () -. t0 > options.time_limit in
-  let gap_closed bound =
-    match !incumbent with
-    | None -> false
-    | Some _ ->
-      bound -. !incumbent_obj <= options.abs_gap
-      || bound -. !incumbent_obj <= options.rel_gap *. Float.max 1. (Float.abs !incumbent_obj)
+  (* Loop head of both the sequential step and the round scheduler: true,
+     with [status] set, when the search stops before the node(s) at
+     [key]. *)
+  let stop_at key =
+    if within_gap options ~best:!incumbent_obj key then (status := `Gap_closed; true)
+    else if !nodes >= options.max_nodes || time_up () then (status := `Limit; true)
+    else false
   in
   (* One legacy best-first node step: pop, solve, separate, branch. This
      is the exact sequential algorithm; it also serves as the ramp-up
@@ -605,101 +712,26 @@ let solve ?(options = default) model =
     match Heap.pop heap with
     | None -> status := `Exhausted
     | Some { key = parent_key; node; _ } ->
-      if gap_closed parent_key then status := `Gap_closed
-      else if !nodes >= options.max_nodes || time_up () then status := `Limit
-      else begin
+      if not (stop_at parent_key) then begin
         incr nodes;
-        incr total_nodes;
-        (* lift the parent basis onto the current (possibly extended)
-           LP; unusable shapes and pre-pruning generations cold-start *)
-        let warm =
-          match node.pbasis with
-          | Some b when node.pgen >= !last_prune -> Simplex.extend_basis b !prep
-          | Some _ | None -> None
-        in
-        match lp ?warm ~lb:node.nlb ~ub:node.nub () with
+        Lp_stats.incr Lp_stats.bb_nodes;
+        match node_lp !prep ~last_prune:!last_prune node with
         | Simplex.Infeasible, _ -> ()
         | Simplex.Iter_limit, _ ->
           (* Unresolved node: re-queueing would loop, so the node is
              dropped — but its subtree may still hold the optimum, so its
              parent bound must survive into the final bound and the
              outcome may no longer claim optimality. *)
-          incr dropped;
-          if parent_key > !dropped_bound then dropped_bound := parent_key;
+          drop dropped parent_key;
           if options.log then Log.warn (fun f -> f "simplex iteration limit at node %d" !nodes)
         | Simplex.Unbounded, _ ->
           if node.depth = 0 && !incumbent = None then status := `Unbounded_root
-          else ()
         | Simplex.Optimal { obj; values }, fbasis ->
-          (* pseudocost observation: this node's raw LP measures the
-             true bound degradation of the parent's branching decision *)
-          if reliability && node.bvar >= 0 then begin
-            let g = Float.max 0. (node.parent_bound -. (osign *. obj)) in
-            pc_update pc ipos.(node.bvar) ~up:node.bup
-              (g /. Float.max node.bfrac options.int_tol);
-            Lp_stats.incr Lp_stats.pseudocost_updates
-          end;
-          if osign *. obj <= !incumbent_obj +. options.abs_gap then ()
-            (* pruned *)
+          if reliability && node.bvar >= 0 then
+            ignore (observe_child pc ~ipos ~osign ~int_tol:options.int_tol node obj);
+          if osign *. obj <= !incumbent_obj +. options.abs_gap then () (* pruned *)
           else begin
-            (* Cutting planes: a batch of rounds at the root, one round
-               every [node_interval] in-tree nodes. Each round separates
-               at the node's LP optimum, re-prepares the extended LP and
-               re-solves — warm from the extended final basis when the
-               active set only grew (appended rows keep it dual
-               feasible), cold after a prune. *)
-            let sep =
-              match pool with
-              | None -> `Ok (obj, values, fbasis)
-              | Some pool ->
-                let rounds =
-                  if node.depth = 0 && !nodes = 1 then copts.Cuts.root_rounds
-                  else if
-                    copts.Cuts.node_interval > 0
-                    && !nodes mod copts.Cuts.node_interval = 0
-                  then 1
-                  else 0
-                in
-                let rec cut_loop k obj values fbasis =
-                  if k = 0 || find_fractional values = None then
-                    `Ok (obj, values, fbasis)
-                  else begin
-                    let basis =
-                      Option.map
-                        (fun b ->
-                          (Simplex.basis_cols b, Simplex.basis_statuses b))
-                        fbasis
-                    in
-                    let added =
-                      Cuts.separate_round pool
-                        ~sp:(Simplex.prep_sparse !prep)
-                        ~rows:!xrows ~point:values ~basis
-                        ~incumbent:!incumbent
-                    in
-                    let pruned = Cuts.age_and_prune pool ~point:values in
-                    if added = 0 && pruned = 0 then `Ok (obj, values, fbasis)
-                    else begin
-                      reprep ();
-                      if pruned > 0 then last_prune := !gen;
-                      let warm =
-                        if pruned = 0 then
-                          Option.bind fbasis (fun b ->
-                              Simplex.extend_basis b !prep)
-                        else None
-                      in
-                      match lp ?warm ~lb:node.nlb ~ub:node.nub () with
-                      | Simplex.Optimal { obj; values }, fb ->
-                        cut_loop (k - 1) obj values fb
-                      | Simplex.Infeasible, _ -> `Cut_off
-                      | Simplex.Iter_limit, _ -> `Budget
-                      | Simplex.Unbounded, _ -> `Ok (obj, values, fbasis)
-                    end
-                  end
-                in
-                if rounds = 0 then `Ok (obj, values, fbasis)
-                else cut_loop rounds obj values fbasis
-            in
-            match sep with
+            match separate node obj values fbasis with
             | `Cut_off ->
               (* the tightened LP is infeasible: the (globally valid)
                  cuts prove the node holds no integer-feasible point *)
@@ -707,72 +739,29 @@ let solve ?(options = default) model =
             | `Budget ->
               (* an in-loop LP hit the iteration budget: same contract
                  as the Iter_limit node outcome above *)
-              incr dropped;
-              if parent_key > !dropped_bound then dropped_bound := parent_key;
+              drop dropped parent_key;
               if options.log then
                 Log.warn (fun f ->
-                    f "simplex iteration limit during cut rounds at node %d"
-                      !nodes)
+                    f "simplex iteration limit during cut rounds at node %d" !nodes)
             | `Ok (obj, values, fbasis) ->
               let bound = osign *. obj in
               if bound <= !incumbent_obj +. options.abs_gap then () (* pruned *)
               else begin
-                let branch_on id gd gu =
-                  let x = values.(id) in
-                  let fl = Float.floor x and ce = Float.ceil x in
-                  let mk which =
-                    let nlb = Array.copy node.nlb
-                    and nub = Array.copy node.nub in
-                    let up = which = `Up in
-                    (match which with
-                    | `Down -> nub.(id) <- fl
-                    | `Up -> nlb.(id) <- ce);
-                    (* a strong-branching probe of this child already
-                       solved its LP: its measured bound is the child's
-                       true key, so push under it — best-first then never
-                       pops the child once the gap closes over it — and an
-                       infinite gain (probe-infeasible child) skips the
-                       push entirely *)
-                    let g = if up then gu else gd in
-                    let key = if Float.is_nan g then bound else bound -. g in
-                    if nlb.(id) <= nub.(id) +. 1e-12 && key > neg_infinity then
-                      Heap.push heap
-                        {
-                          key;
-                          depth = node.depth + 1;
-                          node =
-                            {
-                              nlb;
-                              nub;
-                              depth = node.depth + 1;
-                              parent_bound = bound;
-                              pbasis = fbasis;
-                              pgen = !gen;
-                              bvar = id;
-                              bup = up;
-                              bfrac = (if up then ce -. x else x -. fl);
-                            };
-                        }
-                  in
-                  (* dive toward the rounded value first (heap tiebreak
-                     on depth) *)
-                  if x -. fl > 0.5 then (mk `Down; mk `Up)
-                  else (mk `Up; mk `Down)
-                in
-                let pick =
+                let cands = candidates values in
+                let gains =
                   if reliability then
-                    reliability_branch ~nlb:node.nlb ~nub:node.nub ~fbasis
-                      ~bound values
-                  else
-                    Option.map (fun id -> (id, nan, nan))
-                      (find_fractional values)
+                    Some
+                      (strong_branch ~nlb:node.nlb ~nub:node.nub ~fbasis ~bound cands
+                         values)
+                  else None
                 in
-                match pick with
+                match select pc ?gains cands values with
                 | None -> consider_incumbent values bound
-                | Some (id, gd, gu) ->
+                | Some (id, g) ->
                   run_heuristics ~fbasis ~values ~nlb:node.nlb ~nub:node.nub;
                   if bound > !incumbent_obj +. options.abs_gap then
-                    branch_on id gd gu
+                    push_children (Heap.push heap) node ~bound ~fbasis ~gen:!gen id
+                      values g
               end
           end
       end
@@ -803,7 +792,7 @@ let solve ?(options = default) model =
   let seq_iters = ref 0 in
   let mark = ref simplex0 in
   let sync_owner () =
-    let now = Simplex.last_iterations () in
+    let now = Simplex.cumulative_iterations () in
     seq_iters := !seq_iters + (now - !mark);
     mark := now
   in
@@ -811,12 +800,10 @@ let solve ?(options = default) model =
     match Heap.best_key heap with
     | None -> status := `Exhausted
     | Some top_key ->
-      if gap_closed top_key then status := `Gap_closed
-      else if !nodes >= options.max_nodes || time_up () then status := `Limit
-      else begin
+      if not (stop_at top_key) then begin
         sync_owner ();
         incr rounds;
-        incr (Domain.DLS.get rounds_key);
+        Lp_stats.incr Lp_stats.bb_rounds;
         (* bound the round by the remaining node budget so [max_nodes]
            cannot be overshot by more than one round's grain *)
         let budget_tasks =
@@ -834,11 +821,9 @@ let solve ?(options = default) model =
            against [prep0] read-only and tag children with [gen0] *)
         let prep0 = !prep and gen0 = !gen and last_prune0 = !last_prune in
         let inc0_obj = !incumbent_obj in
-        let inc0_exists = !incumbent <> None in
         let cell = Atomic.make None in
         let task i (elt : Heap.elt) =
-          let s0 = Simplex.last_iterations () in
-          let total = Domain.DLS.get nodes_key in
+          let s0 = Simplex.cumulative_iterations () in
           let lheap = Heap.create () in
           Heap.push lheap elt;
           (* Pseudocost state is frozen for the round like the cut pool:
@@ -849,14 +834,9 @@ let solve ?(options = default) model =
              identical whether tasks run inline or on any pool width. *)
           let lpc = if reliability then pc_copy pc else pc in
           let tpc = ref [] in
-          let tn = ref 0 and tdropped = ref 0 and tdropped_key = ref neg_infinity in
-          let lbest = ref inc0_obj and lhave = ref inc0_exists in
+          let tn = ref 0 and tdrops = { dcount = 0; dkey = neg_infinity } in
+          let lbest = ref inc0_obj in
           let left = ref [] in
-          let lgap_closed k =
-            !lhave
-            && (k -. !lbest <= options.abs_gap
-                || k -. !lbest <= options.rel_gap *. Float.max 1. (Float.abs !lbest))
-          in
           let stop = ref false in
           while not !stop do
             match Heap.pop lheap with
@@ -865,91 +845,41 @@ let solve ?(options = default) model =
               (* a gap-closed top or an exhausted grain stops the task;
                  the node goes back unprocessed (the local heap is
                  best-first, so everything below it is no better) *)
-              if lgap_closed key || !tn >= par_grain then begin
+              if within_gap options ~best:!lbest key || !tn >= par_grain then begin
                 left := [ e ];
                 stop := true
               end
               else begin
                 incr tn;
-                incr total;
-                let warm =
-                  match node.pbasis with
-                  | Some b when node.pgen >= last_prune0 ->
-                    Simplex.extend_basis b prep0
-                  | Some _ | None -> None
-                in
-                match
-                  Simplex.solve_prepared ~engine:options.engine
-                    ?max_iters:options.sx_iters ?warm ~keep_factor:true
-                    ~lb:node.nlb ~ub:node.nub prep0
-                with
+                Lp_stats.incr Lp_stats.bb_nodes;
+                match node_lp prep0 ~last_prune:last_prune0 node with
                 | Simplex.Infeasible, _ -> ()
                 | Simplex.Unbounded, _ ->
                   (* in-tree nodes only (the root is always processed in
                      the sequential ramp), same as the sequential step *)
                   ()
-                | Simplex.Iter_limit, _ ->
-                  incr tdropped;
-                  if key > !tdropped_key then tdropped_key := key
+                | Simplex.Iter_limit, _ -> drop tdrops key
                 | Simplex.Optimal { obj; values }, fbasis ->
-                  if reliability && node.bvar >= 0 then begin
-                    let g = Float.max 0. (node.parent_bound -. (osign *. obj)) in
-                    let gpf = g /. Float.max node.bfrac options.int_tol in
-                    pc_update lpc ipos.(node.bvar) ~up:node.bup gpf;
-                    Lp_stats.incr Lp_stats.pseudocost_updates;
-                    tpc := (ipos.(node.bvar), node.bup, gpf) :: !tpc
-                  end;
+                  if reliability && node.bvar >= 0 then
+                    tpc :=
+                      observe_child lpc ~ipos ~osign ~int_tol:options.int_tol node obj
+                      :: !tpc;
                   let bound = osign *. obj in
                   if bound <= !lbest +. options.abs_gap then () (* pruned *)
                   else begin
-                    (* pure pseudocost selection in-task: no probes (the
-                       frozen LP would make them owner-state-dependent),
-                       same deterministic product rule *)
-                    let pick =
-                      if reliability then
-                        pc_select lpc ~ipos
-                          (branch_candidates ~int_tol:options.int_tol
-                             ~priority:options.branch_priority int_ids values)
-                          values
-                      else find_fractional values
-                    in
-                    match pick with
+                    (* no probes in-task (the frozen LP would make them
+                       owner-state-dependent): the same rule on the
+                       task's pseudocost table *)
+                    match select lpc (candidates values) values with
                     | None ->
                       if bound > !lbest then begin
                         lbest := bound;
-                        lhave := true;
                         offer_incumbent cell
                           { iobj = bound; iorigin = i; ivalues = Array.copy values }
                       end
-                    | Some id ->
-                      let x = values.(id) in
-                      let fl = Float.floor x and ce = Float.ceil x in
-                      let mk which =
-                        let nlb = Array.copy node.nlb and nub = Array.copy node.nub in
-                        let up = which = `Up in
-                        (match which with
-                        | `Down -> nub.(id) <- fl
-                        | `Up -> nlb.(id) <- ce);
-                        if nlb.(id) <= nub.(id) +. 1e-12 then
-                          Heap.push lheap
-                            {
-                              key = bound;
-                              depth = node.depth + 1;
-                              node =
-                                {
-                                  nlb;
-                                  nub;
-                                  depth = node.depth + 1;
-                                  parent_bound = bound;
-                                  pbasis = fbasis;
-                                  pgen = gen0;
-                                  bvar = id;
-                                  bup = up;
-                                  bfrac = (if up then ce -. x else x -. fl);
-                                };
-                            }
-                      in
-                      if x -. fl > 0.5 then (mk `Down; mk `Up) else (mk `Up; mk `Down)
+                    | Some (id, g) ->
+                      push_children (Heap.push lheap) node ~bound ~fbasis ~gen:gen0 id
+                        values g
                   end
               end
           done;
@@ -960,9 +890,8 @@ let solve ?(options = default) model =
           in
           {
             tr_nodes = !tn;
-            tr_iters = Simplex.last_iterations () - s0;
-            tr_dropped = !tdropped;
-            tr_dropped_key = !tdropped_key;
+            tr_iters = Simplex.cumulative_iterations () - s0;
+            tr_drops = tdrops;
             tr_left = !left @ drain [];
             tr_pc = List.rev !tpc;
           }
@@ -974,14 +903,12 @@ let solve ?(options = default) model =
         in
         (* inline tasks advanced the owner's counter; their iterations
            are already in [tr_iters], so drop the owner delta *)
-        mark := Simplex.last_iterations ();
+        mark := Simplex.cumulative_iterations ();
         Array.iter
           (fun tr ->
             nodes := !nodes + tr.tr_nodes;
             task_iters := !task_iters + tr.tr_iters;
-            dropped := !dropped + tr.tr_dropped;
-            if tr.tr_dropped_key > !dropped_bound then
-              dropped_bound := tr.tr_dropped_key;
+            drop ~n:tr.tr_drops.dcount dropped tr.tr_drops.dkey;
             (* merge pseudocost observations in frontier index order —
                the counter was already bumped at generation time *)
             List.iter (fun (pos, up, g) -> pc_update pc pos ~up g) tr.tr_pc;
@@ -1007,7 +934,7 @@ let solve ?(options = default) model =
       | _, None -> !incumbent_obj
     in
     (* never report a bound below a dropped subtree's key *)
-    Float.max live !dropped_bound
+    Float.max live dropped.dkey
   in
   sync_owner ();
   let stats =
@@ -1016,8 +943,8 @@ let solve ?(options = default) model =
       simplex_iters = !seq_iters + !task_iters;
       elapsed;
       rounds = !rounds;
-      dropped = !dropped;
-      dropped_key = !dropped_bound;
+      dropped = dropped.dcount;
+      dropped_key = dropped.dkey;
     }
   in
   let values = match !incumbent with Some v -> v | None -> Array.make nv 0. in
@@ -1029,11 +956,11 @@ let solve ?(options = default) model =
        and a cut that failed its incumbent audit may have pruned
        integer points before it was caught: either way exhausting the
        heap no longer proves optimality *)
-    if !dropped > 0 || !cut_taint then
+    if dropped.dcount > 0 || !cut_taint then
       mk Feasible (osign *. !incumbent_obj) (osign *. best_bound)
     else mk Optimal (osign *. !incumbent_obj) (osign *. best_bound)
   | `Exhausted, None ->
-    if !dropped > 0 || !cut_taint then mk No_incumbent nan (osign *. best_bound)
+    if dropped.dcount > 0 || !cut_taint then mk No_incumbent nan (osign *. best_bound)
     else mk Infeasible nan nan
   | `Limit, Some _ -> mk Feasible (osign *. !incumbent_obj) (osign *. best_bound)
   | (`Limit | `Gap_closed), None -> mk No_incumbent nan (osign *. best_bound)

@@ -27,15 +27,8 @@ let sb_probes = key ()
 let pseudocost_updates = key ()
 let heuristic_solutions = key ()
 let heuristic_rejections = key ()
-
-let int_keys =
-  [
-    pivots; dual_pivots; factorizations; eta_updates; warm_attempts;
-    warm_hits; certify_checks; certify_failures; cuts_generated;
-    cuts_applied; cuts_pruned; cut_audit_failures; batch_prepares;
-    batch_overlays; batch_warm_hits; sb_probes; pseudocost_updates;
-    heuristic_solutions; heuristic_rejections;
-  ]
+let bb_nodes = key ()
+let bb_rounds = key ()
 
 let incr k = incr (Domain.DLS.get k)
 let add k n = Domain.DLS.get k := !(Domain.DLS.get k) + n

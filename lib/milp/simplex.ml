@@ -46,7 +46,6 @@ let eps_dual = 1e-6
 let eps_degen = 1e-10
 
 let cumulative_iterations = Lp_stats.read Lp_stats.pivots
-let last_iterations = cumulative_iterations
 let cumulative_dual_pivots = Lp_stats.read Lp_stats.dual_pivots
 let cumulative_factorizations = Lp_stats.read Lp_stats.factorizations
 let cumulative_eta_updates = Lp_stats.read Lp_stats.eta_updates

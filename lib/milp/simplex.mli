@@ -135,10 +135,6 @@ val extend_basis : basis -> prepared -> basis option
 
 val cumulative_iterations : unit -> int
 
-(** Alias of {!cumulative_iterations}, kept for callers that diff the
-    counter around a solve. *)
-val last_iterations : unit -> int
-
 val cumulative_dual_pivots : unit -> int
 val cumulative_factorizations : unit -> int
 val cumulative_eta_updates : unit -> int

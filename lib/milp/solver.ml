@@ -14,7 +14,6 @@ type options = {
   plunge_hints : (int * float) list list;
   presolve : bool;
   dense_simplex : bool;
-  certify : bool;
   cuts : Cuts.options;
   sx_iters : int option;
   pool : Parallel.Pool.t option;
@@ -41,7 +40,6 @@ let default_options =
     plunge_hints = d.Branch_bound.plunge_hints;
     presolve = true;
     dense_simplex = false;
-    certify = true;
     cuts = d.Branch_bound.cuts;
     sx_iters = d.Branch_bound.sx_iters;
     pool = d.Branch_bound.pool;
@@ -54,8 +52,6 @@ let default_options =
 
 let engine_of options =
   if options.dense_simplex then Simplex.Dense else Simplex.Revised
-
-let with_time_limit t = { default_options with time_limit = t }
 
 type status = Optimal | Feasible | Infeasible | Unbounded | Unknown
 
@@ -176,9 +172,8 @@ let certify_solution ~options model sol =
       { sol with status; certificate = Some cert }
     end
 
-let solve ?certify ?(options = default_options) model =
+let solve ?(certify = true) ?(options = default_options) model =
   let t0 = Unix.gettimeofday () in
-  let certify = Option.value certify ~default:options.certify in
   let finish sol = if certify then certify_solution ~options model sol else sol in
   if not options.presolve then finish (solve_direct ~options ~t0 model)
   else

@@ -28,11 +28,6 @@ type options = {
       (** solve LP relaxations with the legacy dense tableau
           ({!Dense_simplex}) instead of the revised engine (default
           [false]); forfeits warm starts and basis statuses *)
-  certify : bool;
-      (** independently re-validate every answer against the original
-          model via {!Certify} (default [true]; {!solve}'s [?certify]
-          overrides it for one call). A failed certificate downgrades the status — see
-          {!solve} — rather than raising. *)
   cuts : Cuts.options;
       (** cutting planes for MILP solves ({!Cuts}: Gomory mixed-integer,
           knapsack cover and clique cuts over a managed pool). Default
@@ -75,8 +70,6 @@ type options = {
     {!Branch_bound.default}; [presolve] defaults to [true]. *)
 val default_options : options
 
-val with_time_limit : float -> options
-
 type status =
   | Optimal
   | Feasible  (** limits hit; incumbent available, bound reported *)
@@ -100,8 +93,8 @@ type solution = {
   elapsed : float;
 }
 
-(** [solve model] solves and — unless [?certify] (or [options.certify])
-    is [false] — re-validates the answer against the original model with
+(** [solve model] solves and — unless [?certify] is [false] —
+    re-validates the answer against the original model with
     {!Certify.check}. A failed certificate never raises: a bad claimed
     point degrades the status to [Unknown], a bad bound / open gap /
     failed dual certificate degrades [Optimal] to [Feasible], and the

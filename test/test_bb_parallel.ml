@@ -15,7 +15,7 @@ let check_bits what a b =
     Alcotest.failf "%s: %.17g <> %.17g (not bit-identical)" what a b
 
 (* Solve the whole corpus under one pool configuration. *)
-let solve_corpus ?sx_iters pool =
+let solve_corpus ?sx_iters ?(branching = Milp.Branch_bound.Reliability) pool =
   Array.init 64 (fun case ->
       let mdl = Test_revised.random_milp case in
       let options =
@@ -27,8 +27,10 @@ let solve_corpus ?sx_iters pool =
           sx_iters;
           (* explicit, not just the default: the bit-identity contract
              must hold with the pseudocost machinery (frozen per-round
-             tables, frontier-order merge) engaged *)
-          branching = Milp.Branch_bound.Reliability;
+             tables, frontier-order merge) engaged, and for the
+             most-fractional pick the round tasks make under
+             [Fractional] *)
+          branching;
         }
       in
       Milp.Branch_bound.solve ~options mdl)
@@ -58,22 +60,28 @@ let with_pool domains f =
   Parallel.Pool.with_pool ~counters:Milp.Solver.stats_counters ~domains f
 
 let test_corpus_identical_across_widths () =
-  let reference = solve_corpus None in
-  (* the scheduler must actually have engaged, or this test proves
-     nothing about the parallel rounds *)
-  let rounds =
-    Array.fold_left
-      (fun acc (r : Milp.Branch_bound.t) -> acc + r.stats.Milp.Branch_bound.rounds)
-      0 reference
-  in
-  Alcotest.(check bool) "parallel rounds engaged on the corpus" true (rounds > 0);
   List.iter
-    (fun domains ->
-      let par = with_pool domains (fun pool -> solve_corpus (Some pool)) in
-      check_identical
-        ~what:(Printf.sprintf "pool=%d vs none" domains)
-        reference par)
-    [ 1; 2; 4 ]
+    (fun (name, branching) ->
+      let reference = solve_corpus ~branching None in
+      (* the scheduler must actually have engaged, or this test proves
+         nothing about the parallel rounds *)
+      let rounds =
+        Array.fold_left
+          (fun acc (r : Milp.Branch_bound.t) -> acc + r.stats.Milp.Branch_bound.rounds)
+          0 reference
+      in
+      Alcotest.(check bool)
+        (name ^ ": parallel rounds engaged on the corpus")
+        true (rounds > 0);
+      List.iter
+        (fun domains ->
+          let par = with_pool domains (fun pool -> solve_corpus ~branching (Some pool)) in
+          check_identical
+            ~what:(Printf.sprintf "%s pool=%d vs none" name domains)
+            reference par)
+        [ 1; 2; 4 ])
+    [ ("reliability", Milp.Branch_bound.Reliability);
+      ("fractional", Milp.Branch_bound.Fractional) ]
 
 (* PR 4's honest degradation must survive stealing: throttle every LP to
    a tiny pivot budget so subtrees get dropped mid-round, and require
