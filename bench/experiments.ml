@@ -759,7 +759,7 @@ let batch_bench ctx =
   in
   run_cell "mc" mc_samples (fun ~batch ->
       fst
-        (Te.Monte_carlo.sample_degradations ~domains:1 ~batch ~seed:1
+        (Te.Monte_carlo.sample_degradations ~batch ~seed:1
            ~samples:mc_samples topo paths peak));
   List.iter
     (fun k ->
@@ -767,7 +767,7 @@ let batch_bench ctx =
         (Printf.sprintf "enum k=%d" k)
         (List.length (Failure.Enumerate.up_to_k topo ~k))
         (fun ~batch ->
-          [| (Raha.Baselines.enumerate_failures ~domains:1 ~batch ~k topo paths peak)
+          [| (Raha.Baselines.enumerate_failures ~batch ~k topo paths peak)
                .Raha.Baselines.worst |]))
     (if ctx.quick then [ 1 ] else [ 1; 2 ]);
   row

@@ -88,7 +88,13 @@ exception Parse_error of string
 
 let fail fmt = Printf.ksprintf (fun m -> raise (Parse_error m)) fmt
 
-let number_of t = float_of_string_opt t
+(* A NaN token is rejected rather than read as a name or a number: as a
+   bound it would slip past the crossed-bound check ([nan > lb] is
+   false). *)
+let number_of t =
+  match float_of_string_opt t with
+  | Some v when Float.is_nan v -> fail "not a number: %s" t
+  | r -> r
 
 let is_rel t = t = "<=" || t = ">=" || t = "=" || t = "<" || t = ">"
 

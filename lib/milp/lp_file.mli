@@ -24,7 +24,8 @@ val of_string : string -> Model.t
     first appearance.
 
     @raise Parse_error on input outside the supported subset, including
-    contradictory bounds ([lb > ub]). *)
+    contradictory bounds ([lb > ub]) and a NaN coefficient, right-hand
+    side or bound. *)
 
 val read : string -> Model.t
 (** [read path] parses the LP file at [path] with {!of_string}. *)

@@ -14,7 +14,7 @@
     budget.
 
     The legacy dense tableau ({!Dense_simplex}) remains reachable
-    through [~engine:Dense] (the [dense_simplex] solver option) for
+    through [~engine:Dense] ({!Branch_bound.options.engine}) for
     differential testing.
 
     Anti-cycling: after [degen_limit] consecutive degenerate pivots

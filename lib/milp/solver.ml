@@ -2,9 +2,9 @@ let log_src = Logs.Src.create "milp.solver" ~doc:"solver facade"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
-type options = {
-  time_limit : float;
+type options = Branch_bound.options = {
   max_nodes : int;
+  time_limit : float;
   abs_gap : float;
   rel_gap : float;
   int_tol : float;
@@ -12,46 +12,19 @@ type options = {
   branch_priority : int -> int;
   warm_start : float array option;
   plunge_hints : (int * float) list list;
-  presolve : bool;
-  dense_simplex : bool;
-  cuts : Cuts.options;
+  engine : Simplex.engine;
   sx_iters : int option;
+  cuts : Cuts.options;
   pool : Parallel.Pool.t option;
-  bb_width : int;
-  bb_grain : int;
+  par_width : int;
+  par_grain : int;
   branching : Branch_bound.branching;
   heuristics : bool;
   rins_freq : int;
+  on_incumbent : (float array -> unit) option;
 }
 
-(* The values shared with branch-and-bound are derived from
-   Branch_bound.default rather than hand-copied. *)
-let default_options =
-  let d = Branch_bound.default in
-  {
-    time_limit = d.Branch_bound.time_limit;
-    max_nodes = d.Branch_bound.max_nodes;
-    abs_gap = d.Branch_bound.abs_gap;
-    rel_gap = d.Branch_bound.rel_gap;
-    int_tol = d.Branch_bound.int_tol;
-    log = d.Branch_bound.log;
-    branch_priority = d.Branch_bound.branch_priority;
-    warm_start = d.Branch_bound.warm_start;
-    plunge_hints = d.Branch_bound.plunge_hints;
-    presolve = true;
-    dense_simplex = false;
-    cuts = d.Branch_bound.cuts;
-    sx_iters = d.Branch_bound.sx_iters;
-    pool = d.Branch_bound.pool;
-    bb_width = d.Branch_bound.par_width;
-    bb_grain = d.Branch_bound.par_grain;
-    branching = d.Branch_bound.branching;
-    heuristics = d.Branch_bound.heuristics;
-    rins_freq = d.Branch_bound.rins_freq;
-  }
-
-let engine_of options =
-  if options.dense_simplex then Simplex.Dense else Simplex.Revised
+let default_options = Branch_bound.default
 
 type status = Optimal | Feasible | Infeasible | Unbounded | Unknown
 
@@ -82,7 +55,7 @@ let solve_direct ~options ~t0 model =
   in
   if Model.num_int_vars model = 0 then
     match
-      Simplex.solve_prepared ~engine:(engine_of options)
+      Simplex.solve_prepared ~engine:options.engine
         ?max_iters:options.sx_iters (Simplex.prepare model)
     with
     | Simplex.Optimal { obj; values }, basis ->
@@ -94,36 +67,15 @@ let solve_direct ~options ~t0 model =
     | Simplex.Unbounded, _ -> finish Unbounded infinity infinity [||] 0
     | Simplex.Iter_limit, _ -> finish Unknown nan nan [||] 0
   else begin
-    let bb_options =
-      {
-        Branch_bound.max_nodes = options.max_nodes;
-        time_limit = options.time_limit;
-        abs_gap = options.abs_gap;
-        rel_gap = options.rel_gap;
-        int_tol = options.int_tol;
-        log = options.log;
-        branch_priority = options.branch_priority;
-        warm_start = options.warm_start;
-        plunge_hints = options.plunge_hints;
-        engine = engine_of options;
-        cuts = options.cuts;
-        sx_iters = options.sx_iters;
-        (* a solve already running inside a pool task (cluster blocks in
-           a sweep) must not re-enter the pool: rounds then run inline,
-           which the scheduler keeps bit-identical anyway *)
-        pool =
-          (match options.pool with
-          | Some _ when Parallel.Pool.inside_task () -> None
-          | p -> p);
-        par_width = options.bb_width;
-        par_grain = options.bb_grain;
-        branching = options.branching;
-        heuristics = options.heuristics;
-        rins_freq = options.rins_freq;
-        on_incumbent = None;
-      }
+    (* a solve already running inside a pool task (cluster blocks in
+       a sweep) must not re-enter the pool: rounds then run inline,
+       which the scheduler keeps bit-identical anyway *)
+    let pool =
+      match options.pool with
+      | Some _ when Parallel.Pool.inside_task () -> None
+      | p -> p
     in
-    let r = Branch_bound.solve ~options:bb_options model in
+    let r = Branch_bound.solve ~options:{ options with pool } model in
     let status =
       match r.Branch_bound.outcome with
       | Branch_bound.Optimal -> Optimal
@@ -172,10 +124,10 @@ let certify_solution ~options model sol =
       { sol with status; certificate = Some cert }
     end
 
-let solve ?(certify = true) ?(options = default_options) model =
+let solve ?(certify = true) ?(presolve = true) ?(options = default_options) model =
   let t0 = Unix.gettimeofday () in
   let finish sol = if certify then certify_solution ~options model sol else sol in
-  if not options.presolve then finish (solve_direct ~options ~t0 model)
+  if not presolve then finish (solve_direct ~options ~t0 model)
   else
     match Presolve.presolve model with
     | Presolve.Infeasible _ ->

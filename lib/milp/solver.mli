@@ -4,70 +4,30 @@
     branch-and-bound, with a single option record mirroring how Raha
     configures its backend (§6: timeouts; §8: node budgets). *)
 
-type options = {
-  time_limit : float;  (** seconds of wall clock; default [infinity] *)
+(** {!Branch_bound.options}, re-exported with its labels. *)
+type options = Branch_bound.options = {
   max_nodes : int;
+  time_limit : float;
   abs_gap : float;
-      (** absolute optimality gap, shared with branch-and-bound and the
-          certifier (derived from {!Branch_bound.default}) *)
   rel_gap : float;
   int_tol : float;
-      (** integrality tolerance, shared with branch-and-bound and the
-          certifier (derived from {!Branch_bound.default}) *)
   log : bool;
   branch_priority : int -> int;
   warm_start : float array option;
   plunge_hints : (int * float) list list;
-      (** partial assignments plunged for initial incumbents; see
-          {!Branch_bound.options} *)
-  presolve : bool;
-      (** run {!Presolve} before solving (default [true]); solutions are
-          postsolved back to the original indexing, so this is externally
-          invisible apart from speed *)
-  dense_simplex : bool;
-      (** solve LP relaxations with the legacy dense tableau
-          ({!Dense_simplex}) instead of the revised engine (default
-          [false]); forfeits warm starts and basis statuses *)
-  cuts : Cuts.options;
-      (** cutting planes for MILP solves ({!Cuts}: Gomory mixed-integer,
-          knapsack cover and clique cuts over a managed pool). Default
-          {!Cuts.default}; [Cuts.disabled]
-          restores the cut-free search exactly. *)
+  engine : Simplex.engine;
   sx_iters : int option;
-      (** simplex pivot budget per LP (default [None] = unlimited),
-          threaded to {!Branch_bound.options.sx_iters} and the pure-LP
-          path. Exhaustion is honest, never silent: a budget-dropped
-          subtree degrades [Optimal] to [Feasible] (or [Infeasible] to
-          [Unknown]) with the bound folded over the dropped parents —
-          the admission-control knob a serving layer needs. *)
+  cuts : Cuts.options;
   pool : Parallel.Pool.t option;
-      (** domain pool for concurrent branch-and-bound subtree solves
-          (default [None] = inline). Results and counters are
-          bit-identical for any pool width — see
-          {!Branch_bound.options.pool}. A solve issued from inside a
-          pool task never re-enters the pool (rounds run inline). *)
-  bb_width : int;
-      (** frontier width that triggers parallel subtree rounds; [<= 0]
-          restores the pure sequential search. See
-          {!Branch_bound.options.par_width}. *)
-  bb_grain : int;
-      (** per-subtree node budget within a round; see
-          {!Branch_bound.options.par_grain}. *)
+  par_width : int;
+  par_grain : int;
   branching : Branch_bound.branching;
-      (** branching-variable selection rule (default
-          {!Branch_bound.Reliability}; [Fractional]
-          restores the legacy most-fractional rule exactly) *)
   heuristics : bool;
-      (** enable the feasibility pump and RINS primal heuristics
-          (default [true]; [false] keeps only the
-          legacy diving cadence); see {!Branch_bound.options.heuristics} *)
   rins_freq : int;
-      (** RINS cadence in nodes once an incumbent exists; [<= 0]
-          disables RINS (default 200) *)
+  on_incumbent : (float array -> unit) option;
 }
 
-(** Defaults shared with branch-and-bound are derived from
-    {!Branch_bound.default}; [presolve] defaults to [true]. *)
+(** {!Branch_bound.default}. *)
 val default_options : options
 
 type status =
@@ -99,8 +59,13 @@ type solution = {
     point degrades the status to [Unknown], a bad bound / open gap /
     failed dual certificate degrades [Optimal] to [Feasible], and the
     diagnostics land in [certificate], the [milp.solver]/[milp.certify]
-    log sources and the [certify-failures] counter. *)
-val solve : ?certify:bool -> ?options:options -> Model.t -> solution
+    log sources and the [certify-failures] counter.
+
+    [?presolve] (default [true]) runs {!Presolve} first; the solution is
+    postsolved back to the original indexing, so this is externally
+    invisible apart from speed. A solve issued from inside a pool task
+    never re-enters [options.pool] (its rounds run inline). *)
+val solve : ?certify:bool -> ?presolve:bool -> ?options:options -> Model.t -> solution
 
 (** [value sol v] reads variable [v] from the solution point. *)
 val value : solution -> Model.var -> float

@@ -30,11 +30,11 @@ let default_options =
     dense_simplex = false;
     cuts = Milp.Cuts.default;
     sx_iters = None;
-    bb_width = Milp.Solver.default_options.Milp.Solver.bb_width;
-    bb_grain = Milp.Solver.default_options.Milp.Solver.bb_grain;
-    branching = Milp.Solver.default_options.Milp.Solver.branching;
-    heuristics = Milp.Solver.default_options.Milp.Solver.heuristics;
-    rins_freq = Milp.Solver.default_options.Milp.Solver.rins_freq;
+    bb_width = Milp.Branch_bound.default.par_width;
+    bb_grain = Milp.Branch_bound.default.par_grain;
+    branching = Milp.Branch_bound.default.branching;
+    heuristics = Milp.Branch_bound.default.heuristics;
+    rins_freq = Milp.Branch_bound.default.rins_freq;
   }
 
 let with_timeout t = { default_options with time_limit = t }
@@ -195,19 +195,20 @@ let analyze_with ?screen ?(extra_cuts = []) ?pool ~options topo paths envelope =
       log = options.log;
       branch_priority = built.Bilevel.branch_priority;
       plunge_hints = hints;
-      presolve = options.presolve;
-      dense_simplex = options.dense_simplex;
+      engine = (if options.dense_simplex then Milp.Simplex.Dense else Milp.Simplex.Revised);
       cuts = options.cuts;
       sx_iters = options.sx_iters;
       pool;
-      bb_width = options.bb_width;
-      bb_grain = options.bb_grain;
+      par_width = options.bb_width;
+      par_grain = options.bb_grain;
       branching = options.branching;
       heuristics = options.heuristics;
       rins_freq = options.rins_freq;
     }
   in
-  let sol = Milp.Solver.solve ~options:solver_options built.Bilevel.model in
+  let sol =
+    Milp.Solver.solve ~presolve:options.presolve ~options:solver_options built.Bilevel.model
+  in
   let have_point = Milp.Solver.has_point sol in
   let scenario =
     if have_point then Failure_model.scenario_of_solution built.Bilevel.fm sol

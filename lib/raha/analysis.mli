@@ -27,13 +27,14 @@ type options = {
           exact sequential path; results are identical for any value. *)
   presolve : bool;
       (** run the {!Milp.Presolve} reductions (big-M tightening, probing
-          on the failure binaries, …) before branch-and-bound; default
-          [true]; the [presolve] bench arm turns it off. *)
+          on the failure binaries, …) before branch-and-bound
+          ([Milp.Solver.solve ?presolve]); default [true]; the
+          [presolve] bench arm turns it off. *)
   dense_simplex : bool;
       (** solve LP relaxations with the legacy dense tableau instead of
           the revised simplex (no sparse factorization, no dual-simplex
-          warm starts); default [false]; the [revised] bench arm turns
-          it on. *)
+          warm starts; {!Milp.Branch_bound.options.engine}); default
+          [false]; the [revised] bench arm turns it on. *)
   cuts : Milp.Cuts.options;
       (** cutting planes for the branch-and-bound solve
           ({!Milp.Cuts}: Gomory mixed-integer, knapsack cover and clique
@@ -43,29 +44,29 @@ type options = {
           root separation rounds. *)
   sx_iters : int option;
       (** simplex pivot budget per LP relaxation
-          ({!Milp.Solver.options.sx_iters}); default [None] = unlimited.
+          ({!Milp.Branch_bound.options.sx_iters}); default [None] = unlimited.
           Exhaustion degrades the status honestly ([Optimal] →
           [Feasible], no incumbent → [Unknown]) — the per-query
           admission budget of the serving layer. *)
   bb_width : int;
       (** frontier width at which branch-and-bound switches to parallel
-          subtree rounds ({!Milp.Solver.options.bb_width}); default 32.
+          subtree rounds ({!Milp.Branch_bound.options.par_width}); default 32.
           [<= 0] restores the pure sequential search. Results are
           bit-identical for any value — this only moves the
           sequential/parallel crossover. *)
   bb_grain : int;
       (** per-subtree node budget within one parallel round
-          ({!Milp.Solver.options.bb_grain}); default 64. *)
+          ({!Milp.Branch_bound.options.par_grain}); default 64. *)
   branching : Milp.Branch_bound.branching;
       (** branching-variable rule for the bilevel MILP
-          ({!Milp.Solver.options.branching}); default
+          ({!Milp.Branch_bound.options.branching}); default
           {!Milp.Branch_bound.Reliability}. *)
   heuristics : bool;
       (** enable the feasibility-pump and RINS primal heuristics
-          ({!Milp.Solver.options.heuristics}); default [true]. *)
+          ({!Milp.Branch_bound.options.heuristics}); default [true]. *)
   rins_freq : int;
       (** RINS cadence in branch-and-bound nodes; [<= 0] disables
-          ({!Milp.Solver.options.rins_freq}); default 200. *)
+          ({!Milp.Branch_bound.options.rins_freq}); default 200. *)
 }
 
 val default_options : options

@@ -5,7 +5,7 @@ type enumeration = {
   elapsed : float;
 }
 
-let enumerate_failures ?(objective = Te.Formulation.Total_flow) ?(domains = 1) ?pool
+let enumerate_failures ?(objective = Te.Formulation.Total_flow) ?pool
     ?(batch = true) ~k topo paths demand =
   let t0 = Unix.gettimeofday () in
   let scenarios = Array.of_list (Failure.Enumerate.up_to_k topo ~k) in
@@ -26,11 +26,7 @@ let enumerate_failures ?(objective = Te.Formulation.Total_flow) ?(domains = 1) ?
   let degs =
     match pool with
     | Some pool -> Parallel.Pool.map_array pool eval scenarios
-    | None ->
-      if domains <= 1 then Array.map eval scenarios
-      else
-        Parallel.Pool.with_pool ~counters:Milp.Solver.stats_counters ~domains
-          (fun pool -> Parallel.Pool.map_array pool eval scenarios)
+    | None -> Array.map eval scenarios
   in
   (* deterministic arg-max: first index attaining the maximum *)
   let worst_i = ref 0 in

@@ -21,10 +21,9 @@ type enumeration = {
 (** [enumerate_failures ~k topo paths demand] is the brute-force variant
     of the "up to k failures" baseline: enumerate
     {!Failure.Enumerate.up_to_k} and route every scenario with
-    {!Te.Simulate} at the fixed [demand], in parallel over [domains]
-    OCaml domains (or on [pool], which takes precedence). The result is
-    identical for any parallelism (ties break toward the first scenario
-    in enumeration order).
+    {!Te.Simulate} at the fixed [demand], in parallel on [pool] (inline
+    without one). The result is identical for any parallelism (ties
+    break toward the first scenario in enumeration order).
 
     Scenarios go through the batched engine ({!Te.Simulate.prepare}):
     one prepare, one healthy solve, rhs overlays warm-started from the
@@ -35,7 +34,6 @@ type enumeration = {
     {!Failure.Enumerate.up_to_k}). *)
 val enumerate_failures :
   ?objective:Te.Formulation.objective ->
-  ?domains:int ->
   ?pool:Parallel.Pool.t ->
   ?batch:bool ->
   k:int ->

@@ -22,12 +22,12 @@ let sample_scenario rng topo =
 
 (* Samples are drawn in fixed blocks of [rng_block], each from its own
    RNG seeded with [| seed; block |]. The block layout never depends on
-   the domain count (the pool's scheduling chunks are independent of
-   it), so a run is bit-identical for any [~domains] given the same
+   the pool's width (its scheduling chunks are independent of it), so
+   a run is bit-identical with or without a [~pool] given the same
    [~seed] — the determinism contract DESIGN.md documents. *)
 let rng_block = 64
 
-let sample_degradations ?(objective = Formulation.Total_flow) ?(domains = 1) ?pool
+let sample_degradations ?(objective = Formulation.Total_flow) ?pool
     ?(batch = true) ?(batch_size = rng_block) ~seed ~samples topo paths demand =
   if samples <= 0 then invalid_arg "Monte_carlo.sample_degradations: samples <= 0";
   if batch_size <= 0 then
@@ -50,7 +50,7 @@ let sample_degradations ?(objective = Formulation.Total_flow) ?(domains = 1) ?po
   done;
   (* phase 2: solve in chunks of [batch_size]. Every scenario
      warm-starts from the same shared healthy basis (never chained), so
-     the values are independent of batch_size, domain count and
+     the values are independent of batch_size, pool width and
      scheduling; batch_size only sets the work-chunk granularity. *)
   let degradations = Array.make samples 0. in
   let rebuild = not batch in
@@ -66,11 +66,7 @@ let sample_degradations ?(objective = Formulation.Total_flow) ?(domains = 1) ?po
   let chunks = Array.init ((samples + batch_size - 1) / batch_size) Fun.id in
   (match pool with
   | Some pool -> Parallel.Pool.iter_array pool solve_chunk chunks
-  | None ->
-    if domains <= 1 then Array.iter solve_chunk chunks
-    else
-      Parallel.Pool.with_pool ~counters:Milp.Solver.stats_counters ~domains (fun pool ->
-          Parallel.Pool.iter_array pool solve_chunk chunks));
+  | None -> Array.iter solve_chunk chunks);
   (degradations, scenarios)
 
 let summarize degradations scenarios =

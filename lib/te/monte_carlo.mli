@@ -25,23 +25,21 @@ type summary = {
     disconnected pair) count as the healthy network's full performance.
 
     Samples are drawn in fixed 64-sample blocks, each from an RNG seeded
-    [Random.State.make [| seed; block |]], and routed across [domains]
-    OCaml domains (or a caller-supplied [pool], which takes precedence).
-    The block layout is independent of the parallelism, so the returned
-    arrays are bit-identical for a given [seed] whatever [domains] is;
-    [domains = 1] (the default) runs inline on the caller.
+    [Random.State.make [| seed; block |]], and routed on [pool] (inline
+    on the caller without one). The block layout is independent of the
+    parallelism, so the returned arrays are bit-identical for a given
+    [seed] with or without a pool of any width.
 
     Scenarios are solved through the batched engine ({!Simulate.prepare}):
     one shared prepared structure, rhs overlays, warm dual solves from
     the healthy basis. [batch = false] (the batch ablation's off arm) rebuilds
     formulation + prepared structure per scenario instead — bit-identical
     results, full per-scenario cost. [batch_size] (default 64) only sets
-    the chunk granularity fanned over domains; every scenario warm-starts
+    the chunk granularity fanned over the pool; every scenario warm-starts
     from the same healthy basis, never from a neighbour, so results are
-    independent of [batch], [batch_size], [domains] and scheduling. *)
+    independent of [batch], [batch_size], [pool] and scheduling. *)
 val sample_degradations :
   ?objective:Formulation.objective ->
-  ?domains:int ->
   ?pool:Parallel.Pool.t ->
   ?batch:bool ->
   ?batch_size:int ->

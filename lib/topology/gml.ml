@@ -83,6 +83,12 @@ let find_num key pairs =
 let find_str key pairs =
   List.find_map (fun (k, v) -> match v with Scalar_str s when k = key -> Some s | _ -> None) pairs
 
+(* Node ids, sources and targets must be integers: truncating 1.2 and
+   1.7 to the same id would silently merge two nodes. *)
+let int_id what f =
+  let i = int_of_float f in
+  if Float.of_int i = f then i else failwith (Printf.sprintf "Gml: non-integral %s %g" what f)
+
 let parse_string ?(link_capacity = 1000.) ?(fail_prob = 0.01) ~name s =
   let pairs, _ = parse_block (tokenize s) in
   let graph =
@@ -97,7 +103,7 @@ let parse_string ?(link_capacity = 1000.) ?(fail_prob = 0.01) ~name s =
          | Block np ->
            let id =
              match find_num "id" np with
-             | Some f -> int_of_float f
+             | Some f -> int_id "node id" f
              | None -> failwith "Gml: node without id"
            in
            Some (id, find_str "label" np)
@@ -108,6 +114,7 @@ let parse_string ?(link_capacity = 1000.) ?(fail_prob = 0.01) ~name s =
   let sorted = List.sort (fun (a, _) (b, _) -> compare a b) raw_nodes in
   let remap = Hashtbl.create 64 in
   List.iteri (fun dense (gid, _) -> Hashtbl.replace remap gid dense) sorted;
+  if Hashtbl.length remap < List.length sorted then failwith "Gml: duplicate node id";
   let node_names =
     Array.of_list
       (List.mapi
@@ -122,8 +129,8 @@ let parse_string ?(link_capacity = 1000.) ?(fail_prob = 0.01) ~name s =
            match (find_num "source" ep, find_num "target" ep) with
            | Some s, Some t -> (
              match
-               ( Hashtbl.find_opt remap (int_of_float s),
-                 Hashtbl.find_opt remap (int_of_float t) )
+               ( Hashtbl.find_opt remap (int_id "edge source" s),
+                 Hashtbl.find_opt remap (int_id "edge target" t) )
              with
              | Some a, Some b when a <> b -> Some (min a b, max a b)
              | Some _, Some _ -> None (* drop self loops *)

@@ -8,7 +8,9 @@
 
 (** [parse_string ~name ?link_capacity ?fail_prob s] parses GML text.
     Each surviving edge becomes a single-link LAG.
-    @raise Failure with a line-oriented message on malformed input. *)
+    @raise Failure with a line-oriented message on malformed input,
+    including a duplicate node id and a non-integral node id, edge
+    source or target. *)
 val parse_string :
   ?link_capacity:float -> ?fail_prob:float -> name:string -> string -> Topology.t
 

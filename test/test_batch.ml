@@ -12,6 +12,13 @@
 
 let bits = Array.map Int64.bits_of_float
 
+(* run [f] inline when [domains = 1], else on a fresh pool that wide *)
+let on_domains domains f =
+  if domains <= 1 then f None
+  else
+    Parallel.Pool.with_pool ~counters:Milp.Solver.stats_counters ~domains (fun pool ->
+        f (Some pool))
+
 let wan () =
   let topo = Wan.Generators.africa_like ~seed:5 ~n:8 () in
   let pairs = [ (0, 5); (1, 6); (2, 7) ] in
@@ -31,15 +38,16 @@ let test_mc_differential objective () =
   let samples = 96 in
   (* reference arm: per-scenario prepares, sequential *)
   let ref_degs, ref_scens =
-    Te.Monte_carlo.sample_degradations ~objective ~batch:false ~domains:1 ~seed:7
-      ~samples topo paths demand
+    Te.Monte_carlo.sample_degradations ~objective ~batch:false ~seed:7 ~samples topo
+      paths demand
   in
   let wh0 = Milp.Batch.cumulative_warm_hits () in
   List.iter
     (fun (batch_size, domains) ->
       let degs, scens =
-        Te.Monte_carlo.sample_degradations ~objective ~batch:true ~batch_size
-          ~domains ~seed:7 ~samples topo paths demand
+        on_domains domains (fun pool ->
+            Te.Monte_carlo.sample_degradations ~objective ?pool ~batch:true ~batch_size
+              ~seed:7 ~samples topo paths demand)
       in
       let what = Printf.sprintf "batch_size=%d domains=%d" batch_size domains in
       Alcotest.(check bool)
@@ -63,14 +71,13 @@ let test_enum_differential () =
   List.iter
     (fun k ->
       let r0 =
-        Raha.Baselines.enumerate_failures ~batch:false ~domains:1 ~k topo paths
-          demand
+        Raha.Baselines.enumerate_failures ~batch:false ~k topo paths demand
       in
       List.iter
         (fun (batch, domains) ->
           let r =
-            Raha.Baselines.enumerate_failures ~batch ~domains ~k topo paths
-              demand
+            on_domains domains (fun pool ->
+                Raha.Baselines.enumerate_failures ?pool ~batch ~k topo paths demand)
           in
           let what = Printf.sprintf "k=%d batch=%b domains=%d" k batch domains in
           Alcotest.(check int)

@@ -467,6 +467,9 @@ let test_lp_parse_untrusted () =
   in
   rejects "crossed bound" "Maximize\n obj: x\nSubject To\n c0: x <= 5\nBounds\n 4 <= x <= 3\nEnd\n";
   rejects "crossed canonical bound" "Maximize\n obj: x0\nSubject To\nBounds\n 4 <= x0 <= 3\nEnd\n";
+  rejects "nan coefficient" "Maximize\n obj: nan x\nSubject To\n c: x <= 1\nEnd\n";
+  rejects "nan rhs" "Maximize\n obj: x\nSubject To\n c: x <= nan\nEnd\n";
+  rejects "nan bound" "Maximize\n obj: x\nSubject To\n c: x <= 5\nBounds\n 0 <= x <= nan\nEnd\n";
   (* a sparse canonical id must not size the model: it is read as an
      ordinary name, in order of first appearance *)
   let m = Lp_file.of_string "Maximize\n obj: x50000000\nSubject To\n c0: x50000000 <= 2\nEnd\n" in

@@ -171,11 +171,10 @@ let africa_setup () =
 let check_identical_runs ~seeds ~samples (topo, paths, d) () =
   List.iter
     (fun seed ->
-      let seq_deg, seq_scen =
-        Te.Monte_carlo.sample_degradations ~domains:1 ~seed ~samples topo paths d
-      in
+      let seq_deg, seq_scen = Te.Monte_carlo.sample_degradations ~seed ~samples topo paths d in
       let par_deg, par_scen =
-        Te.Monte_carlo.sample_degradations ~domains ~seed ~samples topo paths d
+        Parallel.Pool.with_pool ~counters:Milp.Solver.stats_counters ~domains (fun pool ->
+            Te.Monte_carlo.sample_degradations ~pool ~seed ~samples topo paths d)
       in
       Alcotest.(check bool)
         (Printf.sprintf "degradations bit-identical (seed %d, %d vs 1 domains)" seed domains)
@@ -195,9 +194,9 @@ let test_mc_equivalence_africa () =
   check_identical_runs ~seeds:[ 1; 7 ] ~samples:150 (africa_setup ()) ()
 
 let test_mc_shared_pool_equivalence () =
-  (* a caller-supplied pool must give the same draw as ~domains *)
+  (* a caller-supplied pool without counter hooks gives the same draw *)
   let topo, paths, d = fig1_setup () in
-  let seq, _ = Te.Monte_carlo.sample_degradations ~domains:1 ~seed:9 ~samples:200 topo paths d in
+  let seq, _ = Te.Monte_carlo.sample_degradations ~seed:9 ~samples:200 topo paths d in
   Parallel.Pool.with_pool ~domains (fun pool ->
       let par, _ =
         Te.Monte_carlo.sample_degradations ~pool ~seed:9 ~samples:200 topo paths d
@@ -206,8 +205,11 @@ let test_mc_shared_pool_equivalence () =
 
 let test_enumeration_equivalence () =
   let topo, paths, d = fig1_setup () in
-  let seq = Raha.Baselines.enumerate_failures ~domains:1 ~k:2 topo paths d in
-  let par = Raha.Baselines.enumerate_failures ~domains ~k:2 topo paths d in
+  let seq = Raha.Baselines.enumerate_failures ~k:2 topo paths d in
+  let par =
+    Parallel.Pool.with_pool ~counters:Milp.Solver.stats_counters ~domains (fun pool ->
+        Raha.Baselines.enumerate_failures ~pool ~k:2 topo paths d)
+  in
   check_int "scenarios evaluated"
     seq.Raha.Baselines.scenarios_evaluated par.Raha.Baselines.scenarios_evaluated;
   Alcotest.(check (float 0.)) "worst degradation identical"

@@ -13,8 +13,7 @@ let reduced_exn = function
   | Presolve.Infeasible _ ->
     Alcotest.fail "expected a reduced model, got infeasible"
 
-let solve_with presolve m =
-  Solver.solve ~options:{ Solver.default_options with presolve } m
+let solve_with presolve m = Solver.solve ~presolve m
 
 (* --- unit reductions --------------------------------------------------- *)
 
@@ -161,12 +160,11 @@ let test_warm_start_and_hints_translate () =
   let options =
     {
       Solver.default_options with
-      presolve = true;
       warm_start = Some [| 3.; 0.; 1. |];
       plunge_hints = [ [ (x.vid, 3.); (a.vid, 1.); (b.vid, 0.) ] ];
     }
   in
-  let sol = Solver.solve ~options m in
+  let sol = Solver.solve ~presolve:true ~options m in
   Alcotest.(check bool) "optimal" true (sol.Solver.status = Solver.Optimal);
   check_float "optimum" 6. sol.Solver.obj;
   check_float "fixed var restored" 3. sol.Solver.values.(x.vid)

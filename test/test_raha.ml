@@ -81,6 +81,55 @@ let test_fig1_kkt_matches () =
   Alcotest.(check bool) "optimal" true (r.Raha.Analysis.status = Milp.Solver.Optimal);
   check_float "degradation 9" 9. r.Raha.Analysis.degradation
 
+(* Every solver field of Raha.Analysis.options reaches the solve: each
+   override moves the counter of the layer it configures, so a dropped
+   or swapped field in the options mapping fails here. Seeding is off
+   in every arm so the screening overlays add no warm starts. *)
+let test_options_reach_solver () =
+  let spec = spec_k1 Raha.Bilevel.Max_degradation Raha.Bilevel.Kkt in
+  let hooks =
+    Milp.Solver.stats_counters @ [ ("bb-rounds", Milp.Branch_bound.cumulative_rounds) ]
+  in
+  let envelope =
+    Traffic.Envelope.around ~slack:0.5
+      (Traffic.Demand.of_list [ ((1, 3), 12.); ((2, 3), 10.) ])
+  in
+  let run override =
+    let options =
+      override { Raha.Analysis.default_options with spec; seed_enumeration = Some 0 }
+    in
+    let scope = Milp.Lp_stats.scope_enter ~hooks () in
+    let r = Raha.Analysis.analyze ~options fig1 (fig1_paths ()) envelope in
+    let counters = (Milp.Lp_stats.scope_exit scope).Milp.Lp_stats.scope_counters in
+    (r.Raha.Analysis.degradation, fun name -> List.assoc name counters)
+  in
+  let base_deg, base = run Fun.id in
+  let arm what override =
+    let deg, c = run override in
+    check_float ~eps:1e-6 (what ^ ": degradation") base_deg deg;
+    c
+  in
+  let drops what counter override =
+    let c = arm what override in
+    Alcotest.(check bool) (what ^ ": " ^ counter ^ " on by default") true (base counter > 0);
+    Alcotest.(check int) (what ^ ": " ^ counter) 0 (c counter)
+  in
+  drops "presolve off" "presolve-rows" (fun o -> { o with Raha.Analysis.presolve = false });
+  drops "dense simplex" "warm-attempts" (fun o -> { o with Raha.Analysis.dense_simplex = true });
+  drops "cuts off" "cuts-generated" (fun o -> { o with Raha.Analysis.cuts = Milp.Cuts.disabled });
+  drops "fractional" "sb-probes" (fun o ->
+      { o with Raha.Analysis.branching = Milp.Branch_bound.Fractional });
+  Alcotest.(check int) "default: no rounds" 0 (base "bb-rounds");
+  (* a swapped mapping would read bb_width = 2 as the grain and keep the
+     default width: no rounds *)
+  let w = (arm "bb_width" (fun o -> { o with Raha.Analysis.bb_width = 2 })) "bb-rounds" in
+  Alcotest.(check bool) "bb_width = 2: rounds" true (w > 0);
+  let wg =
+    (arm "bb_width + bb_grain" (fun o -> { o with Raha.Analysis.bb_width = 2; bb_grain = 4 }))
+      "bb-rounds"
+  in
+  Alcotest.(check bool) "bb_grain = 4: more rounds than the default grain" true (wg > w)
+
 let test_fig1_verified_by_simulation () =
   (* whatever the MILP reports must replay exactly in the simulator *)
   let r = analyze ~spec:(spec_k1 Raha.Bilevel.Max_degradation (Raha.Bilevel.Strong_duality { levels = 5 })) () in
@@ -296,6 +345,7 @@ let suite =
     ("fig1 (c/d) naive worst case", `Quick, test_fig1_naive_worst_case);
     ("fig1 (e/f) raha joint", `Quick, test_fig1_raha_joint);
     ("fig1 kkt encoding matches", `Quick, test_fig1_kkt_matches);
+    ("analysis options reach the solver", `Quick, test_options_reach_solver);
     ("fig1 verified by simulation", `Quick, test_fig1_verified_by_simulation);
     ("threshold respected", `Quick, test_threshold_constraint_respected);
     ("threshold excludes all", `Quick, test_threshold_excludes_all);

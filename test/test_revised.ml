@@ -54,18 +54,17 @@ let random_milp case =
 let test_differential () =
   for case = 0 to 63 do
     let mdl = random_milp case in
-    let solve dense_simplex =
+    let solve dense =
+      let engine = if dense then Milp.Simplex.Dense else Milp.Simplex.Revised in
       let sol =
-        Milp.Solver.solve
-          ~options:{ Milp.Solver.default_options with dense_simplex }
-          mdl
+        Milp.Solver.solve ~options:{ Milp.Solver.default_options with engine } mdl
       in
       (match (Milp.Solver.has_point sol, sol.Milp.Solver.certificate) with
       | true, None -> Alcotest.failf "case %d: no certificate issued" case
       | true, Some c ->
         if not c.Milp.Certify.ok then
           Alcotest.failf "case %d (%s): certificate failed: %s" case
-            (if dense_simplex then "dense" else "revised")
+            (if dense then "dense" else "revised")
             (String.concat "; " c.Milp.Certify.failures)
       | false, _ -> ());
       sol

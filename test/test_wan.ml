@@ -145,7 +145,14 @@ let test_gml_errors () =
   bad "graph [ node [ label \"x\" ] ]";
   bad "node [ id 1 ]";
   bad "graph [ node [ id 1 ] edge [ source 1 target 2 ] ]";
-  bad "graph [ node [ id 1 ] node [ id 2 ] edge [ source 1 ] ]"
+  bad "graph [ node [ id 1 ] node [ id 2 ] edge [ source 1 ] ]";
+  (* a duplicate id would leave a phantom isolated node *)
+  bad "graph [ node [ id 1 ] node [ id 1 ] node [ id 2 ] edge [ source 1 target 2 ] ]";
+  (* truncating 1.2 and 1.7 would merge two nodes and their edges *)
+  bad
+    "graph [ node [ id 1.2 ] node [ id 1.7 ] node [ id 3 ] edge [ source 1.2 target 3 ] \
+     edge [ source 1.7 target 3 ] ]";
+  bad "graph [ node [ id 1 ] node [ id 2 ] edge [ source 1 target 2.5 ] ]"
 
 let test_serialize_roundtrip () =
   let t = Wan.Generators.africa_like ~seed:4 ~n:9 () in
