@@ -216,17 +216,33 @@ type setup = {
 
 let make_setup topo pairs num_pairs primary backup threshold max_failures ce slack
     volume timeout domains encoding objective demand_file =
-  let base =
+  let ( let* ) = Result.bind in
+  let* base =
     match demand_file with
-    | Some path -> Traffic.Demand_io.load path
-    | None ->
+    | Some path -> (
+      match Traffic.Demand_io.load path with
+      | d -> Ok d
+      | exception Failure msg -> Error (Printf.sprintf "%s: %s" path msg)
+      | exception Sys_error msg -> Error msg)
+    | None -> (
       let pairs = match pairs with Some p -> p | None -> auto_pairs topo num_pairs in
       let vol =
         match volume with Some v -> v | None -> Wan.Topology.avg_lag_capacity topo /. 2.
       in
-      Traffic.Demand.of_list (List.map (fun p -> (p, vol)) pairs)
+      match Traffic.Demand.of_list (List.map (fun p -> (p, vol)) pairs) with
+      | d -> Ok d
+      | exception Invalid_argument msg -> Error msg)
   in
   let pairs = Traffic.Demand.pairs base in
+  let n = Wan.Topology.num_nodes topo in
+  let* () =
+    match List.find_opt (fun (s, d) -> s >= n || d >= n) pairs with
+    | Some (s, d) ->
+      Error
+        (Printf.sprintf "demand pair %d->%d names node %d, but the topology has %d nodes"
+           s d (if s >= n then s else d) n)
+    | None -> Ok ()
+  in
   let paths = Netpath.Path_set.compute ~n_primary:primary ~n_backup:backup topo pairs in
   let envelope =
     if slack > 0. then Traffic.Envelope.from_zero ~slack base
@@ -245,13 +261,14 @@ let make_setup topo pairs num_pairs primary backup threshold max_failures ce sla
   let options =
     { (Raha.Analysis.with_timeout timeout) with spec; domains = max 1 domains }
   in
-  { topo; paths; envelope; options }
+  Ok { topo; paths; envelope; options }
 
 let setup_term =
   Term.(
-    const make_setup $ topology_arg $ pairs_arg $ num_pairs_arg $ primary_arg
-    $ backup_arg $ threshold_arg $ max_failures_arg $ ce_arg $ slack_arg $ volume_arg
-    $ timeout_arg $ domains_arg $ encoding_arg $ objective_arg $ demand_file_arg)
+    term_result'
+      (const make_setup $ topology_arg $ pairs_arg $ num_pairs_arg $ primary_arg
+      $ backup_arg $ threshold_arg $ max_failures_arg $ ce_arg $ slack_arg $ volume_arg
+      $ timeout_arg $ domains_arg $ encoding_arg $ objective_arg $ demand_file_arg))
 
 (* --- subcommands ------------------------------------------------------- *)
 

@@ -8,13 +8,19 @@ type t = float Pmap.t
 
 let empty = Pmap.empty
 
+let add m (src, dst) v =
+  if src < 0 || dst < 0 then Error "negative node id"
+  else if src = dst then Error "src = dst"
+  else if not (v >= 0. && Float.is_finite v) then Error "volume must be finite and >= 0"
+  else if Pmap.mem (src, dst) m then Error "duplicate pair"
+  else Ok (Pmap.add (src, dst) v m)
+
 let of_list entries =
   List.fold_left
-    (fun m ((src, dst), v) ->
-      if v < 0. then invalid_arg "Demand.of_list: negative volume";
-      if src = dst then invalid_arg "Demand.of_list: src = dst";
-      if Pmap.mem (src, dst) m then invalid_arg "Demand.of_list: duplicate pair";
-      Pmap.add (src, dst) v m)
+    (fun m (pair, v) ->
+      match add m pair v with
+      | Ok m -> m
+      | Error e -> invalid_arg ("Demand.of_list: " ^ e))
     empty entries
 
 let volume m ~src ~dst = match Pmap.find_opt (src, dst) m with Some v -> v | None -> 0.

@@ -4,8 +4,13 @@ type t
 
 val empty : t
 
+(** [add m (src, dst) v] adds one entry, or says why it is invalid: a
+    negative node id, [src = dst], a volume that is negative or not
+    finite, or a pair [m] already holds. *)
+val add : t -> int * int -> float -> (t, string) result
+
 (** [of_list entries] builds a matrix from [((src, dst), volume)] pairs.
-    @raise Invalid_argument on duplicates or negative volumes. *)
+    @raise Invalid_argument on any entry {!add} rejects. *)
 val of_list : ((int * int) * float) list -> t
 
 (** Volume for a pair ([0.] when absent). *)

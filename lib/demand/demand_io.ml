@@ -6,21 +6,24 @@ let to_csv d =
   Buffer.contents b
 
 let of_csv s =
-  let entries = ref [] in
+  let m = ref Demand.empty in
   List.iteri
     (fun i line ->
-      let lineno = i + 1 in
+      let err msg = failwith (Printf.sprintf "line %d: %s" (i + 1) msg) in
       let line = String.trim line in
       if line = "" || line.[0] = '#' then ()
       else
         match String.split_on_char ',' line |> List.map String.trim with
         | [ a; b; v ] -> (
           match (int_of_string_opt a, int_of_string_opt b, float_of_string_opt v) with
-          | Some src, Some dst, Some vol -> entries := ((src, dst), vol) :: !entries
-          | _ -> failwith (Printf.sprintf "line %d: bad fields in %S" lineno line))
-        | _ -> failwith (Printf.sprintf "line %d: expected src,dst,volume" lineno))
+          | Some src, Some dst, Some vol -> (
+            match Demand.add !m (src, dst) vol with
+            | Ok m' -> m := m'
+            | Error e -> err (Printf.sprintf "%s in %S" e line))
+          | _ -> err (Printf.sprintf "bad fields in %S" line))
+        | _ -> err "expected src,dst,volume")
     (String.split_on_char '\n' s);
-  Demand.of_list (List.rev !entries)
+  !m
 
 let save d path =
   let oc = open_out path in

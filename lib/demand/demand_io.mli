@@ -5,7 +5,9 @@
 
 val to_csv : Demand.t -> string
 
-(** @raise Failure with a [line N: ...] message on malformed input. *)
+(** @raise Failure with a [line N: ...] message on malformed input: a
+    row that is not three fields, unparsable fields, or an entry
+    {!Demand.add} rejects. *)
 val of_csv : string -> Demand.t
 
 val save : Demand.t -> string -> unit

@@ -35,7 +35,6 @@ type t = {
   mutable etas : eta array;
   mutable neta : int;
   max_eta : int;
-  mutable refactors : int;
 }
 
 exception Singular of string
@@ -284,7 +283,7 @@ let build_lu a cols =
 let create a bcols =
   let cols = Array.copy bcols in
   let lu = build_lu a cols in
-  { a; cols; lu; etas = [||]; neta = 0; max_eta = 64; refactors = 0 }
+  { a; cols; lu; etas = [||]; neta = 0; max_eta = 64 }
 
 let bcols t = Array.copy t.cols
 
@@ -338,13 +337,11 @@ let of_snapshot a s =
   else
     Some
       { a; cols = Array.copy s.scols; lu = s.slu; etas = [||]; neta = 0;
-        max_eta = 64; refactors = 0 }
+        max_eta = 64 }
 
 let replace t ~r ~col ~w =
   t.cols.(r) <- col;
-  let unstable = Float.abs w.(r) < stab_tol in
-  if unstable || t.neta >= t.max_eta then begin
-    if unstable then t.refactors <- t.refactors + 1;
+  if Float.abs w.(r) < stab_tol || t.neta >= t.max_eta then begin
     refactorize t;
     true
   end
@@ -364,5 +361,3 @@ let replace t ~r ~col ~w =
     Lp_stats.incr Lp_stats.eta_updates;
     false
   end
-
-let refactor_count t = t.refactors

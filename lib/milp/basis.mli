@@ -44,10 +44,6 @@ val btran : t -> float array -> float array
     values from scratch to shed accumulated drift. *)
 val replace : t -> r:int -> col:int -> w:float array -> bool
 
-(** Positive when [replace] refactorized due to instability at least
-    once for this basis (diagnostic). *)
-val refactor_count : t -> int
-
 (** {1 Factorization snapshots}
 
     A snapshot freezes a basis's column selection together with its LU

@@ -38,7 +38,6 @@ let of_prepared prep =
 let prepare model = of_prepared (Simplex.prepare model)
 
 let prep t = t.prep
-let num_rows t = Array.length t.base_b
 let base_rhs t = Array.copy t.base_b
 
 let cumulative_prepares = Lp_stats.read Lp_stats.batch_prepares

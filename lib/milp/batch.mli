@@ -34,13 +34,8 @@ type outcome = {
     counter. *)
 val prepare : Model.t -> t
 
-(** Wrap an already-prepared model. *)
-val of_prepared : Simplex.prepared -> t
-
 (** The underlying prepared model (shared, do not mutate). *)
 val prep : t -> Simplex.prepared
-
-val num_rows : t -> int
 
 (** Fresh copy of the base rhs (row order = model constraint order). *)
 val base_rhs : t -> float array

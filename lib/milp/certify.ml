@@ -40,8 +40,6 @@ type t = {
 
 let cumulative_checks = Lp_stats.read Lp_stats.certify_checks
 let cumulative_failures = Lp_stats.read Lp_stats.certify_failures
-let max_primal_residual = Lp_stats.fread Lp_stats.certify_max_primal_residual
-let max_dual_gap = Lp_stats.fread Lp_stats.certify_max_dual_gap
 
 (* Kahan-compensated evaluation of a linear expression at a point; also
    returns the largest |term| seen, the natural scale for the residual
@@ -423,10 +421,6 @@ let check ?(tols = default_tolerances) ?(optimal = false) ~model ~obj ~bound
   in
   Lp_stats.incr Lp_stats.certify_checks;
   if not ok then Lp_stats.incr Lp_stats.certify_failures;
-  if Float.is_finite max_primal then
-    Lp_stats.fmax Lp_stats.certify_max_primal_residual max_primal;
-  if Float.is_finite dual_gap then
-    Lp_stats.fmax Lp_stats.certify_max_dual_gap dual_gap;
   if not ok then
     Log.warn (fun f ->
         f "certificate FAILED for %s: %s" (Model.name model)

@@ -70,9 +70,9 @@ type t = {
     checks on top of the consistency checks (default [false]).
     [statuses] are the structural basis statuses in original variable
     indexing ([[||]] when unavailable — skips the dual certificate).
-    Bumps the [certify-checks]/[certify-failures] counters and the
-    residual high-water marks in {!Lp_stats}, and logs a structured
-    warning on the [milp.certify] source when a check fails. *)
+    Bumps the [certify-checks]/[certify-failures] counters in
+    {!Lp_stats}, and logs a structured warning on the [milp.certify]
+    source when a check fails. *)
 val check :
   ?tols:tolerances ->
   ?optimal:bool ->
@@ -91,9 +91,3 @@ val pp : Format.formatter -> t -> unit
 
 val cumulative_checks : unit -> int
 val cumulative_failures : unit -> int
-
-(** Domain-local high-water marks of the normalized primal residual and
-    relative dual gap over every certificate issued on this domain. *)
-
-val max_primal_residual : unit -> float
-val max_dual_gap : unit -> float

@@ -17,7 +17,7 @@
       complemented), yielding [sum_{j in C} x_j <= |C| - 1].
     - {b Clique cuts} come from a pairwise conflict graph built once
       from the rows' minimal activities — exactly the structure
-      [Linearize.implies_le]'s big-M implications produce — and are
+      [Linearize]'s big-M indicator and product rows produce — and are
       separated as greedy violated cliques [sum of literals <= 1].
 
     Cuts are plain [<=] rows over structural variables (slack columns

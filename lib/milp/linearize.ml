@@ -1,19 +1,5 @@
 let evar (v : Model.var) = Linexpr.var v.vid
 
-let product_bin m ~name (b : Model.var) e ~ub =
-  if b.kind <> Model.Binary then invalid_arg "Linearize.product_bin: not binary";
-  let z = Model.continuous ~lb:0. ~ub m name in
-  let ze = evar z in
-  (* z <= ub * b *)
-  Model.add_cons_expr m ~name:(name ^ "_cap") ze Model.Le (Linexpr.var ~coeff:ub b.vid);
-  (* z <= e *)
-  Model.add_cons_expr m ~name:(name ^ "_le") ze Model.Le e;
-  (* z >= e - ub * (1 - b) *)
-  Model.add_cons_expr m ~name:(name ^ "_ge")
-    ze Model.Ge
-    (Linexpr.add e (Linexpr.of_terms ~const:(-.ub) [ (ub, b.vid) ]));
-  z
-
 let indicator_ge0 m ~name e ~lb ~ub =
   if lb > ub then invalid_arg "Linearize.indicator_ge0: lb > ub";
   let y = Model.binary m name in
@@ -25,32 +11,6 @@ let indicator_ge0 m ~name e ~lb ~ub =
   Model.add_cons_expr m ~name:(name ^ "_off")
     e Model.Le
     (Linexpr.of_terms ~const:(-1.) [ (ub +. 1., y.vid) ]);
-  y
-
-let implies_le m ?name (b : Model.var) e k ~ub =
-  let name = match name with Some n -> n | None -> b.vname ^ "_implies_le" in
-  (* e <= k + (ub - k) * (1 - b) *)
-  Model.add_cons_expr m ~name e Model.Le
-    (Linexpr.of_terms ~const:ub [ (k -. ub, b.vid) ])
-
-let implies_ge m ?name (b : Model.var) e k ~lb =
-  let name = match name with Some n -> n | None -> b.vname ^ "_implies_ge" in
-  (* e >= k + (lb - k) * (1 - b) *)
-  Model.add_cons_expr m ~name e Model.Ge
-    (Linexpr.of_terms ~const:lb [ (k -. lb, b.vid) ])
-
-let bool_or m ~name bs =
-  let y = Model.binary m name in
-  let n = List.length bs in
-  (* y >= each b; y <= sum b *)
-  List.iteri
-    (fun i (b : Model.var) ->
-      Model.add_cons_expr m ~name:(Printf.sprintf "%s_ge%d" name i) (evar y) Model.Ge (evar b))
-    bs;
-  Model.add_cons_expr m ~name:(name ^ "_le")
-    (evar y) Model.Le
-    (Linexpr.sum (List.map evar bs));
-  if n = 0 then Model.add_cons m ~name:(name ^ "_zero") (evar y) Model.Le 0.;
   y
 
 let bool_and m ~name bs =
@@ -65,12 +25,6 @@ let bool_and m ~name bs =
     (evar y) Model.Ge
     (Linexpr.add (Linexpr.sum (List.map evar bs)) (Linexpr.const (float_of_int (1 - n))));
   y
-
-let complement_sum bs =
-  let n = float_of_int (List.length bs) in
-  List.fold_left
-    (fun e (b : Model.var) -> Linexpr.add_term e (-1.) b.vid)
-    (Linexpr.const n) bs
 
 let product_bin_var m ~name (b : Model.var) (y : Model.var) ~lb ~ub =
   if b.kind <> Model.Binary then invalid_arg "Linearize.product_bin_var: not binary";

@@ -5,35 +5,14 @@
     variables, indicator functions over integer-valued expressions
     (Eq. 5), and simple boolean algebra over binaries. *)
 
-(** [product_bin m ~name b e ~ub] returns a fresh continuous variable [z]
-    constrained to equal [b * e], where [b] is a binary variable and [e]
-    a linear expression with value in [[0, ub]]. Exact (McCormick for a
-    binary factor). *)
-val product_bin :
-  Model.t -> name:string -> Model.var -> Linexpr.t -> ub:float -> Model.var
-
 (** [indicator_ge0 m ~name e ~lb ~ub] returns a fresh binary [y] with
     [y = 1 <-> e >= 0], valid when [e] is integer-valued with range
     [[lb, ub]]. This linearizes the indicator of Eq. 5. *)
 val indicator_ge0 :
   Model.t -> name:string -> Linexpr.t -> lb:float -> ub:float -> Model.var
 
-(** [implies_le m b e k] adds [b = 1 -> e <= k] using big-M, where [e]'s
-    value never exceeds [ub]. *)
-val implies_le : Model.t -> ?name:string -> Model.var -> Linexpr.t -> float -> ub:float -> unit
-
-(** [implies_ge m b e k] adds [b = 1 -> e >= k], where [e >= lb] always. *)
-val implies_ge : Model.t -> ?name:string -> Model.var -> Linexpr.t -> float -> lb:float -> unit
-
-(** [bool_or m ~name bs] returns binary [y = b1 \/ ... \/ bn]. *)
-val bool_or : Model.t -> name:string -> Model.var list -> Model.var
-
 (** [bool_and m ~name bs] returns binary [y = b1 /\ ... /\ bn]. *)
 val bool_and : Model.t -> name:string -> Model.var list -> Model.var
-
-(** [complement_sum m bs] is the expression [n - sum bs], i.e. the number
-    of zero binaries among [bs]. *)
-val complement_sum : Model.var list -> Linexpr.t
 
 (** [product_bin_var m ~name b y ~lb ~ub] returns [z = b * y] where [y]
     is a continuous variable with value in [[lb, ub]] (bounds may be

@@ -41,7 +41,6 @@ let iter f e = Imap.iter f e.coeffs
 let eval values e =
   Imap.fold (fun id c acc -> acc +. (c *. values.(id))) e.coeffs e.const
 
-let max_var e = match Imap.max_binding_opt e.coeffs with Some (id, _) -> id | None -> -1
 let is_constant e = Imap.is_empty e.coeffs
 
 let pp name ppf e =

@@ -49,9 +49,6 @@ val iter : (int -> float -> unit) -> t -> unit
     [x_id]. *)
 val eval : float array -> t -> float
 
-(** Largest variable id mentioned, or [-1] for a constant expression. *)
-val max_var : t -> int
-
 val is_constant : t -> bool
 
 (** Pretty-print with a variable-name resolver. *)

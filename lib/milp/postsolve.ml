@@ -21,8 +21,6 @@ let make ~is_fixed ~value =
   done;
   { orig_nv; fixed = Array.copy value; kept; reduced_of }
 
-let num_original t = t.orig_nv
-let num_reduced t = Array.length t.kept
 let orig_of_reduced t rid = t.kept.(rid)
 
 let reduced_of_orig t j =

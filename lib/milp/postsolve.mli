@@ -17,9 +17,6 @@ type t
     variables keep their relative order in the reduced indexing. *)
 val make : is_fixed:bool array -> value:float array -> t
 
-val num_original : t -> int
-val num_reduced : t -> int
-
 (** Original id of reduced variable [rid]. *)
 val orig_of_reduced : t -> int -> int
 

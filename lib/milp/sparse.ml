@@ -71,8 +71,6 @@ let of_model model =
   Linexpr.iter (fun id v -> cost.(id) <- osign *. v) obj;
   { m; n; nv; colptr; rowind; values; b; cost; slack_lo; slack_hi }
 
-let nnz a = a.colptr.(a.n)
-
 let col_iter a j f =
   for k = a.colptr.(j) to a.colptr.(j + 1) - 1 do
     f a.rowind.(k) a.values.(k)

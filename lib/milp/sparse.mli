@@ -26,8 +26,6 @@ type t = private {
     minimization ([Maximize] objectives are negated). *)
 val of_model : Model.t -> t
 
-val nnz : t -> int
-
 (** [col_iter a j f] applies [f row value] to every entry of column [j]. *)
 val col_iter : t -> int -> (int -> float -> unit) -> unit
 

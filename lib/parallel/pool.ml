@@ -263,9 +263,6 @@ let mapi_array t f a =
 
 let map_array t f a = mapi_array t (fun _ x -> f x) a
 
-let map_reduce t ~map ~combine ~init a =
-  Array.fold_left combine init (map_array t map a)
-
 let stats t =
   Mutex.lock t.mutex;
   let s =

@@ -64,12 +64,6 @@ val mapi_array : t -> (int -> 'a -> 'b) -> 'a array -> 'b array
 (** [iter_array pool f a] is [Array.iter f a], evaluated in parallel. *)
 val iter_array : t -> ('a -> unit) -> 'a array -> unit
 
-(** [map_reduce pool ~map ~combine ~init a] maps in parallel, then folds
-    [combine] sequentially in index order — the fold order is fixed so
-    floating-point reductions stay deterministic. *)
-val map_reduce :
-  t -> map:('a -> 'b) -> combine:('c -> 'b -> 'c) -> init:'c -> 'a array -> 'c
-
 (** [inside_task ()] is [true] while the calling domain is executing a
     pool task (any pool). Components that would otherwise create their
     own pool can consult this to stay sequential inside a sweep. *)

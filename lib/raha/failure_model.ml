@@ -109,11 +109,6 @@ let build m topo paths =
   in
   { topo; paths; link_down; lag_down; path_down; avail; lag_cap }
 
-let avail_expr t ~pair ~path =
-  match t.avail.(pair).(path) with
-  | None -> Milp.Linexpr.const 1.
-  | Some z -> evar z
-
 let add_probability_threshold m t ~threshold =
   if threshold <= 0. || threshold > 1. then
     invalid_arg "Failure_model.add_probability_threshold: threshold outside (0, 1]";

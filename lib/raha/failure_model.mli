@@ -26,10 +26,6 @@ type t = {
 
 val build : Milp.Model.t -> Wan.Topology.t -> Netpath.Path_set.t -> t
 
-(** Availability of a path as a 0/1-valued expression (constant 1 for
-    primaries). *)
-val avail_expr : t -> pair:int -> path:int -> Milp.Linexpr.t
-
 (** [add_probability_threshold m t ~threshold] adds the log-probability
     constraint of §5.1: scenarios must have probability >= threshold.
     @raise Invalid_argument if a link has [fail_prob = 0] (it could never

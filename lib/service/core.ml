@@ -496,11 +496,6 @@ let handle t = function
   | Event.Query Event.Status -> query_status t
   | Event.Shutdown -> ok [ ("bye", Json.Bool true) ]
 
-let handle_line t line =
-  match Event.request_of_line line with
-  | Error m -> err m
-  | Ok req -> handle t req
-
 (* Journal recovery: fold the recovered events through the same ingest
    path live events take (State.apply), without re-journaling them —
    the journal is attached after replay, so the log is not rewritten. *)

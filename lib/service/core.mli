@@ -45,9 +45,6 @@ val create : config -> Wan.Topology.t -> t
     [{"ok":false,"error":...}] responses, never exceptions). *)
 val handle : t -> Event.request -> Json.t
 
-(** Convenience: parse a protocol line and handle it. *)
-val handle_line : t -> string -> Json.t
-
 (** [now_many t downs] answers a batch of "now" overlay queries
     concurrently on the {!Parallel.Pool} ([options.domains] wide):
     element [i] is the answer for overlay scenario [downs.(i)] ([None]

@@ -4,11 +4,6 @@ type event =
   | Capacity of { lag : int; link : int; capacity : float; at : float }
   | Demand of { src : int; dst : int; lo : float; hi : float; at : float }
 
-let event_time = function
-  | Link_down { at; _ } | Link_up { at; _ } | Capacity { at; _ }
-  | Demand { at; _ } ->
-    at
-
 type query =
   | Worst of { budget : int option; max_nodes : int option }
   | Now of { down : (int * int) list option }

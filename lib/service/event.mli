@@ -20,8 +20,6 @@ type event =
           (engine, cutstore, cached answer) is invalidated. Wire form is
           [{"op":"demand",...}] rather than an ["ev"] kind *)
 
-val event_time : event -> float
-
 type query =
   | Worst of { budget : int option; max_nodes : int option }
       (** the worst probable (failure, demand) degradation under the

@@ -56,7 +56,3 @@ val close : t -> unit
 (** Read-only scan of a journal file — what {!open_} would recover,
     without opening for append or truncating. Missing file = empty log. *)
 val scan : string -> recovery
-
-(** CRC-32 (IEEE 802.3, the zlib polynomial) of a string — exposed for
-    the format tests. *)
-val crc32 : string -> int32

@@ -99,8 +99,3 @@ let prob_degradation_above degradations x =
     let count = Array.fold_left (fun acc d -> if d > x then acc + 1 else acc) 0 degradations in
     float_of_int count /. float_of_int n
   end
-
-let pp_summary ppf s =
-  Format.fprintf ppf
-    "%d samples: mean %.3g, p50 %.3g, p95 %.3g, p99 %.3g, max %.3g (scenario %a)"
-    s.samples s.mean s.p50 s.p95 s.p99 s.max_seen Failure.Scenario.pp s.worst_scenario

@@ -58,5 +58,3 @@ val summarize : float array -> Failure.Scenario.t array -> summary
 (** [prob_degradation_above degradations x] is the empirical probability
     of a degradation strictly above [x]. *)
 val prob_degradation_above : float array -> float -> float
-
-val pp_summary : Format.formatter -> summary -> unit

@@ -39,43 +39,6 @@ let grid ?(links_per_lag = 1) ?(link_capacity = 100.) ?(fail_prob = 0.01) rows c
     ~num_nodes:(rows * cols)
     (uniform_lags ~links_per_lag ~link_capacity ~fail_prob (List.rev !edges))
 
-let random_geometric ?(links_per_lag = 1) ?(link_capacity = 100.) ?(fail_prob = 0.01)
-    ~seed ~n ~radius () =
-  if n < 2 then invalid_arg "Generators.random_geometric: n < 2";
-  let rng = Random.State.make [| seed |] in
-  let xs = Array.init n (fun _ -> Random.State.float rng 1.) in
-  let ys = Array.init n (fun _ -> Random.State.float rng 1.) in
-  let dist i j = Float.hypot (xs.(i) -. xs.(j)) (ys.(i) -. ys.(j)) in
-  let edges = ref [] in
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      if dist i j <= radius then edges := (i, j) :: !edges
-    done
-  done;
-  (* Connect components with nearest-neighbor bridges (simple union-find). *)
-  let parent = Array.init n Fun.id in
-  let rec find i = if parent.(i) = i then i else (parent.(i) <- find parent.(i); parent.(i)) in
-  let union i j = parent.(find i) <- find j in
-  List.iter (fun (i, j) -> union i j) !edges;
-  for i = 1 to n - 1 do
-    if find i <> find 0 then begin
-      (* bridge node i's component to the closest node in another component *)
-      let best = ref (-1) and bestd = ref infinity in
-      for j = 0 to n - 1 do
-        if find j <> find i && dist i j < !bestd then begin
-          best := j;
-          bestd := dist i j
-        end
-      done;
-      edges := (i, !best) :: !edges;
-      union i !best
-    end
-  done;
-  Topology.create
-    ~name:(Printf.sprintf "rgg%d" n)
-    ~num_nodes:n
-    (uniform_lags ~links_per_lag ~link_capacity ~fail_prob (List.rev !edges))
-
 let africa_like ?(seed = 7) ?(n = 12) () =
   if n < 6 then invalid_arg "Generators.africa_like: n < 6";
   let rng = Random.State.make [| seed; n |] in

@@ -19,19 +19,6 @@ val ring :
 val grid :
   ?links_per_lag:int -> ?link_capacity:float -> ?fail_prob:float -> int -> int -> Topology.t
 
-(** [random_geometric ~seed ~n ~radius] scatters [n] nodes in the unit
-    square, joins pairs within [radius], and adds a spanning tree so the
-    result is connected. *)
-val random_geometric :
-  ?links_per_lag:int ->
-  ?link_capacity:float ->
-  ?fail_prob:float ->
-  seed:int ->
-  n:int ->
-  radius:float ->
-  unit ->
-  Topology.t
-
 (** [africa_like ~seed ~n ()] models the continental WAN of §8.1 at a
     configurable scale: a backbone ring of hub cities with spurs and
     cross-links, LAGs of 1-4 links, heterogeneous capacities, and

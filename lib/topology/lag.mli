@@ -20,9 +20,14 @@ type t = {
   links : link array;
 }
 
+(** [check_link l] says why [l] is invalid: a capacity that is not
+    positive and finite, or a [fail_prob] outside [0, 1] (NaN
+    included). *)
+val check_link : link -> (unit, string) result
+
 (** [make ~id ~src ~dst links] validates and builds a LAG.
-    @raise Invalid_argument on self-loops, empty bundles, non-positive
-    capacities or probabilities outside [0, 1]. *)
+    @raise Invalid_argument on self-loops, negative node ids, empty
+    bundles or any link {!check_link} rejects. *)
 val make : id:int -> src:int -> dst:int -> link list -> t
 
 (** [uniform ~id ~src ~dst ~n ~capacity ~fail_prob] builds a LAG of [n]
@@ -34,10 +39,6 @@ val uniform :
 val capacity : t -> float
 
 val num_links : t -> int
-
-(** [capacity_with_failures lag down] is the live capacity when
-    [down.(i)] marks link [i] failed. *)
-val capacity_with_failures : t -> bool array -> float
 
 (** [other_end lag node] is the endpoint that is not [node].
     @raise Invalid_argument if [node] is not an endpoint. *)

@@ -110,19 +110,6 @@ let test_nested_sequential_pool_ok () =
           in
           Alcotest.(check (array int)) "inline inner pool" [| 4; 6; 8 |] r))
 
-let test_map_reduce () =
-  let input = Array.init 500 (fun i -> i + 1) in
-  let expected = Array.fold_left (fun acc x -> acc + (x * x)) 0 input in
-  Parallel.Pool.with_pool ~domains (fun pool ->
-      check_int "sum of squares" expected
-        (Parallel.Pool.map_reduce pool ~map:(fun x -> x * x)
-           ~combine:( + ) ~init:0 input));
-  (* order-sensitive combine: reduction folds in index order *)
-  Parallel.Pool.with_pool ~domains (fun pool ->
-      Alcotest.(check string) "ordered fold" "abcdef"
-        (Parallel.Pool.map_reduce pool ~map:Fun.id ~combine:( ^ ) ~init:""
-           [| "a"; "b"; "c"; "d"; "e"; "f" |]))
-
 (* counter hooks read on the executing domain, so like the simplex pivot
    counter they must be domain-local for the per-chunk deltas to add up *)
 let hits_key = Domain.DLS.new_key (fun () -> ref 0)
@@ -146,6 +133,51 @@ let test_stats () =
         (String.length line > 10 && String.sub line 0 10 = "[parallel:");
       Parallel.Pool.reset_stats pool;
       check_int "reset" 0 (Parallel.Pool.stats pool).Parallel.Pool.items)
+
+let test_stats_accumulate () =
+  (* one pool serves many sweeps: items add up across them and every
+     sweep's results are still position-stable *)
+  Parallel.Pool.with_pool ~domains (fun pool ->
+      let sizes = [ 1; 7; 64; 0; 300 ] in
+      List.iter
+        (fun n ->
+          let input = Array.init n (fun i -> n + i) in
+          Alcotest.(check (array int))
+            (Printf.sprintf "sweep of %d" n)
+            (Array.map (fun x -> x * 3) input)
+            (Parallel.Pool.map_array pool (fun x -> x * 3) input))
+        sizes;
+      let s = Parallel.Pool.stats pool in
+      check_int "items over all sweeps" (List.fold_left ( + ) 0 sizes) s.Parallel.Pool.items;
+      Alcotest.(check bool) "at least one task per non-empty sweep" true
+        (s.Parallel.Pool.tasks >= 4))
+
+let test_sequential_pool_inline () =
+  (* a one-domain pool spawns no workers: every item runs on the caller *)
+  let caller = Domain.self () in
+  Parallel.Pool.with_pool ~domains:1 (fun pool ->
+      check_int "domains" 1 (Parallel.Pool.domains pool);
+      let ran_on =
+        Parallel.Pool.map_array pool (fun _ -> Domain.self ()) (Array.init 50 Fun.id)
+      in
+      Alcotest.(check bool) "all items on the calling domain" true
+        (Array.for_all (fun d -> d = caller) ran_on))
+
+let test_with_pool_reraises () =
+  (* an exception from the body escapes with_pool unchanged, and the
+     caller is not left marked as inside a task *)
+  (match
+     Parallel.Pool.with_pool ~domains (fun pool ->
+         ignore (Parallel.Pool.map_array pool succ [| 1; 2; 3 |]);
+         raise (Boom 3))
+   with
+  | () -> Alcotest.fail "exception swallowed"
+  | exception Boom 3 -> ()
+  | exception e -> Alcotest.failf "wrong exception %s" (Printexc.to_string e));
+  Alcotest.(check bool) "not inside a task" false (Parallel.Pool.inside_task ());
+  Parallel.Pool.with_pool ~domains (fun pool ->
+      Alcotest.(check (array int)) "a fresh pool works" [| 2; 3 |]
+        (Parallel.Pool.map_array pool succ [| 1; 2 |]))
 
 let test_create_rejects_nonpositive () =
   match Parallel.Pool.create ~domains:0 () with
@@ -241,8 +273,10 @@ let suite =
     ("pool: nested map same pool", `Quick, test_nested_map_same_pool);
     ("pool: nested map other pool", `Quick, test_nested_map_other_pool);
     ("pool: nested sequential pool ok", `Quick, test_nested_sequential_pool_ok);
-    ("pool: map_reduce", `Quick, test_map_reduce);
     ("pool: stats and counters", `Quick, test_stats);
+    ("pool: stats accumulate across sweeps", `Quick, test_stats_accumulate);
+    ("pool: sequential pool runs inline", `Quick, test_sequential_pool_inline);
+    ("pool: with_pool re-raises", `Quick, test_with_pool_reraises);
     ("pool: create rejects domains < 1", `Quick, test_create_rejects_nonpositive);
     ("monte carlo equivalence (fig1)", `Quick, test_mc_equivalence_fig1);
     ("monte carlo equivalence (africa)", `Quick, test_mc_equivalence_africa);

@@ -152,21 +152,6 @@ let test_max_min_binner () =
   check_float ~eps:0.26 "even split 0" 5. f0;
   check_float ~eps:0.26 "even split 1" 5. f1
 
-let test_edge_form_upper_bounds_path_form () =
-  let paths = fig1_paths () in
-  let full_cap e = Wan.Lag.capacity (Wan.Topology.lag fig1 e) in
-  let ef = Option.get (Te.Edge_form.max_total_flow fig1 d12_10 ~lag_cap:full_cap) in
-  let pf = perf (Te.Simulate.healthy fig1 paths d12_10) in
-  Alcotest.(check bool) "edge form >= path form" true (ef.Te.Edge_form.total +. 1e-6 >= pf);
-  check_float "edge form routes all 22" 22. ef.Te.Edge_form.total
-
-let test_edge_form_respects_capacity () =
-  (* cut every LAG into D except BD: only 8 units can reach D from B *)
-  let d = Traffic.Demand.of_list [ ((1, 3), 20.) ] in
-  let cap e = if e = 1 || e = 2 then 0. else Wan.Lag.capacity (Wan.Topology.lag fig1 e) in
-  let r = Option.get (Te.Edge_form.max_total_flow fig1 d ~lag_cap:cap) in
-  check_float "bottleneck" 8. r.Te.Edge_form.total
-
 (* qcheck: simulated degradation is always >= 0 and <= healthy flow *)
 let prop_degradation_bounds =
   QCheck2.Test.make ~name:"simulate: 0 <= degradation <= healthy" ~count:60
@@ -213,7 +198,5 @@ let suite =
     ("mlu objective", `Quick, test_mlu_objective);
     ("mlu infeasible when disconnected", `Quick, test_mlu_infeasible_when_disconnected);
     ("max-min binner", `Quick, test_max_min_binner);
-    ("edge form upper bound", `Quick, test_edge_form_upper_bounds_path_form);
-    ("edge form capacity", `Quick, test_edge_form_respects_capacity);
     QCheck_alcotest.to_alcotest prop_degradation_bounds;
   ]

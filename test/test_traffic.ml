@@ -26,7 +26,34 @@ let test_demand_validation () =
   in
   bad [ ((0, 1), -1.) ];
   bad [ ((1, 1), 2.) ];
-  bad [ ((0, 1), 1.); ((0, 1), 2.) ]
+  bad [ ((0, 1), 1.); ((0, 1), 2.) ];
+  bad [ ((0, 1), Float.nan) ];
+  bad [ ((0, 1), Float.infinity) ];
+  bad [ ((-1, 2), 5.) ];
+  bad [ ((1, -2), 5.) ]
+
+let test_demand_add () =
+  let d = Traffic.Demand.of_list [ ((0, 1), 5.) ] in
+  let rejected what pair v =
+    match Traffic.Demand.add d pair v with
+    | Ok _ -> Alcotest.failf "%s: accepted" what
+    | Error msg -> Alcotest.(check bool) (what ^ ": reason given") true (msg <> "")
+  in
+  rejected "negative src" (-1, 2) 5.;
+  rejected "negative dst" (2, -1) 5.;
+  rejected "self pair" (2, 2) 5.;
+  rejected "negative volume" (1, 2) (-0.5);
+  rejected "nan volume" (1, 2) Float.nan;
+  rejected "infinite volume" (1, 2) Float.infinity;
+  rejected "duplicate pair" (0, 1) 6.;
+  (match Traffic.Demand.add d (1, 0) 0. with
+   | Error msg -> Alcotest.failf "reverse pair rejected: %s" msg
+   | Ok d2 ->
+     check_int "one more entry" 2 (Traffic.Demand.cardinal d2);
+     check_float "new volume" 0. (Traffic.Demand.volume d2 ~src:1 ~dst:0);
+     check_float "old volume kept" 5. (Traffic.Demand.volume d2 ~src:0 ~dst:1));
+  (* add is persistent: the original matrix is unchanged *)
+  check_int "original untouched" 1 (Traffic.Demand.cardinal d)
 
 let test_demand_union_max () =
   let a = Traffic.Demand.of_list [ ((0, 1), 5.); ((2, 3), 7.) ] in
@@ -139,14 +166,70 @@ let test_demand_io_errors () =
   bad "1,2";
   bad "a,b,c";
   bad "1,2,3,4";
+  (* bad entries are reported at the line that holds them *)
+  let bad_at lineno s =
+    let prefix = Printf.sprintf "line %d:" lineno in
+    match Traffic.Demand_io.of_csv s with
+    | exception Failure msg ->
+      if not (String.starts_with ~prefix msg) then Alcotest.failf "%S: message %S" s msg
+    | exception e -> Alcotest.failf "%S raised %s" s (Printexc.to_string e)
+    | _ -> Alcotest.failf "%S accepted" s
+  in
+  bad_at 2 "0,1,5\n1,3,nan";
+  bad_at 1 "0,1,inf";
+  bad_at 1 "-1,2,5";
+  bad_at 2 "0,1,5\n0,1,6";
+  bad_at 1 "3,3,1e3";
+  bad_at 1 "1,2,-.5";
   (* comments and blanks ok *)
   let d = Traffic.Demand_io.of_csv "# hdr\n\n1,2,3.5\n" in
   check_float "parsed" 3.5 (Traffic.Demand.volume d ~src:1 ~dst:2)
+
+(* qcheck: a malformed demand CSV fails with Failure and nothing else.
+   Rows are rendered from field tokens mixing valid values with NaN,
+   infinities, negatives, self-pairs and (through the small id set)
+   repeated pairs. *)
+let prop_csv_fails_in_band =
+  let gen =
+    QCheck2.Gen.(
+      let id = oneofl [ "0"; "1"; "2"; "3"; "-1"; "x"; "" ] in
+      let vol = oneofl [ "5"; "0"; "1e3"; "nan"; "inf"; "-inf"; "-.5"; "-1"; "x" ] in
+      let row =
+        frequency
+          [
+            (6, map3 (Printf.sprintf "%s,%s,%s") id id vol);
+            (1, oneofl [ "1,2"; "1,2,3,4"; "# c"; "" ]);
+          ]
+      in
+      map (String.concat "\n") (list_size (int_range 0 8) row))
+  in
+  QCheck2.Test.make ~name:"demand csv: malformed input raises only Failure" ~count:2000
+    ~print:Fun.id gen (fun s ->
+      match Traffic.Demand_io.of_csv s with _ -> true | exception Failure _ -> true)
+
+(* qcheck: to_csv then of_csv gives back the same matrix, volumes
+   bit-identical (they are written with 17 significant digits) *)
+let prop_csv_roundtrip =
+  QCheck2.Test.make ~name:"demand csv: to_csv/of_csv round-trip" ~count:200
+    QCheck2.Gen.(
+      list_size (int_range 0 12)
+        (triple (int_range 0 20) (int_range 0 20)
+           (oneof [ float_range 0. 1e6; return 0.; return 1e300; return 5e-324 ])))
+    (fun rows ->
+      let d =
+        List.fold_left
+          (fun d (src, dst, v) ->
+            match Traffic.Demand.add d (src, dst) v with Ok d -> d | Error _ -> d)
+          Traffic.Demand.empty rows
+      in
+      let d2 = Traffic.Demand_io.of_csv (Traffic.Demand_io.to_csv d) in
+      Traffic.Demand.entries d2 = Traffic.Demand.entries d)
 
 let suite =
   [
     ("demand basics", `Quick, test_demand_basics);
     ("demand validation", `Quick, test_demand_validation);
+    ("demand add", `Quick, test_demand_add);
     ("demand union max", `Quick, test_demand_union_max);
     ("gravity model", `Quick, test_gravity);
     ("traffic generator", `Quick, test_traffic_gen);
@@ -155,5 +238,7 @@ let suite =
     ("demand io roundtrip", `Quick, test_demand_io_roundtrip);
     ("demand io errors", `Quick, test_demand_io_errors);
     QCheck_alcotest.to_alcotest prop_series_avg_near_base;
+    QCheck_alcotest.to_alcotest prop_csv_fails_in_band;
+    QCheck_alcotest.to_alcotest prop_csv_roundtrip;
   ]
 
