@@ -80,15 +80,14 @@ let analyze ctx sp topo paths envelope =
 
 (* Evaluate one independent cell per array entry across ctx.domains
    domains, order-preserving, and emit the per-sweep stats line. Cells
-   carry options.domains = ctx.domains, but a cell running inside a
-   pool task never creates a pool of its own — nested scopes run their
-   exact sequential paths — so the parallelism stays at the sweep
-   level here and results match the sequential run bit for bit. *)
+   carry options.domains = ctx.domains, but a pool created inside a
+   pool task gets one domain — nested scopes run their exact
+   sequential paths — so the parallelism stays at the sweep level here
+   and results match the sequential run bit for bit. *)
 let par_cells ctx f cells =
   if ctx.domains <= 1 || Array.length cells < 2 then Array.map f cells
   else
-    Parallel.Pool.with_pool ~counters:Milp.Solver.stats_counters ~domains:ctx.domains
-      (fun pool ->
+    Parallel.Pool.with_pool ~domains:ctx.domains (fun pool ->
         let out = Parallel.Pool.map_array pool f cells in
         row "%a@." Parallel.Pool.pp_stats (Parallel.Pool.stats pool);
         out)
@@ -112,11 +111,10 @@ let k_str = function Some k -> string_of_int k | None -> "inf"
    Every run sits inside a counter scope and prints a table row (with
    its wall time) and a [counters:] line carrying the fields the
    experiment names — deterministic quantities only, so CI runs the
-   experiments twice and diffs the lines. Counters are domain-local and
-   a scope sees only the calling domain, so an arm runs sequentially
-   (exact counters) unless it asks for a pool; a pooled arm runs at
-   ctx.domains and names only schedule-independent fields
-   ([identity_fields]). *)
+   experiments twice and diffs the lines. An arm runs sequentially
+   unless it asks for a pool; a pooled arm runs at ctx.domains. Either
+   way the scope sees all the work of the run, since the pool credits
+   what its worker domains count back to the calling domain. *)
 
 let counter_hooks =
   Milp.Solver.stats_counters @ [ ("bb-rounds", Milp.Branch_bound.cumulative_rounds) ]
@@ -157,9 +155,11 @@ let report_fields (r : Raha.Analysis.report) =
     ("nodes", string_of_int r.Raha.Analysis.nodes); ("cert", cert_str r);
   ]
 
-(* what a pooled arm may print: degradation and bound bits, result
-   nodes, rounds, certificate and cut audits *)
-let identity_fields = [ "deg"; "bound"; "nodes"; "rounds"; "cert"; "aud" ]
+(* what the domains 1 vs N gate diffs: degradation and bound bits,
+   result nodes, pivots, warm starts, rounds, certificate and its check
+   counts, cut audits *)
+let identity_fields =
+  [ "deg"; "bound"; "nodes"; "pivots"; "warm"; "rounds"; "cert"; "certify"; "aud" ]
 
 let print_header fields =
   row "%-14s %-10s %-8s%s@." "cell" "arm" "time(s)"
@@ -201,8 +201,7 @@ let ablate ctx ~id ~fields cells arms =
             let r, counts, wall =
               if domains <= 1 then solve None
               else
-                Parallel.Pool.with_pool ~counters:Milp.Solver.stats_counters ~domains
-                  (fun pool ->
+                Parallel.Pool.with_pool ~domains (fun pool ->
                     let run = solve (Some pool) in
                     row "%a@." Parallel.Pool.pp_stats (Parallel.Pool.stats pool);
                     run)

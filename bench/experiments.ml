@@ -684,8 +684,7 @@ let montecarlo ctx =
   let samples = if ctx.quick then 2000 else 20_000 in
   let avg_cap = Wan.Topology.avg_lag_capacity topo in
   let degs, scens, oracle =
-    Parallel.Pool.with_pool ~counters:Milp.Solver.stats_counters ~domains:ctx.domains
-      (fun pool ->
+    Parallel.Pool.with_pool ~domains:ctx.domains (fun pool ->
         let degs, scens =
           Te.Monte_carlo.sample_degradations ~pool ~seed:1 ~samples topo paths peak
         in

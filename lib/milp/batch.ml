@@ -40,10 +40,6 @@ let prepare model = of_prepared (Simplex.prepare model)
 let prep t = t.prep
 let base_rhs t = Array.copy t.base_b
 
-let cumulative_prepares = Lp_stats.read Lp_stats.batch_prepares
-let cumulative_overlays = Lp_stats.read Lp_stats.batch_overlays
-let cumulative_warm_hits = Lp_stats.read Lp_stats.batch_warm_hits
-
 let patched_rhs t patch =
   let m = Array.length t.base_b in
   let b = Array.copy t.base_b in

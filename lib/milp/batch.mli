@@ -67,10 +67,3 @@ val check :
   values:float array ->
   t ->
   (unit, string) result
-
-(** Domain-local cumulative counters ({!Lp_stats} discipline, exported
-    through [Solver.stats_counters]). *)
-
-val cumulative_prepares : unit -> int
-val cumulative_overlays : unit -> int
-val cumulative_warm_hits : unit -> int

@@ -51,12 +51,9 @@ let default =
 
 type outcome = Optimal | Feasible | No_incumbent | Infeasible | Unbounded
 
-let cumulative_nodes () = Lp_stats.read Lp_stats.bb_nodes ()
-let cumulative_rounds () = Lp_stats.read Lp_stats.bb_rounds ()
-let cumulative_sb_probes () = Lp_stats.read Lp_stats.sb_probes ()
-let cumulative_pseudocost_updates () = Lp_stats.read Lp_stats.pseudocost_updates ()
-let cumulative_heuristic_solutions () = Lp_stats.read Lp_stats.heuristic_solutions ()
-let cumulative_heuristic_rejections () = Lp_stats.read Lp_stats.heuristic_rejections ()
+(* owner-domain only, so not a registered counter *)
+let rounds_key = Domain.DLS.new_key (fun () -> ref 0)
+let cumulative_rounds () = !(Domain.DLS.get rounds_key)
 
 (* --- pseudocost / reliability branching -------------------------------- *)
 
@@ -388,7 +385,6 @@ let rec offer_incumbent cell cand =
    gap stop), in the task's canonical best-first order. *)
 type task_result = {
   tr_nodes : int;
-  tr_iters : int;
   tr_drops : drops;
   tr_left : Heap.elt list;
   tr_pc : (int * bool * float) list;
@@ -410,7 +406,7 @@ let solve ?(options = default) model =
   let pc = pc_create nint in
   let reliability = options.branching = Reliability && nint > 0 in
   let lb0, ub0 = Model.bounds model in
-  let nodes = ref 0 and simplex0 = Simplex.cumulative_iterations () in
+  let nodes = ref 0 and simplex0 = Lp_stats.read Lp_stats.pivots () in
   (* Cutting planes. The pool holds globally valid <= rows over the
      structural variables; the active set is materialized by
      re-preparing the LP on an extended model whenever it changes.
@@ -782,28 +778,13 @@ let solve ?(options = default) model =
   let par_width = if options.par_width <= 0 then max_int else max 2 options.par_width in
   let par_grain = max 1 options.par_grain in
   let rounds = ref 0 in
-  (* Owner-side simplex iterations are metered as deltas of the
-     domain-local counter between rounds ([sync_owner]); task iterations
-     are metered inside each task on whatever domain ran it. Summing the
-     two never double-counts — after an inline round the owner's counter
-     advance is discarded via [mark] — and keeps [stats.simplex_iters]
-     identical across pool widths. *)
-  let task_iters = ref 0 in
-  let seq_iters = ref 0 in
-  let mark = ref simplex0 in
-  let sync_owner () =
-    let now = Simplex.cumulative_iterations () in
-    seq_iters := !seq_iters + (now - !mark);
-    mark := now
-  in
   let parallel_round () =
     match Heap.best_key heap with
     | None -> status := `Exhausted
     | Some top_key ->
       if not (stop_at top_key) then begin
-        sync_owner ();
         incr rounds;
-        Lp_stats.incr Lp_stats.bb_rounds;
+        incr (Domain.DLS.get rounds_key);
         (* bound the round by the remaining node budget so [max_nodes]
            cannot be overshot by more than one round's grain *)
         let budget_tasks =
@@ -823,7 +804,6 @@ let solve ?(options = default) model =
         let inc0_obj = !incumbent_obj in
         let cell = Atomic.make None in
         let task i (elt : Heap.elt) =
-          let s0 = Simplex.cumulative_iterations () in
           let lheap = Heap.create () in
           Heap.push lheap elt;
           (* Pseudocost state is frozen for the round like the cut pool:
@@ -890,7 +870,6 @@ let solve ?(options = default) model =
           in
           {
             tr_nodes = !tn;
-            tr_iters = Simplex.cumulative_iterations () - s0;
             tr_drops = tdrops;
             tr_left = !left @ drain [];
             tr_pc = List.rev !tpc;
@@ -901,13 +880,9 @@ let solve ?(options = default) model =
           | Some pool -> Parallel.Pool.mapi_array pool task frontier
           | None -> Array.mapi task frontier
         in
-        (* inline tasks advanced the owner's counter; their iterations
-           are already in [tr_iters], so drop the owner delta *)
-        mark := Simplex.cumulative_iterations ();
         Array.iter
           (fun tr ->
             nodes := !nodes + tr.tr_nodes;
-            task_iters := !task_iters + tr.tr_iters;
             drop ~n:tr.tr_drops.dcount dropped tr.tr_drops.dkey;
             (* merge pseudocost observations in frontier index order —
                the counter was already bumped at generation time *)
@@ -936,11 +911,11 @@ let solve ?(options = default) model =
     (* never report a bound below a dropped subtree's key *)
     Float.max live dropped.dkey
   in
-  sync_owner ();
   let stats =
     {
       nodes = !nodes;
-      simplex_iters = !seq_iters + !task_iters;
+      (* the pool credits task pivots to this domain *)
+      simplex_iters = Lp_stats.read Lp_stats.pivots () - simplex0;
       elapsed;
       rounds = !rounds;
       dropped = dropped.dcount;

@@ -99,34 +99,11 @@ val default : options
     tiebreak (exposed for unit tests). *)
 val better_key : float * int -> float * int -> bool
 
-(** Domain-local cumulative node count across all solves on the calling
-    domain, in the shape {!Parallel.Pool} counter hooks expect (see
-    {!Simplex.cumulative_iterations}). *)
-val cumulative_nodes : unit -> int
-
 (** Domain-local cumulative count of parallel subtree rounds. Rounds
     are scheduled by the solve's owner domain, so reading this before
     and after a solve on the calling domain gives that solve's round
     count whatever pool (if any) ran the subtree tasks. *)
 val cumulative_rounds : unit -> int
-
-(** Domain-local cumulative strong-branching probes (child LPs solved
-    purely to initialize pseudocosts), pool-hook shaped like
-    {!cumulative_nodes}. *)
-val cumulative_sb_probes : unit -> int
-
-(** Domain-local cumulative pseudocost observations folded into the
-    table — probe gains plus per-child-LP gains, counted once at
-    generation (parallel-round merges do not re-count). *)
-val cumulative_pseudocost_updates : unit -> int
-
-(** Domain-local cumulative incumbents produced by primal heuristics
-    (diving, pump, RINS) and accepted by the [int_tol] re-check. *)
-val cumulative_heuristic_solutions : unit -> int
-
-(** Domain-local cumulative heuristic candidates rejected by the
-    [int_tol] re-check before reaching the incumbent path. *)
-val cumulative_heuristic_rejections : unit -> int
 
 type outcome =
   | Optimal  (** incumbent proven optimal within the gap *)
@@ -141,8 +118,9 @@ type outcome =
 type stats = {
   nodes : int;
   simplex_iters : int;
-      (** owner-side iteration deltas plus per-task deltas — identical
-          across pool widths, unlike a raw domain-local counter diff *)
+      (** the calling domain's pivot-counter delta over the solve; the
+          pool credits tasks' pivots back to it, so it is identical
+          across pool widths *)
   elapsed : float;
   rounds : int;  (** parallel subtree rounds executed (0 = pure sequential) *)
   dropped : int;  (** subtrees dropped on a per-LP iteration budget *)

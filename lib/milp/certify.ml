@@ -38,9 +38,6 @@ type t = {
   failures : string list;
 }
 
-let cumulative_checks = Lp_stats.read Lp_stats.certify_checks
-let cumulative_failures = Lp_stats.read Lp_stats.certify_failures
-
 (* Kahan-compensated evaluation of a linear expression at a point; also
    returns the largest |term| seen, the natural scale for the residual
    tolerance of the row it came from. *)

@@ -85,9 +85,3 @@ val check :
   t
 
 val pp : Format.formatter -> t -> unit
-
-(** Domain-local cumulative counters in the {!Parallel.Pool} hook shape
-    (see {!Simplex.cumulative_iterations}). *)
-
-val cumulative_checks : unit -> int
-val cumulative_failures : unit -> int

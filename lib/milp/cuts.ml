@@ -56,11 +56,6 @@ let default =
 
 let disabled = { default with enable = false }
 
-let cumulative_generated = Lp_stats.read Lp_stats.cuts_generated
-let cumulative_applied = Lp_stats.read Lp_stats.cuts_applied
-let cumulative_pruned = Lp_stats.read Lp_stats.cuts_pruned
-let cumulative_audit_failures = Lp_stats.read Lp_stats.cut_audit_failures
-
 type cut = {
   terms : (float * int) array;
   rhs : float;

@@ -150,12 +150,3 @@ val active_cuts : pool -> cut list
 
 (** Compensated evaluation of the cut's left-hand side at a point. *)
 val eval_cut : cut -> float array -> float
-
-(** Domain-local cumulative counters ({!Lp_stats} discipline):
-    candidates separated, cuts activated, cuts pruned by aging, and
-    audit rejections. *)
-
-val cumulative_generated : unit -> int
-val cumulative_applied : unit -> int
-val cumulative_pruned : unit -> int
-val cumulative_audit_failures : unit -> int

@@ -35,15 +35,6 @@ type result =
   | Reduced of { model : Model.t; post : Postsolve.t; stats : stats }
   | Infeasible of stats
 
-(* Domain-local cumulative counters, aggregated across a Parallel.Pool's
-   workers the same way as the simplex pivot counter. *)
-let rows_key = Domain.DLS.new_key (fun () -> ref 0)
-let cols_key = Domain.DLS.new_key (fun () -> ref 0)
-let bigm_key = Domain.DLS.new_key (fun () -> ref 0)
-let cumulative_rows_removed () = !(Domain.DLS.get rows_key)
-let cumulative_cols_fixed () = !(Domain.DLS.get cols_key)
-let cumulative_big_ms_tightened () = !(Domain.DLS.get bigm_key)
-
 exception Infeasible_model
 exception Probe_infeasible
 
@@ -584,14 +575,10 @@ let presolve ?(max_passes = 20) ?(probe_limit = 512) model =
       probe_fixed = !probe_fixed;
     }
   in
-  let bump key n =
-    let r = Domain.DLS.get key in
-    r := !r + n
-  in
   let finish stats =
-    bump rows_key stats.rows_removed;
-    bump cols_key stats.cols_fixed;
-    bump bigm_key stats.big_ms_tightened
+    Lp_stats.add Lp_stats.presolve_rows stats.rows_removed;
+    Lp_stats.add Lp_stats.presolve_cols stats.cols_fixed;
+    Lp_stats.add Lp_stats.presolve_bigm stats.big_ms_tightened
   in
   match run () with
   | exception Infeasible_model ->

@@ -44,11 +44,3 @@ type result =
     bounds the number of binaries probed (default 512, [0] disables
     probing). The input model is not modified. *)
 val presolve : ?max_passes:int -> ?probe_limit:int -> Model.t -> result
-
-(** Domain-local cumulative reduction counters (rows removed, variables
-    fixed, big-Ms tightened), in the shape [Parallel.Pool ~counters]
-    expects — see {!Solver.stats_counters}. *)
-val cumulative_rows_removed : unit -> int
-
-val cumulative_cols_fixed : unit -> int
-val cumulative_big_ms_tightened : unit -> int

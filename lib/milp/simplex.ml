@@ -45,13 +45,6 @@ let eps_feas = 1e-7
 let eps_dual = 1e-6
 let eps_degen = 1e-10
 
-let cumulative_iterations = Lp_stats.read Lp_stats.pivots
-let cumulative_dual_pivots = Lp_stats.read Lp_stats.dual_pivots
-let cumulative_factorizations = Lp_stats.read Lp_stats.factorizations
-let cumulative_eta_updates = Lp_stats.read Lp_stats.eta_updates
-let cumulative_warm_attempts = Lp_stats.read Lp_stats.warm_attempts
-let cumulative_warm_hits = Lp_stats.read Lp_stats.warm_hits
-
 let prepare model = { pmodel = model; sp = Sparse.of_model model }
 
 let prep_sparse prep = prep.sp

@@ -128,15 +128,3 @@ val basis_cols : basis -> int array
     incompatible (different structural count or fewer rows). Passing a
     basis of the same shape returns it as-is. *)
 val extend_basis : basis -> prepared -> basis option
-
-(** Domain-local cumulative counters (see {!Lp_stats}). [pivots] counts
-    primal and dual pivots of both engines; the rest are revised-engine
-    only. *)
-
-val cumulative_iterations : unit -> int
-
-val cumulative_dual_pivots : unit -> int
-val cumulative_factorizations : unit -> int
-val cumulative_eta_updates : unit -> int
-val cumulative_warm_attempts : unit -> int
-val cumulative_warm_hits : unit -> int

@@ -67,15 +67,7 @@ let solve_direct ~options ~t0 model =
     | Simplex.Unbounded, _ -> finish Unbounded infinity infinity [||] 0
     | Simplex.Iter_limit, _ -> finish Unknown nan nan [||] 0
   else begin
-    (* a solve already running inside a pool task (cluster blocks in
-       a sweep) must not re-enter the pool: rounds then run inline,
-       which the scheduler keeps bit-identical anyway *)
-    let pool =
-      match options.pool with
-      | Some _ when Parallel.Pool.inside_task () -> None
-      | p -> p
-    in
-    let r = Branch_bound.solve ~options:{ options with pool } model in
+    let r = Branch_bound.solve ~options model in
     let status =
       match r.Branch_bound.outcome with
       | Branch_bound.Optimal -> Optimal
@@ -176,29 +168,4 @@ let bool_value sol v = value sol v > 0.5
 
 let has_point sol = match sol.status with Optimal | Feasible -> true | _ -> false
 
-let stats_counters =
-  [
-    ("simplex", Simplex.cumulative_iterations);
-    ("dual-pivots", Simplex.cumulative_dual_pivots);
-    ("factorizations", Simplex.cumulative_factorizations);
-    ("eta-updates", Simplex.cumulative_eta_updates);
-    ("warm-attempts", Simplex.cumulative_warm_attempts);
-    ("warm-hits", Simplex.cumulative_warm_hits);
-    ("bb-nodes", Branch_bound.cumulative_nodes);
-    ("presolve-rows", Presolve.cumulative_rows_removed);
-    ("presolve-cols", Presolve.cumulative_cols_fixed);
-    ("presolve-bigm", Presolve.cumulative_big_ms_tightened);
-    ("certify-checks", Certify.cumulative_checks);
-    ("certify-failures", Certify.cumulative_failures);
-    ("cuts-generated", Cuts.cumulative_generated);
-    ("cuts-applied", Cuts.cumulative_applied);
-    ("cuts-pruned", Cuts.cumulative_pruned);
-    ("cut-audit-failures", Cuts.cumulative_audit_failures);
-    ("batch-prepares", Batch.cumulative_prepares);
-    ("batch-overlays", Batch.cumulative_overlays);
-    ("batch-warm-hits", Batch.cumulative_warm_hits);
-    ("sb-probes", Branch_bound.cumulative_sb_probes);
-    ("pseudocost-updates", Branch_bound.cumulative_pseudocost_updates);
-    ("heuristic-solutions", Branch_bound.cumulative_heuristic_solutions);
-    ("heuristic-rejections", Branch_bound.cumulative_heuristic_rejections);
-  ]
+let stats_counters = Lp_stats.counters

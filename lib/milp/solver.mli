@@ -76,16 +76,20 @@ val bool_value : solution -> Model.var -> bool
 (** True when the solution carries a usable point (Optimal or Feasible). *)
 val has_point : solution -> bool
 
-(** Domain-local cumulative counter hooks — simplex pivots ([simplex],
-    primal + dual across both engines), revised-engine internals
-    ([dual-pivots], [factorizations], [eta-updates], [warm-attempts],
-    [warm-hits]), branch-and-bound nodes ([bb-nodes]), presolve
-    reductions ([presolve-rows]/[presolve-cols]/[presolve-bigm]),
-    certification verdicts ([certify-checks]/[certify-failures]) and
-    cutting-plane activity ([cuts-generated]/[cuts-applied]/
-    [cuts-pruned]/[cut-audit-failures]) — in the shape
-    [Parallel.Pool.create ~counters] expects; pass this to a pool to
-    have solver work aggregated into its one-line stats summaries. *)
+(** The solver's counter registry ({!Lp_stats}) as [(name, read)]
+    hooks, in declaration order — simplex pivots ([simplex], primal +
+    dual across both engines), revised-engine internals ([dual-pivots],
+    [factorizations], [eta-updates], [warm-attempts], [warm-hits]),
+    branch-and-bound nodes ([bb-nodes]), presolve reductions
+    ([presolve-rows]/[presolve-cols]/[presolve-bigm]), certification
+    verdicts ([certify-checks]/[certify-failures]), cutting-plane
+    activity ([cuts-generated]/[cuts-applied]/[cuts-pruned]/
+    [cut-audit-failures]), batched overlays ([batch-prepares]/
+    [batch-overlays]/[batch-warm-hits]) and branching ([sb-probes],
+    [pseudocost-updates], [heuristic-solutions],
+    [heuristic-rejections]). Each reads the calling domain's cumulative
+    value, which includes pool work credited back from worker domains;
+    {!Lp_stats.scope_enter} reads these by default. *)
 val stats_counters : (string * (unit -> int)) list
 
 val pp_status : Format.formatter -> status -> unit

@@ -7,6 +7,11 @@
    Chunk boundaries affect scheduling only — [run] is called once per
    index either way — so results never depend on the domain count.
 
+   A worker snapshots the {!Counter} registry around each chunk it runs
+   and hands the deltas to the job; the submitter credits them to its
+   own counters at the barrier. Chunks the submitter runs itself need no
+   samples: their work already lands on its counters.
+
    The pool mutex guards job hand-off and the stats record; the hot path
    (claiming a chunk) is a single fetch-and-add. *)
 
@@ -16,22 +21,15 @@ type job = {
   nchunks : int;
   next : int Atomic.t; (* next chunk to claim *)
   mutable completed : int; (* chunks retired; guarded by the pool mutex *)
+  mutable credit : int array list; (* worker-chunk counter deltas; ditto *)
   run : int -> unit; (* one item *)
   error : (exn * Printexc.raw_backtrace) option Atomic.t;
 }
 
-type stats = {
-  domains : int;
-  tasks : int;
-  items : int;
-  busy : float;
-  wall : float;
-  counters : (string * int) list;
-}
+type stats = { domains : int; tasks : int; items : int; busy : float; wall : float }
 
 type t = {
   domains : int;
-  counters : (string * (unit -> int)) array;
   mutex : Mutex.t;
   work : Condition.t; (* a job was posted or the pool is shutting down *)
   finished : Condition.t; (* the current job retired its last chunk *)
@@ -44,60 +42,70 @@ type t = {
   mutable s_items : int;
   mutable s_busy : float;
   mutable s_wall : float;
-  s_counters : int array;
 }
 
 (* True while this domain is executing a pool task. Mapping functions
    called then run their items as an inline *sequential sub-scope*
-   instead of fanning out again: a nested parallel sweep would
-   oversubscribe the machine and can deadlock on the same pool, while a
-   sequential one composes — a scenario sweep may call the parallel
-   branch-and-bound and vice versa, and both degrade to the exact
-   sequential path at the inner level. *)
+   instead of fanning out again, and a pool created then gets no
+   workers: a nested parallel sweep would oversubscribe the machine and
+   can deadlock on the same pool, while a sequential one composes — a
+   scenario sweep may call the parallel branch-and-bound and vice
+   versa, and both degrade to the exact sequential path at the inner
+   level. *)
 let in_task = Domain.DLS.new_key (fun () -> false)
 
 let inside_task () = Domain.DLS.get in_task
 
-let merge_chunk t ~items ~elapsed ~deltas ~job =
-  Mutex.lock t.mutex;
-  t.s_tasks <- t.s_tasks + 1;
-  t.s_items <- t.s_items + items;
-  t.s_busy <- t.s_busy +. elapsed;
-  Array.iteri (fun i d -> t.s_counters.(i) <- t.s_counters.(i) + d) deltas;
-  job.completed <- job.completed + 1;
-  if job.completed = job.nchunks then Condition.broadcast t.finished;
-  Mutex.unlock t.mutex
+let as_task f =
+  let was = Domain.DLS.get in_task in
+  Domain.DLS.set in_task true;
+  Fun.protect ~finally:(fun () -> Domain.DLS.set in_task was) f
 
-(* Claim and execute chunks of [job] until the cursor is exhausted. Safe
-   to call on an already-drained job (the worker loop may race a stale
+(* Run [f], covering [items] items, on the calling domain as one task
+   recorded with its busy and wall time. *)
+let timed t ~items f =
+  let t0 = Unix.gettimeofday () in
+  Fun.protect f ~finally:(fun () ->
+      let elapsed = Unix.gettimeofday () -. t0 in
+      Mutex.lock t.mutex;
+      t.s_tasks <- t.s_tasks + 1;
+      t.s_items <- t.s_items + items;
+      t.s_busy <- t.s_busy +. elapsed;
+      t.s_wall <- t.s_wall +. elapsed;
+      Mutex.unlock t.mutex)
+
+(* Claim and execute chunks of [job] until the cursor is exhausted;
+   [sample] (worker domains) meters each chunk's counter deltas. Safe to
+   call on an already-drained job (the worker loop may race a stale
    generation): it returns immediately without touching [completed]. *)
-let exec_chunks t job =
+let exec_chunks t job ~sample =
   let rec loop () =
     let c = Atomic.fetch_and_add job.next 1 in
     if c < job.nchunks then begin
       let lo = c * job.chunk in
       let hi = min job.n (lo + job.chunk) in
       let t0 = Unix.gettimeofday () in
-      let before = Array.map (fun (_, read) -> read ()) t.counters in
+      let before = if sample then Counter.snapshot () else [||] in
       (* after a failure, remaining chunks are claimed but skipped *)
-      if Atomic.get job.error = None then begin
-        Domain.DLS.set in_task true;
-        Fun.protect
-          ~finally:(fun () -> Domain.DLS.set in_task false)
-          (fun () ->
+      if Atomic.get job.error = None then
+        as_task (fun () ->
             try
               for i = lo to hi - 1 do
                 job.run i
               done
             with e ->
               let bt = Printexc.get_raw_backtrace () in
-              ignore (Atomic.compare_and_set job.error None (Some (e, bt))))
-      end;
-      let deltas =
-        Array.mapi (fun i (_, read) -> read () - before.(i)) t.counters
-      in
-      merge_chunk t ~items:(hi - lo) ~elapsed:(Unix.gettimeofday () -. t0) ~deltas
-        ~job;
+              ignore (Atomic.compare_and_set job.error None (Some (e, bt))));
+      let elapsed = Unix.gettimeofday () -. t0 in
+      let credit = if sample then [ Array.map2 ( - ) (Counter.snapshot ()) before ] else [] in
+      Mutex.lock t.mutex;
+      t.s_tasks <- t.s_tasks + 1;
+      t.s_items <- t.s_items + (hi - lo);
+      t.s_busy <- t.s_busy +. elapsed;
+      job.credit <- credit @ job.credit;
+      job.completed <- job.completed + 1;
+      if job.completed = job.nchunks then Condition.broadcast t.finished;
+      Mutex.unlock t.mutex;
       loop ()
     end
   in
@@ -114,19 +122,18 @@ let worker t =
       let gen' = t.generation in
       let job = t.job in
       Mutex.unlock t.mutex;
-      (match job with Some j -> exec_chunks t j | None -> ());
+      (match job with Some j -> exec_chunks t j ~sample:true | None -> ());
       loop gen'
     end
   in
   loop 0
 
-let create ?(counters = []) ~domains () =
+let create ~domains () =
   if domains < 1 then invalid_arg "Parallel.Pool.create: domains < 1";
-  let counters = Array.of_list counters in
+  let domains = if inside_task () then 1 else domains in
   let t =
     {
       domains;
-      counters;
       mutex = Mutex.create ();
       work = Condition.create ();
       finished = Condition.create ();
@@ -138,7 +145,6 @@ let create ?(counters = []) ~domains () =
       s_items = 0;
       s_busy = 0.;
       s_wall = 0.;
-      s_counters = Array.map (fun _ -> 0) counters;
     }
   in
   t.workers <- List.init (domains - 1) (fun _ -> Domain.spawn (fun () -> worker t));
@@ -153,44 +159,27 @@ let shutdown t =
   Mutex.unlock t.mutex;
   List.iter Domain.join t.workers
 
-let with_pool ?counters ~domains f =
-  let t = create ?counters ~domains () in
+let with_pool ~domains f =
+  let t = create ~domains () in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
 
 (* Run [run] over [0, n): inline when the pool has no workers (the exact
    sequential path), otherwise fanned out over the pool. *)
 let run_items t n run =
+  let inline () =
+    for i = 0 to n - 1 do
+      run i
+    done
+  in
   if n = 0 then ()
-  else if t.workers = [] then begin
-    let t0 = Unix.gettimeofday () in
-    let before = Array.map (fun (_, read) -> read ()) t.counters in
-    Fun.protect
-      ~finally:(fun () ->
-        let elapsed = Unix.gettimeofday () -. t0 in
-        let deltas =
-          Array.mapi (fun i (_, read) -> read () - before.(i)) t.counters
-        in
-        Mutex.lock t.mutex;
-        t.s_tasks <- t.s_tasks + 1;
-        t.s_items <- t.s_items + n;
-        t.s_busy <- t.s_busy +. elapsed;
-        t.s_wall <- t.s_wall +. elapsed;
-        Array.iteri (fun i d -> t.s_counters.(i) <- t.s_counters.(i) + d) deltas;
-        Mutex.unlock t.mutex)
-      (fun () ->
-        for i = 0 to n - 1 do
-          run i
-        done)
-  end
+  else if t.workers = [] then timed t ~items:n inline
   else if Domain.DLS.get in_task then
     (* Nested sub-scope: this domain is already executing a pool task
        (of this pool or another), so fanning out would oversubscribe or
        deadlock. Run the items inline instead — the enclosing chunk's
        busy time and counter deltas already cover this work, so nothing
        is recorded here and the nesting is invisible in the stats. *)
-    for i = 0 to n - 1 do
-      run i
-    done
+    inline ()
   else begin
     let t0 = Unix.gettimeofday () in
     (* ~4 chunks per domain: coarse enough to amortize claiming, fine
@@ -203,6 +192,7 @@ let run_items t n run =
         nchunks = (n + chunk - 1) / chunk;
         next = Atomic.make 0;
         completed = 0;
+        credit = [];
         run;
         error = Atomic.make None;
       }
@@ -212,7 +202,7 @@ let run_items t n run =
     t.generation <- t.generation + 1;
     Condition.broadcast t.work;
     Mutex.unlock t.mutex;
-    exec_chunks t job;
+    exec_chunks t job ~sample:false;
     Mutex.lock t.mutex;
     while job.completed < job.nchunks do
       Condition.wait t.finished t.mutex
@@ -220,6 +210,7 @@ let run_items t n run =
     t.job <- None;
     t.s_wall <- t.s_wall +. (Unix.gettimeofday () -. t0);
     Mutex.unlock t.mutex;
+    List.iter Counter.credit job.credit;
     match Atomic.get job.error with
     | Some (e, bt) -> Printexc.raise_with_backtrace e bt
     | None -> ()
@@ -232,30 +223,15 @@ let mapi_array t f a =
   if n = 0 then [||]
   else begin
     (* element 0 runs on the submitter to seed the result array with the
-       right runtime representation (flat float arrays included); it is
-       accounted as its own chunk so stats stay exact. The remaining
-       items run through the pool. *)
-    let t0 = Unix.gettimeofday () in
-    let before = Array.map (fun (_, read) -> read ()) t.counters in
-    (* element 0 counts as a task of a parallel pool, exactly like the
-       chunks behind it, so a nested map from inside it stays inline;
-       sequential pools remain transparent *)
-    let was_in_task = Domain.DLS.get in_task in
-    if t.workers <> [] then Domain.DLS.set in_task true;
+       right runtime representation (flat float arrays included). It is
+       one more task of the sweep, nested like the chunks behind it: a
+       task of a parallel pool, so a nested map from inside it stays
+       inline, and recorded nowhere inside an enclosing task. *)
     let r0 =
-      Fun.protect
-        ~finally:(fun () -> Domain.DLS.set in_task was_in_task)
-        (fun () -> f 0 a.(0))
+      if t.workers = [] then timed t ~items:1 (fun () -> f 0 a.(0))
+      else if Domain.DLS.get in_task then f 0 a.(0)
+      else timed t ~items:1 (fun () -> as_task (fun () -> f 0 a.(0)))
     in
-    let elapsed = Unix.gettimeofday () -. t0 in
-    let deltas = Array.mapi (fun i (_, read) -> read () - before.(i)) t.counters in
-    Mutex.lock t.mutex;
-    t.s_tasks <- t.s_tasks + 1;
-    t.s_items <- t.s_items + 1;
-    t.s_busy <- t.s_busy +. elapsed;
-    t.s_wall <- t.s_wall +. elapsed;
-    Array.iteri (fun i d -> t.s_counters.(i) <- t.s_counters.(i) + d) deltas;
-    Mutex.unlock t.mutex;
     let out = Array.make n r0 in
     run_items t (n - 1) (fun i -> out.(i + 1) <- f (i + 1) a.(i + 1));
     out
@@ -266,15 +242,7 @@ let map_array t f a = mapi_array t (fun _ x -> f x) a
 let stats t =
   Mutex.lock t.mutex;
   let s =
-    {
-      domains = t.domains;
-      tasks = t.s_tasks;
-      items = t.s_items;
-      busy = t.s_busy;
-      wall = t.s_wall;
-      counters =
-        Array.to_list (Array.mapi (fun i (name, _) -> (name, t.s_counters.(i))) t.counters);
-    }
+    { domains = t.domains; tasks = t.s_tasks; items = t.s_items; busy = t.s_busy; wall = t.s_wall }
   in
   Mutex.unlock t.mutex;
   s
@@ -285,10 +253,8 @@ let reset_stats t =
   t.s_items <- 0;
   t.s_busy <- 0.;
   t.s_wall <- 0.;
-  Array.iteri (fun i _ -> t.s_counters.(i) <- 0) t.s_counters;
   Mutex.unlock t.mutex
 
 let pp_stats ppf (s : stats) =
-  Format.fprintf ppf "[parallel: %d domains, %d tasks/%d items, busy %.2fs, wall %.2fs%t]"
-    s.domains s.tasks s.items s.busy s.wall (fun ppf ->
-      List.iter (fun (name, v) -> Format.fprintf ppf ", %s=%d" name v) s.counters)
+  Format.fprintf ppf "[parallel: %d domains, %d tasks/%d items, busy %.2fs, wall %.2fs]"
+    s.domains s.tasks s.items s.busy s.wall

@@ -68,11 +68,9 @@ let par_map ?pool ~domains f arr =
   match pool with
   | Some pool when Array.length arr >= 2 -> Parallel.Pool.map_array pool f arr
   | Some _ | None ->
-    if domains <= 1 || Array.length arr < 2 || Parallel.Pool.inside_task () then
-      Array.map f arr
+    if domains <= 1 || Array.length arr < 2 then Array.map f arr
     else
-      Parallel.Pool.with_pool ~counters:Milp.Solver.stats_counters ~domains (fun pool ->
-          Parallel.Pool.map_array pool f arr)
+      Parallel.Pool.with_pool ~domains (fun pool -> Parallel.Pool.map_array pool f arr)
 
 (* The demand the candidate screening sweeps route: the envelope corner
    matching the spec's goal. *)
@@ -308,15 +306,14 @@ let analyze_with ?screen ?(extra_cuts = []) ?pool ~options topo paths envelope =
 
 (* One pool per analysis, shared by the candidate-screening sweep and
    the branch-and-bound subtree rounds. A caller-held pool ([?pool]) is
-   borrowed instead; inside a pool task no pool is created at all — the
+   borrowed instead; inside a pool task the pool gets one domain — the
    nested levels run their exact sequential paths, so results are
    identical either way. *)
 let analyze ?screen ?extra_cuts ?pool ?(options = default_options) topo paths
     envelope =
   match pool with
-  | None when options.domains > 1 && not (Parallel.Pool.inside_task ()) ->
-    Parallel.Pool.with_pool ~counters:Milp.Solver.stats_counters
-      ~domains:options.domains (fun pool ->
+  | None when options.domains > 1 ->
+    Parallel.Pool.with_pool ~domains:options.domains (fun pool ->
         analyze_with ?screen ?extra_cuts ~pool ~options topo paths envelope)
   | None -> analyze_with ?screen ?extra_cuts ~options topo paths envelope
   | Some pool -> analyze_with ?screen ?extra_cuts ~pool ~options topo paths envelope

@@ -185,9 +185,6 @@ let analyze ?pool ?(options = Analysis.default_options) ~clusters topo paths
     }
   in
   match pool with
-  | Some _ -> run pool
-  | None ->
-    if options.Analysis.domains > 1 && not (Parallel.Pool.inside_task ()) then
-      Parallel.Pool.with_pool ~counters:Milp.Solver.stats_counters
-        ~domains:options.Analysis.domains (fun pool -> run (Some pool))
-    else run None
+  | None when options.Analysis.domains > 1 ->
+    Parallel.Pool.with_pool ~domains:options.Analysis.domains (fun pool -> run (Some pool))
+  | _ -> run pool

@@ -210,7 +210,7 @@ let worst_verdict t =
 (* Solve inside a counter scope, fold the cert verdict into the cached
    answer, return the wire fields plus the scope report. *)
 let solve_scoped t ~verdict ~budget ~max_nodes =
-  let scope = Milp.Lp_stats.scope_enter ~hooks:Milp.Solver.stats_counters () in
+  let scope = Milp.Lp_stats.scope_enter () in
   let answer, elapsed, certificate = solve_worst t ~verdict ~budget ~max_nodes in
   let report = Milp.Lp_stats.scope_exit scope in
   let cert =
@@ -265,7 +265,7 @@ let now_answer t ~down ~deg ~prob ~cert ~counters =
     @ [ ("counters", counters) ])
 
 let query_now t ~down =
-  let scope = Milp.Lp_stats.scope_enter ~hooks:Milp.Solver.stats_counters () in
+  let scope = Milp.Lp_stats.scope_enter () in
   let topo = State.current_topology t.state in
   let down =
     match down with Some d -> d | None -> State.live_down t.state
@@ -291,11 +291,13 @@ let query_now t ~down =
 
 (* Concurrent overlay evaluation: the engine is immutable and overlay
    solves are pure, so a batch of "now" queries fans out on the
-   parallel pool. Order-preserving map + per-batch counter aggregation
-   keep the answer sequence bit-identical whatever the domain count
-   (per-query counter attribution is impossible under work stealing,
-   so the batch shares one counters/cert verdict — a failure of any
-   overlay audit taints the whole batch). *)
+   parallel pool. The order-preserving map keeps the answer sequence
+   bit-identical whatever the domain count, and one counter scope
+   around the batch sees every overlay (the pool credits worker-domain
+   work back to this domain). Per-query counter attribution is
+   impossible under work stealing, so the batch shares one
+   counters/cert verdict — a failure of any overlay audit taints the
+   whole batch. *)
 let now_many t downs =
   let topo = State.current_topology t.state in
   match engine_for t with
@@ -323,19 +325,13 @@ let now_many t downs =
             Te.Simulate.degradation_prepared eng scenario,
             Failure.Scenario.prob topo scenario )
     in
-    let results, counters =
-      Parallel.Pool.with_pool ~counters:Milp.Solver.stats_counters ~domains
-        (fun pool ->
-          let r = Parallel.Pool.map_array pool evaluate items in
-          (r, (Parallel.Pool.stats pool).Parallel.Pool.counters))
+    let scope = Milp.Lp_stats.scope_enter () in
+    let results =
+      Parallel.Pool.with_pool ~domains (fun pool -> Parallel.Pool.map_array pool evaluate items)
     in
-    let cert = cert_of_counters counters in
-    let counters =
-      Json.Obj
-        (List.filter_map
-           (fun (k, v) -> if v = 0 then None else Some (k, Json.Int v))
-           counters)
-    in
+    let report = Milp.Lp_stats.scope_exit scope in
+    let cert = cert_of_counters report.Milp.Lp_stats.scope_counters in
+    let counters = counters_json report in
     Array.map
       (function
         | Error m -> err m

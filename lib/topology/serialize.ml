@@ -24,6 +24,11 @@ type parse_state = {
       (* (line, src, dst, links), reverse order; links reversed *)
 }
 
+(* Node arrays are allocated from the declared count, so an absurd count
+   is rejected up front; the cap is the service's request-line cap,
+   far above any real WAN. *)
+let max_nodes = 1 lsl 20
+
 let of_string s =
   let st = { pname = "wan"; n = -1; names = []; lags = [] } in
   let err lineno msg = failwith (Printf.sprintf "line %d: %s" lineno msg) in
@@ -40,6 +45,8 @@ let of_string s =
         | [ "nodes"; n ] -> (
           match int_of_string_opt n with
           | Some _ when st.n > 0 -> err lineno "duplicate 'nodes' line"
+          | Some n when n > max_nodes ->
+            err lineno (Printf.sprintf "node count %d above %d" n max_nodes)
           | Some n when n > 0 -> st.n <- n
           | _ -> err lineno "bad node count")
         | "node" :: id :: rest -> (

@@ -18,7 +18,8 @@
 val to_string : Topology.t -> string
 
 (** @raise Failure with a [line N: ...] message on malformed input:
-    unparsable fields, a capacity that is not positive and finite, a
+    unparsable fields, a node count above [2^20], a capacity that is
+    not positive and finite, a
     [fail_prob] outside [0, 1] (NaN included), a node id or LAG endpoint
     outside [0, nodes), a repeated [node] id or [nodes] line, a
     self-loop or a LAG with no links. A file with no [nodes] line fails with

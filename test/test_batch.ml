@@ -16,7 +16,7 @@ let bits = Array.map Int64.bits_of_float
 let on_domains domains f =
   if domains <= 1 then f None
   else
-    Parallel.Pool.with_pool ~counters:Milp.Solver.stats_counters ~domains (fun pool ->
+    Parallel.Pool.with_pool ~domains (fun pool ->
         f (Some pool))
 
 let wan () =
@@ -41,7 +41,7 @@ let test_mc_differential objective () =
     Te.Monte_carlo.sample_degradations ~objective ~batch:false ~seed:7 ~samples topo
       paths demand
   in
-  let wh0 = Milp.Batch.cumulative_warm_hits () in
+  let wh0 = Milp.Lp_stats.read Milp.Lp_stats.batch_warm_hits () in
   List.iter
     (fun (batch_size, domains) ->
       let degs, scens =
@@ -62,7 +62,7 @@ let test_mc_differential objective () =
      (counter is domain-local, so only the domains=1 runs count here) *)
   Alcotest.(check bool)
     "nonzero batched warm hits" true
-    (Milp.Batch.cumulative_warm_hits () > wh0)
+    (Milp.Lp_stats.read Milp.Lp_stats.batch_warm_hits () > wh0)
 
 (* --- enumeration: worst case identical across arms -------------------- *)
 

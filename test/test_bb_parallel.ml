@@ -57,7 +57,7 @@ let check_identical ~what (a : Milp.Branch_bound.t array)
     a
 
 let with_pool domains f =
-  Parallel.Pool.with_pool ~counters:Milp.Solver.stats_counters ~domains f
+  Parallel.Pool.with_pool ~domains f
 
 let test_corpus_identical_across_widths () =
   List.iter

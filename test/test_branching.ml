@@ -107,9 +107,9 @@ let prop_heuristic_incumbents_certified =
    vacuous; the heuristic/pseudocost counters must engage (and stay
    silent in Fractional mode, which restores the legacy search). *)
 let test_machinery_engages () =
-  let sb0 = Milp.Branch_bound.cumulative_sb_probes () in
-  let pcu0 = Milp.Branch_bound.cumulative_pseudocost_updates () in
-  let hs0 = Milp.Branch_bound.cumulative_heuristic_solutions () in
+  let sb0 = Milp.Lp_stats.read Milp.Lp_stats.sb_probes () in
+  let pcu0 = Milp.Lp_stats.read Milp.Lp_stats.pseudocost_updates () in
+  let hs0 = Milp.Lp_stats.read Milp.Lp_stats.heuristic_solutions () in
   let fired = ref 0 in
   for case = 0 to 15 do
     let mdl = Test_revised.random_milp case in
@@ -124,14 +124,14 @@ let test_machinery_engages () =
   done;
   Alcotest.(check bool) "on_incumbent fired" true (!fired > 0);
   Alcotest.(check bool) "strong-branching probes ran" true
-    (Milp.Branch_bound.cumulative_sb_probes () > sb0);
+    (Milp.Lp_stats.read Milp.Lp_stats.sb_probes () > sb0);
   Alcotest.(check bool) "pseudocost observations recorded" true
-    (Milp.Branch_bound.cumulative_pseudocost_updates () > pcu0);
+    (Milp.Lp_stats.read Milp.Lp_stats.pseudocost_updates () > pcu0);
   Alcotest.(check bool) "heuristic incumbents accepted" true
-    (Milp.Branch_bound.cumulative_heuristic_solutions () > hs0);
+    (Milp.Lp_stats.read Milp.Lp_stats.heuristic_solutions () > hs0);
   (* Fractional mode leaves the pseudocost machinery untouched *)
-  let sb1 = Milp.Branch_bound.cumulative_sb_probes () in
-  let pcu1 = Milp.Branch_bound.cumulative_pseudocost_updates () in
+  let sb1 = Milp.Lp_stats.read Milp.Lp_stats.sb_probes () in
+  let pcu1 = Milp.Lp_stats.read Milp.Lp_stats.pseudocost_updates () in
   for case = 0 to 15 do
     let mdl = Test_revised.random_milp case in
     let options =
@@ -144,9 +144,9 @@ let test_machinery_engages () =
     ignore (Milp.Branch_bound.solve ~options mdl)
   done;
   Alcotest.(check int) "no probes under fractional" sb1
-    (Milp.Branch_bound.cumulative_sb_probes ());
+    (Milp.Lp_stats.read Milp.Lp_stats.sb_probes ());
   Alcotest.(check int) "no pseudocost updates under fractional" pcu1
-    (Milp.Branch_bound.cumulative_pseudocost_updates ())
+    (Milp.Lp_stats.read Milp.Lp_stats.pseudocost_updates ())
 
 (* Full-solver differential: reliability and fractional branching visit
    different trees but must agree on status and objective across the

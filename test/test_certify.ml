@@ -142,7 +142,7 @@ let lp_model () =
   m
 
 let test_certificate_pass_lp () =
-  let checks0 = Certify.cumulative_checks () in
+  let checks0 = Lp_stats.read Lp_stats.certify_checks () in
   let sol = Solver.solve (lp_model ()) in
   Alcotest.(check bool) "optimal" true (sol.Solver.status = Solver.Optimal);
   (match sol.Solver.certificate with
@@ -160,7 +160,7 @@ let test_certificate_pass_lp () =
       "no failure messages" true (c.Certify.failures = []));
   Alcotest.(check bool)
     "certify-checks counter advanced" true
-    (Certify.cumulative_checks () > checks0)
+    (Lp_stats.read Lp_stats.certify_checks () > checks0)
 
 let test_certificate_off () =
   let sol = Solver.solve ~certify:false (lp_model ()) in
@@ -171,7 +171,7 @@ let test_certificate_off () =
 
 let test_certificate_bad_point () =
   let m = lp_model () in
-  let failures0 = Certify.cumulative_failures () in
+  let failures0 = Lp_stats.read Lp_stats.certify_failures () in
   (* claim (5, 5): violates both rows and is inconsistent with obj 12 *)
   let c =
     Certify.check ~model:m ~obj:12. ~bound:12. ~values:[| 5.; 5. |]
@@ -186,7 +186,7 @@ let test_certificate_bad_point () =
     "failure message recorded" true (c.Certify.failures <> []);
   Alcotest.(check bool)
     "certify-failures counter advanced" true
-    (Certify.cumulative_failures () > failures0)
+    (Lp_stats.read Lp_stats.certify_failures () > failures0)
 
 let test_certificate_bad_bound () =
   let m = lp_model () in

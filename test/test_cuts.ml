@@ -216,10 +216,10 @@ let test_extend_basis_warm () =
     (match Milp.Simplex.extend_basis bas xprep with
     | None -> Alcotest.fail "extension across cut rows rejected"
     | Some warm_basis ->
-      let a0 = Milp.Simplex.cumulative_warm_attempts () in
+      let a0 = Milp.Lp_stats.read Milp.Lp_stats.warm_attempts () in
       let warm, _ = Milp.Simplex.solve_prepared ~warm:warm_basis xprep in
       Alcotest.(check bool) "warm start attempted" true
-        (Milp.Simplex.cumulative_warm_attempts () > a0);
+        (Milp.Lp_stats.read Milp.Lp_stats.warm_attempts () > a0);
       let cold, _ = Milp.Simplex.solve_prepared xprep in
       match (warm, cold) with
       | ( Milp.Simplex.Optimal { obj = wobj; _ },
@@ -271,7 +271,7 @@ let test_incumbent_audit () =
   Alcotest.(check int) "re-audit keeps valid cuts" 0
     (Milp.Cuts.audit_incumbent pool incumbent);
   Alcotest.(check int) "no audit failures" 0
-    (Milp.Cuts.cumulative_audit_failures ())
+    (Milp.Lp_stats.read Milp.Lp_stats.cut_audit_failures ())
 
 (* --- validity over the differential corpus ------------------------------- *)
 
@@ -374,7 +374,7 @@ let prop_corpus_cuts_valid =
    objective across the corpus (cuts tighten the relaxation, never the
    answer), with certified feasible points and zero audit failures. *)
 let test_solver_differential () =
-  let aud0 = Milp.Cuts.cumulative_audit_failures () in
+  let aud0 = Milp.Lp_stats.read Milp.Lp_stats.cut_audit_failures () in
   for case = 0 to 31 do
     let mdl = Test_revised.random_milp case in
     let solve cuts =
@@ -398,7 +398,7 @@ let test_solver_differential () =
     | _ -> ()
   done;
   Alcotest.(check int) "no audit failures across the corpus" 0
-    (Milp.Cuts.cumulative_audit_failures () - aud0)
+    (Milp.Lp_stats.read Milp.Lp_stats.cut_audit_failures () - aud0)
 
 let suite =
   [

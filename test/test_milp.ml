@@ -498,14 +498,14 @@ let test_stats_scope () =
      while the cumulative values survive *)
   let solve_one = solve_small_milp in
   let pivots_before = Lp_stats.read Lp_stats.pivots () in
-  let s1 = Lp_stats.scope_enter ~hooks:Solver.stats_counters () in
+  let s1 = Lp_stats.scope_enter () in
   solve_one ();
   let r1 = Lp_stats.scope_exit s1 in
   let d1 = List.assoc "simplex" r1.Lp_stats.scope_counters in
   Alcotest.(check bool) "scope 1 saw pivots" true (d1 > 0);
   (* a second scope starts from a clean delta even though the cumulative
      counters kept growing *)
-  let s2 = Lp_stats.scope_enter ~hooks:Solver.stats_counters () in
+  let s2 = Lp_stats.scope_enter () in
   let r2 = Lp_stats.scope_exit s2 in
   Alcotest.(check int) "empty scope has zero deltas" 0
     (List.fold_left (fun acc (_, d) -> acc + abs d) 0 r2.Lp_stats.scope_counters);
@@ -518,12 +518,12 @@ let test_stats_scope_overlap () =
      and each reports exactly the activity between its own entry and
      exit, measured here against the cumulative pivot counter *)
   let simplex r = List.assoc "simplex" r.Lp_stats.scope_counters in
-  let pivots = Simplex.cumulative_iterations in
+  let pivots = Lp_stats.read Lp_stats.pivots in
   let p0 = pivots () in
-  let s1 = Lp_stats.scope_enter ~hooks:Solver.stats_counters () in
+  let s1 = Lp_stats.scope_enter () in
   solve_small_milp ();
   let p1 = pivots () in
-  let s2 = Lp_stats.scope_enter ~hooks:Solver.stats_counters () in
+  let s2 = Lp_stats.scope_enter () in
   solve_small_milp ();
   let p2 = pivots () in
   let r1 = Lp_stats.scope_exit s1 in

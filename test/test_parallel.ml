@@ -95,6 +95,11 @@ let test_nested_map_other_pool () =
           Alcotest.(check (array int)) "inner-calls-outer"
             (Array.init 48 (fun x -> (x * x) + ((x + 1) * (x + 1))))
             r';
+          (* nested work, element 0 included, is not recorded as tasks *)
+          check_int "inner pool: only its own sweep recorded" 48
+            (Parallel.Pool.stats inner).Parallel.Pool.items;
+          check_int "outer pool: only its own sweep recorded" 48
+            (Parallel.Pool.stats outer).Parallel.Pool.items;
           Alcotest.(check bool) "outside task" false (Parallel.Pool.inside_task ())))
 
 let test_nested_sequential_pool_ok () =
@@ -110,29 +115,52 @@ let test_nested_sequential_pool_ok () =
           in
           Alcotest.(check (array int)) "inline inner pool" [| 4; 6; 8 |] r))
 
-(* counter hooks read on the executing domain, so like the simplex pivot
-   counter they must be domain-local for the per-chunk deltas to add up *)
-let hits_key = Domain.DLS.new_key (fun () -> ref 0)
+(* a registered counter bumped by every item, wherever it runs *)
+let hits = Parallel.Counter.make "test-hits"
 
 let test_stats () =
-  Parallel.Pool.with_pool
-    ~counters:[ ("hits", fun () -> !(Domain.DLS.get hits_key)) ]
-    ~domains
-    (fun pool ->
-      Parallel.Pool.iter_array pool
-        (fun _ -> incr (Domain.DLS.get hits_key))
-        (Array.init 64 Fun.id);
+  Parallel.Pool.with_pool ~domains (fun pool ->
+      (* each item sleeps so the workers claim chunks too; sweeps repeat
+         until one did, and every sweep must credit each bump to the
+         submitter exactly once *)
+      let caller = Domain.self () in
+      let rec sweep k off_caller =
+        let before = Parallel.Counter.get hits in
+        let ran_on =
+          Parallel.Pool.map_array pool
+            (fun _ ->
+              Unix.sleepf 0.0005;
+              Parallel.Counter.incr hits;
+              Domain.self ())
+            (Array.init 64 Fun.id)
+        in
+        check_int (Printf.sprintf "sweep %d: credited once" k) 64
+          (Parallel.Counter.get hits - before);
+        let off_caller = off_caller || Array.exists (fun d -> d <> caller) ran_on in
+        if off_caller || k = 20 then off_caller else sweep (k + 1) off_caller
+      in
+      Alcotest.(check bool) "a worker domain ran items" true (sweep 1 false);
       let s = Parallel.Pool.stats pool in
       check_int "domains" domains s.Parallel.Pool.domains;
-      check_int "items" 64 s.Parallel.Pool.items;
+      Alcotest.(check bool) "items" true (s.Parallel.Pool.items mod 64 = 0);
       Alcotest.(check bool) "some tasks ran" true (s.Parallel.Pool.tasks >= 1);
-      Alcotest.(check (list (pair string int))) "counter delta" [ ("hits", 64) ]
-        s.Parallel.Pool.counters;
       let line = Format.asprintf "%a" Parallel.Pool.pp_stats s in
       Alcotest.(check bool) ("stats line: " ^ line) true
         (String.length line > 10 && String.sub line 0 10 = "[parallel:");
       Parallel.Pool.reset_stats pool;
       check_int "reset" 0 (Parallel.Pool.stats pool).Parallel.Pool.items)
+
+let test_pool_in_task_is_sequential () =
+  (* a pool created inside a task gets one domain and no workers *)
+  Parallel.Pool.with_pool ~domains (fun pool ->
+      let widths =
+        Parallel.Pool.map_array pool
+          (fun _ -> Parallel.Pool.with_pool ~domains Parallel.Pool.domains)
+          (Array.init 8 Fun.id)
+      in
+      Alcotest.(check (array int)) "nested pools" (Array.make 8 1) widths);
+  Parallel.Pool.with_pool ~domains (fun pool ->
+      check_int "outside a task" domains (Parallel.Pool.domains pool))
 
 let test_stats_accumulate () =
   (* one pool serves many sweeps: items add up across them and every
@@ -205,7 +233,7 @@ let check_identical_runs ~seeds ~samples (topo, paths, d) () =
     (fun seed ->
       let seq_deg, seq_scen = Te.Monte_carlo.sample_degradations ~seed ~samples topo paths d in
       let par_deg, par_scen =
-        Parallel.Pool.with_pool ~counters:Milp.Solver.stats_counters ~domains (fun pool ->
+        Parallel.Pool.with_pool ~domains (fun pool ->
             Te.Monte_carlo.sample_degradations ~pool ~seed ~samples topo paths d)
       in
       Alcotest.(check bool)
@@ -226,7 +254,7 @@ let test_mc_equivalence_africa () =
   check_identical_runs ~seeds:[ 1; 7 ] ~samples:150 (africa_setup ()) ()
 
 let test_mc_shared_pool_equivalence () =
-  (* a caller-supplied pool without counter hooks gives the same draw *)
+  (* a caller-supplied pool gives the same draw *)
   let topo, paths, d = fig1_setup () in
   let seq, _ = Te.Monte_carlo.sample_degradations ~seed:9 ~samples:200 topo paths d in
   Parallel.Pool.with_pool ~domains (fun pool ->
@@ -239,7 +267,7 @@ let test_enumeration_equivalence () =
   let topo, paths, d = fig1_setup () in
   let seq = Raha.Baselines.enumerate_failures ~k:2 topo paths d in
   let par =
-    Parallel.Pool.with_pool ~counters:Milp.Solver.stats_counters ~domains (fun pool ->
+    Parallel.Pool.with_pool ~domains (fun pool ->
         Raha.Baselines.enumerate_failures ~pool ~k:2 topo paths d)
   in
   check_int "scenarios evaluated"
@@ -263,6 +291,46 @@ let test_analysis_equivalence () =
   Alcotest.(check bool) "same scenario" true
     (Failure.Scenario.equal seq.Raha.Analysis.scenario par.Raha.Analysis.scenario)
 
+(* A counter scope sees all the work of a call at any domain count: the
+   pool credits what worker domains did back to the submitter, so the
+   scope deltas of a parallel analysis equal the sequential ones and its
+   bb-nodes delta is the report's node count. *)
+let test_analysis_scope_counters () =
+  let topo = Wan.Generators.africa_like ~seed:5 ~n:8 () in
+  let pairs = [ (0, 5); (1, 6); (2, 7) ] in
+  let paths = Netpath.Path_set.compute ~n_primary:2 ~n_backup:1 topo pairs in
+  let envelope =
+    Traffic.Envelope.from_zero ~slack:0.2
+      (Traffic.Demand.of_list (List.map (fun p -> (p, 60.)) pairs))
+  in
+  let spec =
+    {
+      Raha.Bilevel.default_spec with
+      Raha.Bilevel.threshold = Some 1e-4;
+      max_failures = Some 2;
+      encoding = Raha.Bilevel.Strong_duality { levels = 3 };
+    }
+  in
+  let run domains =
+    let options =
+      { Raha.Analysis.default_options with spec; domains; bb_width = 2; bb_grain = 4 }
+    in
+    let scope = Milp.Lp_stats.scope_enter () in
+    let r = Raha.Analysis.analyze ~options topo paths envelope in
+    (r, (Milp.Lp_stats.scope_exit scope).Milp.Lp_stats.scope_counters)
+  in
+  let seq, seq_counters = run 1 in
+  let par, par_counters = run domains in
+  check_int "domains 1: scope bb-nodes = report nodes" seq.Raha.Analysis.nodes
+    (List.assoc "bb-nodes" seq_counters);
+  check_int
+    (Printf.sprintf "domains %d: scope bb-nodes = report nodes" domains)
+    par.Raha.Analysis.nodes
+    (List.assoc "bb-nodes" par_counters);
+  Alcotest.(check (list (pair string int)))
+    (Printf.sprintf "scope deltas, domains 1 vs %d" domains)
+    seq_counters par_counters
+
 let suite =
   [
     ("pool: empty input", `Quick, test_empty_input);
@@ -274,6 +342,7 @@ let suite =
     ("pool: nested map other pool", `Quick, test_nested_map_other_pool);
     ("pool: nested sequential pool ok", `Quick, test_nested_sequential_pool_ok);
     ("pool: stats and counters", `Quick, test_stats);
+    ("pool: pool inside a task is sequential", `Quick, test_pool_in_task_is_sequential);
     ("pool: stats accumulate across sweeps", `Quick, test_stats_accumulate);
     ("pool: sequential pool runs inline", `Quick, test_sequential_pool_inline);
     ("pool: with_pool re-raises", `Quick, test_with_pool_reraises);
@@ -283,4 +352,5 @@ let suite =
     ("monte carlo equivalence (shared pool)", `Quick, test_mc_shared_pool_equivalence);
     ("enumeration equivalence", `Quick, test_enumeration_equivalence);
     ("analysis equivalence", `Quick, test_analysis_equivalence);
+    ("analysis scope sees pool work", `Quick, test_analysis_scope_counters);
   ]

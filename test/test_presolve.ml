@@ -170,20 +170,27 @@ let test_warm_start_and_hints_translate () =
   check_float "fixed var restored" 3. sol.Solver.values.(x.vid)
 
 let test_stats_counters_exported () =
-  let names = List.map fst Solver.stats_counters in
-  List.iter
-    (fun n ->
-      Alcotest.(check bool) (Printf.sprintf "counter %s exported" n) true
-        (List.mem n names))
-    [ "simplex"; "bb-nodes"; "presolve-rows"; "presolve-cols"; "presolve-bigm" ];
-  let rows0 = Presolve.cumulative_rows_removed () in
+  (* the registry in declaration order: benchmark traces and daemon
+     answers key on these names *)
+  Alcotest.(check (list string))
+    "counter names"
+    [
+      "simplex"; "dual-pivots"; "factorizations"; "eta-updates"; "warm-attempts";
+      "warm-hits"; "bb-nodes"; "presolve-rows"; "presolve-cols"; "presolve-bigm";
+      "certify-checks"; "certify-failures"; "cuts-generated"; "cuts-applied";
+      "cuts-pruned"; "cut-audit-failures"; "batch-prepares"; "batch-overlays";
+      "batch-warm-hits"; "sb-probes"; "pseudocost-updates"; "heuristic-solutions";
+      "heuristic-rejections";
+    ]
+    (List.map fst Solver.stats_counters);
+  let rows0 = Lp_stats.read Lp_stats.presolve_rows () in
   let m = Model.create () in
   let x = Model.continuous ~ub:5. m "x" in
   Model.add_cons m (Linexpr.var x.vid) Model.Le 100.;
   Model.set_objective m Model.Maximize (Linexpr.var x.vid);
   ignore (solve_with true m);
   Alcotest.(check bool) "cumulative rows-removed counter advanced" true
-    (Presolve.cumulative_rows_removed () > rows0)
+    (Lp_stats.read Lp_stats.presolve_rows () > rows0)
 
 (* --- differential suite: presolve on vs off on random MILPs ----------- *)
 

@@ -106,12 +106,12 @@ let test_warm_start_property () =
       (* branch down or up around the parent's value *)
       if Random.State.bool rng then ub.(id) <- Float.max lb.(id) (Float.floor x)
       else lb.(id) <- Float.min ub.(id) (Float.ceil x);
-      let attempts0 = Milp.Simplex.cumulative_warm_attempts () in
+      let attempts0 = Milp.Lp_stats.read Milp.Lp_stats.warm_attempts () in
       let warm, _ = Milp.Simplex.solve_prepared ~lb ~ub ~warm:parent prep in
       Alcotest.(check bool)
         (Printf.sprintf "case %d warm start attempted" case)
         true
-        (Milp.Simplex.cumulative_warm_attempts () > attempts0);
+        (Milp.Lp_stats.read Milp.Lp_stats.warm_attempts () > attempts0);
       let cold, _ = Milp.Simplex.solve_prepared ~lb ~ub prep in
       (match (warm, cold) with
       | ( Milp.Simplex.Optimal { obj = wobj; _ },

@@ -240,6 +240,9 @@ let test_serialize_errors () =
   bad_at 3 "nodes 2\nnode 0 a\nnode 0 b\nlag 0 1\nlink 5 0.01";
   bad_at 2 "nodes 2\nlag 0 1\nlag 1 0\nlink 5 0.01";
   bad_at 2 "nodes 2\nnodes 3";
+  (* node arrays are sized from the count: huge counts fail in-band *)
+  bad_at 1 "nodes 1000000000000\nlag 0 1\nlink 5 0.01";
+  bad_at 1 (Printf.sprintf "nodes %d\nlag 0 1\nlink 5 0.01" max_int);
   (* comments and blank lines are fine *)
   let t =
     Wan.Serialize.of_string "# comment\nwan x\nnodes 2\n\nlag 0 1\nlink 5 0.1\n"
