@@ -592,13 +592,13 @@ let ablation ctx =
 
 (* ------------------------------------------------------------- presolve *)
 
-(* Presolve ablation over the bilevel encodings: model shrinkage from the
+(* Presolve over the bilevel encodings: model shrinkage from the
    Milp.Presolve reductions, then the end-to-end solve cost (nodes,
-   simplex pivots, wall time) with presolve on vs off. The measured rows
-   are recorded in BENCH_presolve.json. *)
+   simplex pivots, wall time) of the presolved analysis. The measured
+   rows are recorded in BENCH_presolve.json. *)
 let presolve_bench ctx =
   section ctx ~id:"presolve"
-    ~paper:"MILP presolve / big-M tightening ablation (DESIGN.md)"
+    ~paper:"MILP presolve / big-M tightening (DESIGN.md)"
     ~config:"fig1 worked example (sd:5, kkt) + africa-like WAN (8 nodes, sd:3)";
   let cells = solver_cells () in
   row "%-14s %8s %6s %5s %4s %8s %6s %5s %6s %6s@." "model" "rows" "cols" "int"
@@ -619,7 +619,7 @@ let presolve_bench ctx =
   row "@.";
   ignore
     (ablate ctx ~id:"presolve" ~fields:[ "deg"; "nodes"; "pivots"; "certify"; "cert" ] cells
-       [ arm "on" Fun.id; arm "off" (fun o -> { o with Raha.Analysis.presolve = false }) ])
+       [ arm "on" Fun.id ])
 
 let no_cuts o = { o with Raha.Analysis.cuts = Milp.Cuts.disabled }
 
@@ -716,61 +716,60 @@ let montecarlo ctx =
 
 (* -------------------------------------------------------------------- batch *)
 
-(* Batched scenario engine ablation (DESIGN.md §12): the same Monte
-   Carlo and k-enumeration sweeps solved through one shared prepared
-   structure + rhs overlays + warm dual solves from the healthy basis
-   (batch=on) vs a full formulation/model/factorization rebuild per
-   scenario (batch=off). Both arms hand the simplex bit-identical
-   inputs, so every per-scenario degradation must match to the last
-   bit — the "identical=true" line asserts it. The sweeps run on one
+(* Batched scenario engine (DESIGN.md §12): Monte Carlo and
+   k-enumeration sweeps solved through one shared prepared structure +
+   rhs overlays + warm dual solves from the healthy basis. Every sampled
+   scenario and every enumeration worst case is re-routed by the
+   independent Te.Simulate.degradation oracle (its own formulation and
+   cold solve, outside the counter scope); the "agree(oracle)=" line
+   asserts they match within 1e-6 relative. The sweeps run on one
    domain so the scope counters see every scenario; CI gates on bwarm
-   (batched warm hits) staying nonzero and cert=ok (zero Batch.check
-   audit failures) in the on arm. Measured scenarios/sec rows are
+   (batched warm hits) staying nonzero, cert=ok (zero Batch.check audit
+   failures) and agree(oracle)=true. Measured scenarios/sec rows are
    recorded in BENCH_batch.json. *)
 let batch_bench ctx =
   section ctx ~id:"batch"
     ~paper:"batched scenario engine: one symbolic factorization, warm overlay solves (DESIGN.md §12)"
-    ~config:"africa-like WAN (8 nodes), Monte Carlo + k-enumeration sweeps, batch on/off";
+    ~config:"africa-like WAN (8 nodes), Monte Carlo + k-enumeration sweeps vs the Simulate oracle";
   let topo, pairs = wan_small () in
   let paths = paths_of topo pairs in
   let peak = Traffic.Demand.scale 1.3 (base_demand pairs) in
   let mc_samples = if ctx.quick then 512 else 2048 in
-  let bits = Array.map Int64.bits_of_float in
   let fields = [ "scen"; "warm"; "bwarm"; "overlays"; "prepares"; "fact"; "certify"; "cert" ] in
   print_header fields;
-  let run_cell name scen solve =
-    let arm arm_name batch =
-      let degs, counts, wall = scoped (fun () -> solve ~batch) in
-      print_run ~id:"batch" ~cell:name ~arm:arm_name ~fields ~wall
-        (("scen", string_of_int scen)
-        :: ("cert", if count counts "certify-failures" = 0 then "ok" else "FAIL")
-        :: count_fields counts);
-      (degs, wall)
-    in
-    let degs_off, dt_off = arm "off" false in
-    let degs_on, dt_on = arm "on" true in
-    let identical = bits degs_on = bits degs_off in
-    let per_s dt = float_of_int scen /. Float.max 1e-9 dt in
-    row "%s: speedup %.1fx (off %.2fs, %.0f scen/s / on %.2fs, %.0f scen/s), degradations %s@."
-      name (dt_off /. Float.max 1e-9 dt_on) dt_off (per_s dt_off) dt_on (per_s dt_on)
-      (if identical then "bit-identical" else "MISMATCH");
-    row "counters: batch | %s | identical=%b@." name identical
+  let agrees (deg, scenario) =
+    match Te.Simulate.degradation topo paths peak scenario with
+    | Some d -> Float.abs (d -. deg) <= 1e-6 *. (1. +. Float.abs d)
+    | None -> false
   in
-  run_cell "mc" mc_samples (fun ~batch ->
-      fst
-        (Te.Monte_carlo.sample_degradations ~batch ~seed:1
-           ~samples:mc_samples topo paths peak));
+  let run_cell name scen solve =
+    let checked, counts, wall = scoped solve in
+    print_run ~id:"batch" ~cell:name ~arm:"on" ~fields ~wall
+      (("scen", string_of_int scen)
+      :: ("cert", if count counts "certify-failures" = 0 then "ok" else "FAIL")
+      :: count_fields counts);
+    let agree = Array.for_all agrees checked in
+    row "%s: %.2fs, %.0f scen/s, oracle %s@." name wall
+      (float_of_int scen /. Float.max 1e-9 wall)
+      (if agree then "agrees" else "MISMATCH");
+    row "counters: batch | %s | agree(oracle)=%b@." name agree
+  in
+  run_cell "mc" mc_samples (fun () ->
+      let degs, scens =
+        Te.Monte_carlo.sample_degradations ~seed:1 ~samples:mc_samples topo paths peak
+      in
+      Array.combine degs scens);
   List.iter
     (fun k ->
       run_cell
         (Printf.sprintf "enum k=%d" k)
         (List.length (Failure.Enumerate.up_to_k topo ~k))
-        (fun ~batch ->
-          [| (Raha.Baselines.enumerate_failures ~batch ~k topo paths peak)
-               .Raha.Baselines.worst |]))
+        (fun () ->
+          let r = Raha.Baselines.enumerate_failures ~k topo paths peak in
+          [| (r.Raha.Baselines.worst, r.Raha.Baselines.worst_scenario) |]))
     (if ctx.quick then [ 1 ] else [ 1; 2 ]);
   row
-    "(off rebuilds formulation+factorization per scenario; on pays them once.      bwarm counts warm dual overlay solves, certify the Batch.check audits —      failures must be 0)@."
+    "(bwarm counts warm dual overlay solves, certify the Batch.check audits —      failures must be 0)@."
 
 (* ----------------------------------------------------------- bb-parallel *)
 
@@ -1198,11 +1197,11 @@ let all : (string * string * (ctx -> unit)) list =
     ("tab4", "Cogentco degradation table (8 clusters)", tab4);
     ("mlu", "worst-case MLU degradation vs slack (§8.5)", mlu);
     ("ablation", "strong-duality vs KKT encoding (design choice)", ablation);
-    ("presolve", "MILP presolve / big-M tightening on vs off", presolve_bench);
+    ("presolve", "MILP presolve / big-M tightening: reductions and solve cost", presolve_bench);
     ("revised", "revised simplex + dual warm starts vs dense tableau", revised_bench);
     ("cuts", "cutting planes (Gomory/cover/clique pool) on vs off", cuts_bench);
     ("montecarlo", "Monte Carlo sampling vs Raha's worst case (§1)", montecarlo);
-    ("batch", "batched scenario engine (overlay + warm) on vs off", batch_bench);
+    ("batch", "batched scenario engine (overlay + warm) vs the Simulate oracle", batch_bench);
     ("bb-parallel", "parallel branch-and-bound rounds, domains 1 vs N", bb_parallel);
     ("branching", "reliability branching + heuristics vs most-fractional", branching_bench);
     ("service", "always-on service vs cold-solve-per-query replay", service_bench);

@@ -68,24 +68,6 @@ let solve ?lb ?ub ?max_iters ?degen_limit ?warm ?(patch = []) t =
 (* ------------------------------------------------------------------ *)
 (* Independent overlay audit                                           *)
 
-(* Kahan-compensated row activity; also returns the largest |term|, the
-   natural scale for the row's residual tolerance (same discipline as
-   Certify.kahan_eval). *)
-let kahan_eval values e =
-  let s = ref 0. and c = ref 0. and scale = ref 0. in
-  Linexpr.iter
-    (fun id k ->
-      let term = k *. values.(id) in
-      let a = Float.abs term in
-      if a > !scale then scale := a;
-      let y = term -. !c in
-      let t = !s +. y in
-      c := (t -. !s) -. y;
-      s := t)
-    e;
-  let k0 = Linexpr.constant e in
-  ((!s +. (k0 -. !c)), !scale)
-
 let feas_tol = 1e-5
 let obj_tol = 1e-6
 
@@ -111,7 +93,7 @@ let check ?(patch = []) ~obj ~values t =
     values;
   Array.iteri
     (fun i (c : Model.cons) ->
-      let act, scale = kahan_eval values c.Model.lhs in
+      let act, scale = Certify.kahan_eval values c.Model.lhs in
       let tol = feas_tol *. (1. +. Float.max scale (Float.abs b.(i))) in
       let viol =
         match c.Model.rel with
@@ -124,7 +106,7 @@ let check ?(patch = []) ~obj ~values t =
           (viol -. tol) act b.(i))
     conss;
   let _, objx = Model.objective model in
-  let recomputed, oscale = kahan_eval values objx in
+  let recomputed, oscale = Certify.kahan_eval values objx in
   if Float.abs (recomputed -. obj) > obj_tol *. (1. +. Float.abs oscale) then
     fail "objective %g <> recomputed %g" obj recomputed;
   match !fails with

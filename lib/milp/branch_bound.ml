@@ -775,7 +775,7 @@ let solve ?(options = default) model =
      ran inline, on 2 domains or on 8. Cut separation and plunging stay
      owner-side (sequential steps and barriers), so the pool, [prep] and
      the incumbent refs are never touched concurrently. *)
-  let par_width = if options.par_width <= 0 then max_int else max 2 options.par_width in
+  let par_width = max 2 options.par_width in
   let par_grain = max 1 options.par_grain in
   let rounds = ref 0 in
   let parallel_round () =

@@ -64,8 +64,7 @@ type options = {
       (** Open-node frontier size at which the search switches from
           sequential best-first steps to parallel subtree rounds
           (clamped to [>= 2] so the root is always processed
-          sequentially); [<= 0] disables rounds entirely, restoring the
-          pure legacy loop. Default 32. *)
+          sequentially). Default 32. *)
   par_grain : int;
       (** Per-task node budget within one round: each frontier subtree
           explores at most this many nodes before handing its open

@@ -85,3 +85,8 @@ val check :
   t
 
 val pp : Format.formatter -> t -> unit
+
+(** [kahan_eval values e] is the Kahan-compensated value of [e] at the
+    point [values], paired with the largest |term|: the natural scale
+    for the residual tolerance of the row [e] came from. *)
+val kahan_eval : float array -> Linexpr.t -> float * float

@@ -328,7 +328,13 @@ let process_row st r =
       propagate_row st r mn mn_inf mx mx_inf
   end
 
-let fixpoint ~max_passes st =
+(* bound on fixpoint iterations per propagation phase *)
+let max_passes = 20
+
+(* bound on the number of binaries probed *)
+let probe_limit = 512
+
+let fixpoint st =
   let n = ref 0 in
   let continue_ = ref true in
   while !continue_ && !n < max_passes do
@@ -417,10 +423,10 @@ let adopt st l u =
    still yield the branch-union bounds, valid globally since every
    feasible point lives in one branch. Variables are visited in id order,
    which reaches the Raha link-failure binaries first. *)
-let probe st ~limit =
+let probe st =
   let n_probed = ref 0 in
   let j = ref 0 in
-  while !j < st.nv && !n_probed < limit do
+  while !j < st.nv && !n_probed < probe_limit do
     let id = !j in
     if
       (not st.is_fixed.(id))
@@ -538,7 +544,7 @@ let build_reduced st model =
   Model.set_objective rm sense (Linexpr.of_terms ~const:!oconst !oterms);
   (rm, post)
 
-let presolve ?(max_passes = 20) ?(probe_limit = 512) model =
+let presolve model =
   let st = build_state model in
   let total_passes = ref 0 and probed = ref 0 and probe_fixed = ref 0 in
   let run () =
@@ -554,14 +560,12 @@ let presolve ?(max_passes = 20) ?(probe_limit = 512) model =
         && st.ub.(j) -. st.lb.(j) <= 1e-9 *. (1. +. Float.abs st.lb.(j))
       then fix st j st.lb.(j)
     done;
-    total_passes := fixpoint ~max_passes st;
-    if probe_limit > 0 then begin
-      let fixed0 = st.n_cols_fixed and bounds0 = st.n_bounds in
-      probed := probe st ~limit:probe_limit;
-      probe_fixed := st.n_cols_fixed - fixed0;
-      if st.n_cols_fixed > fixed0 || st.n_bounds > bounds0 then
-        total_passes := !total_passes + fixpoint ~max_passes st
-    end;
+    total_passes := fixpoint st;
+    let fixed0 = st.n_cols_fixed and bounds0 = st.n_bounds in
+    probed := probe st;
+    probe_fixed := st.n_cols_fixed - fixed0;
+    if st.n_cols_fixed > fixed0 || st.n_bounds > bounds0 then
+      total_passes := !total_passes + fixpoint st;
     build_reduced st model
   in
   let mk_stats () =

@@ -40,7 +40,6 @@ type result =
       (** the reductions proved the model infeasible outright *)
 
 (** [presolve model] runs the reductions and builds the reduced model.
-    [max_passes] bounds fixpoint iterations (default 20); [probe_limit]
-    bounds the number of binaries probed (default 512, [0] disables
-    probing). The input model is not modified. *)
-val presolve : ?max_passes:int -> ?probe_limit:int -> Model.t -> result
+    Each propagation phase runs at most 20 fixpoint passes, and at most
+    512 binaries are probed. The input model is not modified. *)
+val presolve : Model.t -> result

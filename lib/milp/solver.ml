@@ -116,9 +116,9 @@ let certify_solution ~options model sol =
       { sol with status; certificate = Some cert }
     end
 
-let solve ?(certify = true) ?(presolve = true) ?(options = default_options) model =
+let solve ?(presolve = true) ?(options = default_options) model =
   let t0 = Unix.gettimeofday () in
-  let finish sol = if certify then certify_solution ~options model sol else sol in
+  let finish = certify_solution ~options model in
   if not presolve then finish (solve_direct ~options ~t0 model)
   else
     match Presolve.presolve model with

@@ -47,25 +47,25 @@ type solution = {
           fixings filled with [At_lower]); empty for MILPs, non-optimal
           outcomes, and the dense engine *)
   certificate : Certify.t option;
-      (** the certification verdict and residuals; [None] when
-          certification is off or the outcome carries no point *)
+      (** the certification verdict and residuals; [None] when the
+          outcome carries no point *)
   nodes : int;
   elapsed : float;
 }
 
-(** [solve model] solves and — unless [?certify] is [false] —
-    re-validates the answer against the original model with
-    {!Certify.check}. A failed certificate never raises: a bad claimed
-    point degrades the status to [Unknown], a bad bound / open gap /
-    failed dual certificate degrades [Optimal] to [Feasible], and the
-    diagnostics land in [certificate], the [milp.solver]/[milp.certify]
-    log sources and the [certify-failures] counter.
+(** [solve model] solves and re-validates every answer that carries a
+    point against the original model with {!Certify.check}. A failed
+    certificate never raises: a bad claimed point degrades the status
+    to [Unknown], a bad bound / open gap / failed dual certificate
+    degrades [Optimal] to [Feasible], and the diagnostics land in
+    [certificate], the [milp.solver]/[milp.certify] log sources and the
+    [certify-failures] counter.
 
     [?presolve] (default [true]) runs {!Presolve} first; the solution is
     postsolved back to the original indexing, so this is externally
     invisible apart from speed. A solve issued from inside a pool task
     never re-enters [options.pool] (its rounds run inline). *)
-val solve : ?certify:bool -> ?presolve:bool -> ?options:options -> Model.t -> solution
+val solve : ?presolve:bool -> ?options:options -> Model.t -> solution
 
 (** [value sol v] reads variable [v] from the solution point. *)
 val value : solution -> Model.var -> float

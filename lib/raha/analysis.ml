@@ -6,7 +6,6 @@ type options = {
   log : bool;
   seed_enumeration : int option;
   domains : int;
-  presolve : bool;
   dense_simplex : bool;
   cuts : Milp.Cuts.options;
   sx_iters : int option;
@@ -26,7 +25,6 @@ let default_options =
     log = false;
     seed_enumeration = None;
     domains = 1;
-    presolve = true;
     dense_simplex = false;
     cuts = Milp.Cuts.default;
     sx_iters = None;
@@ -204,9 +202,7 @@ let analyze_with ?screen ?(extra_cuts = []) ?pool ~options topo paths envelope =
       rins_freq = options.rins_freq;
     }
   in
-  let sol =
-    Milp.Solver.solve ~presolve:options.presolve ~options:solver_options built.Bilevel.model
-  in
+  let sol = Milp.Solver.solve ~options:solver_options built.Bilevel.model in
   let have_point = Milp.Solver.has_point sol in
   let scenario =
     if have_point then Failure_model.scenario_of_solution built.Bilevel.fm sol

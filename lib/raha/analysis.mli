@@ -25,11 +25,6 @@ type options = {
           screening sweep and the branch-and-bound subtree rounds
           ({!Milp.Branch_bound.options.pool}). [1] (the default) is the
           exact sequential path; results are identical for any value. *)
-  presolve : bool;
-      (** run the {!Milp.Presolve} reductions (big-M tightening, probing
-          on the failure binaries, …) before branch-and-bound
-          ([Milp.Solver.solve ?presolve]); default [true]; the
-          [presolve] bench arm turns it off. *)
   dense_simplex : bool;
       (** solve LP relaxations with the legacy dense tableau instead of
           the revised simplex (no sparse factorization, no dual-simplex
@@ -51,8 +46,7 @@ type options = {
   bb_width : int;
       (** frontier width at which branch-and-bound switches to parallel
           subtree rounds ({!Milp.Branch_bound.options.par_width}); default 32.
-          [<= 0] restores the pure sequential search. Results are
-          bit-identical for any value — this only moves the
+          Results are bit-identical for any value — this only moves the
           sequential/parallel crossover. *)
   bb_grain : int;
       (** per-subtree node budget within one parallel round

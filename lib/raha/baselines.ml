@@ -5,21 +5,18 @@ type enumeration = {
   elapsed : float;
 }
 
-let enumerate_failures ?(objective = Te.Formulation.Total_flow) ?pool
-    ?(batch = true) ~k topo paths demand =
+let enumerate_failures ?(objective = Te.Formulation.Total_flow) ?pool ~k topo paths
+    demand =
   let t0 = Unix.gettimeofday () in
   let scenarios = Array.of_list (Failure.Enumerate.up_to_k topo ~k) in
-  (* One engine for the whole sweep: the healthy LP is solved exactly
-     once (the pre-batch implementation re-solved it inside every
-     [Simulate.degradation] call) and, on the batch path, so are the
-     formulation, CSC structure and symbolic factorization. *)
+  (* One engine for the whole sweep: the formulation, CSC structure,
+     symbolic factorization and healthy LP are built and solved once. *)
   let eng = Te.Simulate.prepare ~objective topo paths demand in
-  let rebuild = not batch in
   let eval s =
     match eng with
     | None -> neg_infinity (* healthy network cannot route the demand *)
     | Some eng -> (
-      match Te.Simulate.degradation_prepared ~rebuild eng s with
+      match Te.Simulate.degradation_prepared eng s with
       | Some d -> d
       | None -> neg_infinity (* infeasible routing (disconnected MLU pair) *))
   in

@@ -27,15 +27,12 @@ type enumeration = {
 
     Scenarios go through the batched engine ({!Te.Simulate.prepare}):
     one prepare, one healthy solve, rhs overlays warm-started from the
-    healthy basis. [batch = false] rebuilds the per-scenario structure
-    instead (the batch ablation's off arm); results are bit-identical
-    either way.
+    healthy basis.
     @raise Invalid_argument when the scenario count explodes (see
     {!Failure.Enumerate.up_to_k}). *)
 val enumerate_failures :
   ?objective:Te.Formulation.objective ->
   ?pool:Parallel.Pool.t ->
-  ?batch:bool ->
   k:int ->
   Wan.Topology.t ->
   Netpath.Path_set.t ->

@@ -264,79 +264,48 @@ let now_answer t ~down ~deg ~prob ~cert ~counters =
     @ freshness ~provenance:"overlay" ~events_at t
     @ [ ("counters", counters) ])
 
-let query_now t ~down =
-  let scope = Milp.Lp_stats.scope_enter () in
-  let topo = State.current_topology t.state in
-  let down =
-    match down with Some d -> d | None -> State.live_down t.state
-  in
-  let result =
-    match engine_for t with
-    | None -> Error "healthy network cannot route the screening demand"
-    | Some eng -> (
-      match Failure.Scenario.of_links topo down with
-      | exception Invalid_argument m -> Error m
-      | scenario ->
-        Ok
-          ( Te.Simulate.degradation_prepared eng scenario,
-            Failure.Scenario.prob topo scenario ))
-  in
-  let report = Milp.Lp_stats.scope_exit scope in
-  match result with
-  | Error m -> err m
-  | Ok (deg, prob) ->
-    now_answer t ~down ~deg ~prob
-      ~cert:(cert_of_counters report.Milp.Lp_stats.scope_counters)
-      ~counters:(counters_json report)
-
 (* Concurrent overlay evaluation: the engine is immutable and overlay
    solves are pure, so a batch of "now" queries fans out on the
-   parallel pool. The order-preserving map keeps the answer sequence
-   bit-identical whatever the domain count, and one counter scope
-   around the batch sees every overlay (the pool credits worker-domain
-   work back to this domain). Per-query counter attribution is
-   impossible under work stealing, so the batch shares one
-   counters/cert verdict — a failure of any overlay audit taints the
-   whole batch. *)
+   parallel pool (a single query runs inline). The order-preserving map
+   keeps the answer sequence bit-identical whatever the domain count,
+   and one counter scope around the batch — engine (re)build included —
+   sees every overlay (the pool credits worker-domain work back to this
+   domain). Per-query counter attribution is impossible under work
+   stealing, so the batch shares one counters/cert verdict — a failure
+   of any overlay audit taints the whole batch. *)
 let now_many t downs =
+  let scope = Milp.Lp_stats.scope_enter () in
   let topo = State.current_topology t.state in
-  match engine_for t with
-  | None ->
-    Array.map
-      (fun _ -> err "healthy network cannot route the screening demand")
-      downs
-  | Some eng ->
-    let live = State.live_down t.state in
-    let items =
-      Array.map
-        (fun d ->
-          let down = match d with Some d -> d | None -> live in
-          match Failure.Scenario.of_links topo down with
-          | scenario -> Ok (down, scenario)
-          | exception Invalid_argument m -> Error m)
-        downs
-    in
-    let domains = max 1 t.cfg.options.Raha.Analysis.domains in
-    let evaluate = function
-      | Error m -> Error m
-      | Ok (down, scenario) ->
-        Ok
-          ( down,
-            Te.Simulate.degradation_prepared eng scenario,
-            Failure.Scenario.prob topo scenario )
-    in
-    let scope = Milp.Lp_stats.scope_enter () in
-    let results =
-      Parallel.Pool.with_pool ~domains (fun pool -> Parallel.Pool.map_array pool evaluate items)
-    in
-    let report = Milp.Lp_stats.scope_exit scope in
-    let cert = cert_of_counters report.Milp.Lp_stats.scope_counters in
-    let counters = counters_json report in
-    Array.map
-      (function
-        | Error m -> err m
-        | Ok (down, deg, prob) -> now_answer t ~down ~deg ~prob ~cert ~counters)
-      results
+  let results =
+    match engine_for t with
+    | None ->
+      Array.map (fun _ -> Error "healthy network cannot route the screening demand") downs
+    | Some eng ->
+      let live = State.live_down t.state in
+      let evaluate d =
+        let down = match d with Some d -> d | None -> live in
+        match Failure.Scenario.of_links topo down with
+        | exception Invalid_argument m -> Error m
+        | scenario ->
+          Ok
+            ( down,
+              Te.Simulate.degradation_prepared eng scenario,
+              Failure.Scenario.prob topo scenario )
+      in
+      let domains = max 1 t.cfg.options.Raha.Analysis.domains in
+      if domains = 1 || Array.length downs <= 1 then Array.map evaluate downs
+      else
+        Parallel.Pool.with_pool ~domains (fun pool ->
+            Parallel.Pool.map_array pool evaluate downs)
+  in
+  let report = Milp.Lp_stats.scope_exit scope in
+  let cert = cert_of_counters report.Milp.Lp_stats.scope_counters in
+  let counters = counters_json report in
+  Array.map
+    (function
+      | Error m -> err m
+      | Ok (down, deg, prob) -> now_answer t ~down ~deg ~prob ~cert ~counters)
+    results
 
 (* ------------------------------------------------------------------ *)
 (* Push alerting                                                       *)
@@ -487,7 +456,7 @@ let handle t = function
     try query_worst t ~budget ~max_nodes
     with e -> err (Printf.sprintf "solve failed: %s" (Printexc.to_string e)))
   | Event.Query (Event.Now { down }) -> (
-    try query_now t ~down
+    try (now_many t [| down |]).(0)
     with e -> err (Printf.sprintf "overlay failed: %s" (Printexc.to_string e)))
   | Event.Query Event.Status -> query_status t
   | Event.Shutdown -> ok [ ("bye", Json.Bool true) ]

@@ -48,8 +48,9 @@ val handle : t -> Event.request -> Json.t
 (** [now_many t downs] answers a batch of "now" overlay queries
     concurrently on the {!Parallel.Pool} ([options.domains] wide):
     element [i] is the answer for overlay scenario [downs.(i)] ([None]
-    = the live-down set). Bit-identical to handling them one by one
-    {e except} for the volatile fields: counters (and hence the cert
+    = the live-down set). {!handle} answers a [Now] query as a
+    one-item batch, which runs inline. Bit-identical to handling them
+    one by one {e except} for the volatile fields: counters (and hence the cert
     verdict) are aggregated per batch, since work stealing cannot
     attribute worker counters per query — an overlay-audit failure
     anywhere taints the whole batch's cert, conservatively. *)

@@ -132,12 +132,19 @@ let of_string s =
             go ()
           | 'u' ->
             if !pos + 4 > n then fail "bad \\u escape";
-            let hex = String.sub s !pos 4 in
-            pos := !pos + 4;
-            let code =
-              try int_of_string ("0x" ^ hex)
-              with _ -> fail "bad \\u escape"
+            let digit c =
+              match c with
+              | '0' .. '9' -> Char.code c - Char.code '0'
+              | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
+              | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
+              | _ -> fail "bad \\u escape"
             in
+            let code = ref 0 in
+            for i = !pos to !pos + 3 do
+              code := (!code lsl 4) lor digit s.[i]
+            done;
+            pos := !pos + 4;
+            let code = !code in
             (* keep it simple: BMP code points via a tiny UTF-8 encoder
                (the protocol itself is ASCII) *)
             if code < 0x80 then Buffer.add_char b (Char.chr code)

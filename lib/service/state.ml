@@ -63,7 +63,7 @@ let flat t ~lag ~link =
 let ( let* ) = Result.bind
 
 let check_time t at =
-  if Float.is_nan at then Error "event time is nan"
+  if not (Float.is_finite at) then Error (Printf.sprintf "event time is %g" at)
   else if at < t.clock then
     Error
       (Printf.sprintf "time regression: event at %g, clock at %g" at t.clock)

@@ -21,13 +21,11 @@ let objective_value t xs =
   Array.iteri (fun i c -> acc := !acc +. (c.obj *. xs.(i))) t.cols;
   !acc
 
-let resolve_rhs ?eval rhs =
-  match (rhs, eval) with
-  | Const c, _ -> c
-  | Outer e, Some f -> f e
-  | Outer _, None -> invalid_arg "Lp_spec: Outer rhs needs an evaluator"
+let const_rhs = function
+  | Const c -> c
+  | Outer _ -> invalid_arg "Lp_spec.to_model: Outer rhs in a standalone LP"
 
-let to_model ?eval t =
+let to_model t =
   let m = Milp.Model.create ~name:"lp_spec" () in
   let vars =
     Array.map (fun c -> Milp.Model.continuous m c.cname) t.cols
@@ -39,7 +37,7 @@ let to_model ?eval t =
           (List.map (fun (ci, coef) -> (coef, vars.(ci).Milp.Model.vid)) r.terms)
       in
       let rel = match r.rel with Le -> Milp.Model.Le | Eq -> Milp.Model.Eq in
-      Milp.Model.add_cons m ~name:r.rname lhs rel (resolve_rhs ?eval r.rhs))
+      Milp.Model.add_cons m ~name:r.rname lhs rel (const_rhs r.rhs))
     t.rows;
   let obj =
     Milp.Linexpr.of_terms
@@ -49,8 +47,8 @@ let to_model ?eval t =
   Milp.Model.set_objective m sense obj;
   (m, vars)
 
-let solve ?eval t =
-  let m, _vars = to_model ?eval t in
+let solve t =
+  let m, _vars = to_model t in
   match Milp.Simplex.solve m with
   | Milp.Simplex.Optimal { obj; values } ->
     `Optimal (obj, Array.sub values 0 (Array.length t.cols))

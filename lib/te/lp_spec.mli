@@ -53,15 +53,10 @@ type t = {
 (** [objective_value t xs] evaluates the objective at a column valuation. *)
 val objective_value : t -> float array -> float
 
-(** [to_model ?eval t] builds a standalone {!Milp.Model} (continuous
-    columns). [eval] resolves [Outer] right-hand sides to constants;
-    omitting it raises on [Outer] rows. Returns the model and the column
-    variables. *)
-val to_model :
-  ?eval:(Milp.Linexpr.t -> float) -> t -> Milp.Model.t * Milp.Model.var array
+(** [to_model t] builds a standalone {!Milp.Model} (continuous
+    columns). Returns the model and the column variables.
+    @raise Invalid_argument on an [Outer] right-hand side. *)
+val to_model : t -> Milp.Model.t * Milp.Model.var array
 
-(** [solve ?eval t] solves the standalone LP. *)
-val solve :
-  ?eval:(Milp.Linexpr.t -> float) ->
-  t ->
-  [ `Optimal of float * float array | `Infeasible | `Unbounded ]
+(** [solve t] solves the standalone LP. *)
+val solve : t -> [ `Optimal of float * float array | `Infeasible | `Unbounded ]

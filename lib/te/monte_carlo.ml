@@ -22,51 +22,47 @@ let sample_scenario rng topo =
 
 (* Samples are drawn in fixed blocks of [rng_block], each from its own
    RNG seeded with [| seed; block |]. The block layout never depends on
-   the pool's width (its scheduling chunks are independent of it), so
-   a run is bit-identical with or without a [~pool] given the same
-   [~seed] — the determinism contract DESIGN.md documents. *)
+   the pool's width, so a run is bit-identical with or without a
+   [~pool] given the same [~seed] — the determinism contract DESIGN.md
+   documents. *)
 let rng_block = 64
 
-let sample_degradations ?(objective = Formulation.Total_flow) ?pool
-    ?(batch = true) ?(batch_size = rng_block) ~seed ~samples topo paths demand =
+let sample_degradations ?(objective = Formulation.Total_flow) ?pool ~seed ~samples
+    topo paths demand =
   if samples <= 0 then invalid_arg "Monte_carlo.sample_degradations: samples <= 0";
-  if batch_size <= 0 then
-    invalid_arg "Monte_carlo.sample_degradations: batch_size <= 0";
   let eng =
     match Simulate.prepare ~objective topo paths demand with
     | Some e -> e
     | None -> invalid_arg "Monte_carlo: healthy network cannot route the demand"
   in
   let healthy = Simulate.engine_healthy eng in
-  (* phase 1: draw every scenario up front, in the fixed block layout —
-     the draws are exactly the ones the pre-batch implementation made *)
+  (* phase 1: draw every scenario up front, in the fixed block layout *)
+  let n_blocks = (samples + rng_block - 1) / rng_block in
   let scenarios = Array.make samples Failure.Scenario.empty in
-  for b = 0 to ((samples + rng_block - 1) / rng_block) - 1 do
+  for b = 0 to n_blocks - 1 do
     let rng = Random.State.make [| seed; b |] in
     let hi = min samples ((b + 1) * rng_block) in
     for i = b * rng_block to hi - 1 do
       scenarios.(i) <- sample_scenario rng topo
     done
   done;
-  (* phase 2: solve in chunks of [batch_size]. Every scenario
-     warm-starts from the same shared healthy basis (never chained), so
-     the values are independent of batch_size, pool width and
-     scheduling; batch_size only sets the work-chunk granularity. *)
+  (* phase 2: solve block by block. Every scenario warm-starts from the
+     same shared healthy basis (never chained), so the values are
+     independent of pool width and scheduling. *)
   let degradations = Array.make samples 0. in
-  let rebuild = not batch in
-  let solve_chunk c =
-    let hi = min samples ((c + 1) * batch_size) in
-    for i = c * batch_size to hi - 1 do
+  let solve_block b =
+    let hi = min samples ((b + 1) * rng_block) in
+    for i = b * rng_block to hi - 1 do
       degradations.(i) <-
-        (match Simulate.degradation_prepared ~rebuild eng scenarios.(i) with
+        (match Simulate.degradation_prepared eng scenarios.(i) with
         | Some d -> d
         | None -> healthy.Simulate.performance)
     done
   in
-  let chunks = Array.init ((samples + batch_size - 1) / batch_size) Fun.id in
+  let blocks = Array.init n_blocks Fun.id in
   (match pool with
-  | Some pool -> Parallel.Pool.iter_array pool solve_chunk chunks
-  | None -> Array.iter solve_chunk chunks);
+  | Some pool -> Parallel.Pool.iter_array pool solve_block blocks
+  | None -> Array.iter solve_block blocks);
   (degradations, scenarios)
 
 let summarize degradations scenarios =

@@ -32,17 +32,12 @@ type summary = {
 
     Scenarios are solved through the batched engine ({!Simulate.prepare}):
     one shared prepared structure, rhs overlays, warm dual solves from
-    the healthy basis. [batch = false] (the batch ablation's off arm) rebuilds
-    formulation + prepared structure per scenario instead — bit-identical
-    results, full per-scenario cost. [batch_size] (default 64) only sets
-    the chunk granularity fanned over the pool; every scenario warm-starts
-    from the same healthy basis, never from a neighbour, so results are
-    independent of [batch], [batch_size], [pool] and scheduling. *)
+    the healthy basis. Each block is one unit of pool work; every
+    scenario warm-starts from the same healthy basis, never from a
+    neighbour, so results are independent of [pool] and scheduling. *)
 val sample_degradations :
   ?objective:Formulation.objective ->
   ?pool:Parallel.Pool.t ->
-  ?batch:bool ->
-  ?batch_size:int ->
   seed:int ->
   samples:int ->
   Wan.Topology.t ->

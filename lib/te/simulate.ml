@@ -119,21 +119,12 @@ let healthy ?objective topo paths demand =
    capacities, blocked paths' extension rows drop to 0. The matrix
    never changes, so one Milp.Batch prepare (CSC + symbolic
    factorization) serves every scenario, warm-started from the healthy
-   network's optimal basis.
-
-   The [rebuild] escape hatch (the batch ablation's off arm) solves the same scenario LP
-   by rebuilding formulation, model and prepared structure from
-   scratch — the per-scenario-prepare path. Both paths hand the
-   simplex bit-identical inputs (structure, bounds, rhs, warm basis),
-   so their results are bit-identical by construction; the differential
-   test suite holds them to that. *)
+   network's optimal basis. *)
 
 type engine = {
   eng_topo : Wan.Topology.t;
   eng_paths : Netpath.Path_set.t;
-  eng_demand : Traffic.Demand.t;
   eng_objective : Formulation.objective;
-  eng_d_max : float;
   eng_n_cols : int;
   eng_index : Formulation.index;
   eng_batch : Milp.Batch.t;
@@ -182,9 +173,8 @@ let base_build ~objective topo paths demand =
   let lag_cap e = Formulation.C (Wan.Lag.capacity (Wan.Topology.lag topo e)) in
   let demand_f ~src ~dst = Formulation.C (Traffic.Demand.volume demand ~src ~dst) in
   let path_cap ~pair:_ ~path:_ = Some (Formulation.C d_max) in
-  ( d_max,
-    Formulation.build ~objective ~topo ~paths ~lag_cap ~demand:demand_f ~path_cap
-      ~d_max () )
+  Formulation.build ~objective ~topo ~paths ~lag_cap ~demand:demand_f ~path_cap
+    ~d_max ()
 
 let finish_result eng = function
   | Milp.Simplex.Optimal { obj = _; values } ->
@@ -201,16 +191,14 @@ let finish_result eng = function
     failwith "Simulate.route_prepared: simplex iteration limit"
 
 let prepare ?(objective = Formulation.Total_flow) topo paths demand =
-  let d_max, (spec, index) = base_build ~objective topo paths demand in
+  let spec, index = base_build ~objective topo paths demand in
   let model, _vars = Lp_spec.to_model spec in
   let batch = Milp.Batch.prepare model in
   let eng0 =
     {
       eng_topo = topo;
       eng_paths = paths;
-      eng_demand = demand;
       eng_objective = objective;
-      eng_d_max = d_max;
       eng_n_cols = Array.length spec.Lp_spec.cols;
       eng_index = index;
       eng_batch = batch;
@@ -231,67 +219,24 @@ let prepare ?(objective = Formulation.Total_flow) topo paths demand =
 
 let engine_healthy eng = eng.eng_healthy
 
-(* Per-scenario-prepare comparator: bake the same scenario rhs into a
-   from-scratch build (same row shape as the base: every extension row
-   present, blocked ones at 0) and pay model + CSC + factorization per
-   scenario. *)
-let rebuild_solve eng scenario =
-  let topo = eng.eng_topo and objective = eng.eng_objective in
-  let mlu = is_mlu objective in
-  let lag_cap e =
-    if mlu then Formulation.C (Wan.Lag.capacity (Wan.Topology.lag topo e))
-    else Formulation.C (Failure.Scenario.lag_capacity topo scenario e)
+let route_prepared eng scenario =
+  let patch =
+    scenario_patch ~objective:eng.eng_objective eng.eng_topo eng.eng_paths
+      eng.eng_index scenario
   in
-  let avail =
-    Array.of_list (List.map (fun p -> availability topo p scenario) eng.eng_paths)
-  in
-  let down =
-    Array.of_list
-      (List.map
-         (fun (p : Netpath.Path_set.pair) ->
-           Array.of_list
-             (List.map
-                (fun path ->
-                  Failure.Scenario.path_down topo scenario (Netpath.Path.lag_list path))
-                (Netpath.Path_set.all_paths p)))
-         eng.eng_paths)
-  in
-  let path_cap ~pair ~path =
-    let blocked = (not avail.(pair).(path)) || (mlu && down.(pair).(path)) in
-    Some (Formulation.C (if blocked then 0. else eng.eng_d_max))
-  in
-  let demand_f ~src ~dst =
-    Formulation.C (Traffic.Demand.volume eng.eng_demand ~src ~dst)
-  in
-  let spec, _index =
-    Formulation.build ~objective ~topo ~paths:eng.eng_paths ~lag_cap
-      ~demand:demand_f ~path_cap ~d_max:eng.eng_d_max ()
-  in
-  let model, _vars = Lp_spec.to_model spec in
-  let prep = Milp.Simplex.prepare model in
-  fst (Milp.Simplex.solve_prepared ?warm:eng.eng_basis prep)
+  let out = Milp.Batch.solve ?warm:eng.eng_basis ~patch eng.eng_batch in
+  (* independent overlay audit (Milp.Batch.check): the verdict lands in
+     the certify counters, which the bench prints and CI gates on —
+     a failed audit must never pass silently as a solved scenario *)
+  (match out.Milp.Batch.result with
+  | Milp.Simplex.Optimal { obj; values } ->
+    (match Milp.Batch.check ~patch ~obj ~values eng.eng_batch with
+    | Ok () | Error _ -> ())
+  | _ -> ());
+  finish_result eng out.Milp.Batch.result
 
-let route_prepared ?(rebuild = false) eng scenario =
-  if rebuild then finish_result eng (rebuild_solve eng scenario)
-  else begin
-    let patch =
-      scenario_patch ~objective:eng.eng_objective eng.eng_topo eng.eng_paths
-        eng.eng_index scenario
-    in
-    let out = Milp.Batch.solve ?warm:eng.eng_basis ~patch eng.eng_batch in
-    (* independent overlay audit (Milp.Batch.check): the verdict lands in
-       the certify counters, which the bench prints and CI gates on —
-       a failed audit must never pass silently as a solved scenario *)
-    (match out.Milp.Batch.result with
-    | Milp.Simplex.Optimal { obj; values } ->
-      (match Milp.Batch.check ~patch ~obj ~values eng.eng_batch with
-      | Ok () | Error _ -> ())
-    | _ -> ());
-    finish_result eng out.Milp.Batch.result
-  end
-
-let degradation_prepared ?rebuild eng scenario =
-  match route_prepared ?rebuild eng scenario with
+let degradation_prepared eng scenario =
+  match route_prepared eng scenario with
   | None -> None
   | Some f -> (
     let h = eng.eng_healthy.performance in

@@ -97,19 +97,13 @@ val prepare :
     optimal objective value is the same up to solver tolerance. *)
 val engine_healthy : engine -> result
 
-(** [route_prepared ~rebuild eng scenario] routes the engine's demand
-    under [scenario]. [rebuild = false] (default) is the batched path:
-    rhs overlay + warm dual solve on the shared prepared structure.
-    [rebuild = true] is the per-scenario-prepare comparator (the
-    batch ablation's off arm): formulation, model, CSC structure and
-    factorization are rebuilt from scratch for this scenario and solved
-    with the same warm basis — bit-identical solver inputs, hence
-    bit-identical results, while paying the full structural cost the
-    batch path amortizes. *)
-val route_prepared : ?rebuild:bool -> engine -> Failure.Scenario.t -> result option
+(** [route_prepared eng scenario] routes the engine's demand under
+    [scenario]: an rhs overlay on the shared prepared structure, solved
+    by the dual simplex warm-started from the healthy basis and audited
+    by {!Milp.Batch.check}. *)
+val route_prepared : engine -> Failure.Scenario.t -> result option
 
 (** {!degradation} against the engine's healthy baseline: healthy minus
     failed performance (Total_flow / Max_min), failed minus healthy MLU
     (Mlu). [None] when the scenario LP is infeasible. *)
-val degradation_prepared :
-  ?rebuild:bool -> engine -> Failure.Scenario.t -> float option
+val degradation_prepared : engine -> Failure.Scenario.t -> float option

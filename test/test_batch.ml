@@ -1,13 +1,12 @@
 (* Differential tests for the batched scenario engine (DESIGN.md §12).
 
-   The engine's contract is bit-identity: the overlay path (one
-   prepare, rhs patches, warm dual solves from the healthy basis) and
-   the per-scenario-prepare path hand the simplex bit-identical inputs,
-   so Monte Carlo and enumeration sweeps must return the very same
-   float bits for every batch size, domain count, and batch on/off —
-   that is what makes batch off a pure performance ablation. The
-   warm=cold property is weaker by design (alternate optima can differ
-   at the last bit between warm dual and cold primal runs) and is
+   Two contracts. Determinism: every scenario warm-starts from the same
+   shared healthy basis, so Monte Carlo and enumeration sweeps return
+   the very same float bits on a pool of any width as with no pool at
+   all. Correctness: every overlay answer agrees with the independent
+   Te.Simulate.degradation oracle (its own formulation, cold solve) to
+   solver tolerance — the LPs differ structurally, so vertices and last
+   bits may differ, objective values may not. The warm=cold property is
    checked at objective/status level over the random-LP corpus. *)
 
 let bits = Array.map Int64.bits_of_float
@@ -31,25 +30,42 @@ let wan () =
 
 let scenario_eq = Failure.Scenario.equal
 
-(* --- Monte Carlo: batch == sequential, for every chunking ------------- *)
+let pooled_domains = [ 2; 4 ]
+
+(* [engine] against the oracle for [scenario], within 1e-6 relative;
+   [infeasible] is the value the sweep reports when the oracle finds no
+   routing *)
+let check_oracle ~objective ~what ~infeasible (topo, paths, demand) scenario engine =
+  match Te.Simulate.degradation ~objective topo paths demand scenario with
+  | Some d ->
+    if Float.abs (d -. engine) > 1e-6 *. (1. +. Float.abs d) then
+      Alcotest.failf "%s: oracle %.12g vs engine %.12g" what d engine
+  | None ->
+    if Int64.bits_of_float engine <> Int64.bits_of_float infeasible then
+      Alcotest.failf "%s: oracle infeasible, engine %.12g" what engine
+
+(* --- Monte Carlo: pooled == no pool, and == the oracle ----------------- *)
 
 let test_mc_differential objective () =
-  let topo, paths, demand = wan () in
-  let samples = 96 in
-  (* reference arm: per-scenario prepares, sequential *)
-  let ref_degs, ref_scens =
-    Te.Monte_carlo.sample_degradations ~objective ~batch:false ~seed:7 ~samples topo
-      paths demand
-  in
+  let ((topo, paths, demand) as net) = wan () in
+  let samples = 512 in
   let wh0 = Milp.Lp_stats.read Milp.Lp_stats.batch_warm_hits () in
+  let ref_degs, ref_scens =
+    Te.Monte_carlo.sample_degradations ~objective ~seed:7 ~samples topo paths demand
+  in
+  (* the warm path must actually have been taken, not cold-fallen-back
+     (the counter is domain-local, so only the no-pool run counts here) *)
+  Alcotest.(check bool)
+    "nonzero batched warm hits" true
+    (Milp.Lp_stats.read Milp.Lp_stats.batch_warm_hits () > wh0);
   List.iter
-    (fun (batch_size, domains) ->
+    (fun domains ->
       let degs, scens =
         on_domains domains (fun pool ->
-            Te.Monte_carlo.sample_degradations ~objective ?pool ~batch:true ~batch_size
-              ~seed:7 ~samples topo paths demand)
+            Te.Monte_carlo.sample_degradations ~objective ?pool ~seed:7 ~samples topo
+              paths demand)
       in
-      let what = Printf.sprintf "batch_size=%d domains=%d" batch_size domains in
+      let what = Printf.sprintf "domains=%d" domains in
       Alcotest.(check bool)
         (what ^ ": scenarios identical")
         true
@@ -57,29 +73,39 @@ let test_mc_differential objective () =
       Alcotest.(check (array int64))
         (what ^ ": degradations bit-identical")
         (bits ref_degs) (bits degs))
-    [ (1, 1); (7, 1); (64, 1); (1, 4); (7, 4); (64, 4) ];
-  (* the batched arms must actually have warm-hit, not cold-fallen-back
-     (counter is domain-local, so only the domains=1 runs count here) *)
+    pooled_domains;
+  let healthy =
+    match Te.Simulate.prepare ~objective topo paths demand with
+    | Some eng -> (Te.Simulate.engine_healthy eng).Te.Simulate.performance
+    | None -> Alcotest.fail "healthy network must route the demand"
+  in
+  Array.iteri
+    (fun i s ->
+      check_oracle ~objective ~what:(Printf.sprintf "sample %d" i) ~infeasible:healthy net
+        s ref_degs.(i))
+    ref_scens;
+  (* the oracle must have seen more than whole-LAG failures *)
   Alcotest.(check bool)
-    "nonzero batched warm hits" true
-    (Milp.Lp_stats.read Milp.Lp_stats.batch_warm_hits () > wh0)
+    "some sample fails several links" true
+    (Array.exists (fun s -> Failure.Scenario.num_failed s >= 2) ref_scens)
 
-(* --- enumeration: worst case identical across arms -------------------- *)
+(* --- enumeration: pooled == no pool, worst case == the oracle ---------- *)
 
 let test_enum_differential () =
-  let topo, paths, demand = wan () in
+  let ((topo, paths, demand) as net) = wan () in
   List.iter
     (fun k ->
-      let r0 =
-        Raha.Baselines.enumerate_failures ~batch:false ~k topo paths demand
-      in
+      let r0 = Raha.Baselines.enumerate_failures ~k topo paths demand in
+      check_oracle ~objective:Te.Formulation.Total_flow
+        ~what:(Printf.sprintf "k=%d worst" k) ~infeasible:neg_infinity net
+        r0.Raha.Baselines.worst_scenario r0.Raha.Baselines.worst;
       List.iter
-        (fun (batch, domains) ->
+        (fun domains ->
           let r =
             on_domains domains (fun pool ->
-                Raha.Baselines.enumerate_failures ?pool ~batch ~k topo paths demand)
+                Raha.Baselines.enumerate_failures ?pool ~k topo paths demand)
           in
-          let what = Printf.sprintf "k=%d batch=%b domains=%d" k batch domains in
+          let what = Printf.sprintf "k=%d domains=%d" k domains in
           Alcotest.(check int)
             (what ^ ": scenario count")
             r0.Raha.Baselines.scenarios_evaluated
@@ -93,16 +119,15 @@ let test_enum_differential () =
             true
             (scenario_eq r0.Raha.Baselines.worst_scenario
                r.Raha.Baselines.worst_scenario))
-        [ (true, 1); (true, 4); (false, 4) ])
+        pooled_domains)
     [ 1; 2 ]
 
 (* --- engine vs the independent Simulate.route path -------------------- *)
 
-(* The legacy per-scenario path builds a structurally different LP (no
+(* The per-scenario path builds a structurally different LP (no
    extension rows for open paths), so vertices — hence flows — may
-   differ; the optimal objective value must agree to solver tolerance.
-   This is the check that is independent of the engine's own
-   rebuild-arm code. *)
+   differ; the optimal objective value must agree to solver tolerance,
+   here over the empty scenario and every whole-LAG failure. *)
 let test_engine_vs_route objective () =
   let topo, paths, demand = wan () in
   let eng =

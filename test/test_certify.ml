@@ -162,12 +162,42 @@ let test_certificate_pass_lp () =
     "certify-checks counter advanced" true
     (Lp_stats.read Lp_stats.certify_checks () > checks0)
 
-let test_certificate_off () =
-  let sol = Solver.solve ~certify:false (lp_model ()) in
-  Alcotest.(check bool) "optimal" true (sol.Solver.status = Solver.Optimal);
-  Alcotest.(check bool)
-    "no certificate when disabled" true
-    (sol.Solver.certificate = None)
+(* Certification has no off switch: every answer that carries a point
+   comes back with a certificate, with or without presolve, while an
+   infeasible model carries neither point nor certificate. *)
+let test_certificate_always_issued () =
+  List.iter
+    (fun (what, model) ->
+      List.iter
+        (fun presolve ->
+          let sol = Solver.solve ~presolve (model ()) in
+          let label = Printf.sprintf "%s presolve=%b" what presolve in
+          Alcotest.(check bool)
+            (label ^ ": optimal") true
+            (sol.Solver.status = Solver.Optimal);
+          match sol.Solver.certificate with
+          | None -> Alcotest.failf "%s: no certificate issued" label
+          | Some c ->
+            Alcotest.(check bool) (label ^ ": certificate ok") true
+              c.Certify.ok)
+        [ true; false ])
+    [ ("lp", lp_model); ("milp", drop_model) ];
+  let m = Model.create ~name:"certify_infeasible" () in
+  let x = Model.continuous ~lb:0. ~ub:1. m "x" in
+  Model.add_cons m (Linexpr.var x.Model.vid) Model.Ge 2.;
+  Model.set_objective m Model.Maximize (Linexpr.var x.Model.vid);
+  List.iter
+    (fun presolve ->
+      let sol = Solver.solve ~presolve m in
+      Alcotest.(check bool)
+        (Printf.sprintf "infeasible presolve=%b: infeasible" presolve)
+        true
+        (sol.Solver.status = Solver.Infeasible);
+      Alcotest.(check bool)
+        (Printf.sprintf "infeasible presolve=%b: no certificate" presolve)
+        true
+        (sol.Solver.certificate = None))
+    [ true; false ]
 
 let test_certificate_bad_point () =
   let m = lp_model () in
@@ -281,7 +311,7 @@ let suite =
     ("iter-limit drop without incumbent", `Quick, test_iter_limit_no_incumbent);
     ("bound soundness under LP budgets", `Quick, test_bound_sound_under_limits);
     ("certificate passes on a solved LP", `Quick, test_certificate_pass_lp);
-    ("certification can be disabled", `Quick, test_certificate_off);
+    ("every answer with a point is certified", `Quick, test_certificate_always_issued);
     ("corrupted point is flagged", `Quick, test_certificate_bad_point);
     ("understated bound is flagged", `Quick, test_certificate_bad_bound);
     ("open gap contradicts optimality", `Quick, test_certificate_open_gap);

@@ -114,7 +114,6 @@ let test_options_reach_solver () =
     Alcotest.(check bool) (what ^ ": " ^ counter ^ " on by default") true (base counter > 0);
     Alcotest.(check int) (what ^ ": " ^ counter) 0 (c counter)
   in
-  drops "presolve off" "presolve-rows" (fun o -> { o with Raha.Analysis.presolve = false });
   drops "dense simplex" "warm-attempts" (fun o -> { o with Raha.Analysis.dense_simplex = true });
   drops "cuts off" "cuts-generated" (fun o -> { o with Raha.Analysis.cuts = Milp.Cuts.disabled });
   drops "fractional" "sb-probes" (fun o ->

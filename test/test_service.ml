@@ -438,6 +438,18 @@ let test_socket_roundtrip () =
       check_str "now certified" "ok" (get_str "cert" now);
       let bad = ask {|{"op":"query","q":"now","down":[[0,0],[0,0]]}|} in
       Alcotest.(check bool) "protocol error reported in-band" false (is_ok bad);
+      (* a non-finite timestamp is refused in-band and leaves the clock
+         finite, so later events still ingest *)
+      List.iter
+        (fun line -> Alcotest.(check bool) ("refused " ^ line) false (is_ok (ask line)))
+        [
+          {|{"op":"event","ev":"up","lag":3,"link":0,"t":1e400}|};
+          {|{"op":"event","ev":"up","lag":3,"link":0,"t":"inf"}|};
+        ];
+      Alcotest.(check bool) "later event ok" true
+        (is_ok (ask {|{"op":"event","ev":"up","lag":3,"link":0,"t":20}|}));
+      Alcotest.(check (option (float 0.))) "clock follows the later event" (Some 20.)
+        (J.to_float (J.member "clock" (ask {|{"op":"query","q":"status"}|})));
       let bye = ask {|{"op":"shutdown"}|} in
       Alcotest.(check bool) "bye" true (J.to_bool (J.member "bye" bye) = Some true);
       Thread.join server;
@@ -473,9 +485,12 @@ let test_json_edge_cases () =
       | Ok j -> Alcotest.fail (J.to_string j)
       | Error m -> Alcotest.fail (Printf.sprintf "%s: %s" wire m))
     cases;
-  (match J.of_string {|"\uZZZZ"|} with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "bad \\u escape accepted");
+  List.iter
+    (fun wire ->
+      match J.of_string wire with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.fail ("bad \\u escape accepted: " ^ wire))
+    [ {|"\uZZZZ"|}; {|"\u0_41"|} ];
   (* deeply nested objects and lists parse and round trip *)
   let depth = 500 in
   let rec deep n = if n = 0 then J.Int 7 else J.Obj [ ("k", J.List [ deep (n - 1) ]) ] in
