@@ -34,13 +34,15 @@ type t = {
   mutable lu : lu;
   mutable etas : eta array;
   mutable neta : int;
-  max_eta : int;
 }
 
 exception Singular of string
 
 let drop_tol = 1e-12
 let stab_tol = 1e-7
+
+(* Eta updates appended before [replace] refactorizes. *)
+let max_eta = 64
 
 (* One Markowitz-ordered elimination. Returns the factors plus any rows
    and basis positions left unpivoted (structural/numerical
@@ -89,37 +91,54 @@ let factorize a cols ~threshold =
   (try
      for _step = 0 to m - 1 do
        (* Markowitz pivot search: min (r-1)(c-1) among entries passing
-          the threshold test against their column's max magnitude. *)
+          the threshold test against their column's max magnitude. The
+          scan takes columns in index order and stops at the first
+          entry of cost 0. *)
        let best_cost = ref max_int
        and best_mag = ref 0.
        and best = ref None in
+       let consider k =
+         let live = active_rows k in
+         let colmax =
+           List.fold_left
+             (fun acc r -> Float.max acc (Float.abs (Hashtbl.find rows.(r) k)))
+             0. live
+         in
+         if colmax > drop_tol then
+           List.iter
+             (fun r ->
+               let v = Hashtbl.find rows.(r) k in
+               if Float.abs v >= threshold *. colmax then begin
+                 let cost = (rcount.(r) - 1) * (ccount.(k) - 1) in
+                 if cost < !best_cost || (cost = !best_cost && Float.abs v > !best_mag)
+                 then begin
+                   best_cost := cost;
+                   best_mag := Float.abs v;
+                   best := Some (r, k, v);
+                   if cost = 0 then raise Exit
+                 end
+               end)
+             live
+       in
        (try
+          (* The counts are exact, so an entry costs 0 only in a column
+             singleton or on a row singleton. Considering just those
+             columns, in index order, finds the pivot the full scan
+             would stop at; the full scan runs only when none has one.
+             A column's row list may hold stale rows, which only admits
+             extra columns to the first pass. *)
           for k = 0 to m - 1 do
-            if colact.(k) then begin
-              let live = active_rows k in
-              let colmax =
-                List.fold_left
-                  (fun acc r -> Float.max acc (Float.abs (Hashtbl.find rows.(r) k)))
-                  0. live
-              in
-              if colmax > drop_tol then
-                List.iter
-                  (fun r ->
-                    let v = Hashtbl.find rows.(r) k in
-                    if Float.abs v >= threshold *. colmax then begin
-                      let cost = (rcount.(r) - 1) * (ccount.(k) - 1) in
-                      if
-                        cost < !best_cost
-                        || (cost = !best_cost && Float.abs v > !best_mag)
-                      then begin
-                        best_cost := cost;
-                        best_mag := Float.abs v;
-                        best := Some (r, k, v);
-                        if cost = 0 then raise Exit
-                      end
-                    end)
-                  live
-            end
+            if
+              colact.(k)
+              && (ccount.(k) = 1
+                 || List.exists (fun r -> rowact.(r) && rcount.(r) = 1) colrows.(k))
+            then consider k
+          done;
+          best_cost := max_int;
+          best_mag := 0.;
+          best := None;
+          for k = 0 to m - 1 do
+            if colact.(k) then consider k
           done
         with Exit -> ());
        match !best with
@@ -283,7 +302,7 @@ let build_lu a cols =
 let create a bcols =
   let cols = Array.copy bcols in
   let lu = build_lu a cols in
-  { a; cols; lu; etas = [||]; neta = 0; max_eta = 64 }
+  { a; cols; lu; etas = [||]; neta = 0 }
 
 let bcols t = Array.copy t.cols
 
@@ -320,28 +339,30 @@ let refactorize t =
 
 (* A snapshot shares the immutable [lu] value (replaced wholesale on
    refactorization, never mutated in place; FTRAN/BTRAN allocate their
-   own scratch) plus a private copy of the — possibly repaired — basic
-   column selection. [of_snapshot] reinstates it in O(m) with zero
-   factorization work, and is domain-safe: every field it reads is
-   immutable. The snapshot remembers which matrix it factors; reuse
-   against any other Sparse.t is refused (the factors would be wrong),
-   so callers fall back to a fresh [create]. *)
-type snapshot = { sa : Sparse.t; scols : int array; slu : lu }
+   own scratch) and the live prefix of the eta file (eta records are
+   immutable), plus a private copy of the — possibly repaired — basic
+   column selection. Neither side factorizes: [of_snapshot] reinstates
+   in O(m + neta) and is domain-safe, since every field it reads is
+   immutable. It copies the eta array because [replace] appends to it
+   in place; a shared array would let one reinstated basis overwrite
+   another's etas. The snapshot remembers which matrix it factors;
+   reuse against any other Sparse.t is refused (the factors would be
+   wrong), so callers fall back to a fresh [create]. *)
+type snapshot = { sa : Sparse.t; scols : int array; slu : lu; setas : eta array }
 
 let snapshot t =
-  if t.neta > 0 then refactorize t;
-  { sa = t.a; scols = Array.copy t.cols; slu = t.lu }
+  { sa = t.a; scols = Array.copy t.cols; slu = t.lu; setas = Array.sub t.etas 0 t.neta }
 
 let of_snapshot a s =
   if a != s.sa then None
   else
     Some
-      { a; cols = Array.copy s.scols; lu = s.slu; etas = [||]; neta = 0;
-        max_eta = 64 }
+      { a; cols = Array.copy s.scols; lu = s.slu; etas = Array.copy s.setas;
+        neta = Array.length s.setas }
 
 let replace t ~r ~col ~w =
   t.cols.(r) <- col;
-  if Float.abs w.(r) < stab_tol || t.neta >= t.max_eta then begin
+  if Float.abs w.(r) < stab_tol || t.neta >= max_eta then begin
     refactorize t;
     true
   end

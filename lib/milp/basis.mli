@@ -47,18 +47,21 @@ val replace : t -> r:int -> col:int -> w:float array -> bool
 (** {1 Factorization snapshots}
 
     A snapshot freezes a basis's column selection together with its LU
-    factors; {!of_snapshot} reinstates them in O(m) without
+    factors and its eta file; {!of_snapshot} reinstates them without
     refactorizing. The batched scenario engine uses this to pay for one
-    symbolic+numeric factorization of the healthy-network basis and
-    reuse it across thousands of warm overlay solves. A snapshot is an
-    immutable value: sharing it between domains is safe, and reinstating
-    it yields bit-identical FTRAN/BTRAN results to a fresh {!create} of
-    the same columns (the factorization is deterministic). *)
+    factorization of the healthy-network basis and reuse it across
+    thousands of warm overlay solves; branch-and-bound snapshots the
+    basis after every node LP. A snapshot is an immutable value: sharing
+    it between domains is safe, and a reinstated basis yields
+    FTRAN/BTRAN results bit-identical to the snapshotted one (not to a
+    fresh {!create} of the same columns, which would drop the etas).
+    Reinstated bases own their eta files: {!replace} on one never
+    affects another. *)
 
 type snapshot
 
-(** [snapshot t] captures [t]'s current basis. Refactorizes first if
-    eta updates have accumulated, so the snapshot is always pure LU. *)
+(** [snapshot t] captures [t]'s current basis, eta updates included.
+    It performs no factorization and leaves [t] unchanged. *)
 val snapshot : t -> snapshot
 
 (** [of_snapshot a s] reinstates [s] against [a]. Returns [None] unless

@@ -441,8 +441,9 @@ let solve ?(options = default) model =
   in
   (* [keep_factor]: bases extracted here are shared across child nodes —
      and, in parallel rounds, across concurrently solved subtrees — so
-     publish the LU snapshot eagerly. Every warm start then reinstates
-     in O(m) and the factorization counter stays schedule-independent. *)
+     publish the snapshot eagerly. Taking it costs no factorization,
+     every warm start reinstates it without one, and the factorization
+     counter stays schedule-independent. *)
   let solve_lp ?warm prep ~lb ~ub =
     Simplex.solve_prepared ~engine:options.engine ?max_iters:options.sx_iters
       ?warm ~keep_factor:true ~lb ~ub prep

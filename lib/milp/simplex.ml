@@ -31,10 +31,11 @@ type basis = {
   bstat : vstat array;
   bbcols : int array;
   bfactor : Basis.snapshot option Atomic.t;
-      (* LU of bbcols, cached on first warm use so repeated warm starts
-         from the same basis (the batched scenario engine) skip the
-         refactorization. Deterministic: a racy publish from another
-         domain stores an identical value. *)
+      (* factorization of bbcols (LU plus eta file), published at
+         extraction ([keep_factor]) or on first warm use, so repeated
+         warm starts from the same basis skip the factorization.
+         Deterministic: a racy publish from another domain stores an
+         identical value. *)
 }
 
 type prepared = { pmodel : Model.t; sp : Sparse.t }
@@ -188,12 +189,13 @@ let warm_state (prep : prepared) ~rhs (lo, hi) (b : basis) ~max_iters ~degen_lim
   let stat = Array.copy b.bstat in
   let x = Array.make n 0. in
   let bas =
-    (* reuse the cached factorization when this basis was already warm-
-       installed against this very matrix (the batched engine warm-starts
-       thousands of overlay solves from one healthy basis); otherwise
-       factorize and publish. Basis.of_snapshot refuses any other matrix,
-       and reinstating is bit-identical to refactorizing, so a cache hit
-       never changes results. *)
+    (* reuse the published factorization when this basis carries one
+       for this very matrix (the batched engine warm-starts thousands
+       of overlay solves from one healthy basis; branch-and-bound
+       publishes at extraction); otherwise factorize and publish.
+       Basis.of_snapshot refuses any other matrix. A snapshot published
+       here holds a fresh create (no etas), so a hit reproduces the miss
+       bit for bit. *)
     match Option.bind (Atomic.get b.bfactor) (Basis.of_snapshot sp) with
     | Some bas -> bas
     | None ->
@@ -572,12 +574,13 @@ let run_dual st =
 (* Drivers                                                             *)
 
 let extract_basis ?(keep_factor = false) st =
-  (* [keep_factor] publishes the LU snapshot at extraction time instead
-     of on first warm use. A basis shared across concurrent subtree
-     solves then carries its factorization from birth: every sharer
-     reinstates in O(m) (Basis.of_snapshot), and the factorization
-     counter stays independent of which domain warms first — a lazy
-     fill would let racing sharers each pay (and count) a Basis.create. *)
+  (* [keep_factor] publishes the basis snapshot (LU plus eta file, no
+     refactorization) at extraction time instead of on first warm use.
+     A basis shared across concurrent subtree solves then carries its
+     factorization from birth: every sharer reinstates it without
+     factorizing (Basis.of_snapshot), and the factorization counter
+     stays independent of which domain warms first — a lazy fill would
+     let racing sharers each pay (and count) a Basis.create. *)
   let bfactor =
     if keep_factor then Atomic.make (Some (Basis.snapshot st.bas))
     else Atomic.make None

@@ -87,13 +87,14 @@ val solve :
     dense-tableau degradation is unavailable and {!Basis.Singular}
     propagates instead.
 
-    [?keep_factor] (default [false]) publishes the returned basis' LU
-    snapshot eagerly instead of caching it on first warm use. The
-    parallel branch-and-bound shares parent bases across concurrently
-    solved subtrees; an eager snapshot makes every sharer reinstate in
-    O(m) and keeps the factorization counter independent of the
-    execution schedule (a lazy fill lets racing sharers each pay a
-    factorization).
+    [?keep_factor] (default [false]) publishes the returned basis'
+    factorization snapshot ({!Basis.snapshot}: LU plus eta file, no
+    refactorization) eagerly instead of caching it on first warm use.
+    The parallel branch-and-bound shares parent bases across
+    concurrently solved subtrees; an eager snapshot lets every sharer
+    reinstate without factorizing and keeps the factorization counter
+    independent of the execution schedule (a lazy fill lets racing
+    sharers each pay a factorization).
     @raise Invalid_argument on a wrong-length overlay or [engine=Dense]
     with an overlay. *)
 val solve_prepared :

@@ -2,7 +2,10 @@
    against the legacy dense tableau, the dual-simplex warm-start
    property (a child LP warm-started from its parent's basis agrees
    with a cold solve), the Bland anti-cycling fallback on Beale's
-   classical cycling LP, and the branch-and-bound heap tie-break. *)
+   classical cycling LP, the branch-and-bound heap tie-break, and the
+   LU basis itself: snapshots that carry their eta file, and FTRAN/BTRAN
+   residuals over random bases through create and eta-cap
+   refactorizations. *)
 
 let check_float ?(eps = 1e-6) what expected got =
   Alcotest.(check (float eps)) what expected got
@@ -270,6 +273,203 @@ let test_solver_statuses () =
     (Milp.Model.num_vars mdl)
     (Array.length sol.Milp.Solver.statuses)
 
+(* --- LU basis: snapshots and factorization residuals ------------------ *)
+
+(* A random basis problem with [m] rows. The initial selection is
+   block lower triangular under a random row order: slack columns
+   (column singletons), two-entry columns whose diagonal row is left a
+   row singleton once the earlier ones are eliminated, and a trailing
+   dense nucleus of up to m/3 rows, so a factorization takes both the
+   singleton pass and the full Markowitz scan. A quarter of the
+   selections repeat a column, which is singular and needs the slack
+   repair. [m] extra sparse structural columns stay non-basic for
+   exchanges. *)
+let random_basis seed =
+  let rng = Random.State.make [| 0xfac7; seed |] in
+  let m = 4 + Random.State.int rng 21 in
+  let shuffle a =
+    for i = Array.length a - 1 downto 1 do
+      let j = Random.State.int rng (i + 1) in
+      let t = a.(i) in
+      a.(i) <- a.(j);
+      a.(j) <- t
+    done
+  in
+  let value () =
+    let v = 0.5 +. Random.State.float rng 1.5 in
+    if Random.State.bool rng then v else -.v
+  in
+  let order = Array.init m Fun.id in
+  shuffle order;
+  let nucleus = Random.State.int rng ((m / 3) + 1) in
+  let tri = m - nucleus in
+  (* basic position k: None for the slack of row order.(k), else the
+     (row, value) entries of a structural column *)
+  let basic =
+    Array.init m (fun k ->
+        if k >= tri then
+          Some (List.init nucleus (fun i -> (order.(tri + i), value ())))
+        else if Random.State.int rng 3 = 0 then None
+        else if k = m - 1 then Some [ (order.(k), value ()) ]
+        else
+          let below = order.(k + 1 + Random.State.int rng (m - k - 1)) in
+          Some [ (order.(k), value ()); (below, value ()) ])
+  in
+  let extra =
+    List.init m (fun _ ->
+        List.init (1 + Random.State.int rng 3) (fun _ -> (Random.State.int rng m, value ())))
+  in
+  let structural = List.filter_map Fun.id (Array.to_list basic) @ extra in
+  let nv = List.length structural in
+  let coef = Array.make_matrix m nv 0. in
+  List.iteri (fun j col -> List.iter (fun (i, v) -> coef.(i).(j) <- v) col) structural;
+  let mdl = Milp.Model.create () in
+  let vars = Array.init nv (fun j -> Milp.Model.continuous mdl (Printf.sprintf "x%d" j)) in
+  Array.iter
+    (fun row ->
+      let terms = ref [] in
+      Array.iteri
+        (fun j v -> if v <> 0. then terms := (v, vars.(j).Milp.Model.vid) :: !terms)
+        row;
+      Milp.Model.add_cons mdl (Milp.Linexpr.of_terms !terms) Milp.Model.Le 1.)
+    coef;
+  let sp = Milp.Sparse.of_model mdl in
+  let next = ref 0 in
+  let bcols =
+    Array.mapi
+      (fun k col ->
+        match col with
+        | None -> nv + order.(k)
+        | Some _ ->
+          incr next;
+          !next - 1)
+      basic
+  in
+  shuffle bcols;
+  if Random.State.int rng 4 = 0 then bcols.(1) <- bcols.(0);
+  (sp, bcols, rng)
+
+let dense_col sp j =
+  let v = Array.make sp.Milp.Sparse.m 0. in
+  Milp.Sparse.axpy_col sp j 1. v;
+  v
+
+(* One basis exchange: a random non-basic column enters at the position
+   of its largest pivot entry. Returns [replace]'s refactorized flag. *)
+let exchange rng sp bas =
+  let basic = Milp.Basis.bcols bas in
+  let rec pick () =
+    let j = Random.State.int rng sp.Milp.Sparse.n in
+    if Array.mem j basic then pick () else j
+  in
+  let j = pick () in
+  let w = Milp.Basis.ftran bas (dense_col sp j) in
+  let r = ref 0 in
+  Array.iteri (fun i x -> if Float.abs x > Float.abs w.(!r) then r := i) w;
+  Milp.Basis.replace bas ~r:!r ~col:j ~w
+
+let random_vec rng m = Array.init m (fun _ -> Random.State.float rng 2. -. 1.)
+let bits v = Array.map Int64.bits_of_float v
+
+(* FTRAN and BTRAN answers of [bas] on fixed probe vectors, as bits. *)
+let solve_bits bas probes =
+  List.concat_map
+    (fun v -> [ bits (Milp.Basis.ftran bas v); bits (Milp.Basis.btran bas v) ])
+    probes
+
+(* A snapshot carries the eta file: reinstating it reproduces the
+   snapshotted basis bit for bit with no factorization, reinstated
+   copies do not share the eta array, and the snapshot is tied to its
+   physical matrix. *)
+let test_snapshot_carries_etas () =
+  let sp, bcols, rng = random_basis 7 in
+  let m = sp.Milp.Sparse.m in
+  let bas = Milp.Basis.create sp bcols in
+  for i = 1 to 6 do
+    Alcotest.(check bool) (Printf.sprintf "exchange %d appends an eta" i) false
+      (exchange rng sp bas)
+  done;
+  let probes = List.init 4 (fun _ -> random_vec rng m) in
+  let expect = solve_bits bas probes in
+  let fact () = Milp.Lp_stats.read Milp.Lp_stats.factorizations () in
+  let f0 = fact () in
+  let s = Milp.Basis.snapshot bas in
+  let reinstate () =
+    match Milp.Basis.of_snapshot sp s with
+    | Some b -> b
+    | None -> Alcotest.fail "of_snapshot refused its own matrix"
+  in
+  let a = reinstate () and b = reinstate () in
+  Alcotest.(check int) "snapshot and of_snapshot do not factorize" 0 (fact () - f0);
+  Alcotest.(check bool) "first copy bit-identical" true (solve_bits a probes = expect);
+  Alcotest.(check bool) "second copy bit-identical" true (solve_bits b probes = expect);
+  Alcotest.(check bool) "bcols preserved" true (Milp.Basis.bcols a = Milp.Basis.bcols bas);
+  Alcotest.(check bool) "exchange on a copy appends an eta" false (exchange rng sp a);
+  let moved = solve_bits a probes in
+  Alcotest.(check bool) "copy moved away" true (moved <> expect);
+  Alcotest.(check bool) "sibling untouched" true (solve_bits b probes = expect);
+  Alcotest.(check bool) "original untouched" true (solve_bits bas probes = expect);
+  (* the sibling appending its own eta must not overwrite the first
+     copy's, as it would if the two shared one eta array *)
+  Alcotest.(check bool) "exchange on the sibling appends an eta" false (exchange rng sp b);
+  Alcotest.(check bool) "first copy keeps its eta" true (solve_bits a probes = moved);
+  Alcotest.(check bool) "third copy bit-identical" true
+    (solve_bits (reinstate ()) probes = expect);
+  let sp', _, _ = random_basis 7 in
+  Alcotest.(check bool) "structurally equal matrix" true (sp' = sp);
+  Alcotest.(check bool) "refused for another physical matrix" true
+    (Milp.Basis.of_snapshot sp' s = None)
+
+(* Normwise relative residuals of FTRAN (B x = v) and BTRAN (B^T y = v)
+   against the basis [bcols] names. *)
+let residuals sp bas v =
+  let m = sp.Milp.Sparse.m in
+  let cols = Milp.Basis.bcols bas in
+  let norm = Array.fold_left (fun acc x -> Float.max acc (Float.abs x)) 0. in
+  let bnorm =
+    let rowsum = Array.make m 0. in
+    Array.iter
+      (fun j -> Milp.Sparse.col_iter sp j (fun i a -> rowsum.(i) <- rowsum.(i) +. Float.abs a))
+      cols;
+    norm rowsum
+  in
+  let x = Milp.Basis.ftran bas v in
+  let bx = Array.make m 0. in
+  Array.iteri (fun k j -> Milp.Sparse.axpy_col sp j x.(k) bx) cols;
+  let rf = norm (Array.map2 ( -. ) bx v) /. ((bnorm *. norm x) +. norm v) in
+  let y = Milp.Basis.btran bas v in
+  let bty = Array.map (fun j -> Milp.Sparse.col_dot sp j y) cols in
+  let rb = norm (Array.map2 ( -. ) bty v) /. ((bnorm *. norm y) +. norm v) in
+  Float.max rf rb
+
+let prop_factorization_residuals =
+  QCheck2.Test.make ~name:"LU residuals after create and past the eta cap" ~count:64
+    QCheck2.Gen.int
+    (fun seed ->
+      let sp, bcols, rng = random_basis seed in
+      let m = sp.Milp.Sparse.m in
+      let check what bas =
+        let cols = Milp.Basis.bcols bas in
+        if List.length (List.sort_uniq compare (Array.to_list cols)) <> m then
+          QCheck2.Test.fail_reportf "seed %d %s: basis columns not distinct" seed what;
+        for _ = 1 to 3 do
+          let r = residuals sp bas (random_vec rng m) in
+          if r > 1e-9 then
+            QCheck2.Test.fail_reportf "seed %d %s: relative residual %g" seed what r
+        done
+      in
+      let bas = Milp.Basis.create sp bcols in
+      check "after create" bas;
+      (* more exchanges than the eta cap: at least one must refactorize *)
+      let refactorized = ref 0 in
+      for _ = 1 to 80 do
+        if exchange rng sp bas then incr refactorized
+      done;
+      if !refactorized = 0 then
+        QCheck2.Test.fail_reportf "seed %d: 80 exchanges never refactorized" seed;
+      check "after 80 exchanges" bas;
+      true)
+
 let suite =
   [
     ("64 random MILPs: revised vs dense", `Quick, test_differential);
@@ -279,4 +479,6 @@ let suite =
     ("singular basis is slack-repaired", `Quick, test_singular_basis_repair);
     ("heap tie-break tolerance", `Quick, test_heap_tiebreak);
     ("solver reports postsolved basis statuses", `Quick, test_solver_statuses);
+    ("basis snapshot carries its eta file", `Quick, test_snapshot_carries_etas);
+    QCheck_alcotest.to_alcotest prop_factorization_residuals;
   ]
