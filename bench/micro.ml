@@ -51,9 +51,9 @@ let fig1_setup () =
 
 (* Kernels of the revised engine, on the 40x60 LP's standard form: LU
    factorization of a mixed structural/slack basis, and FTRAN/BTRAN
-   through the factors. The basis alternates structural and slack
-   columns so the LU is non-trivial (the all-slack basis would
-   factorize to the identity). *)
+   through the factors alone and through an eta file. The basis
+   alternates structural and slack columns so the LU is non-trivial
+   (the all-slack basis would factorize to the identity). *)
 let basis_setup () =
   let sp = Milp.Sparse.of_model (lp_instance ()) in
   let m = sp.Milp.Sparse.m and nv = sp.Milp.Sparse.nv in
@@ -63,6 +63,30 @@ let basis_setup () =
   let rhs = Array.init m (fun r -> Float.of_int ((r mod 7) - 3)) in
   (sp, bcols, rhs)
 
+(* The same basis after [k] exchanges, each appending an eta and none
+   refactorizing: the eta file branch-and-bound's FTRAN/BTRAN run
+   through on an inherited basis. The entering columns are the first
+   [k] non-basic ones, each at the position of its largest pivot. *)
+let basis_with_etas sp bcols k =
+  let basis = Milp.Basis.create sp bcols in
+  let m = sp.Milp.Sparse.m in
+  let entering =
+    List.filter (fun j -> not (Array.mem j bcols)) (List.init sp.Milp.Sparse.n Fun.id)
+  in
+  List.iteri
+    (fun i j ->
+      if i < k then begin
+        let col = Array.make m 0. in
+        Milp.Sparse.axpy_col sp j 1. col;
+        let w = Milp.Basis.ftran basis col in
+        let r = ref 0 in
+        Array.iteri (fun p x -> if Float.abs x > Float.abs w.(!r) then r := p) w;
+        if Milp.Basis.replace basis ~r:!r ~col:j ~w then
+          failwith "micro: an eta exchange refactorized"
+      end)
+    entering;
+  basis
+
 let tests () =
   let lp = lp_instance () in
   let milp = milp_instance () in
@@ -71,6 +95,7 @@ let tests () =
   let grid = Wan.Generators.grid 4 4 in
   let bsp, bcols, rhs = basis_setup () in
   let basis = Milp.Basis.create bsp bcols in
+  let etas = basis_with_etas bsp bcols 32 in
   Test.make_grouped ~name:"raha" ~fmt:"%s %s"
     [
       Test.make ~name:"simplex: 40x60 LP (revised)"
@@ -84,6 +109,10 @@ let tests () =
         (Staged.stage (fun () -> ignore (Milp.Basis.ftran basis rhs)));
       Test.make ~name:"basis: btran"
         (Staged.stage (fun () -> ignore (Milp.Basis.btran basis rhs)));
+      Test.make ~name:"basis: ftran, 32 etas"
+        (Staged.stage (fun () -> ignore (Milp.Basis.ftran etas rhs)));
+      Test.make ~name:"basis: btran, 32 etas"
+        (Staged.stage (fun () -> ignore (Milp.Basis.btran etas rhs)));
       Test.make ~name:"b&b: 16-item knapsack"
         (Staged.stage (fun () -> ignore (Milp.Solver.solve milp)));
       Test.make ~name:"bilevel build (fig1)"

@@ -3,30 +3,48 @@
 
    Factor representation: Gaussian elimination with explicit pivot
    order. Step [k] pivots on (row [prow.(k)], basis position
-   [pcol.(k)]) with pivot value [pval.(k)]; [lmults.(k)] are the
-   (row, multiplier) pairs eliminated below the pivot, [urows.(k)] the
-   off-pivot entries (position, value) of the pivot row at elimination
-   time. With M = E_{m-1}...E_0 the product of elimination steps and U
-   the permuted upper factor:
+   [pcol.(k)]) with pivot value [pval.(k)]. With M = E_{m-1}...E_0 the
+   product of elimination steps and U the permuted upper factor:
 
      FTRAN  x = B^-1 b : t := M b, then back-substitute U x = t
      BTRAN  y = B^-T c : solve U^T w = c, then y := M^T w
 
    Basis exchanges append product-form etas on top: B' = B E, so
    FTRAN applies eta inverses after the LU solve (in append order) and
-   BTRAN applies eta transpose-inverses before it (reverse order). *)
+   BTRAN applies eta transpose-inverses before it (reverse order).
+
+   Layout: the factors are flat, CSR-style: step [k]'s entries are
+   [start.(k) .. start.(k+1) - 1] of an [int array] of indices and a
+   [float array] of values, so the solves are plain loops over unboxed
+   floats. L holds the (row, multiplier) pairs eliminated below each
+   pivot, U's rows the off-pivot (position, value) entries of each
+   pivot row at elimination time, and U's columns the same entries
+   regrouped by position as (step, value) for BTRAN. An eta is the
+   off-pivot (row, value) entries of its FTRAN column. The factors of
+   a basis are fixed by the order every sum runs in, so each order is
+   part of the layout:
+   - L entries by ascending row;
+   - U row entries by ascending position;
+   - U column entries by descending step;
+   - eta entries by descending row. *)
 
 type lu = {
   nsteps : int;
   prow : int array;
   pcol : int array;
   pval : float array;
-  lmults : (int * float) array array;
-  urows : (int * float) array array;
-  ucols : (int * float) list array; (* position -> (step, value) U column *)
+  lstart : int array; (* step -> L multipliers *)
+  lrow : int array;
+  lval : float array;
+  ustart : int array; (* step -> U row *)
+  upos : int array;
+  uval : float array;
+  cstart : int array; (* position -> U column *)
+  cstep : int array;
+  cval : float array;
 }
 
-type eta = { er : int; epiv : float; entries : (int * float) array }
+type eta = { er : int; epiv : float; idx : int array; vals : float array }
 
 type t = {
   a : Sparse.t;
@@ -44,6 +62,24 @@ let stab_tol = 1e-7
 (* Eta updates appended before [replace] refactorizes. *)
 let max_eta = 64
 
+(* An append-only list of (index, value) entries, grown by doubling;
+   the elimination writes L and U straight into two of them. *)
+type buf = { mutable bi : int array; mutable bf : float array; mutable len : int }
+
+let buf_create cap = { bi = Array.make (max cap 1) 0; bf = Array.make (max cap 1) 0.; len = 0 }
+
+let push b i f =
+  if b.len = Array.length b.bi then begin
+    let bi = Array.make (2 * b.len) 0 and bf = Array.make (2 * b.len) 0. in
+    Array.blit b.bi 0 bi 0 b.len;
+    Array.blit b.bf 0 bf 0 b.len;
+    b.bi <- bi;
+    b.bf <- bf
+  end;
+  b.bi.(b.len) <- i;
+  b.bf.(b.len) <- f;
+  b.len <- b.len + 1
+
 (* One Markowitz-ordered elimination. Returns the factors plus any rows
    and basis positions left unpivoted (structural/numerical
    singularity). *)
@@ -56,14 +92,26 @@ let factorize a cols ~threshold =
   let ccount = Array.make (max m 1) 0 in
   let rowact = Array.make (max m 1) true in
   let colact = Array.make (max m 1) true in
+  let nnz = ref 0 in
   for k = 0 to m - 1 do
     Sparse.col_iter a cols.(k) (fun i v ->
         if Float.abs v > drop_tol then begin
           Hashtbl.replace rows.(i) k v;
           colrows.(k) <- i :: colrows.(k);
           rcount.(i) <- rcount.(i) + 1;
-          ccount.(k) <- ccount.(k) + 1
+          ccount.(k) <- ccount.(k) + 1;
+          incr nnz
         end)
+  done;
+  (* [single.(k)]: a row's last live entry was in column k when the
+     row's count reached 1. Set then and never cleared: a stale flag
+     only admits an extra column to the first pass of the search. *)
+  let single = Array.make (max m 1) false in
+  let flag_single r =
+    if rcount.(r) = 1 then Hashtbl.iter (fun k _ -> single.(k) <- true) rows.(r)
+  in
+  for i = 0 to m - 1 do
+    flag_single i
   done;
   (* Compact a column's candidate list: drop stale rows, dedup. *)
   let seen = Array.make (max m 1) (-1) in
@@ -85,8 +133,10 @@ let factorize a cols ~threshold =
   let prow = Array.make (max m 1) (-1) in
   let pcol = Array.make (max m 1) (-1) in
   let pval = Array.make (max m 1) 0. in
-  let lmults = Array.make (max m 1) [||] in
-  let urows = Array.make (max m 1) [||] in
+  let lstart = Array.make (m + 1) 0 and ustart = Array.make (m + 1) 0 in
+  let lbuf = buf_create !nnz and ubuf = buf_create !nnz in
+  (* a pivot row's values by position, then the multipliers by row *)
+  let scratch = Array.make (max m 1) 0. in
   let nsteps = ref 0 in
   (try
      for _step = 0 to m - 1 do
@@ -122,17 +172,14 @@ let factorize a cols ~threshold =
        in
        (try
           (* The counts are exact, so an entry costs 0 only in a column
-             singleton or on a row singleton. Considering just those
+             singleton or on a row singleton, and every row singleton's
+             column is flagged in [single]. Considering just those
              columns, in index order, finds the pivot the full scan
              would stop at; the full scan runs only when none has one.
-             A column's row list may hold stale rows, which only admits
-             extra columns to the first pass. *)
+             Stale flags only admit extra columns, which hold no
+             cost-0 entry. *)
           for k = 0 to m - 1 do
-            if
-              colact.(k)
-              && (ccount.(k) = 1
-                 || List.exists (fun r -> rowact.(r) && rcount.(r) = 1) colrows.(k))
-            then consider k
+            if colact.(k) && (ccount.(k) = 1 || single.(k)) then consider k
           done;
           best_cost := max_int;
           best_mag := 0.;
@@ -149,67 +196,97 @@ let factorize a cols ~threshold =
          prow.(step) <- pr;
          pcol.(step) <- pc;
          pval.(step) <- v;
-         (* pivot row snapshot (off-pivot entries) *)
+         (* U row: the pivot row's off-pivot entries, by ascending
+            position *)
          let off = ref [] in
-         Hashtbl.iter (fun kc pv -> if kc <> pc then off := (kc, pv) :: !off) rows.(pr);
+         Hashtbl.iter
+           (fun kc pv ->
+             if kc <> pc then begin
+               off := kc :: !off;
+               scratch.(kc) <- pv
+             end)
+           rows.(pr);
          let off = Array.of_list !off in
-         (* deterministic order keeps float sums reproducible *)
-         Array.sort (fun (c1, _) (c2, _) -> compare c1 c2) off;
-         urows.(step) <- off;
+         Array.sort Int.compare off;
+         Array.iter (fun kc -> push ubuf kc scratch.(kc)) off;
+         ustart.(step + 1) <- ubuf.len;
+         let u0 = ustart.(step) and u1 = ubuf.len in
+         let upos = ubuf.bi and uval = ubuf.bf in
          (* eliminate the pivot column below/above the pivot *)
-         let lm = ref [] in
+         let lrows = ref [] in
          List.iter
            (fun r ->
              if r <> pr then begin
                let arpc = Hashtbl.find rows.(r) pc in
                let mult = arpc /. v in
-               lm := (r, mult) :: !lm;
+               lrows := r :: !lrows;
+               scratch.(r) <- mult;
                Hashtbl.remove rows.(r) pc;
                rcount.(r) <- rcount.(r) - 1;
-               Array.iter
-                 (fun (kc, pv) ->
-                   let cur =
-                     match Hashtbl.find_opt rows.(r) kc with Some x -> x | None -> 0.
-                   in
-                   let nv = cur -. (mult *. pv) in
-                   if Float.abs nv <= drop_tol then begin
-                     if cur <> 0. then begin
-                       Hashtbl.remove rows.(r) kc;
-                       rcount.(r) <- rcount.(r) - 1;
-                       ccount.(kc) <- ccount.(kc) - 1
-                     end
+               for p = u0 to u1 - 1 do
+                 let kc = upos.(p) in
+                 let cur =
+                   match Hashtbl.find_opt rows.(r) kc with Some x -> x | None -> 0.
+                 in
+                 let nv = cur -. (mult *. uval.(p)) in
+                 if Float.abs nv <= drop_tol then begin
+                   if cur <> 0. then begin
+                     Hashtbl.remove rows.(r) kc;
+                     rcount.(r) <- rcount.(r) - 1;
+                     ccount.(kc) <- ccount.(kc) - 1
                    end
-                   else begin
-                     if cur = 0. then begin
-                       colrows.(kc) <- r :: colrows.(kc);
-                       rcount.(r) <- rcount.(r) + 1;
-                       ccount.(kc) <- ccount.(kc) + 1
-                     end;
-                     Hashtbl.replace rows.(r) kc nv
-                   end)
-                 off
+                 end
+                 else begin
+                   if cur = 0. then begin
+                     colrows.(kc) <- r :: colrows.(kc);
+                     rcount.(r) <- rcount.(r) + 1;
+                     ccount.(kc) <- ccount.(kc) + 1
+                   end;
+                   Hashtbl.replace rows.(r) kc nv
+                 end
+               done;
+               flag_single r
              end)
            (active_rows pc);
-         let lm = Array.of_list !lm in
-         Array.sort (fun (r1, _) (r2, _) -> compare r1 r2) lm;
-         lmults.(step) <- lm;
+         (* L column: the multipliers, by ascending row *)
+         let lrows = Array.of_list !lrows in
+         Array.sort Int.compare lrows;
+         Array.iter (fun r -> push lbuf r scratch.(r)) lrows;
+         lstart.(step + 1) <- lbuf.len;
          (* retire the pivot row and column *)
          rowact.(pr) <- false;
          colact.(pc) <- false;
-         Array.iter (fun (kc, _) -> ccount.(kc) <- ccount.(kc) - 1) off;
+         for p = u0 to u1 - 1 do
+           ccount.(upos.(p)) <- ccount.(upos.(p)) - 1
+         done;
          Hashtbl.reset rows.(pr)
      done
    with Exit -> ());
-  let ucols = Array.make (max m 1) [] in
-  for k = 0 to !nsteps - 1 do
-    Array.iter (fun (c, v) -> ucols.(c) <- (k, v) :: ucols.(c)) urows.(k)
+  let nsteps = !nsteps in
+  let upos = Array.sub ubuf.bi 0 ubuf.len and uval = Array.sub ubuf.bf 0 ubuf.len in
+  (* U columns: counted, then filled by descending step *)
+  let cstart = Array.make (m + 1) 0 in
+  Array.iter (fun c -> cstart.(c + 1) <- cstart.(c + 1) + 1) upos;
+  for c = 0 to m - 1 do
+    cstart.(c + 1) <- cstart.(c + 1) + cstart.(c)
+  done;
+  let next = Array.copy cstart in
+  let cstep = Array.make ubuf.len 0 and cval = Array.make ubuf.len 0. in
+  for k = nsteps - 1 downto 0 do
+    for p = ustart.(k) to ustart.(k + 1) - 1 do
+      let c = upos.(p) in
+      cstep.(next.(c)) <- k;
+      cval.(next.(c)) <- uval.(p);
+      next.(c) <- next.(c) + 1
+    done
   done;
   let bad_rows = ref [] and bad_pos = ref [] in
   for i = m - 1 downto 0 do
     if rowact.(i) then bad_rows := i :: !bad_rows;
     if colact.(i) then bad_pos := i :: !bad_pos
   done;
-  ( { nsteps = !nsteps; prow; pcol; pval; lmults; urows; ucols },
+  ( { nsteps; prow; pcol; pval; lstart; lrow = Array.sub lbuf.bi 0 lbuf.len;
+      lval = Array.sub lbuf.bf 0 lbuf.len; ustart; upos; uval; cstart; cstep; cval },
     !bad_rows,
     !bad_pos )
 
@@ -219,12 +296,17 @@ let ftran_lu lu m b =
   for k = 0 to lu.nsteps - 1 do
     let t = x.(lu.prow.(k)) in
     if t <> 0. then
-      Array.iter (fun (r, mult) -> x.(r) <- x.(r) -. (mult *. t)) lu.lmults.(k)
+      for p = lu.lstart.(k) to lu.lstart.(k + 1) - 1 do
+        let r = lu.lrow.(p) in
+        x.(r) <- x.(r) -. (lu.lval.(p) *. t)
+      done
   done;
   let out = Array.make (max m 1) 0. in
   for k = lu.nsteps - 1 downto 0 do
     let s = ref x.(lu.prow.(k)) in
-    Array.iter (fun (c, v) -> s := !s -. (v *. out.(c))) lu.urows.(k);
+    for p = lu.ustart.(k) to lu.ustart.(k + 1) - 1 do
+      s := !s -. (lu.uval.(p) *. out.(lu.upos.(p)))
+    done;
     out.(lu.pcol.(k)) <- !s /. lu.pval.(k)
   done;
   if m = 0 then [||] else out
@@ -232,8 +314,11 @@ let ftran_lu lu m b =
 let btran_lu lu m c =
   let z = Array.make (max m 1) 0. in
   for k = 0 to lu.nsteps - 1 do
-    let s = ref c.(lu.pcol.(k)) in
-    List.iter (fun (j, v) -> s := !s -. (v *. z.(j))) lu.ucols.(lu.pcol.(k));
+    let pc = lu.pcol.(k) in
+    let s = ref c.(pc) in
+    for p = lu.cstart.(pc) to lu.cstart.(pc + 1) - 1 do
+      s := !s -. (lu.cval.(p) *. z.(lu.cstep.(p)))
+    done;
     z.(k) <- !s /. lu.pval.(k)
   done;
   let w = Array.make (max m 1) 0. in
@@ -242,7 +327,9 @@ let btran_lu lu m c =
   done;
   for k = lu.nsteps - 1 downto 0 do
     let acc = ref w.(lu.prow.(k)) in
-    Array.iter (fun (r, mult) -> acc := !acc -. (mult *. w.(r))) lu.lmults.(k);
+    for p = lu.lstart.(k) to lu.lstart.(k + 1) - 1 do
+      acc := !acc -. (lu.lval.(p) *. w.(lu.lrow.(p)))
+    done;
     w.(lu.prow.(k)) <- !acc
   done;
   if m = 0 then [||] else w
@@ -309,9 +396,12 @@ let bcols t = Array.copy t.cols
 let ftran t b =
   let x = ftran_lu t.lu t.a.Sparse.m b in
   for e = 0 to t.neta - 1 do
-    let { er; epiv; entries } = t.etas.(e) in
+    let { er; epiv; idx; vals } = t.etas.(e) in
     let xr = x.(er) /. epiv in
-    Array.iter (fun (i, w) -> x.(i) <- x.(i) -. (w *. xr)) entries;
+    for p = 0 to Array.length idx - 1 do
+      let i = idx.(p) in
+      x.(i) <- x.(i) -. (vals.(p) *. xr)
+    done;
     x.(er) <- xr
   done;
   x
@@ -322,9 +412,11 @@ let btran t c =
     else begin
       let c = Array.copy c in
       for e = t.neta - 1 downto 0 do
-        let { er; epiv; entries } = t.etas.(e) in
+        let { er; epiv; idx; vals } = t.etas.(e) in
         let acc = ref c.(er) in
-        Array.iter (fun (i, w) -> acc := !acc -. (w *. c.(i))) entries;
+        for p = 0 to Array.length idx - 1 do
+          acc := !acc -. (vals.(p) *. c.(idx.(p)))
+        done;
         c.(er) <- !acc /. epiv
       done;
       c
@@ -339,15 +431,16 @@ let refactorize t =
 
 (* A snapshot shares the immutable [lu] value (replaced wholesale on
    refactorization, never mutated in place; FTRAN/BTRAN allocate their
-   own scratch) and the live prefix of the eta file (eta records are
-   immutable), plus a private copy of the — possibly repaired — basic
-   column selection. Neither side factorizes: [of_snapshot] reinstates
-   in O(m + neta) and is domain-safe, since every field it reads is
-   immutable. It copies the eta array because [replace] appends to it
-   in place; a shared array would let one reinstated basis overwrite
-   another's etas. The snapshot remembers which matrix it factors;
-   reuse against any other Sparse.t is refused (the factors would be
-   wrong), so callers fall back to a fresh [create]. *)
+   own scratch) and the live prefix of the eta file (eta records and
+   their arrays are never mutated), plus a private copy of the —
+   possibly repaired — basic column selection. Neither side
+   factorizes: [of_snapshot] reinstates in O(m + neta) and is
+   domain-safe, since every field it reads is immutable. It copies the
+   eta array because [replace] appends to it in place; a shared array
+   would let one reinstated basis overwrite another's etas. The
+   snapshot remembers which matrix it factors; reuse against any other
+   Sparse.t is refused (the factors would be wrong), so callers fall
+   back to a fresh [create]. *)
 type snapshot = { sa : Sparse.t; scols : int array; slu : lu; setas : eta array }
 
 let snapshot t =
@@ -367,11 +460,22 @@ let replace t ~r ~col ~w =
     true
   end
   else begin
-    let entries = ref [] in
-    Array.iteri
-      (fun i v -> if i <> r && Float.abs v > drop_tol then entries := (i, v) :: !entries)
-      w;
-    let eta = { er = r; epiv = w.(r); entries = Array.of_list !entries } in
+    let keep i = i <> r && Float.abs w.(i) > drop_tol in
+    let n = ref 0 in
+    for i = 0 to Array.length w - 1 do
+      if keep i then incr n
+    done;
+    let idx = Array.make !n 0 and vals = Array.make !n 0. in
+    (* by descending row, the order BTRAN sums in *)
+    let p = ref 0 in
+    for i = Array.length w - 1 downto 0 do
+      if keep i then begin
+        idx.(!p) <- i;
+        vals.(!p) <- w.(i);
+        incr p
+      end
+    done;
+    let eta = { er = r; epiv = w.(r); idx; vals } in
     if t.neta = Array.length t.etas then begin
       let grown = Array.make (max 8 (2 * t.neta)) eta in
       Array.blit t.etas 0 grown 0 t.neta;

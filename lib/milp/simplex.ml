@@ -94,6 +94,7 @@ type st = {
   mutable degen : int; (* consecutive degenerate pivots *)
   degen_limit : int;
   mutable iters : int; (* remaining pivot budget *)
+  mutable dj : float array option; (* reduced costs of the current basis *)
 }
 
 exception Box_infeasible
@@ -171,6 +172,7 @@ let cold_state (prep : prepared) ~rhs (lo, hi) ~max_iters ~degen_limit =
       degen = 0;
       degen_limit;
       iters = max_iters;
+      dj = None;
     }
   in
   for j = 0 to n - 1 do
@@ -209,7 +211,7 @@ let warm_state (prep : prepared) ~rhs (lo, hi) (b : basis) ~max_iters ~degen_lim
   Array.iter (fun j -> stat.(j) <- Basic) bcols;
   let st =
     { sp; rhs; lo; hi; x; stat; bcols; bas; bland = false; degen = 0;
-      degen_limit; iters = max_iters }
+      degen_limit; iters = max_iters; dj = None }
   in
   for j = 0 to n - 1 do
     if st.stat.(j) <> Basic then begin
@@ -273,6 +275,7 @@ let sync_repair st =
 (* Install column [j] as basic in row position [r]; [w] is its FTRAN
    image. Returns after recomputing values if the basis refactorized. *)
 let basis_exchange st ~r ~j ~w =
+  st.dj <- None;
   st.bcols.(r) <- j;
   st.stat.(j) <- Basic;
   let refactored = Basis.replace st.bas ~r ~col:j ~w in
@@ -438,18 +441,28 @@ let run_primal st ~phase1 =
 (* ------------------------------------------------------------------ *)
 (* Dual simplex                                                        *)
 
-(* Reduced costs of all columns for the real objective. *)
+(* Reduced costs of all columns for the real objective. They depend
+   only on the basis, so they are computed once per basis: the warm
+   path's dual-feasibility check, the first dual iteration and the
+   final check of a solve without pivots share one vector. *)
 let reduced_costs st =
-  let sp = st.sp in
-  let m = sp.Sparse.m and n = sp.Sparse.n in
-  let cb = Array.make (max m 1) 0. in
-  for r = 0 to m - 1 do
-    cb.(r) <- sp.Sparse.cost.(st.bcols.(r))
-  done;
-  let y = Basis.btran st.bas cb in
-  Array.init n (fun j ->
-      if st.stat.(j) = Basic then 0.
-      else sp.Sparse.cost.(j) -. Sparse.col_dot sp j y)
+  match st.dj with
+  | Some d -> d
+  | None ->
+    let sp = st.sp in
+    let m = sp.Sparse.m and n = sp.Sparse.n in
+    let cb = Array.make (max m 1) 0. in
+    for r = 0 to m - 1 do
+      cb.(r) <- sp.Sparse.cost.(st.bcols.(r))
+    done;
+    let y = Basis.btran st.bas cb in
+    let d =
+      Array.init n (fun j ->
+          if st.stat.(j) = Basic then 0.
+          else sp.Sparse.cost.(j) -. Sparse.col_dot sp j y)
+    in
+    st.dj <- Some d;
+    d
 
 let dual_feasible st d =
   let ok = ref true in

@@ -283,8 +283,10 @@ let test_solver_statuses () =
    singleton pass and the full Markowitz scan. A quarter of the
    selections repeat a column, which is singular and needs the slack
    repair. [m] extra sparse structural columns stay non-basic for
-   exchanges. *)
-let random_basis seed =
+   exchanges. [nucleus] and [singular] override the drawn nucleus size
+   and repeat; a triangular position is a slack with odds
+   [slack_thirds] in 3. *)
+let random_basis ?nucleus ?(slack_thirds = 1) ?singular seed =
   let rng = Random.State.make [| 0xfac7; seed |] in
   let m = 4 + Random.State.int rng 21 in
   let shuffle a =
@@ -301,7 +303,8 @@ let random_basis seed =
   in
   let order = Array.init m Fun.id in
   shuffle order;
-  let nucleus = Random.State.int rng ((m / 3) + 1) in
+  let drawn = Random.State.int rng ((m / 3) + 1) in
+  let nucleus = Option.value nucleus ~default:drawn in
   let tri = m - nucleus in
   (* basic position k: None for the slack of row order.(k), else the
      (row, value) entries of a structural column *)
@@ -309,7 +312,7 @@ let random_basis seed =
     Array.init m (fun k ->
         if k >= tri then
           Some (List.init nucleus (fun i -> (order.(tri + i), value ())))
-        else if Random.State.int rng 3 = 0 then None
+        else if Random.State.int rng 3 < slack_thirds then None
         else if k = m - 1 then Some [ (order.(k), value ()) ]
         else
           let below = order.(k + 1 + Random.State.int rng (m - k - 1)) in
@@ -346,7 +349,8 @@ let random_basis seed =
       basic
   in
   shuffle bcols;
-  if Random.State.int rng 4 = 0 then bcols.(1) <- bcols.(0);
+  let dup = Random.State.int rng 4 = 0 in
+  if Option.value singular ~default:dup then bcols.(1) <- bcols.(0);
   (sp, bcols, rng)
 
 let dense_col sp j =
@@ -420,6 +424,53 @@ let test_snapshot_carries_etas () =
   Alcotest.(check bool) "refused for another physical matrix" true
     (Milp.Basis.of_snapshot sp' s = None)
 
+(* FTRAN/BTRAN on the smallest bases: no rows at all, and one row
+   through an eta that has no off-pivot entries. The values are powers
+   of two, so the answers are exact. *)
+let test_tiny_bases () =
+  let empty = Milp.Model.create () in
+  ignore (Milp.Model.continuous ~ub:1. empty "x");
+  let sp = Milp.Sparse.of_model empty in
+  let bas = Milp.Basis.create sp [||] in
+  Alcotest.(check int) "m = 0: ftran" 0 (Array.length (Milp.Basis.ftran bas [||]));
+  Alcotest.(check int) "m = 0: btran" 0 (Array.length (Milp.Basis.btran bas [||]));
+  let one = Milp.Model.create () in
+  let x = Milp.Model.continuous ~ub:1. one "x" in
+  Milp.Model.add_cons one (Milp.Linexpr.of_terms [ (2., x.Milp.Model.vid) ]) Milp.Model.Le 1.;
+  let sp = Milp.Sparse.of_model one in
+  let bas = Milp.Basis.create sp [| 0 |] in
+  let check what expected got = Alcotest.(check (array (float 0.))) what expected got in
+  check "m = 1: ftran" [| 2. |] (Milp.Basis.ftran bas [| 4. |]);
+  check "m = 1: btran" [| 2. |] (Milp.Basis.btran bas [| 4. |]);
+  let w = Milp.Basis.ftran bas (dense_col sp 1) in
+  Alcotest.(check bool) "m = 1: the slack enters by an eta" false
+    (Milp.Basis.replace bas ~r:0 ~col:1 ~w);
+  check "m = 1: ftran through the eta" [| 4. |] (Milp.Basis.ftran bas [| 4. |]);
+  check "m = 1: btran through the eta" [| 4. |] (Milp.Basis.btran bas [| 4. |])
+
+(* Reinstated copies share the snapshot's eta records. Driving one copy
+   past the eta cap, through refactorizations, leaves a sibling and the
+   original bit-identical. *)
+let test_snapshot_siblings_past_cap () =
+  let sp, bcols, rng = random_basis ~singular:false 11 in
+  let m = sp.Milp.Sparse.m in
+  let bas = Milp.Basis.create sp bcols in
+  for _ = 1 to 20 do
+    ignore (exchange rng sp bas)
+  done;
+  let probes = List.init 4 (fun _ -> random_vec rng m) in
+  let expect = solve_bits bas probes in
+  let s = Milp.Basis.snapshot bas in
+  let reinstate () = Option.get (Milp.Basis.of_snapshot sp s) in
+  let a = reinstate () and b = reinstate () in
+  let refactorized = ref 0 in
+  for _ = 1 to 70 do
+    if exchange rng sp a then incr refactorized
+  done;
+  Alcotest.(check bool) "the copy refactorized" true (!refactorized > 0);
+  Alcotest.(check bool) "sibling bit-identical" true (solve_bits b probes = expect);
+  Alcotest.(check bool) "original bit-identical" true (solve_bits bas probes = expect)
+
 (* Normwise relative residuals of FTRAN (B x = v) and BTRAN (B^T y = v)
    against the basis [bcols] names. *)
 let residuals sp bas v =
@@ -470,6 +521,60 @@ let prop_factorization_residuals =
       check "after 80 exchanges" bas;
       true)
 
+(* Kernel golden test: the bits of every FTRAN/BTRAN answer, through
+   create, a chain of exchanges past the eta cap and a final probe, on
+   three fixed bases: slack-heavy and triangular (the singleton pass
+   alone), one with a dense 4x4 nucleus (the full Markowitz scan) and a
+   singular one that is slack-repaired. The digest is the value the
+   kernel produced when it was recorded; it changes only with an
+   intended rounding change, and is then re-recorded with it. *)
+let kernel_digest () =
+  let buf = Buffer.create 65536 in
+  let add v = Array.iter (fun x -> Buffer.add_int64_le buf (Int64.bits_of_float x)) v in
+  let run (sp, bcols, rng) =
+    let m = sp.Milp.Sparse.m in
+    let probes = List.init 3 (fun _ -> random_vec rng m) in
+    let probe bas =
+      List.iter (fun v -> add (Milp.Basis.ftran bas v); add (Milp.Basis.btran bas v)) probes
+    in
+    let bas = Milp.Basis.create sp bcols in
+    Array.iter (fun c -> Buffer.add_int32_le buf (Int32.of_int c)) (Milp.Basis.bcols bas);
+    probe bas;
+    let refactorized = ref 0 in
+    for _ = 1 to 80 do
+      let basic = Milp.Basis.bcols bas in
+      let rec pick () =
+        let j = Random.State.int rng sp.Milp.Sparse.n in
+        if Array.mem j basic then pick () else j
+      in
+      let j = pick () in
+      let w = Milp.Basis.ftran bas (dense_col sp j) in
+      add w;
+      let r = ref 0 in
+      Array.iteri (fun i x -> if Float.abs x > Float.abs w.(!r) then r := i) w;
+      if Milp.Basis.replace bas ~r:!r ~col:j ~w then incr refactorized;
+      add (Milp.Basis.btran bas (Array.init m (fun i -> if i = !r then 1. else 0.)))
+    done;
+    Buffer.add_int32_le buf (Int32.of_int !refactorized);
+    probe bas;
+    !refactorized
+  in
+  let slack_heavy = random_basis ~nucleus:0 ~slack_thirds:2 ~singular:false 101 in
+  let nucleus = random_basis ~nucleus:4 ~singular:false 102 in
+  let ((sp, bcols, _) as singular) = random_basis ~singular:true 103 in
+  let repaired = Milp.Basis.bcols (Milp.Basis.create sp bcols) <> bcols in
+  let refactorized = List.map run [ slack_heavy; nucleus; singular ] in
+  (repaired, refactorized, Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+let test_kernel_golden () =
+  let repaired, refactorized, digest = kernel_digest () in
+  Alcotest.(check bool) "the singular basis is repaired" true repaired;
+  List.iteri
+    (fun i k ->
+      Alcotest.(check bool) (Printf.sprintf "basis %d crosses the eta cap" i) true (k > 0))
+    refactorized;
+  Alcotest.(check string) "FTRAN/BTRAN bits" "fcac55218061b570bc893b8cf65da9ac" digest
+
 let suite =
   [
     ("64 random MILPs: revised vs dense", `Quick, test_differential);
@@ -480,5 +585,9 @@ let suite =
     ("heap tie-break tolerance", `Quick, test_heap_tiebreak);
     ("solver reports postsolved basis statuses", `Quick, test_solver_statuses);
     ("basis snapshot carries its eta file", `Quick, test_snapshot_carries_etas);
+    ("LU kernel golden digest", `Quick, test_kernel_golden);
+    ("FTRAN/BTRAN on m = 0 and m = 1 bases", `Quick, test_tiny_bases);
+    ("snapshot siblings survive a copy's refactorizations", `Quick,
+      test_snapshot_siblings_past_cap);
     QCheck_alcotest.to_alcotest prop_factorization_residuals;
   ]
