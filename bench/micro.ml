@@ -63,6 +63,55 @@ let basis_setup () =
   let rhs = Array.init m (fun r -> Float.of_int ((r mod 7) - 3)) in
   (sp, bcols, rhs)
 
+(* A 150-row basis shaped like the ones branch-and-bound factorizes:
+   90 slacks and 60 structural columns of about 22 entries each, so
+   about 9 per basis column. The structurals are triangular on their
+   own rows but for a dense 4-row nucleus, so the singleton pass takes
+   all but the last few steps. *)
+let bb_basis_setup () =
+  let m = 150 and ns = 60 in
+  let rng = Random.State.make [| 150 |] in
+  let value () =
+    let v = 0.5 +. Random.State.float rng 1.5 in
+    if Random.State.bool rng then v else -.v
+  in
+  let coef = Array.make_matrix m ns 0. in
+  for j = 0 to ns - 1 do
+    coef.(j).(j) <- value ();
+    for _ = 1 to 19 do
+      coef.(ns + Random.State.int rng (m - ns)).(j) <- value ()
+    done;
+    if j + 1 < ns then
+      for _ = 1 to 2 do
+        coef.(j + 1 + Random.State.int rng (ns - j - 1)).(j) <- value ()
+      done
+  done;
+  for i = ns - 4 to ns - 1 do
+    for j = ns - 4 to ns - 1 do
+      coef.(i).(j) <- value ()
+    done
+  done;
+  let mdl = Milp.Model.create ~name:"bench_bb_basis" () in
+  let xs = Array.init ns (fun j -> Milp.Model.continuous mdl (Printf.sprintf "x%d" j)) in
+  Array.iter
+    (fun row ->
+      let terms = ref [] in
+      Array.iteri
+        (fun j v -> if v <> 0. then terms := (v, xs.(j).Milp.Model.vid) :: !terms)
+        row;
+      Milp.Model.add_cons mdl (Milp.Linexpr.of_terms !terms) Milp.Model.Le 1.)
+    coef;
+  let sp = Milp.Sparse.of_model mdl in
+  (* structurals, then the slacks of the other rows, in shuffled positions *)
+  let bcols = Array.init m (fun k -> if k < ns then k else ns + k) in
+  for i = m - 1 downto 1 do
+    let j = Random.State.int rng (i + 1) in
+    let t = bcols.(i) in
+    bcols.(i) <- bcols.(j);
+    bcols.(j) <- t
+  done;
+  (sp, bcols)
+
 (* The same basis after [k] exchanges, each appending an eta and none
    refactorizing: the eta file branch-and-bound's FTRAN/BTRAN run
    through on an inherited basis. The entering columns are the first
@@ -96,6 +145,7 @@ let tests () =
   let bsp, bcols, rhs = basis_setup () in
   let basis = Milp.Basis.create bsp bcols in
   let etas = basis_with_etas bsp bcols 32 in
+  let bbsp, bbcols = bb_basis_setup () in
   Test.make_grouped ~name:"raha" ~fmt:"%s %s"
     [
       Test.make ~name:"simplex: 40x60 LP (revised)"
@@ -105,6 +155,8 @@ let tests () =
              ignore (Milp.Simplex.solve ~engine:Milp.Simplex.Dense lp)));
       Test.make ~name:"basis: factorize 60-row LU"
         (Staged.stage (fun () -> ignore (Milp.Basis.create bsp bcols)));
+      Test.make ~name:"basis: factorize 150-row B&B basis"
+        (Staged.stage (fun () -> ignore (Milp.Basis.create bbsp bbcols)));
       Test.make ~name:"basis: ftran"
         (Staged.stage (fun () -> ignore (Milp.Basis.ftran basis rhs)));
       Test.make ~name:"basis: btran"

@@ -26,7 +26,19 @@
    - L entries by ascending row;
    - U row entries by ascending position;
    - U column entries by descending step;
-   - eta entries by descending row. *)
+   - eta entries by descending row.
+
+   Elimination works on the active submatrix stored as nodes: each
+   nonzero is one node on a doubly linked list of its row and one of
+   its column, in flat [int]/[float] arrays. Dropped entries and
+   retired pivot rows are unlinked at once, and active columns form an
+   ascending linked list, so the search visits only live entries. The
+   pivots are fixed by the order the search meets entries in, which
+   ties between equal cost and magnitude resolve to the first met:
+   columns by ascending position, and within a column, most recent
+   insertion first, with the initial entries by descending row. A
+   fill-in therefore joins the head of its column's list, and a step
+   updates the pivot column's rows in that list order. *)
 
 type lu = {
   nsteps : int;
@@ -80,186 +92,282 @@ let push b i f =
   b.bf.(b.len) <- f;
   b.len <- b.len + 1
 
+(* The active submatrix of one factorization. Each nonzero is a node
+   [q]: its row [nrow.(q)], position [ncol.(q)] and value [nval.(q)],
+   linked into a doubly linked list of its row (from [rhead]) and one
+   of its column (from [chead]); [-1] ends a list. Unlinked nodes are
+   not reused: [used] only grows. *)
+type nodes = {
+  mutable nrow : int array;
+  mutable ncol : int array;
+  mutable nval : float array;
+  mutable rnext : int array;
+  mutable rprev : int array;
+  mutable cnext : int array;
+  mutable cprev : int array;
+  mutable used : int;
+  rhead : int array;
+  chead : int array;
+}
+
+let nodes_create m cap =
+  let ints () = Array.make cap (-1) in
+  { nrow = ints (); ncol = ints (); nval = Array.make cap 0.; rnext = ints ();
+    rprev = ints (); cnext = ints (); cprev = ints (); used = 0;
+    rhead = Array.make (max m 1) (-1); chead = Array.make (max m 1) (-1) }
+
+let grow nd =
+  let n = Array.length nd.nrow in
+  let ext a x =
+    let b = Array.make (2 * n) x in
+    Array.blit a 0 b 0 n;
+    b
+  in
+  let ints a = ext a (-1) in
+  nd.nrow <- ints nd.nrow;
+  nd.ncol <- ints nd.ncol;
+  nd.nval <- ext nd.nval 0.;
+  nd.rnext <- ints nd.rnext;
+  nd.rprev <- ints nd.rprev;
+  nd.cnext <- ints nd.cnext;
+  nd.cprev <- ints nd.cprev
+
+(* A new node (r, k, v) at the head of row [r]'s and column [k]'s
+   lists: a column lists its entries most recent insertion first. *)
+let link nd r k v =
+  if nd.used = Array.length nd.nrow then grow nd;
+  let q = nd.used in
+  nd.used <- q + 1;
+  nd.nrow.(q) <- r;
+  nd.ncol.(q) <- k;
+  nd.nval.(q) <- v;
+  let h = nd.rhead.(r) in
+  nd.rprev.(q) <- -1;
+  nd.rnext.(q) <- h;
+  if h >= 0 then nd.rprev.(h) <- q;
+  nd.rhead.(r) <- q;
+  let h = nd.chead.(k) in
+  nd.cprev.(q) <- -1;
+  nd.cnext.(q) <- h;
+  if h >= 0 then nd.cprev.(h) <- q;
+  nd.chead.(k) <- q
+
+let unlink_row nd q =
+  let p = nd.rprev.(q) and n = nd.rnext.(q) in
+  if p >= 0 then nd.rnext.(p) <- n else nd.rhead.(nd.nrow.(q)) <- n;
+  if n >= 0 then nd.rprev.(n) <- p
+
+let unlink_col nd q =
+  let p = nd.cprev.(q) and n = nd.cnext.(q) in
+  if p >= 0 then nd.cnext.(p) <- n else nd.chead.(nd.ncol.(q)) <- n;
+  if n >= 0 then nd.cprev.(n) <- p
+
+(* Sort the indices [idx.(0 .. n-1)] ascending, then push each with its
+   value from [vals]. An insertion sort: the callers fill [idx] nearly
+   ascending, so it takes about n steps. *)
+let push_sorted b (idx : int array) vals n =
+  for i = 1 to n - 1 do
+    let x = idx.(i) in
+    let j = ref (i - 1) in
+    while !j >= 0 && idx.(!j) > x do
+      idx.(!j + 1) <- idx.(!j);
+      decr j
+    done;
+    idx.(!j + 1) <- x
+  done;
+  for i = 0 to n - 1 do
+    push b idx.(i) vals.(idx.(i))
+  done
+
 (* One Markowitz-ordered elimination. Returns the factors plus any rows
    and basis positions left unpivoted (structural/numerical
    singularity). *)
 let factorize a cols ~threshold =
   Lp_stats.incr Lp_stats.factorizations;
   let m = a.Sparse.m in
-  let rows = Array.init m (fun _ -> Hashtbl.create 8) in
-  let colrows = Array.make (max m 1) [] in
-  let rcount = Array.make (max m 1) 0 in
-  let ccount = Array.make (max m 1) 0 in
-  let rowact = Array.make (max m 1) true in
-  let colact = Array.make (max m 1) true in
   let nnz = ref 0 in
+  Array.iter (fun c -> nnz := !nnz + a.Sparse.colptr.(c + 1) - a.Sparse.colptr.(c)) cols;
+  let nd = nodes_create m (!nnz + m + 1) in
+  let rcount = Array.make (max m 1) 0 and ccount = Array.make (max m 1) 0 in
+  let rowact = Array.make (max m 1) true and colact = Array.make (max m 1) true in
+  (* Linking in ascending row order lists each column's initial
+     entries by descending row. *)
   for k = 0 to m - 1 do
     Sparse.col_iter a cols.(k) (fun i v ->
         if Float.abs v > drop_tol then begin
-          Hashtbl.replace rows.(i) k v;
-          colrows.(k) <- i :: colrows.(k);
+          link nd i k v;
           rcount.(i) <- rcount.(i) + 1;
-          ccount.(k) <- ccount.(k) + 1;
-          incr nnz
+          ccount.(k) <- ccount.(k) + 1
         end)
   done;
   (* [single.(k)]: a row's last live entry was in column k when the
      row's count reached 1. Set then and never cleared: a stale flag
      only admits an extra column to the first pass of the search. *)
   let single = Array.make (max m 1) false in
-  let flag_single r =
-    if rcount.(r) = 1 then Hashtbl.iter (fun k _ -> single.(k) <- true) rows.(r)
-  in
+  let flag_single r = if rcount.(r) = 1 then single.(nd.ncol.(nd.rhead.(r))) <- true in
   for i = 0 to m - 1 do
     flag_single i
   done;
-  (* Compact a column's candidate list: drop stale rows, dedup. *)
-  let seen = Array.make (max m 1) (-1) in
-  let stamp = ref 0 in
-  let active_rows k =
-    incr stamp;
-    let s = !stamp in
-    let live =
-      List.filter
-        (fun r ->
-          rowact.(r) && seen.(r) <> s && Hashtbl.mem rows.(r) k
-          && (seen.(r) <- s;
-              true))
-        colrows.(k)
-    in
-    colrows.(k) <- live;
-    live
-  in
-  let prow = Array.make (max m 1) (-1) in
-  let pcol = Array.make (max m 1) (-1) in
+  (* the active columns, ascending, as a list with sentinel [m] *)
+  let anext = Array.init (m + 1) (fun k -> if k = m then 0 else k + 1) in
+  let aprev = Array.init (m + 1) (fun k -> if k = 0 then m else k - 1) in
+  let prow = Array.make (max m 1) (-1) and pcol = Array.make (max m 1) (-1) in
   let pval = Array.make (max m 1) 0. in
   let lstart = Array.make (m + 1) 0 and ustart = Array.make (m + 1) 0 in
   let lbuf = buf_create !nnz and ubuf = buf_create !nnz in
   (* a pivot row's values by position, then the multipliers by row *)
   let scratch = Array.make (max m 1) 0. in
+  (* the U row's positions, then the L column's rows, to be sorted *)
+  let idx = Array.make (max m 1) 0 in
+  (* an updated row's node by position, valid where [mark] = [stamp] *)
+  let pos = Array.make (max m 1) 0 and mark = Array.make (max m 1) (-1) in
+  let stamp = ref 0 in
+  let best = ref (-1) and best_cost = ref max_int and best_mag = ref 0. in
+  (* Markowitz pivot search: min (r-1)(c-1) among entries passing the
+     threshold test against their column's max magnitude, ties to the
+     larger magnitude, then to the first met. Columns are taken in
+     index order and each column's entries in list order; the scan
+     stops at the first entry of cost 0. *)
+  let consider k =
+    let nval = nd.nval and cnext = nd.cnext in
+    let colmax = ref 0. and q = ref nd.chead.(k) in
+    while !q >= 0 do
+      colmax := Float.max !colmax (Float.abs nval.(!q));
+      q := cnext.(!q)
+    done;
+    if !colmax > drop_tol then begin
+      let lim = threshold *. !colmax and c1 = ccount.(k) - 1 in
+      q := nd.chead.(k);
+      while !q >= 0 do
+        let mag = Float.abs nval.(!q) in
+        if mag >= lim then begin
+          let cost = (rcount.(nd.nrow.(!q)) - 1) * c1 in
+          if cost < !best_cost || (cost = !best_cost && mag > !best_mag) then begin
+            best_cost := cost;
+            best_mag := mag;
+            best := !q;
+            if cost = 0 then raise Exit
+          end
+        end;
+        q := cnext.(!q)
+      done
+    end
+  in
+  (* The counts are exact, so an entry costs 0 only in a column
+     singleton or on a row singleton, and every row singleton's column
+     is flagged in [single]. Considering just those columns, in index
+     order, finds the pivot the full scan would stop at; the full scan
+     runs only when none has one. Stale flags only admit extra columns,
+     which hold no cost-0 entry. *)
+  let pass only_singletons =
+    best := -1;
+    best_cost := max_int;
+    best_mag := 0.;
+    let k = ref anext.(m) in
+    while !k < m do
+      if (not only_singletons) || ccount.(!k) = 1 || single.(!k) then consider !k;
+      k := anext.(!k)
+    done
+  in
   let nsteps = ref 0 in
   (try
      for _step = 0 to m - 1 do
-       (* Markowitz pivot search: min (r-1)(c-1) among entries passing
-          the threshold test against their column's max magnitude. The
-          scan takes columns in index order and stops at the first
-          entry of cost 0. *)
-       let best_cost = ref max_int
-       and best_mag = ref 0.
-       and best = ref None in
-       let consider k =
-         let live = active_rows k in
-         let colmax =
-           List.fold_left
-             (fun acc r -> Float.max acc (Float.abs (Hashtbl.find rows.(r) k)))
-             0. live
-         in
-         if colmax > drop_tol then
-           List.iter
-             (fun r ->
-               let v = Hashtbl.find rows.(r) k in
-               if Float.abs v >= threshold *. colmax then begin
-                 let cost = (rcount.(r) - 1) * (ccount.(k) - 1) in
-                 if cost < !best_cost || (cost = !best_cost && Float.abs v > !best_mag)
-                 then begin
-                   best_cost := cost;
-                   best_mag := Float.abs v;
-                   best := Some (r, k, v);
-                   if cost = 0 then raise Exit
-                 end
-               end)
-             live
-       in
        (try
-          (* The counts are exact, so an entry costs 0 only in a column
-             singleton or on a row singleton, and every row singleton's
-             column is flagged in [single]. Considering just those
-             columns, in index order, finds the pivot the full scan
-             would stop at; the full scan runs only when none has one.
-             Stale flags only admit extra columns, which hold no
-             cost-0 entry. *)
-          for k = 0 to m - 1 do
-            if colact.(k) && (ccount.(k) = 1 || single.(k)) then consider k
-          done;
-          best_cost := max_int;
-          best_mag := 0.;
-          best := None;
-          for k = 0 to m - 1 do
-            if colact.(k) then consider k
-          done
+          pass true;
+          pass false
         with Exit -> ());
-       match !best with
-       | None -> raise Exit (* singular remainder *)
-       | Some (pr, pc, v) ->
-         let step = !nsteps in
-         incr nsteps;
-         prow.(step) <- pr;
-         pcol.(step) <- pc;
-         pval.(step) <- v;
-         (* U row: the pivot row's off-pivot entries, by ascending
-            position *)
-         let off = ref [] in
-         Hashtbl.iter
-           (fun kc pv ->
-             if kc <> pc then begin
-               off := kc :: !off;
-               scratch.(kc) <- pv
-             end)
-           rows.(pr);
-         let off = Array.of_list !off in
-         Array.sort Int.compare off;
-         Array.iter (fun kc -> push ubuf kc scratch.(kc)) off;
-         ustart.(step + 1) <- ubuf.len;
-         let u0 = ustart.(step) and u1 = ubuf.len in
-         let upos = ubuf.bi and uval = ubuf.bf in
-         (* eliminate the pivot column below/above the pivot *)
-         let lrows = ref [] in
-         List.iter
-           (fun r ->
-             if r <> pr then begin
-               let arpc = Hashtbl.find rows.(r) pc in
-               let mult = arpc /. v in
-               lrows := r :: !lrows;
-               scratch.(r) <- mult;
-               Hashtbl.remove rows.(r) pc;
-               rcount.(r) <- rcount.(r) - 1;
-               for p = u0 to u1 - 1 do
-                 let kc = upos.(p) in
-                 let cur =
-                   match Hashtbl.find_opt rows.(r) kc with Some x -> x | None -> 0.
-                 in
-                 let nv = cur -. (mult *. uval.(p)) in
-                 if Float.abs nv <= drop_tol then begin
-                   if cur <> 0. then begin
-                     Hashtbl.remove rows.(r) kc;
-                     rcount.(r) <- rcount.(r) - 1;
-                     ccount.(kc) <- ccount.(kc) - 1
-                   end
-                 end
-                 else begin
-                   if cur = 0. then begin
-                     colrows.(kc) <- r :: colrows.(kc);
-                     rcount.(r) <- rcount.(r) + 1;
-                     ccount.(kc) <- ccount.(kc) + 1
-                   end;
-                   Hashtbl.replace rows.(r) kc nv
-                 end
-               done;
-               flag_single r
-             end)
-           (active_rows pc);
-         (* L column: the multipliers, by ascending row *)
-         let lrows = Array.of_list !lrows in
-         Array.sort Int.compare lrows;
-         Array.iter (fun r -> push lbuf r scratch.(r)) lrows;
-         lstart.(step + 1) <- lbuf.len;
-         (* retire the pivot row and column *)
-         rowact.(pr) <- false;
-         colact.(pc) <- false;
-         for p = u0 to u1 - 1 do
-           ccount.(upos.(p)) <- ccount.(upos.(p)) - 1
-         done;
-         Hashtbl.reset rows.(pr)
+       if !best < 0 then raise Exit (* singular remainder *);
+       let pr = nd.nrow.(!best) and pc = nd.ncol.(!best) and v = nd.nval.(!best) in
+       let step = !nsteps in
+       incr nsteps;
+       prow.(step) <- pr;
+       pcol.(step) <- pc;
+       pval.(step) <- v;
+       (* U row: the pivot row's off-pivot entries, by ascending
+          position. A row lists its initial entries by descending
+          position, so filling [idx] from the back leaves it nearly
+          sorted. *)
+       let n = rcount.(pr) - 1 in
+       let j = ref n and q = ref nd.rhead.(pr) in
+       while !q >= 0 do
+         let kc = nd.ncol.(!q) in
+         if kc <> pc then begin
+           decr j;
+           idx.(!j) <- kc;
+           scratch.(kc) <- nd.nval.(!q)
+         end;
+         q := nd.rnext.(!q)
+       done;
+       push_sorted ubuf idx scratch n;
+       ustart.(step + 1) <- ubuf.len;
+       let u0 = ustart.(step) and u1 = ubuf.len in
+       let upos = ubuf.bi and uval = ubuf.bf in
+       (* eliminate the pivot column below/above the pivot, taking its
+          rows in list order: a fill-in joins the head of its column's
+          list, so this order decides later ties *)
+       let nl = ccount.(pc) - 1 in
+       let i = ref nl in
+       q := nd.chead.(pc);
+       while !q >= 0 do
+         let qc = !q and r = nd.nrow.(!q) in
+         q := nd.cnext.(qc);
+         if r <> pr then begin
+           let mult = nd.nval.(qc) /. v in
+           decr i;
+           idx.(!i) <- r;
+           scratch.(r) <- mult;
+           unlink_row nd qc;
+           rcount.(r) <- rcount.(r) - 1;
+           incr stamp;
+           let qr = ref nd.rhead.(r) in
+           while !qr >= 0 do
+             pos.(nd.ncol.(!qr)) <- !qr;
+             mark.(nd.ncol.(!qr)) <- !stamp;
+             qr := nd.rnext.(!qr)
+           done;
+           for p = u0 to u1 - 1 do
+             let kc = upos.(p) in
+             if mark.(kc) = !stamp then begin
+               let qk = pos.(kc) in
+               let nv = nd.nval.(qk) -. (mult *. uval.(p)) in
+               if Float.abs nv <= drop_tol then begin
+                 unlink_row nd qk;
+                 unlink_col nd qk;
+                 rcount.(r) <- rcount.(r) - 1;
+                 ccount.(kc) <- ccount.(kc) - 1
+               end
+               else nd.nval.(qk) <- nv
+             end
+             else begin
+               let nv = 0. -. (mult *. uval.(p)) in
+               if not (Float.abs nv <= drop_tol) then begin
+                 link nd r kc nv;
+                 rcount.(r) <- rcount.(r) + 1;
+                 ccount.(kc) <- ccount.(kc) + 1
+               end
+             end
+           done;
+           flag_single r
+         end
+       done;
+       (* L column: the multipliers, by ascending row *)
+       push_sorted lbuf idx scratch nl;
+       lstart.(step + 1) <- lbuf.len;
+       (* retire the pivot row and column: unlink the row's nodes from
+          their columns, after which both lists are dead *)
+       rowact.(pr) <- false;
+       colact.(pc) <- false;
+       anext.(aprev.(pc)) <- anext.(pc);
+       aprev.(anext.(pc)) <- aprev.(pc);
+       q := nd.rhead.(pr);
+       while !q >= 0 do
+         let kc = nd.ncol.(!q) in
+         if kc <> pc then begin
+           unlink_col nd !q;
+           ccount.(kc) <- ccount.(kc) - 1
+         end;
+         q := nd.rnext.(!q)
+       done
      done
    with Exit -> ());
   let nsteps = !nsteps in

@@ -286,6 +286,22 @@ let test_solver_statuses () =
    exchanges. [nucleus] and [singular] override the drawn nucleus size
    and repeat; a triangular position is a slack with odds
    [slack_thirds] in 3. *)
+(* The standard form of the rows [coef] (one [<= 1] row each, over
+   continuous variables). *)
+let sparse_of_rows coef =
+  let nv = if coef = [||] then 0 else Array.length coef.(0) in
+  let mdl = Milp.Model.create () in
+  let vars = Array.init nv (fun j -> Milp.Model.continuous mdl (Printf.sprintf "x%d" j)) in
+  Array.iter
+    (fun row ->
+      let terms = ref [] in
+      Array.iteri
+        (fun j v -> if v <> 0. then terms := (v, vars.(j).Milp.Model.vid) :: !terms)
+        row;
+      Milp.Model.add_cons mdl (Milp.Linexpr.of_terms !terms) Milp.Model.Le 1.)
+    coef;
+  Milp.Sparse.of_model mdl
+
 let random_basis ?nucleus ?(slack_thirds = 1) ?singular seed =
   let rng = Random.State.make [| 0xfac7; seed |] in
   let m = 4 + Random.State.int rng 21 in
@@ -326,17 +342,7 @@ let random_basis ?nucleus ?(slack_thirds = 1) ?singular seed =
   let nv = List.length structural in
   let coef = Array.make_matrix m nv 0. in
   List.iteri (fun j col -> List.iter (fun (i, v) -> coef.(i).(j) <- v) col) structural;
-  let mdl = Milp.Model.create () in
-  let vars = Array.init nv (fun j -> Milp.Model.continuous mdl (Printf.sprintf "x%d" j)) in
-  Array.iter
-    (fun row ->
-      let terms = ref [] in
-      Array.iteri
-        (fun j v -> if v <> 0. then terms := (v, vars.(j).Milp.Model.vid) :: !terms)
-        row;
-      Milp.Model.add_cons mdl (Milp.Linexpr.of_terms !terms) Milp.Model.Le 1.)
-    coef;
-  let sp = Milp.Sparse.of_model mdl in
+  let sp = sparse_of_rows coef in
   let next = ref 0 in
   let bcols =
     Array.mapi
@@ -575,6 +581,97 @@ let test_kernel_golden () =
     refactorized;
   Alcotest.(check string) "FTRAN/BTRAN bits" "fcac55218061b570bc893b8cf65da9ac" digest
 
+(* A small random square basis: 3-8 rows, entries drawn from [values],
+   a share [slack] of positions on their row's slack and the others on
+   the structural column of the same index, and, if [repeat], position
+   1 repeating position 0's column. *)
+let edge_basis ~repeat ~values ~density ~slack seed =
+  let rng = Random.State.make [| 0xed6e; seed |] in
+  let m = 3 + Random.State.int rng 6 in
+  let coef =
+    Array.init m (fun _ ->
+        Array.init m (fun _ ->
+            if Random.State.float rng 1. < density then
+              values.(Random.State.int rng (Array.length values))
+            else 0.))
+  in
+  let cols = Array.init m (fun k -> if Random.State.float rng 1. < slack then -1 else k) in
+  if repeat then begin
+    cols.(0) <- 0;
+    cols.(1) <- 0
+  end;
+  (sparse_of_rows coef, Array.mapi (fun k c -> if c < 0 then m + k else c) cols)
+
+(* Markowitz search golden test: 25 small bases in four families, each
+   seed chosen to reach one of the search's tie and edge cases:
+   - [small]: two row singletons in one column that both pass the
+     threshold, full-scan ties on cost and magnitude, cancellations;
+   - [dense]: an entry cancelled below [drop_tol] and filled again in
+     a later step; and (seed 47) fill-ins of one step that tie later
+     in their column, so the order the step eliminates its rows in
+     decides a pivot;
+   - [ill]: row singletons failing the threshold, and factorizations
+     whose residual check forces the retry at threshold 0.99;
+   - [repeat]: a repeated column, repaired with a slack.
+   The digest covers each basis's repaired columns, its factorization
+   count and the bits of FTRAN/BTRAN on two probes; it was recorded
+   with the kernel that searched a [Hashtbl] per row and must not
+   move while the pivot rule stays the same. *)
+let search_digest () =
+  let small = [| 1.; -1.; 2.; -2.; 0.5; 3. |] in
+  let families =
+    [
+      ( [ 10; 12; 14; 34; 96; 178 ],
+        edge_basis ~repeat:false ~values:small ~density:0.45 ~slack:0.3 );
+      ( [ 27; 30; 47; 100; 147; 163; 323 ],
+        edge_basis ~repeat:false ~values:[| 1.; -1.; 2.; -2. |] ~density:0.6 ~slack:0.2 );
+      ( [ 197; 265; 420; 432; 450; 536 ],
+        edge_basis ~repeat:false
+          ~values:[| 0.011; 1.; -1.; 1e8; -1e8; 3.3e-5; 7. |]
+          ~density:0.5 ~slack:0.1 );
+      ( [ 1; 4; 6; 10; 13; 14 ],
+        edge_basis ~repeat:true ~values:small ~density:0.45 ~slack:0.3 );
+    ]
+  in
+  let buf = Buffer.create 16384 in
+  let add v = Array.iter (fun x -> Buffer.add_int64_le buf (Int64.bits_of_float x)) v in
+  let fact () = Milp.Lp_stats.read Milp.Lp_stats.factorizations () in
+  let counts =
+    List.map
+      (fun (seeds, make) ->
+        List.map
+          (fun seed ->
+            let sp, bcols = make seed in
+            let m = sp.Milp.Sparse.m in
+            let f0 = fact () in
+            let bas = Milp.Basis.create sp bcols in
+            let nfact = fact () - f0 in
+            let cols = Milp.Basis.bcols bas in
+            Array.iter (fun c -> Buffer.add_int32_le buf (Int32.of_int c)) cols;
+            Buffer.add_int32_le buf (Int32.of_int nfact);
+            List.iter
+              (fun v -> add (Milp.Basis.ftran bas v); add (Milp.Basis.btran bas v))
+              [
+                Array.init m (fun i -> 1. +. (0.1 *. Float.of_int i));
+                Array.init m (fun i -> if i mod 2 = 0 then 0.3 else -1.7);
+              ];
+            (nfact, cols <> bcols))
+          seeds)
+      families
+  in
+  (counts, Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+let test_search_golden () =
+  let counts, digest = search_digest () in
+  (match counts with
+  | [ _; _; ill; repeat ] ->
+    List.iter
+      (fun (nfact, _) -> Alcotest.(check int) "ill: residual retry" 2 nfact)
+      ill;
+    List.iter (fun (_, repaired) -> Alcotest.(check bool) "repeat: repaired" true repaired) repeat
+  | _ -> assert false);
+  Alcotest.(check string) "FTRAN/BTRAN bits" "203e5a213e97bed76f8e6b522e094887" digest
+
 let suite =
   [
     ("64 random MILPs: revised vs dense", `Quick, test_differential);
@@ -586,6 +683,7 @@ let suite =
     ("solver reports postsolved basis statuses", `Quick, test_solver_statuses);
     ("basis snapshot carries its eta file", `Quick, test_snapshot_carries_etas);
     ("LU kernel golden digest", `Quick, test_kernel_golden);
+    ("Markowitz search golden digest", `Quick, test_search_golden);
     ("FTRAN/BTRAN on m = 0 and m = 1 bases", `Quick, test_tiny_bases);
     ("snapshot siblings survive a copy's refactorizations", `Quick,
       test_snapshot_siblings_past_cap);

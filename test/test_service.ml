@@ -522,6 +522,73 @@ let test_json_edge_cases () =
       | Error m -> Alcotest.fail m)
     [ Float.max_float; -.Float.max_float; Float.min_float; 4e-324; 0.; -0. ]
 
+(* --- parser fuzzing ----------------------------------------------------- *)
+
+(* Valid request lines: every request shape, plus strings with escapes
+   and the non-finite float forms, so mutations reach every branch of
+   the reader. *)
+let fuzz_corpus =
+  List.map
+    (fun r -> J.to_string (Ev.json_of_request r))
+    [
+      Ev.Event (Ev.Link_down { lag = 1; link = 0; at = 3.5 });
+      Ev.Event (Ev.Capacity { lag = 0; link = 2; capacity = 12.; at = 5e-3 });
+      Ev.Event (Ev.Demand { src = 1; dst = 3; lo = 4.5; hi = Float.infinity; at = 6. });
+      Ev.Subscribe { tolerance = Some 0.25 };
+      Ev.Query (Ev.Worst { budget = Some 500; max_nodes = Some 10 });
+      Ev.Query (Ev.Now { down = Some [ (0, 0); (2, 1) ] });
+      Ev.Query Ev.Status;
+      Ev.Shutdown;
+    ]
+  @ [
+      {|{"op":"event","ev":"up","lag":-1,"link":0,"t":"nan"}|};
+      {| { "op" : "query", "q" : "now", "down" : [ ] , "x": [true, false, null, {}] } |};
+      {|{"op":"unknowné\n\t\"\\\/\b\f\r","v":[1.5e+300,-0.0,1E-7]}|};
+    ]
+
+(* [Json.of_string input] must return [Ok] or [Error], and so must
+   [request_of_json] on a parsed value: neither may raise. *)
+let total input =
+  match J.of_string input with
+  | Ok j -> (
+    match Ev.request_of_json j with
+    | Ok _ | Error _ -> true
+    | exception e ->
+      QCheck2.Test.fail_reportf "request_of_json on %S raised %s" input
+        (Printexc.to_string e))
+  | Error _ -> true
+  | exception e ->
+    QCheck2.Test.fail_reportf "of_string %S raised %s" input (Printexc.to_string e)
+
+let prop_random_bytes =
+  let alphabet = "{}[]\":,.-+eE0123456789\\u tfnl" in
+  let json_char = QCheck2.Gen.oneofl (List.init (String.length alphabet) (String.get alphabet)) in
+  QCheck2.Test.make ~name:"json: random bytes parse or fail in band" ~count:2000
+    ~print:(Printf.sprintf "%S")
+    QCheck2.Gen.(oneof [ string_size (0 -- 64); string_size ~gen:json_char (0 -- 64) ])
+    total
+
+let prop_byte_flips =
+  let corpus = Array.of_list fuzz_corpus in
+  QCheck2.Test.make ~name:"json: single-byte flips of valid requests" ~count:3000
+    ~print:(Printf.sprintf "%S")
+    QCheck2.Gen.(
+      let* line = oneofa corpus in
+      let* i = int_bound (String.length line - 1) in
+      let+ c = char in
+      String.mapi (fun j x -> if j = i then c else x) line)
+    total
+
+let test_truncations () =
+  List.iter
+    (fun line ->
+      Alcotest.(check bool) (Printf.sprintf "valid: %s" line) true
+        (Result.is_ok (Ev.request_of_line line) || Result.is_ok (J.of_string line));
+      for l = 0 to String.length line - 1 do
+        ignore (total (String.sub line 0 l))
+      done)
+    fuzz_corpus
+
 (* --- journal ------------------------------------------------------------ *)
 
 let tmp_path name =
@@ -1005,6 +1072,9 @@ let suite =
   [
     ("json round trip", `Quick, test_json_roundtrip);
     ("json edge cases", `Quick, test_json_edge_cases);
+    ("json: every truncation of a valid request", `Quick, test_truncations);
+    QCheck_alcotest.to_alcotest prop_random_bytes;
+    QCheck_alcotest.to_alcotest prop_byte_flips;
     ("protocol round trip", `Quick, test_protocol_roundtrip);
     ("state ingestion", `Quick, test_state_apply);
     ("invalidation policy table", `Quick, test_policy_decide);
