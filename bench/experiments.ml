@@ -1004,7 +1004,7 @@ let service_bench ctx =
     (if cert then "ok" else "FAIL")
     identical agree;
   row
-    "(the cold arm reconstructs state and solves from scratch per query;      the service invalidation policy re-solves only on estimate drift,      support hits or structural change — warm re-solves reuse the      persisted cut pool and the screening engine's basis overlays)@."
+    "(the cold arm reconstructs state and solves from scratch per query;      the service invalidation policy re-solves only on estimate drift,      support hits or structural change — warm re-solves reuse the      screening engine's basis overlays and separate their cuts afresh)@."
 
 (* --------------------------------------------------------------- alerting *)
 

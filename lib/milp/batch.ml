@@ -50,7 +50,7 @@ let patched_rhs t patch =
     patch;
   b
 
-let solve ?lb ?ub ?max_iters ?degen_limit ?warm ?(patch = []) t =
+let solve ?warm ?(patch = []) t =
   let b = patched_rhs t patch in
   Lp_stats.incr Lp_stats.batch_overlays;
   (* [solve_prepared] bumps warm_hits exactly when the dual-simplex warm
@@ -59,7 +59,7 @@ let solve ?lb ?ub ?max_iters ?degen_limit ?warm ?(patch = []) t =
      domains. *)
   let wh0 = Lp_stats.read Lp_stats.warm_hits () in
   let result, basis =
-    Simplex.solve_prepared ?lb ?ub ~b ?max_iters ?degen_limit ?warm t.prep
+    Simplex.solve_prepared ~b ?warm t.prep
   in
   let warm_hit = Lp_stats.read Lp_stats.warm_hits () > wh0 in
   if warm_hit then Lp_stats.incr Lp_stats.batch_warm_hits;

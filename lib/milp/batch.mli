@@ -42,14 +42,9 @@ val base_rhs : t -> float array
 
 (** [solve ?warm ?patch t] solves the overlay whose rhs is the base rhs
     with each [(row, value)] of [patch] substituted (later entries win).
-    [?warm] is typically the base problem's optimal basis. Other
-    optionals forward to {!Simplex.solve_prepared}.
+    [?warm] is typically the base problem's optimal basis.
     @raise Invalid_argument on an out-of-range patch row. *)
 val solve :
-  ?lb:float array ->
-  ?ub:float array ->
-  ?max_iters:int ->
-  ?degen_limit:int ->
   ?warm:Simplex.basis ->
   ?patch:(int * float) list ->
   t ->

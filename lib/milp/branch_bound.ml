@@ -414,13 +414,9 @@ let solve ?(options = default) model =
      the last active-set shrink: a basis from generation [g] extends to
      the current LP iff [g >= last_prune] (rows were only appended
      since). *)
-  let copts = options.cuts in
   let pool =
-    if
-      copts.Cuts.enable
-      && Array.length int_ids > 0
-      && (copts.Cuts.root_rounds > 0 || copts.Cuts.node_interval > 0)
-    then Some (Cuts.create copts model)
+    if options.cuts.Cuts.enable && Array.length int_ids > 0 then
+      Some (Cuts.create model)
     else None
   in
   let rows_of m =
@@ -677,10 +673,8 @@ let solve ?(options = default) model =
         end
       in
       let rounds =
-        if node.depth = 0 && !nodes = 1 then copts.Cuts.root_rounds
-        else if
-          copts.Cuts.node_interval > 0 && !nodes mod copts.Cuts.node_interval = 0
-        then 1
+        if node.depth = 0 && !nodes = 1 then Cuts.root_rounds
+        else if !nodes mod Cuts.node_interval = 0 then 1
         else 0
       in
       cut_loop rounds obj values fbasis

@@ -48,7 +48,7 @@ type options = {
           (exposed mainly so tests can force the degradation path). *)
   cuts : Cuts.options;
       (** Cutting planes ({!Cuts}): separation rounds run at the root
-          and every [node_interval] in-tree nodes, the LP is re-prepared
+          and every {!Cuts.node_interval} in-tree nodes, the LP is re-prepared
           on the extended row set, and parent bases extend over appended
           cut rows so dual warm starts survive. Default {!Cuts.default};
           [Cuts.disabled] restores the pre-cut search

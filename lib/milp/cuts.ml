@@ -27,34 +27,16 @@ let family_name = function
   | Cover -> "cover"
   | Clique -> "clique"
 
-type options = {
-  enable : bool;
-  root_rounds : int;
-  node_interval : int;
-  max_per_round : int;
-  pool_size : int;
-  max_age : int;
-  gomory : bool;
-  cover : bool;
-  clique : bool;
-  max_support : int;
-}
+type options = { enable : bool }
 
-let default =
-  {
-    enable = true;
-    root_rounds = 6;
-    node_interval = 200;
-    max_per_round = 20;
-    pool_size = 200;
-    max_age = 12;
-    gomory = true;
-    cover = true;
-    clique = true;
-    max_support = 200;
-  }
-
-let disabled = { default with enable = false }
+let default = { enable = true }
+let disabled = { enable = false }
+let root_rounds = 6
+let node_interval = 200
+let max_per_round = 20
+let pool_size = 200
+let max_age = 12
+let max_support = 200
 
 type cut = {
   terms : (float * int) array;
@@ -64,11 +46,8 @@ type cut = {
 }
 
 (* A knapsack row normalized to [sum a_j y_j <= cap] with a_j > 0 over
-   literals y_j = x_j ([true]) or 1 - x_j ([false]). [krow] is the
-   index (into [Model.conss]) of the row it was derived from — the
-   cut's only premise, recorded so callers persisting cuts across
-   solves can check the premise still holds. *)
-type knap = { kcap : float; krow : int; kitems : (float * int * bool) array }
+   literals y_j = x_j ([true]) or 1 - x_j ([false]). *)
+type knap = { kcap : float; kitems : (float * int * bool) array }
 
 (* Literals of the conflict graph: [2 * id + 1] for x_id = 1, [2 * id]
    for x_id = 0. *)
@@ -80,12 +59,11 @@ let lit_value x l = if lit_is_pos l then x.(lit_id l) else 1. -. x.(lit_id l)
 let conflict_key a b = if a < b then (a, b) else (b, a)
 
 type pool = {
-  opts : options;
   glo : float array;  (* solve-global structural bounds *)
   ghi : float array;
   is_int : bool array;
   knaps : knap array;
-  conflict : (int * int, int) Hashtbl.t;  (* edge -> source row index *)
+  conflict : (int * int, unit) Hashtbl.t;  (* conflicting literal pairs *)
   graph_lits : int array;  (* sorted literals present in the graph *)
   mutable active : cut list;  (* activation order *)
   mutable nactive : int;
@@ -145,7 +123,7 @@ let clean_le pool terms rhs =
     in
     if
       kept = []
-      || List.length kept > pool.opts.max_support
+      || List.length kept > max_support
       || maxc /. minc > 1e7
       || (not (Float.is_finite !rhs))
       || Float.abs !rhs > 1e10 *. maxc
@@ -202,23 +180,21 @@ let audit ~incumbent cut =
 
 let le_rows model =
   (* every row as <= rows over its structural terms (Eq contributes
-     both directions), each tagged with the index of the source
-     constraint in [Model.conss]; Model.add_cons already moved lhs
-     constants to the rhs *)
-  List.concat
-    (List.mapi
-       (fun i (c : Model.cons) ->
-         let ts = Linexpr.terms c.lhs in
-         let neg () = List.map (fun (k, id) -> (-.k, id)) ts in
-         match c.rel with
-         | Model.Le -> [ (ts, c.rhs, i) ]
-         | Model.Ge -> [ (neg (), -.c.rhs, i) ]
-         | Model.Eq -> [ (ts, c.rhs, i); (neg (), -.c.rhs, i) ])
-       (Array.to_list (Model.conss model)))
+     both directions); Model.add_cons already moved lhs constants to
+     the rhs *)
+  List.concat_map
+    (fun (c : Model.cons) ->
+      let ts = Linexpr.terms c.lhs in
+      let neg () = List.map (fun (k, id) -> (-.k, id)) ts in
+      match c.rel with
+      | Model.Le -> [ (ts, c.rhs) ]
+      | Model.Ge -> [ (neg (), -.c.rhs) ]
+      | Model.Eq -> [ (ts, c.rhs); (neg (), -.c.rhs) ])
+    (Array.to_list (Model.conss model))
 
 let collect_knaps ~is_bin rows =
   List.filter_map
-    (fun (ts, rhs, row) ->
+    (fun (ts, rhs) ->
       let w = List.length ts in
       if w < 2 || w > 64 then None
       else if not (List.for_all (fun (_, id) -> is_bin id) ts) then None
@@ -240,7 +216,7 @@ let collect_knaps ~is_bin rows =
            business *)
         if List.length items < 2 || !cap <= 1e-9 || total <= !cap +. 1e-9 then
           None
-        else Some { kcap = !cap; krow = row; kitems = Array.of_list items }
+        else Some { kcap = !cap; kitems = Array.of_list items }
       end)
     rows
 
@@ -248,7 +224,7 @@ let collect_conflicts ~is_bin ~glo ~ghi rows =
   let conflict = Hashtbl.create 256 and lit_set = Hashtbl.create 64 in
   let budget = ref 100_000 in
   List.iter
-    (fun (ts, rhs, row) ->
+    (fun (ts, rhs) ->
       let bins = List.filter (fun (_, id) -> is_bin id) ts in
       let nbin = List.length bins in
       if nbin >= 2 && nbin <= 40 && !budget > 0 then begin
@@ -276,7 +252,7 @@ let collect_conflicts ~is_bin ~glo ~ghi rows =
                       let lj = if vj > 0.5 then lit_pos idj else lit_neg idj in
                       let k = conflict_key li lj in
                       if not (Hashtbl.mem conflict k) then begin
-                        Hashtbl.replace conflict k row;
+                        Hashtbl.replace conflict k ();
                         Hashtbl.replace lit_set li ();
                         Hashtbl.replace lit_set lj ();
                         decr budget
@@ -292,7 +268,7 @@ let collect_conflicts ~is_bin ~glo ~ghi rows =
   let lits = Hashtbl.fold (fun l () acc -> l :: acc) lit_set [] in
   (conflict, Array.of_list (List.sort compare lits))
 
-let create opts model =
+let create model =
   let nv = Model.num_vars model in
   let glo, ghi = Model.bounds model in
   let is_int = Array.make nv false in
@@ -306,20 +282,13 @@ let create opts model =
     is_int.(id) && glo.(id) >= -1e-9 && ghi.(id) <= 1. +. 1e-9
   in
   let rows = le_rows model in
-  let knaps =
-    if opts.cover then Array.of_list (collect_knaps ~is_bin rows) else [||]
-  in
-  let conflict, graph_lits =
-    if opts.clique then collect_conflicts ~is_bin ~glo ~ghi rows
-    else (Hashtbl.create 1, [||])
-  in
-  if opts.enable then
-    Log.debug (fun f ->
-        f "%s: %d knapsack rows, %d conflict pairs over %d literals"
-          (Model.name model) (Array.length knaps) (Hashtbl.length conflict)
-          (Array.length graph_lits));
+  let knaps = Array.of_list (collect_knaps ~is_bin rows) in
+  let conflict, graph_lits = collect_conflicts ~is_bin ~glo ~ghi rows in
+  Log.debug (fun f ->
+      f "%s: %d knapsack rows, %d conflict pairs over %d literals"
+        (Model.name model) (Array.length knaps) (Hashtbl.length conflict)
+        (Array.length graph_lits));
   {
-    opts;
     glo;
     ghi;
     is_int;
@@ -332,10 +301,8 @@ let create opts model =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Separators. Each pushes (terms, rhs, family, deps) candidates, with
-   terms over structural ids and [deps] the source-row indices the
-   cut's validity rests on ([] when it rests on the whole model, as a
-   Gomory cut derived through B^-1 does).                              *)
+(* Separators. Each pushes (terms, rhs, family) candidates, with terms
+   over structural ids.                                                *)
 
 (* Greedy minimal-cover separation: minimize sum (1 - y) over the LP
    point subject to overflowing the capacity, taking items by ascending
@@ -383,7 +350,7 @@ let sep_cover pool x acc =
                 end)
               cover
           in
-          acc := (terms, float_of_int (size - 1 - !nneg), Cover, [ k.krow ]) :: !acc
+          acc := (terms, float_of_int (size - 1 - !nneg), Cover) :: !acc
         end
       end)
     pool.knaps
@@ -429,21 +396,7 @@ let sep_clique pool x acc =
                 end)
               !clique
           in
-          (* the clique cut rests on every pairwise conflict it uses;
-             each edge was derived from exactly one source row *)
-          let deps = ref [] in
-          let rec edges = function
-            | [] -> ()
-            | l :: rest ->
-              List.iter
-                (fun l' ->
-                  let row = Hashtbl.find pool.conflict (conflict_key l l') in
-                  if not (List.mem row !deps) then deps := row :: !deps)
-                rest;
-              edges rest
-          in
-          edges !clique;
-          acc := (terms, 1. -. float_of_int !nneg, Clique, !deps) :: !acc
+          acc := (terms, 1. -. float_of_int !nneg, Clique) :: !acc
         end
       end)
     arr
@@ -501,7 +454,7 @@ let sep_gomory pool ~sp ~rows ~bcols ~stats x acc =
         end)
       bcols;
     let cands = List.sort compare !cands in
-    let cands = List.filteri (fun i _ -> i < pool.opts.max_per_round) cands in
+    let cands = List.filteri (fun i _ -> i < max_per_round) cands in
     List.iter
       (fun (_, r) ->
         let er = Array.make (max m 1) 0. in
@@ -599,7 +552,7 @@ let sep_gomory pool ~sp ~rows ~bcols ~stats x acc =
               for k = nv - 1 downto 0 do
                 if acc_s.(k) <> 0. then terms := (-.acc_s.(k), k) :: !terms
               done;
-              acc := (!terms, -. !grhs, Gomory, []) :: !acc
+              acc := (!terms, -. !grhs, Gomory) :: !acc
             end
           end
         end)
@@ -611,48 +564,42 @@ let sep_gomory pool ~sp ~rows ~bcols ~stats x acc =
 let active_count pool = pool.nactive
 let active_cuts pool = pool.active
 
+(* Clean and normalize the raw candidates of one round and keep the
+   ones [point] violates, most violated first (the key tiebreak keeps
+   the order deterministic). *)
+let violated pool point raw =
+  List.filter_map
+    (fun (terms, rhs, fam) ->
+      match clean_le pool terms rhs with
+      | None -> None
+      | Some (terms, rhs) -> (
+        match normalize terms rhs fam with
+        | None -> None
+        | Some cut ->
+          let viol = eval_cut cut point -. cut.rhs in
+          if viol > 1e-6 *. Float.max 1. (Float.abs cut.rhs) then
+            Some (viol, cut)
+          else None))
+    raw
+  |> List.sort (fun (v1, c1) (v2, c2) ->
+         let c = compare v2 v1 in
+         if c <> 0 then c else compare (key_of c1) (key_of c2))
+  |> List.map snd
+
 let separate_round pool ~sp ~rows ~point ~basis ~incumbent =
-  if pool.nactive >= pool.opts.pool_size then 0
+  if pool.nactive >= pool_size then 0
   else begin
     let raw = ref [] in
-    if pool.opts.cover then sep_cover pool point raw;
-    if pool.opts.clique then sep_clique pool point raw;
+    sep_cover pool point raw;
+    sep_clique pool point raw;
     (match basis with
-    | Some (bcols, stats) when pool.opts.gomory ->
-      sep_gomory pool ~sp ~rows ~bcols ~stats point raw
-    | Some _ | None -> ());
-    (* clean, normalize and keep the violated candidates *)
-    let cands =
-      List.filter_map
-        (fun (terms, rhs, fam, _deps) ->
-          Lp_stats.incr Lp_stats.cuts_generated;
-          match clean_le pool terms rhs with
-          | None -> None
-          | Some (terms, rhs) -> (
-            match normalize terms rhs fam with
-            | None -> None
-            | Some cut ->
-              let viol = eval_cut cut point -. cut.rhs in
-              if viol > 1e-6 *. Float.max 1. (Float.abs cut.rhs) then
-                Some (viol, cut)
-              else None))
-        !raw
-    in
-    (* most violated first; key tiebreak keeps the order deterministic *)
-    let cands =
-      List.sort
-        (fun (v1, c1) (v2, c2) ->
-          let c = compare v2 v1 in
-          if c <> 0 then c else compare (key_of c1) (key_of c2))
-        cands
-    in
+    | Some (bcols, stats) -> sep_gomory pool ~sp ~rows ~bcols ~stats point raw
+    | None -> ());
+    Lp_stats.add Lp_stats.cuts_generated (List.length !raw);
     let added = ref 0 in
     List.iter
-      (fun (_, cut) ->
-        if
-          !added < pool.opts.max_per_round
-          && pool.nactive < pool.opts.pool_size
-        then begin
+      (fun cut ->
+        if !added < max_per_round && pool.nactive < pool_size then begin
           let key = key_of cut in
           if (not (Hashtbl.mem pool.seen key)) && audit ~incumbent cut then begin
             Hashtbl.replace pool.seen key ();
@@ -662,7 +609,7 @@ let separate_round pool ~sp ~rows ~point ~basis ~incumbent =
             Lp_stats.incr Lp_stats.cuts_applied
           end
         end)
-      cands;
+      (violated pool point !raw);
     !added
   end
 
@@ -675,7 +622,7 @@ let age_and_prune pool ~point =
         if slack > 1e-7 *. Float.max 1. (Float.abs cut.rhs) then
           cut.age <- cut.age + 1
         else cut.age <- 0;
-        if cut.age > pool.opts.max_age then begin
+        if cut.age > max_age then begin
           incr pruned;
           (* allow the cut back in if it ever separates again *)
           Hashtbl.remove pool.seen (key_of cut);
@@ -707,66 +654,30 @@ let audit_incumbent pool x =
   !dropped
 
 (* ------------------------------------------------------------------ *)
-(* Structural separation for cross-solve persistence                   *)
+(* Structural separation at a model's LP relaxation                    *)
 
-type structural = {
-  s_terms : (float * int) list;
-  s_rhs : float;
-  s_family : family;
-  s_deps : int list;
-}
+type structural = { s_terms : (float * int) list; s_rhs : float; s_family : family }
 
-let separate_structural opts model ~point =
-  (* Only the row-local families: a cover cut rests on its single
-     knapsack row and a clique cut on the rows behind its conflict
-     edges, so each survives any later solve whose model still contains
-     (an equal copy of) those rows. Gomory cuts are derived through
-     B^-1 from the whole row system and are excluded — no per-row
-     dependency list can license reusing one. *)
-  let pool = create { opts with gomory = false } model in
+let separate_structural model ~point =
+  (* Only the row-local families: Gomory cuts need the basis of the LP
+     that produced [point], which this entry point does not take. *)
+  let pool = create model in
   let raw = ref [] in
-  if opts.cover then sep_cover pool point raw;
-  if opts.clique then sep_clique pool point raw;
-  let cands =
-    List.filter_map
-      (fun (terms, rhs, fam, deps) ->
-        match clean_le pool terms rhs with
-        | None -> None
-        | Some (terms, rhs) -> (
-          match normalize terms rhs fam with
-          | None -> None
-          | Some cut ->
-            let viol = eval_cut cut point -. cut.rhs in
-            if viol > 1e-6 *. Float.max 1. (Float.abs cut.rhs) then
-              Some (viol, cut, List.sort_uniq compare deps)
-            else None))
-      !raw
-  in
-  let cands =
-    List.sort
-      (fun (v1, c1, _) (v2, c2, _) ->
-        let c = compare v2 v1 in
-        if c <> 0 then c else compare (key_of c1) (key_of c2))
-      cands
-  in
+  sep_cover pool point raw;
+  sep_clique pool point raw;
   let seen = Hashtbl.create 16 in
   let out = ref [] and n = ref 0 in
   List.iter
-    (fun (_, cut, deps) ->
+    (fun cut ->
       let key = key_of cut in
-      if !n < opts.pool_size && not (Hashtbl.mem seen key) then begin
+      if !n < pool_size && not (Hashtbl.mem seen key) then begin
         Hashtbl.replace seen key ();
         incr n;
         out :=
-          {
-            s_terms = Array.to_list cut.terms;
-            s_rhs = cut.rhs;
-            s_family = cut.family;
-            s_deps = deps;
-          }
+          { s_terms = Array.to_list cut.terms; s_rhs = cut.rhs; s_family = cut.family }
           :: !out
       end)
-    cands;
+    (violated pool point !raw);
   List.rev !out
 
 let extend_model base pool =

@@ -33,35 +33,34 @@
     compensated dot product (the {!Certify} discipline) — and the active
     set is re-audited against every new incumbent. A failed audit drops
     the cut and bumps the [cut-audit-failures] counter instead of
-    corrupting the search. *)
+    corrupting the search.
+
+    {!separate_structural} runs the cover and clique separators once,
+    outside any pool, at a model's LP-relaxation optimum. The service
+    daemon uses it to hand each worst-case solve a fresh set of rows to
+    add before presolve; nothing is kept from one solve to the next. *)
 
 type family = Gomory | Cover | Clique
 
 val family_name : family -> string
 
-type options = {
-  enable : bool;  (** master switch ([false] in {!disabled}) *)
-  root_rounds : int;  (** separation rounds at the root node *)
-  node_interval : int;
-      (** separate one round every this many B&B nodes ([0] disables
-          in-tree separation) *)
-  max_per_round : int;  (** cuts activated per separation round *)
-  pool_size : int;  (** bound on the active cut set *)
-  max_age : int;
-      (** rounds a cut may stay slack at the separation point before it
-          is pruned from the pool *)
-  gomory : bool;  (** per-family toggles *)
-  cover : bool;
-  clique : bool;
-  max_support : int;  (** reject cuts with more nonzeros than this *)
-}
+(** The one cut setting callers choose: on ({!default}) or off
+    ({!disabled}). Everything else is fixed: all three families,
+    {!root_rounds} rounds at the root, one in-tree round every
+    {!node_interval} nodes, at most 20 activations per round into a
+    pool of 200, cuts of at most 200 nonzeros, and a cut slack at the
+    separation point for more than 12 consecutive rounds is pruned. *)
+type options = { enable : bool }
 
-(** Cuts enabled: 6 root rounds, an in-tree round every 200 nodes, at
-    most 20 activations per round into a pool of 200. *)
 val default : options
-
-(** [default] with [enable = false]. *)
 val disabled : options
+
+(** Separation rounds at the root node (6). *)
+val root_rounds : int
+
+(** One separation round every this many branch-and-bound nodes
+    (200). *)
+val node_interval : int
 
 (** A pooled cut: [sum terms <= rhs] over structural variable ids, with
     max |coefficient| = 1. *)
@@ -74,11 +73,11 @@ type cut = private {
 
 type pool
 
-(** [create opts model] scans the model's rows once, collecting the
+(** [create model] scans the model's rows once, collecting the
     binary knapsack candidates and the pairwise conflict graph, and
     records the solve-global variable bounds GMI shifts use. [model]
     must be the model branch-and-bound solves (post-presolve). *)
-val create : options -> Model.t -> pool
+val create : Model.t -> pool
 
 (** [separate_round pool ~sp ~rows ~point ~basis ~incumbent] runs one
     separation round at the fractional [point] (structural values) and
@@ -99,7 +98,8 @@ val separate_round :
   int
 
 (** Age the active cuts against the current LP point — tight resets the
-    age, slack increments it — and prune cuts over [max_age]. Returns
+    age, slack increments it — and prune cuts slack for more than 12
+    rounds. Returns
     the number pruned (pruning invalidates extended bases built on the
     previous row set; see {!Simplex.extend_basis}). *)
 val age_and_prune : pool -> point:float array -> int
@@ -119,31 +119,23 @@ val extend_model : Model.t -> pool -> Model.t
 
 val active_count : pool -> int
 
-(** A cut whose validity rests only on named rows of the separating
-    model, for {e cross-solve} persistence: [sum s_terms <= s_rhs]
-    (structural ids, max |coeff| = 1) is valid for {e any} model that
-    contains an equal copy of every row in [s_deps] (indices into the
-    separating model's [Model.conss]) with the same variable boxes on
-    the cut's support. Only the row-local families qualify — a cover
-    cut depends on its knapsack row, a clique cut on the rows behind
-    its conflict edges. Gomory cuts are never emitted here: they are
-    derived through the basis inverse from {e all} rows, so no
-    dependency list can license reuse. *)
+(** A cover or clique cut of one model, [sum s_terms <= s_rhs] over
+    structural ids with max |coeff| = 1. It is valid for the model it
+    was separated on, so a caller may add it to that model as an
+    ordinary row before solving ([Raha.Analysis.analyze ?extra_cuts]). *)
 type structural = {
   s_terms : (float * int) list;
   s_rhs : float;
   s_family : family;
-  s_deps : int list;  (** source-row indices, sorted, duplicate-free *)
 }
 
-(** [separate_structural opts model ~point] runs one cover + clique
+(** [separate_structural model ~point] runs one cover + clique
     separation round against [point] (structural values of [model]'s
-    LP relaxation) and returns the violated candidates with their row
-    dependencies — cleaned, normalized, most-violated-first, capped at
-    [opts.pool_size]. Pure: builds a throwaway pool, bumps no counters,
-    never touches [model]. *)
-val separate_structural :
-  options -> Model.t -> point:float array -> structural list
+    LP relaxation) and returns the violated cuts — cleaned, normalized,
+    deduplicated, most-violated-first, at most 200. Gomory cuts are
+    never emitted: they need the basis behind [point]. Pure: builds a
+    throwaway pool, bumps no counters, never touches [model]. *)
+val separate_structural : Model.t -> point:float array -> structural list
 
 (** Active cuts in activation order (for tests and diagnostics). *)
 val active_cuts : pool -> cut list

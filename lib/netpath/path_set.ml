@@ -79,51 +79,3 @@ let find t ~src ~dst =
   | None -> raise Not_found
 
 let total_paths t = List.fold_left (fun acc p -> acc + num_primary p + num_backup p) 0 t
-
-let via_gateway ~n_primary ~n_backup topo ~gateway ~dsts =
-  if n_primary < 1 then invalid_arg "Path_set.via_gateway: n_primary < 1";
-  let want = n_primary + n_backup in
-  List.map
-    (fun dst ->
-      if dst = gateway then invalid_arg "Path_set.via_gateway: dst = gateway";
-      let candidates =
-        Wan.Topology.neighbors topo gateway
-        |> List.concat_map (fun (g, _) ->
-               if g = dst then
-                 match Path.make topo [ gateway; dst ] with
-                 | p -> [ p ]
-                 | exception Invalid_argument _ -> []
-               else
-                 Shortest.yen topo ~src:g ~dst want
-                 |> List.filter_map (fun p ->
-                        (* prefix the gateway hop; drop paths that loop
-                           back through the gateway *)
-                        if List.mem gateway (Path.node_list p) then None
-                        else
-                          match Path.make topo (gateway :: Path.node_list p) with
-                          | q -> Some q
-                          | exception Invalid_argument _ -> None))
-      in
-      let sorted =
-        List.sort_uniq
-          (fun a b ->
-            match compare (Path.length a) (Path.length b) with
-            | 0 -> Path.compare a b
-            | c -> c)
-          candidates
-      in
-      if sorted = [] then
-        invalid_arg
-          (Printf.sprintf "Path_set.via_gateway: no path from gateway to %s"
-             (Wan.Topology.node_name topo dst));
-      let rec take n = function
-        | [] -> []
-        | _ when n = 0 -> []
-        | x :: tl -> x :: take (n - 1) tl
-      in
-      let primary = take n_primary sorted in
-      let rest =
-        List.filteri (fun i _ -> i >= List.length primary && i < want) sorted
-      in
-      { src = gateway; dst; primary; backup = rest })
-    dsts

@@ -47,17 +47,3 @@ val find : t -> src:int -> dst:int -> pair
 
 (** Total number of paths across all pairs. *)
 val total_paths : t -> int
-
-(** [via_gateway topo ~gateway ~n_primary ~n_backup dsts] builds path
-    sets for a virtual gateway node (the "equivalences" device of §9 of
-    the paper): traffic entering at [gateway] may leave through any of
-    its immediate neighbors, so for each destination the gateway's path
-    list is the union over neighbors [g] of [gateway-g] prefixed to [g]'s
-    own k-shortest paths, sorted by total hop count. *)
-val via_gateway :
-  n_primary:int ->
-  n_backup:int ->
-  Wan.Topology.t ->
-  gateway:int ->
-  dsts:int list ->
-  t

@@ -54,21 +54,14 @@ type report = {
   nodes : int;
 }
 
-(* Candidate (scenario, demand) seeds: the empty scenario, each single
-   whole-LAG failure, and the greedy most-probable multi-failure scenario
-   — filtered by the spec's constraints and ranked by simulated impact.
-   Each becomes a plunge hint (a warm start for the MILP search). *)
-(* Evaluate [f] over the array on [domains] domains; order-preserving,
-   so downstream ranking is identical whatever the parallelism. A
-   caller-supplied pool (one per [analyze], shared with the MILP core)
-   is used directly; otherwise a transient pool serves this one sweep. *)
-let par_map ?pool ~domains f arr =
+(* Evaluate [f] over the array on [analyze]'s pool (one per call,
+   shared with the MILP core; there is none at one domain);
+   order-preserving, so downstream ranking is identical whatever the
+   parallelism. *)
+let par_map ?pool f arr =
   match pool with
   | Some pool when Array.length arr >= 2 -> Parallel.Pool.map_array pool f arr
-  | Some _ | None ->
-    if domains <= 1 || Array.length arr < 2 then Array.map f arr
-    else
-      Parallel.Pool.with_pool ~domains (fun pool -> Parallel.Pool.map_array pool f arr)
+  | Some _ | None -> Array.map f arr
 
 (* The demand the candidate screening sweeps route: the envelope corner
    matching the spec's goal. *)
@@ -86,7 +79,11 @@ let screening_engine ~spec topo paths envelope =
   Te.Simulate.prepare ~objective:spec.Bilevel.objective topo paths
     (screening_demand spec envelope)
 
-let seed_candidates ?screen ?pool spec topo paths envelope ~limit ~domains =
+(* Candidate (scenario, demand) seeds: the empty scenario, each single
+   whole-LAG failure, and the greedy most-probable multi-failure scenario
+   — filtered by the spec's constraints and ranked by simulated impact.
+   Each becomes a plunge hint (a warm start for the MILP search). *)
+let seed_candidates ?screen ?pool spec topo paths envelope ~limit =
   let admissible s =
     (match spec.Bilevel.threshold with
     | Some t -> Failure.Scenario.prob topo s >= t
@@ -148,7 +145,7 @@ let seed_candidates ?screen ?pool spec topo paths envelope ~limit ~domains =
     (* one independent scenario solve per candidate: the sweep the pool
        parallelizes; scores come back in candidate order *)
     let arr = Array.of_list candidates in
-    Array.to_list (par_map ?pool ~domains (fun s -> (score s, s)) arr)
+    Array.to_list (par_map ?pool (fun s -> (score s, s)) arr)
     |> List.filter (fun (sc, _) -> sc > neg_infinity)
     |> List.sort (fun (a, _) (b, _) -> compare b a)
   in
@@ -161,11 +158,11 @@ let seed_candidates ?screen ?pool spec topo paths envelope ~limit ~domains =
 
 let analyze_with ?screen ?(extra_cuts = []) ?pool ~options topo paths envelope =
   let built = Bilevel.build options.spec topo paths envelope in
-  (* Caller-supplied valid inequalities (e.g. cuts persisted from a
-     previous solve of the same structure; see Milp.Cuts.structural)
-     join the model as ordinary rows before presolve. Their ids must
-     speak this build's variable indexing — Bilevel.build is
-     deterministic, so two builds over equal inputs agree. *)
+  (* Caller-supplied valid inequalities (the service's fresh cover and
+     clique cuts; see Milp.Cuts.separate_structural) join the model as
+     ordinary rows before presolve. Their ids must speak this build's
+     variable indexing — Bilevel.build is deterministic, so two builds
+     over equal inputs agree. *)
   List.iteri
     (fun i (c : Milp.Cuts.structural) ->
       Milp.Model.add_cons built.Bilevel.model
@@ -179,7 +176,6 @@ let analyze_with ?screen ?(extra_cuts = []) ?pool ~options topo paths envelope =
     | limit ->
       let limit = Option.value limit ~default:6 in
       seed_candidates ?screen ?pool options.spec topo paths envelope ~limit
-        ~domains:options.domains
       |> List.map (fun (s, d) -> Bilevel.hint built ~scenario:s ~demand:d)
   in
   let solver_options =

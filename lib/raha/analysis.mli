@@ -35,8 +35,7 @@ type options = {
           ({!Milp.Cuts}: Gomory mixed-integer, knapsack cover and clique
           cuts over a managed pool). Default {!Milp.Cuts.default};
           [Milp.Cuts.disabled] (the [cuts] bench arm) restores the
-          cut-free search exactly, and [root_rounds] sets the number of
-          root separation rounds. *)
+          cut-free search exactly. *)
   sx_iters : int option;
       (** simplex pivot budget per LP relaxation
           ({!Milp.Branch_bound.options.sx_iters}); default [None] = unlimited.
@@ -100,12 +99,12 @@ type report = {
     engine for these exact (spec, topo, paths, screening-demand) inputs
     — {!screening_engine} builds one — skipping the per-call prepare; a
     long-lived caller keeps one engine across many analyses.
-    [?extra_cuts] appends caller-supplied valid inequalities (variable
-    ids in {!Bilevel.build}'s deterministic indexing, e.g. cuts
-    persisted from a previous solve of the same structure) to the model
-    before solving; supplying an inequality that is {e not} valid for
-    this model makes answers wrong, so callers must re-check validity —
-    see {!Milp.Cuts.structural}.
+    [?extra_cuts] appends caller-supplied valid inequalities to the
+    model before presolve. Their variable ids speak {!Bilevel.build}'s
+    indexing, which is deterministic: the service separates them
+    ({!Milp.Cuts.separate_structural}) on its own build of the same
+    inputs, just before the call. An inequality that is {e not} valid
+    for this model makes answers wrong.
 
     [?pool] lends an existing domain pool to the screening sweep and
     the branch-and-bound rounds; without it one pool is created per

@@ -32,7 +32,6 @@ type cached = {
 type t = {
   cfg : config;
   state : State.t;
-  cuts : Cutstore.t;
   alerting : Alerting.t;
   mutable journal : Journal.t option;
   mutable engine : (int * Te.Simulate.engine option) option;
@@ -49,7 +48,6 @@ let create cfg topo =
   {
     cfg;
     state = State.create ~envelope:cfg.envelope topo;
-    cuts = Cutstore.create cfg.options.Raha.Analysis.cuts;
     alerting = Alerting.create ~tolerance:cfg.alert_tolerance ();
     journal = None;
     engine = None;
@@ -124,20 +122,31 @@ let freshness ~provenance ~events_at t =
     ("staleness", Json.Int (State.events_applied t.state - events_at));
   ]
 
+(* One cover + clique separation at the LP-relaxation optimum of the
+   model [analyze] is about to build; the cuts join that model as rows
+   before presolve. Nothing is kept from one solve to the next, so a
+   warm re-solve solves exactly the model a cold one does. *)
+let fresh_cuts options topo paths envelope =
+  if not options.Raha.Analysis.cuts.Milp.Cuts.enable then []
+  else begin
+    let built = Raha.Bilevel.build options.Raha.Analysis.spec topo paths envelope in
+    let model = built.Raha.Bilevel.model in
+    match Milp.Simplex.solve model with
+    | Milp.Simplex.Optimal { values; _ } ->
+      Milp.Cuts.separate_structural model ~point:values
+    | Milp.Simplex.Infeasible | Milp.Simplex.Unbounded
+    | Milp.Simplex.Iter_limit ->
+      []
+  end
+
 let solve_worst t ~verdict ~budget ~max_nodes =
   let topo = State.current_topology t.state in
   let envelope = State.envelope t.state in
-  let spec = t.cfg.options.Raha.Analysis.spec in
-  if verdict = Policy.Cold then begin
-    (* structure moved: engine and persisted cuts are built over rows
-       that no longer exist *)
-    t.engine <- None;
-    Cutstore.clear t.cuts
-  end;
+  (* structure moved: the engine routes over a topology or envelope
+     that no longer exists *)
+  if verdict = Policy.Cold then t.engine <- None;
   let screen = engine_for t in
-  let extra_cuts, cstats =
-    Cutstore.advise t.cuts spec topo t.cfg.paths envelope
-  in
+  let extra_cuts = fresh_cuts t.cfg.options topo t.cfg.paths envelope in
   let options =
     {
       t.cfg.options with
@@ -166,8 +175,7 @@ let solve_worst t ~verdict ~budget ~max_nodes =
       ("scenario_prob", Json.float r.Raha.Analysis.scenario_prob);
       ("num_failed_links", Json.Int r.Raha.Analysis.num_failed_links);
       ("nodes", Json.Int r.Raha.Analysis.nodes);
-      ("cuts_kept", Json.Int cstats.Cutstore.kept);
-      ("cuts_fresh", Json.Int cstats.Cutstore.fresh);
+      ("cuts_fresh", Json.Int (List.length extra_cuts));
     ]
   in
   t.cached <-
@@ -333,7 +341,7 @@ let unusable_stage =
 
 (* Fast stage (Raha.Alert stage 1): worst case at the demand fixed to
    the envelope's upper corner — the observed peak — under a quarter of
-   the configured time budget. No screening engine or persisted cuts:
+   the configured time budget. No screening engine or injected cuts:
    both are built over the variable envelope, not this fixed one. *)
 let alert_fast t =
   let topo = State.current_topology t.state in
@@ -408,7 +416,6 @@ let query_status t =
               ( "drift",
                 Json.float (Policy.drift (State.estimates t.state) c.probs) );
             ] );
-      ("cuts_stored", Json.Int (Cutstore.size t.cuts));
       ( "served",
         Json.Obj
           [

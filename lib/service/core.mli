@@ -1,13 +1,16 @@
 (** The always-on degradation service, minus the socket.
 
     One {!t} owns the streaming {!State}, the persistent screening
-    engine ({!Te.Simulate.prepare}, rebuilt only on structural change),
-    the {!Cutstore}, and the cached worst-case answer. {!handle} maps
-    every protocol request to a response deterministically: replaying
-    the same request sequence yields bit-identical responses (after
-    {!strip_volatile}) whatever the domain count — the seeding sweeps
-    inside {!Raha.Analysis.analyze} are order-preserving and the rest
-    is sequential.
+    engine ({!Te.Simulate.prepare}, rebuilt only on structural change)
+    and the cached worst-case answer. Every worst-case solve separates
+    its cover and clique cuts afresh ({!Milp.Cuts.separate_structural},
+    skipped when [options.cuts] is {!Milp.Cuts.disabled}), so a warm
+    re-solve solves exactly the model a cold one of the same state
+    does. {!handle} maps every protocol request to a response
+    deterministically: replaying the same request sequence yields
+    bit-identical responses (after {!strip_volatile}) whatever the
+    domain count — the seeding sweeps inside {!Raha.Analysis.analyze}
+    are order-preserving and the rest is sequential.
 
     Query answers carry, besides the result itself:
     - ["cert"]: ["ok"] when the independent audits ({!Milp.Certify} for

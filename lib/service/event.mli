@@ -17,7 +17,7 @@ type event =
       (** the demand envelope for pair [(src, dst)] was re-forecast to
           [\[lo, hi\]] — structural, like {!Capacity}: the worst-case
           model is built over the envelope, so every cached artifact
-          (engine, cutstore, cached answer) is invalidated. Wire form is
+          (engine, cached answer) is invalidated. Wire form is
           [{"op":"demand",...}] rather than an ["ev"] kind *)
 
 type query =

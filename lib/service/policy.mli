@@ -10,11 +10,12 @@
     - {b Warm}: only probability-side state moved (drift past the
       tolerance, or a live failure inside the cached support). The
       bilevel model is rebuilt over the new estimates and re-solved
-      warm: screening overlays on the persistent engine, surviving
-      persisted cuts, candidate plunge hints.
+      warm: screening overlays on the persistent engine, candidate
+      plunge hints. The model solved is the one a cold solve of the
+      same state would build.
     - {b Cold}: the formulation structure itself changed (capacity or
       demand-envelope event).
-      Engine, cut store and cache are all rebuilt from scratch. *)
+      Engine and cache are both rebuilt from scratch. *)
 
 type verdict = Cached | Warm | Cold
 

@@ -42,12 +42,12 @@ let oversize_msg = "request line exceeds 1 MiB"
 let error_json msg =
   Json.Obj [ ("ok", Json.Bool false); ("error", Json.String msg) ]
 
-let run ~socket ?(backlog = 16) core =
+let run ~socket core =
   let al = Core.alerting core in
   (try Unix.unlink socket with Unix.Unix_error _ -> ());
   let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.bind listen_fd (Unix.ADDR_UNIX socket);
-  Unix.listen listen_fd backlog;
+  Unix.listen listen_fd 16;
   Log.info (fun f -> f "listening on %s" socket);
   let conns = ref [] in
   let next_id = ref 0 in

@@ -37,7 +37,7 @@ val default_socket : string
 
 (** [run ~socket core] binds [socket] (unlinking any stale file first)
     and serves until a shutdown request. Blocking. *)
-val run : socket:string -> ?backlog:int -> Core.t -> unit
+val run : socket:string -> Core.t -> unit
 
 (** [request ~socket line] — client side: connect, send [line], return
     the response line. Retries the connect (with a short sleep, up to

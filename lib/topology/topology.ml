@@ -95,25 +95,6 @@ let add_lag t ~src ~dst links =
   let id = num_lags t in
   rebuild t (Array.to_list t.lag_arr @ [ Lag.make ~id ~src ~dst links ])
 
-let add_virtual_gateway t ~name ~attached =
-  let vnode = t.n in
-  let node_names = Array.append t.node_names [| name |] in
-  let next_id = ref (num_lags t) in
-  let extra =
-    List.map
-      (fun (node, capacity) ->
-        let id = !next_id in
-        incr next_id;
-        Lag.make ~id ~src:vnode ~dst:node
-          [ { Lag.link_capacity = capacity; fail_prob = 0. } ])
-      attached
-  in
-  let t' =
-    create ~node_names ~name:t.tname ~num_nodes:(t.n + 1)
-      (Array.to_list t.lag_arr @ extra)
-  in
-  (t', vnode)
-
 let pp ppf t =
   Format.fprintf ppf "%s: %d nodes, %d LAGs, %d links, avg LAG capacity %g"
     t.tname t.n (num_lags t) (num_links t) (avg_lag_capacity t)

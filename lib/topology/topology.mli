@@ -47,12 +47,4 @@ val with_lag_links : t -> lag_id:int -> Lag.link list -> t
     augmentation, Appendix C). *)
 val add_lag : t -> src:int -> dst:int -> Lag.link list -> t
 
-(** [add_virtual_gateway t ~name ~attached] adds a virtual node connected
-    to each node of [attached] by an effectively-uncapacitated,
-    failure-free LAG — the "equivalences" device of §9 for multi-gateway
-    sources/destinations. Returns the new topology and the new node's
-    id. *)
-val add_virtual_gateway :
-  t -> name:string -> attached:(int * float) list -> t * int
-
 val pp : Format.formatter -> t -> unit

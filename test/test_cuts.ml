@@ -1,9 +1,10 @@
 (* Tests for the cutting-plane subsystem (Milp.Cuts): pinned cover,
    clique and Gomory separations on hand-built models, pool hygiene
    (duplicate hashing, aging, incumbent audit), dual warm starts across
-   appended cut rows (Simplex.extend_basis), and the validity property
-   over the random-MILP differential corpus — every pooled cut must be
-   satisfied by every integer-feasible point of its model. *)
+   appended cut rows (Simplex.extend_basis), the pool-free structural
+   separation, and the validity property over the random-MILP
+   differential corpus — every pooled cut must be satisfied by every
+   integer-feasible point of its model. *)
 
 let check_float ?(eps = 1e-9) what expected got =
   Alcotest.(check (float eps)) what expected got
@@ -19,6 +20,11 @@ let rows_of mdl =
 
 let family (c : Milp.Cuts.cut) = Milp.Cuts.family_name c.Milp.Cuts.family
 
+(* Every family separates in every round, so a test about one family
+   reads only that family's cuts from the pool. *)
+let active_of fam pool =
+  List.filter (fun c -> family c = fam) (Milp.Cuts.active_cuts pool)
+
 (* One separation round at the model's own LP relaxation (no cuts
    applied yet): the entry point most pinned tests drive. *)
 let separate_at pool mdl ~point ~basis ~incumbent =
@@ -28,9 +34,11 @@ let separate_at pool mdl ~point ~basis ~incumbent =
 
 (* --- knapsack cover ----------------------------------------------------- *)
 
-(* 3a + 4b + 5c + 6d <= 8 over binaries at the fractional point
-   (0, 0, 0.8, 0.75): the greedy minimal cover is {c, d} (5 + 6 > 8)
-   and its LP value 1.55 violates c + d <= 1. *)
+(* 4a + 5b + 6c + 7d <= 15 over binaries at the fractional point
+   (0, 0.9, 0.9, 0.9): the greedy minimal cover is {b, c, d}
+   (5 + 6 + 7 > 15) and its LP value 2.7 violates b + c + d <= 2. No
+   two items overflow the row, so the conflict graph is empty and the
+   cut is not also a clique cut. *)
 let cover_model () =
   let mdl = Milp.Model.create () in
   let x =
@@ -38,33 +46,29 @@ let cover_model () =
         Milp.Model.integer ~ub:1. mdl (Printf.sprintf "x%d" i))
   in
   Milp.Model.add_cons mdl
-    (t [ (3., x.(0)); (4., x.(1)); (5., x.(2)); (6., x.(3)) ])
-    Milp.Model.Le 8.;
+    (t [ (4., x.(0)); (5., x.(1)); (6., x.(2)); (7., x.(3)) ])
+    Milp.Model.Le 15.;
   Milp.Model.set_objective mdl Milp.Model.Maximize
     (t [ (1., x.(2)); (1., x.(3)) ]);
   mdl
 
-let cover_point = [| 0.; 0.; 0.8; 0.75 |]
-
-let cover_opts =
-  { Milp.Cuts.default with Milp.Cuts.gomory = false; clique = false }
+let cover_point = [| 0.; 0.9; 0.9; 0.9 |]
 
 let test_cover_pinned () =
   let mdl = cover_model () in
-  let pool = Milp.Cuts.create cover_opts mdl in
+  let pool = Milp.Cuts.create mdl in
   let added =
     separate_at pool mdl ~point:cover_point ~basis:None ~incumbent:None
   in
-  Alcotest.(check int) "one cover cut activated" 1 added;
-  match Milp.Cuts.active_cuts pool with
+  Alcotest.(check int) "one cut activated" 1 added;
+  match active_of "cover" pool with
   | [ c ] ->
-    Alcotest.(check string) "family" "cover" (family c);
-    Alcotest.(check (array int)) "support is {x2, x3}" [| 2; 3 |]
+    Alcotest.(check (array int)) "support is {x1, x2, x3}" [| 1; 2; 3 |]
       (Array.map snd c.Milp.Cuts.terms);
     Array.iter
       (fun (co, _) -> check_float "unit coefficient" 1. co)
       c.Milp.Cuts.terms;
-    check_float "rhs |C| - 1" 1. c.Milp.Cuts.rhs;
+    check_float "rhs |C| - 1" 2. c.Milp.Cuts.rhs;
     Alcotest.(check bool) "violated at the LP point" true
       (Milp.Cuts.eval_cut c cover_point > c.Milp.Cuts.rhs +. 1e-6);
     (* valid at every 0/1 point that satisfies the knapsack *)
@@ -73,15 +77,15 @@ let test_cover_pinned () =
         Array.init 4 (fun i -> if m land (1 lsl i) <> 0 then 1. else 0.)
       in
       let act =
-        (3. *. p.(0)) +. (4. *. p.(1)) +. (5. *. p.(2)) +. (6. *. p.(3))
+        (4. *. p.(0)) +. (5. *. p.(1)) +. (6. *. p.(2)) +. (7. *. p.(3))
       in
-      if act <= 8. then
+      if act <= 15. then
         Alcotest.(check bool)
           (Printf.sprintf "cover valid at mask %d" m)
           true
           (Milp.Cuts.eval_cut c p <= c.Milp.Cuts.rhs +. 1e-9)
     done
-  | l -> Alcotest.failf "expected 1 active cut, got %d" (List.length l)
+  | l -> Alcotest.failf "expected 1 active cover cut, got %d" (List.length l)
 
 (* --- clique ------------------------------------------------------------- *)
 
@@ -97,16 +101,12 @@ let test_clique_pinned () =
     [ (0, 1); (1, 2); (0, 2) ];
   Milp.Model.set_objective mdl Milp.Model.Maximize
     (t [ (1., x.(0)); (1., x.(1)); (1., x.(2)) ]);
-  let pool =
-    Milp.Cuts.create
-      { Milp.Cuts.default with Milp.Cuts.gomory = false; cover = false }
-      mdl
-  in
+  let pool = Milp.Cuts.create mdl in
   let point = [| 0.5; 0.5; 0.5 |] in
   let added = separate_at pool mdl ~point ~basis:None ~incumbent:None in
   Alcotest.(check bool) "a clique cut activated" true (added >= 1);
   let c =
-    match List.filter (fun c -> family c = "clique") (Milp.Cuts.active_cuts pool) with
+    match active_of "clique" pool with
     | c :: _ -> c
     | [] -> Alcotest.fail "no clique cut in the pool"
   in
@@ -152,11 +152,7 @@ let test_gomory_pinned () =
     check_float ~eps:1e-6 "LP vertex x" 1. values.(0);
     check_float ~eps:1e-6 "LP vertex y" 1.5 values.(1);
     check_float ~eps:1e-6 "LP objective" 2.5 obj;
-    let pool =
-      Milp.Cuts.create
-        { Milp.Cuts.default with Milp.Cuts.cover = false; clique = false }
-        mdl
-    in
+    let pool = Milp.Cuts.create mdl in
     let basis =
       Some (Milp.Simplex.basis_cols bas, Milp.Simplex.basis_statuses bas)
     in
@@ -165,10 +161,11 @@ let test_gomory_pinned () =
         ~sp:(Milp.Simplex.prep_sparse prep)
         ~rows:(rows_of mdl) ~point:values ~basis ~incumbent:None
     in
-    Alcotest.(check bool) "a Gomory cut activated" true (added >= 1);
+    Alcotest.(check bool) "a cut activated" true (added >= 1);
+    Alcotest.(check bool) "a Gomory cut in the pool" true
+      (active_of "gomory" pool <> []);
     List.iter
       (fun (c : Milp.Cuts.cut) ->
-        Alcotest.(check string) "family" "gomory" (family c);
         Alcotest.(check bool) "cuts the fractional vertex off" true
           (Milp.Cuts.eval_cut c values > c.Milp.Cuts.rhs +. 1e-6);
         for xi = 0 to 10 do
@@ -181,7 +178,7 @@ let test_gomory_pinned () =
                 (Milp.Cuts.eval_cut c p <= c.Milp.Cuts.rhs +. 1e-7)
           done
         done)
-      (Milp.Cuts.active_cuts pool)
+      (active_of "gomory" pool)
   | _ -> Alcotest.fail "LP relaxation not optimal with a basis"
 
 (* --- warm starts across cut rows ---------------------------------------- *)
@@ -194,11 +191,7 @@ let test_extend_basis_warm () =
   let prep = Milp.Simplex.prepare mdl in
   match Milp.Simplex.solve_prepared prep with
   | Milp.Simplex.Optimal { values; _ }, Some bas ->
-    let pool =
-      Milp.Cuts.create
-        { Milp.Cuts.default with Milp.Cuts.cover = false; clique = false }
-        mdl
-    in
+    let pool = Milp.Cuts.create mdl in
     let basis =
       Some (Milp.Simplex.basis_cols bas, Milp.Simplex.basis_statuses bas)
     in
@@ -235,11 +228,12 @@ let test_extend_basis_warm () =
 
 (* --- pool hygiene: dedup, aging, audit ----------------------------------- *)
 
+(* a cut may stay slack for this many consecutive rounds (cuts.mli) *)
+let max_age = 12
+
 let test_dedup_and_aging () =
   let mdl = cover_model () in
-  let pool =
-    Milp.Cuts.create { cover_opts with Milp.Cuts.max_age = 2 } mdl
-  in
+  let pool = Milp.Cuts.create mdl in
   let sep point = separate_at pool mdl ~point ~basis:None ~incumbent:None in
   Alcotest.(check int) "first round activates" 1 (sep cover_point);
   Alcotest.(check int) "duplicate is hashed out" 0 (sep cover_point);
@@ -247,20 +241,24 @@ let test_dedup_and_aging () =
   (* the all-zeros point leaves the cut slack: it ages out after
      max_age rounds and its hash is released, so it can re-enter *)
   let origin = [| 0.; 0.; 0.; 0. |] in
-  Alcotest.(check int) "slack round 1" 0 (Milp.Cuts.age_and_prune pool ~point:origin);
-  Alcotest.(check int) "slack round 2" 0 (Milp.Cuts.age_and_prune pool ~point:origin);
+  for r = 1 to max_age do
+    Alcotest.(check int)
+      (Printf.sprintf "slack round %d" r)
+      0
+      (Milp.Cuts.age_and_prune pool ~point:origin)
+  done;
   Alcotest.(check int) "aged out" 1 (Milp.Cuts.age_and_prune pool ~point:origin);
   Alcotest.(check int) "pool drained" 0 (Milp.Cuts.active_count pool);
   Alcotest.(check int) "pruned cut can re-enter" 1 (sep cover_point);
   (* a tight point resets the age instead *)
-  let tight = [| 0.; 0.; 1.; 0. |] in
+  let tight = [| 0.; 1.; 1.; 0. |] in
   Alcotest.(check int) "tight round prunes nothing" 0
     (Milp.Cuts.age_and_prune pool ~point:tight);
   Alcotest.(check int) "cut survives" 1 (Milp.Cuts.active_count pool)
 
 let test_incumbent_audit () =
   let mdl = cover_model () in
-  let pool = Milp.Cuts.create cover_opts mdl in
+  let pool = Milp.Cuts.create mdl in
   let incumbent = [| 0.; 0.; 1.; 0. |] in
   (* separation with an incumbent in hand audits before activation *)
   let added =
@@ -272,6 +270,51 @@ let test_incumbent_audit () =
     (Milp.Cuts.audit_incumbent pool incumbent);
   Alcotest.(check int) "no audit failures" 0
     (Milp.Lp_stats.read Milp.Lp_stats.cut_audit_failures ())
+
+(* --- structural separation ----------------------------------------------- *)
+
+(* One cover + clique round outside any pool: the violated cuts of the
+   pinned cover and clique models, deduplicated, with no counter moved
+   and nothing kept between calls. *)
+let test_separate_structural () =
+  let counters () =
+    List.map
+      (fun c -> Milp.Lp_stats.read c ())
+      Milp.Lp_stats.[ cuts_generated; cuts_applied; cut_audit_failures ]
+  in
+  let before = counters () in
+  let mdl = cover_model () in
+  let cuts = Milp.Cuts.separate_structural mdl ~point:cover_point in
+  (match cuts with
+  | [ c ] ->
+    Alcotest.(check string) "cover family" "cover"
+      (Milp.Cuts.family_name c.Milp.Cuts.s_family);
+    Alcotest.(check (list (pair (float 1e-12) int)))
+      "b + c + d" [ (1., 1); (1., 2); (1., 3) ] c.Milp.Cuts.s_terms;
+    check_float "rhs" 2. c.Milp.Cuts.s_rhs
+  | l -> Alcotest.failf "expected 1 cover cut, got %d" (List.length l));
+  Alcotest.(check bool) "same cuts on a second call" true
+    (Milp.Cuts.separate_structural mdl ~point:cover_point = cuts);
+  Alcotest.(check (list int)) "no counter moved" before (counters ());
+  (* a point that violates nothing yields nothing *)
+  Alcotest.(check int) "nothing at the origin" 0
+    (List.length (Milp.Cuts.separate_structural mdl ~point:[| 0.; 0.; 0.; 0. |]));
+  (* the triangle a + b, b + c, a + c <= 1: one clique cut, every
+     greedy seed grows the same triangle and the copies are merged *)
+  let tri = Milp.Model.create () in
+  let x = Array.init 3 (fun i -> Milp.Model.binary tri (Printf.sprintf "b%d" i)) in
+  List.iter
+    (fun (i, j) ->
+      Milp.Model.add_cons tri (t [ (1., x.(i)); (1., x.(j)) ]) Milp.Model.Le 1.)
+    [ (0, 1); (1, 2); (0, 2) ];
+  match Milp.Cuts.separate_structural tri ~point:[| 0.5; 0.5; 0.5 |] with
+  | [ c ] ->
+    Alcotest.(check string) "clique family" "clique"
+      (Milp.Cuts.family_name c.Milp.Cuts.s_family);
+    Alcotest.(check (list int)) "the triangle" [ 0; 1; 2 ]
+      (List.map snd c.Milp.Cuts.s_terms);
+    check_float "rhs 1" 1. c.Milp.Cuts.s_rhs
+  | l -> Alcotest.failf "expected 1 clique cut, got %d" (List.length l)
 
 (* --- validity over the differential corpus ------------------------------- *)
 
@@ -337,7 +380,7 @@ let prop_corpus_cuts_valid =
     QCheck2.Gen.(int_range 0 63)
     (fun case ->
       let mdl = Test_revised.random_milp case in
-      let pool = Milp.Cuts.create Milp.Cuts.default mdl in
+      let pool = Milp.Cuts.create mdl in
       root_separate mdl pool 3;
       let cuts = Milp.Cuts.active_cuts pool in
       let assignments = int_assignments mdl 60 in
@@ -408,6 +451,7 @@ let suite =
     ("warm start extends across cut rows", `Quick, test_extend_basis_warm);
     ("pool dedup and aging", `Quick, test_dedup_and_aging);
     ("incumbent audit", `Quick, test_incumbent_audit);
+    ("structural separation", `Quick, test_separate_structural);
     QCheck_alcotest.to_alcotest prop_corpus_cuts_valid;
     ("32 random MILPs: cuts on vs off", `Quick, test_solver_differential);
   ]

@@ -1,50 +1,11 @@
-(* Gateway path sets (§9 equivalences), the Monte Carlo dataplane
-   simulator, the max-min bi-level objective (Appendix A), and the
-   KKT-vs-strong-duality encoding equivalence. *)
+(* The Monte Carlo dataplane simulator, the max-min bi-level objective
+   (Appendix A), and the KKT-vs-strong-duality encoding equivalence. *)
 
 let check_int = Alcotest.(check int)
 let check_float ?(eps = 1e-5) what expected got =
   Alcotest.(check (float eps)) what expected got
 
 let fig1 = Wan.Generators.fig1 ()
-
-(* --- gateway path sets -------------------------------------------------- *)
-
-let test_gateway_paths () =
-  (* virtual gateway attached to B and C; destination D: it should see
-     the union of B's and C's paths, one hop longer *)
-  let topo, gw = Wan.Topology.add_virtual_gateway fig1 ~name:"GW" ~attached:[ (1, 100.); (2, 100.) ] in
-  let ps = Netpath.Path_set.via_gateway ~n_primary:2 ~n_backup:2 topo ~gateway:gw ~dsts:[ 3 ] in
-  let p = Netpath.Path_set.find ps ~src:gw ~dst:3 in
-  check_int "primaries" 2 (Netpath.Path_set.num_primary p);
-  (* the two shortest are GW-B-D and GW-C-D (2 hops) *)
-  List.iter
-    (fun path -> check_int "shortest are 2 hops" 2 (Netpath.Path.length path))
-    p.Netpath.Path_set.primary;
-  (* all paths start at the gateway *)
-  List.iter
-    (fun path -> check_int "starts at gateway" gw (Netpath.Path.src path))
-    (Netpath.Path_set.all_paths p);
-  (* backups exist: GW-B-A-D / GW-C-A-D *)
-  Alcotest.(check bool) "has backups" true (Netpath.Path_set.num_backup p > 0)
-
-let test_gateway_analysis () =
-  (* the gateway's traffic can enter through either B or C, so no single
-     gateway-LAG failure can disconnect it; degradation comes from the
-     interior links *)
-  let topo, gw =
-    Wan.Topology.add_virtual_gateway fig1 ~name:"GW" ~attached:[ (1, 100.); (2, 100.) ]
-  in
-  let paths = Netpath.Path_set.via_gateway ~n_primary:2 ~n_backup:0 topo ~gateway:gw ~dsts:[ 3 ] in
-  let d = Traffic.Demand.of_list [ ((gw, 3), 14.) ] in
-  let spec = { Raha.Bilevel.default_spec with Raha.Bilevel.max_failures = Some 1 } in
-  let options = { Raha.Analysis.default_options with spec } in
-  let r = Raha.Analysis.analyze ~options topo paths (Traffic.Envelope.fixed d) in
-  Alcotest.(check bool) "optimal" true (r.Raha.Analysis.status = Milp.Solver.Optimal);
-  (* healthy: GW-B-D (8) + GW-C-D (8) carries 14; worst single failure
-     (BD or CD) leaves 8 -> degradation 6 *)
-  check_float "healthy" 14. r.Raha.Analysis.healthy_performance;
-  check_float "degradation" 6. r.Raha.Analysis.degradation
 
 (* --- Monte Carlo simulator ---------------------------------------------- *)
 
@@ -327,8 +288,6 @@ let test_sd_rejects_continuous_outer () =
 
 let suite =
   [
-    ("gateway paths", `Quick, test_gateway_paths);
-    ("gateway analysis", `Quick, test_gateway_analysis);
     ("monte carlo distribution", `Quick, test_monte_carlo_distribution);
     ("monte carlo misses rare worst case", `Quick, test_monte_carlo_misses_rare_worst_case);
     ("monte carlo deterministic", `Quick, test_monte_carlo_deterministic);

@@ -120,18 +120,6 @@ let test_of_lags_and_weight () =
   Alcotest.(check bool) "disjoint" true (Netpath.Path.lag_disjoint p q);
   Alcotest.(check bool) "self not disjoint" false (Netpath.Path.lag_disjoint p p)
 
-let test_via_gateway_errors () =
-  let topo, gw =
-    Wan.Topology.add_virtual_gateway fig1 ~name:"GW" ~attached:[ (1, 100.) ]
-  in
-  (match Netpath.Path_set.via_gateway ~n_primary:1 ~n_backup:0 topo ~gateway:gw ~dsts:[ gw ] with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "dst = gateway rejected");
-  (* a gateway attached to a single island still finds paths through it *)
-  let ps = Netpath.Path_set.via_gateway ~n_primary:2 ~n_backup:0 topo ~gateway:gw ~dsts:[ 3 ] in
-  let p = Netpath.Path_set.find ps ~src:gw ~dst:3 in
-  Alcotest.(check bool) "found" true (Netpath.Path_set.num_primary p >= 1)
-
 let prop_yen_paths_valid =
   QCheck2.Test.make ~name:"yen: paths are simple, distinct, sorted" ~count:50
     QCheck2.Gen.(
@@ -161,6 +149,5 @@ let suite =
     ("path set schemes", `Quick, test_path_set_schemes);
     ("weighted scheme", `Quick, test_weighted_scheme);
     ("of_lags and weight", `Quick, test_of_lags_and_weight);
-    ("via_gateway errors", `Quick, test_via_gateway_errors);
     QCheck_alcotest.to_alcotest prop_yen_paths_valid;
   ]

@@ -338,6 +338,52 @@ let test_srlg_coupling () =
   (* k=2: both BD and CD fail together: healthy 22, failed min(12,5&9)+min(10,4) = 9 -> 13 *)
   check_float "k=2 takes both" 13. r2.Raha.Analysis.degradation
 
+(* The cuts the service adds to every worst-case solve (one cover +
+   clique round at the bilevel model's LP optimum) are valid: the
+   cut-free optimum satisfies each of them, and passing them as
+   [?extra_cuts] keeps the certified answer. *)
+let test_extra_cuts_valid () =
+  let spec = spec_k1 Raha.Bilevel.Max_degradation (Raha.Bilevel.Strong_duality { levels = 5 }) in
+  let paths = fig1_paths () in
+  let envelope =
+    Traffic.Envelope.around ~slack:0.5
+      (Traffic.Demand.of_list [ ((1, 3), 12.); ((2, 3), 10.) ])
+  in
+  let model = (Raha.Bilevel.build spec fig1 paths envelope).Raha.Bilevel.model in
+  let cuts =
+    match Milp.Simplex.solve model with
+    | Milp.Simplex.Optimal { values; _ } ->
+      Milp.Cuts.separate_structural model ~point:values
+    | _ -> Alcotest.fail "LP relaxation not optimal"
+  in
+  Alcotest.(check bool) "the LP optimum is cut off" true (cuts <> []);
+  let sol = Milp.Solver.solve model in
+  Alcotest.(check bool) "cut-free solve optimal" true
+    (sol.Milp.Solver.status = Milp.Solver.Optimal);
+  List.iter
+    (fun (c : Milp.Cuts.structural) ->
+      let lhs =
+        List.fold_left
+          (fun a (k, id) -> a +. (k *. sol.Milp.Solver.values.(id)))
+          0. c.Milp.Cuts.s_terms
+      in
+      Alcotest.(check bool)
+        (Milp.Cuts.family_name c.Milp.Cuts.s_family ^ " cut holds at the optimum")
+        true
+        (lhs <= c.Milp.Cuts.s_rhs +. 1e-6))
+    cuts;
+  let options = { Raha.Analysis.default_options with spec } in
+  let plain = Raha.Analysis.analyze ~options fig1 paths envelope in
+  let cut = Raha.Analysis.analyze ~extra_cuts:cuts ~options fig1 paths envelope in
+  Alcotest.(check bool) "optimal with extra cuts" true
+    (cut.Raha.Analysis.status = Milp.Solver.Optimal);
+  check_float "same degradation" plain.Raha.Analysis.degradation
+    cut.Raha.Analysis.degradation;
+  Alcotest.(check bool) "certified" true
+    (match cut.Raha.Analysis.certificate with
+    | Some c -> c.Milp.Certify.ok
+    | None -> false)
+
 let suite =
   [
     ("fig1 (a) fixed demand", `Quick, test_fig1_fixed_demand);
@@ -345,6 +391,7 @@ let suite =
     ("fig1 (e/f) raha joint", `Quick, test_fig1_raha_joint);
     ("fig1 kkt encoding matches", `Quick, test_fig1_kkt_matches);
     ("analysis options reach the solver", `Quick, test_options_reach_solver);
+    ("extra cuts are valid and keep the answer", `Quick, test_extra_cuts_valid);
     ("fig1 verified by simulation", `Quick, test_fig1_verified_by_simulation);
     ("threshold respected", `Quick, test_threshold_constraint_respected);
     ("threshold excludes all", `Quick, test_threshold_excludes_all);

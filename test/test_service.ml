@@ -10,7 +10,7 @@ let check_str = Alcotest.(check string)
 
 let fig1 = Wan.Generators.fig1 ()
 
-let make_core ?(domains = 1) ?(drift_tol = 0.5) () =
+let make_config ?(domains = 1) ?(drift_tol = 0.5) ?(cuts = Milp.Cuts.default) () =
   let paths =
     Netpath.Path_set.compute ~n_primary:2 ~n_backup:0 fig1 [ (1, 3); (2, 3) ]
   in
@@ -21,10 +21,11 @@ let make_core ?(domains = 1) ?(drift_tol = 0.5) () =
   let spec =
     { Raha.Bilevel.default_spec with Raha.Bilevel.max_failures = Some 1 }
   in
-  let options = { Raha.Analysis.default_options with spec; domains } in
-  Service.Core.create
-    { Service.Core.paths; envelope; options; drift_tol; alert_tolerance = 0.1 }
-    fig1
+  let options = { Raha.Analysis.default_options with spec; domains; cuts } in
+  { Service.Core.paths; envelope; options; drift_tol; alert_tolerance = 0.1 }
+
+let make_core ?domains ?drift_tol () =
+  Service.Core.create (make_config ?domains ?drift_tol ()) fig1
 
 let render j = J.to_string (Service.Core.strip_volatile j)
 
@@ -34,6 +35,16 @@ let get_str key j =
   | None -> Alcotest.fail (Printf.sprintf "missing string %S in %s" key (J.to_string j))
 
 let is_ok j = J.to_bool (J.member "ok" j) = Some true
+
+let get_int key j =
+  match J.to_int (J.member key j) with
+  | Some n -> n
+  | None -> Alcotest.fail (Printf.sprintf "missing int %S in %s" key (J.to_string j))
+
+let bound_bits j =
+  match J.to_float (J.member "bound" j) with
+  | Some b -> Int64.bits_of_float b
+  | None -> Alcotest.fail (Printf.sprintf "missing bound in %s" (J.to_string j))
 
 (* a deterministic interleaved telemetry stream: per-lag exponential
    traces merged by time (fig1 has 5 single-link lags) *)
@@ -357,10 +368,20 @@ let test_invalidation_sound () =
             events;
           let cold = Service.Core.handle fresh worst in
           Alcotest.(check bool) "served ok" true (is_ok served);
+          let provenance = get_str "provenance" served in
           check_str
             (Printf.sprintf "seed %d prefix %d: %s serve agrees with cold re-solve"
-               seed stop (get_str "provenance" served))
-            (project cold) (project served))
+               seed stop provenance)
+            (project cold) (project served);
+          (* a solve in the live core is the fresh core's solve: same
+             model, same search (a cached answer may come from an
+             earlier state, so only its projection must agree) *)
+          if provenance <> "cached" then begin
+            let what = Printf.sprintf "seed %d prefix %d: %s" seed stop provenance in
+            check_int (what ^ " nodes") (get_int "nodes" cold) (get_int "nodes" served);
+            Alcotest.(check int64)
+              (what ^ " bound bits") (bound_bits cold) (bound_bits served)
+          end)
         checkpoints;
       let cached, _, _ = Service.Core.tally live in
       total_cached := !total_cached + cached)
@@ -385,6 +406,54 @@ let test_down_in_support_invalidates () =
     (is_ok (Service.Core.handle core (Ev.Event (Ev.Link_down { lag; link; at = 1e-3 }))));
   let second = Service.Core.handle core worst in
   check_str "support hit forces warm re-solve" "warm" (get_str "provenance" second)
+
+(* --- cuts: one fresh separation per solve -------------------------------- *)
+
+(* [Milp.Cuts.disabled] turns the service's cuts off too: no rows are
+   separated, and the worst answer is the cut-free search of a plain
+   [analyze] with the same options. *)
+let test_cuts_disabled () =
+  let cfg = make_config ~cuts:Milp.Cuts.disabled () in
+  let core = Service.Core.create cfg fig1 in
+  let served =
+    Service.Core.handle core (Ev.Query (Ev.Worst { budget = None; max_nodes = None }))
+  in
+  check_str "cold solve" "cold" (get_str "provenance" served);
+  check_int "no fresh cuts" 0 (get_int "cuts_fresh" served);
+  let r =
+    Raha.Analysis.analyze ~options:cfg.Service.Core.options fig1
+      cfg.Service.Core.paths cfg.Service.Core.envelope
+  in
+  check_int "nodes = analyze" r.Raha.Analysis.nodes (get_int "nodes" served);
+  Alcotest.(check int64) "bound bits = analyze"
+    (Int64.bits_of_float r.Raha.Analysis.bound)
+    (bound_bits served)
+
+(* A warm re-solve separates its cuts afresh, like the cold solve of a
+   fresh core that replayed the same events: same cut count, same
+   search. *)
+let test_warm_separates_afresh () =
+  let worst = Ev.Query (Ev.Worst { budget = None; max_nodes = None }) in
+  let core = make_core () in
+  let first = Service.Core.handle core worst in
+  Alcotest.(check bool) "the cold solve separates cuts" true
+    (get_int "cuts_fresh" first > 0);
+  let lag, link =
+    match J.member "scenario" first with
+    | J.List (J.List [ J.Int e; J.Int i ] :: _) -> (e, i)
+    | j -> Alcotest.fail (Printf.sprintf "unexpected scenario %s" (J.to_string j))
+  in
+  let down = Ev.Event (Ev.Link_down { lag; link; at = 1e-3 }) in
+  Alcotest.(check bool) "down event applied" true (is_ok (Service.Core.handle core down));
+  let warm = Service.Core.handle core worst in
+  check_str "support hit re-solves warm" "warm" (get_str "provenance" warm);
+  let fresh = make_core () in
+  ignore (Service.Core.handle fresh down);
+  let cold = Service.Core.handle fresh worst in
+  check_str "fresh core solves cold" "cold" (get_str "provenance" cold);
+  check_int "cuts_fresh" (get_int "cuts_fresh" cold) (get_int "cuts_fresh" warm);
+  check_int "nodes" (get_int "nodes" cold) (get_int "nodes" warm);
+  Alcotest.(check int64) "bound bits" (bound_bits cold) (bound_bits warm)
 
 (* --- budget exhaustion -------------------------------------------------- *)
 
@@ -1082,6 +1151,8 @@ let suite =
     ("now batch = sequential", `Quick, test_now_many_matches_sequential);
     ("invalidation sound on corpus", `Quick, test_invalidation_sound);
     ("down-in-support invalidates", `Quick, test_down_in_support_invalidates);
+    ("cuts disabled: no fresh cuts, analyze's search", `Quick, test_cuts_disabled);
+    ("warm re-solve separates afresh", `Quick, test_warm_separates_afresh);
     ("budget exhaustion honest", `Quick, test_budget_exhaustion_honest);
     ("socket round trip", `Quick, test_socket_roundtrip);
     ("journal round trip", `Quick, test_journal_roundtrip);

@@ -91,17 +91,6 @@ let test_topology_mutation () =
   check_int "lag added" 6 (Wan.Topology.num_lags t3);
   Alcotest.(check bool) "BC exists now" true (Wan.Topology.lag_between t3 1 2 <> None)
 
-let test_virtual_gateway () =
-  let t = Wan.Generators.fig1 () in
-  let t2, v = Wan.Topology.add_virtual_gateway t ~name:"GW" ~attached:[ (1, 100.); (2, 100.) ] in
-  check_int "gateway id" 4 v;
-  check_int "nodes" 5 (Wan.Topology.num_nodes t2);
-  check_int "lags" 7 (Wan.Topology.num_lags t2);
-  check_int "gateway degree" 2 (List.length (Wan.Topology.neighbors t2 v));
-  (* gateway LAGs never fail *)
-  let glag = Option.get (Wan.Topology.lag_between t2 v 1) in
-  check_float "failure-free" 0. (Wan.Lag.prob_all_links_down glag)
-
 let test_generators () =
   let ring = Wan.Generators.ring 6 in
   check_int "ring lags" 6 (Wan.Topology.num_lags ring);
@@ -308,7 +297,6 @@ let suite =
     ("lag check_link", `Quick, test_lag_check_link);
     ("topology basics", `Quick, test_topology_basics);
     ("topology mutation", `Quick, test_topology_mutation);
-    ("virtual gateway", `Quick, test_virtual_gateway);
     ("generators", `Quick, test_generators);
     ("generators deterministic", `Quick, test_generators_deterministic);
     ("zoo topologies", `Quick, test_zoo);
