@@ -346,18 +346,9 @@ let alert_cmd =
     Arg.(value & opt float 0.5 & info [ "tolerance" ] ~doc:"Alert above this normalized degradation.")
   in
   let run setup tolerance =
-    let pairs = Traffic.Envelope.pairs setup.envelope in
-    let peak =
-      Traffic.Demand.of_list
-        (List.map
-           (fun (s, d) -> ((s, d), Traffic.Envelope.hi_volume setup.envelope ~src:s ~dst:d))
-           pairs)
-    in
     let v =
-      Raha.Alert.run ~spec:setup.options.Raha.Analysis.spec ~tolerance
-        ~fast_budget:(setup.options.Raha.Analysis.time_limit /. 4.)
-        ~deep_budget:setup.options.Raha.Analysis.time_limit setup.topo setup.paths ~peak
-        setup.envelope
+      Raha.Alert.run ~options:setup.options ~tolerance setup.topo setup.paths
+        ~peak:setup.envelope.Traffic.Envelope.hi setup.envelope
     in
     let stage =
       match v.Raha.Alert.stage with

@@ -28,6 +28,8 @@ let () =
       encoding = Raha.Bilevel.Strong_duality { levels = 3 };
     }
   in
+  (* the fast stage gets a quarter of the time limit: 15 s here *)
+  let options = { Raha.Analysis.default_options with spec; time_limit = 60. } in
   let stage_name = function
     | Some Raha.Alert.Fast_fixed_demand -> "FAST (fixed peak demand)"
     | Some Raha.Alert.Deep_variable_demand -> "DEEP (variable demand)"
@@ -36,8 +38,7 @@ let () =
   List.iter
     (fun tolerance ->
       let v =
-        Raha.Alert.run ~spec ~tolerance ~fast_budget:15. ~deep_budget:45. topo paths
-          ~peak envelope
+        Raha.Alert.run ~options ~tolerance topo paths ~peak envelope
       in
       Format.printf
         "tolerance %.2f: alert=%b stage=%s (fast found %.3f normalized%s)@." tolerance

@@ -653,33 +653,6 @@ let audit_incumbent pool x =
   pool.nactive <- List.length keep;
   !dropped
 
-(* ------------------------------------------------------------------ *)
-(* Structural separation at a model's LP relaxation                    *)
-
-type structural = { s_terms : (float * int) list; s_rhs : float; s_family : family }
-
-let separate_structural model ~point =
-  (* Only the row-local families: Gomory cuts need the basis of the LP
-     that produced [point], which this entry point does not take. *)
-  let pool = create model in
-  let raw = ref [] in
-  sep_cover pool point raw;
-  sep_clique pool point raw;
-  let seen = Hashtbl.create 16 in
-  let out = ref [] and n = ref 0 in
-  List.iter
-    (fun cut ->
-      let key = key_of cut in
-      if !n < pool_size && not (Hashtbl.mem seen key) then begin
-        Hashtbl.replace seen key ();
-        incr n;
-        out :=
-          { s_terms = Array.to_list cut.terms; s_rhs = cut.rhs; s_family = cut.family }
-          :: !out
-      end)
-    (violated pool point !raw);
-  List.rev !out
-
 let extend_model base pool =
   match pool.active with
   | [] -> base

@@ -33,16 +33,9 @@
     compensated dot product (the {!Certify} discipline) — and the active
     set is re-audited against every new incumbent. A failed audit drops
     the cut and bumps the [cut-audit-failures] counter instead of
-    corrupting the search.
-
-    {!separate_structural} runs the cover and clique separators once,
-    outside any pool, at a model's LP-relaxation optimum. The service
-    daemon uses it to hand each worst-case solve a fresh set of rows to
-    add before presolve; nothing is kept from one solve to the next. *)
+    corrupting the search. *)
 
 type family = Gomory | Cover | Clique
-
-val family_name : family -> string
 
 (** The one cut setting callers choose: on ({!default}) or off
     ({!disabled}). Everything else is fixed: all three families,
@@ -118,24 +111,6 @@ val audit_incumbent : pool -> float array -> int
 val extend_model : Model.t -> pool -> Model.t
 
 val active_count : pool -> int
-
-(** A cover or clique cut of one model, [sum s_terms <= s_rhs] over
-    structural ids with max |coeff| = 1. It is valid for the model it
-    was separated on, so a caller may add it to that model as an
-    ordinary row before solving ([Raha.Analysis.analyze ?extra_cuts]). *)
-type structural = {
-  s_terms : (float * int) list;
-  s_rhs : float;
-  s_family : family;
-}
-
-(** [separate_structural model ~point] runs one cover + clique
-    separation round against [point] (structural values of [model]'s
-    LP relaxation) and returns the violated cuts — cleaned, normalized,
-    deduplicated, most-violated-first, at most 200. Gomory cuts are
-    never emitted: they need the basis behind [point]. Pure: builds a
-    throwaway pool, bumps no counters, never touches [model]. *)
-val separate_structural : Model.t -> point:float array -> structural list
 
 (** Active cuts in activation order (for tests and diagnostics). *)
 val active_cuts : pool -> cut list

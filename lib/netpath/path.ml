@@ -20,15 +20,6 @@ let make topo node_list =
   in
   { nodes; lag_ids }
 
-let of_lags topo ~src lag_ids =
-  let rec walk v = function
-    | [] -> [ v ]
-    | id :: rest ->
-      let lag = Wan.Topology.lag topo id in
-      v :: walk (Wan.Lag.other_end lag v) rest
-  in
-  make topo (walk src lag_ids)
-
 let src t = t.nodes.(0)
 let dst t = t.nodes.(Array.length t.nodes - 1)
 let length t = Array.length t.lag_ids

@@ -11,10 +11,6 @@ type t = private {
     or it is shorter than one hop. *)
 val make : Wan.Topology.t -> int list -> t
 
-(** [of_lags topo ~src lag_ids] reconstructs the node sequence by walking
-    [lag_ids] from [src]. *)
-val of_lags : Wan.Topology.t -> src:int -> int list -> t
-
 val src : t -> int
 val dst : t -> int
 

@@ -247,14 +247,6 @@ let stats t =
   Mutex.unlock t.mutex;
   s
 
-let reset_stats t =
-  Mutex.lock t.mutex;
-  t.s_tasks <- 0;
-  t.s_items <- 0;
-  t.s_busy <- 0.;
-  t.s_wall <- 0.;
-  Mutex.unlock t.mutex
-
 let pp_stats ppf (s : stats) =
   Format.fprintf ppf "[parallel: %d domains, %d tasks/%d items, busy %.2fs, wall %.2fs]"
     s.domains s.tasks s.items s.busy s.wall

@@ -67,7 +67,6 @@ val iter_array : t -> ('a -> unit) -> 'a array -> unit
 val inside_task : unit -> bool
 
 val stats : t -> stats
-val reset_stats : t -> unit
 
 (** One-line rendering, e.g.
     ["[parallel: 4 domains, 16 tasks/2000 items, busy 3.10s, wall 0.90s]"]. *)

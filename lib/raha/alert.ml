@@ -16,19 +16,19 @@ let exceeds report ~tolerance =
   | Milp.Solver.Optimal | Milp.Solver.Feasible -> report.Analysis.normalized > tolerance
   | _ -> false
 
-let run ?(spec = Bilevel.default_spec) ?(tolerance = 0.1) ?(fast_budget = 60.)
-    ?(deep_budget = 360.) topo paths ~peak envelope =
-  let fast_options =
-    { Analysis.default_options with spec; time_limit = fast_budget }
+let fast_check ~options topo paths ~peak =
+  let options =
+    { options with Analysis.time_limit = options.Analysis.time_limit /. 4. }
   in
-  let fast = Analysis.analyze ~options:fast_options topo paths (Traffic.Envelope.fixed peak) in
+  Analysis.analyze ~options topo paths (Traffic.Envelope.fixed peak)
+
+let run ?(options = Analysis.default_options) ?(tolerance = 0.1) topo paths ~peak
+    envelope =
+  let fast = fast_check ~options topo paths ~peak in
   if exceeds fast ~tolerance then
     { alert = true; stage = Some Fast_fixed_demand; fast; deep = None }
   else begin
-    let deep_options =
-      { Analysis.default_options with spec; time_limit = deep_budget }
-    in
-    let deep = Analysis.analyze ~options:deep_options topo paths envelope in
+    let deep = Analysis.analyze ~options topo paths envelope in
     if exceeds deep ~tolerance then
       { alert = true; stage = Some Deep_variable_demand; fast; deep = Some deep }
     else { alert = false; stage = None; fast; deep = Some deep }

@@ -9,8 +9,8 @@
        demand envelope, which alerts if {e any} admissible demand can be
        degraded.
 
-    Budgets here are solver wall-clock seconds, scaled to the instance
-    size rather than the paper's production numbers. *)
+    Both stages share one {!Analysis.options}; the fast stage gets a
+    quarter of its wall-clock budget. *)
 
 type stage = Fast_fixed_demand | Deep_variable_demand
 
@@ -30,14 +30,26 @@ val exceeds : Analysis.report -> tolerance:float -> bool
 
 val stage_name : stage -> string
 
-(** [run ~tolerance ~fast_budget ~deep_budget ~spec topo paths ~peak
-    envelope] executes the pipeline. [tolerance] is in normalized
-    degradation units (fractions of the average LAG capacity, §8.1). *)
+(** The fast stage alone: {!Analysis.analyze} at
+    {!Traffic.Envelope.fixed} [peak] under [options] with a quarter of
+    [options.time_limit]. The service's push pipeline ({!Service.Core})
+    runs it after every structural event. *)
+val fast_check :
+  options:Analysis.options ->
+  Wan.Topology.t ->
+  Netpath.Path_set.t ->
+  peak:Traffic.Demand.t ->
+  Analysis.report
+
+(** [run ~options ~tolerance topo paths ~peak envelope] executes the
+    pipeline: {!fast_check}, then, unless it alerted,
+    {!Analysis.analyze} under [options] (default
+    {!Analysis.default_options}) on [envelope]. [tolerance] is in
+    normalized degradation units (fractions of the average LAG
+    capacity, §8.1). *)
 val run :
-  ?spec:Bilevel.spec ->
+  ?options:Analysis.options ->
   ?tolerance:float ->
-  ?fast_budget:float ->
-  ?deep_budget:float ->
   Wan.Topology.t ->
   Netpath.Path_set.t ->
   peak:Traffic.Demand.t ->

@@ -156,20 +156,8 @@ let seed_candidates ?screen ?pool spec topo paths envelope ~limit =
   in
   List.map (fun (_, s) -> (s, demand_for)) (take limit scored)
 
-let analyze_with ?screen ?(extra_cuts = []) ?pool ~options topo paths envelope =
+let analyze_with ?screen ?pool ~options topo paths envelope =
   let built = Bilevel.build options.spec topo paths envelope in
-  (* Caller-supplied valid inequalities (the service's fresh cover and
-     clique cuts; see Milp.Cuts.separate_structural) join the model as
-     ordinary rows before presolve. Their ids must speak this build's
-     variable indexing — Bilevel.build is deterministic, so two builds
-     over equal inputs agree. *)
-  List.iteri
-    (fun i (c : Milp.Cuts.structural) ->
-      Milp.Model.add_cons built.Bilevel.model
-        ~name:(Printf.sprintf "persist_%s_cut%d" (Milp.Cuts.family_name c.Milp.Cuts.s_family) i)
-        (Milp.Linexpr.of_terms c.Milp.Cuts.s_terms)
-        Milp.Model.Le c.Milp.Cuts.s_rhs)
-    extra_cuts;
   let hints =
     match options.seed_enumeration with
     | Some 0 -> []
@@ -301,14 +289,14 @@ let analyze_with ?screen ?(extra_cuts = []) ?pool ~options topo paths envelope =
    borrowed instead; inside a pool task the pool gets one domain — the
    nested levels run their exact sequential paths, so results are
    identical either way. *)
-let analyze ?screen ?extra_cuts ?pool ?(options = default_options) topo paths
+let analyze ?screen ?pool ?(options = default_options) topo paths
     envelope =
   match pool with
   | None when options.domains > 1 ->
     Parallel.Pool.with_pool ~domains:options.domains (fun pool ->
-        analyze_with ?screen ?extra_cuts ~pool ~options topo paths envelope)
-  | None -> analyze_with ?screen ?extra_cuts ~options topo paths envelope
-  | Some pool -> analyze_with ?screen ?extra_cuts ~pool ~options topo paths envelope
+        analyze_with ?screen ~pool ~options topo paths envelope)
+  | None -> analyze_with ?screen ~options topo paths envelope
+  | Some pool -> analyze_with ?screen ~pool ~options topo paths envelope
 
 let pp_report ppf r =
   Format.fprintf ppf

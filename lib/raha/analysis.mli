@@ -99,12 +99,6 @@ type report = {
     engine for these exact (spec, topo, paths, screening-demand) inputs
     — {!screening_engine} builds one — skipping the per-call prepare; a
     long-lived caller keeps one engine across many analyses.
-    [?extra_cuts] appends caller-supplied valid inequalities to the
-    model before presolve. Their variable ids speak {!Bilevel.build}'s
-    indexing, which is deterministic: the service separates them
-    ({!Milp.Cuts.separate_structural}) on its own build of the same
-    inputs, just before the call. An inequality that is {e not} valid
-    for this model makes answers wrong.
 
     [?pool] lends an existing domain pool to the screening sweep and
     the branch-and-bound rounds; without it one pool is created per
@@ -113,7 +107,6 @@ type report = {
     bit-identical with or without a pool, at any width. *)
 val analyze :
   ?screen:Te.Simulate.engine ->
-  ?extra_cuts:Milp.Cuts.structural list ->
   ?pool:Parallel.Pool.t ->
   ?options:options ->
   Wan.Topology.t ->

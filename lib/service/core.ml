@@ -122,31 +122,9 @@ let freshness ~provenance ~events_at t =
     ("staleness", Json.Int (State.events_applied t.state - events_at));
   ]
 
-(* One cover + clique separation at the LP-relaxation optimum of the
-   model [analyze] is about to build; the cuts join that model as rows
-   before presolve. Nothing is kept from one solve to the next, so a
-   warm re-solve solves exactly the model a cold one does. *)
-let fresh_cuts options topo paths envelope =
-  if not options.Raha.Analysis.cuts.Milp.Cuts.enable then []
-  else begin
-    let built = Raha.Bilevel.build options.Raha.Analysis.spec topo paths envelope in
-    let model = built.Raha.Bilevel.model in
-    match Milp.Simplex.solve model with
-    | Milp.Simplex.Optimal { values; _ } ->
-      Milp.Cuts.separate_structural model ~point:values
-    | Milp.Simplex.Infeasible | Milp.Simplex.Unbounded
-    | Milp.Simplex.Iter_limit ->
-      []
-  end
-
-let solve_worst t ~verdict ~budget ~max_nodes =
+let solve_worst t ~budget ~max_nodes =
   let topo = State.current_topology t.state in
-  let envelope = State.envelope t.state in
-  (* structure moved: the engine routes over a topology or envelope
-     that no longer exists *)
-  if verdict = Policy.Cold then t.engine <- None;
   let screen = engine_for t in
-  let extra_cuts = fresh_cuts t.cfg.options topo t.cfg.paths envelope in
   let options =
     {
       t.cfg.options with
@@ -161,7 +139,7 @@ let solve_worst t ~verdict ~budget ~max_nodes =
     }
   in
   let r =
-    Raha.Analysis.analyze ?screen ~extra_cuts ~options topo t.cfg.paths envelope
+    Raha.Analysis.analyze ?screen ~options topo t.cfg.paths (State.envelope t.state)
   in
   let support = Failure.Scenario.links r.Raha.Analysis.scenario in
   let answer =
@@ -175,7 +153,6 @@ let solve_worst t ~verdict ~budget ~max_nodes =
       ("scenario_prob", Json.float r.Raha.Analysis.scenario_prob);
       ("num_failed_links", Json.Int r.Raha.Analysis.num_failed_links);
       ("nodes", Json.Int r.Raha.Analysis.nodes);
-      ("cuts_fresh", Json.Int (List.length extra_cuts));
     ]
   in
   t.cached <-
@@ -217,9 +194,9 @@ let worst_verdict t =
 
 (* Solve inside a counter scope, fold the cert verdict into the cached
    answer, return the wire fields plus the scope report. *)
-let solve_scoped t ~verdict ~budget ~max_nodes =
+let solve_scoped t ~budget ~max_nodes =
   let scope = Milp.Lp_stats.scope_enter () in
-  let answer, elapsed, certificate = solve_worst t ~verdict ~budget ~max_nodes in
+  let answer, elapsed, certificate = solve_worst t ~budget ~max_nodes in
   let report = Milp.Lp_stats.scope_exit scope in
   let cert =
     (* the MILP's own certificate is authoritative; overlay/cut audit
@@ -247,7 +224,7 @@ let query_worst t ~budget ~max_nodes =
       @ freshness ~provenance:"cached" ~events_at:c.events_at t
       @ [ ("elapsed", Json.float 0.); ("counters", Json.Obj []) ])
   | _ ->
-    let answer, elapsed, report = solve_scoped t ~verdict ~budget ~max_nodes in
+    let answer, elapsed, report = solve_scoped t ~budget ~max_nodes in
     (match verdict with
     | Policy.Warm -> t.n_warm <- t.n_warm + 1
     | Policy.Cached | Policy.Cold -> t.n_cold <- t.n_cold + 1);
@@ -340,19 +317,11 @@ let unusable_stage =
   { Alerting.fields = []; exceeds = (fun _ -> false); usable = false }
 
 (* Fast stage (Raha.Alert stage 1): worst case at the demand fixed to
-   the envelope's upper corner — the observed peak — under a quarter of
-   the configured time budget. No screening engine or injected cuts:
-   both are built over the variable envelope, not this fixed one. *)
+   the envelope's upper corner — the observed peak. No screening engine:
+   it is built over the variable envelope, not this fixed one. *)
 let alert_fast t =
-  let topo = State.current_topology t.state in
-  let peak = (State.envelope t.state).Traffic.Envelope.hi in
-  let options =
-    {
-      t.cfg.options with
-      Raha.Analysis.time_limit = t.cfg.options.Raha.Analysis.time_limit /. 4.;
-    }
-  in
-  Raha.Analysis.analyze ~options topo t.cfg.paths (Traffic.Envelope.fixed peak)
+  Raha.Alert.fast_check ~options:t.cfg.options (State.current_topology t.state)
+    t.cfg.paths ~peak:(State.envelope t.state).Traffic.Envelope.hi
 
 (* Deep stage (stage 2): the worst query over the live envelope — same
    invalidation policy, same cache: a Cached verdict re-reads the cached
@@ -362,7 +331,8 @@ let alert_fast t =
 let alert_deep t =
   (match worst_verdict t with
   | Policy.Cached -> ()
-  | verdict -> ignore (solve_scoped t ~verdict ~budget:None ~max_nodes:None));
+  | Policy.Warm | Policy.Cold ->
+    ignore (solve_scoped t ~budget:None ~max_nodes:None));
   match t.cached with
   | Some c -> c.report
   | None -> assert false (* solve_scoped always fills the cache *)

@@ -2,11 +2,11 @@
 
     One {!t} owns the streaming {!State}, the persistent screening
     engine ({!Te.Simulate.prepare}, rebuilt only on structural change)
-    and the cached worst-case answer. Every worst-case solve separates
-    its cover and clique cuts afresh ({!Milp.Cuts.separate_structural},
-    skipped when [options.cuts] is {!Milp.Cuts.disabled}), so a warm
-    re-solve solves exactly the model a cold one of the same state
-    does. {!handle} maps every protocol request to a response
+    and the cached worst-case answer. A worst-case solve is a plain
+    {!Raha.Analysis.analyze} of the live state with the configured
+    options, lent the screening engine, so a warm re-solve solves
+    exactly the model a cold one of the same state does.
+    {!handle} maps every protocol request to a response
     deterministically: replaying the same request sequence yields
     bit-identical responses (after {!strip_volatile}) whatever the
     domain count — the seeding sweeps inside {!Raha.Analysis.analyze}

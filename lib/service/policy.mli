@@ -9,13 +9,14 @@
       the cached worst case's support — the answer is served as-is.
     - {b Warm}: only probability-side state moved (drift past the
       tolerance, or a live failure inside the cached support). The
-      bilevel model is rebuilt over the new estimates and re-solved
-      warm: screening overlays on the persistent engine, candidate
-      plunge hints. The model solved is the one a cold solve of the
-      same state would build.
-    - {b Cold}: the formulation structure itself changed (capacity or
-      demand-envelope event).
-      Engine and cache are both rebuilt from scratch. *)
+      worst case is re-solved over the new estimates, reusing the
+      persistent screening engine; the model solved is the one a cold
+      solve of the same state would build.
+    - {b Cold}: there is no cached answer, or the formulation structure
+      itself changed (capacity or demand-envelope event). The solve is
+      the same as a warm one; the screening engine is rebuilt because
+      it is keyed on the structure generation, not because of this
+      verdict. *)
 
 type verdict = Cached | Warm | Cold
 

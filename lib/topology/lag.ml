@@ -26,11 +26,6 @@ let capacity t = Array.fold_left (fun acc l -> acc +. l.link_capacity) 0. t.link
 
 let num_links t = Array.length t.links
 
-let other_end t node =
-  if node = t.src then t.dst
-  else if node = t.dst then t.src
-  else invalid_arg "Lag.other_end: node not an endpoint"
-
 let prob_all_links_down t =
   Array.fold_left (fun acc l -> acc *. l.fail_prob) 1. t.links
 

@@ -40,10 +40,6 @@ val capacity : t -> float
 
 val num_links : t -> int
 
-(** [other_end lag node] is the endpoint that is not [node].
-    @raise Invalid_argument if [node] is not an endpoint. *)
-val other_end : t -> int -> int
-
 (** Probability that every link in the LAG is simultaneously down
     (independent links). *)
 val prob_all_links_down : t -> float

@@ -1,8 +1,7 @@
 (* Tests for the cutting-plane subsystem (Milp.Cuts): pinned cover,
    clique and Gomory separations on hand-built models, pool hygiene
    (duplicate hashing, aging, incumbent audit), dual warm starts across
-   appended cut rows (Simplex.extend_basis), the pool-free structural
-   separation, and the validity property over the random-MILP
+   appended cut rows (Simplex.extend_basis), and the validity property over the random-MILP
    differential corpus — every pooled cut must be satisfied by every
    integer-feasible point of its model. *)
 
@@ -18,12 +17,16 @@ let rows_of mdl =
     (fun (c : Milp.Model.cons) -> (c.Milp.Model.lhs, c.Milp.Model.rhs))
     (Milp.Model.conss mdl)
 
-let family (c : Milp.Cuts.cut) = Milp.Cuts.family_name c.Milp.Cuts.family
+let family_name : Milp.Cuts.family -> string = function
+  | Milp.Cuts.Gomory -> "gomory"
+  | Milp.Cuts.Cover -> "cover"
+  | Milp.Cuts.Clique -> "clique"
 
 (* Every family separates in every round, so a test about one family
    reads only that family's cuts from the pool. *)
 let active_of fam pool =
-  List.filter (fun c -> family c = fam) (Milp.Cuts.active_cuts pool)
+  List.filter (fun (c : Milp.Cuts.cut) -> c.Milp.Cuts.family = fam)
+    (Milp.Cuts.active_cuts pool)
 
 (* One separation round at the model's own LP relaxation (no cuts
    applied yet): the entry point most pinned tests drive. *)
@@ -61,7 +64,7 @@ let test_cover_pinned () =
     separate_at pool mdl ~point:cover_point ~basis:None ~incumbent:None
   in
   Alcotest.(check int) "one cut activated" 1 added;
-  match active_of "cover" pool with
+  match active_of Milp.Cuts.Cover pool with
   | [ c ] ->
     Alcotest.(check (array int)) "support is {x1, x2, x3}" [| 1; 2; 3 |]
       (Array.map snd c.Milp.Cuts.terms);
@@ -91,7 +94,9 @@ let test_cover_pinned () =
 
 (* pairwise exclusions a + b <= 1, b + c <= 1, a + c <= 1: the conflict
    graph holds the triangle {a, b, c}, and the point (1/2, 1/2, 1/2)
-   violates the clique inequality a + b + c <= 1 (LP value 1.5). *)
+   violates the clique inequality a + b + c <= 1 (LP value 1.5). Every
+   greedy seed grows the same triangle; the round merges the copies
+   into one cut. *)
 let test_clique_pinned () =
   let mdl = Milp.Model.create () in
   let x = Array.init 3 (fun i -> Milp.Model.binary mdl (Printf.sprintf "b%d" i)) in
@@ -104,11 +109,11 @@ let test_clique_pinned () =
   let pool = Milp.Cuts.create mdl in
   let point = [| 0.5; 0.5; 0.5 |] in
   let added = separate_at pool mdl ~point ~basis:None ~incumbent:None in
-  Alcotest.(check bool) "a clique cut activated" true (added >= 1);
+  Alcotest.(check int) "one cut activated" 1 added;
   let c =
-    match active_of "clique" pool with
-    | c :: _ -> c
-    | [] -> Alcotest.fail "no clique cut in the pool"
+    match active_of Milp.Cuts.Clique pool with
+    | [ c ] -> c
+    | l -> Alcotest.failf "expected 1 active clique cut, got %d" (List.length l)
   in
   Alcotest.(check (array int)) "support is the triangle" [| 0; 1; 2 |]
     (Array.map snd c.Milp.Cuts.terms);
@@ -163,7 +168,7 @@ let test_gomory_pinned () =
     in
     Alcotest.(check bool) "a cut activated" true (added >= 1);
     Alcotest.(check bool) "a Gomory cut in the pool" true
-      (active_of "gomory" pool <> []);
+      (active_of Milp.Cuts.Gomory pool <> []);
     List.iter
       (fun (c : Milp.Cuts.cut) ->
         Alcotest.(check bool) "cuts the fractional vertex off" true
@@ -178,7 +183,7 @@ let test_gomory_pinned () =
                 (Milp.Cuts.eval_cut c p <= c.Milp.Cuts.rhs +. 1e-7)
           done
         done)
-      (active_of "gomory" pool)
+      (active_of Milp.Cuts.Gomory pool)
   | _ -> Alcotest.fail "LP relaxation not optimal with a basis"
 
 (* --- warm starts across cut rows ---------------------------------------- *)
@@ -271,51 +276,6 @@ let test_incumbent_audit () =
   Alcotest.(check int) "no audit failures" 0
     (Milp.Lp_stats.read Milp.Lp_stats.cut_audit_failures ())
 
-(* --- structural separation ----------------------------------------------- *)
-
-(* One cover + clique round outside any pool: the violated cuts of the
-   pinned cover and clique models, deduplicated, with no counter moved
-   and nothing kept between calls. *)
-let test_separate_structural () =
-  let counters () =
-    List.map
-      (fun c -> Milp.Lp_stats.read c ())
-      Milp.Lp_stats.[ cuts_generated; cuts_applied; cut_audit_failures ]
-  in
-  let before = counters () in
-  let mdl = cover_model () in
-  let cuts = Milp.Cuts.separate_structural mdl ~point:cover_point in
-  (match cuts with
-  | [ c ] ->
-    Alcotest.(check string) "cover family" "cover"
-      (Milp.Cuts.family_name c.Milp.Cuts.s_family);
-    Alcotest.(check (list (pair (float 1e-12) int)))
-      "b + c + d" [ (1., 1); (1., 2); (1., 3) ] c.Milp.Cuts.s_terms;
-    check_float "rhs" 2. c.Milp.Cuts.s_rhs
-  | l -> Alcotest.failf "expected 1 cover cut, got %d" (List.length l));
-  Alcotest.(check bool) "same cuts on a second call" true
-    (Milp.Cuts.separate_structural mdl ~point:cover_point = cuts);
-  Alcotest.(check (list int)) "no counter moved" before (counters ());
-  (* a point that violates nothing yields nothing *)
-  Alcotest.(check int) "nothing at the origin" 0
-    (List.length (Milp.Cuts.separate_structural mdl ~point:[| 0.; 0.; 0.; 0. |]));
-  (* the triangle a + b, b + c, a + c <= 1: one clique cut, every
-     greedy seed grows the same triangle and the copies are merged *)
-  let tri = Milp.Model.create () in
-  let x = Array.init 3 (fun i -> Milp.Model.binary tri (Printf.sprintf "b%d" i)) in
-  List.iter
-    (fun (i, j) ->
-      Milp.Model.add_cons tri (t [ (1., x.(i)); (1., x.(j)) ]) Milp.Model.Le 1.)
-    [ (0, 1); (1, 2); (0, 2) ];
-  match Milp.Cuts.separate_structural tri ~point:[| 0.5; 0.5; 0.5 |] with
-  | [ c ] ->
-    Alcotest.(check string) "clique family" "clique"
-      (Milp.Cuts.family_name c.Milp.Cuts.s_family);
-    Alcotest.(check (list int)) "the triangle" [ 0; 1; 2 ]
-      (List.map snd c.Milp.Cuts.s_terms);
-    check_float "rhs 1" 1. c.Milp.Cuts.s_rhs
-  | l -> Alcotest.failf "expected 1 clique cut, got %d" (List.length l)
-
 (* --- validity over the differential corpus ------------------------------- *)
 
 (* Integer assignments of the model's integer variables, in
@@ -406,7 +366,7 @@ let prop_corpus_cuts_valid =
                   if obj > c.Milp.Cuts.rhs +. tol then
                     QCheck2.Test.fail_reportf
                       "case %d cut %d (%s): max lhs %.9g > rhs %.9g" case ci
-                      (family c) obj c.Milp.Cuts.rhs
+                      (family_name c.Milp.Cuts.family) obj c.Milp.Cuts.rhs
                 | _ -> ())
               assignments
           end)
@@ -451,7 +411,6 @@ let suite =
     ("warm start extends across cut rows", `Quick, test_extend_basis_warm);
     ("pool dedup and aging", `Quick, test_dedup_and_aging);
     ("incumbent audit", `Quick, test_incumbent_audit);
-    ("structural separation", `Quick, test_separate_structural);
     QCheck_alcotest.to_alcotest prop_corpus_cuts_valid;
     ("32 random MILPs: cuts on vs off", `Quick, test_solver_differential);
   ]

@@ -110,9 +110,9 @@ let test_weighted_scheme () =
   | _ -> Alcotest.fail "expected 1 primary"
 
 let test_of_lags_and_weight () =
-  (* reconstruct B-A-D from its LAG ids (BA = 3, AD = 2) *)
-  let p = Netpath.Path.of_lags fig1 ~src:1 [ 3; 2 ] in
-  Alcotest.(check (list int)) "nodes" [ 1; 0; 3 ] (Netpath.Path.node_list p);
+  (* B-A-D runs over LAGs BA = 3 and AD = 2 *)
+  let p = Netpath.Path.make fig1 [ 1; 0; 3 ] in
+  Alcotest.(check (list int)) "lags" [ 3; 2 ] (Netpath.Path.lag_list p);
   let w id = float_of_int (id + 1) in
   check_int "weight" 7 (int_of_float (Netpath.Path.weight w p));
   (* lag_disjoint *)

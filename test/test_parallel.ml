@@ -146,9 +146,7 @@ let test_stats () =
       Alcotest.(check bool) "some tasks ran" true (s.Parallel.Pool.tasks >= 1);
       let line = Format.asprintf "%a" Parallel.Pool.pp_stats s in
       Alcotest.(check bool) ("stats line: " ^ line) true
-        (String.length line > 10 && String.sub line 0 10 = "[parallel:");
-      Parallel.Pool.reset_stats pool;
-      check_int "reset" 0 (Parallel.Pool.stats pool).Parallel.Pool.items)
+        (String.length line > 10 && String.sub line 0 10 = "[parallel:"))
 
 let test_pool_in_task_is_sequential () =
   (* a pool created inside a task gets one domain and no workers *)

@@ -338,51 +338,42 @@ let test_srlg_coupling () =
   (* k=2: both BD and CD fail together: healthy 22, failed min(12,5&9)+min(10,4) = 9 -> 13 *)
   check_float "k=2 takes both" 13. r2.Raha.Analysis.degradation
 
-(* The cuts the service adds to every worst-case solve (one cover +
-   clique round at the bilevel model's LP optimum) are valid: the
-   cut-free optimum satisfies each of them, and passing them as
-   [?extra_cuts] keeps the certified answer. *)
-let test_extra_cuts_valid () =
+(* The cover and clique cuts branch-and-bound separates at the root of
+   the bilevel model are valid: each one cuts off the LP optimum it was
+   separated at and holds at the MILP optimum. *)
+let test_root_cuts_valid () =
   let spec = spec_k1 Raha.Bilevel.Max_degradation (Raha.Bilevel.Strong_duality { levels = 5 }) in
-  let paths = fig1_paths () in
   let envelope =
     Traffic.Envelope.around ~slack:0.5
       (Traffic.Demand.of_list [ ((1, 3), 12.); ((2, 3), 10.) ])
   in
-  let model = (Raha.Bilevel.build spec fig1 paths envelope).Raha.Bilevel.model in
-  let cuts =
+  let model = (Raha.Bilevel.build spec fig1 (fig1_paths ()) envelope).Raha.Bilevel.model in
+  let point =
     match Milp.Simplex.solve model with
-    | Milp.Simplex.Optimal { values; _ } ->
-      Milp.Cuts.separate_structural model ~point:values
+    | Milp.Simplex.Optimal { values; _ } -> values
     | _ -> Alcotest.fail "LP relaxation not optimal"
   in
-  Alcotest.(check bool) "the LP optimum is cut off" true (cuts <> []);
+  let pool = Milp.Cuts.create model in
+  let rows =
+    Array.map
+      (fun (c : Milp.Model.cons) -> (c.Milp.Model.lhs, c.Milp.Model.rhs))
+      (Milp.Model.conss model)
+  in
+  let added =
+    Milp.Cuts.separate_round pool ~sp:(Milp.Sparse.of_model model) ~rows ~point
+      ~basis:None ~incumbent:None
+  in
+  Alcotest.(check bool) "the LP optimum is cut off" true (added > 0);
   let sol = Milp.Solver.solve model in
   Alcotest.(check bool) "cut-free solve optimal" true
     (sol.Milp.Solver.status = Milp.Solver.Optimal);
   List.iter
-    (fun (c : Milp.Cuts.structural) ->
-      let lhs =
-        List.fold_left
-          (fun a (k, id) -> a +. (k *. sol.Milp.Solver.values.(id)))
-          0. c.Milp.Cuts.s_terms
-      in
-      Alcotest.(check bool)
-        (Milp.Cuts.family_name c.Milp.Cuts.s_family ^ " cut holds at the optimum")
-        true
-        (lhs <= c.Milp.Cuts.s_rhs +. 1e-6))
-    cuts;
-  let options = { Raha.Analysis.default_options with spec } in
-  let plain = Raha.Analysis.analyze ~options fig1 paths envelope in
-  let cut = Raha.Analysis.analyze ~extra_cuts:cuts ~options fig1 paths envelope in
-  Alcotest.(check bool) "optimal with extra cuts" true
-    (cut.Raha.Analysis.status = Milp.Solver.Optimal);
-  check_float "same degradation" plain.Raha.Analysis.degradation
-    cut.Raha.Analysis.degradation;
-  Alcotest.(check bool) "certified" true
-    (match cut.Raha.Analysis.certificate with
-    | Some c -> c.Milp.Certify.ok
-    | None -> false)
+    (fun (c : Milp.Cuts.cut) ->
+      Alcotest.(check bool) "violated at the LP optimum" true
+        (Milp.Cuts.eval_cut c point > c.Milp.Cuts.rhs +. 1e-9);
+      Alcotest.(check bool) "holds at the MILP optimum" true
+        (Milp.Cuts.eval_cut c sol.Milp.Solver.values <= c.Milp.Cuts.rhs +. 1e-6))
+    (Milp.Cuts.active_cuts pool)
 
 let suite =
   [
@@ -391,7 +382,7 @@ let suite =
     ("fig1 (e/f) raha joint", `Quick, test_fig1_raha_joint);
     ("fig1 kkt encoding matches", `Quick, test_fig1_kkt_matches);
     ("analysis options reach the solver", `Quick, test_options_reach_solver);
-    ("extra cuts are valid and keep the answer", `Quick, test_extra_cuts_valid);
+    ("root cuts on the bilevel model are valid", `Quick, test_root_cuts_valid);
     ("fig1 verified by simulation", `Quick, test_fig1_verified_by_simulation);
     ("threshold respected", `Quick, test_threshold_constraint_respected);
     ("threshold excludes all", `Quick, test_threshold_excludes_all);

@@ -21,6 +21,8 @@ let spec_k1 =
     encoding = Raha.Bilevel.Strong_duality { levels = 5 };
   }
 
+let k1_options = { Raha.Analysis.default_options with spec = spec_k1 }
+
 (* --- clustering -------------------------------------------------------- *)
 
 let test_partition () =
@@ -138,7 +140,7 @@ let test_alert_fast_stage () =
   (* fig1 with tolerance below the fixed-peak degradation: fast alert *)
   let peak = Traffic.Demand.of_list [ ((1, 3), 12.); ((2, 3), 10.) ] in
   let v =
-    Raha.Alert.run ~spec:spec_k1 ~tolerance:0.5 fig1 (fig1_paths ()) ~peak
+    Raha.Alert.run ~options:k1_options ~tolerance:0.5 fig1 (fig1_paths ()) ~peak
       (fig1_envelope ())
   in
   Alcotest.(check bool) "alert" true v.Raha.Alert.alert;
@@ -150,7 +152,7 @@ let test_alert_deep_stage () =
      the variable-demand one (9/6.8 ~ 1.32): deep alert *)
   let peak = Traffic.Demand.of_list [ ((1, 3), 12.); ((2, 3), 10.) ] in
   let v =
-    Raha.Alert.run ~spec:spec_k1 ~tolerance:1.1 fig1 (fig1_paths ()) ~peak
+    Raha.Alert.run ~options:k1_options ~tolerance:1.1 fig1 (fig1_paths ()) ~peak
       (fig1_envelope ())
   in
   Alcotest.(check bool) "alert" true v.Raha.Alert.alert;
@@ -160,11 +162,42 @@ let test_alert_deep_stage () =
 let test_alert_quiet () =
   let peak = Traffic.Demand.of_list [ ((1, 3), 12.); ((2, 3), 10.) ] in
   let v =
-    Raha.Alert.run ~spec:spec_k1 ~tolerance:5. fig1 (fig1_paths ()) ~peak
+    Raha.Alert.run ~options:k1_options ~tolerance:5. fig1 (fig1_paths ()) ~peak
       (fig1_envelope ())
   in
   Alcotest.(check bool) "no alert" true (not v.Raha.Alert.alert);
   Alcotest.(check bool) "deep ran" true (v.Raha.Alert.deep <> None)
+
+(* Both stages are plain [analyze] calls under the caller's options:
+   the fast one at the fixed peak with a quarter of the time limit, the
+   deep one on the envelope. [o] turns cuts off, which moves the node
+   count on fig1, so an option the pipeline dropped would show. *)
+let test_alert_stages_are_analyze () =
+  let paths = fig1_paths () and envelope = fig1_envelope () in
+  let peak = envelope.Traffic.Envelope.hi in
+  let o = { k1_options with cuts = Milp.Cuts.disabled; time_limit = 60. } in
+  let v = Raha.Alert.run ~options:o ~tolerance:5. fig1 paths ~peak envelope in
+  let same what (want : Raha.Analysis.report) (got : Raha.Analysis.report) =
+    Alcotest.(check int64) (what ^ " degradation bits")
+      (Int64.bits_of_float want.Raha.Analysis.degradation)
+      (Int64.bits_of_float got.Raha.Analysis.degradation);
+    Alcotest.(check int64) (what ^ " bound bits")
+      (Int64.bits_of_float want.Raha.Analysis.bound)
+      (Int64.bits_of_float got.Raha.Analysis.bound);
+    check_int (what ^ " nodes") want.Raha.Analysis.nodes got.Raha.Analysis.nodes
+  in
+  let fast =
+    Raha.Analysis.analyze ~options:{ o with time_limit = o.time_limit /. 4. } fig1 paths
+      (Traffic.Envelope.fixed peak)
+  in
+  same "fast" fast v.Raha.Alert.fast;
+  let deep = Raha.Analysis.analyze ~options:o fig1 paths envelope in
+  (match v.Raha.Alert.deep with
+  | Some d -> same "deep" deep d
+  | None -> Alcotest.fail "the deep stage did not run");
+  let with_cuts = Raha.Analysis.analyze ~options:k1_options fig1 paths envelope in
+  Alcotest.(check bool) "disabling cuts moves the deep node count" true
+    (with_cuts.Raha.Analysis.nodes <> deep.Raha.Analysis.nodes)
 
 (* --- baselines --------------------------------------------------------- *)
 
@@ -334,6 +367,7 @@ let suite =
     ("alert fast stage", `Quick, test_alert_fast_stage);
     ("alert deep stage", `Quick, test_alert_deep_stage);
     ("alert quiet", `Quick, test_alert_quiet);
+    ("alert stages are analyze", `Quick, test_alert_stages_are_analyze);
     ("k failures monotone", `Quick, test_k_failures_monotone);
     ("worst failures at demand", `Quick, test_worst_failures_at_demand);
     ("fixed fast path equivalent", `Quick, test_fixed_fast_path_equivalent);

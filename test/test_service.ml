@@ -407,53 +407,42 @@ let test_down_in_support_invalidates () =
   let second = Service.Core.handle core worst in
   check_str "support hit forces warm re-solve" "warm" (get_str "provenance" second)
 
-(* --- cuts: one fresh separation per solve -------------------------------- *)
+(* --- worst answer = analyze ------------------------------------------------ *)
 
-(* [Milp.Cuts.disabled] turns the service's cuts off too: no rows are
-   separated, and the worst answer is the cut-free search of a plain
-   [analyze] with the same options. *)
-let test_cuts_disabled () =
-  let cfg = make_config ~cuts:Milp.Cuts.disabled () in
+(* A worst query is a plain [analyze] of the live state under the
+   configured options, with cuts on or off: same degradation and bound
+   bits, same node count, same scenario. *)
+let test_worst_is_analyze cuts () =
+  let cfg = make_config ~cuts () in
   let core = Service.Core.create cfg fig1 in
   let served =
     Service.Core.handle core (Ev.Query (Ev.Worst { budget = None; max_nodes = None }))
   in
   check_str "cold solve" "cold" (get_str "provenance" served);
-  check_int "no fresh cuts" 0 (get_int "cuts_fresh" served);
   let r =
     Raha.Analysis.analyze ~options:cfg.Service.Core.options fig1
       cfg.Service.Core.paths cfg.Service.Core.envelope
   in
-  check_int "nodes = analyze" r.Raha.Analysis.nodes (get_int "nodes" served);
+  let float_bits key =
+    match J.to_float (J.member key served) with
+    | Some x -> Int64.bits_of_float x
+    | None -> Alcotest.fail (Printf.sprintf "missing %s in %s" key (J.to_string served))
+  in
+  Alcotest.(check int64) "degradation bits = analyze"
+    (Int64.bits_of_float r.Raha.Analysis.degradation)
+    (float_bits "degradation");
   Alcotest.(check int64) "bound bits = analyze"
     (Int64.bits_of_float r.Raha.Analysis.bound)
-    (bound_bits served)
-
-(* A warm re-solve separates its cuts afresh, like the cold solve of a
-   fresh core that replayed the same events: same cut count, same
-   search. *)
-let test_warm_separates_afresh () =
-  let worst = Ev.Query (Ev.Worst { budget = None; max_nodes = None }) in
-  let core = make_core () in
-  let first = Service.Core.handle core worst in
-  Alcotest.(check bool) "the cold solve separates cuts" true
-    (get_int "cuts_fresh" first > 0);
-  let lag, link =
-    match J.member "scenario" first with
-    | J.List (J.List [ J.Int e; J.Int i ] :: _) -> (e, i)
-    | j -> Alcotest.fail (Printf.sprintf "unexpected scenario %s" (J.to_string j))
+    (bound_bits served);
+  check_int "nodes = analyze" r.Raha.Analysis.nodes (get_int "nodes" served);
+  let scenario =
+    J.List
+      (List.map
+         (fun (e, i) -> J.List [ J.Int e; J.Int i ])
+         (Failure.Scenario.links r.Raha.Analysis.scenario))
   in
-  let down = Ev.Event (Ev.Link_down { lag; link; at = 1e-3 }) in
-  Alcotest.(check bool) "down event applied" true (is_ok (Service.Core.handle core down));
-  let warm = Service.Core.handle core worst in
-  check_str "support hit re-solves warm" "warm" (get_str "provenance" warm);
-  let fresh = make_core () in
-  ignore (Service.Core.handle fresh down);
-  let cold = Service.Core.handle fresh worst in
-  check_str "fresh core solves cold" "cold" (get_str "provenance" cold);
-  check_int "cuts_fresh" (get_int "cuts_fresh" cold) (get_int "cuts_fresh" warm);
-  check_int "nodes" (get_int "nodes" cold) (get_int "nodes" warm);
-  Alcotest.(check int64) "bound bits" (bound_bits cold) (bound_bits warm)
+  check_str "scenario = analyze" (J.to_string scenario)
+    (J.to_string (J.member "scenario" served))
 
 (* --- budget exhaustion -------------------------------------------------- *)
 
@@ -1151,8 +1140,8 @@ let suite =
     ("now batch = sequential", `Quick, test_now_many_matches_sequential);
     ("invalidation sound on corpus", `Quick, test_invalidation_sound);
     ("down-in-support invalidates", `Quick, test_down_in_support_invalidates);
-    ("cuts disabled: no fresh cuts, analyze's search", `Quick, test_cuts_disabled);
-    ("warm re-solve separates afresh", `Quick, test_warm_separates_afresh);
+    ("worst = analyze, cuts on", `Quick, test_worst_is_analyze Milp.Cuts.default);
+    ("worst = analyze, cuts off", `Quick, test_worst_is_analyze Milp.Cuts.disabled);
     ("budget exhaustion honest", `Quick, test_budget_exhaustion_honest);
     ("socket round trip", `Quick, test_socket_roundtrip);
     ("journal round trip", `Quick, test_journal_roundtrip);
