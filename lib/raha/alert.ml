@@ -7,10 +7,6 @@ type verdict = {
   deep : Analysis.report option;
 }
 
-let stage_name = function
-  | Fast_fixed_demand -> "fast"
-  | Deep_variable_demand -> "deep"
-
 let exceeds report ~tolerance =
   match report.Analysis.status with
   | Milp.Solver.Optimal | Milp.Solver.Feasible -> report.Analysis.normalized > tolerance

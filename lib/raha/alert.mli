@@ -28,8 +28,6 @@ type verdict = {
     applies it per-subscriber. *)
 val exceeds : Analysis.report -> tolerance:float -> bool
 
-val stage_name : stage -> string
-
 (** The fast stage alone: {!Analysis.analyze} at
     {!Traffic.Envelope.fixed} [peak] under [options] with a quarter of
     [options.time_limit]. The service's push pipeline ({!Service.Core})

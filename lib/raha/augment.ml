@@ -134,70 +134,6 @@ let apply_lag_additions topo additions ~link_capacity ~can_fail =
         (Array.to_list lag.Wan.Lag.links @ extra))
     topo additions
 
-let needs_augment report ~tolerance =
-  match report.Analysis.status with
-  | Milp.Solver.Optimal | Milp.Solver.Feasible ->
-    report.Analysis.normalized > tolerance
-  | Milp.Solver.Infeasible | Milp.Solver.Unbounded | Milp.Solver.Unknown -> false
-
-let augment_lags ?(options = Analysis.default_options) ?link_capacity
-    ?(new_capacity_can_fail = true) ?(tolerance = 1e-6) ?(max_steps = 10) topo paths
-    envelope =
-  let link_capacity =
-    match link_capacity with Some c -> c | None -> avg_link_capacity topo
-  in
-  let rec loop topo steps n =
-    let report = Analysis.analyze ~options topo paths envelope in
-    if (not (needs_augment report ~tolerance)) || n >= max_steps then
-      let total =
-        List.fold_left
-          (fun acc s -> List.fold_left (fun a (_, k) -> a + k) acc s.lag_links_added)
-          0 steps
-      in
-      {
-        steps = List.rev steps;
-        final = report;
-        topo;
-        total_links_added = total;
-        converged = not (needs_augment report ~tolerance);
-      }
-    else begin
-      let d = report.Analysis.worst_demand in
-      let scenario = report.Analysis.scenario in
-      match healthy_targets topo paths d with
-      | None -> (* cannot even route on the healthy network: stop *)
-        {
-          steps = List.rev steps;
-          final = report;
-          topo;
-          total_links_added = 0;
-          converged = false;
-        }
-      | Some targets -> (
-        match solve_lag_augment topo paths scenario targets ~link_capacity with
-        | None | Some [] ->
-          (* no augment can fix this scenario (e.g. full disconnection) *)
-          {
-            steps = List.rev steps;
-            final = report;
-            topo;
-            total_links_added =
-              List.fold_left
-                (fun acc s -> List.fold_left (fun a (_, k) -> a + k) acc s.lag_links_added)
-                0 steps;
-            converged = false;
-          }
-        | Some additions ->
-          let topo' =
-            apply_lag_additions topo additions ~link_capacity
-              ~can_fail:new_capacity_can_fail
-          in
-          let step = { report; lag_links_added = additions; new_lags_added = [] } in
-          loop topo' (step :: steps) (n + 1))
-    end
-  in
-  loop topo [] 0
-
 (* --- new-LAG augmentation via the edge form (Appendix C) -------------- *)
 
 let solve_new_lag_augment topo paths scenario targets ~candidates ~link_capacity =
@@ -333,48 +269,57 @@ let apply_new_lags topo additions ~link_capacity ~can_fail =
       | None -> Wan.Topology.add_lag t ~src:a ~dst:b links)
     topo additions
 
+let links_added s =
+  List.fold_left (fun a (_, k) -> a + k) 0 s.lag_links_added
+  + List.fold_left (fun a (_, k) -> a + k) 0 s.new_lags_added
+
+(* The §7 loop shared by both families: analyze, stop once no probable
+   scenario exceeds [tolerance], else [grow] the topology so the network
+   under the worst scenario carries the healthy per-pair flows at the
+   worst demand, and repeat on the grown topology. *)
+let iterate ~options ~tolerance ~max_steps ~paths_of ~grow topo envelope =
+  let rec loop topo steps n =
+    let paths = paths_of topo in
+    let report = Analysis.analyze ~options topo paths envelope in
+    let finish converged =
+      let steps = List.rev steps in
+      let total_links_added = List.fold_left (fun a s -> a + links_added s) 0 steps in
+      { steps; final = report; topo; total_links_added; converged }
+    in
+    if not (Alert.exceeds report ~tolerance) then finish true
+    else if n >= max_steps then finish false
+    else
+      match healthy_targets topo paths report.Analysis.worst_demand with
+      | None -> finish false (* cannot even route on the healthy network *)
+      | Some targets -> (
+        match grow topo paths report targets with
+        | Some (topo', step) when links_added step > 0 -> loop topo' (step :: steps) (n + 1)
+        | _ -> finish false (* no augment fixes this scenario (e.g. full disconnection) *))
+  in
+  loop topo [] 0
+
+let augment_lags ?(options = Analysis.default_options) ?link_capacity
+    ?(new_capacity_can_fail = true) ?(tolerance = 1e-6) ?(max_steps = 10) topo paths
+    envelope =
+  let link_capacity = Option.value link_capacity ~default:(avg_link_capacity topo) in
+  iterate ~options ~tolerance ~max_steps ~paths_of:(fun _ -> paths)
+    ~grow:(fun topo paths report targets ->
+      solve_lag_augment topo paths report.Analysis.scenario targets ~link_capacity
+      |> Option.map (fun additions ->
+             ( apply_lag_additions topo additions ~link_capacity
+                 ~can_fail:new_capacity_can_fail,
+               { report; lag_links_added = additions; new_lags_added = [] } )))
+    topo envelope
+
 let augment_new_lags ?(options = Analysis.default_options) ?link_capacity
     ?(new_capacity_can_fail = false) ?(tolerance = 1e-6) ?(max_steps = 10) ~candidates
     ~repath topo envelope =
-  let link_capacity =
-    match link_capacity with Some c -> c | None -> avg_link_capacity topo
-  in
-  let rec loop topo steps n =
-    let paths = repath topo in
-    let report = Analysis.analyze ~options topo paths envelope in
-    let total () =
-      List.fold_left
-        (fun acc s -> List.fold_left (fun a (_, k) -> a + k) acc s.new_lags_added)
-        0 steps
-    in
-    if (not (needs_augment report ~tolerance)) || n >= max_steps then
-      {
-        steps = List.rev steps;
-        final = report;
-        topo;
-        total_links_added = total ();
-        converged = not (needs_augment report ~tolerance);
-      }
-    else begin
-      let d = report.Analysis.worst_demand in
-      match healthy_targets topo paths d with
-      | None ->
-        { steps = List.rev steps; final = report; topo; total_links_added = total ();
-          converged = false }
-      | Some targets -> (
-        match
-          solve_new_lag_augment topo paths report.Analysis.scenario targets ~candidates
-            ~link_capacity
-        with
-        | None | Some [] ->
-          { steps = List.rev steps; final = report; topo; total_links_added = total ();
-            converged = false }
-        | Some additions ->
-          let topo' =
-            apply_new_lags topo additions ~link_capacity ~can_fail:new_capacity_can_fail
-          in
-          let step = { report; lag_links_added = []; new_lags_added = additions } in
-          loop topo' (step :: steps) (n + 1))
-    end
-  in
-  loop topo [] 0
+  let link_capacity = Option.value link_capacity ~default:(avg_link_capacity topo) in
+  iterate ~options ~tolerance ~max_steps ~paths_of:repath
+    ~grow:(fun topo paths report targets ->
+      solve_new_lag_augment topo paths report.Analysis.scenario targets ~candidates
+        ~link_capacity
+      |> Option.map (fun additions ->
+             ( apply_new_lags topo additions ~link_capacity ~can_fail:new_capacity_can_fail,
+               { report; lag_links_added = []; new_lags_added = additions } )))
+    topo envelope

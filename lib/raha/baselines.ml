@@ -56,10 +56,8 @@ let worst_failures_at_demand ?(options = Analysis.default_options) topo paths de
   | Some h ->
     let healthy = h.Te.Simulate.performance in
     let degradation =
-      match spec.Bilevel.objective with
-      | Te.Formulation.Mlu _ -> r.Analysis.failed_performance -. healthy
-      | Te.Formulation.Total_flow | Te.Formulation.Max_min _ ->
-        healthy -. r.Analysis.failed_performance
+      Te.Formulation.degradation spec.Bilevel.objective ~healthy
+        ~failed:r.Analysis.failed_performance
     in
     let avg_cap = Float.max 1e-9 (Wan.Topology.avg_lag_capacity topo) in
     {

@@ -201,37 +201,11 @@ let build spec topo paths envelope =
   (* naive fail-over: failed flows capped by healthy primary flows (§5.1) *)
   let failed_spec =
     if not spec.naive_failover then failed_spec
-    else begin
-      let extra = ref [] in
-      Array.iteri
-        (fun k (pc : Te.Formulation.pair_cols) ->
-          let hpc = healthy_index.Te.Formulation.pair_arr.(k) in
-          Array.iteri
-            (fun j col ->
-              let jh =
-                if j < pc.Te.Formulation.n_primary then Some j
-                else begin
-                  let r = j - pc.Te.Formulation.n_primary in
-                  if r < pc.Te.Formulation.n_primary then Some r else None
-                end
-              in
-              match jh with
-              | None -> ()
-              | Some jh ->
-                let hvar = healthy.Inner.xs.(hpc.Te.Formulation.path_cols.(jh)) in
-                extra :=
-                  {
-                    Te.Lp_spec.rname = Printf.sprintf "naive_k%d_p%d" k j;
-                    terms = [ (col, 1.) ];
-                    rel = Te.Lp_spec.Le;
-                    rhs = Te.Lp_spec.Outer (evar hvar);
-                    slack_bound = d_max;
-                  }
-                  :: !extra)
-            pc.Te.Formulation.path_cols)
-        failed_index.Te.Formulation.pair_arr;
-      Te.Formulation.add_rows failed_spec !extra
-    end
+    else
+      Te.Formulation.add_rows failed_spec
+        (Te.Formulation.naive_failover_rows failed_index ~healthy_index
+           ~cap:(fun c -> Te.Lp_spec.Outer (evar healthy.Inner.xs.(c)))
+           ~d_max)
   in
   let failed =
     match spec.encoding with

@@ -1,16 +1,9 @@
-let status_str = function
-  | Milp.Solver.Optimal -> "optimal"
-  | Milp.Solver.Feasible -> "feasible"
-  | Milp.Solver.Infeasible -> "infeasible"
-  | Milp.Solver.Unbounded -> "unbounded"
-  | Milp.Solver.Unknown -> "unknown"
-
 let summary_header =
   "status,degradation,normalized,bound,failed_links,scenario_prob,healthy,failed,elapsed_s,nodes"
 
 let summary_row (r : Analysis.report) =
-  Printf.sprintf "%s,%.9g,%.9g,%.9g,%d,%.6g,%.9g,%.9g,%.3f,%d"
-    (status_str r.Analysis.status)
+  Format.asprintf "%a,%.9g,%.9g,%.9g,%d,%.6g,%.9g,%.9g,%.3f,%d"
+    Milp.Solver.pp_status r.Analysis.status
     r.Analysis.degradation r.Analysis.normalized r.Analysis.bound
     r.Analysis.num_failed_links r.Analysis.scenario_prob r.Analysis.healthy_performance
     r.Analysis.failed_performance r.Analysis.elapsed r.Analysis.nodes
@@ -27,7 +20,3 @@ let pair_rows (r : Analysis.report) =
 let to_csv r =
   String.concat "\n"
     ((summary_header :: summary_row r :: "" :: pair_header :: pair_rows r) @ [ "" ])
-
-let save r path =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc (to_csv r))

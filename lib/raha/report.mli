@@ -21,5 +21,3 @@ val pair_rows : Analysis.report -> string list
 
 (** Full CSV document (summary section then per-pair section). *)
 val to_csv : Analysis.report -> string
-
-val save : Analysis.report -> string -> unit

@@ -196,6 +196,30 @@ let build ~objective ~topo ~paths ~lag_cap ~demand ?path_cap ~d_max () =
 let add_rows spec extra =
   { spec with Lp_spec.rows = Array.append spec.Lp_spec.rows (Array.of_list extra) }
 
+let naive_failover_rows index ~healthy_index ~cap ~d_max =
+  let rows = ref [] in
+  Array.iteri
+    (fun k pc ->
+      let hpc = healthy_index.pair_arr.(k) in
+      Array.iteri
+        (fun j col ->
+          (* primary j capped by healthy primary j, backup r by healthy
+             primary r; backups beyond the primaries stay uncapped *)
+          let jh = if j < pc.n_primary then j else j - pc.n_primary in
+          if jh < pc.n_primary then
+            rows :=
+              {
+                Lp_spec.rname = Printf.sprintf "naive_k%d_p%d" k j;
+                terms = [ (col, 1.) ];
+                rel = Lp_spec.Le;
+                rhs = cap hpc.path_cols.(jh);
+                slack_bound = d_max;
+              }
+              :: !rows)
+        pc.path_cols)
+    index.pair_arr;
+  !rows
+
 let pair_flow index k xs =
   Array.fold_left (fun acc c -> acc +. xs.(c)) 0. index.pair_arr.(k).path_cols
 
@@ -208,3 +232,8 @@ let performance objective index xs =
   match objective with
   | Total_flow | Max_min _ -> total_flow index xs
   | Mlu _ -> ( match index.u_col with Some u -> xs.(u) | None -> nan)
+
+let degradation objective ~healthy ~failed =
+  match objective with
+  | Total_flow | Max_min _ -> healthy -. failed
+  | Mlu _ -> failed -. healthy

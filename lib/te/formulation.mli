@@ -9,8 +9,11 @@
       approximation of max-min fairness (Appendix A, citing Soroush).
 
     Each builder returns an {!Lp_spec} plus an index mapping (pair, path)
-    to spec columns, so callers can attach extension-capacity rows,
-    naive-failover rows, or read flows back from solutions. *)
+    to spec columns, so callers can attach extra rows (the naive
+    fail-over coupling, {!naive_failover_rows}) or read flows back from
+    solutions. The rules both the direct-routing oracle and the bilevel
+    MILP apply live here too: {!naive_failover_rows} and the
+    {!degradation} sign rule. *)
 
 (** A model input that is either a constant (red in the paper's Table 2)
     or an affine expression over the outer model's variables (blue). *)
@@ -67,8 +70,24 @@ val build :
   unit ->
   Lp_spec.t * index
 
-(** Append extra rows (e.g. naive fail-over coupling, §5.1). *)
+(** Append extra rows (e.g. {!naive_failover_rows}). *)
 val add_rows : Lp_spec.t -> Lp_spec.row list -> Lp_spec.t
+
+(** [naive_failover_rows index ~healthy_index ~cap ~d_max] is the naive
+    fail-over coupling of §5.1 for the failed network [index]: row
+    [naive_k{k}_p{j}] caps primary [j]'s flow by healthy primary [j],
+    and the [r]-th backup's by healthy primary [r] (backups beyond the
+    number of primaries stay uncapped). [cap c] is the rhs for healthy
+    column [c] of [healthy_index]: a constant healthy flow for the
+    direct-routing oracle ({!Simulate.route}), the healthy inner
+    problem's variable in the bilevel MILP. Rows come in reverse
+    (pair, path) order, with slack bound [d_max]. *)
+val naive_failover_rows :
+  index ->
+  healthy_index:index ->
+  cap:(int -> Lp_spec.rhs) ->
+  d_max:float ->
+  Lp_spec.row list
 
 (** Total flow routed for a pair in a solution vector. *)
 val pair_flow : index -> int -> float array -> float
@@ -80,3 +99,7 @@ val total_flow : index -> float array -> float
     total flow for [Total_flow] and [Max_min] (not the binned surrogate),
     the MLU for [Mlu]. *)
 val performance : objective -> index -> float array -> float
+
+(** The degradation sign rule: [healthy - failed] performance, or
+    [failed - healthy] for [Mlu] (a higher MLU is worse). *)
+val degradation : objective -> healthy:float -> failed:float -> float

@@ -16,11 +16,6 @@ type sense = Max | Min
 
 type t = { sense : sense; cols : col array; rows : row array; dual_bound : float }
 
-let objective_value t xs =
-  let acc = ref 0. in
-  Array.iteri (fun i c -> acc := !acc +. (c.obj *. xs.(i))) t.cols;
-  !acc
-
 let const_rhs = function
   | Const c -> c
   | Outer _ -> invalid_arg "Lp_spec.to_model: Outer rhs in a standalone LP"

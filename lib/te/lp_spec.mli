@@ -4,7 +4,7 @@
     - {!Te.Simulate} instantiates it as a standalone LP (all right-hand
       sides constant) to route traffic directly — the oracle/baseline
       path;
-    - [Raha.Kkt] embeds it as the {e inner} problem of the bi-level
+    - [Raha.Inner] embeds it as the {e inner} problem of the bi-level
       MILP, where right-hand sides may be affine expressions over the
       {e outer} model's variables (variable LAG capacities, demands, path
       extension capacities — §5 of the paper).
@@ -49,9 +49,6 @@ type t = {
       (** some optimal dual solution has all multipliers within
           [[-dual_bound, dual_bound]] *)
 }
-
-(** [objective_value t xs] evaluates the objective at a column valuation. *)
-val objective_value : t -> float array -> float
 
 (** [to_model t] builds a standalone {!Milp.Model} (continuous
     columns). Returns the model and the column variables.

@@ -69,37 +69,10 @@ let route ?(objective = Formulation.Total_flow) ?(reaction = Optimal_failover) ?
     | Optimal_failover, _ -> spec
     | Naive_failover, None -> invalid_arg "Simulate.route: naive fail-over needs healthy flows"
     | Naive_failover, Some h ->
-      (* primaries capped by their healthy flow; the r-th backup capped by
-         the r-th primary's healthy flow (§5.1) *)
-      let extra = ref [] in
-      Array.iteri
-        (fun k (pc : Formulation.pair_cols) ->
-          let hpc = h.index.Formulation.pair_arr.(k) in
-          Array.iteri
-            (fun j col ->
-              let cap_col =
-                if j < pc.Formulation.n_primary then Some j
-                else begin
-                  let r = j - pc.Formulation.n_primary in
-                  if r < pc.Formulation.n_primary then Some r else None
-                end
-              in
-              match cap_col with
-              | None -> ()
-              | Some jh ->
-                let healthy_flow = h.flows.(hpc.Formulation.path_cols.(jh)) in
-                extra :=
-                  {
-                    Lp_spec.rname = Printf.sprintf "naive_k%d_p%d" k j;
-                    terms = [ (col, 1.) ];
-                    rel = Lp_spec.Le;
-                    rhs = Lp_spec.Const healthy_flow;
-                    slack_bound = d_max;
-                  }
-                  :: !extra)
-            pc.Formulation.path_cols)
-        index.Formulation.pair_arr;
-      Formulation.add_rows spec !extra
+      Formulation.add_rows spec
+        (Formulation.naive_failover_rows index ~healthy_index:h.index
+           ~cap:(fun c -> Lp_spec.Const h.flows.(c))
+           ~d_max)
   in
   match Lp_spec.solve spec with
   | `Optimal (_, xs) ->
@@ -236,24 +209,17 @@ let route_prepared eng scenario =
   finish_result eng out.Milp.Batch.result
 
 let degradation_prepared eng scenario =
-  match route_prepared eng scenario with
-  | None -> None
-  | Some f -> (
-    let h = eng.eng_healthy.performance in
-    match eng.eng_objective with
-    | Formulation.Mlu _ -> Some (f.performance -. h)
-    | Formulation.Total_flow | Formulation.Max_min _ ->
-      Some (h -. f.performance))
+  Option.map
+    (fun f ->
+      Formulation.degradation eng.eng_objective ~healthy:eng.eng_healthy.performance
+        ~failed:f.performance)
+    (route_prepared eng scenario)
 
 let degradation ?(objective = Formulation.Total_flow) ?reaction topo paths demand scenario =
   match healthy ~objective topo paths demand with
   | None -> None
-  | Some h -> (
-    let failed = route ~objective ?reaction ~healthy:h topo paths demand scenario in
-    match failed with
-    | None -> None
-    | Some f -> (
-      match objective with
-      | Formulation.Total_flow | Formulation.Max_min _ ->
-        Some (h.performance -. f.performance)
-      | Formulation.Mlu _ -> Some (f.performance -. h.performance)))
+  | Some h ->
+    Option.map
+      (fun f ->
+        Formulation.degradation objective ~healthy:h.performance ~failed:f.performance)
+      (route ~objective ?reaction ~healthy:h topo paths demand scenario)

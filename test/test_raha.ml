@@ -281,7 +281,19 @@ let test_naive_failover_analysis () =
     (opt.Raha.Analysis.status = Milp.Solver.Optimal
     && naive.Raha.Analysis.status = Milp.Solver.Optimal);
   Alcotest.(check bool) "naive >= optimal degradation" true
-    (naive.Raha.Analysis.degradation +. 1e-6 >= opt.Raha.Analysis.degradation)
+    (naive.Raha.Analysis.degradation +. 1e-6 >= opt.Raha.Analysis.degradation);
+  (* the MILP maximizes over healthy routings; the oracle replays the
+     report's scenario and demand with one fixed healthy routing *)
+  match
+    Te.Simulate.degradation ~reaction:Te.Simulate.Naive_failover fig1 paths
+      naive.Raha.Analysis.worst_demand naive.Raha.Analysis.scenario
+  with
+  | Some oracle ->
+    Alcotest.(check bool)
+      (Printf.sprintf "oracle %g <= MILP %g" oracle naive.Raha.Analysis.degradation)
+      true
+      (oracle <= naive.Raha.Analysis.degradation +. 1e-6)
+  | None -> Alcotest.fail "oracle replay infeasible"
 
 let test_mlu_bilevel () =
   (* MLU degradation on fig1 with fixed demand, single failures *)

@@ -67,6 +67,18 @@ let test_cluster_never_exceeds_unclustered () =
 
 (* --- augmentation ------------------------------------------------------ *)
 
+(* what every augment result must satisfy, whichever family *)
+let check_augment_result ~tolerance (r : Raha.Augment.result) =
+  let links l = List.fold_left (fun a (_, n) -> a + n) 0 l in
+  check_int "total_links_added sums the steps"
+    (List.fold_left
+       (fun a (s : Raha.Augment.step) ->
+         a + links s.Raha.Augment.lag_links_added + links s.Raha.Augment.new_lags_added)
+       0 r.Raha.Augment.steps)
+    r.Raha.Augment.total_links_added;
+  Alcotest.(check bool) "final report within tolerance" false
+    (Raha.Alert.exceeds r.Raha.Augment.final ~tolerance)
+
 let test_augment_lags_fig1 () =
   (* after augmenting, no single-link failure may degrade fig1 *)
   let options = { Raha.Analysis.default_options with spec = spec_k1 } in
@@ -75,6 +87,7 @@ let test_augment_lags_fig1 () =
       fig1 (fig1_paths ()) (fig1_envelope ())
   in
   Alcotest.(check bool) "converged" true r.Raha.Augment.converged;
+  check_augment_result ~tolerance:1e-6 r;
   Alcotest.(check bool) "added links" true (r.Raha.Augment.total_links_added > 0);
   check_float ~eps:1e-4 "no residual degradation" 0.
     r.Raha.Augment.final.Raha.Analysis.degradation;
@@ -131,6 +144,7 @@ let test_augment_new_lags () =
       ~candidates:[ (0, 2) ] ~repath topo envelope
   in
   Alcotest.(check bool) "converged" true r.Raha.Augment.converged;
+  check_augment_result ~tolerance:1e-6 r;
   Alcotest.(check bool) "A-C LAG added" true
     (Wan.Topology.lag_between r.Raha.Augment.topo 0 2 <> None)
 

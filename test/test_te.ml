@@ -104,6 +104,54 @@ let test_naive_failover_weaker () =
       | _ -> Alcotest.fail "expected feasible")
     (Failure.Enumerate.up_to_k fig1 ~k:1)
 
+let test_naive_failover_rows () =
+  (* 2 primaries + 1 backup per pair: primary j is capped by healthy
+     primary j, the backup (j=2) by healthy primary 0. The healthy
+     index's columns are shifted by 100 so the rhs shows which healthy
+     column [cap] received. *)
+  let paths = Netpath.Path_set.compute ~n_primary:2 ~n_backup:1 fig1 [ (1, 3); (2, 3) ] in
+  let _, index =
+    Te.Formulation.build ~objective:Te.Formulation.Total_flow ~topo:fig1 ~paths
+      ~lag_cap:(fun e -> Te.Formulation.C (Wan.Lag.capacity (Wan.Topology.lag fig1 e)))
+      ~demand:(fun ~src ~dst -> Te.Formulation.C (Traffic.Demand.volume d12_10 ~src ~dst))
+      ~d_max:12. ()
+  in
+  let shift (pc : Te.Formulation.pair_cols) =
+    { pc with Te.Formulation.path_cols = Array.map (( + ) 100) pc.Te.Formulation.path_cols }
+  in
+  let healthy_index =
+    { index with Te.Formulation.pair_arr = Array.map shift index.Te.Formulation.pair_arr }
+  in
+  let rows =
+    Te.Formulation.naive_failover_rows index ~healthy_index
+      ~cap:(fun c -> Te.Lp_spec.Const (float_of_int c))
+      ~d_max:12.
+  in
+  let got =
+    List.map
+      (fun (r : Te.Lp_spec.row) ->
+        let rhs =
+          match r.Te.Lp_spec.rhs with
+          | Te.Lp_spec.Const c -> int_of_float c
+          | Te.Lp_spec.Outer _ -> Alcotest.fail "constant cap expected"
+        in
+        Alcotest.(check bool) "<= row" true (r.Te.Lp_spec.rel = Te.Lp_spec.Le);
+        check_float "slack bound d_max" 12. r.Te.Lp_spec.slack_bound;
+        (r.Te.Lp_spec.rname, r.Te.Lp_spec.terms, rhs))
+      rows
+  in
+  Alcotest.(check (list (triple string (list (pair int (float 0.))) int)))
+    "name, capped column, healthy column"
+    [
+      ("naive_k1_p2", [ (5, 1.) ], 103);
+      ("naive_k1_p1", [ (4, 1.) ], 104);
+      ("naive_k1_p0", [ (3, 1.) ], 103);
+      ("naive_k0_p2", [ (2, 1.) ], 100);
+      ("naive_k0_p1", [ (1, 1.) ], 101);
+      ("naive_k0_p0", [ (0, 1.) ], 100);
+    ]
+    got
+
 let test_mlu_objective () =
   (* 1 primary + 1 backup: healthy MLU uses only the primaries *)
   let paths = Netpath.Path_set.compute ~n_primary:1 ~n_backup:1 fig1 [ (1, 3); (2, 3) ] in
@@ -195,6 +243,7 @@ let suite =
     ("backup gating", `Quick, test_backup_only_when_primary_down);
     ("availability", `Quick, test_availability);
     ("naive failover weaker", `Quick, test_naive_failover_weaker);
+    ("naive failover rows", `Quick, test_naive_failover_rows);
     ("mlu objective", `Quick, test_mlu_objective);
     ("mlu infeasible when disconnected", `Quick, test_mlu_infeasible_when_disconnected);
     ("max-min binner", `Quick, test_max_min_binner);
