@@ -165,6 +165,8 @@ let tests () =
         (Staged.stage (fun () -> ignore (Milp.Basis.ftran etas rhs)));
       Test.make ~name:"basis: btran, 32 etas"
         (Staged.stage (fun () -> ignore (Milp.Basis.btran etas rhs)));
+      Test.make ~name:"basis: btran2, 32 etas"
+        (Staged.stage (fun () -> ignore (Milp.Basis.btran2 etas rhs rhs)));
       Test.make ~name:"b&b: 16-item knapsack"
         (Staged.stage (fun () -> ignore (Milp.Solver.solve milp)));
       Test.make ~name:"bilevel build (fig1)"

@@ -398,22 +398,28 @@ let factorize a cols ~threshold =
     !bad_rows,
     !bad_pos )
 
-(* FTRAN/BTRAN against the LU factors only (no etas). *)
+(* FTRAN/BTRAN against the LU factors only (no etas). FTRAN's inner
+   loops read and write unchecked, as [btran_lu2]'s do (see there): the
+   positions lie between offsets [factorize] wrote, and the stored rows
+   and positions are below [m], in range of [out] and of [x], whose
+   length [ftran] and [residual_ok] keep at least [m]. With bounds
+   checks FTRAN took 1.7x as long (same A/B as [btran_lu2]'s). *)
 let ftran_lu lu m b =
   let x = Array.copy b in
   for k = 0 to lu.nsteps - 1 do
     let t = x.(lu.prow.(k)) in
     if t <> 0. then
       for p = lu.lstart.(k) to lu.lstart.(k + 1) - 1 do
-        let r = lu.lrow.(p) in
-        x.(r) <- x.(r) -. (lu.lval.(p) *. t)
+        let r = Array.unsafe_get lu.lrow p in
+        Array.unsafe_set x r (Array.unsafe_get x r -. (Array.unsafe_get lu.lval p *. t))
       done
   done;
   let out = Array.make (max m 1) 0. in
   for k = lu.nsteps - 1 downto 0 do
     let s = ref x.(lu.prow.(k)) in
     for p = lu.ustart.(k) to lu.ustart.(k + 1) - 1 do
-      s := !s -. (lu.uval.(p) *. out.(lu.upos.(p)))
+      s :=
+        !s -. (Array.unsafe_get lu.uval p *. Array.unsafe_get out (Array.unsafe_get lu.upos p))
     done;
     out.(lu.pcol.(k)) <- !s /. lu.pval.(k)
   done;
@@ -441,6 +447,47 @@ let btran_lu lu m c =
     w.(lu.prow.(k)) <- !acc
   done;
   if m = 0 then [||] else w
+
+(* Two BTRANs against the LU factors in one sweep: each output is the
+   one [btran_lu] gives on its input, bit for bit, because every sum
+   runs over the same entries in the same order. The two accumulator
+   chains are independent, so they overlap, and the index loads are
+   shared. The inner loops read unchecked: their positions lie between
+   the offsets [factorize] wrote, and the indices stored there are
+   steps below [nsteps] (U columns) or rows below [m] (L), all in range
+   of the length-[max m 1] work arrays. With bounds checks the sweep
+   took 1.8x as long (in-process A/B, 200-row basis with 40 etas, one
+   Xeon core). *)
+let btran_lu2 lu m c1 c2 =
+  let z1 = Array.make (max m 1) 0. and z2 = Array.make (max m 1) 0. in
+  for k = 0 to lu.nsteps - 1 do
+    let pc = lu.pcol.(k) in
+    let s1 = ref c1.(pc) and s2 = ref c2.(pc) in
+    for p = lu.cstart.(pc) to lu.cstart.(pc + 1) - 1 do
+      let v = Array.unsafe_get lu.cval p and i = Array.unsafe_get lu.cstep p in
+      s1 := !s1 -. (v *. Array.unsafe_get z1 i);
+      s2 := !s2 -. (v *. Array.unsafe_get z2 i)
+    done;
+    z1.(k) <- !s1 /. lu.pval.(k);
+    z2.(k) <- !s2 /. lu.pval.(k)
+  done;
+  let w1 = Array.make (max m 1) 0. and w2 = Array.make (max m 1) 0. in
+  for k = 0 to lu.nsteps - 1 do
+    w1.(lu.prow.(k)) <- z1.(k);
+    w2.(lu.prow.(k)) <- z2.(k)
+  done;
+  for k = lu.nsteps - 1 downto 0 do
+    let r = lu.prow.(k) in
+    let a1 = ref w1.(r) and a2 = ref w2.(r) in
+    for p = lu.lstart.(k) to lu.lstart.(k + 1) - 1 do
+      let v = Array.unsafe_get lu.lval p and i = Array.unsafe_get lu.lrow p in
+      a1 := !a1 -. (v *. Array.unsafe_get w1 i);
+      a2 := !a2 -. (v *. Array.unsafe_get w2 i)
+    done;
+    w1.(r) <- !a1;
+    w2.(r) <- !a2
+  done;
+  if m = 0 then ([||], [||]) else (w1, w2)
 
 (* Residual check of a fresh factorization: FTRAN of basis column 0
    must reproduce the unit vector e_0. *)
@@ -502,13 +549,15 @@ let create a bcols =
 let bcols t = Array.copy t.cols
 
 let ftran t b =
-  let x = ftran_lu t.lu t.a.Sparse.m b in
+  let m = t.a.Sparse.m in
+  if Array.length b < m then invalid_arg "Basis.ftran";
+  let x = ftran_lu t.lu m b in
   for e = 0 to t.neta - 1 do
     let { er; epiv; idx; vals } = t.etas.(e) in
     let xr = x.(er) /. epiv in
     for p = 0 to Array.length idx - 1 do
-      let i = idx.(p) in
-      x.(i) <- x.(i) -. (vals.(p) *. xr)
+      let i = Array.unsafe_get idx p in
+      Array.unsafe_set x i (Array.unsafe_get x i -. (Array.unsafe_get vals p *. xr))
     done;
     x.(er) <- xr
   done;
@@ -531,6 +580,33 @@ let btran t c =
     end
   in
   btran_lu t.lu t.a.Sparse.m c
+
+(* The eta loop reads unchecked too: an eta's [idx] and [vals] have one
+   length, and its indices are rows below [m] ([replace] takes only a
+   pivot column of length [m]), which the check below keeps in range of
+   both inputs. *)
+let btran2 t c1 c2 =
+  let m = t.a.Sparse.m in
+  if Array.length c1 < m || Array.length c2 < m then invalid_arg "Basis.btran2";
+  let c1, c2 =
+    if t.neta = 0 then (c1, c2)
+    else begin
+      let c1 = Array.copy c1 and c2 = Array.copy c2 in
+      for e = t.neta - 1 downto 0 do
+        let { er; epiv; idx; vals } = t.etas.(e) in
+        let a1 = ref c1.(er) and a2 = ref c2.(er) in
+        for p = 0 to Array.length idx - 1 do
+          let i = Array.unsafe_get idx p and v = Array.unsafe_get vals p in
+          a1 := !a1 -. (v *. Array.unsafe_get c1 i);
+          a2 := !a2 -. (v *. Array.unsafe_get c2 i)
+        done;
+        c1.(er) <- !a1 /. epiv;
+        c2.(er) <- !a2 /. epiv
+      done;
+      (c1, c2)
+    end
+  in
+  btran_lu2 t.lu m c1 c2
 
 let refactorize t =
   t.lu <- build_lu t.a t.cols;
@@ -562,6 +638,7 @@ let of_snapshot a s =
         neta = Array.length s.setas }
 
 let replace t ~r ~col ~w =
+  if Array.length w <> t.a.Sparse.m then invalid_arg "Basis.replace";
   t.cols.(r) <- col;
   if Float.abs w.(r) < stab_tol || t.neta >= max_eta then begin
     refactorize t;

@@ -27,12 +27,19 @@ val create : Sparse.t -> int array -> t
 val bcols : t -> int array
 
 (** [ftran t b] solves [B x = b]. [b] is dense, indexed by row; the
-    result is indexed by basis position. [b] is not modified. *)
+    result is indexed by basis position. [b] is not modified.
+    @raise Invalid_argument if [b] is shorter than the row count. *)
 val ftran : t -> float array -> float array
 
 (** [btran t c] solves [B^T y = c]. [c] is dense, indexed by basis
     position; the result is indexed by row. [c] is not modified. *)
 val btran : t -> float array -> float array
+
+(** [btran2 t c1 c2] is [(btran t c1, btran t c2)], bit for bit, from
+    one sweep over the factors: every sum runs over the same entries in
+    the same order as {!btran}'s. Neither input is modified.
+    @raise Invalid_argument if an input is shorter than the row count. *)
+val btran2 : t -> float array -> float array -> float array * float array
 
 (** [replace t ~r ~col ~w] installs [col] as the basic column of
     position [r], where [w = ftran t (column col)] is the pivot column
@@ -41,7 +48,8 @@ val btran : t -> float array -> float array
     refactorization happened; the rebuild may repair a singular
     selection (as in {!create}), so callers must then re-read {!bcols}
     to reconcile their own column/status bookkeeping and recompute
-    values from scratch to shed accumulated drift. *)
+    values from scratch to shed accumulated drift.
+    @raise Invalid_argument if [w] does not have one entry per row. *)
 val replace : t -> r:int -> col:int -> w:float array -> bool
 
 (** {1 Factorization snapshots}

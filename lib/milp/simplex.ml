@@ -13,7 +13,14 @@
    after a branch-and-bound bound change the parent's optimal basis
    stays dual feasible, so children typically need a handful of dual
    pivots. Any numerical trouble in the warm path falls back to the
-   cold primal within the same iteration budget. *)
+   cold primal within the same iteration budget.
+
+   A dual pivot makes one sweep over the factors: the duals y and the
+   pivot row come from one fused BTRAN (Basis.btran2), and only the
+   columns that pass the ratio test's pivot and sign tests are priced,
+   d_j = c_j - a_j . y. The full reduced-cost vector is built only for
+   the warm dual-feasibility check, which also serves the first dual
+   pivot, and for the final check. *)
 
 type result =
   | Optimal of { obj : float; values : float array }
@@ -441,25 +448,33 @@ let run_primal st ~phase1 =
 (* ------------------------------------------------------------------ *)
 (* Dual simplex                                                        *)
 
-(* Reduced costs of all columns for the real objective. They depend
-   only on the basis, so they are computed once per basis: the warm
-   path's dual-feasibility check, the first dual iteration and the
-   final check of a solve without pivots share one vector. *)
+(* c_B: the real-objective cost of each basic column, by position. *)
+let fill_basic_costs st cb =
+  for r = 0 to st.sp.Sparse.m - 1 do
+    cb.(r) <- st.sp.Sparse.cost.(st.bcols.(r))
+  done
+
+(* The reduced cost d_j = c_j - a_j . y of column [j], from the duals
+   [y] = B^-T c_B. Every dual-side reduced cost is priced by this one
+   expression, so a cached d_j and one priced on demand have the same
+   bits. *)
+let reduced_cost sp y j = sp.Sparse.cost.(j) -. Sparse.col_dot sp j y
+
+(* Reduced costs of all columns, cached per basis. The warm path's
+   dual-feasibility check fills the cache, its first dual pivot reads
+   it, and the final check reuses it when the solve made no pivot.
+   Later dual pivots price only their ratio-test candidates. *)
 let reduced_costs st =
   match st.dj with
   | Some d -> d
   | None ->
     let sp = st.sp in
-    let m = sp.Sparse.m and n = sp.Sparse.n in
-    let cb = Array.make (max m 1) 0. in
-    for r = 0 to m - 1 do
-      cb.(r) <- sp.Sparse.cost.(st.bcols.(r))
-    done;
+    let cb = Array.make (max sp.Sparse.m 1) 0. in
+    fill_basic_costs st cb;
     let y = Basis.btran st.bas cb in
     let d =
-      Array.init n (fun j ->
-          if st.stat.(j) = Basic then 0.
-          else sp.Sparse.cost.(j) -. Sparse.col_dot sp j y)
+      Array.init sp.Sparse.n (fun j ->
+          if st.stat.(j) = Basic then 0. else reduced_cost sp y j)
     in
     st.dj <- Some d;
     d
@@ -482,6 +497,7 @@ let dual_feasible st d =
 let run_dual st =
   let sp = st.sp in
   let m = sp.Sparse.m and n = sp.Sparse.n in
+  let er = Array.make (max m 1) 0. and cb = Array.make (max m 1) 0. in
   let rec loop () =
     if st.iters <= 0 then `Iters
     else begin
@@ -504,56 +520,67 @@ let run_dual st =
       if !r < 0 then `Optimal
       else begin
         let r = !r and below = !below in
-        let d = reduced_costs st in
-        let er = Array.make (max m 1) 0. in
+        (* the pivot row rho = B^-T e_r, and the reduced cost d_j of a
+           ratio-test candidate: cached for the basis, or priced on
+           demand from y = B^-T c_B, which one sweep over the factors
+           yields together with rho *)
         er.(r) <- 1.;
-        let rho = Basis.btran st.bas er in
+        let dj, rho =
+          match st.dj with
+          | Some d -> ((fun j -> d.(j)), Basis.btran st.bas er)
+          | None ->
+            fill_basic_costs st cb;
+            let y, rho = Basis.btran2 st.bas cb er in
+            (reduced_cost sp y, rho)
+        in
+        er.(r) <- 0.;
         (* dual ratio test over the pivot row alpha_j = rho . a_j *)
         let bestj = ref (-1)
+        and best_d = ref 0.
         and best_ratio = ref Float.infinity
         and best_mag = ref 0. in
-        (try
-           for j = 0 to n - 1 do
-             if st.stat.(j) <> Basic && st.hi.(j) -. st.lo.(j) > 1e-12 then begin
-               let alpha = Sparse.col_dot sp j rho in
-               if Float.abs alpha > eps_pivot then begin
-                 let eligible =
-                   match (st.stat.(j), below) with
-                   | At_lower, true -> alpha < 0.
-                   | At_lower, false -> alpha > 0.
-                   | At_upper, true -> alpha > 0.
-                   | At_upper, false -> alpha < 0.
-                   | At_zero, _ -> true
-                   | Basic, _ -> false
-                 in
-                 if eligible then begin
-                   let ratio = Float.abs d.(j) /. Float.abs alpha in
-                   if st.bland then begin
-                     (* Bland mode still needs the min-ratio test (a
-                        non-min-ratio dual pivot breaks dual
-                        feasibility); the scan runs in column order, so
-                        taking only strict improvements keeps the
-                        lowest index among ratio ties *)
-                     if ratio < !best_ratio -. 1e-12 then begin
-                       bestj := j;
-                       best_ratio := ratio;
-                       best_mag := Float.abs alpha
-                     end
-                   end
-                   else if
-                     ratio < !best_ratio -. 1e-12
-                     || (ratio < !best_ratio +. 1e-12
-                        && Float.abs alpha > !best_mag)
-                   then begin
-                     bestj := j;
-                     best_ratio := ratio;
-                     best_mag := Float.abs alpha
-                   end
-                 end
-               end
-             end
-           done
-         with Exit -> ());
+        for j = 0 to n - 1 do
+          if st.stat.(j) <> Basic && st.hi.(j) -. st.lo.(j) > 1e-12 then begin
+            let alpha = Sparse.col_dot sp j rho in
+            if Float.abs alpha > eps_pivot then begin
+              let eligible =
+                match (st.stat.(j), below) with
+                | At_lower, true -> alpha < 0.
+                | At_lower, false -> alpha > 0.
+                | At_upper, true -> alpha > 0.
+                | At_upper, false -> alpha < 0.
+                | At_zero, _ -> true
+                | Basic, _ -> false
+              in
+              if eligible then begin
+                let d = dj j in
+                let ratio = Float.abs d /. Float.abs alpha in
+                if st.bland then begin
+                  (* Bland mode still needs the min-ratio test (a
+                     non-min-ratio dual pivot breaks dual feasibility);
+                     the scan runs in column order, so taking only
+                     strict improvements keeps the lowest index among
+                     ratio ties *)
+                  if ratio < !best_ratio -. 1e-12 then begin
+                    bestj := j;
+                    best_d := d;
+                    best_ratio := ratio;
+                    best_mag := Float.abs alpha
+                  end
+                end
+                else if
+                  ratio < !best_ratio -. 1e-12
+                  || (ratio < !best_ratio +. 1e-12 && Float.abs alpha > !best_mag)
+                then begin
+                  bestj := j;
+                  best_d := d;
+                  best_ratio := ratio;
+                  best_mag := Float.abs alpha
+                end
+              end
+            end
+          end
+        done;
         if !bestj < 0 then `Infeasible (* dual unbounded *)
         else begin
           let q = !bestj in
@@ -570,7 +597,7 @@ let run_dual st =
             st.x.(q) <- st.x.(q) +. t;
             st.x.(out) <- bound;
             st.stat.(out) <- (if below then At_lower else At_upper);
-            track_degeneracy st (Float.abs d.(q));
+            track_degeneracy st (Float.abs !best_d);
             Lp_stats.incr Lp_stats.dual_pivots;
             Lp_stats.incr Lp_stats.pivots;
             st.iters <- st.iters - 1;

@@ -440,6 +440,8 @@ let test_tiny_bases () =
   let bas = Milp.Basis.create sp [||] in
   Alcotest.(check int) "m = 0: ftran" 0 (Array.length (Milp.Basis.ftran bas [||]));
   Alcotest.(check int) "m = 0: btran" 0 (Array.length (Milp.Basis.btran bas [||]));
+  let y1, y2 = Milp.Basis.btran2 bas [||] [||] in
+  Alcotest.(check (pair int int)) "m = 0: btran2" (0, 0) (Array.length y1, Array.length y2);
   let one = Milp.Model.create () in
   let x = Milp.Model.continuous ~ub:1. one "x" in
   Milp.Model.add_cons one (Milp.Linexpr.of_terms [ (2., x.Milp.Model.vid) ]) Milp.Model.Le 1.;
@@ -448,11 +450,26 @@ let test_tiny_bases () =
   let check what expected got = Alcotest.(check (array (float 0.))) what expected got in
   check "m = 1: ftran" [| 2. |] (Milp.Basis.ftran bas [| 4. |]);
   check "m = 1: btran" [| 2. |] (Milp.Basis.btran bas [| 4. |]);
+  let both = Milp.Basis.btran2 bas [| 4. |] [| -6. |] in
+  check "m = 1: btran2, first" [| 2. |] (fst both);
+  check "m = 1: btran2, second" [| -3. |] (snd both);
   let w = Milp.Basis.ftran bas (dense_col sp 1) in
   Alcotest.(check bool) "m = 1: the slack enters by an eta" false
     (Milp.Basis.replace bas ~r:0 ~col:1 ~w);
   check "m = 1: ftran through the eta" [| 4. |] (Milp.Basis.ftran bas [| 4. |]);
-  check "m = 1: btran through the eta" [| 4. |] (Milp.Basis.btran bas [| 4. |])
+  check "m = 1: btran through the eta" [| 4. |] (Milp.Basis.btran bas [| 4. |]);
+  let both = Milp.Basis.btran2 bas [| 4. |] [| -6. |] in
+  check "m = 1: btran2 through the eta, first" [| 4. |] (fst both);
+  check "m = 1: btran2 through the eta, second" [| -6. |] (snd both);
+  (* FTRAN's and the fused BTRAN's loops read unchecked: an input
+     shorter than m, or a pivot column that would store an eta index
+     past m, is refused at entry *)
+  Alcotest.check_raises "m = 1: ftran of a short input" (Invalid_argument "Basis.ftran")
+    (fun () -> ignore (Milp.Basis.ftran bas [||]));
+  Alcotest.check_raises "m = 1: btran2 of a short input" (Invalid_argument "Basis.btran2")
+    (fun () -> ignore (Milp.Basis.btran2 bas [| 4. |] [||]));
+  Alcotest.check_raises "m = 1: a pivot column longer than m" (Invalid_argument "Basis.replace")
+    (fun () -> ignore (Milp.Basis.replace bas ~r:0 ~col:0 ~w:[| 1.; 1. |]))
 
 (* Reinstated copies share the snapshot's eta records. Driving one copy
    past the eta cap, through refactorizations, leaves a sibling and the
@@ -581,6 +598,40 @@ let test_kernel_golden () =
     refactorized;
   Alcotest.(check string) "FTRAN/BTRAN bits" "fcac55218061b570bc893b8cf65da9ac" digest
 
+(* The fused sweep equals two sweeps: [btran2 t a b] is
+   [(btran t a, btran t b)] bit for bit, on the kernel golden test's
+   three bases after create and along 80 exchanges past the eta cap,
+   for random and unit-vector probes paired with each other. The
+   smallest bases are in [test_tiny_bases]. *)
+let test_btran2_equals_btran () =
+  let check what bas a b =
+    let y1, y2 = Milp.Basis.btran2 bas a b in
+    if bits y1 <> bits (Milp.Basis.btran bas a) || bits y2 <> bits (Milp.Basis.btran bas b)
+    then Alcotest.failf "%s: btran2 differs from two btrans" what
+  in
+  let run name (sp, bcols, rng) =
+    let m = sp.Milp.Sparse.m in
+    let unit i = Array.init m (fun k -> if k = i then 1. else 0.) in
+    let probe step bas =
+      let v = random_vec rng m and u = unit (Random.State.int rng m) in
+      let what = Printf.sprintf "%s, exchange %d" name step in
+      check (what ^ ", random/unit") bas v u;
+      check (what ^ ", unit/random") bas u v;
+      check (what ^ ", random/random") bas v (random_vec rng m)
+    in
+    let bas = Milp.Basis.create sp bcols in
+    probe 0 bas;
+    let refactorized = ref 0 in
+    for step = 1 to 80 do
+      if exchange rng sp bas then incr refactorized;
+      probe step bas
+    done;
+    Alcotest.(check bool) (name ^ " crosses the eta cap") true (!refactorized > 0)
+  in
+  run "slack-heavy" (random_basis ~nucleus:0 ~slack_thirds:2 ~singular:false 101);
+  run "nucleus" (random_basis ~nucleus:4 ~singular:false 102);
+  run "singular" (random_basis ~singular:true 103)
+
 (* A small random square basis: 3-8 rows, entries drawn from [values],
    a share [slack] of positions on their row's slack and the others on
    the structural column of the same index, and, if [repeat], position
@@ -672,6 +723,62 @@ let test_search_golden () =
   | _ -> assert false);
   Alcotest.(check string) "FTRAN/BTRAN bits" "203e5a213e97bed76f8e6b522e094887" digest
 
+(* Pivot-path golden test: default branch-and-bound (reliability
+   branching with its strong-branching probes, cuts, heuristics) on 16
+   fixed MILPs of the differential generator, the cases among its first
+   thousand that run the most probes, and on the fig1 bilevel MILP in
+   both encodings at k = 1. The random MILPs have continuous
+   coefficients and so no exact ratio ties; the bilevel ones have
+   some, so a changed tie-break in the dual ratio test or the leaving
+   row moves the digest. The digest covers each
+   solve's objective, bound and incumbent bits, its node count and its
+   deltas of the pivot, dual-pivot, probe and factorization counters,
+   about 4,500 dual pivots in all. It was recorded on the kernel that
+   priced every column on every dual pivot and ran one BTRAN each for
+   the duals and the pivot row; an exact kernel change must leave it as
+   it is. *)
+let pivot_path_digest () =
+  let buf = Buffer.create 4096 in
+  let add_int i = Buffer.add_int64_le buf (Int64.of_int i) in
+  let add_float x = Buffer.add_int64_le buf (Int64.bits_of_float x) in
+  let counters =
+    Milp.Lp_stats.[ pivots; dual_pivots; sb_probes; factorizations ]
+  in
+  let totals = Array.make (List.length counters) 0 in
+  let bilevel encoding =
+    let topo = Wan.Generators.fig1 () in
+    let paths = Netpath.Path_set.compute ~n_primary:2 ~n_backup:0 topo [ (1, 3); (2, 3) ] in
+    let d = Traffic.Demand.of_list [ ((1, 3), 12.); ((2, 3), 10.) ] in
+    let spec =
+      { Raha.Bilevel.default_spec with Raha.Bilevel.encoding; max_failures = Some 1 }
+    in
+    (Raha.Bilevel.build spec topo paths (Traffic.Envelope.around ~slack:0.5 d)).Raha.Bilevel.model
+  in
+  List.iter
+    (fun mdl ->
+      let before = List.map (fun c -> Milp.Lp_stats.read c ()) counters in
+      let r = Milp.Branch_bound.solve mdl in
+      add_float r.Milp.Branch_bound.obj;
+      add_float r.bound;
+      Array.iter add_float r.values;
+      add_int r.stats.Milp.Branch_bound.nodes;
+      List.iteri
+        (fun i (c, b) ->
+          let d = Milp.Lp_stats.read c () - b in
+          totals.(i) <- totals.(i) + d;
+          add_int d)
+        (List.combine counters before))
+    (List.map random_milp
+       [ 23; 34; 84; 88; 134; 152; 219; 318; 399; 519; 609; 762; 809; 823; 884; 987 ]
+    @ [ bilevel (Raha.Bilevel.Strong_duality { levels = 5 }); bilevel Raha.Bilevel.Kkt ]);
+  (totals, Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+let test_pivot_path_golden () =
+  let totals, digest = pivot_path_digest () in
+  Alcotest.(check bool) "the solves run dual pivots" true (totals.(1) > 4000);
+  Alcotest.(check bool) "the solves run strong-branching probes" true (totals.(2) > 600);
+  Alcotest.(check string) "pivot path" "b07c9659c002453078b02ab7e5820d25" digest
+
 let suite =
   [
     ("64 random MILPs: revised vs dense", `Quick, test_differential);
@@ -684,6 +791,8 @@ let suite =
     ("basis snapshot carries its eta file", `Quick, test_snapshot_carries_etas);
     ("LU kernel golden digest", `Quick, test_kernel_golden);
     ("Markowitz search golden digest", `Quick, test_search_golden);
+    ("pivot-path golden digest", `Quick, test_pivot_path_golden);
+    ("fused BTRAN equals two BTRANs", `Quick, test_btran2_equals_btran);
     ("FTRAN/BTRAN on m = 0 and m = 1 bases", `Quick, test_tiny_bases);
     ("snapshot siblings survive a copy's refactorizations", `Quick,
       test_snapshot_siblings_past_cap);
