@@ -37,7 +37,6 @@ let set m ~src ~dst v =
   Pmap.add (src, dst) v m
 
 let map f m = Pmap.mapi (fun (src, dst) v -> f ~src ~dst v) m
-let cardinal = Pmap.cardinal
 
 let pp ppf m =
   Format.fprintf ppf "@[<v>";

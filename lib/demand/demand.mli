@@ -30,5 +30,4 @@ val union_max : t -> t -> t
 val set : t -> src:int -> dst:int -> float -> t
 
 val map : (src:int -> dst:int -> float -> float) -> t -> t
-val cardinal : t -> int
 val pp : Format.formatter -> t -> unit

@@ -38,19 +38,6 @@ let generate ~seed ~days ~samples_per_day ~pairs ~mean_volume topo () =
   in
   { base; samples }
 
-let average s =
-  let n = float_of_int (Array.length s.samples) in
-  let sum =
-    Array.fold_left
-      (fun acc d ->
-        Demand.map
-          (fun ~src ~dst v -> v +. Demand.volume d ~src ~dst)
-          acc)
-      (Demand.map (fun ~src:_ ~dst:_ _ -> 0.) s.base)
-      s.samples
-  in
-  Demand.scale (1. /. n) sum
-
 let maximum s =
   Array.fold_left Demand.union_max
     (Demand.map (fun ~src:_ ~dst:_ _ -> 0.) s.base)

@@ -1,9 +1,9 @@
 (** Synthetic demand history.
 
     Substitutes for the paper's month of production telemetry: the
-    experiments only consume the per-pair {e average} and {e maximum}
-    over the window (§8.1, Fig. 5), which this generator reproduces with
-    a diurnal sinusoid plus log-normal noise per pair. *)
+    experiments only consume the per-pair {e maximum} over the window
+    (§8.1, Fig. 5), which this generator reproduces with a diurnal
+    sinusoid plus log-normal noise per pair. *)
 
 type series = {
   base : Demand.t;  (** per-pair mean level *)
@@ -21,10 +21,6 @@ val generate :
   Wan.Topology.t ->
   unit ->
   series
-
-(** Per-pair time average over the window — the paper's "fixed avg
-    demand". *)
-val average : series -> Demand.t
 
 (** Per-pair maximum over the window — the paper's "fixed max demand". *)
 val maximum : series -> Demand.t

@@ -40,39 +40,6 @@ let up_to_k topo ~k =
   choose 0 [] (min k n);
   List.rev !out
 
-let above_threshold ?(limit = 2_000_000) topo ~threshold =
-  if threshold <= 0. || threshold > 1. then
-    invalid_arg "Enumerate.above_threshold: threshold outside (0, 1]";
-  let log_t = Float.log threshold in
-  let base = Probability.log_prob_all_up topo in
-  if base < log_t then []
-  else begin
-    (* links sorted by decreasing cost so DFS can prune: once a link's
-       cost drops the running sum below log_t, so do all later links *)
-    let costs = Array.of_list (Probability.per_link_cost topo) in
-    let n = Array.length costs in
-    let out = ref [] and count = ref 0 in
-    let rec dfs i chosen logp =
-      incr count;
-      if !count > limit then invalid_arg "Enumerate.above_threshold: too many scenarios";
-      out := Scenario.of_links topo chosen :: !out;
-      let rec extend j =
-        if j < n then begin
-          let link, cost = costs.(j) in
-          let logp' = logp +. cost in
-          if logp' >= log_t then begin
-            dfs (j + 1) (link :: chosen) logp';
-            extend (j + 1)
-          end
-          (* costs are sorted descending: later j cannot qualify either *)
-        end
-      in
-      extend i
-    in
-    dfs 0 [] base;
-    List.rev !out
-  end
-
 let lag_failures_up_to_k topo ~k =
   if k < 0 then invalid_arg "Enumerate.lag_failures_up_to_k: k < 0";
   let lags = Wan.Topology.lags topo in

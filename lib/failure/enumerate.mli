@@ -10,13 +10,6 @@
     @raise Invalid_argument if the count would exceed ~2 million. *)
 val up_to_k : Wan.Topology.t -> k:int -> Scenario.t list
 
-(** [above_threshold topo ~threshold] lists every scenario with
-    probability >= threshold, by DFS over links ordered by failure cost
-    with log-probability pruning.
-    @raise Invalid_argument if more than [limit] (default 2_000_000)
-    scenarios qualify. *)
-val above_threshold : ?limit:int -> Wan.Topology.t -> threshold:float -> Scenario.t list
-
 (** [lag_failures_up_to_k topo ~k] lists scenarios in which up to [k]
     whole LAGs fail (all their links down) — the granularity of prior
     work such as FFC (§2.2). *)

@@ -1,5 +1,3 @@
-let log_prob_all_up topo = Scenario.log_prob topo Scenario.empty
-
 let per_link_cost topo =
   let entries = ref [] in
   Array.iter

@@ -5,10 +5,6 @@
     answer questions like Figure 2's: how many links can simultaneously
     fail while the scenario probability stays above a threshold? *)
 
-(** Log probability of the all-links-up scenario ([-inf] when some link
-    has [fail_prob = 1]: such a link is never up). *)
-val log_prob_all_up : Wan.Topology.t -> float
-
 (** [max_simultaneous_failures topo ~threshold] is the largest number of
     links that can be simultaneously down in a scenario with probability
     >= threshold, with one maximizing scenario. Always-down links

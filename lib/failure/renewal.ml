@@ -22,68 +22,22 @@ let estimate ~horizon events =
   in
   Float.min 1. (downtime /. horizon)
 
-let estimate_ratio events =
-  validate events;
-  match events with
-  | [] | [ _ ] -> invalid_arg "Renewal.estimate_ratio: need at least two events"
-  | first :: _ ->
-    (* cycles run repair to repair: X_i = up_{i+1} - up_i, R_i = downtime
-       of outage i+1 *)
-    let rec cycles prev acc_x acc_r n = function
-      | [] -> (acc_x, acc_r, n)
-      | e :: rest ->
-        cycles e (acc_x +. (e.up_at -. prev.up_at)) (acc_r +. (e.up_at -. e.down_at)) (n + 1) rest
-    in
-    let x, r, n = cycles first 0. 0. 0 (List.tl events) in
-    if n = 0 || x <= 0. then invalid_arg "Renewal.estimate_ratio: degenerate trace"
-    else r /. x
-
-let mtbf events =
-  validate events;
-  match events with
-  | [] | [ _ ] -> invalid_arg "Renewal.mtbf: need at least two events"
-  | first :: rest ->
-    let last = List.fold_left (fun _ e -> e) first rest in
-    (last.down_at -. first.down_at) /. float_of_int (List.length rest)
-
-let mttr events =
-  validate events;
-  if events = [] then invalid_arg "Renewal.mttr: empty trace";
-  List.fold_left (fun acc e -> acc +. (e.up_at -. e.down_at)) 0. events
-  /. float_of_int (List.length events)
-
-(* Incremental estimator: the running-sum form of the batch functions
-   above. Each closed outage is folded once, in chronological order, with
-   the same floating-point operations the batch folds perform, so every
-   reading is bit-identical to the batch function applied to the folded
-   prefix (the test suite checks this on every prefix of generated
-   traces). An open outage (link currently down, repair pending) is
-   carried separately and clipped at the estimation horizon. *)
+(* Incremental estimator: the running-sum form of [estimate]. Each
+   closed outage is folded once, in chronological order, with the same
+   floating-point operations the batch fold performs, so every reading is
+   bit-identical to [estimate] applied to the folded prefix (the test
+   suite checks this on every prefix of generated traces). An open outage
+   (link currently down, repair pending) is carried separately and
+   clipped at the estimation horizon. *)
 module Incr = struct
   type t = {
     n : int;  (* closed outages folded *)
     down_sum : float;  (* sum of closed-outage downtimes, fold order *)
-    tail_down_sum : float;  (* same sum excluding the first outage *)
-    cycle_sum : float;  (* last_up - first_up accumulated per event *)
-    first_down : float;
-    first_up : float;
-    last_down : float;
     last_up : float;
     open_at : float option;  (* down_at of the open outage, if any *)
   }
 
-  let empty =
-    {
-      n = 0;
-      down_sum = 0.;
-      tail_down_sum = 0.;
-      cycle_sum = 0.;
-      first_down = nan;
-      first_up = nan;
-      last_down = nan;
-      last_up = Float.neg_infinity;
-      open_at = None;
-    }
+  let empty = { n = 0; down_sum = 0.; last_up = Float.neg_infinity; open_at = None }
 
   let count t = t.n
   let is_down t = t.open_at <> None
@@ -99,35 +53,7 @@ module Incr = struct
     | Some down_at ->
       if at <= down_at then invalid_arg "Renewal.Incr.up: non-positive outage";
       let d = at -. down_at in
-      if t.n = 0 then
-        {
-          n = 1;
-          down_sum = 0. +. d;
-          tail_down_sum = 0.;
-          cycle_sum = 0.;
-          first_down = down_at;
-          first_up = at;
-          last_down = down_at;
-          last_up = at;
-          open_at = None;
-        }
-      else
-        {
-          t with
-          n = t.n + 1;
-          down_sum = t.down_sum +. d;
-          (* the batch estimate_ratio fold accumulates (up - prev_up) and
-             the tail downtimes in repair-to-repair order *)
-          tail_down_sum = t.tail_down_sum +. d;
-          cycle_sum = t.cycle_sum +. (at -. t.last_up);
-          last_down = down_at;
-          last_up = at;
-          open_at = None;
-        }
-
-  let add t (e : event) = up (down t ~at:e.down_at) ~at:e.up_at
-
-  let of_events events = List.fold_left add empty events
+      { n = t.n + 1; down_sum = t.down_sum +. d; last_up = at; open_at = None }
 
   let estimate ~horizon t =
     if horizon <= 0. then invalid_arg "Renewal.Incr.estimate: non-positive horizon";
@@ -143,17 +69,4 @@ module Incr = struct
         t.down_sum +. Float.max 0. (horizon -. down_at)
     in
     Float.min 1. (downtime /. horizon)
-
-  let estimate_ratio t =
-    if t.n < 2 || t.cycle_sum <= 0. then
-      invalid_arg "Renewal.Incr.estimate_ratio: degenerate trace";
-    t.tail_down_sum /. t.cycle_sum
-
-  let mtbf t =
-    if t.n < 2 then invalid_arg "Renewal.Incr.mtbf: need at least two events";
-    (t.last_down -. t.first_down) /. float_of_int (t.n - 1)
-
-  let mttr t =
-    if t.n = 0 then invalid_arg "Renewal.Incr.mttr: empty trace";
-    t.down_sum /. float_of_int t.n
 end

@@ -16,30 +16,18 @@ type event = { down_at : float; up_at : float }
     @raise Invalid_argument on malformed traces. *)
 val estimate : horizon:float -> event list -> float
 
-(** [estimate_ratio events] uses the per-cycle renewal-reward form
-    [mean downtime per cycle / mean cycle length], where cycles run
-    repair-to-repair (needs >= 2 events). *)
-val estimate_ratio : event list -> float
-
-(** Mean time between failures of a trace (down_at deltas). *)
-val mtbf : event list -> float
-
-(** Mean time to repair. *)
-val mttr : event list -> float
-
 (** Incremental renewal-reward estimation for streaming telemetry.
 
-    The batch functions above re-walk the whole event list per reading —
-    O(events) per update, which a long-lived ingestion loop cannot
-    afford. [Incr] folds one transition at a time into running cycle
-    sums (O(1) per event) and is {e bit-identical} to the batch
-    functions on every prefix: [Incr.estimate ~horizon (Incr.of_events
-    es) = estimate ~horizon es] to the last float bit whenever [horizon]
-    does not precede the folded events, and likewise for
-    [estimate_ratio], [mtbf] and [mttr]. Unlike the batch API it also
-    carries an {e open} outage (link currently down, repair pending),
-    clipped at the estimation horizon exactly as {!estimate} clips
-    events straddling its horizon. *)
+    {!estimate} re-walks the whole event list per reading — O(events)
+    per update, which a long-lived ingestion loop cannot afford. [Incr]
+    folds one transition at a time into a running downtime sum (O(1) per
+    event) and is {e bit-identical} to {!estimate} on every prefix: after
+    folding the outages [es] with {!Incr.down} and {!Incr.up},
+    [Incr.estimate ~horizon t = estimate ~horizon es] to the last float
+    bit whenever [horizon] does not precede the folded events. Unlike
+    the batch function it also carries an {e open} outage (link
+    currently down, repair pending), clipped at the estimation horizon
+    exactly as {!estimate} clips events straddling its horizon. *)
 module Incr : sig
   type t
 
@@ -61,21 +49,10 @@ module Incr : sig
       its start. *)
   val up : t -> at:float -> t
 
-  (** Fold one closed outage ([down] then [up]). *)
-  val add : t -> event -> t
-
-  val of_events : event list -> t
-
   (** Downtime fraction over [0, horizon], the open outage clipped at
       the horizon. Bit-identical to {!Renewal.estimate} on the folded
       events (plus the clipped open outage).
       @raise Invalid_argument when [horizon] is non-positive or precedes
       folded events. *)
   val estimate : horizon:float -> t -> float
-
-  (** Per-cycle renewal-reward form; needs >= 2 closed outages. *)
-  val estimate_ratio : t -> float
-
-  val mtbf : t -> float
-  val mttr : t -> float
 end

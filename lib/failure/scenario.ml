@@ -59,7 +59,6 @@ let log_prob topo t =
 let prob topo t = Float.exp (log_prob topo t)
 
 let equal = S.equal
-let compare = S.compare
 
 let pp ppf t =
   Format.fprintf ppf "{%s}"

@@ -39,5 +39,4 @@ val prob : Wan.Topology.t -> t -> float
 val log_prob : Wan.Topology.t -> t -> float
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit

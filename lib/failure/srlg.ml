@@ -17,27 +17,3 @@ let validate topo t =
       if link_idx < 0 || link_idx >= Wan.Lag.num_links lag then
         invalid_arg "Srlg.validate: bad link index")
     t.members
-
-let scenarios topo groups =
-  List.iter (validate topo) groups;
-  let n = List.length groups in
-  if n > 20 then invalid_arg "Srlg.scenarios: too many groups";
-  (* check disjointness *)
-  let all = List.concat_map (fun g -> g.members) groups in
-  if List.length (List.sort_uniq compare all) <> List.length all then
-    invalid_arg "Srlg.scenarios: groups overlap";
-  let garr = Array.of_list groups in
-  let out = ref [] in
-  for mask = 0 to (1 lsl n) - 1 do
-    let links = ref [] and p = ref 1. in
-    Array.iteri
-      (fun i g ->
-        if mask land (1 lsl i) <> 0 then begin
-          links := g.members @ !links;
-          p := !p *. g.prob
-        end
-        else p := !p *. (1. -. g.prob))
-      garr;
-    out := (Scenario.of_links topo !links, !p) :: !out
-  done;
-  List.rev !out

@@ -18,8 +18,3 @@ val make : name:string -> prob:float -> (int * int) list -> t
 
 (** [validate topo t] checks all members exist in the topology. *)
 val validate : Wan.Topology.t -> t -> unit
-
-(** [scenarios topo groups] enumerates the 2^|groups| atomic-failure
-    combinations as scenarios (groups must be disjoint;
-    |groups| <= 20). *)
-val scenarios : Wan.Topology.t -> t list -> (Scenario.t * float) list

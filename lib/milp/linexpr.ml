@@ -33,7 +33,6 @@ let scale k e =
 let neg e = scale (-1.) e
 let sub a b = add a (neg b)
 let sum es = List.fold_left add zero es
-let coeff e id = match Imap.find_opt id e.coeffs with Some c -> c | None -> 0.
 let constant e = e.const
 let terms e = Imap.fold (fun id c acc -> (c, id) :: acc) e.coeffs [] |> List.rev
 let iter f e = Imap.iter f e.coeffs
@@ -42,17 +41,3 @@ let eval values e =
   Imap.fold (fun id c acc -> acc +. (c *. values.(id))) e.coeffs e.const
 
 let is_constant e = Imap.is_empty e.coeffs
-
-let pp name ppf e =
-  let first = ref true in
-  let term id c =
-    let sign = if c < 0. then "- " else if !first then "" else "+ " in
-    let mag = Float.abs c in
-    if mag = 1. then Format.fprintf ppf "%s%s " sign (name id)
-    else Format.fprintf ppf "%s%g %s " sign mag (name id);
-    first := false
-  in
-  Imap.iter term e.coeffs;
-  if e.const <> 0. || !first then
-    Format.fprintf ppf "%s%g" (if e.const < 0. then "- " else if !first then "" else "+ ")
-      (Float.abs e.const)

@@ -33,9 +33,6 @@ val neg : t -> t
 (** Sum of a list of expressions. *)
 val sum : t list -> t
 
-(** [coeff e id] is the coefficient of [x_id] in [e] ([0.] if absent). *)
-val coeff : t -> int -> float
-
 val constant : t -> float
 
 (** [terms e] lists the (coefficient, var id) pairs with non-zero
@@ -50,6 +47,3 @@ val iter : (int -> float -> unit) -> t -> unit
 val eval : float array -> t -> float
 
 val is_constant : t -> bool
-
-(** Pretty-print with a variable-name resolver. *)
-val pp : (int -> string) -> Format.formatter -> t -> unit

@@ -54,6 +54,7 @@ let continuous ?(lb = 0.) ?(ub = Float.infinity) m name =
   add_var m ~name ~kind:Continuous ~lb ~ub
 
 let binary m name = add_var m ~name ~kind:Binary ~lb:0. ~ub:1.
+let evar v = Linexpr.var v.vid
 
 let integer ?(lb = 0.) ?(ub = Float.infinity) m name =
   add_var m ~name ~kind:Integer ~lb ~ub
@@ -142,25 +143,3 @@ let check_feasible ?(tol = 1e-6) m values =
     !bad
 
 let objective_value m values = Linexpr.eval values m.obj
-
-let pp ppf m =
-  let name id = m.vs.(id).vname in
-  let pp_rel ppf = function
-    | Le -> Format.pp_print_string ppf "<="
-    | Ge -> Format.pp_print_string ppf ">="
-    | Eq -> Format.pp_print_string ppf "="
-  in
-  Format.fprintf ppf "@[<v>%s %a@,subject to@,"
-    (match m.obj_sense with Maximize -> "maximize" | Minimize -> "minimize")
-    (Linexpr.pp name) m.obj;
-  for j = 0 to m.nc - 1 do
-    let c = m.cs.(j) in
-    Format.fprintf ppf "  %s: %a %a %g@," c.cname (Linexpr.pp name) c.lhs pp_rel c.rel c.rhs
-  done;
-  Format.fprintf ppf "bounds@,";
-  for i = 0 to m.nv - 1 do
-    let v = m.vs.(i) in
-    Format.fprintf ppf "  %g <= %s <= %g%s@," v.lb v.vname v.ub
-      (match v.kind with Binary -> " (bin)" | Integer -> " (int)" | Continuous -> "")
-  done;
-  Format.fprintf ppf "@]"

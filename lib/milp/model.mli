@@ -39,6 +39,9 @@ val continuous : ?lb:float -> ?ub:float -> t -> string -> var
 (** Binary variable in [{0, 1}]. *)
 val binary : t -> string -> var
 
+(** [evar v] is the expression [x_v]. *)
+val evar : var -> Linexpr.t
+
 (** General integer variable. *)
 val integer : ?lb:float -> ?ub:float -> t -> string -> var
 
@@ -79,6 +82,3 @@ val check_feasible : ?tol:float -> t -> float array -> string option
 
 (** Evaluate the objective expression at a point. *)
 val objective_value : t -> float array -> float
-
-(** Render the model in a human-readable LP-like format (debugging). *)
-val pp : Format.formatter -> t -> unit

@@ -20,8 +20,6 @@ let make topo node_list =
   in
   { nodes; lag_ids }
 
-let src t = t.nodes.(0)
-let dst t = t.nodes.(Array.length t.nodes - 1)
 let length t = Array.length t.lag_ids
 let mem_lag t id = Array.exists (Int.equal id) t.lag_ids
 let node_list t = Array.to_list t.nodes
@@ -31,7 +29,6 @@ let weight w t = Array.fold_left (fun acc id -> acc +. w id) 0. t.lag_ids
 let lag_disjoint a b = not (Array.exists (mem_lag b) a.lag_ids)
 
 let equal a b = a.nodes = b.nodes && a.lag_ids = b.lag_ids
-let compare a b = compare (a.nodes, a.lag_ids) (b.nodes, b.lag_ids)
 
 let pp topo ppf t =
   Format.pp_print_string ppf

@@ -11,9 +11,6 @@ type t = private {
     or it is shorter than one hop. *)
 val make : Wan.Topology.t -> int list -> t
 
-val src : t -> int
-val dst : t -> int
-
 (** Number of hops (LAGs). *)
 val length : t -> int
 
@@ -31,5 +28,4 @@ val weight : (int -> float) -> t -> float
 val lag_disjoint : t -> t -> bool
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
 val pp : Wan.Topology.t -> Format.formatter -> t -> unit

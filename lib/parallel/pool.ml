@@ -129,7 +129,7 @@ let worker t =
   loop 0
 
 let create ~domains () =
-  if domains < 1 then invalid_arg "Parallel.Pool.create: domains < 1";
+  if domains < 1 then invalid_arg "Parallel.Pool.with_pool: domains < 1";
   let domains = if inside_task () then 1 else domains in
   let t =
     {
@@ -149,8 +149,6 @@ let create ~domains () =
   in
   t.workers <- List.init (domains - 1) (fun _ -> Domain.spawn (fun () -> worker t));
   t
-
-let domains t = t.domains
 
 let shutdown t =
   Mutex.lock t.mutex;

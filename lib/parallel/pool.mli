@@ -43,14 +43,6 @@ type stats = {
   wall : float;  (** wall-clock seconds the submitter spent in sweeps *)
 }
 
-(** [create ~domains ()] starts a pool of [domains - 1] worker domains;
-    the submitting domain participates in every sweep, so [domains] is
-    the total parallelism. Inside a pool task the pool gets one domain.
-    @raise Invalid_argument if [domains < 1]. *)
-val create : domains:int -> unit -> t
-
-val domains : t -> int
-
 (** [map_array pool f a] is [Array.map f a], evaluated in parallel.
     The first exception raised by [f] is re-raised (with its backtrace)
     after outstanding chunks are cancelled. *)
@@ -72,9 +64,9 @@ val stats : t -> stats
     ["[parallel: 4 domains, 16 tasks/2000 items, busy 3.10s, wall 0.90s]"]. *)
 val pp_stats : Format.formatter -> stats -> unit
 
-(** Stop and join the worker domains. The pool must be idle. *)
-val shutdown : t -> unit
-
-(** [with_pool ~domains f] runs [f] on a fresh pool and shuts it down,
-    also on exception. *)
+(** [with_pool ~domains f] runs [f] on a fresh pool of [domains - 1]
+    worker domains and shuts it down, also on exception. The submitting
+    domain participates in every sweep, so [domains] is the total
+    parallelism. Inside a pool task the pool gets one domain.
+    @raise Invalid_argument if [domains < 1]. *)
 val with_pool : domains:int -> (t -> 'a) -> 'a

@@ -12,8 +12,6 @@ type result = {
   converged : bool;
 }
 
-let evar (v : Milp.Model.var) = Milp.Linexpr.var v.Milp.Model.vid
-
 let avg_link_capacity topo =
   let lags = Wan.Topology.lags topo in
   let total = Array.fold_left (fun acc l -> acc +. Wan.Lag.capacity l) 0. lags in
@@ -73,7 +71,7 @@ let solve_lag_augment topo paths scenario targets ~link_capacity =
       ignore dst;
       let terms =
         Array.to_list flows.(k)
-        |> List.filter_map (Option.map (fun (v, _) -> evar v))
+        |> List.filter_map (Option.map (fun (v, _) -> Milp.Model.evar v))
       in
       if terms <> [] then
         Milp.Model.add_cons m
@@ -109,7 +107,7 @@ let solve_lag_augment topo paths scenario targets ~link_capacity =
       end)
     lags;
   Milp.Model.set_objective m Milp.Model.Minimize
-    (Milp.Linexpr.sum (Array.to_list (Array.map evar adds)));
+    (Milp.Linexpr.sum (Array.to_list (Array.map Milp.Model.evar adds)));
   let sol = Milp.Solver.solve m in
   match sol.Milp.Solver.status with
   | Milp.Solver.Optimal | Milp.Solver.Feasible ->
@@ -240,7 +238,7 @@ let solve_new_lag_augment topo paths scenario targets ~candidates ~link_capacity
             (Milp.Linexpr.var ~coeff:link_capacity v.Milp.Model.vid))
     arcs;
   Milp.Model.set_objective m Milp.Model.Minimize
-    (Milp.Linexpr.sum (List.map (fun (_, v) -> evar v) cand_vars));
+    (Milp.Linexpr.sum (List.map (fun (_, v) -> Milp.Model.evar v) cand_vars));
   let sol = Milp.Solver.solve m in
   match sol.Milp.Solver.status with
   | Milp.Solver.Optimal | Milp.Solver.Feasible ->

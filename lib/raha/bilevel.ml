@@ -37,8 +37,6 @@ type built = {
   branch_priority : int -> int;
 }
 
-let evar (v : Milp.Model.var) = Milp.Linexpr.var v.Milp.Model.vid
-
 (* Demand variables per the chosen encoding. Returns (expr per pair,
    binary var ids introduced). *)
 let make_demands m spec envelope =
@@ -55,7 +53,7 @@ let make_demands m spec envelope =
             let d =
               Milp.Model.continuous ~lb:lo ~ub:hi m (Printf.sprintf "d_%d_%d" src dst)
             in
-            evar d
+            Milp.Model.evar d
           | Strong_duality { levels } ->
             if levels < 2 then invalid_arg "Bilevel: need >= 2 demand levels";
             (* d = sum_q level_q * delta_q with exactly one delta set *)
@@ -65,7 +63,7 @@ let make_demands m spec envelope =
             in
             Milp.Model.add_cons m
               ~name:(Printf.sprintf "dlvl_%d_%d" src dst)
-              (Milp.Linexpr.sum (List.map evar deltas))
+              (Milp.Linexpr.sum (List.map Milp.Model.evar deltas))
               Milp.Model.Eq 1.;
             let step = (hi -. lo) /. float_of_int (levels - 1) in
             Milp.Linexpr.sum
@@ -95,6 +93,8 @@ let build spec topo paths envelope =
   | None -> ());
   if spec.connected_enforced then Failure_model.add_connected_enforced m fm;
   Failure_model.add_srlgs m fm spec.srlgs;
+  let is_mlu = match spec.objective with Te.Formulation.Mlu _ -> true | _ -> false in
+  if is_mlu then Failure_model.add_path_up m fm;
   let demand_exprs = make_demands m spec envelope in
   let demand_of ~src ~dst =
     match List.assoc_opt (src, dst) demand_exprs with
@@ -104,7 +104,6 @@ let build spec topo paths envelope =
     | None -> Te.Formulation.C 0.
   in
   let d_max = Float.max 1e-9 (Traffic.Envelope.max_hi envelope) in
-  let is_mlu = match spec.objective with Te.Formulation.Mlu _ -> true | _ -> false in
   (* --- healthy network: primaries only, full capacities, folded in.
      §6 fast path: with a fixed demand matrix the healthy optimum is a
      constant that we solve independently, shrinking the MILP. --- *)
@@ -180,7 +179,7 @@ let build spec topo paths envelope =
               in
               Milp.Model.add_cons_expr m
                 ~name:(Printf.sprintf "nd_def_k%d_p%d" pair path)
-                (evar not_down) Milp.Model.Eq
+                (Milp.Model.evar not_down) Milp.Model.Eq
                 (Milp.Linexpr.of_terms ~const:1. [ (-1., u_kp.Milp.Model.vid) ]);
               let a =
                 Milp.Linearize.bool_and m
@@ -204,7 +203,7 @@ let build spec topo paths envelope =
     else
       Te.Formulation.add_rows failed_spec
         (Te.Formulation.naive_failover_rows failed_index ~healthy_index
-           ~cap:(fun c -> Te.Lp_spec.Outer (evar healthy.Inner.xs.(c)))
+           ~cap:(fun c -> Te.Lp_spec.Outer (Milp.Model.evar healthy.Inner.xs.(c)))
            ~d_max)
   in
   let failed =

@@ -8,8 +8,6 @@ type t = {
   lag_cap : Milp.Linexpr.t array;
 }
 
-let evar (v : Milp.Model.var) = Milp.Linexpr.var v.Milp.Model.vid
-
 let build m topo paths =
   let lags = Wan.Topology.lags topo in
   let link_down =
@@ -47,10 +45,10 @@ let build m topo paths =
         let lhs =
           Milp.Linexpr.add
             (Milp.Linexpr.var ~coeff:(float_of_int n_e) u_e.Milp.Model.vid)
-            (evar aux)
+            (Milp.Model.evar aux)
         in
         let rhs =
-          Milp.Linexpr.sum (Array.to_list (Array.map evar link_down.(e)))
+          Milp.Linexpr.sum (Array.to_list (Array.map Milp.Model.evar link_down.(e)))
         in
         Milp.Model.add_cons_expr m ~name:(Printf.sprintf "lagdown_e%d" e) lhs
           Milp.Model.Eq rhs;
@@ -69,7 +67,7 @@ let build m topo paths =
                let n_kp = Netpath.Path.length path in
                let rhs =
                  Milp.Linexpr.sum
-                   (List.map (fun e -> evar lag_down.(e)) (Netpath.Path.lag_list path))
+                   (List.map (fun e -> Milp.Model.evar lag_down.(e)) (Netpath.Path.lag_list path))
                in
                Milp.Model.add_cons_expr m
                  ~name:(Printf.sprintf "pathdown_k%d_p%d" k j)
@@ -92,7 +90,7 @@ let build m topo paths =
                else begin
                  let prior =
                    Milp.Linexpr.sum
-                     (List.init j (fun i -> evar path_down.(k).(i)))
+                     (List.init j (fun i -> Milp.Model.evar path_down.(k).(i)))
                  in
                  let expr =
                    Milp.Linexpr.add prior
@@ -125,7 +123,7 @@ let add_probability_threshold m t ~threshold =
                -inf coefficient *)
             Milp.Model.add_cons m
               ~name:(Printf.sprintf "nofail_e%d_l%d" e i)
-              (evar t.link_down.(e).(i))
+              (Milp.Model.evar t.link_down.(e).(i))
               Milp.Model.Le 0.
           end
           else begin
@@ -146,7 +144,7 @@ let add_max_failures m t ~k =
   let expr =
     Milp.Linexpr.sum
       (Array.to_list t.link_down
-      |> List.concat_map (fun row -> Array.to_list (Array.map evar row)))
+      |> List.concat_map (fun row -> Array.to_list (Array.map Milp.Model.evar row)))
   in
   Milp.Model.add_cons m ~name:"max_failures" expr Milp.Model.Le (float_of_int k)
 
@@ -154,7 +152,7 @@ let add_connected_enforced m t =
   Array.iteri
     (fun k row ->
       let n = Array.length row in
-      let expr = Milp.Linexpr.sum (Array.to_list (Array.map evar row)) in
+      let expr = Milp.Linexpr.sum (Array.to_list (Array.map Milp.Model.evar row)) in
       Milp.Model.add_cons m
         ~name:(Printf.sprintf "ce_k%d" k)
         expr Milp.Model.Le
@@ -168,15 +166,30 @@ let add_srlgs m t groups =
       match g.Failure.Srlg.members with
       | [] | [ _ ] -> ()
       | (l0, i0) :: rest ->
-        let first = evar t.link_down.(l0).(i0) in
+        let first = Milp.Model.evar t.link_down.(l0).(i0) in
         List.iteri
           (fun idx (l, i) ->
             Milp.Model.add_cons_expr m
               ~name:(Printf.sprintf "srlg_%s_%d" g.Failure.Srlg.srlg_name idx)
               first Milp.Model.Eq
-              (evar t.link_down.(l).(i)))
+              (Milp.Model.evar t.link_down.(l).(i)))
           rest)
     groups
+
+let add_path_up m t =
+  List.iteri
+    (fun k (pair : Netpath.Path_set.pair) ->
+      List.iteri
+        (fun j path ->
+          let lags =
+            Milp.Linexpr.sum
+              (List.map (fun e -> Milp.Model.evar t.lag_down.(e)) (Netpath.Path.lag_list path))
+          in
+          Milp.Model.add_cons_expr m
+            ~name:(Printf.sprintf "pathup_k%d_p%d" k j)
+            (Milp.Model.evar t.path_down.(k).(j)) Milp.Model.Le lags)
+        (Netpath.Path_set.all_paths pair))
+    t.paths
 
 let scenario_of_solution t sol =
   let links = ref [] in

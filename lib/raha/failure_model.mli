@@ -43,5 +43,13 @@ val add_connected_enforced : Milp.Model.t -> t -> unit
     together. *)
 val add_srlgs : Milp.Model.t -> t -> Failure.Srlg.t list -> unit
 
+(** [add_path_up m t] adds Eq. 4's other direction,
+    [u_kp <= sum_{e in p} u_e]: a path whose LAGs are all up is up.
+    {!build} only forces a path down when one of its LAGs is down, which
+    suffices when a down path can only help the failed network; an
+    objective that can gain from closing a healthy path (MLU, whose
+    primaries get capacity [d_max (1 - u_kp)]) needs this too. *)
+val add_path_up : Milp.Model.t -> t -> unit
+
 (** Read the failure scenario out of a solution. *)
 val scenario_of_solution : t -> Milp.Solver.solution -> Failure.Scenario.t

@@ -4,8 +4,6 @@ type t = {
   objective : Milp.Linexpr.t;
 }
 
-let evar (v : Milp.Model.var) = Milp.Linexpr.var v.Milp.Model.vid
-
 (* Normalize the spec to maximization: c is the (possibly negated)
    objective vector used by the optimality conditions. *)
 let norm_obj (spec : Te.Lp_spec.t) =
@@ -99,7 +97,7 @@ let encode_kkt m ~prefix spec =
         (* y_i <= bound * w *)
         Milp.Model.add_cons_expr m
           ~name:(Printf.sprintf "%s_csr%d_a" prefix i)
-          (evar duals.(i))
+          (Milp.Model.evar duals.(i))
           Milp.Model.Le
           (Milp.Linexpr.var ~coeff:bound w.Milp.Model.vid);
         (* rhs - lhs <= slack_bound * (1 - w) *)
@@ -121,7 +119,7 @@ let encode_kkt m ~prefix spec =
       (* x_j <= ub_hint * v *)
       Milp.Model.add_cons_expr m
         ~name:(Printf.sprintf "%s_csc%d_a" prefix j)
-        (evar xs.(j))
+        (Milp.Model.evar xs.(j))
         Milp.Model.Le
         (Milp.Linexpr.var ~coeff:col.Te.Lp_spec.ub_hint v.Milp.Model.vid);
       (* (A'y)_j - c_j <= rc_bound * (1 - v) *)

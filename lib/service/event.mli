@@ -51,5 +51,4 @@ val request_of_line : string -> (request, string) result
 (** Encodings, used by the client side and the tests. *)
 
 val json_of_event : event -> Json.t
-val json_of_query : query -> Json.t
 val json_of_request : request -> Json.t

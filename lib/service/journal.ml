@@ -119,7 +119,7 @@ let scan path =
 (* ------------------------------------------------------------------ *)
 (* Append handle                                                       *)
 
-type t = { fd : Unix.file_descr; path : string; mutable appended : int }
+type t = { fd : Unix.file_descr }
 
 let open_ path =
   let r = scan path in
@@ -133,7 +133,7 @@ let open_ path =
   (* truncate away any damaged tail so appends extend a clean log *)
   Unix.ftruncate fd r.valid_bytes;
   ignore (Unix.lseek fd 0 Unix.SEEK_END);
-  ({ fd; path; appended = 0 }, r)
+  ({ fd }, r)
 
 let write_all fd data =
   let len = Bytes.length data in
@@ -147,9 +147,6 @@ let append t ~structural ev =
   write_all t.fd (Bytes.of_string (encode payload));
   (* structural records (capacity, demand envelope) are the ones whose
      loss forces operator intervention — push them through to disk *)
-  if structural then Unix.fsync t.fd;
-  t.appended <- t.appended + 1
+  if structural then Unix.fsync t.fd
 
-let appended t = t.appended
-let path t = t.path
 let close t = try Unix.close t.fd with Unix.Unix_error _ -> ()

@@ -47,10 +47,6 @@ val open_ : string -> t * recovery
     before returning; live (up/down) events are written but not synced. *)
 val append : t -> structural:bool -> Event.event -> unit
 
-(** Records appended through this handle (excludes replayed ones). *)
-val appended : t -> int
-
-val path : t -> string
 val close : t -> unit
 
 (** Read-only scan of a journal file — what {!open_} would recover,

@@ -5,8 +5,6 @@ type result = {
   scenarios_considered : int;
 }
 
-let evar (v : Milp.Model.var) = Milp.Linexpr.var v.Milp.Model.vid
-
 let allocate ~k topo paths demand =
   if k < 0 then invalid_arg "Ffc.allocate: k < 0";
   let scenarios = Failure.Enumerate.lag_failures_up_to_k topo ~k in
@@ -49,17 +47,17 @@ let allocate ~k topo paths demand =
             in
             (* grant must be routable in this scenario *)
             let terms =
-              Array.to_list fs |> List.filter_map (Option.map (fun (v, _) -> evar v))
+              Array.to_list fs |> List.filter_map (Option.map (fun (v, _) -> Milp.Model.evar v))
             in
             (if terms <> [] then
                Milp.Model.add_cons_expr m
                  ~name:(Printf.sprintf "grant_s%d_k%d" si i)
-                 (Milp.Linexpr.sum terms) Milp.Model.Ge (evar b)
+                 (Milp.Linexpr.sum terms) Milp.Model.Ge (Milp.Model.evar b)
              else
                (* no surviving path: grant forced to zero *)
                Milp.Model.add_cons m
                  ~name:(Printf.sprintf "cut_s%d_k%d" si i)
-                 (evar b) Milp.Model.Le 0.);
+                 (Milp.Model.evar b) Milp.Model.Le 0.);
             fs)
           grants
       in
@@ -84,7 +82,7 @@ let allocate ~k topo paths demand =
         (Wan.Topology.lags topo))
     scenarios;
   Milp.Model.set_objective m Milp.Model.Maximize
-    (Milp.Linexpr.sum (List.map (fun (_, _, b, _) -> evar b) grants));
+    (Milp.Linexpr.sum (List.map (fun (_, _, b, _) -> Milp.Model.evar b) grants));
   match Milp.Simplex.solve m with
   | Milp.Simplex.Optimal { obj; values } ->
     let granted =

@@ -25,10 +25,3 @@ let uniform ~id ~src ~dst ~n ~capacity ~fail_prob =
 let capacity t = Array.fold_left (fun acc l -> acc +. l.link_capacity) 0. t.links
 
 let num_links t = Array.length t.links
-
-let prob_all_links_down t =
-  Array.fold_left (fun acc l -> acc *. l.fail_prob) 1. t.links
-
-let pp ppf t =
-  Format.fprintf ppf "lag%d(%d-%d, %d links, cap %g)" t.lag_id t.src t.dst
-    (num_links t) (capacity t)

@@ -39,9 +39,3 @@ val uniform :
 val capacity : t -> float
 
 val num_links : t -> int
-
-(** Probability that every link in the LAG is simultaneously down
-    (independent links). *)
-val prob_all_links_down : t -> float
-
-val pp : Format.formatter -> t -> unit

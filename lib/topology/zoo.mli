@@ -17,9 +17,6 @@
     LAG has a single link and the average LAG capacity is 5000. *)
 val b4 : unit -> Topology.t
 
-(** Abilene (11 nodes, 14 LAGs). *)
-val abilene : unit -> Topology.t
-
 (** Uninett 2010 stand-in (74 nodes, 101 LAGs, avg capacity 1000). *)
 val uninett2010 : unit -> Topology.t
 

@@ -56,10 +56,6 @@ let test_renewal_estimate () =
     [ { Failure.Renewal.down_at = 2.; up_at = 3. }; { Failure.Renewal.down_at = 5.; up_at = 7. } ]
   in
   check_float "downtime fraction" 0.3 (Failure.Renewal.estimate ~horizon:10. events);
-  check_float "mttr" 1.5 (Failure.Renewal.mttr events);
-  check_float "mtbf" 3. (Failure.Renewal.mtbf events);
-  (* ratio form: one cycle [3,7], downtime 2 -> 0.5 *)
-  check_float "ratio" 0.5 (Failure.Renewal.estimate_ratio events);
   (* clipping at the horizon *)
   check_float "clipped" 0.2 (Failure.Renewal.estimate ~horizon:5. events)
 
@@ -118,23 +114,8 @@ let test_enumerate_up_to_k () =
   Alcotest.(check bool) "includes empty" true
     (List.exists (Failure.Scenario.equal Failure.Scenario.empty) all);
   (* distinct *)
-  let sorted = List.sort_uniq Failure.Scenario.compare all in
+  let sorted = List.sort_uniq compare (List.map Failure.Scenario.links all) in
   check_int "distinct" 16 (List.length sorted)
-
-let test_enumerate_above_threshold () =
-  let scenarios = Failure.Enumerate.above_threshold fig1 ~threshold:1e-4 in
-  (* every enumerated scenario qualifies *)
-  List.iter
-    (fun s ->
-      Alcotest.(check bool) "qualifies" true (Failure.Scenario.prob fig1 s >= 1e-4))
-    scenarios;
-  (* and the count matches brute force over k <= 5 *)
-  let brute =
-    List.filter
-      (fun s -> Failure.Scenario.prob fig1 s >= 1e-4)
-      (Failure.Enumerate.up_to_k fig1 ~k:5)
-  in
-  check_int "matches brute force" (List.length brute) (List.length scenarios)
 
 let test_lag_failures () =
   let t =
@@ -155,16 +136,9 @@ let test_lag_failures () =
 let test_srlg () =
   let g = Failure.Srlg.make ~name:"conduit" ~prob:0.05 [ (0, 0); (1, 0) ] in
   Failure.Srlg.validate fig1 g;
-  let ss = Failure.Srlg.scenarios fig1 [ g ] in
-  check_int "two combinations" 2 (List.length ss);
-  let probs = List.map snd ss in
-  check_float "probs sum to 1" 1. (List.fold_left ( +. ) 0. probs);
-  (match Failure.Srlg.make ~name:"x" ~prob:0.5 [ (0, 0) ] with
+  match Failure.Srlg.make ~name:"x" ~prob:0.5 [ (0, 0) ] with
   | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "singleton rejected");
-  match Failure.Srlg.scenarios fig1 [ g; g ] with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "overlap rejected"
+  | _ -> Alcotest.fail "singleton rejected"
 
 let test_always_down_links () =
   (* A link with fail_prob = 1 used to make per_link_cost return +inf
@@ -189,7 +163,7 @@ let test_always_down_links () =
     costs;
   (* all-up has probability zero with an always-down link present *)
   Alcotest.(check bool) "all-up log prob -inf" true
-    (Failure.Probability.log_prob_all_up t = Float.neg_infinity);
+    (Failure.Scenario.log_prob t Failure.Scenario.empty = Float.neg_infinity);
   let n, s = Failure.Probability.max_simultaneous_failures t ~threshold:1e-3 in
   Alcotest.(check bool) "down link is mandatory" true
     (Failure.Scenario.is_down s ~lag:0 ~link:0);
@@ -256,16 +230,12 @@ let prop_greedy_matches_enumeration =
 let test_enumerate_guards () =
   (* count guard: a 30-link topology at k=5 exceeds the cap *)
   let t = Wan.Generators.africa_like ~seed:5 ~n:12 () in
-  (match Failure.Enumerate.up_to_k t ~k:5 with
+  match Failure.Enumerate.up_to_k t ~k:5 with
   | exception Invalid_argument _ -> ()
   | l ->
     (* if it fits, the count helper must agree *)
     Alcotest.(check int) "count agrees" (Failure.Enumerate.count_up_to_k t ~k:5)
-      (List.length l));
-  (* above_threshold limit parameter *)
-  match Failure.Enumerate.above_threshold ~limit:2 fig1 ~threshold:1e-6 with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "limit enforced"
+      (List.length l)
 
 let test_enumerate_counting_properties () =
   (* up_to_k emits exactly count_up_to_k scenarios, all distinct, all
@@ -281,7 +251,7 @@ let test_enumerate_counting_properties () =
         check_int (label "count matches") (Failure.Enumerate.count_up_to_k t ~k)
           (List.length l);
         check_int (label "no duplicates") (List.length l)
-          (List.length (List.sort_uniq Failure.Scenario.compare l));
+          (List.length (List.sort_uniq compare (List.map Failure.Scenario.links l)));
         List.iter
           (fun s ->
             Alcotest.(check bool) (label "within budget") true
@@ -313,16 +283,24 @@ let test_binomial_matches_pascal () =
   check_int "k > n" 0 (Failure.Enumerate.binomial 5 6);
   check_int "C(0,0)" 1 (Failure.Enumerate.binomial 0 0)
 
+let fold_outages events =
+  List.fold_left
+    (fun t (e : Failure.Renewal.event) ->
+      Failure.Renewal.Incr.up
+        (Failure.Renewal.Incr.down t ~at:e.Failure.Renewal.down_at)
+        ~at:e.Failure.Renewal.up_at)
+    Failure.Renewal.Incr.empty events
+
 let test_incr_matches_batch_on_prefixes () =
   (* the streaming estimator must agree with the batch walk to the last
-     float bit on EVERY prefix of a generated trace, for every statistic *)
+     float bit on EVERY prefix of a generated trace *)
   let events =
     Failure.Trace.exponential ~seed:23 ~mean_uptime:7. ~mean_downtime:2.
       ~horizon:500. ()
   in
   Alcotest.(check bool) "trace non-trivial" true (List.length events > 10);
   let check_prefix prefix =
-    let incr = Failure.Renewal.Incr.of_events prefix in
+    let incr = fold_outages prefix in
     let n = List.length prefix in
     check_int (Printf.sprintf "count prefix %d" n) n
       (Failure.Renewal.Incr.count incr);
@@ -334,22 +312,7 @@ let test_incr_matches_batch_on_prefixes () =
     check_float ~eps:0.
       (Printf.sprintf "estimate prefix %d" n)
       (Failure.Renewal.estimate ~horizon prefix)
-      (Failure.Renewal.Incr.estimate ~horizon incr);
-    if n >= 1 then
-      check_float ~eps:0.
-        (Printf.sprintf "mttr prefix %d" n)
-        (Failure.Renewal.mttr prefix)
-        (Failure.Renewal.Incr.mttr incr);
-    if n >= 2 then begin
-      check_float ~eps:0.
-        (Printf.sprintf "mtbf prefix %d" n)
-        (Failure.Renewal.mtbf prefix)
-        (Failure.Renewal.Incr.mtbf incr);
-      check_float ~eps:0.
-        (Printf.sprintf "ratio prefix %d" n)
-        (Failure.Renewal.estimate_ratio prefix)
-        (Failure.Renewal.Incr.estimate_ratio incr)
-    end
+      (Failure.Renewal.Incr.estimate ~horizon incr)
   in
   let rec prefixes acc = function
     | [] -> [ List.rev acc ]
@@ -362,7 +325,7 @@ let test_incr_open_outage () =
      that straddles it *)
   let closed = [ { Failure.Renewal.down_at = 2.; up_at = 3. } ] in
   let incr =
-    Failure.Renewal.Incr.down (Failure.Renewal.Incr.of_events closed) ~at:6.
+    Failure.Renewal.Incr.down (fold_outages closed) ~at:6.
   in
   Alcotest.(check bool) "is down" true (Failure.Renewal.Incr.is_down incr);
   check_int "open outage not counted" 1 (Failure.Renewal.Incr.count incr);
@@ -391,12 +354,10 @@ let test_incr_validation () =
   bad (fun () -> up empty ~at:3.);
   bad (fun () -> down (down empty ~at:2.) ~at:3.);
   bad (fun () -> up (down empty ~at:2.) ~at:2.);
-  bad (fun () ->
-      down (add empty { Failure.Renewal.down_at = 2.; up_at = 5. }) ~at:4.);
+  let repaired = up (down empty ~at:2.) ~at:5. in
+  bad (fun () -> down repaired ~at:4.);
   bad (fun () -> estimate ~horizon:0. empty);
-  bad (fun () ->
-      estimate ~horizon:3.
-        (add empty { Failure.Renewal.down_at = 2.; up_at = 5. }))
+  bad (fun () -> estimate ~horizon:3. repaired)
 
 let test_scenario_validation () =
   (match Failure.Scenario.of_links fig1 [ (99, 0) ] with
@@ -438,7 +399,6 @@ let suite =
     ("trace estimation converges", `Quick, test_trace_estimation_converges);
     ("calibrate topology", `Quick, test_calibrate_topology);
     ("enumerate up to k", `Quick, test_enumerate_up_to_k);
-    ("enumerate above threshold", `Quick, test_enumerate_above_threshold);
     ("lag failures", `Quick, test_lag_failures);
     ("srlg", `Quick, test_srlg);
     ("enumerate guards", `Quick, test_enumerate_guards);

@@ -9,8 +9,7 @@ let fig1 = Wan.Generators.fig1 ()
 let test_path_make () =
   let p = Netpath.Path.make fig1 [ 1; 0; 3 ] in
   check_int "length" 2 (Netpath.Path.length p);
-  check_int "src" 1 (Netpath.Path.src p);
-  check_int "dst" 3 (Netpath.Path.dst p);
+  Alcotest.(check (list int)) "nodes" [ 1; 0; 3 ] (Netpath.Path.node_list p);
   Alcotest.(check bool) "mem AD lag" true (Netpath.Path.mem_lag p 2);
   Alcotest.(check bool) "not mem CD lag" false (Netpath.Path.mem_lag p 1);
   (match Netpath.Path.make fig1 [ 1; 2 ] with
@@ -137,7 +136,11 @@ let prop_yen_paths_valid =
       List.length ps <= k
       && List.sort compare lens = lens
       && distinct ps
-      && List.for_all (fun p -> Netpath.Path.src p = 0 && Netpath.Path.dst p = 7) ps)
+      && List.for_all
+           (fun p ->
+             let nodes = Netpath.Path.node_list p in
+             List.hd nodes = 0 && List.nth nodes (List.length nodes - 1) = 7)
+           ps)
 
 
 let suite =

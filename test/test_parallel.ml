@@ -148,17 +148,19 @@ let test_stats () =
       Alcotest.(check bool) ("stats line: " ^ line) true
         (String.length line > 10 && String.sub line 0 10 = "[parallel:"))
 
+let pool_domains pool = (Parallel.Pool.stats pool).Parallel.Pool.domains
+
 let test_pool_in_task_is_sequential () =
   (* a pool created inside a task gets one domain and no workers *)
   Parallel.Pool.with_pool ~domains (fun pool ->
       let widths =
         Parallel.Pool.map_array pool
-          (fun _ -> Parallel.Pool.with_pool ~domains Parallel.Pool.domains)
+          (fun _ -> Parallel.Pool.with_pool ~domains pool_domains)
           (Array.init 8 Fun.id)
       in
       Alcotest.(check (array int)) "nested pools" (Array.make 8 1) widths);
   Parallel.Pool.with_pool ~domains (fun pool ->
-      check_int "outside a task" domains (Parallel.Pool.domains pool))
+      check_int "outside a task" domains (pool_domains pool))
 
 let test_stats_accumulate () =
   (* one pool serves many sweeps: items add up across them and every
@@ -182,7 +184,7 @@ let test_sequential_pool_inline () =
   (* a one-domain pool spawns no workers: every item runs on the caller *)
   let caller = Domain.self () in
   Parallel.Pool.with_pool ~domains:1 (fun pool ->
-      check_int "domains" 1 (Parallel.Pool.domains pool);
+      check_int "domains" 1 (pool_domains pool);
       let ran_on =
         Parallel.Pool.map_array pool (fun _ -> Domain.self ()) (Array.init 50 Fun.id)
       in
@@ -206,7 +208,7 @@ let test_with_pool_reraises () =
         (Parallel.Pool.map_array pool succ [| 1; 2 |]))
 
 let test_create_rejects_nonpositive () =
-  match Parallel.Pool.create ~domains:0 () with
+  match Parallel.Pool.with_pool ~domains:0 ignore with
   | _ -> Alcotest.fail "domains:0 accepted"
   | exception Invalid_argument _ -> ()
 

@@ -326,6 +326,45 @@ let test_mlu_bilevel () =
   in
   check_float "matches oracle" oracle r.Raha.Analysis.degradation
 
+(* With no failure allowed (k = 0) the failed network is the healthy
+   one, so every objective's degradation is 0 under both encodings. MLU
+   used to report a positive value here: Eq. 4 only forced paths down, so
+   the adversary could close a healthy primary for free. *)
+let test_no_failure_no_degradation () =
+  let paths = Netpath.Path_set.compute ~n_primary:1 ~n_backup:1 fig1 [ (1, 3); (2, 3) ] in
+  let base = Traffic.Demand.of_list [ ((1, 3), 4.); ((2, 3), 4.) ] in
+  List.iter
+    (fun (oname, objective) ->
+      List.iter
+        (fun (ename, encoding) ->
+          List.iter
+            (fun (dname, envelope) ->
+              let spec =
+                {
+                  Raha.Bilevel.default_spec with
+                  Raha.Bilevel.objective;
+                  encoding;
+                  max_failures = Some 0;
+                  connected_enforced = true;
+                }
+              in
+              let options = { Raha.Analysis.default_options with spec } in
+              let r = Raha.Analysis.analyze ~options fig1 paths envelope in
+              let what = Printf.sprintf "%s %s %s" oname ename dname in
+              Alcotest.(check bool) (what ^ " optimal") true
+                (r.Raha.Analysis.status = Milp.Solver.Optimal);
+              check_float ~eps:1e-6 (what ^ " degradation") 0. r.Raha.Analysis.degradation)
+            [
+              ("fixed", Traffic.Envelope.fixed base);
+              ("variable", Traffic.Envelope.around ~slack:0.5 base);
+            ])
+        [ ("kkt", Raha.Bilevel.Kkt); ("sd", Raha.Bilevel.Strong_duality { levels = 3 }) ])
+    [
+      ("total-flow", Te.Formulation.Total_flow);
+      ("max-min", Te.Formulation.Max_min { bins = 3; ratio = 1. });
+      ("mlu", Te.Formulation.Mlu { u_max = 10. });
+    ]
+
 let test_srlg_coupling () =
   (* BD and CD share a conduit: failing one fails both; with k = 1 the
      adversary can no longer afford the pair, with k = 2 it can *)
@@ -401,6 +440,7 @@ let suite =
     ("connected enforced", `Quick, test_connected_enforced);
     ("naive failover analysis", `Quick, test_naive_failover_analysis);
     ("mlu bilevel", `Quick, test_mlu_bilevel);
+    ("k = 0 degrades nothing", `Quick, test_no_failure_no_degradation);
     ("srlg coupling", `Quick, test_srlg_coupling);
     QCheck_alcotest.to_alcotest prop_fixed_demand_matches_oracle;
     QCheck_alcotest.to_alcotest prop_variable_demand_beats_fixed;

@@ -311,17 +311,13 @@ let test_report_csv () =
   let d = Traffic.Demand.of_list [ ((1, 3), 12.); ((2, 3), 10.) ] in
   let options = { Raha.Analysis.default_options with spec = spec_k1 } in
   let r = Raha.Analysis.analyze ~options fig1 paths (Traffic.Envelope.fixed d) in
-  let csv = Raha.Report.to_csv r in
-  let lines = String.split_on_char '\n' csv |> List.filter (fun l -> l <> "") in
-  (* header + summary + pair header + 2 pair rows *)
-  check_int "line count" 5 (List.length lines);
-  Alcotest.(check bool) "summary header first" true
-    (List.nth lines 0 = Raha.Report.summary_header);
-  let summary = List.nth lines 1 in
+  let summary = Raha.Report.summary_row r in
+  (* status, degradation, normalized, bound, failed links, probability,
+     healthy, failed, elapsed, nodes *)
+  check_int "summary fields" 10 (List.length (String.split_on_char ',' summary));
   Alcotest.(check bool) "starts with status" true
     (String.length summary > 8 && String.sub summary 0 8 = "optimal,");
-  (* per-pair rows carry the loss column: healthy - failed sums to the
-     degradation *)
+  (* per-pair losses (healthy - failed) sum to the degradation *)
   let pair_loss =
     List.fold_left
       (fun acc ((_, _), h, f) -> acc +. (h -. f))

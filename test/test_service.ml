@@ -747,6 +747,82 @@ let test_journal_corrupt_tail () =
   check_int "valid prefix empty" 0 r.Service.Journal.valid_bytes;
   Sys.remove path
 
+(* A journal file is untrusted input. [open_] on every truncation and on
+   every single-byte substitution of a valid journal must not raise; it
+   recovers the records before the first damaged one, reports damage
+   unless the cut falls on a record boundary, and truncates the file to
+   the intact prefix. *)
+let test_journal_mutations () =
+  let path = tmp_path "journal-fuzz.log" in
+  let read_file () =
+    let ic = open_in_bin path in
+    let s = really_input_string ic (in_channel_length ic) in
+    close_in ic;
+    s
+  in
+  let write_file s =
+    let oc = open_out_bin path in
+    output_string oc s;
+    close_out oc
+  in
+  (* ends.(k) is the size of a journal holding the first k events *)
+  let ends =
+    Array.init
+      (List.length sample_events + 1)
+      (fun k ->
+        write_journal path (List.filteri (fun i _ -> i < k) sample_events);
+        String.length (read_file ()))
+  in
+  write_journal path sample_events;
+  let clean = read_file () in
+  let rendered es = List.map (fun e -> J.to_string (Ev.json_of_event e)) es in
+  let intact_before offset =
+    (* records lying wholly before [offset] *)
+    let k = ref 0 in
+    while !k < List.length sample_events && ends.(!k + 1) <= offset do
+      incr k
+    done;
+    !k
+  in
+  let check what input ~expect_events ~expect_damage =
+    write_file input;
+    match Service.Journal.open_ path with
+    | exception e -> Alcotest.failf "%s: open_ raised %s" what (Printexc.to_string e)
+    | j, r ->
+      Service.Journal.close j;
+      let got = r.Service.Journal.events in
+      let expected = List.filteri (fun i _ -> i < expect_events) sample_events in
+      if rendered got <> rendered expected then
+        Alcotest.failf "%s: recovered %d events, expected the first %d" what
+          (List.length got) expect_events;
+      if (r.Service.Journal.damage <> None) <> expect_damage then
+        Alcotest.failf "%s: damage %s" what
+          (Option.value r.Service.Journal.damage ~default:"none");
+      if r.Service.Journal.valid_bytes <> ends.(expect_events) then
+        Alcotest.failf "%s: valid_bytes %d, expected %d" what r.Service.Journal.valid_bytes
+          ends.(expect_events);
+      if String.length (read_file ()) <> ends.(expect_events) then
+        Alcotest.failf "%s: file not truncated to the intact prefix" what
+  in
+  for l = 0 to String.length clean do
+    let k = intact_before l in
+    check (Printf.sprintf "truncated at %d" l) (String.sub clean 0 l) ~expect_events:k
+      ~expect_damage:(l <> ends.(k))
+  done;
+  String.iteri
+    (fun i c ->
+      List.iter
+        (fun x ->
+          let flipped =
+            String.mapi (fun j y -> if j = i then Char.chr (Char.code c lxor x) else y) clean
+          in
+          (* the CRC32 catches every single-byte change of a record *)
+          check (Printf.sprintf "byte %d xor %d" i x) flipped ~expect_events:(intact_before i)
+            ~expect_damage:true)
+        [ 0x01; 0x80; 0xFF ])
+    clean;
+  Sys.remove path
+
 (* --- crash recovery ----------------------------------------------------- *)
 
 (* A journaled core ingests a stream and "crashes" (we simply stop using
@@ -1146,6 +1222,7 @@ let suite =
     ("socket round trip", `Quick, test_socket_roundtrip);
     ("journal round trip", `Quick, test_journal_roundtrip);
     ("journal corrupt tail", `Quick, test_journal_corrupt_tail);
+    ("journal: every truncation and byte flip", `Quick, test_journal_mutations);
     ("crash recovery replay", `Quick, test_crash_recovery_replay);
     ("demand event invalidates", `Quick, test_demand_event_invalidates);
     ("alerting crossings", `Quick, test_alerting_crossings);

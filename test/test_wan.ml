@@ -12,8 +12,7 @@ let test_lag_basics () =
       ]
   in
   check_float "capacity" 30. (Wan.Lag.capacity lag);
-  check_int "links" 2 (Wan.Lag.num_links lag);
-  check_float "prob all down" 0.02 (Wan.Lag.prob_all_links_down lag)
+  check_int "links" 2 (Wan.Lag.num_links lag)
 
 let test_lag_validation () =
   let bad f = Alcotest.check_raises "rejects" (Invalid_argument "") (fun () ->
@@ -113,7 +112,7 @@ let test_zoo () =
   check_int "b4 lags" 19 (Wan.Topology.num_lags b4);
   check_float "b4 avg capacity" 5000. (Wan.Topology.avg_lag_capacity b4);
   Alcotest.(check bool) "b4 connected" true (Wan.Topology.is_connected b4);
-  let ab = Wan.Zoo.abilene () in
+  let ab = Option.get (Wan.Zoo.by_name "abilene") in
   check_int "abilene nodes" 11 (Wan.Topology.num_nodes ab);
   check_int "abilene lags" 14 (Wan.Topology.num_lags ab);
   Alcotest.(check bool) "abilene connected" true (Wan.Topology.is_connected ab);
@@ -171,6 +170,38 @@ let test_gml_errors () =
     "graph [ node [ id 1.2 ] node [ id 1.7 ] node [ id 3 ] edge [ source 1.2 target 3 ] \
      edge [ source 1.7 target 3 ] ]";
   bad "graph [ node [ id 1 ] node [ id 2 ] edge [ source 1 target 2.5 ] ]"
+
+(* A GML file is untrusted input: every truncation and every single-byte
+   substitution of a valid file must parse or fail with [Failure] (which
+   the CLI reports in-band), never raise anything else. *)
+let gml_in_band s =
+  match Wan.Gml.parse_string ~name:"fuzz" s with
+  | _ | (exception Failure _) -> ()
+  | exception e -> Alcotest.failf "%S raised %s" s (Printexc.to_string e)
+
+let test_gml_mutations () =
+  let n = String.length gml_sample in
+  for l = 0 to n - 1 do
+    gml_in_band (String.sub gml_sample 0 l)
+  done;
+  String.iteri
+    (fun i _ ->
+      String.iter
+        (fun c -> gml_in_band (String.mapi (fun j x -> if j = i then c else x) gml_sample))
+        "[]\"#-+.0129eExz _\n\000\255")
+    gml_sample
+
+let prop_gml_random_bytes =
+  let alphabet = "[]\"#-+.0123456789eE graphnodedgeidsourcetargetlabel\n" in
+  QCheck2.Test.make ~name:"gml: random bytes parse or fail in band" ~count:2000
+    ~print:(Printf.sprintf "%S")
+    QCheck2.Gen.(
+      string_size
+        ~gen:(oneofl (List.init (String.length alphabet) (String.get alphabet)))
+        (0 -- 80))
+    (fun s ->
+      gml_in_band s;
+      true)
 
 let test_serialize_roundtrip () =
   let t = Wan.Generators.africa_like ~seed:4 ~n:9 () in
@@ -300,6 +331,8 @@ let suite =
     ("zoo topologies", `Quick, test_zoo);
     ("gml parser", `Quick, test_gml);
     ("gml errors", `Quick, test_gml_errors);
+    ("gml: every truncation and byte substitution", `Quick, test_gml_mutations);
+    QCheck_alcotest.to_alcotest prop_gml_random_bytes;
     ("serialize roundtrip", `Quick, test_serialize_roundtrip);
     ("serialize errors", `Quick, test_serialize_errors);
     QCheck_alcotest.to_alcotest prop_serialize_fails_in_band;
