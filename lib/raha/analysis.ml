@@ -54,15 +54,6 @@ type report = {
   nodes : int;
 }
 
-(* Evaluate [f] over the array on [analyze]'s pool (one per call,
-   shared with the MILP core; there is none at one domain);
-   order-preserving, so downstream ranking is identical whatever the
-   parallelism. *)
-let par_map ?pool f arr =
-  match pool with
-  | Some pool when Array.length arr >= 2 -> Parallel.Pool.map_array pool f arr
-  | Some _ | None -> Array.map f arr
-
 (* The demand the candidate screening sweeps route: the envelope corner
    matching the spec's goal. *)
 let screening_demand spec envelope =
@@ -83,7 +74,7 @@ let screening_engine ~spec topo paths envelope =
    whole-LAG failure, and the greedy most-probable multi-failure scenario
    — filtered by the spec's constraints and ranked by simulated impact.
    Each becomes a plunge hint (a warm start for the MILP search). *)
-let seed_candidates ?screen ?pool spec topo paths envelope ~limit =
+let seed_candidates ?screen spec topo paths envelope ~limit =
   let admissible s =
     (match spec.Bilevel.threshold with
     | Some t -> Failure.Scenario.prob topo s >= t
@@ -142,10 +133,7 @@ let seed_candidates ?screen ?pool spec topo paths envelope ~limit =
         | None -> neg_infinity))
   in
   let scored =
-    (* one independent scenario solve per candidate: the sweep the pool
-       parallelizes; scores come back in candidate order *)
-    let arr = Array.of_list candidates in
-    Array.to_list (par_map ?pool (fun s -> (score s, s)) arr)
+    List.map (fun s -> (score s, s)) candidates
     |> List.filter (fun (sc, _) -> sc > neg_infinity)
     |> List.sort (fun (a, _) (b, _) -> compare b a)
   in
@@ -163,7 +151,7 @@ let analyze_with ?screen ?pool ~options topo paths envelope =
     | Some 0 -> []
     | limit ->
       let limit = Option.value limit ~default:6 in
-      seed_candidates ?screen ?pool options.spec topo paths envelope ~limit
+      seed_candidates ?screen options.spec topo paths envelope ~limit
       |> List.map (fun (s, d) -> Bilevel.hint built ~scenario:s ~demand:d)
   in
   let solver_options =
@@ -284,19 +272,18 @@ let analyze_with ?screen ?pool ~options topo paths envelope =
     nodes = sol.Milp.Solver.nodes;
   }
 
-(* One pool per analysis, shared by the candidate-screening sweep and
-   the branch-and-bound subtree rounds. A caller-held pool ([?pool]) is
-   borrowed instead; inside a pool task the pool gets one domain — the
-   nested levels run their exact sequential paths, so results are
-   identical either way. *)
+(* One pool per analysis, for the branch-and-bound subtree rounds (the
+   candidate screening is a few microsecond overlays and runs inline).
+   A caller-held pool ([?pool]) is borrowed instead; inside a pool task
+   the pool gets one domain — the nested levels run their exact
+   sequential paths, so results are identical either way. *)
 let analyze ?screen ?pool ?(options = default_options) topo paths
     envelope =
   match pool with
   | None when options.domains > 1 ->
     Parallel.Pool.with_pool ~domains:options.domains (fun pool ->
         analyze_with ?screen ~pool ~options topo paths envelope)
-  | None -> analyze_with ?screen ~options topo paths envelope
-  | Some pool -> analyze_with ?screen ~pool ~options topo paths envelope
+  | _ -> analyze_with ?screen ?pool ~options topo paths envelope
 
 let pp_report ppf r =
   Format.fprintf ppf

@@ -19,12 +19,13 @@ type options = {
           fed to the solver as warm-start hints. [None] defaults to 6;
           [Some 0] disables seeding. *)
   domains : int;
-      (** OCaml domains used for the scenario-evaluation sweeps (seed
-          candidate scoring here, enumeration in {!Baselines}) and for
-          the MILP core itself: one pool per {!analyze} is shared by the
-          screening sweep and the branch-and-bound subtree rounds
-          ({!Milp.Branch_bound.options.pool}). [1] (the default) is the
-          exact sequential path; results are identical for any value. *)
+      (** OCaml domains for the MILP core: one pool per {!analyze}
+          runs the branch-and-bound subtree rounds
+          ({!Milp.Branch_bound.options.pool}); {!Cluster} also solves a
+          wave's blocks on it. The seed-candidate screening (a few
+          microsecond overlay solves) always runs inline. [1] (the
+          default) is the exact sequential path; results are identical
+          for any value. *)
   dense_simplex : bool;
       (** solve LP relaxations with the legacy dense tableau instead of
           the revised simplex (no sparse factorization, no dual-simplex
@@ -100,11 +101,11 @@ type report = {
     — {!screening_engine} builds one — skipping the per-call prepare; a
     long-lived caller keeps one engine across many analyses.
 
-    [?pool] lends an existing domain pool to the screening sweep and
-    the branch-and-bound rounds; without it one pool is created per
-    call when [options.domains > 1] (never from inside a pool task —
-    nested calls run their exact sequential paths). Results are
-    bit-identical with or without a pool, at any width. *)
+    [?pool] lends an existing domain pool to the branch-and-bound
+    rounds only; without it one pool is created per call when
+    [options.domains > 1] (never from inside a pool task — nested calls
+    run their exact sequential paths). Results are bit-identical with
+    or without a pool, at any width. *)
 val analyze :
   ?screen:Te.Simulate.engine ->
   ?pool:Parallel.Pool.t ->

@@ -286,24 +286,20 @@ let hint built ~scenario ~demand =
     fm.Failure_model.link_down;
   List.iteri
     (fun k (pair : Netpath.Path_set.pair) ->
-      let all = Array.of_list (Netpath.Path_set.all_paths pair) in
-      let down =
-        Array.map
-          (fun p -> Failure.Scenario.path_down topo scenario (Netpath.Path.lag_list p))
-          all
-      in
-      Array.iteri (fun j d -> fix fm.Failure_model.path_down.(k).(j) (if d then 1. else 0.)) down;
-      let n_primary = Netpath.Path_set.num_primary pair in
-      let failed_before = ref 0 in
+      List.iteri
+        (fun j p ->
+          fix fm.Failure_model.path_down.(k).(j)
+            (if Failure.Scenario.path_down topo scenario (Netpath.Path.lag_list p)
+             then 1.
+             else 0.))
+        (Netpath.Path_set.all_paths pair);
+      (* the fail-over discipline of Eq. 5, as the simulator applies it *)
       Array.iteri
-        (fun j _ ->
-          (match fm.Failure_model.avail.(k).(j) with
-          | Some z ->
-            let active = !failed_before + n_primary - j - 1 >= 0 in
-            fix z (if active then 1. else 0.)
-          | None -> ());
-          if down.(j) then incr failed_before)
-        all)
+        (fun j active ->
+          Option.iter
+            (fun z -> fix z (if active then 1. else 0.))
+            fm.Failure_model.avail.(k).(j))
+        (Te.Simulate.availability topo pair scenario))
     fm.Failure_model.paths;
   (* demand levels: snap to the nearest level (quantized) or fix the
      continuous demand variable (Kkt) *)

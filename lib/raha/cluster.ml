@@ -75,8 +75,7 @@ let wave_budget ~remaining ~solves_left =
   if remaining = Float.infinity then Float.infinity
   else Float.max 0. (remaining /. float_of_int (max 1 solves_left))
 
-let analyze ?pool ?(options = Analysis.default_options) ~clusters topo paths
-    envelope =
+let analyze ?(options = Analysis.default_options) ~clusters topo paths envelope =
   let assign = partition topo ~clusters in
   let k = Array.fold_left max 0 assign + 1 in
   let pairs = Traffic.Envelope.pairs envelope in
@@ -184,7 +183,6 @@ let analyze ?pool ?(options = Analysis.default_options) ~clusters topo paths
       wave_budgets = List.rev !budgets;
     }
   in
-  match pool with
-  | None when options.Analysis.domains > 1 ->
+  if options.Analysis.domains > 1 then
     Parallel.Pool.with_pool ~domains:options.Analysis.domains (fun pool -> run (Some pool))
-  | _ -> run pool
+  else run None

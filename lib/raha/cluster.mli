@@ -44,13 +44,12 @@ val wave_budget : remaining:float -> solves_left:int -> float
 
     The (source, destination) blocks of one source cluster are
     independent — they free disjoint demand sets and read the pre-wave
-    matrix — and solve concurrently on the pool ([?pool], or one
-    created per call when [options.domains > 1]); their demands are
-    adopted in destination order, so the assembled matrix does not
-    depend on the execution schedule. The final fixed-demand solve runs
+    matrix — and solve concurrently on one pool of [options.domains]
+    domains per call (none at one domain); their demands are adopted in
+    destination order, so the assembled matrix does not depend on the
+    execution schedule. The final fixed-demand solve runs
     the parallel branch-and-bound on the same pool. *)
 val analyze :
-  ?pool:Parallel.Pool.t ->
   ?options:Analysis.options ->
   clusters:int ->
   Wan.Topology.t ->

@@ -235,62 +235,39 @@ let query_worst t ~budget ~max_nodes =
           ~events_at:(State.events_applied t.state) t
       @ [ ("elapsed", Json.float elapsed); ("counters", counters_json report) ])
 
-let now_answer t ~down ~deg ~prob ~cert ~counters =
-  let events_at = State.events_applied t.state in
-  ok
-    ([
-       ("kind", Json.String "now");
-       ("down", scenario_json down);
-       ( "degradation",
-         match deg with Some d -> Json.float d | None -> Json.Null );
-       ("prob", Json.float prob);
-       ("cert", Json.String cert);
-     ]
-    @ freshness ~provenance:"overlay" ~events_at t
-    @ [ ("counters", counters) ])
-
-(* Concurrent overlay evaluation: the engine is immutable and overlay
-   solves are pure, so a batch of "now" queries fans out on the
-   parallel pool (a single query runs inline). The order-preserving map
-   keeps the answer sequence bit-identical whatever the domain count,
-   and one counter scope around the batch — engine (re)build included —
-   sees every overlay (the pool credits worker-domain work back to this
-   domain). Per-query counter attribution is impossible under work
-   stealing, so the batch shares one counters/cert verdict — a failure
-   of any overlay audit taints the whole batch. *)
-let now_many t downs =
+(* One "now" query: a warm overlay solve of the persistent engine, run
+   inline in its own counter scope (engine (re)build included), so the
+   answer's counters and cert verdict are its own. *)
+let now t down =
   let scope = Milp.Lp_stats.scope_enter () in
   let topo = State.current_topology t.state in
-  let results =
+  let down = match down with Some d -> d | None -> State.live_down t.state in
+  let result =
     match engine_for t with
-    | None ->
-      Array.map (fun _ -> Error "healthy network cannot route the screening demand") downs
-    | Some eng ->
-      let live = State.live_down t.state in
-      let evaluate d =
-        let down = match d with Some d -> d | None -> live in
-        match Failure.Scenario.of_links topo down with
-        | exception Invalid_argument m -> Error m
-        | scenario ->
-          Ok
-            ( down,
-              Te.Simulate.degradation_prepared eng scenario,
-              Failure.Scenario.prob topo scenario )
-      in
-      let domains = max 1 t.cfg.options.Raha.Analysis.domains in
-      if domains = 1 || Array.length downs <= 1 then Array.map evaluate downs
-      else
-        Parallel.Pool.with_pool ~domains (fun pool ->
-            Parallel.Pool.map_array pool evaluate downs)
+    | None -> Error "healthy network cannot route the screening demand"
+    | Some eng -> (
+      match Failure.Scenario.of_links topo down with
+      | exception Invalid_argument m -> Error m
+      | scenario ->
+        Ok
+          ( Te.Simulate.degradation_prepared eng scenario,
+            Failure.Scenario.prob topo scenario ))
   in
   let report = Milp.Lp_stats.scope_exit scope in
-  let cert = cert_of_counters report.Milp.Lp_stats.scope_counters in
-  let counters = counters_json report in
-  Array.map
-    (function
-      | Error m -> err m
-      | Ok (down, deg, prob) -> now_answer t ~down ~deg ~prob ~cert ~counters)
-    results
+  match result with
+  | Error m -> err m
+  | Ok (deg, prob) ->
+    ok
+      ([
+         ("kind", Json.String "now");
+         ("down", scenario_json down);
+         ( "degradation",
+           match deg with Some d -> Json.float d | None -> Json.Null );
+         ("prob", Json.float prob);
+         ("cert", Json.String (cert_of_counters report.Milp.Lp_stats.scope_counters));
+       ]
+      @ freshness ~provenance:"overlay" ~events_at:(State.events_applied t.state) t
+      @ [ ("counters", counters_json report) ])
 
 (* ------------------------------------------------------------------ *)
 (* Push alerting                                                       *)
@@ -433,7 +410,7 @@ let handle t = function
     try query_worst t ~budget ~max_nodes
     with e -> err (Printf.sprintf "solve failed: %s" (Printexc.to_string e)))
   | Event.Query (Event.Now { down }) -> (
-    try (now_many t [| down |]).(0)
+    try now t down
     with e -> err (Printf.sprintf "overlay failed: %s" (Printexc.to_string e)))
   | Event.Query Event.Status -> query_status t
   | Event.Shutdown -> ok [ ("bye", Json.Bool true) ]

@@ -9,8 +9,10 @@
     {!handle} maps every protocol request to a response
     deterministically: replaying the same request sequence yields
     bit-identical responses (after {!strip_volatile}) whatever the
-    domain count — the seeding sweeps inside {!Raha.Analysis.analyze}
-    are order-preserving and the rest is sequential.
+    domain count — only the branch-and-bound rounds inside
+    {!Raha.Analysis.analyze} use a domain pool, and they are
+    order-preserving; a "now" query is one warm overlay solve run
+    inline on the calling domain.
 
     Query answers carry, besides the result itself:
     - ["cert"]: ["ok"] when the independent audits ({!Milp.Certify} for
@@ -48,21 +50,10 @@ val create : config -> Wan.Topology.t -> t
     [{"ok":false,"error":...}] responses, never exceptions). *)
 val handle : t -> Event.request -> Json.t
 
-(** [now_many t downs] answers a batch of "now" overlay queries
-    concurrently on the {!Parallel.Pool} ([options.domains] wide):
-    element [i] is the answer for overlay scenario [downs.(i)] ([None]
-    = the live-down set). {!handle} answers a [Now] query as a
-    one-item batch, which runs inline. Bit-identical to handling them
-    one by one {e except} for the volatile fields: counters (and hence the cert
-    verdict) are aggregated per batch, since work stealing cannot
-    attribute worker counters per query — an overlay-audit failure
-    anywhere taints the whole batch's cert, conservatively. *)
-val now_many : t -> (int * int) list option array -> Json.t array
-
 (** Drop the keys that legitimately differ between runs — ["elapsed"]
-    (wall clock) and ["counters"] (work-stealing attributes worker
-    counters nondeterministically when [domains > 1]) — for the replay
-    determinism comparisons. Everything else must be bit-identical. *)
+    (wall clock) and ["counters"] (the work a query did depends on what
+    the daemon had already built, e.g. after a restart) — for the
+    replay determinism comparisons. Everything else must be bit-identical. *)
 val strip_volatile : Json.t -> Json.t
 
 (** Served-query tallies: (cached, warm, cold). *)

@@ -28,9 +28,8 @@ type query =
   | Now of { down : (int * int) list option }
       (** degradation at the peak screening demand under an overlay
           scenario: the given [(lag, link)] set, or (default) the
-          currently-down links. A pure warm-overlay read on the
-          persistent engine — many of these run concurrently on the
-          {!Parallel.Pool} ({!Core.now_many}) *)
+          currently-down links. One warm overlay solve on the
+          persistent engine, run inline (microseconds) *)
   | Status  (** freshness and ingest statistics; never solves *)
 
 type request =

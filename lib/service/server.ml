@@ -95,64 +95,36 @@ let run ~socket core =
     else ignore (send_line conn.fd (Json.to_string json))
   in
   let shutdown_requested = ref false in
-  (* Answer one readiness round. Requests are answered in arrival
-     order; maximal runs of "now" queries fan out on the pool. *)
-  let process batch =
-    let flush_now_run run =
-      match List.rev run with
-      | [] -> ()
-      | items ->
-        let arr = Array.of_list items in
-        let downs =
-          Array.map
-            (fun (_, req) ->
-              match req with
-              | Event.Query (Event.Now { down }) -> down
-              | _ -> assert false)
-            arr
-        in
-        let answers = Core.now_many core downs in
-        Array.iteri (fun i (conn, _) -> respond conn answers.(i)) arr
-    in
-    let structural_ok resp =
-      Json.to_bool (Json.member "ok" resp) = Some true
-      && Json.to_bool (Json.member "structural" resp) = Some true
-    in
-    let rec go now_run = function
-      | [] -> flush_now_run now_run
-      | (conn, Error msg) :: rest ->
-        flush_now_run now_run;
-        respond conn (error_json msg);
-        go [] rest
-      | (conn, Ok (Event.Query (Event.Now _) as req)) :: rest ->
-        go ((conn, req) :: now_run) rest
-      | (conn, Ok (Event.Subscribe { tolerance })) :: rest ->
-        flush_now_run now_run;
-        Alerting.subscribe al ~id:conn.id ~tolerance;
-        (* nonblocking from here on: pushes must never stall the loop *)
-        Unix.set_nonblock conn.fd;
-        respond conn
-          (Json.Obj
-             ([ ("ok", Json.Bool true); ("subscribed", Json.Bool true) ]
-             @
-             match tolerance with
-             | Some tol -> [ ("tolerance", Json.float tol) ]
-             | None -> []));
-        go [] rest
-      | (conn, Ok req) :: rest ->
-        flush_now_run now_run;
-        let resp = Core.handle core req in
-        respond conn resp;
-        (* the push pipeline runs after each accepted structural ingest:
-           fast-stage notifications hit the wire before the deep solve *)
-        (match req with
-        | Event.Event _ when structural_ok resp ->
-          Core.evaluate_alert ~flush:flush_subscribers core
-        | _ -> ());
-        if req = Event.Shutdown then shutdown_requested := true;
-        go [] rest
-    in
-    go [] batch
+  let structural_ok resp =
+    Json.to_bool (Json.member "ok" resp) = Some true
+    && Json.to_bool (Json.member "structural" resp) = Some true
+  in
+  (* Answer one request of a readiness round; the round's requests are
+     answered in arrival order. *)
+  let answer (conn, req) =
+    match req with
+    | Error msg -> respond conn (error_json msg)
+    | Ok (Event.Subscribe { tolerance }) ->
+      Alerting.subscribe al ~id:conn.id ~tolerance;
+      (* nonblocking from here on: pushes must never stall the loop *)
+      Unix.set_nonblock conn.fd;
+      respond conn
+        (Json.Obj
+           ([ ("ok", Json.Bool true); ("subscribed", Json.Bool true) ]
+           @
+           match tolerance with
+           | Some tol -> [ ("tolerance", Json.float tol) ]
+           | None -> []))
+    | Ok req ->
+      let resp = Core.handle core req in
+      respond conn resp;
+      (* the push pipeline runs after each accepted structural ingest:
+         fast-stage notifications hit the wire before the deep solve *)
+      (match req with
+      | Event.Event _ when structural_ok resp ->
+        Core.evaluate_alert ~flush:flush_subscribers core
+      | _ -> ());
+      if req = Event.Shutdown then shutdown_requested := true
   in
   let stop = ref false in
   let chunk = Bytes.create 65536 in
@@ -203,7 +175,7 @@ let run ~socket core =
             | exception Unix.Unix_error _ -> closed conn
           end)
         !conns;
-      process (List.rev !batch);
+      List.iter answer (List.rev !batch);
       if !shutdown_requested then stop := true
   done;
   List.iter (fun c -> try Unix.close c.fd with Unix.Unix_error _ -> ()) !conns;

@@ -3,12 +3,9 @@
 
     The accept loop multiplexes any number of client connections with
     [select]. Requests that arrived in the same readiness round are
-    answered in arrival order, with one twist: a maximal run of
-    consecutive "now" overlay queries is evaluated concurrently on the
-    parallel pool ({!Core.now_many}) — the engine is immutable and
-    overlays are pure reads, so this is safe, order-preserving and
-    deterministic. Everything that mutates the core (events, worst-case
-    solves) stays strictly sequential.
+    answered one at a time, in arrival order, on the loop's own domain:
+    a "now" query is a microsecond overlay solve, so fanning a run of
+    them out on a domain pool would cost more than it saves.
 
     Framing: a partial line survives any split across [select] wakeups
     (the tail stays buffered until its newline arrives); a line longer

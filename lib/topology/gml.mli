@@ -8,9 +8,11 @@
 
 (** [parse_string ~name ?link_capacity ?fail_prob s] parses GML text.
     Each surviving edge becomes a single-link LAG.
-    @raise Failure with a line-oriented message on malformed input,
-    including a duplicate node id and a non-integral node id, edge
-    source or target. *)
+    @raise Failure with a message [Gml: line N: ...] on malformed
+    input. A syntax error names the line of the offending token; a
+    semantic error (a duplicate node id, a non-integral node id, edge
+    source or target, an edge to an unknown node, a [graph] entry that
+    is not a block) names the line of the block at fault. *)
 val parse_string :
   ?link_capacity:float -> ?fail_prob:float -> name:string -> string -> Topology.t
 

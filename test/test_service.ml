@@ -292,38 +292,29 @@ let test_replay_deterministic_across_domains () =
       | _ -> ())
     reqs out1
 
-let test_now_many_matches_sequential () =
+let test_now_identical_across_domains () =
   let downs =
-    [|
+    [
       None;
       Some [ (0, 0) ];
       Some [ (1, 0); (2, 0) ];
       Some [ (0, 0); (0, 0) ] (* duplicate: must come back as an error *);
       Some [ (4, 0) ];
-    |]
+    ]
   in
-  let batch ~domains =
+  let answers ~domains =
     let core = make_core ~domains () in
     ignore
       (Service.Core.handle core
          (Ev.Event (Ev.Link_down { lag = 3; link = 0; at = 50. })));
-    Array.map render (Service.Core.now_many core downs)
+    List.map
+      (fun d -> render (Service.Core.handle core (Ev.Query (Ev.Now { down = d }))))
+      downs
   in
-  let b1 = batch ~domains:1 and b4 = batch ~domains:4 in
-  Alcotest.(check (array string)) "batch identical across domains" b1 b4;
-  (* and identical to serving the same queries one at a time *)
-  let core = make_core ~domains:1 () in
-  ignore
-    (Service.Core.handle core
-       (Ev.Event (Ev.Link_down { lag = 3; link = 0; at = 50. })));
-  Array.iteri
-    (fun i d ->
-      check_str
-        (Printf.sprintf "batch %d = sequential" i)
-        (render (Service.Core.handle core (Ev.Query (Ev.Now { down = d }))))
-        b1.(i))
-    downs;
-  let dup = Result.get_ok (J.of_string b1.(3)) in
+  let a1 = answers ~domains:1 in
+  Alcotest.(check (list string)) "answers identical across domains" a1
+    (answers ~domains:4);
+  let dup = Result.get_ok (J.of_string (List.nth a1 3)) in
   Alcotest.(check bool) "duplicate down rejected" false (is_ok dup)
 
 (* --- invalidation soundness --------------------------------------------- *)
@@ -1202,6 +1193,44 @@ let test_framing_oversized_line () =
           Alcotest.(check bool) "connection survives" true
             (is_ok (Result.get_ok (J.of_string (read_response fd))))))
 
+let test_framing_events_and_now_in_one_write () =
+  with_server (fun socket ->
+      let fd = connect_raw socket in
+      Fun.protect
+        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+        (fun () ->
+          (* now, down, now, up, now in a single write: one readiness
+             round mixing events and overlay queries, answered in
+             arrival order against the state each request finds *)
+          let now = {|{"op":"query","q":"now"}|} in
+          write_all fd
+            (String.concat "\n"
+               [
+                 now;
+                 {|{"op":"event","ev":"down","lag":3,"link":0,"t":60}|};
+                 now;
+                 {|{"op":"event","ev":"up","lag":3,"link":0,"t":61}|};
+                 now;
+               ]
+            ^ "\n");
+          let answers =
+            List.init 5 (fun _ -> Result.get_ok (J.of_string (read_response fd)))
+          in
+          List.iter (fun j -> Alcotest.(check bool) "ok" true (is_ok j)) answers;
+          let kinds =
+            List.map
+              (fun j -> Option.value (J.to_str (J.member "kind" j)) ~default:"event")
+              answers
+          in
+          Alcotest.(check (list string)) "answer order"
+            [ "now"; "event"; "now"; "event"; "now" ] kinds;
+          check_int "down applied first" 1 (get_int "applied" (List.nth answers 1));
+          check_int "up applied second" 2 (get_int "applied" (List.nth answers 3));
+          let down j = J.to_string (J.member "down" j) in
+          Alcotest.(check (list string)) "only the middle now sees the down link"
+            [ "[]"; "[[3,0]]"; "[]" ]
+            (List.map down [ List.nth answers 0; List.nth answers 2; List.nth answers 4 ])))
+
 let suite =
   [
     ("json round trip", `Quick, test_json_roundtrip);
@@ -1213,7 +1242,7 @@ let suite =
     ("state ingestion", `Quick, test_state_apply);
     ("invalidation policy table", `Quick, test_policy_decide);
     ("replay deterministic across domains", `Quick, test_replay_deterministic_across_domains);
-    ("now batch = sequential", `Quick, test_now_many_matches_sequential);
+    ("now batch = sequential", `Quick, test_now_identical_across_domains);
     ("invalidation sound on corpus", `Quick, test_invalidation_sound);
     ("down-in-support invalidates", `Quick, test_down_in_support_invalidates);
     ("worst = analyze, cuts on", `Quick, test_worst_is_analyze Milp.Cuts.default);
@@ -1230,4 +1259,5 @@ let suite =
     ("alert pipeline end to end", `Quick, test_alert_pipeline_end_to_end);
     ("framing split line", `Quick, test_framing_split_line);
     ("framing oversized line", `Quick, test_framing_oversized_line);
+    ("framing events and now in one write", `Quick, test_framing_events_and_now_in_one_write);
   ]

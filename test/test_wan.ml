@@ -169,7 +169,32 @@ let test_gml_errors () =
   bad
     "graph [ node [ id 1.2 ] node [ id 1.7 ] node [ id 3 ] edge [ source 1.2 target 3 ] \
      edge [ source 1.7 target 3 ] ]";
-  bad "graph [ node [ id 1 ] node [ id 2 ] edge [ source 1 target 2.5 ] ]"
+  bad "graph [ node [ id 1 ] node [ id 2 ] edge [ source 1 target 2.5 ] ]";
+  (* every error names its line: the offending token's for a syntax
+     error, the faulty block's for a semantic one *)
+  let says s expected =
+    match Wan.Gml.parse_string ~name:"bad" s with
+    | exception Failure m -> Alcotest.(check string) (Printf.sprintf "error for %S" s) expected m
+    | _ -> Alcotest.failf "%S: expected Failure" s
+  in
+  says "graph [\n node [ id 1 ]\n node [ id 2 ]\n edge [ source 1 target 3 ]\n]"
+    "Gml: line 4: edge references unknown node 3";
+  says "graph [\n node [ id 1 ]\n node [ id 2 ]\n node [ id 1 ]\n]"
+    "Gml: line 4: duplicate node id 1";
+  says "graph [\n node [ id 1 ]\n\n node [ id 2.5 ]\n]" "Gml: line 4: non-integral node id 2.5";
+  says "graph [ node [ id 1 ] node [ id 2 ]\n edge [ source 1\n target 2.5 ] ]"
+    "Gml: line 2: non-integral edge target 2.5";
+  says "# comment\ngraph 5\n" "Gml: line 2: graph is not a block";
+  says "graph [ node [ id 1 ] ]\ngraph [ node [ id 2 ] ]" "Gml: line 2: multiple graph blocks";
+  says "graph [\n node [ label \"a\nb\" ]\n node [ label x ] ]" "Gml: line 2: node without id";
+  says "graph [\n node [ id 1 label \"a\nb\" ]\n edge [ ] ]" "Gml: line 4: edge without source/target";
+  says "graph [\n node [ id 1 ]\n label ]" "Gml: line 3: missing value for key \"label\"";
+  says "graph [\n\n [" "Gml: line 3: expected key";
+  says "\n\ngraph [ label \"open\n" "Gml: line 3: unterminated string";
+  says "graph [\n id 1e5e5 ]" "Gml: line 2: bad number \"1e5e5\"";
+  says "graph [\n id ! ]" "Gml: line 2: unexpected character '!'";
+  says "graph [\n]\n" "Gml: line 1: graph has no nodes";
+  says "node [ id 1 ]\n" "Gml: line 2: no graph block"
 
 (* A GML file is untrusted input: every truncation and every single-byte
    substitution of a valid file must parse or fail with [Failure] (which
