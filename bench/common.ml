@@ -241,10 +241,9 @@ let print_identity ~id runs =
       | _ -> invalid_arg "print_identity: two arms per cell")
     runs
 
-(* The solver ablations' cells: the §2.1 worked example under both
-   encodings plus, unless [~wan8:false] (the slower ablations' --quick
-   grid), the africa-like WAN. *)
-let solver_cells ?(wan8 = true) () =
+(* The solver experiments' cells: the §2.1 worked example under both
+   encodings and the africa-like WAN. *)
+let solver_cells () =
   let f1 = Wan.Generators.fig1 () in
   let f1_paths = paths_of ~primary:2 ~backup:0 f1 [ (1, 3); (2, 3) ] in
   let f1_env =
@@ -255,12 +254,9 @@ let solver_cells ?(wan8 = true) () =
   [
     ("fig1 / sd:5", sp5, f1, f1_paths, f1_env);
     ("fig1 / kkt", { sp5 with Raha.Bilevel.encoding = Raha.Bilevel.Kkt }, f1, f1_paths, f1_env);
+    ("wan8 / sd:3", spec ~threshold:1e-5 (), topo, paths_of topo pairs,
+     Traffic.Envelope.from_zero ~slack:0.3 (base_demand pairs));
   ]
-  @
-  if wan8 then
-    [ ("wan8 / sd:3", spec ~threshold:1e-5 (), topo, paths_of topo pairs,
-       Traffic.Envelope.from_zero ~slack:0.3 (base_demand pairs)) ]
-  else []
 
 let thresholds ctx = if ctx.quick then [ 1e-3; 1e-7 ] else [ 1e-1; 1e-3; 1e-5; 1e-7 ]
 let ks ctx = if ctx.quick then [ Some 2; None ] else [ Some 1; Some 2; Some 4; None ]

@@ -592,85 +592,76 @@ let ablation ctx =
 
 (* ------------------------------------------------------------- presolve *)
 
-(* Presolve over the bilevel encodings: model shrinkage from the
-   Milp.Presolve reductions, then the end-to-end solve cost (nodes,
-   simplex pivots, wall time) of the presolved analysis. The measured
-   rows are recorded in BENCH_presolve.json. *)
+(* Presolve over the bilevel encodings: the Milp.Presolve reductions of
+   each solver cell (rows, columns and integer columns before->after,
+   big-Ms tightened, columns fixed, passes). Reductions are
+   deterministic, so each row also prints a counters: line; the solve
+   cost of the presolved analysis is the solver experiment's default
+   arm. The measured rows are recorded in BENCH_presolve.json. *)
 let presolve_bench ctx =
   section ctx ~id:"presolve"
     ~paper:"MILP presolve / big-M tightening (DESIGN.md)"
     ~config:"fig1 worked example (sd:5, kkt) + africa-like WAN (8 nodes, sd:3)";
-  let cells = solver_cells () in
-  row "%-14s %8s %6s %5s %4s %8s %6s %5s %6s %6s@." "model" "rows" "cols" "int"
-    "->" "rows" "cols" "bigM" "fixed" "passes";
+  let fields = [ "rows"; "cols"; "int"; "bigm"; "fixed"; "passes" ] in
+  print_header fields;
   List.iter
     (fun (name, sp, topo, paths, env) ->
-      let built = Raha.Bilevel.build sp topo paths env in
-      let m = built.Raha.Bilevel.model in
-      match Milp.Presolve.presolve m with
-      | Milp.Presolve.Reduced { model = rm; stats; _ } ->
-        row "%-14s %8d %6d %5d %4s %8d %6d %5d %6d %6d@." name
-          (Milp.Model.num_cons m) (Milp.Model.num_vars m)
-          (Milp.Model.num_int_vars m) "->" (Milp.Model.num_cons rm)
-          (Milp.Model.num_vars rm) stats.Milp.Presolve.big_ms_tightened
-          stats.Milp.Presolve.cols_fixed stats.Milp.Presolve.passes
-      | Milp.Presolve.Infeasible _ -> row "%-14s infeasible@." name)
-    cells;
-  row "@.";
-  ignore
-    (ablate ctx ~id:"presolve" ~fields:[ "deg"; "nodes"; "pivots"; "certify"; "cert" ] cells
-       [ arm "on" Fun.id ])
+      let m = (Raha.Bilevel.build sp topo paths env).Raha.Bilevel.model in
+      match scoped (fun () -> Milp.Presolve.presolve m) with
+      | Milp.Presolve.Reduced { model = rm; stats; _ }, _, wall ->
+        let shrink f = Printf.sprintf "%d->%d" (f m) (f rm) in
+        print_run ~id:"presolve" ~cell:name ~arm:"reduce" ~fields ~wall
+          [
+            ("rows", shrink Milp.Model.num_cons); ("cols", shrink Milp.Model.num_vars);
+            ("int", shrink Milp.Model.num_int_vars);
+            ("bigm", string_of_int stats.Milp.Presolve.big_ms_tightened);
+            ("fixed", string_of_int stats.Milp.Presolve.cols_fixed);
+            ("passes", string_of_int stats.Milp.Presolve.passes);
+          ]
+      | Milp.Presolve.Infeasible _, _, _ -> row "%-14s infeasible@." name)
+    (solver_cells ())
+
+(* --------------------------------------------------------------- solver *)
 
 let no_cuts o = { o with Raha.Analysis.cuts = Milp.Cuts.disabled }
 
-(* -------------------------------------------------------------- revised *)
-
-(* Revised-simplex ablation: the same cells as the presolve experiment,
-   solved end-to-end with the legacy dense tableau vs the revised engine
-   (sparse LU basis + dual-simplex warm starts across B&B nodes). Cuts
-   are off in both arms so this stays a pure engine ablation (the cut
-   ablation is the "cuts" experiment) and the BENCH_revised.json
-   baselines remain comparable. *)
-let revised_bench ctx =
-  section ctx ~id:"revised"
-    ~paper:"revised simplex / dual warm-start ablation (DESIGN.md §9)"
-    ~config:
-      "fig1 worked example (sd:5, kkt) + africa-like WAN (8 nodes, sd:3); cuts disabled (pure engine ablation)";
-  ignore
-    (ablate ctx ~id:"revised"
-       ~fields:[ "deg"; "nodes"; "pivots"; "dual"; "fact"; "eta"; "warm"; "certify"; "cert" ]
-       (solver_cells ~wan8:(not ctx.quick) ())
-       [
-         arm "dense" (fun o -> { (no_cuts o) with Raha.Analysis.dense_simplex = true });
-         arm "revised" no_cuts;
-       ]);
+(* Solver-layer ablation: the solver cells under the defaults (revised
+   engine, cut pool, reliability branching, pump/RINS heuristics) and
+   three arms that each turn a layer back: no-cuts; dense, no-cuts on
+   the legacy dense tableau (a pure engine ablation against no-cuts);
+   frac, most-fractional branching with plunge-only incumbents. Every
+   arm solves the same MILPs to optimality, so degradations must agree.
+   warm is dual-simplex hits/attempts; gen/app/pruned/aud count cut
+   candidates, admitted cuts, aged-out cuts and incumbent-audit
+   failures; sb/pcu strong-branching probes and pseudocost updates;
+   hs/hr heuristic incumbents accepted/rejected by the unified-tolerance
+   re-check. aud and hr must be 0. Measured rows are recorded in
+   BENCH_revised.json, BENCH_cuts.json and BENCH_branching.json. *)
+let solver_bench ctx =
+  section ctx ~id:"solver"
+    ~paper:"solver layers: revised simplex, cut pool, reliability branching (DESIGN.md §9, §11, §15)"
+    ~config:"fig1 worked example (sd:5, kkt) + africa-like WAN (8 nodes, sd:3)";
+  let runs =
+    ablate ctx ~id:"solver"
+      ~fields:
+        [ "deg"; "nodes"; "pivots"; "dual"; "fact"; "eta"; "warm"; "gen"; "app"; "pruned";
+          "aud"; "sb"; "pcu"; "hs"; "hr"; "certify"; "cert" ]
+      (solver_cells ())
+      [
+        arm "default" Fun.id;
+        arm "no-cuts" no_cuts;
+        arm "dense" (fun o -> { (no_cuts o) with Raha.Analysis.dense_simplex = true });
+        arm "frac" (fun o ->
+            { o with Raha.Analysis.branching = Milp.Branch_bound.Fractional; heuristics = false });
+      ]
+  in
+  let default = total ~keep:(( = ) "default") runs in
+  row "counters: solver | total | sb=%d pcu=%d hs=%d hr=%d engaged=%b@."
+    (total runs "sb-probes") (total runs "pseudocost-updates")
+    (total runs "heuristic-solutions") (total runs "heuristic-rejections")
+    (default "sb-probes" > 0 && default "pseudocost-updates" > 0);
   row
-    "(warm is dual-simplex hits/attempts; identical node counts with      fewer pivots show the per-node saving)@."
-
-(* ----------------------------------------------------------------- cuts *)
-
-(* Cutting-plane ablation: the same cells solved with the cut subsystem
-   enabled vs disabled (the revised engine in both arms). Cuts are
-   globally valid tightenings of the LP relaxation, so the two arms must
-   report bit-identical degradations while branch-and-bound visits fewer
-   nodes with cuts on. The cut-pool fields are gen (candidates
-   generated), app (cuts admitted to the pool), pruned (aged out or
-   removed by audit) and aud (incumbent-audit failures, must stay 0).
-   The measured rows are recorded in BENCH_cuts.json. *)
-let cuts_bench ctx =
-  section ctx ~id:"cuts"
-    ~paper:"cutting-plane ablation: Gomory/cover/clique pool (DESIGN.md §11)"
-    ~config:
-      "fig1 worked example (sd:5, kkt) + africa-like WAN (8 nodes, sd:3); revised engine";
-  ignore
-    (ablate ctx ~id:"cuts"
-       ~fields:
-         [ "deg"; "nodes"; "pivots"; "dual"; "warm"; "gen"; "app"; "pruned"; "aud";
-           "certify"; "cert" ]
-       (solver_cells ~wan8:(not ctx.quick) ())
-       [ arm "on" Fun.id; arm "off" no_cuts ]);
-  row
-    "(bit-identical degradations with fewer nodes when cuts are on; aud      counts incumbent-audit failures and must be 0)@."
+    "(same degradations in every arm; fewer nodes under default than no-cuts and      frac; aud and hr must be 0)@."
 
 (* ---------------------------------------------------------- monte carlo *)
 
@@ -782,25 +773,29 @@ let small_rounds o = { o with Raha.Analysis.bb_width = 2; bb_grain = 4 }
    engages. Both arms print only schedule-independent fields, so CI runs
    the experiment at --domains 1 and --domains 4 and diffs the lines;
    the per-cell [identical=] flag also compares the two arms of one run
-   bit for bit. Wall-clock and the pool's busy/wall overlap are plain
-   rows (not diffed), recorded in BENCH_bb_parallel.json. *)
+   bit for bit. The cells cover every solver cell (fig1 k=1 is
+   fig1 / sd:5): pseudocost tables are frozen during parallel rounds
+   and merged in frontier order, so reliability branching must give
+   identical=true at any pool width. Wall-clock and the pool's
+   busy/wall overlap are plain rows (not diffed), recorded in
+   BENCH_bb_parallel.json. *)
 let bb_parallel ctx =
   section ctx ~id:"bb-parallel"
     ~paper:"parallel branch-and-bound: subtree rounds, shared incumbent (DESIGN.md §14)"
     ~config:"fig1 + africa-like bilevel cells, bb_width=2 bb_grain=4, domains 1 vs N";
-  let fig1_topo = Wan.Generators.fig1 () in
-  let fig1_paths = paths_of ~primary:2 ~backup:0 fig1_topo [ (1, 3); (2, 3) ] in
-  let typical = Traffic.Demand.of_list [ ((1, 3), 12.); ((2, 3), 10.) ] in
-  let fig1_env = Traffic.Envelope.around ~slack:0.5 typical in
-  let topo2, pairs2 = wan_small () in
-  let paths2 = paths_of topo2 pairs2 in
-  let env2 = Traffic.Envelope.from_zero ~slack:0.2 (base_demand pairs2) in
+  let cells = solver_cells () in
+  let named name (_, sp, topo, paths, env) = (name, sp, topo, paths, env) in
+  let _, sp5, f1, f1_paths, f1_env = List.hd cells in
+  let topo, pairs = wan_small () in
   let runs =
     ablate ctx ~id:"bb-parallel" ~fields:identity_fields
       [
-        ("fig1 k=1", spec ~max_failures:1 ~levels:5 (), fig1_topo, fig1_paths, fig1_env);
-        ("fig1 k=2", spec ~max_failures:2 ~levels:5 (), fig1_topo, fig1_paths, fig1_env);
-        ("africa", spec ~threshold:1e-4 ~max_failures:2 (), topo2, paths2, env2);
+        ("fig1 k=1", sp5, f1, f1_paths, f1_env);
+        ("fig1 k=2", { sp5 with Raha.Bilevel.max_failures = Some 2 }, f1, f1_paths, f1_env);
+        ("africa", spec ~threshold:1e-4 ~max_failures:2 (), topo, paths_of topo pairs,
+         Traffic.Envelope.from_zero ~slack:0.2 (base_demand pairs));
+        named "fig1 kkt" (List.nth cells 1);
+        List.nth cells 2;
       ]
       [ arm "dom=1" small_rounds; arm ~pooled:true "dom=N" small_rounds ]
   in
@@ -809,52 +804,6 @@ let bb_parallel ctx =
   row "counters: bb-parallel | total | rounds=%d engaged=%b@." rounds (rounds > 0);
   row
     "(both arms run the same round scheduler — it engages on frontier width, the      pool only moves where subtrees solve — so every line above must be identical      at --domains 1 and --domains 4, and aud must be 0)@."
-
-(* ----------------------------------------------------------- branching *)
-
-(* Branching-rule and primal-heuristics ablation: the solver cells
-   solved with the legacy search (most-fractional branching, plunge-only
-   incumbents — the exact pre-pseudocost code path) versus the default
-   reliability branching with the pump/RINS heuristics enabled. Both
-   arms solve the same bilevel MILPs to optimality, so the degradations
-   must agree; the reliability arm must visit fewer nodes (recorded in
-   BENCH_branching.json against BENCH_cuts.json's 53/15-node baselines).
-   The fields add sb (strong-branching probes), pcu (pseudocost
-   observations), hs/hr (heuristic incumbents accepted / rejected by the
-   unified-tolerance re-check — hr must stay 0 on this corpus, and every
-   hs passed the same tolerance Certify enforces). A second table
-   re-solves the reliability arm at bb_width=2 sequentially and on a
-   ctx.domains pool — pseudocost tables are frozen during parallel
-   rounds and merged in frontier order, so [identical=] must hold at any
-   pool width. *)
-let branching_bench ctx =
-  section ctx ~id:"branching"
-    ~paper:"reliability branching + primal heuristics vs most-fractional (DESIGN.md §15)"
-    ~config:
-      "fig1 worked example (sd:5, kkt) + africa-like WAN (8 nodes, sd:3); revised engine";
-  let cells = solver_cells ~wan8:(not ctx.quick) () in
-  let runs =
-    ablate ctx ~id:"branching"
-      ~fields:
-        [ "deg"; "nodes"; "pivots"; "dual"; "sb"; "pcu"; "hs"; "hr"; "aud"; "certify"; "cert" ]
-      cells
-      [
-        arm "frac" (fun o ->
-            { o with Raha.Analysis.branching = Milp.Branch_bound.Fractional; heuristics = false });
-        (* the defaults: reliability branching, pump and RINS on *)
-        arm "rel" Fun.id;
-      ]
-  in
-  print_identity ~id:"branching"
-    (ablate ctx ~id:"branching" ~fields:identity_fields cells
-       [ arm "ident-seq" small_rounds; arm ~pooled:true "ident" small_rounds ]);
-  let sb = total runs "sb-probes" and pcu = total runs "pseudocost-updates" in
-  row "counters: branching | total | sb=%d pcu=%d hs=%d hr=%d engaged=%b@." sb pcu
-    (total runs "heuristic-solutions")
-    (total runs "heuristic-rejections")
-    (sb > 0 && pcu > 0);
-  row
-    "(same degradations both arms; fewer nodes under rel; hr must be 0 — every      heuristic incumbent is re-checked at the certifier's tolerance before      acceptance; identical= must hold at any --domains)@."
 
 (* ---------------------------------------------------------------- service *)
 
@@ -1197,13 +1146,11 @@ let all : (string * string * (ctx -> unit)) list =
     ("tab4", "Cogentco degradation table (8 clusters)", tab4);
     ("mlu", "worst-case MLU degradation vs slack (§8.5)", mlu);
     ("ablation", "strong-duality vs KKT encoding (design choice)", ablation);
-    ("presolve", "MILP presolve / big-M tightening: reductions and solve cost", presolve_bench);
-    ("revised", "revised simplex + dual warm starts vs dense tableau", revised_bench);
-    ("cuts", "cutting planes (Gomory/cover/clique pool) on vs off", cuts_bench);
+    ("presolve", "MILP presolve / big-M tightening: model reductions", presolve_bench);
+    ("solver", "solver layers: defaults vs no cuts, dense tableau, most-fractional", solver_bench);
     ("montecarlo", "Monte Carlo sampling vs Raha's worst case (§1)", montecarlo);
     ("batch", "batched scenario engine (overlay + warm) vs the Simulate oracle", batch_bench);
     ("bb-parallel", "parallel branch-and-bound rounds, domains 1 vs N", bb_parallel);
-    ("branching", "reliability branching + heuristics vs most-fractional", branching_bench);
     ("service", "always-on service vs cold-solve-per-query replay", service_bench);
     ("alerting", "push alerting: crossings, deep-solve sharing, backpressure", alerting_bench);
     ("ffc", "FFC-protected network still degrades beyond k (§2.2)", ffc);

@@ -12,9 +12,9 @@
      dune exec bench/main.exe -- --skip-micro skip the Bechamel timings
 
    These seven options are the whole interface. Solver layers have no
-   flags: each on/off experiment (revised, cuts, branching, bb-parallel,
-   ablation) runs its arms as overrides of the one
-   Raha.Analysis.options record (README, "Ablations"). *)
+   flags: each on/off experiment (solver, bb-parallel, ablation) runs
+   its arms as overrides of the one Raha.Analysis.options record
+   (README, "Solver options"). *)
 
 let () =
   let only = ref [] and list = ref false in

@@ -30,13 +30,13 @@ type options = {
       (** solve LP relaxations with the legacy dense tableau instead of
           the revised simplex (no sparse factorization, no dual-simplex
           warm starts; {!Milp.Branch_bound.options.engine}); default
-          [false]; the [revised] bench arm turns it on. *)
+          [false]; the [dense] arm of the [solver] bench turns it on. *)
   cuts : Milp.Cuts.options;
       (** cutting planes for the branch-and-bound solve
           ({!Milp.Cuts}: Gomory mixed-integer, knapsack cover and clique
           cuts over a managed pool). Default {!Milp.Cuts.default};
-          [Milp.Cuts.disabled] (the [cuts] bench arm) restores the
-          cut-free search exactly. *)
+          [Milp.Cuts.disabled] (the [no-cuts] arm of the [solver] bench)
+          restores the cut-free search exactly. *)
   sx_iters : int option;
       (** simplex pivot budget per LP relaxation
           ({!Milp.Branch_bound.options.sx_iters}); default [None] = unlimited.

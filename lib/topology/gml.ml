@@ -88,9 +88,11 @@ let find_num key pairs =
 let find_str key pairs =
   List.find_map (fun (k, _, v) -> match v with Scalar_str s when k = key -> Some s | _ -> None) pairs
 
-(* the [key] entries that are blocks, each with its line *)
+(* every [key] entry with its line; each must be a block *)
 let blocks key pairs =
-  List.filter_map (function line, Block b -> Some (line, b) | _ -> None) (find_all key pairs)
+  List.map
+    (function line, Block b -> (line, b) | line, _ -> fail line "%s is not a block" key)
+    (find_all key pairs)
 
 (* Node ids, sources and targets must be integers: truncating 1.2 and
    1.7 to the same id would silently merge two nodes. *)
@@ -102,13 +104,10 @@ let parse_string ?(link_capacity = 1000.) ?(fail_prob = 0.01) ~name s =
   let tokens, last_line = tokenize s in
   let pairs, _ = parse_block tokens in
   let graph_line, graph =
-    match find_all "graph" pairs with
+    match blocks "graph" pairs with
     | [] -> fail last_line "no graph block"
-    | [ (line, Block g) ] -> (line, g)
-    | entries -> (
-      match List.find_opt (function _, Block _ -> false | _ -> true) entries with
-      | Some (line, _) -> fail line "graph is not a block"
-      | None -> fail (fst (List.nth entries 1)) "multiple graph blocks")
+    | [ g ] -> g
+    | _ :: (line, _) :: _ -> fail line "multiple graph blocks"
   in
   let raw_nodes =
     List.map

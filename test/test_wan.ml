@@ -186,6 +186,11 @@ let test_gml_errors () =
     "Gml: line 2: non-integral edge target 2.5";
   says "# comment\ngraph 5\n" "Gml: line 2: graph is not a block";
   says "graph [ node [ id 1 ] ]\ngraph [ node [ id 2 ] ]" "Gml: line 2: multiple graph blocks";
+  (* a scalar node or edge entry beside valid blocks is not dropped *)
+  says "graph [\n node [ id 1 ]\n node [ id 2 ]\n node 7\n edge [ source 1 target 2 ]\n]"
+    "Gml: line 4: node is not a block";
+  says "graph [\n node [ id 1 ]\n node [ id 2 ]\n edge [ source 1 target 2 ]\n edge 9\n]"
+    "Gml: line 5: edge is not a block";
   says "graph [\n node [ label \"a\nb\" ]\n node [ label x ] ]" "Gml: line 2: node without id";
   says "graph [\n node [ id 1 label \"a\nb\" ]\n edge [ ] ]" "Gml: line 4: edge without source/target";
   says "graph [\n node [ id 1 ]\n label ]" "Gml: line 3: missing value for key \"label\"";
