@@ -22,6 +22,8 @@ let estimate ~horizon events =
   in
   Float.min 1. (downtime /. horizon)
 
+let clamp_estimate p = Float.min 0.99 (Float.max 1e-6 p)
+
 (* Incremental estimator: the running-sum form of [estimate]. Each
    closed outage is folded once, in chronological order, with the same
    floating-point operations the batch fold performs, so every reading is

@@ -16,6 +16,11 @@ type event = { down_at : float; up_at : float }
     @raise Invalid_argument on malformed traces. *)
 val estimate : horizon:float -> event list -> float
 
+(** [clamp_estimate p] is [p] clamped to [[1e-6, 0.99]], the range an
+    estimate may take as a link's failure probability: it keeps the
+    log-probabilities of scenarios finite. *)
+val clamp_estimate : float -> float
+
 (** Incremental renewal-reward estimation for streaming telemetry.
 
     {!estimate} re-walks the whole event list per reading — O(events)

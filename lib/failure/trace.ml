@@ -37,8 +37,7 @@ let calibrate_topology ~seed ~horizon topo =
                           ~mean_downtime:mttr ~horizon ()
                       in
                       let est = Renewal.estimate ~horizon events in
-                      (* keep strictly inside [0, 1) for downstream log *)
-                      { l with Wan.Lag.fail_prob = Float.min 0.99 (Float.max 1e-6 est) }
+                      { l with Wan.Lag.fail_prob = Renewal.clamp_estimate est }
                     end)
            in
            Wan.Lag.make ~id:lag.Wan.Lag.lag_id ~src:lag.Wan.Lag.src ~dst:lag.Wan.Lag.dst

@@ -68,49 +68,21 @@ let solve ?warm ?(patch = []) t =
 (* ------------------------------------------------------------------ *)
 (* Independent overlay audit                                           *)
 
-let feas_tol = 1e-5
-let obj_tol = 1e-6
-
 (* Re-validate an overlay's claimed optimum against the original model
-   rows with the patched rhs substituted: row senses, variable bounds,
-   and the recomputed objective. Purely from model data — none of the
-   solver's internal state is trusted. Bumps the certify counters so
-   batched sweeps show up in the same audit accounting as certified
-   MILP solves. *)
+   with the patched rhs substituted, through the certifier's point check
+   at its default tolerances (integrality aside: an overlay solves the
+   LP relaxation). Purely from model data — none of the solver's
+   internal state is trusted. Bumps the certify counters so batched
+   sweeps show up in the same audit accounting as certified MILP
+   solves. *)
+let tols = { Certify.default_tolerances with Certify.int_tol = infinity }
+
 let check ?(patch = []) ~obj ~values t =
   Lp_stats.incr Lp_stats.certify_checks;
-  let model = Simplex.prep_model t.prep in
-  let b = patched_rhs t patch in
-  let conss = Model.conss model in
-  let lbs, ubs = Model.bounds model in
-  let fails = ref [] in
-  let fail fmt = Printf.ksprintf (fun s -> fails := s :: !fails) fmt in
-  Array.iteri
-    (fun j v ->
-      let eps = feas_tol *. (1. +. Float.abs v) in
-      if v < lbs.(j) -. eps || v > ubs.(j) +. eps then
-        fail "column %d = %g outside [%g, %g]" j v lbs.(j) ubs.(j))
-    values;
-  Array.iteri
-    (fun i (c : Model.cons) ->
-      let act, scale = Certify.kahan_eval values c.Model.lhs in
-      let tol = feas_tol *. (1. +. Float.max scale (Float.abs b.(i))) in
-      let viol =
-        match c.Model.rel with
-        | Model.Le -> act -. b.(i)
-        | Model.Ge -> b.(i) -. act
-        | Model.Eq -> Float.abs (act -. b.(i))
-      in
-      if viol > tol then
-        fail "row %s violated by %g (activity %g, rhs %g)" c.Model.cname
-          (viol -. tol) act b.(i))
-    conss;
-  let _, objx = Model.objective model in
-  let recomputed, oscale = Certify.kahan_eval values objx in
-  if Float.abs (recomputed -. obj) > obj_tol *. (1. +. Float.abs oscale) then
-    fail "objective %g <> recomputed %g" obj recomputed;
-  match !fails with
-  | [] -> Ok ()
-  | fs ->
+  let rhs = patched_rhs t patch in
+  let p = Certify.check_point ~rhs ~obj ~tols (Simplex.prep_model t.prep) values in
+  match p.Certify.failure with
+  | None -> Ok ()
+  | Some reason ->
     Lp_stats.incr Lp_stats.certify_failures;
-    Error (String.concat "; " (List.rev fs))
+    Error reason

@@ -51,11 +51,11 @@ val solve :
   outcome
 
 (** [check ?patch ~obj ~values t] independently re-validates a claimed
-    overlay optimum against the original model rows with the patched
-    rhs substituted: variable bounds, row senses (Kahan-compensated
-    activities, scaled tolerances), and the recomputed objective.
-    Bumps the certify-checks/failures counters. [Error] carries a
-    human-readable description of every violated check. *)
+    overlay optimum: {!Certify.check_point} at the default certification
+    tolerances, with the patched rhs substituted and integrality not
+    checked (an overlay solves the LP relaxation). Bumps the
+    certify-checks/failures counters. [Error] carries the first failed
+    check. *)
 val check :
   ?patch:(int * float) list ->
   obj:float ->

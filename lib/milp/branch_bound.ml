@@ -287,8 +287,8 @@ end
    [neg_infinity] exactly while no incumbent exists. *)
 let within_gap options ~best k =
   best > neg_infinity
-  && (k -. best <= options.abs_gap
-     || k -. best <= options.rel_gap *. Float.max 1. (Float.abs best))
+  && k -. best
+     <= Certify.gap_allowance ~abs_gap:options.abs_gap ~rel_gap:options.rel_gap best
 
 (* Lift the parent basis onto [prep], the current (possibly
    cut-extended) LP; unusable shapes and bases from before the last
@@ -478,8 +478,14 @@ let solve ?(options = default) model =
         Log.info (fun f -> f "new incumbent %.6g at node %d" (osign *. obj) !nodes)
     end
   in
+  (* The incumbent gate: the certifier's point check against the model
+     being searched, at tolerances no looser than the final
+     certification's in any component, so no admitted incumbent can
+     later be certify-rejected. *)
+  let gate_tols = Certify.gate_tolerances ~int_tol:options.int_tol in
+  let gate values = (Certify.check_point ~tols:gate_tols model values).Certify.failure in
   (match options.warm_start with
-  | Some v when Model.check_feasible ~tol:options.int_tol model v = None ->
+  | Some v when gate v = None ->
     consider_incumbent v (osign *. Model.objective_value model v)
   | Some _ | None -> ());
   (* Primal heuristics ({!Heuristics}): LP-guided diving (the original
@@ -495,17 +501,14 @@ let solve ?(options = default) model =
       cutoff = (fun () -> !incumbent_obj);
     }
   in
-  (* Unified incumbent gate: every heuristic candidate is re-checked
-     against the original model at [options.int_tol] — the same
-     tolerance the warm-start path uses and the certifier enforces — so
-     no admitted incumbent can later be certify-rejected. A candidate
-     failing here is counted and dropped instead of silently pruning
-     the tree and failing certification afterwards. *)
+  (* Every heuristic candidate passes the same gate as the warm start.
+     A candidate failing it is counted and dropped instead of silently
+     pruning the tree and failing certification afterwards. *)
   let try_candidate ~what cand =
     match cand with
     | None -> ()
     | Some (values, obj) -> (
-      match Model.check_feasible ~tol:options.int_tol model values with
+      match gate values with
       | None ->
         Lp_stats.incr Lp_stats.heuristic_solutions;
         (match options.on_incumbent with Some f -> f values | None -> ());

@@ -38,23 +38,132 @@ type t = {
   failures : string list;
 }
 
-(* Kahan-compensated evaluation of a linear expression at a point; also
-   returns the largest |term| seen, the natural scale for the residual
-   tolerance of the row it came from. *)
-let kahan_eval values e =
-  let s = ref 0. and c = ref 0. and scale = ref 0. in
+(* The certification tolerances of a solve run at [int_tol], [abs_gap]
+   and [rel_gap]: integrality gets ten times the solver's window (never
+   below the default), the gaps are the solver's, the rest the
+   defaults. *)
+let solver_tolerances ~int_tol ~abs_gap ~rel_gap =
+  {
+    default_tolerances with
+    int_tol = Float.max default_tolerances.int_tol (10. *. int_tol);
+    abs_gap;
+    rel_gap;
+  }
+
+(* The incumbent gate's: each point component is the smaller of
+   certification's and [int_tol], so a point the gate admits passes
+   certification's point check. *)
+let gate_tolerances ~int_tol =
+  let c = solver_tolerances ~int_tol ~abs_gap:0. ~rel_gap:0. in
+  {
+    c with
+    feas_tol = Float.min c.feas_tol int_tol;
+    int_tol = Float.min c.int_tol int_tol;
+  }
+
+(* The objective gap a bound may leave over an incumbent [obj]. *)
+let gap_allowance ~abs_gap ~rel_gap obj =
+  Float.max abs_gap (rel_gap *. Float.max 1. (Float.abs obj))
+
+(* Kahan-compensated evaluation of a linear expression at a point; [scale]
+   ends as the largest |term| seen, the natural scale for the residual
+   tolerance of the row it came from. An all-float record keeps the
+   running sums unboxed. *)
+type kahan = { mutable sum : float; mutable comp : float; mutable scale : float }
+
+let kahan_eval acc values e =
+  acc.sum <- 0.;
+  acc.comp <- 0.;
+  acc.scale <- 0.;
   Linexpr.iter
     (fun id k ->
       let term = k *. values.(id) in
       let a = Float.abs term in
-      if a > !scale then scale := a;
-      let y = term -. !c in
-      let t = !s +. y in
-      c := (t -. !s) -. y;
-      s := t)
+      if a > acc.scale then acc.scale <- a;
+      let y = term -. acc.comp in
+      let t = acc.sum +. y in
+      acc.comp <- (t -. acc.sum) -. y;
+      acc.sum <- t)
     e;
-  let k0 = Linexpr.constant e in
-  ((!s +. (k0 -. !c)), !scale)
+  acc.sum +. (Linexpr.constant e -. acc.comp)
+
+type point = {
+  row_residual : float;
+  bound_residual : float;
+  int_residual : float;
+  obj_error : float;
+  failure : string option;
+  acts : float array;
+}
+
+let check_point ?rhs ?obj ~tols model values =
+  let nv = Model.num_vars model and m = Model.num_cons model in
+  if Array.length values <> nv then
+    { row_residual = infinity; bound_residual = infinity; int_residual = infinity;
+      obj_error = infinity; failure = Some "claimed point has the wrong length"; acts = [||] }
+  else begin
+    (* Residuals are folded inline (no closure holds a running maximum,
+       so none is boxed); only failures are formatted. *)
+    let failure = ref None in
+    let fail fmt = Printf.ksprintf (fun s -> if !failure = None then failure := Some s) fmt in
+    let conss = Model.conss model in
+    let acc = { sum = 0.; comp = 0.; scale = 0. } in
+    let acts = Array.make m 0. in
+    let row_res = ref 0. in
+    for i = 0 to m - 1 do
+      let c = conss.(i) in
+      let lhs = kahan_eval acc values c.Model.lhs in
+      acts.(i) <- lhs;
+      let b = match rhs with Some b -> b.(i) | None -> c.Model.rhs in
+      let viol =
+        match c.Model.rel with
+        | Model.Le -> lhs -. b
+        | Model.Ge -> b -. lhs
+        | Model.Eq -> Float.abs (lhs -. b)
+      in
+      let res = Float.max 0. viol /. (1. +. Float.abs b +. acc.scale) in
+      if res > !row_res then row_res := res;
+      if res > tols.feas_tol then fail "row %d (%s): residual %.3e" i c.Model.cname res
+    done;
+    let bound_res = ref 0. and int_res = ref 0. in
+    for j = 0 to nv - 1 do
+      let v = Model.var_of_id model j and x = values.(j) in
+      let res =
+        if Float.is_nan x then infinity
+        else
+          Float.max
+            (if Float.is_finite v.Model.lb then (v.Model.lb -. x) /. (1. +. Float.abs v.Model.lb)
+             else 0.)
+            (if Float.is_finite v.Model.ub then (x -. v.Model.ub) /. (1. +. Float.abs v.Model.ub)
+             else 0.)
+      in
+      if res > !bound_res then bound_res := res;
+      if res > tols.feas_tol then
+        fail "%s = %g outside [%g, %g]: residual %.3e" v.Model.vname x v.Model.lb v.Model.ub res;
+      if v.Model.kind <> Model.Continuous then begin
+        let frac = Float.abs (x -. Float.round x) in
+        if frac > !int_res then int_res := frac;
+        if frac > tols.int_tol then fail "%s = %g not integral: frac %.3e" v.Model.vname x frac
+      end
+    done;
+    let obj_error =
+      match obj with
+      | None -> 0.
+      | Some obj ->
+        let recomputed = kahan_eval acc values (snd (Model.objective model)) in
+        let err = Float.abs (recomputed -. obj) /. (1. +. Float.abs obj) in
+        if not (err <= tols.obj_tol) then
+          fail "objective mismatch: reported %.9g, recomputed %.9g" obj recomputed;
+        err
+    in
+    { row_residual = !row_res; bound_residual = !bound_res; int_residual = !int_res;
+      obj_error; failure = !failure; acts }
+  end
+
+let point_feasible ~tols p =
+  p.row_residual <= tols.feas_tol
+  && p.bound_residual <= tols.feas_tol
+  && p.int_residual <= tols.int_tol
 
 (* ------------------------------------------------------------------ *)
 (* Dual-feasibility / weak-duality certificate for pure LPs.
@@ -288,70 +397,22 @@ let dual_certificate ~tols model ~values ~statuses ~acts ~obj =
 let check ?(tols = default_tolerances) ?(optimal = false) ~model ~obj ~bound
     ~values ~statuses () =
   let nv = Model.num_vars model in
-  let conss = Model.conss model in
-  let m = Array.length conss in
   let failures = ref [] in
   let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
-  let point_ok, max_primal, max_int, acts =
+  let point_ok, max_primal, max_int, obj_error, obj_ok, acts =
     if Array.length values <> nv || not (Float.is_finite obj) then begin
       fail "claimed point missing or objective not finite";
-      (false, infinity, infinity, [||])
+      (false, infinity, infinity, infinity, false, [||])
     end
     else begin
-      let acts = Array.make m 0. in
-      let max_res = ref 0. and first = ref true in
-      let bump ?ctx res =
-        if res > !max_res then max_res := res;
-        if res > tols.feas_tol && !first then begin
-          first := false;
-          match ctx with Some s -> fail "%s: residual %.3e" s res | None -> ()
-        end
-      in
-      Array.iteri
-        (fun i (c : Model.cons) ->
-          let lhs, tscale = kahan_eval values c.Model.lhs in
-          acts.(i) <- lhs;
-          let scale = 1. +. Float.abs c.Model.rhs +. tscale in
-          let viol =
-            match c.Model.rel with
-            | Model.Le -> lhs -. c.Model.rhs
-            | Model.Ge -> c.Model.rhs -. lhs
-            | Model.Eq -> Float.abs (lhs -. c.Model.rhs)
-          in
-          bump ~ctx:(Printf.sprintf "row %d (%s)" i c.Model.cname)
-            (Float.max 0. viol /. scale))
-        conss;
-      Array.iter
-        (fun (v : Model.var) ->
-          let x = values.(v.Model.vid) in
-          if Float.is_finite v.Model.lb then
-            bump ~ctx:(Printf.sprintf "lower bound of %s" v.Model.vname)
-              ((v.Model.lb -. x) /. (1. +. Float.abs v.Model.lb));
-          if Float.is_finite v.Model.ub then
-            bump ~ctx:(Printf.sprintf "upper bound of %s" v.Model.vname)
-              ((x -. v.Model.ub) /. (1. +. Float.abs v.Model.ub)))
-        (Model.vars model);
-      let max_int = ref 0. in
-      List.iter
-        (fun id ->
-          let x = values.(id) in
-          let frac = Float.abs (x -. Float.round x) in
-          if frac > !max_int then max_int := frac;
-          if frac > tols.int_tol && frac = !max_int then
-            fail "variable %s not integral: frac %.3e" (Model.var_name model id) frac)
-        (Model.int_var_ids model);
-      (!max_res <= tols.feas_tol && !max_int <= tols.int_tol, !max_res, !max_int, acts)
-    end
-  in
-  let obj_error, obj_ok =
-    if not (Float.is_finite obj) || Array.length values <> nv then (infinity, false)
-    else begin
-      let _, objx = Model.objective model in
-      let recomputed, _ = kahan_eval values objx in
-      let err = Float.abs (recomputed -. obj) /. (1. +. Float.abs obj) in
-      if err > tols.obj_tol then
-        fail "objective mismatch: reported %.9g, recomputed %.9g" obj recomputed;
-      (err, err <= tols.obj_tol)
+      let p = check_point ~obj ~tols model values in
+      Option.iter (fail "%s") p.failure;
+      ( point_feasible ~tols p,
+        Float.max p.row_residual p.bound_residual,
+        p.int_residual,
+        p.obj_error,
+        p.obj_error <= tols.obj_tol,
+        p.acts )
     end
   in
   let bound_violation, bound_ok =
@@ -364,9 +425,7 @@ let check ?(tols = default_tolerances) ?(optimal = false) ~model ~obj ~bound
       (infinity, false)
     end
     else begin
-      let gap =
-        Float.max tols.abs_gap (tols.rel_gap *. Float.max 1. (Float.abs obj_max))
-      in
+      let gap = gap_allowance ~abs_gap:tols.abs_gap ~rel_gap:tols.rel_gap obj_max in
       let slack = 1e-9 *. (1. +. Float.abs obj_max) in
       let over = obj_max -. bound_max -. gap -. slack in
       if over > 0. then

@@ -20,13 +20,15 @@
       the claimed objective within [dual_gap_tol].
 
     Certificates are toleranced, not exact rational proofs: a pass means
-    the answer is consistent with the model to the stated tolerances. *)
+    the answer is consistent with the model to the stated tolerances.
+
+    {!check_point} is the one feasibility rule of the solver: the point
+    section of {!check}, the overlay audit {!Batch.check} and the
+    branch-and-bound incumbent gate all call it. *)
 
 type tolerances = {
   feas_tol : float;
-      (** max normalized primal residual / bound violation; default 1e-5
-          (matches the absolute tolerance branch-and-bound accepts
-          incumbents at, since row scales are >= 1) *)
+      (** max normalized primal residual / bound violation; default 1e-5 *)
   int_tol : float;  (** max distance to integrality; default 1e-5 *)
   obj_tol : float;
       (** max relative error between the reported objective and its
@@ -42,6 +44,44 @@ type tolerances = {
 }
 
 val default_tolerances : tolerances
+
+(** The tolerances a solve run at [int_tol], [abs_gap] and [rel_gap] is
+    certified at: the defaults, with [int_tol] widened to
+    [max 1e-5 (10 * int_tol)]. *)
+val solver_tolerances : int_tol:float -> abs_gap:float -> rel_gap:float -> tolerances
+
+(** The branch-and-bound incumbent gate's tolerances: [feas_tol] and
+    [int_tol] are the smaller of [solver_tolerances ~int_tol]'s and
+    [int_tol] ([1e-6] each at the default [int_tol]). No component is
+    looser than certification's, so every point the gate admits passes
+    the final certificate's point check. *)
+val gate_tolerances : int_tol:float -> tolerances
+
+(** [gap_allowance ~abs_gap ~rel_gap obj] is how far a bound may stand
+    above the objective [obj] (maximization form) while the gap counts
+    as closed: [max abs_gap (rel_gap * max 1 |obj|)]. *)
+val gap_allowance : abs_gap:float -> rel_gap:float -> float -> float
+
+(** Verdict of {!check_point}. A row's violation is normalized by
+    [1 + |rhs| + max |term|] (activities are Kahan sums), a bound's by
+    [1 + |bound|]; a NaN coordinate violates its bounds infinitely. *)
+type point = {
+  row_residual : float;
+  bound_residual : float;
+  int_residual : float;  (** worst distance to integrality *)
+  obj_error : float;  (** [|recomputed - obj| / (1 + |obj|)]; [0.] without [obj] *)
+  failure : string option;
+      (** the first failed check: rows, then each variable's bounds and
+          integrality, then the objective *)
+  acts : float array;  (** row activities *)
+}
+
+(** [check_point ?rhs ?obj ~tols model values] checks [values] against
+    [model]'s rows (with right-hand sides [rhs] when given), bounds,
+    integrality and, with [obj], the claimed objective. A point of the
+    wrong length fails with infinite residuals. Bumps no counter. *)
+val check_point :
+  ?rhs:float array -> ?obj:float -> tols:tolerances -> Model.t -> float array -> point
 
 type t = {
   ok : bool;  (** every applicable check passed *)
@@ -86,7 +126,3 @@ val check :
 
 val pp : Format.formatter -> t -> unit
 
-(** [kahan_eval values e] is the Kahan-compensated value of [e] at the
-    point [values], paired with the largest |term|: the natural scale
-    for the residual tolerance of the row [e] came from. *)
-val kahan_eval : float array -> Linexpr.t -> float * float

@@ -109,37 +109,4 @@ let int_var_ids m =
   in
   loop (m.nv - 1) []
 
-let check_feasible ?(tol = 1e-6) m values =
-  if Array.length values < m.nv then Some "solution vector too short"
-  else
-    let bad = ref None in
-    for i = 0 to m.nv - 1 do
-      if !bad = None then begin
-        let v = m.vs.(i) and x = values.(i) in
-        if x < v.lb -. tol || x > v.ub +. tol then
-          bad := Some (Printf.sprintf "var %s = %g outside [%g, %g]" v.vname x v.lb v.ub)
-        else
-          match v.kind with
-          | Binary | Integer ->
-            if Float.abs (x -. Float.round x) > tol then
-              bad := Some (Printf.sprintf "var %s = %g not integral" v.vname x)
-          | Continuous -> ()
-      end
-    done;
-    for j = 0 to m.nc - 1 do
-      if !bad = None then begin
-        let c = m.cs.(j) in
-        let lhs = Linexpr.eval values c.lhs in
-        let viol =
-          match c.rel with
-          | Le -> lhs -. c.rhs
-          | Ge -> c.rhs -. lhs
-          | Eq -> Float.abs (lhs -. c.rhs)
-        in
-        if viol > tol then
-          bad := Some (Printf.sprintf "constraint %s violated by %g" c.cname viol)
-      end
-    done;
-    !bad
-
 let objective_value m values = Linexpr.eval values m.obj

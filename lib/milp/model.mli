@@ -75,10 +75,5 @@ val bounds : t -> float array * float array
 (** Ids of integer-constrained (binary or integer) variables. *)
 val int_var_ids : t -> int list
 
-(** [check_feasible ?tol m values] is [None] when [values] satisfies all
-    constraints, bounds and integrality within [tol], and otherwise
-    [Some reason]. *)
-val check_feasible : ?tol:float -> t -> float array -> string option
-
 (** Evaluate the objective expression at a point. *)
 val objective_value : t -> float array -> float

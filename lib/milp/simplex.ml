@@ -148,55 +148,49 @@ let nonbasic_value st j =
   | At_zero -> 0.
   | Basic -> st.x.(j)
 
-(* Cold state: structural columns rest at a finite bound (0 for free
-   columns), every slack is basic. *)
-let cold_state (prep : prepared) ~rhs (lo, hi) ~max_iters ~degen_limit =
-  let sp = prep.sp in
-  let nv = sp.Sparse.nv and m = sp.Sparse.m and n = sp.Sparse.n in
-  let stat = Array.make n At_lower in
-  let x = Array.make n 0. in
-  for j = 0 to nv - 1 do
-    stat.(j) <-
-      (if Float.is_finite lo.(j) then At_lower
-       else if Float.is_finite hi.(j) then At_upper
-       else At_zero)
-  done;
-  let bcols = Array.init m (fun i -> nv + i) in
-  for i = 0 to m - 1 do
-    stat.(nv + i) <- Basic
-  done;
+(* Where a nonbasic column rests by default: at a finite bound (the
+   lower one first), or at 0 if it is free. *)
+let resting st j =
+  if Float.is_finite st.lo.(j) then At_lower
+  else if Float.is_finite st.hi.(j) then At_upper
+  else At_zero
+
+(* A start state on the factorized basis [bas]: exactly its columns are
+   basic (a repaired factorization may have swapped some in), and every
+   nonbasic column keeps its status in [stat] while that status names a
+   finite bound (or 0 inside the bounds), else rests by default. *)
+let start_state (prep : prepared) ~rhs (lo, hi) stat bas ~max_iters ~degen_limit =
+  let n = prep.sp.Sparse.n in
   let st =
-    {
-      sp;
-      rhs;
-      lo;
-      hi;
-      x;
-      stat;
-      bcols;
-      bas = Basis.create sp bcols;
-      bland = false;
-      degen = 0;
-      degen_limit;
-      iters = max_iters;
-      dj = None;
-    }
+    { sp = prep.sp; rhs; lo; hi; x = Array.make n 0.; stat; bcols = Basis.bcols bas;
+      bas; bland = false; degen = 0; degen_limit; iters = max_iters; dj = None }
   in
+  Array.iteri (fun j s -> if s = Basic then stat.(j) <- At_lower) stat;
+  Array.iter (fun j -> stat.(j) <- Basic) st.bcols;
   for j = 0 to n - 1 do
-    if st.stat.(j) <> Basic then st.x.(j) <- nonbasic_value st j
+    (match stat.(j) with
+    | At_lower when not (Float.is_finite lo.(j)) -> stat.(j) <- resting st j
+    | At_upper when not (Float.is_finite hi.(j)) -> stat.(j) <- resting st j
+    | At_zero when lo.(j) > 0. -> stat.(j) <- At_lower
+    | At_zero when hi.(j) < 0. -> stat.(j) <- At_upper
+    | Basic | At_lower | At_upper | At_zero -> ());
+    if stat.(j) <> Basic then st.x.(j) <- nonbasic_value st j
   done;
   compute_xb st;
   st
 
-(* Warm state from a caller-provided basis: re-install statuses, clamp
-   nonbasics onto the (possibly tightened) bounds, refactorize. The
-   factorization may repair a singular selection, in which case the
-   statuses are reconciled with the repaired column set. *)
-let warm_state (prep : prepared) ~rhs (lo, hi) (b : basis) ~max_iters ~degen_limit =
+(* Cold state: the all-slack basis, every structural column at lower. *)
+let cold_state (prep : prepared) ~rhs bounds ~max_iters ~degen_limit =
   let sp = prep.sp in
-  let n = sp.Sparse.n in
-  let stat = Array.copy b.bstat in
-  let x = Array.make n 0. in
+  let nv = sp.Sparse.nv in
+  start_state prep ~rhs bounds (Array.make sp.Sparse.n At_lower)
+    (Basis.create sp (Array.init sp.Sparse.m (fun i -> nv + i)))
+    ~max_iters ~degen_limit
+
+(* Warm state from a caller-provided basis: re-install its statuses on
+   its factorization. *)
+let warm_state (prep : prepared) ~rhs bounds (b : basis) ~max_iters ~degen_limit =
+  let sp = prep.sp in
   let bas =
     (* reuse the published factorization when this basis carries one
        for this very matrix (the batched engine warm-starts thousands
@@ -212,30 +206,7 @@ let warm_state (prep : prepared) ~rhs (lo, hi) (b : basis) ~max_iters ~degen_lim
       Atomic.set b.bfactor (Some (Basis.snapshot bas));
       bas
   in
-  let bcols = Basis.bcols bas in
-  (* repair reconciliation: exactly the bcols entries are basic *)
-  Array.iteri (fun j s -> if s = Basic then stat.(j) <- At_lower) stat;
-  Array.iter (fun j -> stat.(j) <- Basic) bcols;
-  let st =
-    { sp; rhs; lo; hi; x; stat; bcols; bas; bland = false; degen = 0;
-      degen_limit; iters = max_iters; dj = None }
-  in
-  for j = 0 to n - 1 do
-    if st.stat.(j) <> Basic then begin
-      (* clamp statuses onto finite/tightened bounds *)
-      (match st.stat.(j) with
-      | At_lower when not (Float.is_finite lo.(j)) ->
-        st.stat.(j) <- (if Float.is_finite hi.(j) then At_upper else At_zero)
-      | At_upper when not (Float.is_finite hi.(j)) ->
-        st.stat.(j) <- (if Float.is_finite lo.(j) then At_lower else At_zero)
-      | At_zero when lo.(j) > 0. -> st.stat.(j) <- At_lower
-      | At_zero when hi.(j) < 0. -> st.stat.(j) <- At_upper
-      | _ -> ());
-      st.x.(j) <- nonbasic_value st j
-    end
-  done;
-  compute_xb st;
-  st
+  start_state prep ~rhs bounds (Array.copy b.bstat) bas ~max_iters ~degen_limit
 
 (* ------------------------------------------------------------------ *)
 (* Shared pivot machinery                                              *)
@@ -256,7 +227,7 @@ let dense_column st j =
 (* A refactorization may repair a singular basis by swapping slack
    columns into some positions (see Basis.build_lu). Reconcile
    [st.bcols]/[st.stat] with the basis' actual column set — the same
-   way [warm_state] does — so [compute_xb] writes basic values to the
+   way [start_state] does — so [compute_xb] writes basic values to the
    right columns. *)
 let sync_repair st =
   let actual = Basis.bcols st.bas in
@@ -269,10 +240,7 @@ let sync_repair st =
     Array.iteri
       (fun j s ->
         if s = Basic then begin
-          st.stat.(j) <-
-            (if Float.is_finite st.lo.(j) then At_lower
-             else if Float.is_finite st.hi.(j) then At_upper
-             else At_zero);
+          st.stat.(j) <- resting st j;
           st.x.(j) <- nonbasic_value st j
         end)
       st.stat;

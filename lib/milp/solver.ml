@@ -89,14 +89,8 @@ let certify_solution ~options model sol =
   | Infeasible | Unbounded | Unknown -> sol
   | Optimal | Feasible ->
     let tols =
-      {
-        Certify.default_tolerances with
-        int_tol =
-          Float.max Certify.default_tolerances.Certify.int_tol
-            (10. *. options.int_tol);
-        abs_gap = options.abs_gap;
-        rel_gap = options.rel_gap;
-      }
+      Certify.solver_tolerances ~int_tol:options.int_tol ~abs_gap:options.abs_gap
+        ~rel_gap:options.rel_gap
     in
     let cert =
       Certify.check ~tols ~optimal:(sol.status = Optimal) ~model ~obj:sol.obj

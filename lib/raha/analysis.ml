@@ -56,15 +56,10 @@ type report = {
 
 (* The demand the candidate screening sweeps route: the envelope corner
    matching the spec's goal. *)
-let screening_demand spec envelope =
-  let pairs = Traffic.Envelope.pairs envelope in
-  let corner volume =
-    Traffic.Demand.of_list
-      (List.map (fun (s, d) -> ((s, d), volume envelope ~src:s ~dst:d)) pairs)
-  in
+let screening_demand spec (envelope : Traffic.Envelope.t) =
   match spec.Bilevel.goal with
-  | Bilevel.Max_degradation -> corner Traffic.Envelope.hi_volume
-  | Bilevel.Min_failed_performance -> corner Traffic.Envelope.lo_volume
+  | Bilevel.Max_degradation -> envelope.Traffic.Envelope.hi
+  | Bilevel.Min_failed_performance -> envelope.Traffic.Envelope.lo
 
 let screening_engine ~spec topo paths envelope =
   Te.Simulate.prepare ~objective:spec.Bilevel.objective topo paths

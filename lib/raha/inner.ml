@@ -10,44 +10,8 @@ let norm_obj (spec : Te.Lp_spec.t) =
   let sign = match spec.Te.Lp_spec.sense with Te.Lp_spec.Max -> 1. | Te.Lp_spec.Min -> -1. in
   Array.map (fun (c : Te.Lp_spec.col) -> sign *. c.Te.Lp_spec.obj) spec.Te.Lp_spec.cols
 
-let rhs_expr = function
-  | Te.Lp_spec.Const c -> Milp.Linexpr.const c
-  | Te.Lp_spec.Outer e -> e
-
-let add_primal_rows m ~prefix (spec : Te.Lp_spec.t) xs =
-  Array.iteri
-    (fun i (r : Te.Lp_spec.row) ->
-      let lhs =
-        Milp.Linexpr.of_terms
-          (List.map (fun (ci, coef) -> (coef, xs.(ci).Milp.Model.vid)) r.Te.Lp_spec.terms)
-      in
-      let rel =
-        match r.Te.Lp_spec.rel with Te.Lp_spec.Le -> Milp.Model.Le | Te.Lp_spec.Eq -> Milp.Model.Eq
-      in
-      Milp.Model.add_cons_expr m
-        ~name:(Printf.sprintf "%s_pr%d_%s" prefix i r.Te.Lp_spec.rname)
-        lhs rel (rhs_expr r.Te.Lp_spec.rhs))
-    spec.Te.Lp_spec.rows
-
-let make_primal m ~prefix (spec : Te.Lp_spec.t) =
-  let xs =
-    Array.map
-      (fun (c : Te.Lp_spec.col) ->
-        Milp.Model.continuous m (prefix ^ "_" ^ c.Te.Lp_spec.cname))
-      spec.Te.Lp_spec.cols
-  in
-  add_primal_rows m ~prefix spec xs;
-  let objective =
-    Milp.Linexpr.of_terms
-      (Array.to_list
-         (Array.mapi
-            (fun i (c : Te.Lp_spec.col) -> (c.Te.Lp_spec.obj, xs.(i).Milp.Model.vid))
-            spec.Te.Lp_spec.cols))
-  in
-  (xs, objective)
-
 let embed_primal m ~prefix spec =
-  let xs, objective = make_primal m ~prefix spec in
+  let xs, objective = Te.Lp_spec.embed ~prefix m spec in
   { xs; duals = [||]; objective }
 
 (* Dual variables and the dual feasibility rows A' y >= c (for the
@@ -84,7 +48,7 @@ let make_duals m ~prefix (spec : Te.Lp_spec.t) =
   (duals, acc, c)
 
 let encode_kkt m ~prefix spec =
-  let xs, objective = make_primal m ~prefix spec in
+  let xs, objective = Te.Lp_spec.embed ~prefix m spec in
   let duals, aty, c = make_duals m ~prefix spec in
   let bound = spec.Te.Lp_spec.dual_bound in
   (* row complementary slackness: y_i > 0 -> row tight (Le rows only) *)
@@ -101,11 +65,9 @@ let encode_kkt m ~prefix spec =
           Milp.Model.Le
           (Milp.Linexpr.var ~coeff:bound w.Milp.Model.vid);
         (* rhs - lhs <= slack_bound * (1 - w) *)
-        let lhs =
-          Milp.Linexpr.of_terms
-            (List.map (fun (ci, coef) -> (coef, xs.(ci).Milp.Model.vid)) r.Te.Lp_spec.terms)
+        let slack =
+          Milp.Linexpr.sub (Te.Lp_spec.rhs_expr r.Te.Lp_spec.rhs) (Te.Lp_spec.row_lhs xs r)
         in
-        let slack = Milp.Linexpr.sub (rhs_expr r.Te.Lp_spec.rhs) lhs in
         let sb = r.Te.Lp_spec.slack_bound in
         Milp.Model.add_cons_expr m
           ~name:(Printf.sprintf "%s_csr%d_b" prefix i)
@@ -143,7 +105,7 @@ let encode_kkt m ~prefix spec =
   { xs; duals; objective }
 
 let encode_strong_duality m ~prefix spec =
-  let xs, objective = make_primal m ~prefix spec in
+  let xs, objective = Te.Lp_spec.embed ~prefix m spec in
   let duals, _aty, c = make_duals m ~prefix spec in
   let bound = spec.Te.Lp_spec.dual_bound in
   (* b' y, with products (outer binary) * (dual) expanded via McCormick *)
@@ -152,7 +114,7 @@ let encode_strong_duality m ~prefix spec =
     (fun i (r : Te.Lp_spec.row) ->
       let y = duals.(i) in
       let ylb = match r.Te.Lp_spec.rel with Te.Lp_spec.Le -> 0. | Te.Lp_spec.Eq -> -.bound in
-      let e = rhs_expr r.Te.Lp_spec.rhs in
+      let e = Te.Lp_spec.rhs_expr r.Te.Lp_spec.rhs in
       (* constant part *)
       by := Milp.Linexpr.add !by (Milp.Linexpr.var ~coeff:(Milp.Linexpr.constant e) y.Milp.Model.vid);
       let term_idx = ref 0 in

@@ -148,10 +148,10 @@ let num_down t =
   Array.iter (fun e -> if Failure.Renewal.Incr.is_down e then incr c) t.est;
   !c
 
-(* Estimate discipline (= Failure.Trace.calibrate_topology): clamp to
-   [1e-6, 0.99] so log-probabilities stay finite; links with no
-   telemetry (and the whole stream before its first event) keep the
-   configured probability. *)
+(* Estimate discipline (= Failure.Trace.calibrate_topology): clamp with
+   Failure.Renewal.clamp_estimate; links with no telemetry (and the
+   whole stream before its first event) keep the configured
+   probability. *)
 let estimate_at t k =
   let e = t.est.(k) in
   if
@@ -159,8 +159,7 @@ let estimate_at t k =
     || (Failure.Renewal.Incr.count e = 0 && not (Failure.Renewal.Incr.is_down e))
   then t.configured_prob.(k)
   else
-    let p = Failure.Renewal.Incr.estimate ~horizon:t.clock e in
-    Float.min 0.99 (Float.max 1e-6 p)
+    Failure.Renewal.clamp_estimate (Failure.Renewal.Incr.estimate ~horizon:t.clock e)
 
 let estimates t = Array.init t.total (estimate_at t)
 

@@ -16,28 +16,35 @@ type sense = Max | Min
 
 type t = { sense : sense; cols : col array; rows : row array; dual_bound : float }
 
-let const_rhs = function
-  | Const c -> c
-  | Outer _ -> invalid_arg "Lp_spec.to_model: Outer rhs in a standalone LP"
+let rhs_expr = function Const c -> Milp.Linexpr.const c | Outer e -> e
 
-let to_model t =
-  let m = Milp.Model.create ~name:"lp_spec" () in
-  let vars =
-    Array.map (fun c -> Milp.Model.continuous m c.cname) t.cols
+let row_lhs vars r =
+  Milp.Linexpr.of_terms (List.map (fun (ci, coef) -> (coef, vars.(ci).Milp.Model.vid)) r.terms)
+
+let embed ?prefix m t =
+  let col_name, row_name =
+    match prefix with
+    | None -> ((fun c -> c.cname), fun _ r -> r.rname)
+    | Some p ->
+      ((fun c -> p ^ "_" ^ c.cname), fun i r -> Printf.sprintf "%s_pr%d_%s" p i r.rname)
   in
-  Array.iter
-    (fun r ->
-      let lhs =
-        Milp.Linexpr.of_terms
-          (List.map (fun (ci, coef) -> (coef, vars.(ci).Milp.Model.vid)) r.terms)
-      in
+  let vars = Array.map (fun c -> Milp.Model.continuous m (col_name c)) t.cols in
+  Array.iteri
+    (fun i r ->
       let rel = match r.rel with Le -> Milp.Model.Le | Eq -> Milp.Model.Eq in
-      Milp.Model.add_cons m ~name:r.rname lhs rel (const_rhs r.rhs))
+      Milp.Model.add_cons_expr m ~name:(row_name i r) (row_lhs vars r) rel (rhs_expr r.rhs))
     t.rows;
   let obj =
     Milp.Linexpr.of_terms
       (Array.to_list (Array.mapi (fun i c -> (c.obj, vars.(i).Milp.Model.vid)) t.cols))
   in
+  (vars, obj)
+
+let to_model t =
+  if Array.exists (fun r -> match r.rhs with Outer _ -> true | Const _ -> false) t.rows then
+    invalid_arg "Lp_spec.to_model: Outer rhs in a standalone LP";
+  let m = Milp.Model.create ~name:"lp_spec" () in
+  let vars, obj = embed m t in
   let sense = match t.sense with Max -> Milp.Model.Maximize | Min -> Milp.Model.Minimize in
   Milp.Model.set_objective m sense obj;
   (m, vars)

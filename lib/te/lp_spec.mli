@@ -50,8 +50,24 @@ type t = {
           [[-dual_bound, dual_bound]] *)
 }
 
-(** [to_model t] builds a standalone {!Milp.Model} (continuous
-    columns). Returns the model and the column variables.
+(** A right-hand side as an expression: [Const c] is the constant [c]. *)
+val rhs_expr : rhs -> Milp.Linexpr.t
+
+(** [row_lhs vars r] is row [r]'s left-hand side over the column
+    variables [vars]. *)
+val row_lhs : Milp.Model.var array -> row -> Milp.Linexpr.t
+
+(** [embed ?prefix m t] adds [t]'s columns (continuous, nonnegative) and
+    rows to [m]: each row [row_lhs vars r rel rhs_expr r.rhs], through
+    [Milp.Model.add_cons_expr], which for a constant rhs builds the same
+    constraint as [Milp.Model.add_cons] (a zero rhs comes out as [+0]).
+    Returns the column variables and the objective expression in [t]'s
+    own sense. With [prefix], column [c] is named [prefix_c] and row [i]
+    [prefix_pr<i>_<name>]; without, both keep their spec names. *)
+val embed : ?prefix:string -> Milp.Model.t -> t -> Milp.Model.var array * Milp.Linexpr.t
+
+(** [to_model t] builds a standalone {!Milp.Model} through {!embed}.
+    Returns the model and the column variables.
     @raise Invalid_argument on an [Outer] right-hand side. *)
 val to_model : t -> Milp.Model.t * Milp.Model.var array
 

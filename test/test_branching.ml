@@ -1,61 +1,93 @@
 (* Tests for reliability branching, the primal heuristics and the
-   unified incumbent-acceptance tolerance (PR 9).
+   incumbent gate.
 
-   The tolerance seam this pins down: branch-and-bound used to accept
-   plunge-produced incumbents at [10. *. int_tol] while the certifier
-   audits points at an [int_tol]-aligned window — so with a configured
-   [int_tol] (say 1e-5) a heuristic incumbent could prune the tree and
-   then fail certification, downgrading Optimal to Feasible. All
-   incumbents now pass through [Model.check_feasible ~tol:int_tol], the
-   same tolerance Certify enforces. *)
+   The gate admits a heuristic or warm-start incumbent only when the
+   certifier's point check (Certify.check_point) passes at
+   [Certify.gate_tolerances ~int_tol]: no component looser than the
+   tolerances the final certificate runs at. An admitted incumbent can
+   prune the tree, so one that later failed certification would cost
+   the answer (Solver downgrades it to Unknown). The tests pin that
+   implication at the predicate level, through branch-and-bound's
+   warm-start gate, and over the heuristic incumbents of a 64-MILP
+   corpus. *)
 
 let check_float ?(eps = 1e-6) what expected got =
   Alcotest.(check (float eps)) what expected got
 
 (* Certification tolerances exactly as Solver.certify_solution derives
-   them from the solver's integrality tolerance. *)
+   them from the default options at integrality tolerance [int_tol]. *)
 let solver_tols int_tol =
-  {
-    Milp.Certify.default_tolerances with
-    Milp.Certify.int_tol =
-      Float.max Milp.Certify.default_tolerances.Milp.Certify.int_tol
-        (10. *. int_tol);
-  }
+  let d = Milp.Solver.default_options in
+  Milp.Certify.solver_tolerances ~int_tol ~abs_gap:d.Milp.Solver.abs_gap
+    ~rel_gap:d.Milp.Solver.rel_gap
 
-(* The seam itself, at the predicate level: a candidate point that
-   violates a row (and a variable bound) by 5e-5 with int_tol = 1e-5.
-   The pre-fix acceptance predicate (tolerance 10 x int_tol = 1e-4)
-   admits it; the certifier rejects it (normalized feas_tol 1e-5 on a
-   scale-1 row); the unified predicate rejects it like the certifier
-   does — so the hole where an admitted incumbent later fails its audit
-   is closed. *)
-let test_tolerance_seam () =
-  let int_tol = 1e-5 in
+let int_tols = [ 1e-6; 1e-5; 1e-4 ]
+
+(* max x over integer x in [0, 2] with the row x <= 1 *)
+let seam_model () =
   let mdl = Milp.Model.create () in
-  let x = Milp.Model.integer ~ub:1. mdl "x" in
-  let t l =
-    Milp.Linexpr.of_terms (List.map (fun (k, v) -> (k, v.Milp.Model.vid)) l)
-  in
-  Milp.Model.add_cons mdl (t [ (1., x) ]) Milp.Model.Le 1.;
-  Milp.Model.set_objective mdl Milp.Model.Maximize (t [ (1., x) ]);
-  let cand = [| 1.00005 |] in
-  (match Milp.Model.check_feasible ~tol:(10. *. int_tol) mdl cand with
-  | None -> ()
-  | Some reason ->
-    Alcotest.failf
-      "pre-fix predicate unexpectedly rejected the seam candidate (%s)" reason);
-  let cert =
-    Milp.Certify.check ~tols:(solver_tols int_tol) ~model:mdl
-      ~obj:(Milp.Model.objective_value mdl cand)
-      ~bound:(Milp.Model.objective_value mdl cand)
-      ~values:cand ~statuses:[||] ()
-  in
-  Alcotest.(check bool)
-    "certifier rejects the 10x-tolerance candidate" false
-    cert.Milp.Certify.point_ok;
-  Alcotest.(check bool)
-    "unified predicate rejects it too" true
-    (Milp.Model.check_feasible ~tol:int_tol mdl cand <> None)
+  let x = Milp.Model.integer ~ub:2. mdl "x" in
+  let e = Milp.Linexpr.var x.Milp.Model.vid in
+  Milp.Model.add_cons mdl e Milp.Model.Le 1.;
+  Milp.Model.set_objective mdl Milp.Model.Maximize e;
+  mdl
+
+(* Gate implies certification, at the predicate level: over points that
+   violate the row x <= 1, the bound x <= 2 or integrality by a grid of
+   offsets, every point the gate admits passes certification's point
+   check under the solver's tolerances at the same [int_tol]. *)
+let test_gate_implies_certification () =
+  let mdl = seam_model () in
+  let offsets = [ 0.; 1e-7; 5e-7; 1e-6; 2e-6; 5e-6; 1e-5; 2e-5; 5e-5; 1e-4; 2e-4 ] in
+  List.iter
+    (fun int_tol ->
+      let gate = Milp.Certify.gate_tolerances ~int_tol in
+      let admitted = ref 0 in
+      List.iter
+        (fun d ->
+          List.iter
+            (fun x ->
+              let values = [| x |] in
+              let p = Milp.Certify.check_point ~tols:gate mdl values in
+              if p.Milp.Certify.failure = None then begin
+                incr admitted;
+                let cert =
+                  Milp.Certify.check ~tols:(solver_tols int_tol) ~model:mdl ~obj:x ~bound:x
+                    ~values ~statuses:[||] ()
+                in
+                if not cert.Milp.Certify.point_ok then
+                  Alcotest.failf "int_tol %g: gate admits x = %.9g, certification rejects it: %s"
+                    int_tol x (String.concat "; " cert.Milp.Certify.failures)
+              end)
+            [ 1. +. d; 2. +. d; 0.5 +. d ])
+        offsets;
+      if !admitted = 0 then Alcotest.failf "int_tol %g: the gate admitted nothing" int_tol)
+    int_tols
+
+(* The same implication through branch-and-bound's gate: a warm start
+   just past the row x <= 1 (x = 1 + int_tol / 2, within int_tol but
+   not within certification's normalized feas_tol at int_tol = 1e-4)
+   must never become the certified answer's point. *)
+let test_warm_start_gate () =
+  List.iter
+    (fun int_tol ->
+      let options =
+        {
+          Milp.Solver.default_options with
+          int_tol;
+          warm_start = Some [| 1. +. (int_tol /. 2.) |];
+        }
+      in
+      let sol = Milp.Solver.solve ~presolve:false ~options (seam_model ()) in
+      (match sol.Milp.Solver.certificate with
+      | Some c when c.Milp.Certify.point_ok -> ()
+      | Some c ->
+        Alcotest.failf "int_tol %g: the answer's point fails certification: %s" int_tol
+          (String.concat "; " c.Milp.Certify.failures)
+      | None -> Alcotest.failf "int_tol %g: no certificate" int_tol);
+      check_float ~eps:int_tol (Printf.sprintf "int_tol %g: objective" int_tol) 1.
+        sol.Milp.Solver.obj)
+    int_tols
 
 (* Corpus property: every heuristic-produced incumbent (dive, pump,
    RINS — surfaced through the on_incumbent hook, which fires only on
@@ -83,12 +115,15 @@ let prop_heuristic_incumbents_certified =
       let r = Milp.Branch_bound.solve ~options mdl in
       List.iter
         (fun v ->
-          (* re-checked at the unified tolerance... *)
-          (match Milp.Model.check_feasible ~tol:int_tol mdl v with
+          (* re-checked by the gate... *)
+          (match
+             (Milp.Certify.check_point ~tols:(Milp.Certify.gate_tolerances ~int_tol) mdl v)
+               .Milp.Certify.failure
+           with
           | None -> ()
           | Some reason ->
             QCheck2.Test.fail_reportf
-              "case %d: admitted heuristic incumbent infeasible at int_tol: %s"
+              "case %d: admitted heuristic incumbent fails the gate: %s"
               case reason);
           (* ...and certified exactly as the solver facade would *)
           let obj = Milp.Model.objective_value mdl v in
@@ -186,7 +221,8 @@ let test_branching_differential () =
 
 let suite =
   [
-    ("10x-tolerance incumbent is certify-rejected", `Quick, test_tolerance_seam);
+    ("gate admits only certifiable points", `Quick, test_gate_implies_certification);
+    ("warm-start gate at int_tol 1e-6, 1e-5, 1e-4", `Quick, test_warm_start_gate);
     QCheck_alcotest.to_alcotest prop_heuristic_incumbents_certified;
     ("probes, pseudocosts and heuristics engage", `Quick, test_machinery_engages);
     ("corpus: reliability vs fractional", `Quick, test_branching_differential);

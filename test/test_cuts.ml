@@ -394,7 +394,11 @@ let test_solver_differential () =
       check_float ~eps
         (Printf.sprintf "case %d objective" case)
         off.Milp.Solver.obj on.Milp.Solver.obj;
-      (match Milp.Model.check_feasible mdl on.Milp.Solver.values with
+      (match
+         (Milp.Certify.check_point ~tols:(Milp.Certify.gate_tolerances ~int_tol:1e-6)
+            mdl on.Milp.Solver.values)
+           .Milp.Certify.failure
+       with
       | None -> ()
       | Some reason ->
         Alcotest.failf "case %d: cuts-on point infeasible: %s" case reason)

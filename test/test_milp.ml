@@ -270,7 +270,7 @@ let prop_lp_point_feasible =
       let m = build_lp spec in
       match Simplex.solve m with
       | Simplex.Optimal { obj; values } ->
-        Model.check_feasible ~tol:1e-5 m values = None
+        (Certify.check_point ~tols:Certify.default_tolerances m values).Certify.failure = None
         && feq ~eps:1e-5 obj (Model.objective_value m values)
       | Simplex.Infeasible | Simplex.Unbounded -> true
       | Simplex.Iter_limit -> false)
@@ -334,7 +334,7 @@ let prop_milp_point_feasible =
         (Linexpr.of_terms (List.mapi (fun j c -> (c, xs.(j).Model.vid)) obj));
       match Solver.solve m with
       | { Solver.status = Solver.Optimal; values; _ } ->
-        Model.check_feasible ~tol:1e-5 m values = None
+        (Certify.check_point ~tols:Certify.default_tolerances m values).Certify.failure = None
       | _ -> true)
 
 
@@ -368,19 +368,93 @@ let prop_linexpr_eval_linear =
       let rhs = k *. Linexpr.eval v e in
       Float.abs (lhs -. rhs) < 1e-6 *. (1. +. Float.abs rhs))
 
-(* --- model checker -------------------------------------------------------- *)
+(* --- the shared point check ------------------------------------------------ *)
 
-let test_check_feasible () =
+(* One table over Certify.check_point, the feasibility rule of the
+   certifier, the overlay audit and the incumbent gate: each case names
+   the check that must fail first (or none), with and without an rhs
+   override. The model: max x + y + z over x in [1, 5], y binary,
+   z integer in [0, 10], with rows x + 2y <= 6, x - z >= -1, y + z = 2. *)
+let test_check_point () =
   let m = Model.create () in
-  let x = Model.continuous ~ub:5. m "x" in
+  let x = Model.continuous ~lb:1. ~ub:5. m "x" in
   let y = Model.binary m "y" in
-  Model.add_cons m (Linexpr.of_terms [ (1., x.vid); (2., y.vid) ]) Model.Le 6.;
-  Alcotest.(check bool) "feasible point" true (Model.check_feasible m [| 4.; 1. |] = None);
-  Alcotest.(check bool) "bound violation" true (Model.check_feasible m [| 6.; 0. |] <> None);
-  Alcotest.(check bool) "integrality violation" true
-    (Model.check_feasible m [| 1.; 0.5 |] <> None);
-  Alcotest.(check bool) "constraint violation" true
-    (Model.check_feasible m [| 5.; 1. |] <> None)
+  let z = Model.integer ~ub:10. m "z" in
+  let e l = Linexpr.of_terms (List.map (fun (k, (v : Model.var)) -> (k, v.vid)) l) in
+  Model.add_cons m ~name:"le" (e [ (1., x); (2., y) ]) Model.Le 6.;
+  Model.add_cons m ~name:"ge" (e [ (1., x); (-1., z) ]) Model.Ge (-1.);
+  Model.add_cons m ~name:"eq" (e [ (1., y); (1., z) ]) Model.Eq 2.;
+  Model.set_objective m Model.Maximize (e [ (1., x); (1., y); (1., z) ]);
+  let tols = Certify.default_tolerances in
+  let cases =
+    [
+      ("feasible", None, [| 4.; 1.; 1. |], Some 6., None);
+      ("bound within tolerance", None, [| 5. +. 1e-7; 0.; 2. |], None, None);
+      ("upper bound", None, [| 6.; 0.; 2. |], None, Some "x = 6 outside");
+      ("lower bound", None, [| 0.5; 1.; 1. |], None, Some "x = 0.5 outside");
+      ("Le row", None, [| 5.; 1.; 1. |], None, Some "row 0 (le)");
+      ("Ge row", None, [| 1.; 0.; 2.5 |], None, Some "row 1 (ge)");
+      ("Eq row", None, [| 4.; 1.; 2. |], None, Some "row 2 (eq)");
+      ("integrality", None, [| 4.; 0.5; 1.5 |], None, Some "y = 0.5 not integral");
+      ("objective", None, [| 4.; 1.; 1. |], Some 7., Some "objective mismatch");
+      ("rows before bounds", None, [| 6.; 1.; 1. |], None, Some "row 0 (le)");
+      ("patch relaxes Le", Some [| 7.; -1.; 2. |], [| 5.; 1.; 1. |], Some 7., None);
+      ("patch tightens Ge", Some [| 6.; 4.; 2. |], [| 4.; 1.; 1. |], None, Some "row 1 (ge)");
+      ("patch moves Eq", Some [| 6.; -1.; 3. |], [| 4.; 1.; 2. |], None, None);
+      ("patch breaks Eq", Some [| 6.; -1.; 3. |], [| 4.; 1.; 1. |], None, Some "row 2 (eq)");
+    ]
+  in
+  List.iter
+    (fun (name, rhs, values, obj, expected) ->
+      let p = Certify.check_point ?rhs ?obj ~tols m values in
+      match (expected, p.Certify.failure) with
+      | None, None -> ()
+      | Some prefix, Some reason ->
+        let n = String.length prefix in
+        if String.length reason < n || String.sub reason 0 n <> prefix then
+          Alcotest.failf "%s: expected a failure starting %S, got %S" name prefix reason
+      | None, Some reason -> Alcotest.failf "%s: unexpected failure %S" name reason
+      | Some prefix, None -> Alcotest.failf "%s: expected a failure starting %S" name prefix)
+    cases;
+  (* the residuals are the normalized ones the failure reports *)
+  let p = Certify.check_point ~tols m [| 6.; 0.; 2. |] in
+  check_float "bound residual (6 - 5) / (1 + 5)" (1. /. 6.) p.Certify.bound_residual;
+  let p = Certify.check_point ~tols m [| 5.; 1.; 1. |] in
+  check_float "Le residual (7 - 6) / (1 + 6 + 5)" (1. /. 12.) p.Certify.row_residual;
+  Alcotest.(check (array (float 0.))) "row activities" [| 7.; 4.; 2. |] p.Certify.acts;
+  let p = Certify.check_point ~tols m [| 4.; 0.5; 1.5 |] in
+  check_float "integrality residual" 0.5 p.Certify.int_residual;
+  let p = Certify.check_point ~obj:7. ~tols m [| 4.; 1.; 1. |] in
+  check_float "objective error |6 - 7| / (1 + 7)" (1. /. 8.) p.Certify.obj_error;
+  let p = Certify.check_point ~tols m [| 4.; nan; 1. |] in
+  Alcotest.(check bool) "a NaN coordinate fails" true (p.Certify.failure <> None);
+  let p = Certify.check_point ~tols m [| 4.; 1. |] in
+  Alcotest.(check bool) "a short point fails" true (p.Certify.failure <> None)
+
+(* Te.Lp_spec.embed builds every row through add_cons_expr: for a
+   constant rhs it must build the constraint add_cons builds, bit for
+   bit, except that a zero rhs comes out as +0. *)
+let test_cons_expr_const_rhs () =
+  let bits (c : Model.cons) =
+    ( List.map (fun (k, id) -> (Int64.bits_of_float k, id)) (Linexpr.terms c.Model.lhs),
+      Int64.bits_of_float (Linexpr.constant c.Model.lhs),
+      Int64.bits_of_float c.Model.rhs )
+  in
+  List.iter
+    (fun rhs ->
+      let m = Model.create () in
+      let x = Model.continuous m "x" and y = Model.continuous m "y" in
+      let lhs = Linexpr.of_terms [ (1.5, x.vid); (-0.1, y.vid) ] in
+      Model.add_cons m lhs Model.Le rhs;
+      Model.add_cons_expr m lhs Model.Le (Linexpr.const rhs);
+      let cs = Model.conss m in
+      let t0, k0, r0 = bits cs.(0) and t1, k1, r1 = bits cs.(1) in
+      let what = Printf.sprintf "rhs %h" rhs in
+      Alcotest.(check bool) (what ^ ": same lhs") true (t0 = t1 && k0 = k1);
+      Alcotest.(check int64) (what ^ ": same rhs")
+        (if rhs = 0. then Int64.bits_of_float 0. else r0)
+        r1)
+    [ 0.; -0.; 1.; -2.5; 0.1; 1e9; 3e-7 ]
 
 (* --- simplex extras -------------------------------------------------------- *)
 
@@ -566,7 +640,8 @@ let suite =
     ("linearize indicator", `Quick, test_indicator_ge0);
     ("linearize bool ops", `Quick, test_bool_ops);
     ("linexpr algebra", `Quick, test_linexpr_algebra);
-    ("model check_feasible", `Quick, test_check_feasible);
+    ("certify point check table", `Quick, test_check_point);
+    ("add_cons_expr = add_cons on a constant rhs", `Quick, test_cons_expr_const_rhs);
     ("lp ge-heavy", `Quick, test_lp_ge_heavy);
     ("lp redundant rows", `Quick, test_lp_redundant_rows);
     ("lp equality system", `Quick, test_lp_equality_system);

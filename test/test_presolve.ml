@@ -58,7 +58,8 @@ let test_fixed_substitution () =
     (Array.length sol.Solver.values);
   check_float "restored fixed value" 3. sol.Solver.values.(x.vid);
   Alcotest.(check bool) "restored point feasible on the original" true
-    (Model.check_feasible ~tol:1e-5 m sol.Solver.values = None)
+    ((Certify.check_point ~tols:Certify.default_tolerances m sol.Solver.values)
+       .Certify.failure = None)
 
 let test_redundant_row () =
   (* x <= 100 with ub(x) = 5 can never bind *)
@@ -253,7 +254,10 @@ let test_differential () =
       if Float.abs (on.Solver.obj -. off.Solver.obj) > 1e-5 *. scale then
         Alcotest.failf "case %d: obj %g with presolve, %g without" case
           on.Solver.obj off.Solver.obj;
-      (match Model.check_feasible ~tol:1e-5 m on.Solver.values with
+      (match
+         (Certify.check_point ~tols:Certify.default_tolerances m on.Solver.values)
+           .Certify.failure
+       with
       | None -> ()
       | Some why ->
         Alcotest.failf "case %d: restored point infeasible: %s" case why)

@@ -83,7 +83,11 @@ let test_differential () =
       check_float ~eps
         (Printf.sprintf "case %d objective" case)
         d.Milp.Solver.obj r.Milp.Solver.obj;
-      (match Milp.Model.check_feasible mdl r.Milp.Solver.values with
+      (match
+         (Milp.Certify.check_point ~tols:(Milp.Certify.gate_tolerances ~int_tol:1e-6)
+            mdl r.Milp.Solver.values)
+           .Milp.Certify.failure
+       with
       | None -> ()
       | Some reason ->
         Alcotest.failf "case %d: revised point infeasible: %s" case reason)

@@ -138,7 +138,11 @@ let test_random_lps () =
         (Printf.sprintf "case %d (n=%d m=%d): simplex %.6f vs oracle %.6f" case n
            m obj expected)
         expected obj;
-      (match Milp.Model.check_feasible model values with
+      (match
+         (Milp.Certify.check_point ~tols:(Milp.Certify.gate_tolerances ~int_tol:1e-6)
+            model values)
+           .Milp.Certify.failure
+       with
       | None -> ()
       | Some reason -> Alcotest.failf "case %d: infeasible solution: %s" case reason)
     | Milp.Simplex.Infeasible -> Alcotest.failf "case %d: reported infeasible" case
