@@ -134,9 +134,8 @@ let counter_fields =
   [
     ("pivots", "simplex"); ("dual", "dual-pivots"); ("fact", "factorizations");
     ("eta", "eta-updates"); ("gen", "cuts-generated"); ("app", "cuts-applied");
-    ("pruned", "cuts-pruned"); ("aud", "cut-audit-failures"); ("sb", "sb-probes");
-    ("pcu", "pseudocost-updates"); ("hs", "heuristic-solutions");
-    ("hr", "heuristic-rejections"); ("rounds", "bb-rounds");
+    ("aud", "cut-audit-failures"); ("sb", "sb-probes"); ("pcu", "pseudocost-updates");
+    ("hs", "heuristic-solutions"); ("hr", "heuristic-rejections"); ("rounds", "bb-rounds");
     ("bwarm", "batch-warm-hits"); ("overlays", "batch-overlays");
     ("prepares", "batch-prepares");
   ]

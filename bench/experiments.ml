@@ -631,11 +631,11 @@ let no_cuts o = { o with Raha.Analysis.cuts = Milp.Cuts.disabled }
    the legacy dense tableau (a pure engine ablation against no-cuts);
    frac, most-fractional branching with plunge-only incumbents. Every
    arm solves the same MILPs to optimality, so degradations must agree.
-   warm is dual-simplex hits/attempts; gen/app/pruned/aud count cut
-   candidates, admitted cuts, aged-out cuts and incumbent-audit
-   failures; sb/pcu strong-branching probes and pseudocost updates;
-   hs/hr heuristic incumbents accepted/rejected by the unified-tolerance
-   re-check. aud and hr must be 0. Measured rows are recorded in
+   warm is dual-simplex hits/attempts; gen/app/aud count cut
+   candidates, admitted cuts and incumbent-audit failures; sb/pcu
+   strong-branching probes and pseudocost updates; hs/hr heuristic
+   incumbents accepted/rejected by the unified-tolerance re-check. aud
+   and hr must be 0. Measured rows are recorded in
    BENCH_revised.json, BENCH_cuts.json and BENCH_branching.json. *)
 let solver_bench ctx =
   section ctx ~id:"solver"
@@ -644,8 +644,8 @@ let solver_bench ctx =
   let runs =
     ablate ctx ~id:"solver"
       ~fields:
-        [ "deg"; "nodes"; "pivots"; "dual"; "fact"; "eta"; "warm"; "gen"; "app"; "pruned";
-          "aud"; "sb"; "pcu"; "hs"; "hr"; "certify"; "cert" ]
+        [ "deg"; "nodes"; "pivots"; "dual"; "fact"; "eta"; "warm"; "gen"; "app"; "aud";
+          "sb"; "pcu"; "hs"; "hr"; "certify"; "cert" ]
       (solver_cells ())
       [
         arm "default" Fun.id;

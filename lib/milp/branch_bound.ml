@@ -197,12 +197,6 @@ type node = {
   pbasis : Simplex.basis option;
       (* the parent's optimal basis — bound changes keep it dual
          feasible, so the child LP warm-starts in the dual simplex *)
-  pgen : int;
-      (* cut-pool generation [pbasis] was extracted under. Later
-         generations only append cut rows as long as no pruning
-         happened, so the basis extends with the new slacks
-         (Simplex.extend_basis) and stays dual feasible; a basis from
-         before the last pruning generation is unusable. *)
   bvar : int;
       (* variable the parent branched on to create this node (-1 at the
          root): solving this node's LP measures the true bound
@@ -231,7 +225,7 @@ module Heap = struct
 
   let dummy_node =
     { nlb = [||]; nub = [||]; depth = 0; parent_bound = 0.; pbasis = None;
-      pgen = 0; bvar = -1; bup = false; bfrac = 0. }
+      bvar = -1; bup = false; bfrac = 0. }
   let dummy = { key = neg_infinity; depth = 0; node = dummy_node }
   let create () = { a = Array.make 64 dummy; len = 0 }
   let better x y = better_key (x.key, x.depth) (y.key, y.depth)
@@ -290,13 +284,12 @@ let within_gap options ~best k =
   && k -. best
      <= Certify.gap_allowance ~abs_gap:options.abs_gap ~rel_gap:options.rel_gap best
 
-(* Lift the parent basis onto [prep], the current (possibly
-   cut-extended) LP; unusable shapes and bases from before the last
-   pruning generation cold-start. *)
-let lift_warm node prep ~last_prune =
-  match node.pbasis with
-  | Some b when node.pgen >= last_prune -> Simplex.extend_basis b prep
-  | Some _ | None -> None
+(* Lift the parent basis onto [prep], the current LP. Every node
+   below the root solves the root's cut-extended LP, minus the cuts an
+   incumbent audit dropped since: the LP only loses rows, and each drop
+   shrinks it strictly. So a basis with more rows than [prep] predates a
+   drop, and [Simplex.extend_basis] cold-starts exactly that shape. *)
+let lift_warm node prep = Option.bind node.pbasis (fun b -> Simplex.extend_basis b prep)
 
 (* Pseudocost observation: a child's own LP measures the true bound
    degradation of its parent's branching decision. The observation
@@ -318,7 +311,7 @@ let observe_child pc ~ipos ~osign ~int_tol node obj =
    and an infinite gain (probe-infeasible child) skips the push. The
    child toward the rounded value goes first (heap tiebreak on depth
    dives there). *)
-let push_children push node ~bound ~fbasis ~gen id values (gd, gu) =
+let push_children push node ~bound ~fbasis id values (gd, gu) =
   let x = values.(id) in
   let fl = Float.floor x and ce = Float.ceil x in
   let child up =
@@ -339,7 +332,6 @@ let push_children push node ~bound ~fbasis ~gen id values (gd, gu) =
               depth;
               parent_bound = bound;
               pbasis = fbasis;
-              pgen = gen;
               bvar = id;
               bup = up;
               bfrac = (if up then ce -. x else x -. fl);
@@ -408,12 +400,10 @@ let solve ?(options = default) model =
   let lb0, ub0 = Model.bounds model in
   let nodes = ref 0 and simplex0 = Lp_stats.read Lp_stats.pivots () in
   (* Cutting planes. The pool holds globally valid <= rows over the
-     structural variables; the active set is materialized by
-     re-preparing the LP on an extended model whenever it changes.
-     [gen] numbers the preparations, [last_prune] is the generation of
-     the last active-set shrink: a basis from generation [g] extends to
-     the current LP iff [g >= last_prune] (rows were only appended
-     since). *)
+     structural variables, separated at the root only; the active set
+     is materialized by re-preparing the LP on an extended model
+     whenever it changes (a root round appends rows, an incumbent audit
+     drops them). *)
   let pool =
     if options.cuts.Cuts.enable && Array.length int_ids > 0 then
       Some (Cuts.create model)
@@ -424,13 +414,11 @@ let solve ?(options = default) model =
   in
   let prep = ref (Simplex.prepare model) in
   let xrows = ref (rows_of model) in
-  let gen = ref 0 and last_prune = ref 0 in
   let cut_taint = ref false in
   let reprep () =
     match pool with
     | None -> ()
     | Some pool ->
-      incr gen;
       let xm = Cuts.extend_model model pool in
       prep := Simplex.prepare xm;
       xrows := rows_of xm
@@ -444,8 +432,8 @@ let solve ?(options = default) model =
     Simplex.solve_prepared ~engine:options.engine ?max_iters:options.sx_iters
       ?warm ~keep_factor:true ~lb ~ub prep
   in
-  let node_lp prep ~last_prune node =
-    solve_lp ?warm:(lift_warm node prep ~last_prune) prep ~lb:node.nlb ~ub:node.nub
+  let node_lp prep node =
+    solve_lp ?warm:(lift_warm node prep) prep ~lb:node.nlb ~ub:node.nub
   in
   (* Nodes whose LP hit the iteration budget are dropped from the search,
      but their subtree is unexplored: remember the tightest parent bound
@@ -467,7 +455,6 @@ let solve ?(options = default) model =
         if removed > 0 then begin
           cut_taint := true;
           reprep ();
-          last_prune := !gen;
           if options.log then
             Log.warn (fun f ->
                 f "dropped %d cut(s) violated by the incumbent at node %d"
@@ -636,15 +623,13 @@ let solve ?(options = default) model =
              nlb nub)
       | None -> ()
   in
-  (* Cutting planes, owner-side: a batch of rounds at the root, one
-     round every [node_interval] in-tree nodes. Each round separates at
-     the node's LP optimum, re-prepares the extended LP and re-solves —
-     warm from the extended final basis when the active set only grew
-     (appended rows keep it dual feasible), cold after a prune. *)
+  (* Cutting planes at the root: up to [Cuts.root_rounds] rounds. Each
+     separates at the LP optimum, re-prepares the extended LP and
+     re-solves warm from the final basis extended over the appended
+     rows (which keeps it dual feasible). *)
   let separate node obj values fbasis =
     match pool with
-    | None -> `Ok (obj, values, fbasis)
-    | Some pool ->
+    | Some pool when !nodes = 1 ->
       let rec cut_loop k obj values fbasis =
         if k = 0 || candidates values = [||] then `Ok (obj, values, fbasis)
         else begin
@@ -657,16 +642,10 @@ let solve ?(options = default) model =
             Cuts.separate_round pool ~sp:(Simplex.prep_sparse !prep)
               ~rows:!xrows ~point:values ~basis ~incumbent:!incumbent
           in
-          let pruned = Cuts.age_and_prune pool ~point:values in
-          if added = 0 && pruned = 0 then `Ok (obj, values, fbasis)
+          if added = 0 then `Ok (obj, values, fbasis)
           else begin
             reprep ();
-            if pruned > 0 then last_prune := !gen;
-            let warm =
-              if pruned = 0 then
-                Option.bind fbasis (fun b -> Simplex.extend_basis b !prep)
-              else None
-            in
+            let warm = Option.bind fbasis (fun b -> Simplex.extend_basis b !prep) in
             match solve_lp ?warm !prep ~lb:node.nlb ~ub:node.nub with
             | Simplex.Optimal { obj; values }, fb -> cut_loop (k - 1) obj values fb
             | Simplex.Infeasible, _ -> `Cut_off
@@ -675,17 +654,13 @@ let solve ?(options = default) model =
           end
         end
       in
-      let rounds =
-        if node.depth = 0 && !nodes = 1 then Cuts.root_rounds
-        else if !nodes mod Cuts.node_interval = 0 then 1
-        else 0
-      in
-      cut_loop rounds obj values fbasis
+      cut_loop Cuts.root_rounds obj values fbasis
+    | Some _ | None -> `Ok (obj, values, fbasis)
   in
   let heap = Heap.create () in
   let root =
     { nlb = lb0; nub = ub0; depth = 0; parent_bound = infinity; pbasis = None;
-      pgen = 0; bvar = -1; bup = false; bfrac = 0. }
+      bvar = -1; bup = false; bfrac = 0. }
   in
   Heap.push heap { key = infinity; depth = 0; node = root };
   let status = ref `Running in
@@ -709,7 +684,7 @@ let solve ?(options = default) model =
       if not (stop_at parent_key) then begin
         incr nodes;
         Lp_stats.incr Lp_stats.bb_nodes;
-        match node_lp !prep ~last_prune:!last_prune node with
+        match node_lp !prep node with
         | Simplex.Infeasible, _ -> ()
         | Simplex.Iter_limit, _ ->
           (* Unresolved node: re-queueing would loop, so the node is
@@ -754,8 +729,7 @@ let solve ?(options = default) model =
                 | Some (id, g) ->
                   run_heuristics ~fbasis ~values ~nlb:node.nlb ~nub:node.nub;
                   if bound > !incumbent_obj +. options.abs_gap then
-                    push_children (Heap.push heap) node ~bound ~fbasis ~gen:!gen id
-                      values g
+                    push_children (Heap.push heap) node ~bound ~fbasis id values g
               end
           end
       end
@@ -764,15 +738,16 @@ let solve ?(options = default) model =
      When the frontier is wide enough, a round drains the heap in
      canonical pop order into an array of subtree tasks. Each task is a
      pure function of (its root node, the round-start incumbent, the
-     frozen LP/cut state): it explores its subtree best-first up to
+     frozen LP): it explores its subtree best-first up to
      [par_grain] nodes with the same pruning rule, publishing incumbent
      candidates to a shared cell (monotone CAS under a total order) but
      never reading it mid-round. At the barrier, results merge in
      frontier index order — node counts, dropped-subtree accounting and
      the adopted incumbent are therefore bit-identical whether the tasks
-     ran inline, on 2 domains or on 8. Cut separation and plunging stay
-     owner-side (sequential steps and barriers), so the pool, [prep] and
-     the incumbent refs are never touched concurrently. *)
+     ran inline, on 2 domains or on 8. Cut separation runs only at the
+     root, always a sequential step; plunging and the incumbent audit
+     stay owner-side (sequential steps and barriers), so the pool,
+     [prep] and the incumbent refs are never touched concurrently. *)
   let par_width = max 2 options.par_width in
   let par_grain = max 1 options.par_grain in
   let rounds = ref 0 in
@@ -796,9 +771,9 @@ let solve ?(options = default) model =
           | Some e -> frontier.(i) <- e
           | None -> assert false
         done;
-        (* freeze the LP and cut-pool state for the round: tasks solve
-           against [prep0] read-only and tag children with [gen0] *)
-        let prep0 = !prep and gen0 = !gen and last_prune0 = !last_prune in
+        (* freeze the LP for the round: tasks solve against [prep0]
+           read-only *)
+        let prep0 = !prep in
         let inc0_obj = !incumbent_obj in
         let cell = Atomic.make None in
         let task i (elt : Heap.elt) =
@@ -830,7 +805,7 @@ let solve ?(options = default) model =
               else begin
                 incr tn;
                 Lp_stats.incr Lp_stats.bb_nodes;
-                match node_lp prep0 ~last_prune:last_prune0 node with
+                match node_lp prep0 node with
                 | Simplex.Infeasible, _ -> ()
                 | Simplex.Unbounded, _ ->
                   (* in-tree nodes only (the root is always processed in
@@ -856,8 +831,7 @@ let solve ?(options = default) model =
                           { iobj = bound; iorigin = i; ivalues = Array.copy values }
                       end
                     | Some (id, g) ->
-                      push_children (Heap.push lheap) node ~bound ~fbasis ~gen:gen0 id
-                        values g
+                      push_children (Heap.push lheap) node ~bound ~fbasis id values g
                   end
               end
           done;
@@ -888,8 +862,8 @@ let solve ?(options = default) model =
             List.iter (fun e -> Heap.push heap e) tr.tr_left)
           results;
         (* adopt the round's merged incumbent last: the cut audit inside
-           may prune the pool and bump [last_prune], correctly voiding
-           the leftover nodes' frozen-generation bases *)
+           may drop cuts and re-prepare a smaller LP, onto which the
+           leftover nodes' bases no longer extend (they cold-start) *)
         match Atomic.get cell with
         | Some w -> consider_incumbent w.ivalues w.iobj
         | None -> ()

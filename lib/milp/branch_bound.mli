@@ -47,11 +47,11 @@ type options = {
           bound, and the outcome degrades [Optimal] -> [Feasible]
           (exposed mainly so tests can force the degradation path). *)
   cuts : Cuts.options;
-      (** Cutting planes ({!Cuts}): separation rounds run at the root
-          and every {!Cuts.node_interval} in-tree nodes, the LP is re-prepared
-          on the extended row set, and parent bases extend over appended
-          cut rows so dual warm starts survive. Default {!Cuts.default};
-          [Cuts.disabled] restores the pre-cut search
+      (** Cutting planes ({!Cuts}): {!Cuts.root_rounds} separation
+          rounds run at the root only, the LP is re-prepared on the
+          extended row set, and each round's basis extends over the
+          appended cut rows so dual warm starts survive. Default
+          {!Cuts.default}; [Cuts.disabled] restores the pre-cut search
           exactly. A cut that fails its incumbent audit is dropped and
           taints the outcome ([Optimal] -> [Feasible]). *)
   pool : Parallel.Pool.t option;

@@ -6,8 +6,8 @@
    [create]: separations may use a node's LP point (to find violated
    candidates) but never its branching bounds. GMI shifts use the
    solve-global bounds recorded at [create]; cover and clique cuts only
-   use row data and integrality. That makes the pool shareable across
-   the whole branch-and-bound tree.
+   use row data and integrality. That makes the cuts separated at the
+   root valid at every node of the branch-and-bound tree.
 
    Dropping a term from a derived inequality is never done silently:
    removing [c * x_j] from a [<=] row is only sound after relaxing the
@@ -32,18 +32,10 @@ type options = { enable : bool }
 let default = { enable = true }
 let disabled = { enable = false }
 let root_rounds = 6
-let node_interval = 200
 let max_per_round = 20
-let pool_size = 200
-let max_age = 12
 let max_support = 200
 
-type cut = {
-  terms : (float * int) array;
-  rhs : float;
-  family : family;
-  mutable age : int;
-}
+type cut = { terms : (float * int) array; rhs : float; family : family }
 
 (* A knapsack row normalized to [sum a_j y_j <= cap] with a_j > 0 over
    literals y_j = x_j ([true]) or 1 - x_j ([false]). *)
@@ -66,7 +58,6 @@ type pool = {
   conflict : (int * int, unit) Hashtbl.t;  (* conflicting literal pairs *)
   graph_lits : int array;  (* sorted literals present in the graph *)
   mutable active : cut list;  (* activation order *)
-  mutable nactive : int;
   seen : (string, unit) Hashtbl.t;  (* normalized-support dedup *)
 }
 
@@ -141,7 +132,7 @@ let normalize terms rhs family =
     let s = 1. /. maxc in
     let arr = Array.of_list (List.map (fun (c, id) -> (c *. s, id)) terms) in
     Array.sort (fun (_, a) (_, b) -> compare a b) arr;
-    Some { terms = arr; rhs = rhs *. s; family; age = 0 }
+    Some { terms = arr; rhs = rhs *. s; family }
   end
 
 (* Generation-time audit: finite data, and — when an incumbent exists —
@@ -296,7 +287,6 @@ let create model =
     conflict;
     graph_lits;
     active = [];
-    nactive = 0;
     seen = Hashtbl.create 64;
   }
 
@@ -561,7 +551,7 @@ let sep_gomory pool ~sp ~rows ~bcols ~stats x acc =
 (* ------------------------------------------------------------------ *)
 (* Pool lifecycle                                                      *)
 
-let active_count pool = pool.nactive
+let active_count pool = List.length pool.active
 let active_cuts pool = pool.active
 
 (* Clean and normalize the raw candidates of one round and keep the
@@ -587,54 +577,27 @@ let violated pool point raw =
   |> List.map snd
 
 let separate_round pool ~sp ~rows ~point ~basis ~incumbent =
-  if pool.nactive >= pool_size then 0
-  else begin
-    let raw = ref [] in
-    sep_cover pool point raw;
-    sep_clique pool point raw;
-    (match basis with
-    | Some (bcols, stats) -> sep_gomory pool ~sp ~rows ~bcols ~stats point raw
-    | None -> ());
-    Lp_stats.add Lp_stats.cuts_generated (List.length !raw);
-    let added = ref 0 in
-    List.iter
-      (fun cut ->
-        if !added < max_per_round && pool.nactive < pool_size then begin
-          let key = key_of cut in
-          if (not (Hashtbl.mem pool.seen key)) && audit ~incumbent cut then begin
-            Hashtbl.replace pool.seen key ();
-            pool.active <- pool.active @ [ cut ];
-            pool.nactive <- pool.nactive + 1;
-            incr added;
-            Lp_stats.incr Lp_stats.cuts_applied
-          end
-        end)
-      (violated pool point !raw);
-    !added
-  end
-
-let age_and_prune pool ~point =
-  let pruned = ref 0 in
-  let keep =
-    List.filter
-      (fun cut ->
-        let slack = cut.rhs -. eval_cut cut point in
-        if slack > 1e-7 *. Float.max 1. (Float.abs cut.rhs) then
-          cut.age <- cut.age + 1
-        else cut.age <- 0;
-        if cut.age > max_age then begin
-          incr pruned;
-          (* allow the cut back in if it ever separates again *)
-          Hashtbl.remove pool.seen (key_of cut);
-          Lp_stats.incr Lp_stats.cuts_pruned;
-          false
+  let raw = ref [] in
+  sep_cover pool point raw;
+  sep_clique pool point raw;
+  (match basis with
+  | Some (bcols, stats) -> sep_gomory pool ~sp ~rows ~bcols ~stats point raw
+  | None -> ());
+  Lp_stats.add Lp_stats.cuts_generated (List.length !raw);
+  let added = ref 0 in
+  List.iter
+    (fun cut ->
+      if !added < max_per_round then begin
+        let key = key_of cut in
+        if (not (Hashtbl.mem pool.seen key)) && audit ~incumbent cut then begin
+          Hashtbl.replace pool.seen key ();
+          pool.active <- pool.active @ [ cut ];
+          incr added;
+          Lp_stats.incr Lp_stats.cuts_applied
         end
-        else true)
-      pool.active
-  in
-  pool.active <- keep;
-  pool.nactive <- List.length keep;
-  !pruned
+      end)
+    (violated pool point !raw);
+  !added
 
 let audit_incumbent pool x =
   let dropped = ref 0 in
@@ -650,7 +613,6 @@ let audit_incumbent pool x =
       pool.active
   in
   pool.active <- keep;
-  pool.nactive <- List.length keep;
   !dropped
 
 let extend_model base pool =

@@ -23,10 +23,11 @@
     Cuts are plain [<=] rows over structural variables (slack columns
     of the separation LP are substituted out), normalized to max |coeff|
     = 1, and held in a pool with duplicate hashing on the normalized
-    support, activity-based aging and a bounded size. {!Branch_bound}
-    applies the active set by re-preparing the LP with
-    {!extend_model} and keeps dual warm starts valid through
-    {!Simplex.extend_basis} (cuts only append rows).
+    support. Separation runs only at the root: {!Branch_bound} applies
+    the active set by re-preparing the LP with {!extend_model} after
+    each root round, and keeps dual warm starts valid through
+    {!Simplex.extend_basis} (a round only appends rows). Past the root
+    the active set can only shrink (incumbent audit drops).
 
     Every candidate is audited before activation — finite coefficients,
     bounded dynamism, and satisfaction by the current incumbent under a
@@ -39,10 +40,8 @@ type family = Gomory | Cover | Clique
 
 (** The one cut setting callers choose: on ({!default}) or off
     ({!disabled}). Everything else is fixed: all three families,
-    {!root_rounds} rounds at the root, one in-tree round every
-    {!node_interval} nodes, at most 20 activations per round into a
-    pool of 200, cuts of at most 200 nonzeros, and a cut slack at the
-    separation point for more than 12 consecutive rounds is pruned. *)
+    {!root_rounds} rounds at the root and none in the tree, at most 20
+    activations per round and cuts of at most 200 nonzeros. *)
 type options = { enable : bool }
 
 val default : options
@@ -51,17 +50,12 @@ val disabled : options
 (** Separation rounds at the root node (6). *)
 val root_rounds : int
 
-(** One separation round every this many branch-and-bound nodes
-    (200). *)
-val node_interval : int
-
 (** A pooled cut: [sum terms <= rhs] over structural variable ids, with
     max |coefficient| = 1. *)
 type cut = private {
   terms : (float * int) array;  (** (coefficient, var id), id-sorted *)
   rhs : float;
   family : family;
-  mutable age : int;  (** consecutive slack separation rounds *)
 }
 
 type pool
@@ -89,13 +83,6 @@ val separate_round :
   basis:(int array * Simplex.vstat array) option ->
   incumbent:float array option ->
   int
-
-(** Age the active cuts against the current LP point — tight resets the
-    age, slack increments it — and prune cuts slack for more than 12
-    rounds. Returns
-    the number pruned (pruning invalidates extended bases built on the
-    previous row set; see {!Simplex.extend_basis}). *)
-val age_and_prune : pool -> point:float array -> int
 
 (** Re-audit the active cuts against a new incumbent; failing cuts are
     removed (and counted in [cut-audit-failures]). Returns the number

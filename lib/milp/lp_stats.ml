@@ -22,7 +22,6 @@ let certify_checks = C.make "certify-checks"
 let certify_failures = C.make "certify-failures"
 let cuts_generated = C.make "cuts-generated"
 let cuts_applied = C.make "cuts-applied"
-let cuts_pruned = C.make "cuts-pruned"
 let cut_audit_failures = C.make "cut-audit-failures"
 let batch_prepares = C.make "batch-prepares"
 let batch_overlays = C.make "batch-overlays"

@@ -83,9 +83,9 @@ val has_point : solution -> bool
     branch-and-bound nodes ([bb-nodes]), presolve reductions
     ([presolve-rows]/[presolve-cols]/[presolve-bigm]), certification
     verdicts ([certify-checks]/[certify-failures]), cutting-plane
-    activity ([cuts-generated]/[cuts-applied]/[cuts-pruned]/
-    [cut-audit-failures]), batched overlays ([batch-prepares]/
-    [batch-overlays]/[batch-warm-hits]) and branching ([sb-probes],
+    activity ([cuts-generated]/[cuts-applied]/[cut-audit-failures]),
+    batched overlays ([batch-prepares]/[batch-overlays]/
+    [batch-warm-hits]) and branching ([sb-probes],
     [pseudocost-updates], [heuristic-solutions],
     [heuristic-rejections]). Each reads the calling domain's cumulative
     value, which includes pool work credited back from worker domains;

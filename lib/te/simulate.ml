@@ -163,6 +163,18 @@ let finish_result eng = function
   | Milp.Simplex.Iter_limit ->
     failwith "Simulate.route_prepared: simplex iteration limit"
 
+(* One overlay solve with its independent audit (Milp.Batch.check): the
+   verdict lands in the certify counters, which the bench prints and CI
+   gates on — a failed audit must never pass silently as a solved
+   scenario. *)
+let solve_overlay ?warm batch patch =
+  let out = Milp.Batch.solve ?warm ~patch batch in
+  (match out.Milp.Batch.result with
+  | Milp.Simplex.Optimal { obj; values } ->
+    ignore (Milp.Batch.check ~patch ~obj ~values batch)
+  | _ -> ());
+  out
+
 let prepare ?(objective = Formulation.Total_flow) topo paths demand =
   let spec, index = base_build ~objective topo paths demand in
   let model, _vars = Lp_spec.to_model spec in
@@ -185,7 +197,7 @@ let prepare ?(objective = Formulation.Total_flow) topo paths demand =
   let hpatch =
     scenario_patch ~objective topo paths index Failure.Scenario.empty
   in
-  let out = Milp.Batch.solve ~patch:hpatch batch in
+  let out = solve_overlay batch hpatch in
   match finish_result eng0 out.Milp.Batch.result with
   | None -> None
   | Some h -> Some { eng0 with eng_healthy = h; eng_basis = out.Milp.Batch.basis }
@@ -197,16 +209,7 @@ let route_prepared eng scenario =
     scenario_patch ~objective:eng.eng_objective eng.eng_topo eng.eng_paths
       eng.eng_index scenario
   in
-  let out = Milp.Batch.solve ?warm:eng.eng_basis ~patch eng.eng_batch in
-  (* independent overlay audit (Milp.Batch.check): the verdict lands in
-     the certify counters, which the bench prints and CI gates on —
-     a failed audit must never pass silently as a solved scenario *)
-  (match out.Milp.Batch.result with
-  | Milp.Simplex.Optimal { obj; values } ->
-    (match Milp.Batch.check ~patch ~obj ~values eng.eng_batch with
-    | Ok () | Error _ -> ())
-  | _ -> ());
-  finish_result eng out.Milp.Batch.result
+  finish_result eng (solve_overlay ?warm:eng.eng_basis eng.eng_batch patch).Milp.Batch.result
 
 let degradation_prepared eng scenario =
   Option.map

@@ -79,7 +79,8 @@ val degradation :
 type engine
 
 (** [prepare ~objective topo paths demand] builds the shared structure
-    and solves the healthy network (the warm-start seed). [None] when
+    and solves the healthy network (the warm-start seed), audited by
+    {!Milp.Batch.check} like every overlay. [None] when
     even the healthy network cannot route the demand (same condition as
     {!healthy} returning [None]). Only [Optimal_failover] reactions are
     supported — naive fail-over changes the row structure per scenario. *)

@@ -124,6 +124,15 @@ let test_enum_differential () =
 
 (* --- engine vs the independent Simulate.route path -------------------- *)
 
+(* The empty scenario and every whole-LAG failure. *)
+let lag_scenarios topo =
+  let whole_lag e =
+    let lag = Wan.Topology.lag topo e in
+    Failure.Scenario.of_links topo
+      (List.init (Wan.Lag.num_links lag) (fun i -> (e, i)))
+  in
+  Failure.Scenario.empty :: List.init (Wan.Topology.num_lags topo) whole_lag
+
 (* The per-scenario path builds a structurally different LP (no
    extension rows for open paths), so vertices — hence flows — may
    differ; the optimal objective value must agree to solver tolerance,
@@ -134,15 +143,6 @@ let test_engine_vs_route objective () =
     match Te.Simulate.prepare ~objective topo paths demand with
     | Some e -> e
     | None -> Alcotest.fail "healthy network must route the demand"
-  in
-  let whole_lag e =
-    let lag = Wan.Topology.lag topo e in
-    Failure.Scenario.of_links topo
-      (List.init (Wan.Lag.num_links lag) (fun i -> (e, i)))
-  in
-  let scenarios =
-    Failure.Scenario.empty
-    :: List.init (Wan.Topology.num_lags topo) whole_lag
   in
   List.iteri
     (fun i s ->
@@ -156,7 +156,32 @@ let test_engine_vs_route objective () =
           Alcotest.failf "scenario %d: legacy %.12g vs engine %.12g" i dl de
       | Some _, None | None, Some _ ->
         Alcotest.failf "scenario %d: feasibility verdicts disagree" i)
-    scenarios
+    (lag_scenarios topo)
+
+(* Every overlay the engine solves is audited, the healthy one included:
+   after [prepare] and n routes, the overlay and certify-check counters
+   moved by the same n + 1. *)
+let test_every_overlay_audited () =
+  let topo, paths, demand = wan () in
+  let read c = Milp.Lp_stats.read c () in
+  let o0 = read Milp.Lp_stats.batch_overlays
+  and c0 = read Milp.Lp_stats.certify_checks in
+  let eng =
+    match Te.Simulate.prepare topo paths demand with
+    | Some e -> e
+    | None -> Alcotest.fail "healthy network must route the demand"
+  in
+  let scenarios = lag_scenarios topo in
+  List.iteri
+    (fun i s ->
+      if Option.is_none (Te.Simulate.route_prepared eng s) then
+        Alcotest.failf "scenario %d: total flow must route" i)
+    scenarios;
+  let overlays = read Milp.Lp_stats.batch_overlays - o0 in
+  Alcotest.(check int) "one overlay per prepare and route"
+    (List.length scenarios + 1) overlays;
+  Alcotest.(check int) "overlays = certify-checks" overlays
+    (read Milp.Lp_stats.certify_checks - c0)
 
 (* --- warm overlay == cold overlay over the random-LP corpus ----------- *)
 
@@ -276,6 +301,7 @@ let suite =
     ( "engine agrees with Simulate.route (mlu)",
       `Quick,
       test_engine_vs_route (Te.Formulation.Mlu { u_max = 10. }) );
+    ("every overlay audited", `Quick, test_every_overlay_audited);
     QCheck_alcotest.to_alcotest prop_warm_equals_cold;
     ( "shared CSC structure immutable under concurrent overlays",
       `Quick,

@@ -1,9 +1,10 @@
 (* Tests for the cutting-plane subsystem (Milp.Cuts): pinned cover,
    clique and Gomory separations on hand-built models, pool hygiene
-   (duplicate hashing, aging, incumbent audit), dual warm starts across
-   appended cut rows (Simplex.extend_basis), and the validity property over the random-MILP
-   differential corpus — every pooled cut must be satisfied by every
-   integer-feasible point of its model. *)
+   (duplicate hashing, incumbent audit), dual warm starts across
+   appended cut rows (Simplex.extend_basis), separation at the root
+   only, and the validity property over the random-MILP differential
+   corpus — every pooled cut must be satisfied by every integer-feasible
+   point of its model. *)
 
 let check_float ?(eps = 1e-9) what expected got =
   Alcotest.(check (float eps)) what expected got
@@ -60,10 +61,14 @@ let cover_point = [| 0.; 0.9; 0.9; 0.9 |]
 let test_cover_pinned () =
   let mdl = cover_model () in
   let pool = Milp.Cuts.create mdl in
-  let added =
+  let sep () =
     separate_at pool mdl ~point:cover_point ~basis:None ~incumbent:None
   in
-  Alcotest.(check int) "one cut activated" 1 added;
+  Alcotest.(check int) "one cut activated" 1 (sep ());
+  (* the pool hashes the normalized support: separating the same point
+     again finds the same cut and activates nothing *)
+  Alcotest.(check int) "duplicate is hashed out" 0 (sep ());
+  Alcotest.(check int) "one active cut" 1 (Milp.Cuts.active_count pool);
   match active_of Milp.Cuts.Cover pool with
   | [ c ] ->
     Alcotest.(check (array int)) "support is {x1, x2, x3}" [| 1; 2; 3 |]
@@ -228,38 +233,32 @@ let test_extend_basis_warm () =
     let other = cover_model () in
     (match Milp.Simplex.extend_basis bas (Milp.Simplex.prepare other) with
     | None -> ()
-    | Some _ -> Alcotest.fail "extension across models accepted")
+    | Some _ -> Alcotest.fail "extension across models accepted");
+    (* an incumbent audit only drops cuts, so below the root a basis
+       with more rows than the current LP predates a drop: the shape
+       rule must reject it *)
+    let one = Milp.Cuts.create other and two = Milp.Cuts.create other in
+    let sep pool point =
+      separate_at pool other ~point ~basis:None ~incumbent:None
+    in
+    Alcotest.(check int) "first cut" 1 (sep one cover_point);
+    Alcotest.(check int) "same first cut" 1 (sep two cover_point);
+    Alcotest.(check int) "second cut" 1 (sep two [| 0.9; 0.; 0.9; 0.9 |]);
+    let prep_of pool = Milp.Simplex.prepare (Milp.Cuts.extend_model other pool) in
+    let prep1 = prep_of one and prep2 = prep_of two in
+    (match Milp.Simplex.solve_prepared prep2 with
+    | Milp.Simplex.Optimal _, Some bas2 ->
+      Alcotest.(check bool) "two-cut basis onto the one-cut LP" true
+        (Option.is_none (Milp.Simplex.extend_basis bas2 prep1))
+    | _ -> Alcotest.fail "two-cut LP not optimal with a basis");
+    (match Milp.Simplex.solve_prepared prep1 with
+    | Milp.Simplex.Optimal _, Some bas1 ->
+      Alcotest.(check bool) "one-cut basis extends to the two-cut LP" true
+        (Option.is_some (Milp.Simplex.extend_basis bas1 prep2))
+    | _ -> Alcotest.fail "one-cut LP not optimal with a basis")
   | _ -> Alcotest.fail "LP relaxation not optimal with a basis"
 
-(* --- pool hygiene: dedup, aging, audit ----------------------------------- *)
-
-(* a cut may stay slack for this many consecutive rounds (cuts.mli) *)
-let max_age = 12
-
-let test_dedup_and_aging () =
-  let mdl = cover_model () in
-  let pool = Milp.Cuts.create mdl in
-  let sep point = separate_at pool mdl ~point ~basis:None ~incumbent:None in
-  Alcotest.(check int) "first round activates" 1 (sep cover_point);
-  Alcotest.(check int) "duplicate is hashed out" 0 (sep cover_point);
-  Alcotest.(check int) "one active cut" 1 (Milp.Cuts.active_count pool);
-  (* the all-zeros point leaves the cut slack: it ages out after
-     max_age rounds and its hash is released, so it can re-enter *)
-  let origin = [| 0.; 0.; 0.; 0. |] in
-  for r = 1 to max_age do
-    Alcotest.(check int)
-      (Printf.sprintf "slack round %d" r)
-      0
-      (Milp.Cuts.age_and_prune pool ~point:origin)
-  done;
-  Alcotest.(check int) "aged out" 1 (Milp.Cuts.age_and_prune pool ~point:origin);
-  Alcotest.(check int) "pool drained" 0 (Milp.Cuts.active_count pool);
-  Alcotest.(check int) "pruned cut can re-enter" 1 (sep cover_point);
-  (* a tight point resets the age instead *)
-  let tight = [| 0.; 1.; 1.; 0. |] in
-  Alcotest.(check int) "tight round prunes nothing" 0
-    (Milp.Cuts.age_and_prune pool ~point:tight);
-  Alcotest.(check int) "cut survives" 1 (Milp.Cuts.active_count pool)
+(* --- pool hygiene: incumbent audit ---------------------------------------- *)
 
 let test_incumbent_audit () =
   let mdl = cover_model () in
@@ -275,6 +274,43 @@ let test_incumbent_audit () =
     (Milp.Cuts.audit_incumbent pool incumbent);
   Alcotest.(check int) "no audit failures" 0
     (Milp.Lp_stats.read Milp.Lp_stats.cut_audit_failures ())
+
+(* --- separation at the root only ------------------------------------------ *)
+
+(* Past the root the search separates nothing, so a full solve generates
+   exactly the root's candidates. The model is the KKT encoding of the
+   6-node africa-like WAN under variable demand, whose tree passes 200
+   nodes; [par_width] beyond any frontier makes every node a sequential
+   step, the only place separation can run. *)
+let test_root_only () =
+  let topo = Wan.Generators.africa_like ~seed:5 ~n:6 () in
+  let pairs = [ (0, 4); (1, 5) ] in
+  let paths = Netpath.Path_set.compute ~n_primary:2 ~n_backup:1 topo pairs in
+  let env =
+    Traffic.Envelope.from_zero ~slack:0.3
+      (Traffic.Demand.of_list (List.map (fun p -> (p, 60.)) pairs))
+  in
+  let spec =
+    { Raha.Bilevel.default_spec with threshold = Some 1e-5; encoding = Raha.Bilevel.Kkt }
+  in
+  let built = Raha.Bilevel.build spec topo paths env in
+  let options =
+    {
+      Milp.Solver.default_options with
+      par_width = max_int;
+      branch_priority = built.Raha.Bilevel.branch_priority;
+    }
+  in
+  let generated options =
+    let g0 = Milp.Lp_stats.read Milp.Lp_stats.cuts_generated () in
+    let sol = Milp.Solver.solve ~options built.Raha.Bilevel.model in
+    (sol, Milp.Lp_stats.read Milp.Lp_stats.cuts_generated () - g0)
+  in
+  let full, g_full = generated options in
+  let _, g_root = generated { options with max_nodes = 1 } in
+  Alcotest.(check bool) "the tree passes 200 nodes" true (full.Milp.Solver.nodes > 200);
+  Alcotest.(check bool) "the root separates" true (g_root > 0);
+  Alcotest.(check int) "full solve generates only the root's cuts" g_root g_full
 
 (* --- validity over the differential corpus ------------------------------- *)
 
@@ -413,8 +449,8 @@ let suite =
     ("pinned clique cut", `Quick, test_clique_pinned);
     ("pinned Gomory cut at a fractional vertex", `Quick, test_gomory_pinned);
     ("warm start extends across cut rows", `Quick, test_extend_basis_warm);
-    ("pool dedup and aging", `Quick, test_dedup_and_aging);
     ("incumbent audit", `Quick, test_incumbent_audit);
+    ("cuts separate at the root only", `Quick, test_root_only);
     QCheck_alcotest.to_alcotest prop_corpus_cuts_valid;
     ("32 random MILPs: cuts on vs off", `Quick, test_solver_differential);
   ]

@@ -179,9 +179,8 @@ let test_stats_counters_exported () =
       "simplex"; "dual-pivots"; "factorizations"; "eta-updates"; "warm-attempts";
       "warm-hits"; "bb-nodes"; "presolve-rows"; "presolve-cols"; "presolve-bigm";
       "certify-checks"; "certify-failures"; "cuts-generated"; "cuts-applied";
-      "cuts-pruned"; "cut-audit-failures"; "batch-prepares"; "batch-overlays";
-      "batch-warm-hits"; "sb-probes"; "pseudocost-updates"; "heuristic-solutions";
-      "heuristic-rejections";
+      "cut-audit-failures"; "batch-prepares"; "batch-overlays"; "batch-warm-hits";
+      "sb-probes"; "pseudocost-updates"; "heuristic-solutions"; "heuristic-rejections";
     ]
     (List.map fst Solver.stats_counters);
   let rows0 = Lp_stats.read Lp_stats.presolve_rows () in
