@@ -716,7 +716,8 @@ let montecarlo ctx =
    asserts they match within 1e-6 relative. The sweeps run on one
    domain so the scope counters see every scenario; CI gates on bwarm
    (batched warm hits) staying nonzero, cert=ok (zero Batch.check audit
-   failures) and agree(oracle)=true. Measured scenarios/sec rows are
+   failures), agree(oracle)=true and the mc cell solving fewer overlays
+   than it has scenarios (a sweep solves each distinct overlay once). Measured scenarios/sec rows are
    recorded in BENCH_batch.json. *)
 let batch_bench ctx =
   section ctx ~id:"batch"

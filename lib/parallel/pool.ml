@@ -214,8 +214,6 @@ let run_items t n run =
     | None -> ()
   end
 
-let iter_array t f a = run_items t (Array.length a) (fun i -> f a.(i))
-
 let mapi_array t f a =
   let n = Array.length a in
   if n = 0 then [||]

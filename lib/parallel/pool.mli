@@ -51,9 +51,6 @@ val map_array : t -> ('a -> 'b) -> 'a array -> 'b array
 (** [mapi_array pool f a] is [Array.mapi f a], evaluated in parallel. *)
 val mapi_array : t -> (int -> 'a -> 'b) -> 'a array -> 'b array
 
-(** [iter_array pool f a] is [Array.iter f a], evaluated in parallel. *)
-val iter_array : t -> ('a -> unit) -> 'a array -> unit
-
 (** [inside_task ()] is [true] while the calling domain is executing a
     pool task (any pool). *)
 val inside_task : unit -> bool

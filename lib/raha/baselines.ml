@@ -10,20 +10,17 @@ let enumerate_failures ?(objective = Te.Formulation.Total_flow) ?pool ~k topo pa
   let t0 = Unix.gettimeofday () in
   let scenarios = Array.of_list (Failure.Enumerate.up_to_k topo ~k) in
   (* One engine for the whole sweep: the formulation, CSC structure,
-     symbolic factorization and healthy LP are built and solved once. *)
-  let eng = Te.Simulate.prepare ~objective topo paths demand in
-  let eval s =
-    match eng with
-    | None -> neg_infinity (* healthy network cannot route the demand *)
-    | Some eng -> (
-      match Te.Simulate.degradation_prepared eng s with
-      | Some d -> d
-      | None -> neg_infinity (* infeasible routing (disconnected MLU pair) *))
-  in
+     symbolic factorization and healthy LP are built and solved once,
+     and each distinct overlay is solved once. An infeasible routing
+     (a disconnected MLU pair) scores neg_infinity, and so does every
+     scenario when the healthy network cannot route the demand. *)
   let degs =
-    match pool with
-    | Some pool -> Parallel.Pool.map_array pool eval scenarios
-    | None -> Array.map eval scenarios
+    match Te.Simulate.prepare ~objective topo paths demand with
+    | None -> Array.map (fun _ -> neg_infinity) scenarios
+    | Some eng ->
+      Array.map
+        (Option.value ~default:neg_infinity)
+        (Te.Simulate.degradations_prepared ?pool eng scenarios)
   in
   (* deterministic arg-max: first index attaining the maximum *)
   let worst_i = ref 0 in

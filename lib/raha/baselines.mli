@@ -25,9 +25,11 @@ type enumeration = {
     without one). The result is identical for any parallelism (ties
     break toward the first scenario in enumeration order).
 
-    Scenarios go through the batched engine ({!Te.Simulate.prepare}):
-    one prepare, one healthy solve, rhs overlays warm-started from the
-    healthy basis.
+    Scenarios go through the batched engine
+    ({!Te.Simulate.degradations_prepared}): one prepare, one healthy
+    solve, and one rhs overlay warm-started from the healthy basis per
+    distinct overlay; scenarios that change the same rows alike (e.g.
+    failures of links no path crosses) share a solve.
     @raise Invalid_argument when the scenario count explodes (see
     {!Failure.Enumerate.up_to_k}). *)
 val enumerate_failures :

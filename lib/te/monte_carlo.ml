@@ -21,9 +21,10 @@ let sample_scenario rng topo =
   Failure.Scenario.of_links topo !links
 
 (* Samples are drawn in fixed blocks of [rng_block], each from its own
-   RNG seeded with [| seed; block |]. The block layout never depends on
-   the pool's width, so a run is bit-identical with or without a
-   [~pool] given the same [~seed] — the determinism contract DESIGN.md
+   RNG seeded with [| seed; block |]. The draw never depends on the
+   pool, and Simulate.degradations_prepared returns the same bits at
+   any pool width, so a run is bit-identical with or without a [~pool]
+   given the same [~seed] — the determinism contract DESIGN.md
    documents. *)
 let rng_block = 64
 
@@ -35,8 +36,8 @@ let sample_degradations ?(objective = Formulation.Total_flow) ?pool ~seed ~sampl
     | Some e -> e
     | None -> invalid_arg "Monte_carlo: healthy network cannot route the demand"
   in
-  let healthy = Simulate.engine_healthy eng in
-  (* phase 1: draw every scenario up front, in the fixed block layout *)
+  let healthy = (Simulate.engine_healthy eng).Simulate.performance in
+  (* draw every scenario up front, in the fixed block layout *)
   let n_blocks = (samples + rng_block - 1) / rng_block in
   let scenarios = Array.make samples Failure.Scenario.empty in
   for b = 0 to n_blocks - 1 do
@@ -46,23 +47,11 @@ let sample_degradations ?(objective = Formulation.Total_flow) ?pool ~seed ~sampl
       scenarios.(i) <- sample_scenario rng topo
     done
   done;
-  (* phase 2: solve block by block. Every scenario warm-starts from the
-     same shared healthy basis (never chained), so the values are
-     independent of pool width and scheduling. *)
-  let degradations = Array.make samples 0. in
-  let solve_block b =
-    let hi = min samples ((b + 1) * rng_block) in
-    for i = b * rng_block to hi - 1 do
-      degradations.(i) <-
-        (match Simulate.degradation_prepared eng scenarios.(i) with
-        | Some d -> d
-        | None -> healthy.Simulate.performance)
-    done
+  let degradations =
+    Array.map
+      (Option.value ~default:healthy)
+      (Simulate.degradations_prepared ?pool eng scenarios)
   in
-  let blocks = Array.init n_blocks Fun.id in
-  (match pool with
-  | Some pool -> Parallel.Pool.iter_array pool solve_block blocks
-  | None -> Array.iter solve_block blocks);
   (degradations, scenarios)
 
 let summarize degradations scenarios =

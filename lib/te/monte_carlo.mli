@@ -25,16 +25,14 @@ type summary = {
     disconnected pair) count as the healthy network's full performance.
 
     Samples are drawn in fixed 64-sample blocks, each from an RNG seeded
-    [Random.State.make [| seed; block |]], and routed on [pool] (inline
-    on the caller without one). The block layout is independent of the
-    parallelism, so the returned arrays are bit-identical for a given
-    [seed] with or without a pool of any width.
-
-    Scenarios are solved through the batched engine ({!Simulate.prepare}):
-    one shared prepared structure, rhs overlays, warm dual solves from
-    the healthy basis. Each block is one unit of pool work; every
-    scenario warm-starts from the same healthy basis, never from a
-    neighbour, so results are independent of [pool] and scheduling. *)
+    [Random.State.make [| seed; block |]]; the block layout governs
+    only the draw. The scenarios are then solved through the batched
+    engine by {!Simulate.degradations_prepared}: one shared prepared
+    structure, and one warm dual solve from the healthy basis per
+    distinct overlay, on [pool] (inline without one). Neither the draw
+    nor the solves depend on the parallelism, so the returned arrays
+    are bit-identical for a given [seed] with or without a pool of any
+    width. *)
 val sample_degradations :
   ?objective:Formulation.objective ->
   ?pool:Parallel.Pool.t ->

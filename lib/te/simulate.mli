@@ -69,18 +69,21 @@ val degradation :
 (** {1 Batched scenario engine}
 
     One symbolic factorization, thousands of warm-started scenario
-    solves (DESIGN.md §12). [prepare] builds the TE LP once with every
-    extension-capacity row present and runs one cold solve of the
-    healthy network; each scenario is then a pure rhs overlay
-    ([Milp.Batch]) solved by the dual simplex warm-started from the
-    healthy optimal basis. An engine is immutable after [prepare] and
-    safe to share across domains. *)
+    solves (DESIGN.md §12). [prepare] builds the TE LP of the healthy
+    network once, with every extension-capacity row present, and runs
+    one cold solve of it; each scenario is then a pure rhs delta on
+    that base ([Milp.Batch]), solved by the dual simplex warm-started
+    from the healthy optimal basis. An engine is immutable after
+    [prepare] and safe to share across domains. *)
 
 type engine
 
 (** [prepare ~objective topo paths demand] builds the shared structure
     and solves the healthy network (the warm-start seed), audited by
-    {!Milp.Batch.check} like every overlay. [None] when
+    {!Milp.Batch.check} like every overlay. The base rhs is the healthy
+    network's: live LAG capacities, extension rows at [d_max] for the
+    paths available with nothing failed and at 0 for the rest (the
+    backups), so the healthy overlay patches nothing. [None] when
     even the healthy network cannot route the demand (same condition as
     {!healthy} returning [None]). Only [Optimal_failover] reactions are
     supported — naive fail-over changes the row structure per scenario. *)
@@ -99,12 +102,25 @@ val prepare :
 val engine_healthy : engine -> result
 
 (** [route_prepared eng scenario] routes the engine's demand under
-    [scenario]: an rhs overlay on the shared prepared structure, solved
-    by the dual simplex warm-started from the healthy basis and audited
-    by {!Milp.Batch.check}. *)
+    [scenario]: one overlay solve, warm-started from the healthy basis
+    and audited by {!Milp.Batch.check}. The overlay patches only the
+    rows whose rhs differs from the healthy network's: the capacity
+    rows of LAGs with a failed link (none under MLU) and the extension
+    rows of paths that a fully-down LAG opens or blocks. *)
 val route_prepared : engine -> Failure.Scenario.t -> result option
 
 (** {!degradation} against the engine's healthy baseline: healthy minus
     failed performance (Total_flow / Max_min), failed minus healthy MLU
     (Mlu). [None] when the scenario LP is infeasible. *)
 val degradation_prepared : engine -> Failure.Scenario.t -> float option
+
+(** [degradations_prepared ?pool eng scenarios] is
+    [Array.map (degradation_prepared eng) scenarios], bit for bit, but
+    solves each distinct overlay once: scenarios whose failures give
+    the same rhs (most often the healthy one, when no failed link lies
+    on a path) share one solve and its audit. The distinct overlays are
+    found before any work is fanned out, then solved on [pool] (inline
+    without one), so the overlays solved and every counter are the same
+    at any pool width. *)
+val degradations_prepared :
+  ?pool:Parallel.Pool.t -> engine -> Failure.Scenario.t array -> float option array

@@ -23,7 +23,6 @@ cd "$(dirname "$0")/.."
 # observe or check reachable code (observers, oracles, fuzz targets of
 # parsers of untrusted bytes) belong here, plus Srlg.make.
 allow=$(cat <<'ALLOW'
-Batch.base_rhs                   observer: tests build rhs overlays from a prepared batch's base rhs
 Batch.prep                       observer: tests snapshot the shared prepared model to check overlays never mutate it
 Branch_bound.better_key          observer: tests check the (bound, depth) order of the node heap
 Cluster.partition                observer: tests check the node clustering that Cluster.analyze solves block by block

@@ -183,6 +183,215 @@ let test_every_overlay_audited () =
   Alcotest.(check int) "overlays = certify-checks" overlays
     (read Milp.Lp_stats.certify_checks - c0)
 
+(* --- sweeps: one overlay per distinct patch ---------------------------- *)
+
+let objectives =
+  [
+    ("total flow", Te.Formulation.Total_flow);
+    ("max-min", Te.Formulation.Max_min { bins = 3; ratio = 1. });
+    ("mlu", Te.Formulation.Mlu { u_max = 10. });
+  ]
+
+let prepared ~objective topo paths demand =
+  match Te.Simulate.prepare ~objective topo paths demand with
+  | Some e -> e
+  | None -> Alcotest.fail "healthy network must route the demand"
+
+let whole_lag topo e =
+  Failure.Scenario.of_links topo
+    (List.init (Wan.Lag.num_links (Wan.Topology.lag topo e)) (fun i -> (e, i)))
+
+(* LAGs some path crosses, and the rest *)
+let lags_by_use topo paths =
+  let used e =
+    List.exists
+      (fun p ->
+        List.exists
+          (fun path -> Netpath.Path.mem_lag path e)
+          (Netpath.Path_set.all_paths p))
+      paths
+  in
+  List.partition used (List.init (Wan.Topology.num_lags topo) Fun.id)
+
+(* [n] scenarios drawn from a small pool, so most recur: the empty
+   scenario, every prefix of every LAG's links (one link up to the
+   whole LAG: equal rows, different capacities), every LAG's last link
+   alone and random multi-link failures *)
+let duplicate_heavy topo n =
+  let rng = Random.State.make [| 0xd0b |] in
+  let random_links () =
+    let links = ref [] in
+    Array.iter
+      (fun (lag : Wan.Lag.t) ->
+        Array.iteri
+          (fun i _ ->
+            if Random.State.float rng 1. < 0.2 then links := (lag.Wan.Lag.lag_id, i) :: !links)
+          lag.Wan.Lag.links)
+      (Wan.Topology.lags topo);
+    Failure.Scenario.of_links topo !links
+  in
+  let per_lag =
+    List.concat_map
+      (fun (lag : Wan.Lag.t) ->
+        let e = lag.Wan.Lag.lag_id and n = Wan.Lag.num_links lag in
+        Failure.Scenario.of_links topo [ (e, n - 1) ]
+        :: List.init n (fun m -> Failure.Scenario.of_links topo (List.init (m + 1) (fun i -> (e, i)))))
+      (Array.to_list (Wan.Topology.lags topo))
+  in
+  let base =
+    Array.of_list
+      ((Failure.Scenario.empty :: per_lag) @ List.init 8 (fun _ -> random_links ()))
+  in
+  Array.init n (fun _ -> base.(Random.State.int rng (Array.length base)))
+
+let test_sweep_equals_map () =
+  let topo, paths, demand = wan () in
+  let scenarios = duplicate_heavy topo 200 in
+  List.iter
+    (fun (name, objective) ->
+      let eng = prepared ~objective topo paths demand in
+      let one = Array.map (Te.Simulate.degradation_prepared eng) scenarios in
+      let show = Array.map (function Some d -> Printf.sprintf "%h" d | None -> "none") in
+      List.iter
+        (fun domains ->
+          let sweep =
+            on_domains domains (fun pool ->
+                Te.Simulate.degradations_prepared ?pool eng scenarios)
+          in
+          Alcotest.(check (array string))
+            (Printf.sprintf "%s, domains=%d: sweep = map" name domains)
+            (show one) (show sweep))
+        [ 1; 4 ])
+    objectives
+
+(* 40 copies of one on-path failure among failures of links no path
+   crosses: two distinct patches (the healthy one and the on-path one),
+   so two overlays and two audits, at any pool width. *)
+let test_sweep_solves_distinct_patches () =
+  let topo, paths, demand = wan () in
+  let on_path, off_path = lags_by_use topo paths in
+  if off_path = [] then Alcotest.fail "the test network needs a LAG no path crosses";
+  let hit = whole_lag topo (List.hd on_path) in
+  let misses =
+    List.concat_map
+      (fun e ->
+        List.init (Wan.Lag.num_links (Wan.Topology.lag topo e)) (fun i ->
+            Failure.Scenario.of_links topo [ (e, i) ]))
+      off_path
+  in
+  let scenarios =
+    Array.of_list (List.concat (List.init 40 (fun _ -> [ hit ])) @ misses @ [ hit ])
+  in
+  let read c = Milp.Lp_stats.read c () in
+  List.iter
+    (fun (name, objective) ->
+      let eng = prepared ~objective topo paths demand in
+      List.iter
+        (fun domains ->
+          let o0 = read Milp.Lp_stats.batch_overlays
+          and c0 = read Milp.Lp_stats.certify_checks in
+          ignore
+            (on_domains domains (fun pool ->
+                 Te.Simulate.degradations_prepared ?pool eng scenarios));
+          let what = Printf.sprintf "%s, domains=%d" name domains in
+          Alcotest.(check int) (what ^ ": overlays") 2 (read Milp.Lp_stats.batch_overlays - o0);
+          Alcotest.(check int) (what ^ ": audits") 2 (read Milp.Lp_stats.certify_checks - c0))
+        [ 1; 4 ])
+    objectives
+
+(* --- delta patches == the full patches of a healthy-agnostic base ------ *)
+
+(* An engine built from public calls with the full-patch layout: every
+   extension row open at d_max in the base, and every overlay rewriting
+   every capacity row (live capacities) and every blocked extension row
+   (to 0). The engine's delta patches on the healthy base must give the
+   same right-hand sides, hence the same flows, bit for bit. *)
+let full_patch_flows ~objective topo paths demand =
+  let d_max =
+    List.fold_left (fun acc (_, v) -> Float.max acc v) 1. (Traffic.Demand.entries demand)
+  in
+  let spec, index =
+    Te.Formulation.build ~objective ~topo ~paths
+      ~lag_cap:(fun e -> Te.Formulation.C (Wan.Lag.capacity (Wan.Topology.lag topo e)))
+      ~demand:(fun ~src ~dst -> Te.Formulation.C (Traffic.Demand.volume demand ~src ~dst))
+      ~path_cap:(fun ~pair:_ ~path:_ -> Some (Te.Formulation.C d_max))
+      ~d_max ()
+  in
+  let model, _ = Te.Lp_spec.to_model spec in
+  let batch = Milp.Batch.prepare model in
+  let mlu = match objective with Te.Formulation.Mlu _ -> true | _ -> false in
+  let full_patch s =
+    let caps =
+      if mlu then []
+      else
+        List.filter_map
+          (fun (e, row) ->
+            if row >= 0 then Some (row, Failure.Scenario.lag_capacity topo s e) else None)
+          (List.mapi (fun e row -> (e, row)) (Array.to_list index.Te.Formulation.cap_rows))
+    in
+    let blocked =
+      List.concat
+        (List.mapi
+           (fun k p ->
+             let avail = Te.Simulate.availability topo p s in
+             List.concat
+               (List.mapi
+                  (fun j path ->
+                    if
+                      (not avail.(j))
+                      || mlu
+                         && Failure.Scenario.path_down topo s (Netpath.Path.lag_list path)
+                    then [ (index.Te.Formulation.ext_rows.(k).(j), 0.) ]
+                    else [])
+                  (Netpath.Path_set.all_paths p)))
+           paths)
+    in
+    caps @ blocked
+  in
+  let warm =
+    match Milp.Batch.solve ~patch:(full_patch Failure.Scenario.empty) batch with
+    | { Milp.Batch.basis = Some b; _ } -> b
+    | _ -> Alcotest.fail "full-patch engine: healthy solve has no basis"
+  in
+  fun s ->
+    match (Milp.Batch.solve ~warm ~patch:(full_patch s) batch).Milp.Batch.result with
+    | Milp.Simplex.Optimal { values; _ } ->
+      Some (Array.sub values 0 (Array.length spec.Te.Lp_spec.cols))
+    | _ -> None
+
+let test_delta_patch_exact () =
+  let nets =
+    [
+      ("africa_like", wan ());
+      (let topo = Wan.Generators.grid ~links_per_lag:3 ~fail_prob:0.1 3 3 in
+       let pairs = [ (0, 8); (2, 6); (1, 7) ] in
+       let paths = Netpath.Path_set.compute ~n_primary:2 ~n_backup:1 topo pairs in
+       let demand =
+         Traffic.Demand.of_list
+           (List.map (fun p -> (p, Wan.Topology.avg_lag_capacity topo *. 0.8)) pairs)
+       in
+       ("grid", (topo, paths, demand)));
+    ]
+  in
+  List.iter
+    (fun (net, (topo, paths, demand)) ->
+      let scenarios = duplicate_heavy topo 60 in
+      List.iter
+        (fun (name, objective) ->
+          let eng = prepared ~objective topo paths demand in
+          let reference = full_patch_flows ~objective topo paths demand in
+          Array.iteri
+            (fun i s ->
+              let what = Printf.sprintf "%s, %s, scenario %d" net name i in
+              match (reference s, Te.Simulate.route_prepared eng s) with
+              | Some xs, Some r ->
+                Alcotest.(check (array int64)) what (bits xs) (bits r.Te.Simulate.flows)
+              | None, None -> ()
+              | _ -> Alcotest.failf "%s: feasibility verdicts disagree" what)
+            scenarios)
+        objectives)
+    nets
+
 (* --- warm overlay == cold overlay over the random-LP corpus ----------- *)
 
 (* Perturb the base rhs (random scalings, plus hard zeros — the
@@ -302,6 +511,9 @@ let suite =
       `Quick,
       test_engine_vs_route (Te.Formulation.Mlu { u_max = 10. }) );
     ("every overlay audited", `Quick, test_every_overlay_audited);
+    ("sweep equals per-scenario degradations", `Quick, test_sweep_equals_map);
+    ("sweep solves each distinct patch once", `Quick, test_sweep_solves_distinct_patches);
+    ("delta patches equal full patches bit for bit", `Quick, test_delta_patch_exact);
     QCheck_alcotest.to_alcotest prop_warm_equals_cold;
     ( "shared CSC structure immutable under concurrent overlays",
       `Quick,

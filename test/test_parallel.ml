@@ -15,7 +15,8 @@ let check_int = Alcotest.(check int)
 let test_empty_input () =
   Parallel.Pool.with_pool ~domains (fun pool ->
       check_int "map of empty" 0 (Array.length (Parallel.Pool.map_array pool succ [||]));
-      Parallel.Pool.iter_array pool (fun _ -> Alcotest.fail "called on empty") [||];
+      check_int "mapi of empty" 0
+        (Array.length (Parallel.Pool.mapi_array pool (fun _ _ -> Alcotest.fail "called on empty") [||]));
       let s = Parallel.Pool.stats pool in
       check_int "no items recorded" 0 s.Parallel.Pool.items)
 
@@ -40,11 +41,11 @@ exception Boom of int
 
 let test_exception_propagation () =
   Parallel.Pool.with_pool ~domains (fun pool ->
-      (match Parallel.Pool.iter_array pool
+      (match Parallel.Pool.map_array pool
                (fun i -> if i = 17 then raise (Boom i))
                (Array.init 100 Fun.id)
        with
-      | () -> Alcotest.fail "exception swallowed"
+      | _ -> Alcotest.fail "exception swallowed"
       | exception Boom 17 -> ()
       | exception e -> Alcotest.failf "wrong exception %s" (Printexc.to_string e));
       (* the pool survives a failed sweep *)
