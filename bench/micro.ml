@@ -63,14 +63,13 @@ let basis_setup () =
   let rhs = Array.init m (fun r -> Float.of_int ((r mod 7) - 3)) in
   (sp, bcols, rhs)
 
-(* A 150-row basis shaped like the ones branch-and-bound factorizes:
-   90 slacks and 60 structural columns of about 22 entries each, so
-   about 9 per basis column. The structurals are triangular on their
-   own rows but for a dense 4-row nucleus, so the singleton pass takes
-   all but the last few steps. *)
-let bb_basis_setup () =
-  let m = 150 and ns = 60 in
-  let rng = Random.State.make [| 150 |] in
+(* An [m]-row basis shaped like the ones branch-and-bound factorizes:
+   [m - ns] slacks and [ns] structural columns of about 22 entries each
+   (at [m] = 150 and [ns] = 60, about 9 per basis column). The
+   structurals are triangular on their own rows but for a dense 4-row
+   nucleus, so the singleton pass takes all but the last few steps. *)
+let bb_basis_setup ~m ~ns =
+  let rng = Random.State.make [| m |] in
   let value () =
     let v = 0.5 +. Random.State.float rng 1.5 in
     if Random.State.bool rng then v else -.v
@@ -125,9 +124,9 @@ let basis_with_etas sp bcols k =
   List.iteri
     (fun i j ->
       if i < k then begin
-        let col = Array.make m 0. in
+        let col = Array.make m 0. and w = Array.make m 0. in
         Milp.Sparse.axpy_col sp j 1. col;
-        let w = Milp.Basis.ftran basis col in
+        Milp.Basis.ftran basis col ~out:w;
         let r = ref 0 in
         Array.iteri (fun p x -> if Float.abs x > Float.abs w.(!r) then r := p) w;
         if Milp.Basis.replace basis ~r:!r ~col:j ~w then
@@ -145,7 +144,14 @@ let tests () =
   let bsp, bcols, rhs = basis_setup () in
   let basis = Milp.Basis.create bsp bcols in
   let etas = basis_with_etas bsp bcols 32 in
-  let bbsp, bbcols = bb_basis_setup () in
+  let bbsp, bbcols = bb_basis_setup ~m:150 ~ns:60 in
+  (* above OCaml's 256-word minor-heap limit, where a freshly allocated
+     vector of one entry per row would go straight to the major heap *)
+  let lsp, lcols = bb_basis_setup ~m:300 ~ns:120 in
+  let large = basis_with_etas lsp lcols 32 in
+  let lrhs = Array.init 300 (fun r -> Float.of_int ((r mod 7) - 3)) in
+  (* the solves write into outputs allocated once, as the simplex's do *)
+  let out1 = Array.make 300 0. and out2 = Array.make 300 0. in
   Test.make_grouped ~name:"raha" ~fmt:"%s %s"
     [
       Test.make ~name:"simplex: 40x60 LP (revised)"
@@ -158,15 +164,21 @@ let tests () =
       Test.make ~name:"basis: factorize 150-row B&B basis"
         (Staged.stage (fun () -> ignore (Milp.Basis.create bbsp bbcols)));
       Test.make ~name:"basis: ftran"
-        (Staged.stage (fun () -> ignore (Milp.Basis.ftran basis rhs)));
+        (Staged.stage (fun () -> Milp.Basis.ftran basis rhs ~out:out1));
       Test.make ~name:"basis: btran"
-        (Staged.stage (fun () -> ignore (Milp.Basis.btran basis rhs)));
+        (Staged.stage (fun () -> Milp.Basis.btran basis rhs ~out:out1));
       Test.make ~name:"basis: ftran, 32 etas"
-        (Staged.stage (fun () -> ignore (Milp.Basis.ftran etas rhs)));
+        (Staged.stage (fun () -> Milp.Basis.ftran etas rhs ~out:out1));
       Test.make ~name:"basis: btran, 32 etas"
-        (Staged.stage (fun () -> ignore (Milp.Basis.btran etas rhs)));
+        (Staged.stage (fun () -> Milp.Basis.btran etas rhs ~out:out1));
       Test.make ~name:"basis: btran2, 32 etas"
-        (Staged.stage (fun () -> ignore (Milp.Basis.btran2 etas rhs rhs)));
+        (Staged.stage (fun () -> Milp.Basis.btran2 etas rhs rhs ~out1 ~out2));
+      Test.make ~name:"basis: ftran, 300 rows, 32 etas"
+        (Staged.stage (fun () -> Milp.Basis.ftran large lrhs ~out:out1));
+      Test.make ~name:"basis: btran, 300 rows, 32 etas"
+        (Staged.stage (fun () -> Milp.Basis.btran large lrhs ~out:out1));
+      Test.make ~name:"basis: btran2, 300 rows, 32 etas"
+        (Staged.stage (fun () -> Milp.Basis.btran2 large lrhs lrhs ~out1 ~out2));
       Test.make ~name:"b&b: 16-item knapsack"
         (Staged.stage (fun () -> ignore (Milp.Solver.solve milp)));
       Test.make ~name:"bilevel build (fig1)"

@@ -58,12 +58,20 @@ type lu = {
 
 type eta = { er : int; epiv : float; idx : int array; vals : float array }
 
+(* The work arrays of one basis's solves, each of length [max m 1]:
+   [v1] and [v2] take the eta pass's copies of the inputs (FTRAN's L
+   pass runs in [v1]), and [z1] and [z2] the U^T images by step. *)
+type work = { v1 : float array; v2 : float array; z1 : float array; z2 : float array }
+
 type t = {
   a : Sparse.t;
   cols : int array;
   mutable lu : lu;
   mutable etas : eta array;
   mutable neta : int;
+  mutable work : work option;
+      (* allocated by the first solve and kept across [refactorize]
+         (the row count never changes); never part of a snapshot *)
 }
 
 exception Singular of string
@@ -398,14 +406,19 @@ let factorize a cols ~threshold =
     !bad_rows,
     !bad_pos )
 
-(* FTRAN/BTRAN against the LU factors only (no etas). FTRAN's inner
-   loops read and write unchecked, as [btran_lu2]'s do (see there): the
-   positions lie between offsets [factorize] wrote, and the stored rows
-   and positions are below [m], in range of [out] and of [x], whose
-   length [ftran] and [residual_ok] keep at least [m]. With bounds
-   checks FTRAN took 1.7x as long (same A/B as [btran_lu2]'s). *)
-let ftran_lu lu m b =
-  let x = Array.copy b in
+(* FTRAN/BTRAN against the LU factors only (no etas), into the caller's
+   [out]. Every factorization [build_lu] returns pivots each row and
+   each position, so every entry of [out] (and of the work arrays
+   indexed by step) is written before it is read: none needs clearing.
+
+   FTRAN runs its L pass in place on [x], which holds the input, then
+   back-substitutes U into [out]. Its inner loops read and write
+   unchecked, as [btran_lu2]'s do (see there): the positions lie between
+   offsets [factorize] wrote, and the stored rows and positions are
+   below [m], in range of [out] and of [x], whose length [ftran] and
+   [residual_ok] keep at least [m]. With bounds checks FTRAN took 1.7x
+   as long (same A/B as [btran_lu2]'s). *)
+let ftran_lu lu x out =
   for k = 0 to lu.nsteps - 1 do
     let t = x.(lu.prow.(k)) in
     if t <> 0. then
@@ -414,7 +427,6 @@ let ftran_lu lu m b =
         Array.unsafe_set x r (Array.unsafe_get x r -. (Array.unsafe_get lu.lval p *. t))
       done
   done;
-  let out = Array.make (max m 1) 0. in
   for k = lu.nsteps - 1 downto 0 do
     let s = ref x.(lu.prow.(k)) in
     for p = lu.ustart.(k) to lu.ustart.(k + 1) - 1 do
@@ -422,31 +434,32 @@ let ftran_lu lu m b =
         !s -. (Array.unsafe_get lu.uval p *. Array.unsafe_get out (Array.unsafe_get lu.upos p))
     done;
     out.(lu.pcol.(k)) <- !s /. lu.pval.(k)
-  done;
-  if m = 0 then [||] else out
+  done
 
-let btran_lu lu m c =
-  let z = Array.make (max m 1) 0. in
+(* BTRAN: the U^T images of [c] by step in [z], then the rows of [out].
+   The inner loops read unchecked, as [btran_lu2]'s do (see there). *)
+let btran_lu lu c z out =
   for k = 0 to lu.nsteps - 1 do
     let pc = lu.pcol.(k) in
     let s = ref c.(pc) in
     for p = lu.cstart.(pc) to lu.cstart.(pc + 1) - 1 do
-      s := !s -. (lu.cval.(p) *. z.(lu.cstep.(p)))
+      let v = Array.unsafe_get lu.cval p and i = Array.unsafe_get lu.cstep p in
+      s := !s -. (v *. Array.unsafe_get z i)
     done;
     z.(k) <- !s /. lu.pval.(k)
   done;
-  let w = Array.make (max m 1) 0. in
   for k = 0 to lu.nsteps - 1 do
-    w.(lu.prow.(k)) <- z.(k)
+    out.(lu.prow.(k)) <- z.(k)
   done;
   for k = lu.nsteps - 1 downto 0 do
-    let acc = ref w.(lu.prow.(k)) in
+    let r = lu.prow.(k) in
+    let acc = ref out.(r) in
     for p = lu.lstart.(k) to lu.lstart.(k + 1) - 1 do
-      acc := !acc -. (lu.lval.(p) *. w.(lu.lrow.(p)))
+      let v = Array.unsafe_get lu.lval p and i = Array.unsafe_get lu.lrow p in
+      acc := !acc -. (v *. Array.unsafe_get out i)
     done;
-    w.(lu.prow.(k)) <- !acc
-  done;
-  if m = 0 then [||] else w
+    out.(r) <- !acc
+  done
 
 (* Two BTRANs against the LU factors in one sweep: each output is the
    one [btran_lu] gives on its input, bit for bit, because every sum
@@ -455,11 +468,10 @@ let btran_lu lu m c =
    shared. The inner loops read unchecked: their positions lie between
    the offsets [factorize] wrote, and the indices stored there are
    steps below [nsteps] (U columns) or rows below [m] (L), all in range
-   of the length-[max m 1] work arrays. With bounds checks the sweep
-   took 1.8x as long (in-process A/B, 200-row basis with 40 etas, one
-   Xeon core). *)
-let btran_lu2 lu m c1 c2 =
-  let z1 = Array.make (max m 1) 0. and z2 = Array.make (max m 1) 0. in
+   of the work arrays and outputs, whose length the callers keep at
+   least [m]. With bounds checks the sweep took 1.8x as long
+   (in-process A/B, 200-row basis with 40 etas, one Xeon core). *)
+let btran_lu2 lu c1 c2 z1 z2 out1 out2 =
   for k = 0 to lu.nsteps - 1 do
     let pc = lu.pcol.(k) in
     let s1 = ref c1.(pc) and s2 = ref c2.(pc) in
@@ -471,23 +483,21 @@ let btran_lu2 lu m c1 c2 =
     z1.(k) <- !s1 /. lu.pval.(k);
     z2.(k) <- !s2 /. lu.pval.(k)
   done;
-  let w1 = Array.make (max m 1) 0. and w2 = Array.make (max m 1) 0. in
   for k = 0 to lu.nsteps - 1 do
-    w1.(lu.prow.(k)) <- z1.(k);
-    w2.(lu.prow.(k)) <- z2.(k)
+    out1.(lu.prow.(k)) <- z1.(k);
+    out2.(lu.prow.(k)) <- z2.(k)
   done;
   for k = lu.nsteps - 1 downto 0 do
     let r = lu.prow.(k) in
-    let a1 = ref w1.(r) and a2 = ref w2.(r) in
+    let a1 = ref out1.(r) and a2 = ref out2.(r) in
     for p = lu.lstart.(k) to lu.lstart.(k + 1) - 1 do
       let v = Array.unsafe_get lu.lval p and i = Array.unsafe_get lu.lrow p in
-      a1 := !a1 -. (v *. Array.unsafe_get w1 i);
-      a2 := !a2 -. (v *. Array.unsafe_get w2 i)
+      a1 := !a1 -. (v *. Array.unsafe_get out1 i);
+      a2 := !a2 -. (v *. Array.unsafe_get out2 i)
     done;
-    w1.(r) <- !a1;
-    w2.(r) <- !a2
-  done;
-  if m = 0 then ([||], [||]) else (w1, w2)
+    out1.(r) <- !a1;
+    out2.(r) <- !a2
+  done
 
 (* Residual check of a fresh factorization: FTRAN of basis column 0
    must reproduce the unit vector e_0. *)
@@ -495,9 +505,9 @@ let residual_ok a lu cols =
   let m = a.Sparse.m in
   if m = 0 then true
   else begin
-    let b = Array.make m 0. in
+    let b = Array.make m 0. and x = Array.make m 0. in
     Sparse.axpy_col a cols.(0) 1. b;
-    let x = ftran_lu lu m b in
+    ftran_lu lu b x;
     let err = ref 0. in
     for i = 0 to m - 1 do
       let expect = if i = 0 then 1. else 0. in
@@ -544,69 +554,89 @@ let build_lu a cols =
 let create a bcols =
   let cols = Array.copy bcols in
   let lu = build_lu a cols in
-  { a; cols; lu; etas = [||]; neta = 0 }
+  { a; cols; lu; etas = [||]; neta = 0; work = None }
 
 let bcols t = Array.copy t.cols
 
-let ftran t b =
+let work t =
+  match t.work with
+  | Some w -> w
+  | None ->
+    let make () = Array.make (max t.a.Sparse.m 1) 0. in
+    let w = { v1 = make (); v2 = make (); z1 = make (); z2 = make () } in
+    t.work <- Some w;
+    w
+
+(* The solves read and write unchecked (see [ftran_lu] and [btran_lu2]),
+   so every input and output must hold at least [m] entries. Each input
+   is read in full (or copied) before its output is written, so an
+   output may be its own input. *)
+let check name m c out =
+  if Array.length c < m || Array.length out < m then invalid_arg name
+
+(* The eta loops read unchecked too: an eta's [idx] and [vals] have one
+   length, and its indices are rows below [m] ([replace] takes only a
+   pivot column of length [m]), in range of every array they index. *)
+let ftran t b ~out =
   let m = t.a.Sparse.m in
-  if Array.length b < m then invalid_arg "Basis.ftran";
-  let x = ftran_lu t.lu m b in
+  check "Basis.ftran" m b out;
+  let x = (work t).v1 in
+  Array.blit b 0 x 0 m;
+  ftran_lu t.lu x out;
   for e = 0 to t.neta - 1 do
     let { er; epiv; idx; vals } = t.etas.(e) in
-    let xr = x.(er) /. epiv in
+    let xr = out.(er) /. epiv in
     for p = 0 to Array.length idx - 1 do
       let i = Array.unsafe_get idx p in
-      Array.unsafe_set x i (Array.unsafe_get x i -. (Array.unsafe_get vals p *. xr))
+      Array.unsafe_set out i (Array.unsafe_get out i -. (Array.unsafe_get vals p *. xr))
     done;
-    x.(er) <- xr
-  done;
-  x
+    out.(er) <- xr
+  done
 
-let btran t c =
-  let c =
-    if t.neta = 0 then c
-    else begin
-      let c = Array.copy c in
-      for e = t.neta - 1 downto 0 do
-        let { er; epiv; idx; vals } = t.etas.(e) in
-        let acc = ref c.(er) in
-        for p = 0 to Array.length idx - 1 do
-          acc := !acc -. (vals.(p) *. c.(idx.(p)))
-        done;
-        c.(er) <- !acc /. epiv
-      done;
-      c
-    end
-  in
-  btran_lu t.lu t.a.Sparse.m c
-
-(* The eta loop reads unchecked too: an eta's [idx] and [vals] have one
-   length, and its indices are rows below [m] ([replace] takes only a
-   pivot column of length [m]), which the check below keeps in range of
-   both inputs. *)
-let btran2 t c1 c2 =
+let btran t c ~out =
   let m = t.a.Sparse.m in
-  if Array.length c1 < m || Array.length c2 < m then invalid_arg "Basis.btran2";
-  let c1, c2 =
-    if t.neta = 0 then (c1, c2)
-    else begin
-      let c1 = Array.copy c1 and c2 = Array.copy c2 in
-      for e = t.neta - 1 downto 0 do
-        let { er; epiv; idx; vals } = t.etas.(e) in
-        let a1 = ref c1.(er) and a2 = ref c2.(er) in
-        for p = 0 to Array.length idx - 1 do
-          let i = Array.unsafe_get idx p and v = Array.unsafe_get vals p in
-          a1 := !a1 -. (v *. Array.unsafe_get c1 i);
-          a2 := !a2 -. (v *. Array.unsafe_get c2 i)
-        done;
-        c1.(er) <- !a1 /. epiv;
-        c2.(er) <- !a2 /. epiv
+  check "Basis.btran" m c out;
+  let w = work t in
+  if t.neta = 0 then btran_lu t.lu c w.z1 out
+  else begin
+    let v = w.v1 in
+    Array.blit c 0 v 0 m;
+    for e = t.neta - 1 downto 0 do
+      let { er; epiv; idx; vals } = t.etas.(e) in
+      let acc = ref v.(er) in
+      for p = 0 to Array.length idx - 1 do
+        let i = Array.unsafe_get idx p in
+        acc := !acc -. (Array.unsafe_get vals p *. Array.unsafe_get v i)
       done;
-      (c1, c2)
-    end
-  in
-  btran_lu2 t.lu m c1 c2
+      v.(er) <- !acc /. epiv
+    done;
+    btran_lu t.lu v w.z1 out
+  end
+
+let btran2 t c1 c2 ~out1 ~out2 =
+  let m = t.a.Sparse.m in
+  check "Basis.btran2" m c1 out1;
+  check "Basis.btran2" m c2 out2;
+  if m > 0 && out1 == out2 then invalid_arg "Basis.btran2";
+  let w = work t in
+  if t.neta = 0 then btran_lu2 t.lu c1 c2 w.z1 w.z2 out1 out2
+  else begin
+    let v1 = w.v1 and v2 = w.v2 in
+    Array.blit c1 0 v1 0 m;
+    Array.blit c2 0 v2 0 m;
+    for e = t.neta - 1 downto 0 do
+      let { er; epiv; idx; vals } = t.etas.(e) in
+      let a1 = ref v1.(er) and a2 = ref v2.(er) in
+      for p = 0 to Array.length idx - 1 do
+        let i = Array.unsafe_get idx p and v = Array.unsafe_get vals p in
+        a1 := !a1 -. (v *. Array.unsafe_get v1 i);
+        a2 := !a2 -. (v *. Array.unsafe_get v2 i)
+      done;
+      v1.(er) <- !a1 /. epiv;
+      v2.(er) <- !a2 /. epiv
+    done;
+    btran_lu2 t.lu v1 v2 w.z1 w.z2 out1 out2
+  end
 
 let refactorize t =
   t.lu <- build_lu t.a t.cols;
@@ -614,17 +644,18 @@ let refactorize t =
   t.neta <- 0
 
 (* A snapshot shares the immutable [lu] value (replaced wholesale on
-   refactorization, never mutated in place; FTRAN/BTRAN allocate their
-   own scratch) and the live prefix of the eta file (eta records and
-   their arrays are never mutated), plus a private copy of the —
-   possibly repaired — basic column selection. Neither side
-   factorizes: [of_snapshot] reinstates in O(m + neta) and is
-   domain-safe, since every field it reads is immutable. It copies the
-   eta array because [replace] appends to it in place; a shared array
-   would let one reinstated basis overwrite another's etas. The
-   snapshot remembers which matrix it factors; reuse against any other
-   Sparse.t is refused (the factors would be wrong), so callers fall
-   back to a fresh [create]. *)
+   refactorization, never mutated in place) and the live prefix of the
+   eta file (eta records and their arrays are never mutated), plus a
+   private copy of the — possibly repaired — basic column selection.
+   The solves' work arrays are never part of it: FTRAN/BTRAN write only
+   the [work] of the basis they run on, and each reinstated basis gets
+   its own on its first solve. Neither side factorizes: [of_snapshot]
+   reinstates in O(m + neta) and is domain-safe, since every field it
+   reads is immutable. It copies the eta array because [replace]
+   appends to it in place; a shared array would let one reinstated
+   basis overwrite another's etas. The snapshot remembers which matrix
+   it factors; reuse against any other Sparse.t is refused (the factors
+   would be wrong), so callers fall back to a fresh [create]. *)
 type snapshot = { sa : Sparse.t; scols : int array; slu : lu; setas : eta array }
 
 let snapshot t =
@@ -635,7 +666,7 @@ let of_snapshot a s =
   else
     Some
       { a; cols = Array.copy s.scols; lu = s.slu; etas = Array.copy s.setas;
-        neta = Array.length s.setas }
+        neta = Array.length s.setas; work = None }
 
 let replace t ~r ~col ~w =
   if Array.length w <> t.a.Sparse.m then invalid_arg "Basis.replace";

@@ -26,23 +26,35 @@ val create : Sparse.t -> int array -> t
 (** Current basis column of every row position (fresh copy). *)
 val bcols : t -> int array
 
-(** [ftran t b] solves [B x = b]. [b] is dense, indexed by row; the
-    result is indexed by basis position. [b] is not modified.
-    @raise Invalid_argument if [b] is shorter than the row count. *)
-val ftran : t -> float array -> float array
+(** {1 Solves}
 
-(** [btran t c] solves [B^T y = c]. [c] is dense, indexed by basis
-    position; the result is indexed by row. [c] is not modified. *)
-val btran : t -> float array -> float array
+    The solves write into arrays their caller owns and allocate
+    nothing: their work arrays belong to the basis, are allocated by its
+    first solve and are reused by every later one, refactorizations
+    included. Each input and output must hold at least one entry per
+    row; only the first [m] entries are read or written. Every input is
+    read in full before its output is written, so an output may be its
+    own input; otherwise no input is modified. An input or output
+    shorter than the row count raises [Invalid_argument]. A basis, its
+    work arrays included, is used by one domain at a time. *)
 
-(** [btran2 t c1 c2] is [(btran t c1, btran t c2)], bit for bit, from
-    one sweep over the factors: every sum runs over the same entries in
-    the same order as {!btran}'s. Neither input is modified.
-    @raise Invalid_argument if an input is shorter than the row count. *)
-val btran2 : t -> float array -> float array -> float array * float array
+(** [ftran t b ~out] solves [B x = b] into [out]. [b] is dense, indexed
+    by row; [out] is indexed by basis position. *)
+val ftran : t -> float array -> out:float array -> unit
+
+(** [btran t c ~out] solves [B^T y = c] into [out]. [c] is dense,
+    indexed by basis position; [out] is indexed by row. *)
+val btran : t -> float array -> out:float array -> unit
+
+(** [btran2 t c1 c2 ~out1 ~out2] does [btran t c1 ~out:out1] and
+    [btran t c2 ~out:out2], bit for bit, in one sweep over the factors:
+    every sum runs over the same entries in the same order as
+    {!btran}'s.
+    @raise Invalid_argument if [out1] and [out2] are one array. *)
+val btran2 : t -> float array -> float array -> out1:float array -> out2:float array -> unit
 
 (** [replace t ~r ~col ~w] installs [col] as the basic column of
-    position [r], where [w = ftran t (column col)] is the pivot column
+    position [r], where [w] is {!ftran} of column [col], the pivot column
     in position space. Appends an eta update, or refactorizes when the
     eta file is full or [w.(r)] is unstable. Returns [true] when a
     refactorization happened; the rebuild may repair a singular

@@ -449,7 +449,8 @@ let sep_gomory pool ~sp ~rows ~bcols ~stats x acc =
       (fun (_, r) ->
         let er = Array.make (max m 1) 0. in
         er.(r) <- 1.;
-        let rho = Basis.btran bas er in
+        let rho = Array.make (max m 1) 0. in
+        Basis.btran bas er ~out:rho;
         let beta = ref 0. in
         for i = 0 to m - 1 do
           beta := !beta +. (rho.(i) *. sp.Sparse.b.(i))

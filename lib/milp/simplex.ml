@@ -20,7 +20,11 @@
    columns that pass the ratio test's pivot and sign tests are priced,
    d_j = c_j - a_j . y. The full reduced-cost vector is built only for
    the warm dual-feasibility check, which also serves the first dual
-   pivot, and for the final check. *)
+   pivot, and for the final check.
+
+   No pivot allocates a vector: every FTRAN and BTRAN writes into one
+   workspace ([work]) that the solve's state allocates once and its
+   pivots reuse, and the basis keeps its own work arrays. *)
 
 type result =
   | Optimal of { obj : float; values : float array }
@@ -88,6 +92,26 @@ let extend_basis b prep =
 (* ------------------------------------------------------------------ *)
 (* Mutable solve state                                                 *)
 
+(* The vectors one solve's pivots reuse, allocated once by
+   [start_state]; each has length m except [d] (length n). Ownership:
+   a pivot fills [cb], [er], [y], [rho], [col] and [w] and reads them
+   until its [basis_exchange]. [compute_xb] runs inside that exchange
+   after a refactorization, while the pivot's [w] is still in hand, so
+   it writes only its own [resid] and [xb]. [er] is all zeros between
+   pivots. [d] is the reduced-cost cache [st.dj] points at; a refill
+   happens only after [basis_exchange] has cleared [st.dj]. *)
+type work = {
+  cb : float array; (* c_B by position *)
+  er : float array; (* the unit vector e_r of the leaving row *)
+  y : float array; (* duals B^-T c_B *)
+  rho : float array; (* pivot row B^-T e_r *)
+  col : float array; (* entering column, dense by row *)
+  w : float array; (* its FTRAN image, by position *)
+  d : float array; (* reduced costs of every column *)
+  resid : float array; (* b - A_N x_N *)
+  xb : float array; (* basic values by position *)
+}
+
 type st = {
   sp : Sparse.t;
   rhs : float array; (* effective row rhs: sp.b or a caller overlay *)
@@ -102,6 +126,7 @@ type st = {
   degen_limit : int;
   mutable iters : int; (* remaining pivot budget *)
   mutable dj : float array option; (* reduced costs of the current basis *)
+  wk : work;
 }
 
 exception Box_infeasible
@@ -130,12 +155,13 @@ let compute_xb st =
   let sp = st.sp in
   let m = sp.Sparse.m in
   if m > 0 then begin
-    let rhs = Array.sub st.rhs 0 m in
+    let rhs = st.wk.resid and xb = st.wk.xb in
+    Array.blit st.rhs 0 rhs 0 m;
     for j = 0 to sp.Sparse.n - 1 do
       if st.stat.(j) <> Basic && st.x.(j) <> 0. then
         Sparse.axpy_col sp j (-.st.x.(j)) rhs
     done;
-    let xb = Basis.ftran st.bas rhs in
+    Basis.ftran st.bas rhs ~out:xb;
     for r = 0 to m - 1 do
       st.x.(st.bcols.(r)) <- xb.(r)
     done
@@ -160,10 +186,15 @@ let resting st j =
    nonbasic column keeps its status in [stat] while that status names a
    finite bound (or 0 inside the bounds), else rests by default. *)
 let start_state (prep : prepared) ~rhs (lo, hi) stat bas ~max_iters ~degen_limit =
-  let n = prep.sp.Sparse.n in
+  let m = prep.sp.Sparse.m and n = prep.sp.Sparse.n in
+  let vec () = Array.make m 0. in
+  let wk =
+    { cb = vec (); er = vec (); y = vec (); rho = vec (); col = vec (); w = vec ();
+      d = Array.make n 0.; resid = vec (); xb = vec () }
+  in
   let st =
     { sp = prep.sp; rhs; lo; hi; x = Array.make n 0.; stat; bcols = Basis.bcols bas;
-      bas; bland = false; degen = 0; degen_limit; iters = max_iters; dj = None }
+      bas; bland = false; degen = 0; degen_limit; iters = max_iters; dj = None; wk }
   in
   Array.iteri (fun j s -> if s = Basic then stat.(j) <- At_lower) stat;
   Array.iter (fun j -> stat.(j) <- Basic) st.bcols;
@@ -218,11 +249,13 @@ let track_degeneracy st theta =
     if st.degen > st.degen_limit then st.bland <- true
   end
 
-let dense_column st j =
-  let m = st.sp.Sparse.m in
-  let col = Array.make (max m 1) 0. in
+(* The FTRAN image of column [j], in [st.wk.w]. *)
+let ftran_column st j =
+  let { col; w; _ } = st.wk in
+  Array.fill col 0 (Array.length col) 0.;
   Sparse.axpy_col st.sp j 1. col;
-  col
+  Basis.ftran st.bas col ~out:w;
+  w
 
 (* A refactorization may repair a singular basis by swapping slack
    columns into some positions (see Basis.build_lu). Reconcile
@@ -344,7 +377,7 @@ let apply_primal_step st ~j ~dir ~w ~leave ~theta ~to_upper =
 let run_primal st ~phase1 =
   let sp = st.sp in
   let m = sp.Sparse.m and n = sp.Sparse.n in
-  let cb = Array.make (max m 1) 0. in
+  let { cb; y; _ } = st.wk in
   let rec loop () =
     if st.iters <= 0 then `Iters
     else begin
@@ -365,7 +398,7 @@ let run_primal st ~phase1 =
       done;
       if phase1 && !maxviol <= eps_feas then `Feasible
       else begin
-        let y = Basis.btran st.bas cb in
+        Basis.btran st.bas cb ~out:y;
         (* pricing: d_j = c_j - y . a_j over nonbasic columns *)
         let best = ref (-1) and best_score = ref eps_cost and best_dir = ref 1. in
         (try
@@ -398,7 +431,7 @@ let run_primal st ~phase1 =
           else `Optimal
         else begin
           let j = !best and dir = !best_dir in
-          let w = Basis.ftran st.bas (dense_column st j) in
+          let w = ftran_column st j in
           let leave, theta, to_upper = ratio_test st ~phase1 ~dir ~w ~j in
           if leave < 0 && theta = Float.infinity then
             if phase1 then `Still_infeasible (* numerically stuck ray *)
@@ -436,14 +469,12 @@ let reduced_costs st =
   match st.dj with
   | Some d -> d
   | None ->
-    let sp = st.sp in
-    let cb = Array.make (max sp.Sparse.m 1) 0. in
+    let sp = st.sp and { cb; y; d; _ } = st.wk in
     fill_basic_costs st cb;
-    let y = Basis.btran st.bas cb in
-    let d =
-      Array.init sp.Sparse.n (fun j ->
-          if st.stat.(j) = Basic then 0. else reduced_cost sp y j)
-    in
+    Basis.btran st.bas cb ~out:y;
+    for j = 0 to sp.Sparse.n - 1 do
+      d.(j) <- (if st.stat.(j) = Basic then 0. else reduced_cost sp y j)
+    done;
     st.dj <- Some d;
     d
 
@@ -465,7 +496,7 @@ let dual_feasible st d =
 let run_dual st =
   let sp = st.sp in
   let m = sp.Sparse.m and n = sp.Sparse.n in
-  let er = Array.make (max m 1) 0. and cb = Array.make (max m 1) 0. in
+  let { cb; er; y; rho; _ } = st.wk in
   let rec loop () =
     if st.iters <= 0 then `Iters
     else begin
@@ -492,15 +523,13 @@ let run_dual st =
            ratio-test candidate: cached for the basis, or priced on
            demand from y = B^-T c_B, which one sweep over the factors
            yields together with rho *)
+        let cached = st.dj in
         er.(r) <- 1.;
-        let dj, rho =
-          match st.dj with
-          | Some d -> ((fun j -> d.(j)), Basis.btran st.bas er)
-          | None ->
-            fill_basic_costs st cb;
-            let y, rho = Basis.btran2 st.bas cb er in
-            (reduced_cost sp y, rho)
-        in
+        (match cached with
+        | Some _ -> Basis.btran st.bas er ~out:rho
+        | None ->
+          fill_basic_costs st cb;
+          Basis.btran2 st.bas cb er ~out1:y ~out2:rho);
         er.(r) <- 0.;
         (* dual ratio test over the pivot row alpha_j = rho . a_j *)
         let bestj = ref (-1)
@@ -521,7 +550,9 @@ let run_dual st =
                 | Basic, _ -> false
               in
               if eligible then begin
-                let d = dj j in
+                let d =
+                  match cached with Some d -> d.(j) | None -> reduced_cost sp y j
+                in
                 let ratio = Float.abs d /. Float.abs alpha in
                 if st.bland then begin
                   (* Bland mode still needs the min-ratio test (a
@@ -552,7 +583,7 @@ let run_dual st =
         if !bestj < 0 then `Infeasible (* dual unbounded *)
         else begin
           let q = !bestj in
-          let w = Basis.ftran st.bas (dense_column st q) in
+          let w = ftran_column st q in
           if Float.abs w.(r) < 1e-9 then `Numerical
           else begin
             let out = st.bcols.(r) in

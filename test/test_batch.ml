@@ -46,8 +46,27 @@ let check_oracle ~objective ~what ~infeasible (topo, paths, demand) scenario eng
 
 (* --- Monte Carlo: pooled == no pool, and == the oracle ----------------- *)
 
+(* [wan ()] with every link failing with probability 0.3: a sample
+   often takes a whole LAG down, which opens the backup of a pair whose
+   path crosses it *)
+let flaky_wan () =
+  let topo, paths, demand = wan () in
+  let flaky t (lag : Wan.Lag.t) =
+    Wan.Topology.with_lag_links t ~lag_id:lag.Wan.Lag.lag_id
+      (List.map (fun l -> { l with Wan.Lag.fail_prob = 0.3 }) (Array.to_list lag.Wan.Lag.links))
+  in
+  (Array.fold_left flaky topo (Wan.Topology.lags topo), paths, demand)
+
+(* some pair may use a backup path in [s] *)
+let opens_backup topo paths s =
+  List.exists
+    (fun p ->
+      let avail = Te.Simulate.availability topo p s and k = Netpath.Path_set.num_primary p in
+      Array.exists Fun.id (Array.sub avail k (Array.length avail - k)))
+    paths
+
 let test_mc_differential objective () =
-  let ((topo, paths, demand) as net) = wan () in
+  let ((topo, paths, demand) as net) = flaky_wan () in
   let samples = 512 in
   let wh0 = Milp.Lp_stats.read Milp.Lp_stats.batch_warm_hits () in
   let ref_degs, ref_scens =
@@ -84,10 +103,17 @@ let test_mc_differential objective () =
       check_oracle ~objective ~what:(Printf.sprintf "sample %d" i) ~infeasible:healthy net
         s ref_degs.(i))
     ref_scens;
-  (* the oracle must have seen more than whole-LAG failures *)
+  (* the oracle must have seen more than whole-LAG failures, and many
+     samples that open a backup path *)
   Alcotest.(check bool)
     "some sample fails several links" true
-    (Array.exists (fun s -> Failure.Scenario.num_failed s >= 2) ref_scens)
+    (Array.exists (fun s -> Failure.Scenario.num_failed s >= 2) ref_scens);
+  let opening =
+    Array.fold_left (fun n s -> if opens_backup topo paths s then n + 1 else n) 0 ref_scens
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "a quarter of the samples open a backup (%d of %d)" opening samples)
+    true (4 * opening >= samples)
 
 (* --- enumeration: pooled == no pool, worst case == the oracle ---------- *)
 
@@ -500,6 +526,9 @@ let suite =
     ( "monte carlo batch == sequential (total flow)",
       `Quick,
       test_mc_differential Te.Formulation.Total_flow );
+    ( "monte carlo batch == sequential (max-min)",
+      `Quick,
+      test_mc_differential (Te.Formulation.Max_min { bins = 3; ratio = 1. }) );
     ( "monte carlo batch == sequential (mlu)",
       `Quick,
       test_mc_differential (Te.Formulation.Mlu { u_max = 10. }) );

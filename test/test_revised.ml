@@ -10,6 +10,22 @@
 let check_float ?(eps = 1e-6) what expected got =
   Alcotest.(check (float eps)) what expected got
 
+(* The basis solves into fresh outputs, as long as their inputs. *)
+let ftran bas v =
+  let out = Array.make (Array.length v) 0. in
+  Milp.Basis.ftran bas v ~out;
+  out
+
+let btran bas v =
+  let out = Array.make (Array.length v) 0. in
+  Milp.Basis.btran bas v ~out;
+  out
+
+let btran2 bas a b =
+  let y1 = Array.make (Array.length a) 0. and y2 = Array.make (Array.length b) 0. in
+  Milp.Basis.btran2 bas a b ~out1:y1 ~out2:y2;
+  (y1, y2)
+
 (* Random MILP in the shape of the vertex-oracle suite, plus integer
    variables: max c.x, rows x <= rhs with rhs >= 0 (origin feasible),
    0 <= x <= ub (bounded). *)
@@ -239,7 +255,7 @@ let test_singular_basis_repair () =
   Alcotest.(check bool) "repaired columns distinct" true (cols.(0) <> cols.(1));
   let rhs = Array.make 2 0. in
   Milp.Sparse.axpy_col sp cols.(0) 1. rhs;
-  let sol = Milp.Basis.ftran bas rhs in
+  let sol = ftran bas rhs in
   check_float "repaired basis solves: e_0 (0)" 1. sol.(0);
   check_float "repaired basis solves: e_0 (1)" 0. sol.(1)
 
@@ -377,7 +393,7 @@ let exchange rng sp bas =
     if Array.mem j basic then pick () else j
   in
   let j = pick () in
-  let w = Milp.Basis.ftran bas (dense_col sp j) in
+  let w = ftran bas (dense_col sp j) in
   let r = ref 0 in
   Array.iteri (fun i x -> if Float.abs x > Float.abs w.(!r) then r := i) w;
   Milp.Basis.replace bas ~r:!r ~col:j ~w
@@ -388,7 +404,7 @@ let bits v = Array.map Int64.bits_of_float v
 (* FTRAN and BTRAN answers of [bas] on fixed probe vectors, as bits. *)
 let solve_bits bas probes =
   List.concat_map
-    (fun v -> [ bits (Milp.Basis.ftran bas v); bits (Milp.Basis.btran bas v) ])
+    (fun v -> [ bits (ftran bas v); bits (btran bas v) ])
     probes
 
 (* A snapshot carries the eta file: reinstating it reproduces the
@@ -442,9 +458,9 @@ let test_tiny_bases () =
   ignore (Milp.Model.continuous ~ub:1. empty "x");
   let sp = Milp.Sparse.of_model empty in
   let bas = Milp.Basis.create sp [||] in
-  Alcotest.(check int) "m = 0: ftran" 0 (Array.length (Milp.Basis.ftran bas [||]));
-  Alcotest.(check int) "m = 0: btran" 0 (Array.length (Milp.Basis.btran bas [||]));
-  let y1, y2 = Milp.Basis.btran2 bas [||] [||] in
+  Alcotest.(check int) "m = 0: ftran" 0 (Array.length (ftran bas [||]));
+  Alcotest.(check int) "m = 0: btran" 0 (Array.length (btran bas [||]));
+  let y1, y2 = btran2 bas [||] [||] in
   Alcotest.(check (pair int int)) "m = 0: btran2" (0, 0) (Array.length y1, Array.length y2);
   let one = Milp.Model.create () in
   let x = Milp.Model.continuous ~ub:1. one "x" in
@@ -452,26 +468,43 @@ let test_tiny_bases () =
   let sp = Milp.Sparse.of_model one in
   let bas = Milp.Basis.create sp [| 0 |] in
   let check what expected got = Alcotest.(check (array (float 0.))) what expected got in
-  check "m = 1: ftran" [| 2. |] (Milp.Basis.ftran bas [| 4. |]);
-  check "m = 1: btran" [| 2. |] (Milp.Basis.btran bas [| 4. |]);
-  let both = Milp.Basis.btran2 bas [| 4. |] [| -6. |] in
+  check "m = 1: ftran" [| 2. |] (ftran bas [| 4. |]);
+  check "m = 1: btran" [| 2. |] (btran bas [| 4. |]);
+  let both = btran2 bas [| 4. |] [| -6. |] in
   check "m = 1: btran2, first" [| 2. |] (fst both);
   check "m = 1: btran2, second" [| -3. |] (snd both);
-  let w = Milp.Basis.ftran bas (dense_col sp 1) in
+  let w = ftran bas (dense_col sp 1) in
   Alcotest.(check bool) "m = 1: the slack enters by an eta" false
     (Milp.Basis.replace bas ~r:0 ~col:1 ~w);
-  check "m = 1: ftran through the eta" [| 4. |] (Milp.Basis.ftran bas [| 4. |]);
-  check "m = 1: btran through the eta" [| 4. |] (Milp.Basis.btran bas [| 4. |]);
-  let both = Milp.Basis.btran2 bas [| 4. |] [| -6. |] in
+  check "m = 1: ftran through the eta" [| 4. |] (ftran bas [| 4. |]);
+  check "m = 1: btran through the eta" [| 4. |] (btran bas [| 4. |]);
+  let both = btran2 bas [| 4. |] [| -6. |] in
   check "m = 1: btran2 through the eta, first" [| 4. |] (fst both);
   check "m = 1: btran2 through the eta, second" [| -6. |] (snd both);
-  (* FTRAN's and the fused BTRAN's loops read unchecked: an input
-     shorter than m, or a pivot column that would store an eta index
-     past m, is refused at entry *)
+  (* the solves read and write unchecked: an input or output shorter
+     than m, or a pivot column that would store an eta index past m, is
+     refused at entry *)
+  let one = [| 0. |] in
   Alcotest.check_raises "m = 1: ftran of a short input" (Invalid_argument "Basis.ftran")
-    (fun () -> ignore (Milp.Basis.ftran bas [||]));
+    (fun () -> Milp.Basis.ftran bas [||] ~out:one);
+  Alcotest.check_raises "m = 1: ftran into a short output" (Invalid_argument "Basis.ftran")
+    (fun () -> Milp.Basis.ftran bas [| 4. |] ~out:[||]);
+  Alcotest.check_raises "m = 1: btran of a short input" (Invalid_argument "Basis.btran")
+    (fun () -> Milp.Basis.btran bas [||] ~out:one);
+  Alcotest.check_raises "m = 1: btran into a short output" (Invalid_argument "Basis.btran")
+    (fun () -> Milp.Basis.btran bas [| 4. |] ~out:[||]);
   Alcotest.check_raises "m = 1: btran2 of a short input" (Invalid_argument "Basis.btran2")
-    (fun () -> ignore (Milp.Basis.btran2 bas [| 4. |] [||]));
+    (fun () -> ignore (btran2 bas [| 4. |] [||]));
+  Alcotest.check_raises "m = 1: btran2 into a short output" (Invalid_argument "Basis.btran2")
+    (fun () -> Milp.Basis.btran2 bas [| 4. |] [| 4. |] ~out1:one ~out2:[||]);
+  Alcotest.check_raises "m = 1: btran2 into one output twice" (Invalid_argument "Basis.btran2")
+    (fun () -> Milp.Basis.btran2 bas [| 4. |] [| -6. |] ~out1:one ~out2:one);
+  (* an output may be its own input *)
+  let v = [| 4. |] in
+  Milp.Basis.ftran bas v ~out:v;
+  check "m = 1: ftran in place" [| 4. |] v;
+  Milp.Basis.btran bas v ~out:v;
+  check "m = 1: btran in place" [| 4. |] v;
   Alcotest.check_raises "m = 1: a pivot column longer than m" (Invalid_argument "Basis.replace")
     (fun () -> ignore (Milp.Basis.replace bas ~r:0 ~col:0 ~w:[| 1.; 1. |]))
 
@@ -511,11 +544,11 @@ let residuals sp bas v =
       cols;
     norm rowsum
   in
-  let x = Milp.Basis.ftran bas v in
+  let x = ftran bas v in
   let bx = Array.make m 0. in
   Array.iteri (fun k j -> Milp.Sparse.axpy_col sp j x.(k) bx) cols;
   let rf = norm (Array.map2 ( -. ) bx v) /. ((bnorm *. norm x) +. norm v) in
-  let y = Milp.Basis.btran bas v in
+  let y = btran bas v in
   let bty = Array.map (fun j -> Milp.Sparse.col_dot sp j y) cols in
   let rb = norm (Array.map2 ( -. ) bty v) /. ((bnorm *. norm y) +. norm v) in
   Float.max rf rb
@@ -562,7 +595,7 @@ let kernel_digest () =
     let m = sp.Milp.Sparse.m in
     let probes = List.init 3 (fun _ -> random_vec rng m) in
     let probe bas =
-      List.iter (fun v -> add (Milp.Basis.ftran bas v); add (Milp.Basis.btran bas v)) probes
+      List.iter (fun v -> add (ftran bas v); add (btran bas v)) probes
     in
     let bas = Milp.Basis.create sp bcols in
     Array.iter (fun c -> Buffer.add_int32_le buf (Int32.of_int c)) (Milp.Basis.bcols bas);
@@ -575,12 +608,12 @@ let kernel_digest () =
         if Array.mem j basic then pick () else j
       in
       let j = pick () in
-      let w = Milp.Basis.ftran bas (dense_col sp j) in
+      let w = ftran bas (dense_col sp j) in
       add w;
       let r = ref 0 in
       Array.iteri (fun i x -> if Float.abs x > Float.abs w.(!r) then r := i) w;
       if Milp.Basis.replace bas ~r:!r ~col:j ~w then incr refactorized;
-      add (Milp.Basis.btran bas (Array.init m (fun i -> if i = !r then 1. else 0.)))
+      add (btran bas (Array.init m (fun i -> if i = !r then 1. else 0.)))
     done;
     Buffer.add_int32_le buf (Int32.of_int !refactorized);
     probe bas;
@@ -609,8 +642,8 @@ let test_kernel_golden () =
    smallest bases are in [test_tiny_bases]. *)
 let test_btran2_equals_btran () =
   let check what bas a b =
-    let y1, y2 = Milp.Basis.btran2 bas a b in
-    if bits y1 <> bits (Milp.Basis.btran bas a) || bits y2 <> bits (Milp.Basis.btran bas b)
+    let y1, y2 = btran2 bas a b in
+    if bits y1 <> bits (btran bas a) || bits y2 <> bits (btran bas b)
     then Alcotest.failf "%s: btran2 differs from two btrans" what
   in
   let run name (sp, bcols, rng) =
@@ -705,7 +738,7 @@ let search_digest () =
             Array.iter (fun c -> Buffer.add_int32_le buf (Int32.of_int c)) cols;
             Buffer.add_int32_le buf (Int32.of_int nfact);
             List.iter
-              (fun v -> add (Milp.Basis.ftran bas v); add (Milp.Basis.btran bas v))
+              (fun v -> add (ftran bas v); add (btran bas v))
               [
                 Array.init m (fun i -> 1. +. (0.1 *. Float.of_int i));
                 Array.init m (fun i -> if i mod 2 = 0 then 0.3 else -1.7);
@@ -783,6 +816,80 @@ let test_pivot_path_golden () =
   Alcotest.(check bool) "the solves run strong-branching probes" true (totals.(2) > 600);
   Alcotest.(check string) "pivot path" "b07c9659c002453078b02ab7e5820d25" digest
 
+(* A packing LP with 300 rows, above OCaml's 256-word minor-heap limit:
+   a vector of one entry per row allocated during a solve would go
+   straight to the major heap. Row i holds column i mod 200 and about
+   three random ones more; every column is bounded. *)
+let packing_lp () =
+  let rng = Random.State.make [| 0xa110c |] in
+  let m = 300 and n = 200 in
+  let mdl = Milp.Model.create () in
+  let var j = Milp.Model.continuous ~ub:10. mdl (Printf.sprintf "x%d" j) in
+  let xs = Array.init n (fun j -> (var j).Milp.Model.vid) in
+  let coef () = 0.5 +. Random.State.float rng 1.5 in
+  for i = 0 to m - 1 do
+    let extra = List.init 3 (fun _ -> (coef (), xs.(Random.State.int rng n))) in
+    Milp.Model.add_cons mdl
+      (Milp.Linexpr.of_terms ((coef (), xs.(i mod n)) :: extra))
+      Milp.Model.Le (5. +. Random.State.float rng 10.)
+  done;
+  let weight x = (1. +. Random.State.float rng 1., x) in
+  Milp.Model.set_objective mdl Milp.Model.Maximize
+    (Milp.Linexpr.of_terms (Array.to_list (Array.map weight xs)));
+  mdl
+
+(* Dual pivots allocate no vector: two rhs overlays of [packing_lp],
+   warm-started from its optimal basis, take different numbers of dual
+   pivots, and each extra pivot may allocate directly in the major heap
+   at most its eta record's two arrays (at most m words each). Words
+   allocated directly in the major heap are [major_words] less
+   [promoted_words]; the count is deterministic, and a solve's fixed
+   costs (its state, the copied basis, the result) are the same for
+   both overlays, so they cancel. *)
+let test_dual_pivots_allocate_no_vector () =
+  let prep = Milp.Simplex.prepare (packing_lp ()) in
+  let sp = Milp.Simplex.prep_sparse prep in
+  let m = sp.Milp.Sparse.m in
+  let warm =
+    match Milp.Simplex.solve_prepared prep with
+    | Milp.Simplex.Optimal _, Some b -> b
+    | _ -> Alcotest.fail "the base LP must solve to optimality"
+  in
+  let read c = Milp.Lp_stats.read c () in
+  let base = Array.sub sp.Milp.Sparse.b 0 m in
+  (* the overlay that halves the first [k] rows' rhs *)
+  let measure k =
+    let b = Array.mapi (fun i v -> if i < k then 0.5 *. v else v) base in
+    let solve () = Milp.Simplex.solve_prepared ~b ~warm prep in
+    (* the first warm solve publishes the basis' factorization *)
+    ignore (solve ());
+    let p0 = read Milp.Lp_stats.dual_pivots
+    and f0 = read Milp.Lp_stats.factorizations
+    and h0 = read Milp.Lp_stats.warm_hits in
+    let _, promoted0, major0 = Gc.counters () in
+    let r = solve () in
+    let _, promoted1, major1 = Gc.counters () in
+    (match r with
+    | Milp.Simplex.Optimal _, _ -> ()
+    | _ -> Alcotest.failf "overlay %d must solve to optimality" k);
+    Alcotest.(check int) (Printf.sprintf "overlay %d: a warm hit" k) 1
+      (read Milp.Lp_stats.warm_hits - h0);
+    Alcotest.(check int) (Printf.sprintf "overlay %d: no factorization" k) 0
+      (read Milp.Lp_stats.factorizations - f0);
+    (read Milp.Lp_stats.dual_pivots - p0, major1 -. major0 -. (promoted1 -. promoted0))
+  in
+  let p1, w1 = measure 2 in
+  let p2, w2 = measure 3 in
+  Alcotest.(check bool)
+    (Printf.sprintf "pivot counts differ by at least 5 (%d, %d)" p1 p2)
+    true (p2 - p1 >= 5);
+  let per_pivot = (w2 -. w1) /. Float.of_int (p2 - p1) in
+  if per_pivot > Float.of_int (2 * m) then
+    Alcotest.failf
+      "%.0f words directly in the major heap per extra dual pivot (m = %d; %d pivots: %.0f \
+       words, %d pivots: %.0f words)"
+      per_pivot m p1 w1 p2 w2
+
 let suite =
   [
     ("64 random MILPs: revised vs dense", `Quick, test_differential);
@@ -800,5 +907,6 @@ let suite =
     ("FTRAN/BTRAN on m = 0 and m = 1 bases", `Quick, test_tiny_bases);
     ("snapshot siblings survive a copy's refactorizations", `Quick,
       test_snapshot_siblings_past_cap);
+    ("dual pivots allocate no vector", `Quick, test_dual_pivots_allocate_no_vector);
     QCheck_alcotest.to_alcotest prop_factorization_residuals;
   ]
