@@ -594,21 +594,22 @@ let ablation ctx =
 
 (* Presolve over the bilevel encodings: the Milp.Presolve reductions of
    each solver cell (rows, columns and integer columns before->after,
-   big-Ms tightened, columns fixed, passes). Reductions are
-   deterministic, so each row also prints a counters: line; the solve
-   cost of the presolved analysis is the solver experiment's default
-   arm. The measured rows are recorded in BENCH_presolve.json. *)
+   big-Ms tightened, columns fixed, passes, rows propagated).
+   Reductions are deterministic, so each row also prints a counters:
+   line; the solve cost of the presolved analysis is the solver
+   experiment's default arm. The measured rows are recorded in
+   BENCH_presolve.json. *)
 let presolve_bench ctx =
   section ctx ~id:"presolve"
     ~paper:"MILP presolve / big-M tightening (DESIGN.md)"
     ~config:"fig1 worked example (sd:5, kkt) + africa-like WAN (8 nodes, sd:3)";
-  let fields = [ "rows"; "cols"; "int"; "bigm"; "fixed"; "passes" ] in
+  let fields = [ "rows"; "cols"; "int"; "bigm"; "fixed"; "passes"; "ops" ] in
   print_header fields;
   List.iter
     (fun (name, sp, topo, paths, env) ->
       let m = (Raha.Bilevel.build sp topo paths env).Raha.Bilevel.model in
       match scoped (fun () -> Milp.Presolve.presolve m) with
-      | Milp.Presolve.Reduced { model = rm; stats; _ }, _, wall ->
+      | Milp.Presolve.Reduced { model = rm; stats; _ }, counts, wall ->
         let shrink f = Printf.sprintf "%d->%d" (f m) (f rm) in
         print_run ~id:"presolve" ~cell:name ~arm:"reduce" ~fields ~wall
           [
@@ -617,6 +618,7 @@ let presolve_bench ctx =
             ("bigm", string_of_int stats.Milp.Presolve.big_ms_tightened);
             ("fixed", string_of_int stats.Milp.Presolve.cols_fixed);
             ("passes", string_of_int stats.Milp.Presolve.passes);
+            ("ops", string_of_int (count counts "presolve-ops"));
           ]
       | Milp.Presolve.Infeasible _, _, _ -> row "%-14s infeasible@." name)
     (solver_cells ())

@@ -18,6 +18,7 @@ let bb_nodes = C.make "bb-nodes"
 let presolve_rows = C.make "presolve-rows"
 let presolve_cols = C.make "presolve-cols"
 let presolve_bigm = C.make "presolve-bigm"
+let presolve_ops = C.make "presolve-ops"
 let certify_checks = C.make "certify-checks"
 let certify_failures = C.make "certify-failures"
 let cuts_generated = C.make "cuts-generated"

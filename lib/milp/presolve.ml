@@ -47,6 +47,17 @@ type row = {
   mutable alive : bool;
 }
 
+(* Probing's view of the rows: a column -> rows index over the live
+   rows' nonzero coefficients (probing changes no coefficient, row or
+   [alive] flag, so it is built once), and per row whether processing it
+   against the global bounds is known to write no bound and raise
+   nothing. *)
+type probe_index = {
+  col_start : int array;  (* column j: col_rows.(col_start.(j) .. col_start.(j+1) - 1) *)
+  col_rows : int array;
+  quiet : bool array;
+}
+
 type state = {
   nv : int;
   kind : Model.var_kind array;
@@ -60,6 +71,8 @@ type state = {
   mutable n_bounds : int;
   mutable n_bigm : int;
   mutable changed : bool;
+  mutable n_ops : int;  (* rows propagated by fixpoint passes and probe rounds *)
+  mutable probing : probe_index option;  (* while probing runs *)
 }
 
 let is_int_kind = function Model.Continuous -> false | Model.Binary | Model.Integer -> true
@@ -69,21 +82,21 @@ let is_int_kind = function Model.Continuous -> false | Model.Binary | Model.Inte
    one term is recoverable even when that term is the sole infinity). *)
 let activities lb ub r =
   let mn = ref 0. and mn_inf = ref 0 and mx = ref 0. and mx_inf = ref 0 in
-  Array.iteri
-    (fun k id ->
-      let a = r.coefs.(k) in
-      if a <> 0. then begin
-        let l = lb.(id) and u = ub.(id) in
-        if a > 0. then begin
-          if l = Float.neg_infinity then incr mn_inf else mn := !mn +. (a *. l);
-          if u = Float.infinity then incr mx_inf else mx := !mx +. (a *. u)
-        end
-        else begin
-          if u = Float.infinity then incr mn_inf else mn := !mn +. (a *. u);
-          if l = Float.neg_infinity then incr mx_inf else mx := !mx +. (a *. l)
-        end
-      end)
-    r.rvars;
+  for k = 0 to Array.length r.rvars - 1 do
+    let a = r.coefs.(k) in
+    if a <> 0. then begin
+      let id = r.rvars.(k) in
+      let l = lb.(id) and u = ub.(id) in
+      if a > 0. then begin
+        if l = Float.neg_infinity then incr mn_inf else mn := !mn +. (a *. l);
+        if u = Float.infinity then incr mx_inf else mx := !mx +. (a *. u)
+      end
+      else begin
+        if u = Float.infinity then incr mn_inf else mn := !mn +. (a *. u);
+        if l = Float.neg_infinity then incr mx_inf else mx := !mx +. (a *. l)
+      end
+    end
+  done;
   (!mn, !mn_inf, !mx, !mx_inf)
 
 (* Generic bound updates over explicit arrays (shared between the main
@@ -121,6 +134,16 @@ let gen_tighten_lb kind lb ub j v ~infeas =
   end
   else false
 
+(* A global bound of [j] moved: while probing, the rows of [j] are no
+   longer known to be quiet. *)
+let unquiet st j =
+  match st.probing with
+  | None -> ()
+  | Some ix ->
+    for p = ix.col_start.(j) to ix.col_start.(j + 1) - 1 do
+      ix.quiet.(ix.col_rows.(p)) <- false
+    done
+
 let fix st j v =
   if st.is_fixed.(j) then begin
     if Float.abs (v -. st.fixval.(j)) > 1e-6 *. (1. +. Float.abs v) then
@@ -141,6 +164,7 @@ let fix st j v =
     st.fixval.(j) <- v;
     st.lb.(j) <- v;
     st.ub.(j) <- v;
+    unquiet st j;
     st.n_cols_fixed <- st.n_cols_fixed + 1;
     st.changed <- true
   end
@@ -149,6 +173,7 @@ let tighten_ub st j v =
   if (not st.is_fixed.(j))
      && gen_tighten_ub st.kind st.lb st.ub j v ~infeas:Infeasible_model
   then begin
+    unquiet st j;
     st.n_bounds <- st.n_bounds + 1;
     st.changed <- true;
     if
@@ -161,6 +186,7 @@ let tighten_lb st j v =
   if (not st.is_fixed.(j))
      && gen_tighten_lb st.kind st.lb st.ub j v ~infeas:Infeasible_model
   then begin
+    unquiet st j;
     st.n_bounds <- st.n_bounds + 1;
     st.changed <- true;
     if
@@ -236,97 +262,92 @@ let coefficient_tighten st r mx mx_inf =
 
 (* Implied per-variable bounds from one row's activity residuals. *)
 let propagate_row st r mn mn_inf mx mx_inf =
-  Array.iteri
-    (fun k j ->
-      let a = r.coefs.(k) in
-      if a <> 0. && not st.is_fixed.(j) then begin
-        let l = st.lb.(j) and u = st.ub.(j) in
-        (* <= direction: a x_j <= rhs - min(rest) *)
-        let cmin_inf = if a > 0. then l = Float.neg_infinity else u = Float.infinity in
-        let rest_known = if cmin_inf then mn_inf = 1 else mn_inf = 0 in
+  for k = 0 to Array.length r.rvars - 1 do
+    let a = r.coefs.(k) and j = r.rvars.(k) in
+    if a <> 0. && not st.is_fixed.(j) then begin
+      let l = st.lb.(j) and u = st.ub.(j) in
+      (* <= direction: a x_j <= rhs - min(rest) *)
+      let cmin_inf = if a > 0. then l = Float.neg_infinity else u = Float.infinity in
+      let rest_known = if cmin_inf then mn_inf = 1 else mn_inf = 0 in
+      if rest_known then begin
+        let cmin = if cmin_inf then 0. else if a > 0. then a *. l else a *. u in
+        let rest = if cmin_inf then mn else mn -. cmin in
+        let cap = (r.rhs -. rest) /. a in
+        if a > 0. then tighten_ub st j cap else tighten_lb st j cap
+      end;
+      (* equalities also bound from below: a x_j >= rhs - max(rest) *)
+      if r.eq then begin
+        let cmax_inf = if a > 0. then u = Float.infinity else l = Float.neg_infinity in
+        let rest_known = if cmax_inf then mx_inf = 1 else mx_inf = 0 in
         if rest_known then begin
-          let cmin = if cmin_inf then 0. else if a > 0. then a *. l else a *. u in
-          let rest = if cmin_inf then mn else mn -. cmin in
-          let cap = (r.rhs -. rest) /. a in
-          if a > 0. then tighten_ub st j cap else tighten_lb st j cap
-        end;
-        (* equalities also bound from below: a x_j >= rhs - max(rest) *)
-        if r.eq then begin
-          let cmax_inf = if a > 0. then u = Float.infinity else l = Float.neg_infinity in
-          let rest_known = if cmax_inf then mx_inf = 1 else mx_inf = 0 in
-          if rest_known then begin
-            let cmax = if cmax_inf then 0. else if a > 0. then a *. u else a *. l in
-            let rest = if cmax_inf then mx else mx -. cmax in
-            let low = (r.rhs -. rest) /. a in
-            if a > 0. then tighten_lb st j low else tighten_ub st j low
-          end
+          let cmax = if cmax_inf then 0. else if a > 0. then a *. u else a *. l in
+          let rest = if cmax_inf then mx else mx -. cmax in
+          let low = (r.rhs -. rest) /. a in
+          if a > 0. then tighten_lb st j low else tighten_ub st j low
         end
-      end)
-    r.rvars
+      end
+    end
+  done
 
+(* One live row's reductions, in order: infeasibility, empty/redundant
+   row, singleton, forcing, big-M tightening, else bound propagation. *)
 let process_row st r =
-  if r.alive then begin
-    let mn, mn_inf, mx, mx_inf = activities st.lb st.ub r in
-    let scale =
-      1. +. Float.abs r.rhs
-      +. Float.max (if mn_inf = 0 then Float.abs mn else 0.) (if mx_inf = 0 then Float.abs mx else 0.)
-    in
-    let ftol = 1e-6 *. scale in
-    let eps = 1e-9 *. scale in
-    if mn_inf = 0 && mn > r.rhs +. ftol then raise Infeasible_model;
-    if r.eq && mx_inf = 0 && mx < r.rhs -. ftol then raise Infeasible_model;
-    let n_live = ref 0 and last_live = ref (-1) in
-    Array.iteri
-      (fun k id ->
-        if r.coefs.(k) <> 0. && not st.is_fixed.(id) then begin
-          incr n_live;
-          last_live := k
-        end)
-      r.rvars;
-    if !n_live = 0 then kill_row st r
-    else if (not r.eq) && mx_inf = 0 && mx <= r.rhs +. eps then
-      (* redundant: satisfied everywhere in the box *)
-      kill_row st r
-    else if !n_live = 1 then begin
-      (* singleton row: convert to a bound (Le) or a fixing (Eq) *)
-      let k = !last_live in
-      let j = r.rvars.(k) and a = r.coefs.(k) in
-      let fc = ref 0. in
-      Array.iteri
-        (fun k' id ->
-          if k' <> k && r.coefs.(k') <> 0. then
-            fc := !fc +. (r.coefs.(k') *. st.fixval.(id)))
-        r.rvars;
-      let b = (r.rhs -. !fc) /. a in
-      if r.eq then fix st j b
-      else if a > 0. then tighten_ub st j b
-      else tighten_lb st j b;
-      kill_row st r
+  let mn, mn_inf, mx, mx_inf = activities st.lb st.ub r in
+  let scale =
+    1. +. Float.abs r.rhs
+    +. Float.max (if mn_inf = 0 then Float.abs mn else 0.) (if mx_inf = 0 then Float.abs mx else 0.)
+  in
+  let ftol = 1e-6 *. scale in
+  let eps = 1e-9 *. scale in
+  if mn_inf = 0 && mn > r.rhs +. ftol then raise Infeasible_model;
+  if r.eq && mx_inf = 0 && mx < r.rhs -. ftol then raise Infeasible_model;
+  let n_live = ref 0 and last_live = ref (-1) in
+  for k = 0 to Array.length r.rvars - 1 do
+    if r.coefs.(k) <> 0. && not st.is_fixed.(r.rvars.(k)) then begin
+      incr n_live;
+      last_live := k
     end
-    else if mn_inf = 0 && mn >= r.rhs -. eps then begin
-      (* forcing: the activity is pinned at its minimum (for an equality
-         this is the min-side case; feasible by the checks above) *)
-      Array.iteri
-        (fun k id ->
-          let a = r.coefs.(k) in
-          if a <> 0. && not st.is_fixed.(id) then
-            fix st id (if a > 0. then st.lb.(id) else st.ub.(id)))
-        r.rvars;
-      kill_row st r
-    end
-    else if r.eq && mx_inf = 0 && mx <= r.rhs +. eps then begin
-      (* forcing from above: activity pinned at its maximum *)
-      Array.iteri
-        (fun k id ->
-          let a = r.coefs.(k) in
-          if a <> 0. && not st.is_fixed.(id) then
-            fix st id (if a > 0. then st.ub.(id) else st.lb.(id)))
-        r.rvars;
-      kill_row st r
-    end
-    else if not (coefficient_tighten st r mx mx_inf) then
-      propagate_row st r mn mn_inf mx mx_inf
+  done;
+  if !n_live = 0 then kill_row st r
+  else if (not r.eq) && mx_inf = 0 && mx <= r.rhs +. eps then
+    (* redundant: satisfied everywhere in the box *)
+    kill_row st r
+  else if !n_live = 1 then begin
+    (* singleton row: convert to a bound (Le) or a fixing (Eq) *)
+    let k = !last_live in
+    let j = r.rvars.(k) and a = r.coefs.(k) in
+    let fc = ref 0. in
+    for k' = 0 to Array.length r.rvars - 1 do
+      if k' <> k && r.coefs.(k') <> 0. then
+        fc := !fc +. (r.coefs.(k') *. st.fixval.(r.rvars.(k')))
+    done;
+    let b = (r.rhs -. !fc) /. a in
+    if r.eq then fix st j b
+    else if a > 0. then tighten_ub st j b
+    else tighten_lb st j b;
+    kill_row st r
   end
+  else if mn_inf = 0 && mn >= r.rhs -. eps then begin
+    (* forcing: the activity is pinned at its minimum (for an equality
+       this is the min-side case; feasible by the checks above) *)
+    for k = 0 to Array.length r.rvars - 1 do
+      let a = r.coefs.(k) and id = r.rvars.(k) in
+      if a <> 0. && not st.is_fixed.(id) then
+        fix st id (if a > 0. then st.lb.(id) else st.ub.(id))
+    done;
+    kill_row st r
+  end
+  else if r.eq && mx_inf = 0 && mx <= r.rhs +. eps then begin
+    (* forcing from above: activity pinned at its maximum *)
+    for k = 0 to Array.length r.rvars - 1 do
+      let a = r.coefs.(k) and id = r.rvars.(k) in
+      if a <> 0. && not st.is_fixed.(id) then
+        fix st id (if a > 0. then st.ub.(id) else st.lb.(id))
+    done;
+    kill_row st r
+  end
+  else if not (coefficient_tighten st r mx mx_inf) then
+    propagate_row st r mn mn_inf mx mx_inf
 
 (* bound on fixpoint iterations per propagation phase *)
 let max_passes = 20
@@ -340,72 +361,108 @@ let fixpoint st =
   while !continue_ && !n < max_passes do
     incr n;
     st.changed <- false;
-    Array.iter (process_row st) st.rows;
+    for ri = 0 to Array.length st.rows - 1 do
+      let r = st.rows.(ri) in
+      if r.alive then begin
+        st.n_ops <- st.n_ops + 1;
+        process_row st r
+      end
+    done;
     if not st.changed then continue_ := false
   done;
   !n
 
-(* Pure bound propagation over cloned bound arrays: evaluates a probe
-   branch without touching the shared state. *)
-let probe_propagate st lb ub ~rounds =
+(* Mark the rows of column [j] dirty and touched in branch [stamp]. *)
+let mark ix ~dirty ~touched ~stamp j =
+  for p = ix.col_start.(j) to ix.col_start.(j + 1) - 1 do
+    let r = ix.col_rows.(p) in
+    dirty.(r) <- stamp;
+    touched.(r) <- stamp
+  done
+
+(* One probe branch: bound propagation over the branch's own bound
+   arrays [lb]/[ub] (the global bounds plus the probed fixing), in row
+   order, for at most [rounds] rounds while a round writes a bound.
+   Raises [Probe_infeasible] on an infeasible branch.
+
+   A worklist, not a sweep of every live row. [dirty.(r) = stamp]: a
+   bound of a variable of row r was written since r last ran in this
+   branch, the row's own writes included (a row that tightens its own
+   variables runs again next round). [touched.(r) = stamp]: one was
+   written at any point of this branch. A round runs a live row when it
+   is dirty, or untouched and not known to be quiet. An untouched row
+   that writes nothing is learned quiet; [unquiet] forgets that when a
+   global bound of one of its variables moves.
+
+   Why this is exact: by induction over the rows of a round, every row
+   that runs sees the bounds a full sweep shows it, because a skipped
+   row would write nothing and raise nothing (processing a row reads
+   only its own variables' bounds):
+   - an untouched row's variables hold their global bounds, under
+     which a quiet row writes nothing;
+   - a touched row that is not dirty sees the bounds its last run in
+     this branch left, and that run wrote nothing (a write re-dirties
+     the row), so it writes nothing again.
+   Dirt and quiet count writes, not value changes: a write that re-sets
+   a bound to its value (possible only right after the same term moved
+   it) counts too, so a skipped row would not even set [changed], and
+   the rounds end where the sweep's end. Infeasibility is raised at the
+   same row; only whether a branch raises is read. *)
+let probe_propagate st ix ~dirty ~touched ~stamp lb ub ~rounds =
+  let wrote = ref false in
+  let written j =
+    wrote := true;
+    mark ix ~dirty ~touched ~stamp j
+  in
   let changed = ref true in
   let round = ref 0 in
   while !changed && !round < rounds do
     incr round;
     changed := false;
-    Array.iter
-      (fun r ->
-        if r.alive then begin
-          let mn, mn_inf, mx, mx_inf = activities lb ub r in
-          let scale =
-            1. +. Float.abs r.rhs +. (if mn_inf = 0 then Float.abs mn else 0.)
-          in
-          if mn_inf = 0 && mn > r.rhs +. (1e-6 *. scale) then raise Probe_infeasible;
-          if r.eq && mx_inf = 0 && mx < r.rhs -. (1e-6 *. scale) then
-            raise Probe_infeasible;
-          Array.iteri
-            (fun k j ->
-              let a = r.coefs.(k) in
-              if a <> 0. && lb.(j) < ub.(j) then begin
-                let l = lb.(j) and u = ub.(j) in
-                let cmin_inf =
-                  if a > 0. then l = Float.neg_infinity else u = Float.infinity
-                in
-                let rest_known = if cmin_inf then mn_inf = 1 else mn_inf = 0 in
-                if rest_known then begin
-                  let cmin = if cmin_inf then 0. else if a > 0. then a *. l else a *. u in
-                  let rest = if cmin_inf then mn else mn -. cmin in
-                  let cap = (r.rhs -. rest) /. a in
-                  if a > 0. then begin
-                    if gen_tighten_ub st.kind lb ub j cap ~infeas:Probe_infeasible then
-                      changed := true
-                  end
-                  else if gen_tighten_lb st.kind lb ub j cap ~infeas:Probe_infeasible
-                  then changed := true
-                end;
-                if r.eq then begin
-                  let cmax_inf =
-                    if a > 0. then u = Float.infinity else l = Float.neg_infinity
-                  in
-                  let rest_known = if cmax_inf then mx_inf = 1 else mx_inf = 0 in
-                  if rest_known then begin
-                    let cmax =
-                      if cmax_inf then 0. else if a > 0. then a *. u else a *. l
-                    in
-                    let rest = if cmax_inf then mx else mx -. cmax in
-                    let low = (r.rhs -. rest) /. a in
-                    if a > 0. then begin
-                      if gen_tighten_lb st.kind lb ub j low ~infeas:Probe_infeasible
-                      then changed := true
-                    end
-                    else if gen_tighten_ub st.kind lb ub j low ~infeas:Probe_infeasible
-                    then changed := true
-                  end
-                end
-              end)
-            r.rvars
-        end)
-      st.rows
+    for ri = 0 to Array.length st.rows - 1 do
+      let r = st.rows.(ri) in
+      let untouched = touched.(ri) <> stamp in
+      if r.alive && (dirty.(ri) = stamp || (untouched && not ix.quiet.(ri))) then begin
+        dirty.(ri) <- 0;
+        wrote := false;
+        st.n_ops <- st.n_ops + 1;
+        let mn, mn_inf, mx, mx_inf = activities lb ub r in
+        let scale = 1. +. Float.abs r.rhs +. if mn_inf = 0 then Float.abs mn else 0. in
+        if mn_inf = 0 && mn > r.rhs +. (1e-6 *. scale) then raise Probe_infeasible;
+        if r.eq && mx_inf = 0 && mx < r.rhs -. (1e-6 *. scale) then raise Probe_infeasible;
+        for k = 0 to Array.length r.rvars - 1 do
+          let a = r.coefs.(k) and j = r.rvars.(k) in
+          if a <> 0. && lb.(j) < ub.(j) then begin
+            let l = lb.(j) and u = ub.(j) in
+            let cmin_inf = if a > 0. then l = Float.neg_infinity else u = Float.infinity in
+            let rest_known = if cmin_inf then mn_inf = 1 else mn_inf = 0 in
+            if rest_known then begin
+              let cmin = if cmin_inf then 0. else if a > 0. then a *. l else a *. u in
+              let rest = if cmin_inf then mn else mn -. cmin in
+              let cap = (r.rhs -. rest) /. a in
+              if
+                if a > 0. then gen_tighten_ub st.kind lb ub j cap ~infeas:Probe_infeasible
+                else gen_tighten_lb st.kind lb ub j cap ~infeas:Probe_infeasible
+              then written j
+            end;
+            if r.eq then begin
+              let cmax_inf = if a > 0. then u = Float.infinity else l = Float.neg_infinity in
+              let rest_known = if cmax_inf then mx_inf = 1 else mx_inf = 0 in
+              if rest_known then begin
+                let cmax = if cmax_inf then 0. else if a > 0. then a *. u else a *. l in
+                let rest = if cmax_inf then mx else mx -. cmax in
+                let low = (r.rhs -. rest) /. a in
+                if
+                  if a > 0. then gen_tighten_lb st.kind lb ub j low ~infeas:Probe_infeasible
+                  else gen_tighten_ub st.kind lb ub j low ~infeas:Probe_infeasible
+                then written j
+              end
+            end
+          end
+        done;
+        if !wrote then changed := true else if untouched then ix.quiet.(ri) <- true
+      end
+    done
   done
 
 (* Adopt bounds proven valid for the whole remaining feasible set. *)
@@ -417,13 +474,56 @@ let adopt st l u =
     end
   done
 
+(* The column -> rows index over the live rows' nonzero coefficients,
+   with no row known quiet yet. *)
+let probe_index st =
+  let col_start = Array.make (st.nv + 1) 0 in
+  let each_entry f =
+    Array.iteri
+      (fun ri r ->
+        if r.alive then
+          for k = 0 to Array.length r.rvars - 1 do
+            if r.coefs.(k) <> 0. then f ri r.rvars.(k)
+          done)
+      st.rows
+  in
+  each_entry (fun _ j -> col_start.(j + 1) <- col_start.(j + 1) + 1);
+  for j = 0 to st.nv - 1 do
+    col_start.(j + 1) <- col_start.(j + 1) + col_start.(j)
+  done;
+  let next = Array.sub col_start 0 st.nv in
+  let col_rows = Array.make col_start.(st.nv) 0 in
+  each_entry (fun ri j ->
+      col_rows.(next.(j)) <- ri;
+      next.(j) <- next.(j) + 1);
+  { col_start; col_rows; quiet = Array.make (Array.length st.rows) false }
+
 (* Probing: temporarily fix each {0,1} variable to both values and
    propagate. An infeasible branch fixes the variable to the other value
    (both infeasible proves the model infeasible); two feasible branches
    still yield the branch-union bounds, valid globally since every
    feasible point lives in one branch. Variables are visited in id order,
-   which reaches the Raha link-failure binaries first. *)
+   which reaches the Raha link-failure binaries first. The index, the
+   branch stamps and the two branches' bound arrays are allocated once. *)
 let probe st =
+  let ix = probe_index st in
+  st.probing <- Some ix;
+  let nrows = Array.length st.rows in
+  let dirty = Array.make nrows 0 and touched = Array.make nrows 0 in
+  let stamp = ref 0 in
+  let l0 = Array.make st.nv 0. and u0 = Array.make st.nv 0. in
+  let l1 = Array.make st.nv 0. and u1 = Array.make st.nv 0. in
+  let branch id v lb ub =
+    Array.blit st.lb 0 lb 0 st.nv;
+    Array.blit st.ub 0 ub 0 st.nv;
+    lb.(id) <- v;
+    ub.(id) <- v;
+    incr stamp;
+    mark ix ~dirty ~touched ~stamp:!stamp id;
+    match probe_propagate st ix ~dirty ~touched ~stamp:!stamp lb ub ~rounds:3 with
+    | () -> true
+    | exception Probe_infeasible -> false
+  in
   let n_probed = ref 0 in
   let j = ref 0 in
   while !j < st.nv && !n_probed < probe_limit do
@@ -435,23 +535,17 @@ let probe st =
       && st.ub.(id) = 1.
     then begin
       incr n_probed;
-      let branch v =
-        let lb = Array.copy st.lb and ub = Array.copy st.ub in
-        lb.(id) <- v;
-        ub.(id) <- v;
-        match probe_propagate st lb ub ~rounds:3 with
-        | () -> Some (lb, ub)
-        | exception Probe_infeasible -> None
-      in
-      match (branch 0., branch 1.) with
-      | None, None -> raise Infeasible_model
-      | None, Some (l1, u1) ->
+      let feasible0 = branch id 0. l0 u0 in
+      let feasible1 = branch id 1. l1 u1 in
+      match (feasible0, feasible1) with
+      | false, false -> raise Infeasible_model
+      | false, true ->
         fix st id 1.;
         adopt st l1 u1
-      | Some (l0, u0), None ->
+      | true, false ->
         fix st id 0.;
         adopt st l0 u0
-      | Some (l0, u0), Some (l1, u1) ->
+      | true, true ->
         for k = 0 to st.nv - 1 do
           if not st.is_fixed.(k) then begin
             let nl = Float.min l0.(k) l1.(k) and nu = Float.max u0.(k) u1.(k) in
@@ -462,6 +556,7 @@ let probe st =
     end;
     incr j
   done;
+  st.probing <- None;
   !n_probed
 
 let build_state model =
@@ -498,6 +593,8 @@ let build_state model =
     n_bounds = 0;
     n_bigm = 0;
     changed = false;
+    n_ops = 0;
+    probing = None;
   }
 
 let build_reduced st model =
@@ -582,7 +679,8 @@ let presolve model =
   let finish stats =
     Lp_stats.add Lp_stats.presolve_rows stats.rows_removed;
     Lp_stats.add Lp_stats.presolve_cols stats.cols_fixed;
-    Lp_stats.add Lp_stats.presolve_bigm stats.big_ms_tightened
+    Lp_stats.add Lp_stats.presolve_bigm stats.big_ms_tightened;
+    Lp_stats.add Lp_stats.presolve_ops st.n_ops
   in
   match run () with
   | exception Infeasible_model ->

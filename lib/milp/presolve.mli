@@ -10,6 +10,17 @@
     the Raha link-failure binaries [u_e_l] carry the lowest ids, so they
     are probed first).
 
+    Each probe branch propagates as a worklist: a round (in row order,
+    at most 3 rounds) processes a row only when a bound of one of its
+    variables was written since the row last ran in that branch, the
+    row's own writes included, or when the row is untouched in the
+    branch and not yet known to be quiet. A row is quiet when
+    processing it against the global bounds writes nothing; that is
+    learned the first time it runs untouched, and forgotten when
+    probing moves a global bound of one of its variables. A skipped row
+    would write nothing and raise nothing, so the result is bit for bit
+    that of sweeping every row in every round.
+
     Big-M tightening is the reduction the bilevel encodings care about:
     the blanket implication constants emitted by {!Linearize} (and the
     KKT complementarity rows of [Raha.Inner]) appear as rows
@@ -41,5 +52,7 @@ type result =
 
 (** [presolve model] runs the reductions and builds the reduced model.
     Each propagation phase runs at most 20 fixpoint passes, and at most
-    512 binaries are probed. The input model is not modified. *)
+    512 binaries are probed. The input model is not modified. Adds the
+    rows processed (by fixpoint passes and probe rounds) to the
+    [presolve-ops] counter. *)
 val presolve : Model.t -> result

@@ -1,7 +1,9 @@
 (* Tests for the MILP presolve/postsolve engine: each reduction in
-   isolation, the postsolve index mapping, a presolve-on/off differential
-   suite over random MILPs, and the bilevel encodings' known optima
-   (big-M tightening must never cut off the known worst case). *)
+   isolation, probing's edge cases with hand-computed bounds, the
+   postsolve index mapping, a presolve-on/off differential suite over
+   random MILPs, the bilevel encodings' known optima (big-M tightening
+   must never cut off the known worst case), and a golden digest of the
+   reductions over a bilevel corpus. *)
 
 open Milp
 
@@ -147,6 +149,83 @@ let test_probing_fixes_binary () =
   check_float "optimum with presolve" 7. (solve_with true m).Solver.obj;
   check_float "optimum without" 7. (solve_with false m).Solver.obj
 
+(* the original variable's bounds after presolve: its reduced bounds, or
+   its fixed value twice *)
+let orig_bounds model post j =
+  match Postsolve.reduced_of_orig post j with
+  | Some rj ->
+    let lb, ub = Model.bounds model in
+    (lb.(rj), ub.(rj))
+  | None -> (
+    match Postsolve.value_of_fixed post j with
+    | Some v -> (v, v)
+    | None -> Alcotest.failf "x%d neither kept nor fixed" j)
+
+let test_probing_chain_past_max_passes () =
+  (* Integer chain x0 >= x1 >= ... >= x50 in [0, 100] with ub(x0) = 10,
+     the rows listed tail first, so each fixpoint pass carries the bound
+     one link further: the first fixpoint stops at 20 passes with
+     x1..x20 <= 10, and the row x21 <= x20 still tightens something
+     under the global bounds when probing starts. The probed binary b is
+     in no row, so a branch starts with no row dirty and only rows not
+     yet known quiet run: each branch's 3 rounds bring x21..x23 down to
+     10, the branch union adopts that, and the second fixpoint's 20
+     passes reach x43. *)
+  let n = 50 in
+  let m = Model.create () in
+  let b = Model.binary m "b" in
+  let xs =
+    Array.init (n + 1) (fun i ->
+        Model.integer ~ub:(if i = 0 then 10. else 100.) m (Printf.sprintf "x%d" i))
+  in
+  for i = n - 1 downto 0 do
+    Model.add_cons m
+      (Linexpr.of_terms [ (1., xs.(i + 1).vid); (-1., xs.(i).vid) ])
+      Model.Le 0.
+  done;
+  let terms = Array.to_list (Array.map (fun (x : Model.var) -> (1., x.vid)) xs) in
+  Model.set_objective m Model.Maximize (Linexpr.of_terms ((1., b.vid) :: terms));
+  let rm, post, stats = reduced_exn (Presolve.presolve m) in
+  Alcotest.(check int) "probed b" 1 stats.Presolve.probed;
+  Alcotest.(check int) "20 passes before probing, 20 after" 40 stats.Presolve.passes;
+  Alcotest.(check int) "bounds: 20 + 3 from the branch union + 20" 43
+    stats.Presolve.bounds_tightened;
+  Array.iteri
+    (fun i (x : Model.var) ->
+      let lb, ub = orig_bounds rm post x.vid in
+      check_float (Printf.sprintf "lb x%d" i) 0. lb;
+      check_float (Printf.sprintf "ub x%d" i) (if i <= 43 then 10. else 100.) ub)
+    xs
+
+let test_probing_union_tightens_continuous () =
+  (* 3b + 2x + y = 5 and y + 2b <= 2, b binary, x integer in [0, 10], y
+     in [0, 2]. The fixpoint gives x <= 2 and nothing else. Probing b:
+     - b = 0: x >= 1.5 so x = 2; then, one round later and only from the
+       row's own move, y <= 5 - 4 = 1 (and y >= 1): y in [1, 1];
+     - b = 1: x <= 1, y <= 0, then x >= 1: x = 1, y in [0, 0].
+     Both branches are feasible, so b stays free and the union gives
+     x in [1, 2] and y in [0, 1]: a continuous bound no single row
+     implies. *)
+  let m = Model.create () in
+  let b = Model.binary m "b" in
+  let x = Model.integer ~ub:10. m "x" in
+  let y = Model.continuous ~ub:2. m "y" in
+  Model.add_cons m (Linexpr.of_terms [ (3., b.vid); (2., x.vid); (1., y.vid) ]) Model.Eq 5.;
+  Model.add_cons m (Linexpr.of_terms [ (1., y.vid); (2., b.vid) ]) Model.Le 2.;
+  Model.set_objective m Model.Maximize (Linexpr.of_terms [ (1., y.vid); (1., b.vid) ]);
+  let rm, post, stats = reduced_exn (Presolve.presolve m) in
+  Alcotest.(check int) "probed b" 1 stats.Presolve.probed;
+  Alcotest.(check int) "no branch infeasible" 0 stats.Presolve.probe_fixed;
+  let expect what (l, u) (lb, ub) =
+    check_float ("lb " ^ what) l lb;
+    check_float ("ub " ^ what) u ub
+  in
+  expect "b" (0., 1.) (orig_bounds rm post b.vid);
+  expect "x" (1., 2.) (orig_bounds rm post x.vid);
+  expect "y" (0., 1.) (orig_bounds rm post y.vid);
+  check_float "optimum with presolve" 1. (solve_with true m).Solver.obj;
+  check_float "optimum without" 1. (solve_with false m).Solver.obj
+
 let test_warm_start_and_hints_translate () =
   (* warm starts and plunge hints are given in original indexing; the
      solver must translate them into the reduced space (x is fixed by its
@@ -178,9 +257,10 @@ let test_stats_counters_exported () =
     [
       "simplex"; "dual-pivots"; "factorizations"; "eta-updates"; "warm-attempts";
       "warm-hits"; "bb-nodes"; "presolve-rows"; "presolve-cols"; "presolve-bigm";
-      "certify-checks"; "certify-failures"; "cuts-generated"; "cuts-applied";
-      "cut-audit-failures"; "batch-prepares"; "batch-overlays"; "batch-warm-hits";
-      "sb-probes"; "pseudocost-updates"; "heuristic-solutions"; "heuristic-rejections";
+      "presolve-ops"; "certify-checks"; "certify-failures"; "cuts-generated";
+      "cuts-applied"; "cut-audit-failures"; "batch-prepares"; "batch-overlays";
+      "batch-warm-hits"; "sb-probes"; "pseudocost-updates"; "heuristic-solutions";
+      "heuristic-rejections";
     ]
     (List.map fst Solver.stats_counters);
   let rows0 = Lp_stats.read Lp_stats.presolve_rows () in
@@ -323,6 +403,103 @@ let test_bilevel_fixed_demand () =
   let on = bilevel spec (Traffic.Envelope.fixed d) in
   check_float "degradation 7" 7. on.Raha.Analysis.degradation
 
+(* --- golden digest: the reductions of a bilevel corpus, bit for bit --- *)
+
+(* Presolve over 240 bilevel models (fig1 and four africa-like WANs, two
+   path sets, KKT with k = 1 and with T = 1e-5, strong duality with 4 and
+   5 levels, three envelopes, two objectives), about 11k binaries probed.
+   The digest covers every stat and, in %h, the reduced model's bounds,
+   coefficients and right-hand sides, so it moves when any reduction
+   moves a bit: a change meant to speed presolve up must leave it be. *)
+let presolve_digest () =
+  let buf = Buffer.create (1 lsl 20) in
+  let add_stats tag (s : Presolve.stats) =
+    Printf.bprintf buf "%s %d %d %d %d %d %d %d\n" tag s.Presolve.passes s.rows_removed
+      s.cols_fixed s.bounds_tightened s.big_ms_tightened s.probed s.probe_fixed
+  in
+  let probed = ref 0 in
+  let add = function
+    | Presolve.Infeasible s ->
+      probed := !probed + s.Presolve.probed;
+      add_stats "infeasible" s
+    | Presolve.Reduced { model; stats = s; _ } ->
+      probed := !probed + s.Presolve.probed;
+      add_stats "reduced" s;
+      let lb, ub = Model.bounds model in
+      Array.iteri (fun j l -> Printf.bprintf buf "%h %h;" l ub.(j)) lb;
+      Array.iter
+        (fun (c : Model.cons) ->
+          Linexpr.iter (fun j a -> Printf.bprintf buf "%d:%h " j a) c.Model.lhs;
+          Printf.bprintf buf "<> %h\n" c.Model.rhs)
+        (Model.conss model)
+  in
+  let topos =
+    (Wan.Generators.fig1 (), [ (1, 3); (2, 3) ])
+    :: List.concat_map
+         (fun seed ->
+           List.map
+             (fun n ->
+               ( Wan.Generators.africa_like ~seed ~n (),
+                 [ (0, n - 3); (1, n - 2); (2, n - 1) ] ))
+             [ 6; 8 ])
+         [ 1; 5 ]
+  in
+  let encodings =
+    [
+      (Raha.Bilevel.Kkt, Some 1, None);
+      (Raha.Bilevel.Kkt, None, Some 1e-5);
+      (Raha.Bilevel.Strong_duality { levels = 4 }, None, Some 1e-5);
+      (Raha.Bilevel.Strong_duality { levels = 5 }, Some 1, None);
+    ]
+  in
+  let objectives =
+    [ Te.Formulation.Total_flow; Te.Formulation.Max_min { bins = 3; ratio = 1. } ]
+  in
+  List.iter
+    (fun (topo, pairs) ->
+      let d =
+        Traffic.Demand.of_list (List.mapi (fun i p -> (p, 10. +. (2. *. float i))) pairs)
+      in
+      let envelopes =
+        [
+          Traffic.Envelope.fixed d; Traffic.Envelope.around ~slack:0.5 d;
+          Traffic.Envelope.from_zero ~slack:0.3 d;
+        ]
+      in
+      List.iter
+        (fun n_backup ->
+          let paths = Netpath.Path_set.compute ~n_primary:2 ~n_backup topo pairs in
+          List.iter
+            (fun (encoding, max_failures, threshold) ->
+              List.iter
+                (fun env ->
+                  List.iter
+                    (fun objective ->
+                      let spec =
+                        {
+                          Raha.Bilevel.default_spec with
+                          Raha.Bilevel.objective;
+                          encoding;
+                          max_failures;
+                          threshold;
+                        }
+                      in
+                      let built = Raha.Bilevel.build spec topo paths env in
+                      add (Presolve.presolve built.Raha.Bilevel.model))
+                    objectives)
+                envelopes)
+            encodings)
+        [ 1; 0 ])
+    topos;
+  (!probed, Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+let test_golden_digest () =
+  let probed, digest = presolve_digest () in
+  Alcotest.(check bool)
+    (Printf.sprintf "corpus probes >= 5000 binaries (%d)" probed)
+    true (probed >= 5000);
+  Alcotest.(check string) "presolve digest" "469965bb5b1099849013ca74f618710b" digest
+
 let suite =
   [
     ("singleton row to bound", `Quick, test_singleton_row);
@@ -333,10 +510,13 @@ let suite =
     ("integer infeasibility detected", `Quick, test_integer_infeasible);
     ("big-M tightening", `Quick, test_bigm_tightening);
     ("probing fixes binary", `Quick, test_probing_fixes_binary);
+    ("probing past the fixpoint's pass limit", `Quick, test_probing_chain_past_max_passes);
+    ("probing union tightens a continuous bound", `Quick, test_probing_union_tightens_continuous);
     ("warm start and hints translate", `Quick, test_warm_start_and_hints_translate);
     ("stats counters exported", `Quick, test_stats_counters_exported);
     ("differential: presolve on vs off", `Quick, test_differential);
     ("bilevel strong duality optimum survives", `Quick, test_bilevel_strong_duality);
     ("bilevel kkt optimum survives", `Quick, test_bilevel_kkt);
     ("bilevel fixed demand optimum survives", `Quick, test_bilevel_fixed_demand);
+    ("presolve golden digest", `Quick, test_golden_digest);
   ]
