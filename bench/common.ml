@@ -117,7 +117,11 @@ let k_str = function Some k -> string_of_int k | None -> "inf"
    what its worker domains count back to the calling domain. *)
 
 let counter_hooks =
-  Milp.Solver.stats_counters @ [ ("bb-rounds", Milp.Branch_bound.cumulative_rounds) ]
+  Milp.Solver.stats_counters
+  @ [
+      ("bb-rounds", Milp.Branch_bound.cumulative_rounds);
+      ("bb-solves", Milp.Branch_bound.cumulative_solves);
+    ]
 
 (* [scoped f]: [f ()], the calling domain's counter deltas, wall time *)
 let scoped f =
@@ -135,7 +139,8 @@ let counter_fields =
     ("pivots", "simplex"); ("dual", "dual-pivots"); ("fact", "factorizations");
     ("eta", "eta-updates"); ("gen", "cuts-generated"); ("app", "cuts-applied");
     ("aud", "cut-audit-failures"); ("sb", "sb-probes"); ("pcu", "pseudocost-updates");
-    ("hs", "heuristic-solutions"); ("hr", "heuristic-rejections"); ("rounds", "bb-rounds");
+    ("hs", "heuristic-solutions"); ("hr", "heuristic-rejections");
+    ("refuted", "hint-refutes"); ("rounds", "bb-rounds");
     ("bwarm", "batch-warm-hits"); ("overlays", "batch-overlays");
     ("prepares", "batch-prepares");
   ]

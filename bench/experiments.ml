@@ -636,7 +636,8 @@ let no_cuts o = { o with Raha.Analysis.cuts = Milp.Cuts.disabled }
    warm is dual-simplex hits/attempts; gen/app/aud count cut
    candidates, admitted cuts and incumbent-audit failures; sb/pcu
    strong-branching probes and pseudocost updates; hs/hr heuristic
-   incumbents accepted/rejected by the unified-tolerance re-check. aud
+   incumbents accepted/rejected by the unified-tolerance re-check;
+   refuted plunge hints skipped after a warm dual refutation. aud
    and hr must be 0. Measured rows are recorded in
    BENCH_revised.json, BENCH_cuts.json and BENCH_branching.json. *)
 let solver_bench ctx =
@@ -647,7 +648,7 @@ let solver_bench ctx =
     ablate ctx ~id:"solver"
       ~fields:
         [ "deg"; "nodes"; "pivots"; "dual"; "fact"; "eta"; "warm"; "gen"; "app"; "aud";
-          "sb"; "pcu"; "hs"; "hr"; "certify"; "cert" ]
+          "sb"; "pcu"; "hs"; "hr"; "refuted"; "certify"; "cert" ]
       (solver_cells ())
       [
         arm "default" Fun.id;
@@ -929,7 +930,7 @@ let service_bench ctx =
     in
     (out, Unix.gettimeofday () -. t0)
   in
-  let out1, dt1, (n_cached, n_warm, n_cold) = service_arm 1 in
+  let (out1, dt1, (n_cached, n_warm, n_cold)), counts1, _ = scoped (fun () -> service_arm 1) in
   let out4, _, _ = service_arm 4 in
   let outc, dtc = cold_arm () in
   let identical = out1 = out4 in
@@ -951,8 +952,9 @@ let service_bench ctx =
     (dtc /. Float.max 1e-9 dt1)
     (n_cached + n_warm) n_worst n_cached n_warm n_cold;
   row
-    "counters: service | events=%d queries=%d worst=%d served c/w/k=%d/%d/%d cert=%s identical(domains 1v4)=%b agree(service=cold)=%b@."
+    "counters: service | events=%d queries=%d worst=%d served c/w/k=%d/%d/%d refuted=%d cert=%s identical(domains 1v4)=%b agree(service=cold)=%b@."
     n_events n_queries n_worst n_cached n_warm n_cold
+    (count counts1 "hint-refutes")
     (if cert then "ok" else "FAIL")
     identical agree;
   row
@@ -963,134 +965,141 @@ let service_bench ctx =
 (* Push alerting pipeline (DESIGN.md §16): subscribers with distinct
    tolerance overrides ride the event loop; each accepted structural
    event triggers the two-stage Raha.Alert evaluation — a
-   quarter-budget fixed-envelope fast screen immediately, the full
-   worst-case solve lazily and at most once, shared with the query
-   cache. The stream alternates capacity-degrade waves (heavy demand
-   envelope + a lag shaved to 1 unit) with relief waves (envelope
-   squeezed to ~0), so every sensitive subscriber crosses into alert
-   and back out repeatedly. Push lines drain through the same bounded
-   queues the socket server uses — the [counters:] line carries only
+   quarter-budget fast screen at the envelope's high corner
+   immediately, the full worst-case solve lazily and at most once,
+   shared with the query cache. The stream alternates capacity-degrade
+   waves (heavy demand + a lag shaved to 1 unit) with relief waves
+   (demand squeezed to ~0), so every sensitive subscriber crosses into
+   alert and back out repeatedly. Two arms: a variable envelope, whose
+   fast stage is a separate fixed-demand solve, and a point envelope
+   (lo = hi throughout), whose fast stage is the worst query itself, so
+   each structural event costs one branch-and-bound solve (solves= must
+   equal evaluations=). Push lines drain through the same bounded
+   queues the socket server uses — the [counters:] lines carry only
    deterministic quantities and must show dropped=0. *)
 let alerting_bench ctx =
   section ctx ~id:"alerting"
     ~paper:"push alerting: two-stage crossing notifications on the live event stream (DESIGN.md §16)"
-    ~config:"africa-like WAN (8 nodes), degrade/relief waves, 3 subscribers (tol 0 / 0.05 / default 0.1)";
+    ~config:"africa-like WAN (8 nodes), degrade/relief waves, 3 subscribers (tol 0 / 0.05 / default 0.1), variable and point envelopes";
   let topo, pairs = wan_small () in
   let paths = paths_of topo pairs in
-  let envelope = Traffic.Envelope.around ~slack:0.3 (base_demand pairs) in
   let sp = spec ~max_failures:1 () in
-  let cfg =
-    { Service.Core.paths; envelope; options = options ctx sp;
-      drift_tol = 0.30; alert_tolerance = 0.1 }
+  let run_arm ~arm ~envelope ~heavy ~relief =
+    let cfg =
+      { Service.Core.paths; envelope; options = options ctx sp;
+        drift_tol = 0.30; alert_tolerance = 0.1 }
+    in
+    let core = Service.Core.create cfg topo in
+    let al = Service.Core.alerting core in
+    (* all three tolerances are crossable, so once every subscriber is
+       alerting and the fast stage still exceeds, the deep stage is
+       skipped entirely — the bench shows both all-fast and deep-needed
+       evaluations *)
+    Service.Alerting.subscribe al ~id:1 ~tolerance:(Some 0.);
+    Service.Alerting.subscribe al ~id:2 ~tolerance:(Some 0.05);
+    Service.Alerting.subscribe al ~id:3 ~tolerance:None;
+    let pushes = ref 0 and bad_push = ref 0 in
+    let drain () =
+      List.iter
+        (fun id ->
+          let rec go () =
+            match Service.Alerting.next_chunk al ~id with
+            | None -> ()
+            | Some (line, off) ->
+              Service.Alerting.advance al ~id (String.length line - off);
+              incr pushes;
+              (match Service.Json.of_string (String.trim line) with
+              | Ok j
+                when Service.Json.to_str (Service.Json.member "push" j) <> None ->
+                ()
+              | _ -> incr bad_push);
+              go ()
+          in
+          go ())
+        (Service.Alerting.pending_ids al)
+    in
+    let module Ev = Service.Event in
+    let nlags = Wan.Topology.num_lags topo in
+    let waves = if ctx.quick then 2 else 6 in
+    let events = ref [] in
+    let demand_wave t0 (lo, hi) =
+      List.iteri
+        (fun i (src, dst) ->
+          events :=
+            Ev.Demand { src; dst; lo; hi; at = t0 +. (0.1 *. float_of_int i) } :: !events)
+        pairs
+    in
+    for w = 1 to waves do
+      let t0 = 10. *. float_of_int w in
+      (* degrade: demand back to the heavy envelope, then shave a lag *)
+      demand_wave t0 heavy;
+      events :=
+        Ev.Capacity { lag = (w - 1) mod nlags; link = 0; capacity = 1.; at = t0 +. 1. }
+        :: !events;
+      (* relief: squeeze the demand to (near) zero — nothing left to lose *)
+      demand_wave (t0 +. 2.) relief
+    done;
+    let events = List.rev !events in
+    let fast_t = ref 0. and fast_n = ref 0 in
+    let deep_t = ref 0. and deep_n = ref 0 in
+    let (), counts, _ =
+      scoped (fun () ->
+          List.iter
+            (fun e ->
+              let resp = Service.Core.handle core (Ev.Event e) in
+              (match Service.Json.to_bool (Service.Json.member "ok" resp) with
+              | Some true -> ()
+              | _ -> row "rejected event: %s@." (Service.Json.to_string resp));
+              let before = (Service.Alerting.stats al).Service.Alerting.deep_runs in
+              let t0 = Unix.gettimeofday () in
+              Service.Core.evaluate_alert ~flush:drain core;
+              let dt = Unix.gettimeofday () -. t0 in
+              drain ();
+              let after = (Service.Alerting.stats al).Service.Alerting.deep_runs in
+              if after > before then begin
+                deep_t := !deep_t +. dt;
+                incr deep_n
+              end
+              else begin
+                fast_t := !fast_t +. dt;
+                incr fast_n
+              end)
+            events)
+    in
+    (* final worst query: the alert pipeline shares the query cache, so
+       this should carry a passing certificate without a fresh cold solve *)
+    let final =
+      Service.Core.handle core (Ev.Query (Ev.Worst { budget = None; max_nodes = None }))
+    in
+    let cert =
+      match Service.Json.to_str (Service.Json.member "cert" final) with
+      | Some "ok" -> true
+      | _ -> false
+    in
+    let s = Service.Alerting.stats al in
+    let ms t n = 1000. *. t /. float_of_int (max 1 n) in
+    row "%-10s %-22s %-8s %-10s@." "envelope" "stage mix" "evals" "ms/eval";
+    row "%-10s %-22s %-8d %-10.1f@." arm "fast only" !fast_n (ms !fast_t !fast_n);
+    row "%-10s %-22s %-8d %-10.1f@." arm "fast+deep" !deep_n (ms !deep_t !deep_n);
+    row
+      "%d structural events -> %d evaluations, %d alerts / %d clears across 3 subscribers (%d deep stages, %d branch-and-bound solves), %d push lines, %d dropped@."
+      (List.length events) s.Service.Alerting.evaluations s.Service.Alerting.alerts
+      s.Service.Alerting.clears s.Service.Alerting.deep_runs (count counts "bb-solves")
+      !pushes s.Service.Alerting.dropped;
+    row
+      "counters: alerting | %s | events=%d evaluations=%d solves=%d alerts=%d clears=%d deep=%d dropped=%d pushes=%d badpush=%d cert=%s@."
+      arm (List.length events) s.Service.Alerting.evaluations (count counts "bb-solves")
+      s.Service.Alerting.alerts s.Service.Alerting.clears s.Service.Alerting.deep_runs
+      s.Service.Alerting.dropped !pushes !bad_push
+      (if cert then "ok" else "FAIL")
   in
-  let core = Service.Core.create cfg topo in
-  let al = Service.Core.alerting core in
-  (* all three tolerances are crossable, so once every subscriber is
-     alerting and the fast stage still exceeds, the deep solve is
-     skipped entirely — the bench shows both all-fast and deep-needed
-     evaluations *)
-  Service.Alerting.subscribe al ~id:1 ~tolerance:(Some 0.);
-  Service.Alerting.subscribe al ~id:2 ~tolerance:(Some 0.05);
-  Service.Alerting.subscribe al ~id:3 ~tolerance:None;
-  let pushes = ref 0 and bad_push = ref 0 in
-  let drain () =
-    List.iter
-      (fun id ->
-        let rec go () =
-          match Service.Alerting.next_chunk al ~id with
-          | None -> ()
-          | Some (line, off) ->
-            Service.Alerting.advance al ~id (String.length line - off);
-            incr pushes;
-            (match Service.Json.of_string (String.trim line) with
-            | Ok j
-              when Service.Json.to_str (Service.Json.member "push" j) <> None ->
-              ()
-            | _ -> incr bad_push);
-            go ()
-        in
-        go ())
-      (Service.Alerting.pending_ids al)
-  in
-  let module Ev = Service.Event in
-  let nlags = Wan.Topology.num_lags topo in
-  let waves = if ctx.quick then 2 else 6 in
-  let events = ref [] in
-  for w = 1 to waves do
-    let t0 = 10. *. float_of_int w in
-    (* degrade: demand back to the heavy envelope, then shave a lag *)
-    List.iteri
-      (fun i (src, dst) ->
-        events :=
-          Ev.Demand
-            { src; dst; lo = 42.; hi = 300.; at = t0 +. (0.1 *. float_of_int i) }
-          :: !events)
-      pairs;
-    events :=
-      Ev.Capacity { lag = (w - 1) mod nlags; link = 0; capacity = 1.; at = t0 +. 1. }
-      :: !events;
-    (* relief: squeeze the envelope to (near) zero — nothing left to lose *)
-    List.iteri
-      (fun i (src, dst) ->
-        events :=
-          Ev.Demand
-            { src; dst; lo = 0.01; hi = 0.02;
-              at = t0 +. 2. +. (0.1 *. float_of_int i) }
-          :: !events)
-      pairs
-  done;
-  let events = List.rev !events in
-  let fast_t = ref 0. and fast_n = ref 0 in
-  let deep_t = ref 0. and deep_n = ref 0 in
-  List.iter
-    (fun e ->
-      let resp = Service.Core.handle core (Ev.Event e) in
-      (match Service.Json.to_bool (Service.Json.member "ok" resp) with
-      | Some true -> ()
-      | _ -> row "rejected event: %s@." (Service.Json.to_string resp));
-      let before = (Service.Alerting.stats al).Service.Alerting.deep_runs in
-      let t0 = Unix.gettimeofday () in
-      Service.Core.evaluate_alert ~flush:drain core;
-      let dt = Unix.gettimeofday () -. t0 in
-      drain ();
-      let after = (Service.Alerting.stats al).Service.Alerting.deep_runs in
-      if after > before then begin
-        deep_t := !deep_t +. dt;
-        incr deep_n
-      end
-      else begin
-        fast_t := !fast_t +. dt;
-        incr fast_n
-      end)
-    events;
-  (* final worst query: the alert pipeline shares the query cache, so
-     this should carry a passing certificate without a fresh cold solve *)
-  let final =
-    Service.Core.handle core (Ev.Query (Ev.Worst { budget = None; max_nodes = None }))
-  in
-  let cert =
-    match Service.Json.to_str (Service.Json.member "cert" final) with
-    | Some "ok" -> true
-    | _ -> false
-  in
-  let s = Service.Alerting.stats al in
-  let ms t n = 1000. *. t /. float_of_int (max 1 n) in
-  row "%-22s %-8s %-10s@." "stage mix" "evals" "ms/eval";
-  row "%-22s %-8d %-10.1f@." "fast only" !fast_n (ms !fast_t !fast_n);
-  row "%-22s %-8d %-10.1f@." "fast+deep" !deep_n (ms !deep_t !deep_n);
+  let base = base_demand pairs in
+  run_arm ~arm:"variable" ~envelope:(Traffic.Envelope.around ~slack:0.3 base)
+    ~heavy:(42., 300.) ~relief:(0.01, 0.02);
+  run_arm ~arm:"point" ~envelope:(Traffic.Envelope.fixed base) ~heavy:(300., 300.)
+    ~relief:(0.02, 0.02);
   row
-    "%d structural events -> %d evaluations, %d alerts / %d clears across 3 subscribers (%d deep solves), %d push lines, %d dropped@."
-    (List.length events) s.Service.Alerting.evaluations s.Service.Alerting.alerts
-    s.Service.Alerting.clears s.Service.Alerting.deep_runs !pushes
-    s.Service.Alerting.dropped;
-  row
-    "counters: alerting | events=%d evaluations=%d alerts=%d clears=%d deep=%d dropped=%d pushes=%d badpush=%d cert=%s@."
-    (List.length events) s.Service.Alerting.evaluations s.Service.Alerting.alerts
-    s.Service.Alerting.clears s.Service.Alerting.deep_runs
-    s.Service.Alerting.dropped !pushes !bad_push
-    (if cert then "ok" else "FAIL");
-  row
-    "(the fast stage screens the envelope's high corner on a quarter of the      solve budget; the deep stage is the normal worst-case machinery and      shares its cache, so alert evaluations warm later queries and a quiet      network costs no MILP solves at all; dropped=0 must hold — nothing      here outruns the drain)@."
+    "(the fast stage screens the envelope's high corner on a quarter of the      solve budget; the deep stage is the normal worst-case machinery and      shares its cache, so alert evaluations warm later queries and a quiet      network costs no MILP solves at all; on a point envelope the fast      stage is that worst query, one solve per structural event; dropped=0      must hold — nothing here outruns the drain)@."
 
 (* -------------------------------------------------------------------- ffc *)
 

@@ -51,9 +51,11 @@ let default =
 
 type outcome = Optimal | Feasible | No_incumbent | Infeasible | Unbounded
 
-(* owner-domain only, so not a registered counter *)
+(* owner-domain only, so not registered counters *)
 let rounds_key = Domain.DLS.new_key (fun () -> ref 0)
 let cumulative_rounds () = !(Domain.DLS.get rounds_key)
+let solves_key = Domain.DLS.new_key (fun () -> ref 0)
+let cumulative_solves () = !(Domain.DLS.get solves_key)
 
 (* --- pseudocost / reliability branching -------------------------------- *)
 
@@ -387,6 +389,7 @@ type task_result = {
 
 let solve ?(options = default) model =
   let t0 = Unix.gettimeofday () in
+  incr (Domain.DLS.get solves_key);
   let sense, _ = Model.objective model in
   (* Work internally as maximization. *)
   let osign = match sense with Model.Maximize -> 1. | Model.Minimize -> -1. in
@@ -508,7 +511,30 @@ let solve ?(options = default) model =
   in
   (* Seed incumbents from caller-provided partial assignments: fix the
      hinted variables and plunge. When a hint fixes all the structural
-     binaries the plunge is a single LP solve. *)
+     binaries the plunge is a single LP solve. Once an incumbent exists,
+     a hint is first refuted warm ({!Simplex.refute}) from the final
+     basis of the last hint plunge: a proof that its LP bound passes
+     the dive's own cutoff test skips exactly a plunge that
+     {!Heuristics.dive} would end at its first LP. *)
+  let hint_basis = ref None in
+  let hint_env =
+    {
+      heur_env with
+      Heuristics.lp =
+        (fun warm ~lb ~ub ->
+          let ((_, fb) as res) = heur_env.Heuristics.lp warm ~lb ~ub in
+          (match fb with Some _ -> hint_basis := fb | None -> ());
+          res);
+    }
+  in
+  let refuted lb ub =
+    match !hint_basis with
+    | Some warm when !incumbent_obj > neg_infinity ->
+      Simplex.refute ?max_iters:options.sx_iters ~warm ~lb ~ub
+        ~cutoff:(!incumbent_obj +. options.abs_gap)
+        !prep
+    | Some _ | None -> false
+  in
   List.iter
     (fun hint ->
       let lb = Array.copy lb0 and ub = Array.copy ub0 in
@@ -529,7 +555,8 @@ let solve ?(options = default) model =
             lb.(id) <- v;
             ub.(id) <- v)
           hint;
-        try_candidate ~what:"hint dive" (Heuristics.dive heur_env lb ub)
+        if refuted lb ub then Lp_stats.incr Lp_stats.hint_refutes
+        else try_candidate ~what:"hint dive" (Heuristics.dive hint_env lb ub)
       end)
     options.plunge_hints;
   let candidates values =

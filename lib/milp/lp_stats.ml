@@ -31,6 +31,7 @@ let sb_probes = C.make "sb-probes"
 let pseudocost_updates = C.make "pseudocost-updates"
 let heuristic_solutions = C.make "heuristic-solutions"
 let heuristic_rejections = C.make "heuristic-rejections"
+let hint_refutes = C.make "hint-refutes"
 
 let incr = C.incr
 let add = C.add

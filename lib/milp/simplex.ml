@@ -492,12 +492,15 @@ let dual_feasible st d =
   !ok
 
 (* Dual simplex loop: repair primal feasibility while keeping dual
-   feasibility. Assumes the caller verified dual feasibility. *)
-let run_dual st =
+   feasibility. Assumes the caller verified dual feasibility. [watch],
+   when given, sees the state at the head of every iteration, so before
+   the first pivot and after each one; it may end the run by raising. *)
+let run_dual ?watch st =
   let sp = st.sp in
   let m = sp.Sparse.m and n = sp.Sparse.n in
   let { cb; er; y; rho; _ } = st.wk in
   let rec loop () =
+    (match watch with Some f -> f () | None -> ());
     if st.iters <= 0 then `Iters
     else begin
       (* leaving: the most violated basic variable *)
@@ -660,6 +663,7 @@ let cold_solve ?keep_factor prep ~rhs bounds ~max_iters ~degen_limit =
   go ()
 
 let default_iters sp = (50 * (sp.Sparse.m + sp.Sparse.n)) + 200
+let default_degen sp = max 50 (sp.Sparse.m + sp.Sparse.n)
 
 let of_dense = function
   | Dense_simplex.Optimal { obj; values } -> Optimal { obj; values }
@@ -684,7 +688,7 @@ let solve_prepared ?(engine = Revised) ?lb ?ub ?b ?max_iters ?degen_limit ?warm
     let degen_limit =
       match degen_limit with
       | Some k -> k
-      | None -> max 50 (sp.Sparse.m + sp.Sparse.n)
+      | None -> default_degen sp
     in
     try
       let bounds = fresh_bounds prep ?lb ?ub () in
@@ -739,6 +743,54 @@ let solve_prepared ?(engine = Revised) ?lb ?ub ?b ?max_iters ?degen_limit ?warm
           r
         | `Cold iters -> cold iters)
     with Box_infeasible -> (Infeasible, None))
+
+(* ------------------------------------------------------------------ *)
+(* Refutation                                                          *)
+
+exception Refuted
+
+(* How far below [cutoff] a refutation must prove the LP bound to sit:
+   room for the rounding by which a cold solve of the same LP may land
+   above the warm dual bound. *)
+let refute_margin cutoff = 1e-9 *. Float.max 1. (Float.abs cutoff)
+
+(* Weak duality on the dual simplex's path: from a dual-feasible basis,
+   the cost c'x of the current basic solution (nonbasics at their
+   bounds, A x = b) never exceeds the LP minimum, and it only rises
+   from pivot to pivot. So the run can stop at the first iterate whose
+   c'x reaches [floor], the cost at [refute_margin] below [cutoff]; dual
+   feasibility holds to the tolerance every warm node solve of
+   branch-and-bound trusts ([dual_feasible]). *)
+let refute ?max_iters ~warm ~lb ~ub ~cutoff (prep : prepared) =
+  let sp = prep.sp in
+  if warm.bn <> sp.Sparse.n || warm.bnv <> sp.Sparse.nv then false
+  else begin
+    let sense, obj = Model.objective prep.pmodel in
+    (* the internal cost is -osign times the objective's coefficients,
+       so osign * objective = osign * constant - c'x *)
+    let osign = match sense with Model.Maximize -> 1. | Model.Minimize -> -1. in
+    let floor = (osign *. Linexpr.constant obj) -. (cutoff -. refute_margin cutoff) in
+    let max_iters = match max_iters with Some k -> k | None -> default_iters sp in
+    let degen_limit = default_degen sp in
+    try
+      let bounds = fresh_bounds prep ~lb ~ub () in
+      let st = warm_state prep ~rhs:sp.Sparse.b bounds warm ~max_iters ~degen_limit in
+      dual_feasible st (reduced_costs st)
+      && begin
+           let watch () =
+             let z = ref 0. in
+             for j = 0 to sp.Sparse.n - 1 do
+               z := !z +. (sp.Sparse.cost.(j) *. st.x.(j))
+             done;
+             if !z >= floor then raise Refuted
+           in
+           ignore (run_dual ~watch st);
+           false
+         end
+    with
+    | Refuted -> true
+    | Box_infeasible | Basis.Singular _ -> false
+  end
 
 let solve ?engine ?lb ?ub ?max_iters model =
   fst (solve_prepared ?engine ?lb ?ub ?max_iters (prepare model))

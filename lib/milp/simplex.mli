@@ -109,6 +109,32 @@ val solve_prepared :
   prepared ->
   result * basis option
 
+(** [refute ?max_iters ~warm ~lb ~ub ~cutoff prep] tries to prove,
+    without solving it, that the LP of [prep] under [lb]/[ub] has no
+    point whose objective, in maximization terms (negated for a
+    minimizing model), exceeds [cutoff]: that a solve of it comes back
+    infeasible or at most at [cutoff]. It re-installs [warm] under the
+    new bounds and runs the dual simplex; at the start and after every
+    pivot the current basic solution's objective is a valid dual bound
+    (weak duality, to the dual-feasibility tolerance every warm solve
+    trusts), and the run answers [true] as soon as that bound sits a
+    margin of [1e-9 * max 1 |cutoff|] below [cutoff] — room for the
+    rounding by which a cold solve may land above the warm bound. It
+    answers [false] — nothing proved — when [warm] has another shape or
+    is not dual feasible under the new bounds, when the dual simplex
+    reaches an optimum, primal infeasibility or its iteration budget
+    ([max_iters], default as {!solve}) first, and on numerical
+    trouble. Revised engine only; returns no basis and counts
+    its pivots like any dual pivot. *)
+val refute :
+  ?max_iters:int ->
+  warm:basis ->
+  lb:float array ->
+  ub:float array ->
+  cutoff:float ->
+  prepared ->
+  bool
+
 (** Statuses of the structural (model) variables in a basis, indexed by
     variable id. *)
 val var_statuses : basis -> vstat array

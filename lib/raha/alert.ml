@@ -12,11 +12,18 @@ let exceeds report ~tolerance =
   | Milp.Solver.Optimal | Milp.Solver.Feasible -> report.Analysis.normalized > tolerance
   | _ -> false
 
+let fast_options options =
+  { options with Analysis.time_limit = options.Analysis.time_limit /. 4. }
+
 let fast_check ~options topo paths ~peak =
-  let options =
-    { options with Analysis.time_limit = options.Analysis.time_limit /. 4. }
-  in
-  Analysis.analyze ~options topo paths (Traffic.Envelope.fixed peak)
+  Analysis.analyze ~options:(fast_options options) topo paths
+    (Traffic.Envelope.fixed peak)
+
+(* [envelope] is [Envelope.fixed peak]: both corners hold exactly the
+   peak's entries, so both stages would build the same model *)
+let is_point envelope ~peak =
+  let at d = Traffic.Demand.entries d = Traffic.Demand.entries peak in
+  at envelope.Traffic.Envelope.lo && at envelope.Traffic.Envelope.hi
 
 let run ?(options = Analysis.default_options) ?(tolerance = 0.1) topo paths ~peak
     envelope =
@@ -24,7 +31,12 @@ let run ?(options = Analysis.default_options) ?(tolerance = 0.1) topo paths ~pea
   if exceeds fast ~tolerance then
     { alert = true; stage = Some Fast_fixed_demand; fast; deep = None }
   else begin
-    let deep = Analysis.analyze ~options topo paths envelope in
+    (* a proved fast answer on the point envelope is the deep answer:
+       the search is deterministic, and only a budget could stop it *)
+    let deep =
+      if is_point envelope ~peak && fast.Analysis.status = Milp.Solver.Optimal then fast
+      else Analysis.analyze ~options topo paths envelope
+    in
     if exceeds deep ~tolerance then
       { alert = true; stage = Some Deep_variable_demand; fast; deep = Some deep }
     else { alert = false; stage = None; fast; deep = Some deep }

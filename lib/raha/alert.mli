@@ -10,7 +10,14 @@
        degraded.
 
     Both stages share one {!Analysis.options}; the fast stage gets a
-    quarter of its wall-clock budget. *)
+    quarter of its wall-clock budget ({!fast_options}).
+
+    On a point envelope ([lo = hi], the CLI's default [--slack 0]) the
+    two stages pose the same problem, so a proved fast answer is the
+    deep answer too: {!run} returns it as [deep] without a second
+    solve, and the service's pipeline ({!Service.Core}) serves the fast
+    stage through its worst-query cache, which the deep stage and the
+    next worst query then re-read. *)
 
 type stage = Fast_fixed_demand | Deep_variable_demand
 
@@ -28,10 +35,14 @@ type verdict = {
     applies it per-subscriber. *)
 val exceeds : Analysis.report -> tolerance:float -> bool
 
+(** The fast stage's options: [options] with a quarter of its
+    [time_limit]. *)
+val fast_options : Analysis.options -> Analysis.options
+
 (** The fast stage alone: {!Analysis.analyze} at
-    {!Traffic.Envelope.fixed} [peak] under [options] with a quarter of
-    [options.time_limit]. The service's push pipeline ({!Service.Core})
-    runs it after every structural event. *)
+    {!Traffic.Envelope.fixed} [peak] under {!fast_options}. The
+    service's push pipeline ({!Service.Core}) runs it after every
+    structural event on a variable envelope. *)
 val fast_check :
   options:Analysis.options ->
   Wan.Topology.t ->
@@ -42,9 +53,12 @@ val fast_check :
 (** [run ~options ~tolerance topo paths ~peak envelope] executes the
     pipeline: {!fast_check}, then, unless it alerted,
     {!Analysis.analyze} under [options] (default
-    {!Analysis.default_options}) on [envelope]. [tolerance] is in
-    normalized degradation units (fractions of the average LAG
-    capacity, §8.1). *)
+    {!Analysis.default_options}) on [envelope]. When [envelope] is
+    {!Traffic.Envelope.fixed} [peak] (both corners hold exactly the
+    peak's entries) and the fast report is [Optimal], that report is
+    returned as [deep] instead: the deep solve would repeat the same
+    deterministic search. [tolerance] is in normalized degradation
+    units (fractions of the average LAG capacity, §8.1). *)
 val run :
   ?options:Analysis.options ->
   ?tolerance:float ->

@@ -122,20 +122,21 @@ let freshness ~provenance ~events_at t =
     ("staleness", Json.Int (State.events_applied t.state - events_at));
   ]
 
-let solve_worst t ~budget ~max_nodes =
+let solve_worst ?options t ~budget ~max_nodes =
+  let options = Option.value options ~default:t.cfg.options in
   let topo = State.current_topology t.state in
   let screen = engine_for t in
   let options =
     {
-      t.cfg.options with
+      options with
       Raha.Analysis.sx_iters =
         (match budget with
         | Some _ -> budget
-        | None -> t.cfg.options.Raha.Analysis.sx_iters);
+        | None -> options.Raha.Analysis.sx_iters);
       max_nodes =
         (match max_nodes with
-        | Some m -> min m t.cfg.options.Raha.Analysis.max_nodes
-        | None -> t.cfg.options.Raha.Analysis.max_nodes);
+        | Some m -> min m options.Raha.Analysis.max_nodes
+        | None -> options.Raha.Analysis.max_nodes);
     }
   in
   let r =
@@ -194,9 +195,9 @@ let worst_verdict t =
 
 (* Solve inside a counter scope, fold the cert verdict into the cached
    answer, return the wire fields plus the scope report. *)
-let solve_scoped t ~budget ~max_nodes =
+let solve_scoped ?options t ~budget ~max_nodes =
   let scope = Milp.Lp_stats.scope_enter () in
-  let answer, elapsed, certificate = solve_worst t ~budget ~max_nodes in
+  let answer, elapsed, certificate = solve_worst ?options t ~budget ~max_nodes in
   let report = Milp.Lp_stats.scope_exit scope in
   let cert =
     (* the MILP's own certificate is authoritative; overlay/cut audit
@@ -293,26 +294,36 @@ let stage_of_report t r =
 let unusable_stage =
   { Alerting.fields = []; exceeds = (fun _ -> false); usable = false }
 
-(* Fast stage (Raha.Alert stage 1): worst case at the demand fixed to
-   the envelope's upper corner — the observed peak. No screening engine:
-   it is built over the variable envelope, not this fixed one. *)
-let alert_fast t =
-  Raha.Alert.fast_check ~options:t.cfg.options (State.current_topology t.state)
-    t.cfg.paths ~peak:(State.envelope t.state).Traffic.Envelope.hi
-
-(* Deep stage (stage 2): the worst query over the live envelope — same
-   invalidation policy, same cache: a Cached verdict re-reads the cached
-   report, and a deep solve conversely warms the cache for later worst
-   queries. Alert evaluations keep their own tallies
-   ({!Alerting.stats}), not the cached/warm/cold ones. *)
-let alert_deep t =
+(* The worst-case report over the live envelope, under the query
+   invalidation policy and cache: a Cached verdict re-reads the cached
+   report, anything else solves under [options] (default the configured
+   ones) and refills the cache, which later worst queries then serve.
+   Alert evaluations keep their own tallies ({!Alerting.stats}), not the
+   cached/warm/cold ones. *)
+let worst_report ?options t =
   (match worst_verdict t with
   | Policy.Cached -> ()
   | Policy.Warm | Policy.Cold ->
-    ignore (solve_scoped t ~budget:None ~max_nodes:None));
+    ignore (solve_scoped ?options t ~budget:None ~max_nodes:None));
   match t.cached with
   | Some c -> c.report
   | None -> assert false (* solve_scoped always fills the cache *)
+
+(* Fast stage (Raha.Alert stage 1): the worst case at the demand fixed
+   to the envelope's upper corner — the observed peak — on a quarter of
+   the budget. On a point envelope that is the worst query itself, so it
+   runs through the query cache with the screening engine: a proved
+   answer is what the deep stage and the next worst query re-read, an
+   unproven one makes the deep stage re-solve on the full budget. On a
+   variable envelope it is a separate solve without the engine, which
+   is built over the variable envelope, not this fixed one. *)
+let alert_fast t =
+  let envelope = State.envelope t.state in
+  if Traffic.Envelope.is_fixed envelope then
+    worst_report ~options:(Raha.Alert.fast_options t.cfg.options) t
+  else
+    Raha.Alert.fast_check ~options:t.cfg.options (State.current_topology t.state)
+      t.cfg.paths ~peak:envelope.Traffic.Envelope.hi
 
 let evaluate_alert ?(flush = fun () -> ()) t =
   if Alerting.subscribers t.alerting > 0 then begin
@@ -325,7 +336,8 @@ let evaluate_alert ?(flush = fun () -> ()) t =
         unusable_stage
     in
     let deep () =
-      match alert_deep t with
+      (* deep stage (stage 2): the worst query over the live envelope *)
+      match worst_report t with
       | r ->
         let s = stage_of_report t r in
         {

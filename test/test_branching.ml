@@ -219,6 +219,201 @@ let test_branching_differential () =
     | _ -> ()
   done
 
+(* --- hint refutation ------------------------------------------------------
+
+   Branch-and-bound skips a plunge hint when Simplex.refute proves, warm
+   from the last hint plunge's final basis, that the hint's LP cannot
+   beat the dive's cutoff. Sound means: a refuted hint's LP, solved cold
+   under the same bounds, is infeasible or lands at or below the cutoff
+   — exactly the LP whose dive would have returned nothing. *)
+
+let fig1_built encoding =
+  let topo = Wan.Generators.fig1 () in
+  let paths = Netpath.Path_set.compute ~n_primary:2 ~n_backup:0 topo [ (1, 3); (2, 3) ] in
+  let env =
+    Traffic.Envelope.around ~slack:0.5
+      (Traffic.Demand.of_list [ ((1, 3), 12.); ((2, 3), 10.) ])
+  in
+  let spec =
+    { Raha.Bilevel.default_spec with Raha.Bilevel.encoding; max_failures = Some 1 }
+  in
+  (topo, env, Raha.Bilevel.build spec topo paths env)
+
+let africa_built n pairs =
+  let topo = Wan.Generators.africa_like ~seed:5 ~n () in
+  let paths = Netpath.Path_set.compute ~n_primary:2 ~n_backup:1 topo pairs in
+  let env =
+    Traffic.Envelope.from_zero ~slack:0.3
+      (Traffic.Demand.of_list (List.map (fun p -> (p, 60.)) pairs))
+  in
+  let spec = { Raha.Bilevel.default_spec with Raha.Bilevel.threshold = Some 1e-5 } in
+  (topo, env, Raha.Bilevel.build spec topo paths env)
+
+(* The screening seeds' shape: the empty scenario, every whole-LAG
+   failure and every pair of them, each at the envelope's high corner. *)
+let bilevel_hints (topo, env, built) =
+  let whole e =
+    List.init (Wan.Lag.num_links (Wan.Topology.lag topo e)) (fun i -> (e, i))
+  in
+  let lags = List.init (Wan.Topology.num_lags topo) Fun.id in
+  let scenarios =
+    [] :: List.map whole lags
+    @ List.concat_map
+        (fun a -> List.filter_map (fun b -> if b > a then Some (whole a @ whole b) else None) lags)
+        lags
+  in
+  ( built.Raha.Bilevel.model,
+    List.map
+      (fun links ->
+        Raha.Bilevel.hint built
+          ~scenario:(Failure.Scenario.of_links topo links)
+          ~demand:env.Traffic.Envelope.hi)
+      scenarios )
+
+(* Random partial fixings of a differential-generator MILP's integers. *)
+let random_hints case =
+  let mdl = Test_revised.random_milp case in
+  let rng = Random.State.make [| 0x4e1; case |] in
+  let lb, ub = Milp.Model.bounds mdl in
+  let ints = Milp.Model.int_var_ids mdl in
+  ( mdl,
+    List.init 6 (fun _ ->
+        List.filter_map
+          (fun id ->
+            if Random.State.bool rng then None
+            else
+              let lo = int_of_float lb.(id) and hi = int_of_float ub.(id) in
+              Some (id, float_of_int (lo + Random.State.int rng (hi - lo + 1))))
+          ints) )
+
+(* Walk [hints] as branch-and-bound does: each hint is refuted warm from
+   the previous hint's final basis, at cutoffs around its cold LP value
+   v — half a refutation margin below v (which only an unsound
+   refutation accepts), just above it, and further off. Returns the
+   refutations and the tight ones among them (cutoff within three
+   margins of v). *)
+let refutations (mdl, hints) =
+  let prep = Milp.Simplex.prepare mdl in
+  let lb0, ub0 = Milp.Model.bounds mdl in
+  let sense, _ = Milp.Model.objective mdl in
+  let osign = match sense with Milp.Model.Maximize -> 1. | Milp.Model.Minimize -> -1. in
+  let warm = ref None and refuted = ref 0 and tight = ref 0 in
+  List.iter
+    (fun hint ->
+      let lb = Array.copy lb0 and ub = Array.copy ub0 in
+      if List.for_all (fun (id, v) -> v >= lb0.(id) -. 1e-6 && v <= ub0.(id) +. 1e-6) hint
+      then begin
+        List.iter (fun (id, v) -> lb.(id) <- v; ub.(id) <- v) hint;
+        let cold, basis = Milp.Simplex.solve_prepared ~lb ~ub prep in
+        (match !warm with
+        | None -> ()
+        | Some warm ->
+          let cutoffs, sound =
+            match cold with
+            | Milp.Simplex.Optimal { obj; _ } ->
+              let v = osign *. obj in
+              let m = 1e-9 *. Float.max 1. (Float.abs v) in
+              let off = 1e-3 *. (1. +. Float.abs v) in
+              ( [ v -. off; v -. (0.5 *. m); v +. (2. *. m); v +. 1e-6; v +. off; v +. 1. ],
+                fun c -> (v <= c, c <= v +. (3. *. m)) )
+            | Milp.Simplex.Infeasible -> ([ -1e6; 0.; 1e6 ], fun _ -> (true, false))
+            | Milp.Simplex.Unbounded | Milp.Simplex.Iter_limit ->
+              ([ -1e6; 0.; 1e6 ], fun _ -> (false, false))
+          in
+          List.iter
+            (fun cutoff ->
+              if Milp.Simplex.refute ~warm ~lb ~ub ~cutoff prep then begin
+                let ok, near = sound cutoff in
+                if not ok then
+                  Alcotest.failf "%s: refuted at cutoff %h, but the cold LP says %s"
+                    (Milp.Model.name mdl) cutoff
+                    (match cold with
+                    | Milp.Simplex.Optimal { obj; _ } -> Printf.sprintf "%h" (osign *. obj)
+                    | Milp.Simplex.Infeasible -> "infeasible"
+                    | Milp.Simplex.Unbounded -> "unbounded"
+                    | Milp.Simplex.Iter_limit -> "iteration limit");
+                incr refuted;
+                if near then incr tight
+              end)
+            cutoffs);
+        match basis with Some _ -> warm := basis | None -> ()
+      end)
+    hints;
+  (!refuted, !tight)
+
+let test_refutation_sound () =
+  let family name cases =
+    let refuted, tight =
+      List.fold_left
+        (fun (r, t) c ->
+          let r', t' = refutations c in
+          (r + r', t + t'))
+        (0, 0) cases
+    in
+    (* the property is vacuous unless refutations happen, some of them
+       within a few margins of the LP value *)
+    Alcotest.(check bool) (name ^ ": refutations happen") true (refuted > 0);
+    Alcotest.(check bool) (name ^ ": tight refutations happen") true (tight > 0)
+  in
+  family "fig1"
+    [
+      bilevel_hints (fig1_built (Raha.Bilevel.Strong_duality { levels = 5 }));
+      bilevel_hints (fig1_built Raha.Bilevel.Kkt);
+    ];
+  family "africa-like"
+    [
+      bilevel_hints (africa_built 6 [ (0, 4); (1, 5) ]);
+      bilevel_hints (africa_built 8 [ (0, 5); (1, 6); (2, 7) ]);
+    ];
+  family "differential MILPs" (List.init 200 random_hints)
+
+(* The four analyze cells: refutation moves no answer bit and no node
+   count, and skips the hints whose plunges the dive would discard. fig1
+   kkt's hint LPs are never provably below the cutoff warm. The last
+   cell is the daemon's (africa-like n = 8, one loaded pair, probability
+   threshold 1e-5, strong duality with 4 levels, fixed demand). *)
+let test_refutation_pins () =
+  let f1 = Wan.Generators.fig1 () in
+  let f1_paths = Netpath.Path_set.compute ~n_primary:2 ~n_backup:0 f1 [ (1, 3); (2, 3) ] in
+  let f1_env =
+    Traffic.Envelope.around ~slack:0.5
+      (Traffic.Demand.of_list [ ((1, 3), 12.); ((2, 3), 10.) ])
+  in
+  let wan8 = Wan.Generators.africa_like ~seed:5 ~n:8 () in
+  let w8_pairs = [ (0, 5); (1, 6); (2, 7) ] in
+  let w8_paths = Netpath.Path_set.compute ~n_primary:2 ~n_backup:1 wan8 w8_pairs in
+  let sd levels = Raha.Bilevel.Strong_duality { levels } in
+  let spec ?threshold ?max_failures encoding =
+    { Raha.Bilevel.default_spec with Raha.Bilevel.threshold; max_failures; encoding }
+  in
+  let daemon_demand = Traffic.Demand.of_list [ ((0, 5), 0.); ((1, 6), 60.); ((2, 7), 0.) ] in
+  List.iter
+    (fun (name, spec, topo, paths, env, bits, nodes, refutes) ->
+      let r0 = Milp.Lp_stats.read Milp.Lp_stats.hint_refutes () in
+      let r =
+        Raha.Analysis.analyze ~options:{ Raha.Analysis.default_options with spec } topo paths
+          env
+      in
+      Alcotest.(check int64) (name ^ " degradation bits") bits
+        (Int64.bits_of_float r.Raha.Analysis.degradation);
+      Alcotest.(check int64) (name ^ " bound bits") bits
+        (Int64.bits_of_float r.Raha.Analysis.bound);
+      Alcotest.(check int) (name ^ " nodes") nodes r.Raha.Analysis.nodes;
+      Alcotest.(check int) (name ^ " refuted hints") refutes
+        (Milp.Lp_stats.read Milp.Lp_stats.hint_refutes () - r0))
+    [
+      ("fig1 sd:5", spec ~max_failures:1 (sd 5), f1, f1_paths, f1_env,
+       Int64.bits_of_float 0x1.2000000f91baep+3, 44, 5);
+      ("fig1 kkt", spec ~max_failures:1 Raha.Bilevel.Kkt, f1, f1_paths, f1_env,
+       Int64.bits_of_float 0x1.2000000f91baep+3, 33, 0);
+      ("wan8 sd:3", spec ~threshold:1e-5 (sd 3), wan8, w8_paths,
+       Traffic.Envelope.from_zero ~slack:0.3
+         (Traffic.Demand.of_list (List.map (fun p -> (p, 60.)) w8_pairs)),
+       Int64.bits_of_float 0x1.38p+6, 8, 5);
+      ("daemon", spec ~threshold:1e-5 (sd 4), wan8, w8_paths,
+       Traffic.Envelope.fixed daemon_demand, Int64.bits_of_float 0x1.ep+5, 1, 5);
+    ]
+
 let suite =
   [
     ("gate admits only certifiable points", `Quick, test_gate_implies_certification);
@@ -226,4 +421,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_heuristic_incumbents_certified;
     ("probes, pseudocosts and heuristics engage", `Quick, test_machinery_engages);
     ("corpus: reliability vs fractional", `Quick, test_branching_differential);
+    ("refuted hints are sound", `Quick, test_refutation_sound);
+    ("refutation pins on the analyze cells", `Quick, test_refutation_pins);
   ]

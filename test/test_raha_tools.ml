@@ -213,6 +213,32 @@ let test_alert_stages_are_analyze () =
   Alcotest.(check bool) "disabling cuts moves the deep node count" true
     (with_cuts.Raha.Analysis.nodes <> deep.Raha.Analysis.nodes)
 
+(* On a point envelope the two stages pose the same problem: a proved
+   fast answer is returned as the deep one, after one branch-and-bound
+   solve, with the bits a separate analyze of the envelope reports. *)
+let test_alert_point_envelope () =
+  let paths = fig1_paths () in
+  let peak = Traffic.Demand.of_list [ ((1, 3), 12.); ((2, 3), 10.) ] in
+  let envelope = Traffic.Envelope.fixed peak in
+  let s0 = Milp.Branch_bound.cumulative_solves () in
+  let v = Raha.Alert.run ~options:k1_options ~tolerance:5. fig1 paths ~peak envelope in
+  check_int "one branch-and-bound solve" 1 (Milp.Branch_bound.cumulative_solves () - s0);
+  Alcotest.(check bool) "no alert" false v.Raha.Alert.alert;
+  let want = Raha.Analysis.analyze ~options:k1_options fig1 paths envelope in
+  match v.Raha.Alert.deep with
+  | None -> Alcotest.fail "no deep report"
+  | Some d ->
+    Alcotest.(check bool) "optimal" true (d.Raha.Analysis.status = Milp.Solver.Optimal);
+    Alcotest.(check int64) "degradation bits"
+      (Int64.bits_of_float want.Raha.Analysis.degradation)
+      (Int64.bits_of_float d.Raha.Analysis.degradation);
+    Alcotest.(check int64) "bound bits" (Int64.bits_of_float want.Raha.Analysis.bound)
+      (Int64.bits_of_float d.Raha.Analysis.bound);
+    check_int "nodes" want.Raha.Analysis.nodes d.Raha.Analysis.nodes;
+    Alcotest.(check (list (pair int int))) "scenario"
+      (Failure.Scenario.links want.Raha.Analysis.scenario)
+      (Failure.Scenario.links d.Raha.Analysis.scenario)
+
 (* --- baselines --------------------------------------------------------- *)
 
 let test_k_failures_monotone () =
@@ -378,6 +404,7 @@ let suite =
     ("alert deep stage", `Quick, test_alert_deep_stage);
     ("alert quiet", `Quick, test_alert_quiet);
     ("alert stages are analyze", `Quick, test_alert_stages_are_analyze);
+    ("alert on a point envelope solves once", `Quick, test_alert_point_envelope);
     ("k failures monotone", `Quick, test_k_failures_monotone);
     ("worst failures at demand", `Quick, test_worst_failures_at_demand);
     ("fixed fast path equivalent", `Quick, test_fixed_fast_path_equivalent);

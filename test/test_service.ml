@@ -10,18 +10,18 @@ let check_str = Alcotest.(check string)
 
 let fig1 = Wan.Generators.fig1 ()
 
-let make_config ?(domains = 1) ?(drift_tol = 0.5) ?(cuts = Milp.Cuts.default) () =
+let fig1_demand = Traffic.Demand.of_list [ ((1, 3), 12.); ((2, 3), 10.) ]
+
+let make_config ?(domains = 1) ?(drift_tol = 0.5) ?(cuts = Milp.Cuts.default)
+    ?(envelope = Traffic.Envelope.around ~slack:0.5 fig1_demand)
+    ?(time_limit = Float.infinity) () =
   let paths =
     Netpath.Path_set.compute ~n_primary:2 ~n_backup:0 fig1 [ (1, 3); (2, 3) ]
-  in
-  let envelope =
-    Traffic.Envelope.around ~slack:0.5
-      (Traffic.Demand.of_list [ ((1, 3), 12.); ((2, 3), 10.) ])
   in
   let spec =
     { Raha.Bilevel.default_spec with Raha.Bilevel.max_failures = Some 1 }
   in
-  let options = { Raha.Analysis.default_options with spec; domains; cuts } in
+  let options = { Raha.Analysis.default_options with spec; domains; cuts; time_limit } in
   { Service.Core.paths; envelope; options; drift_tol; alert_tolerance = 0.1 }
 
 let make_core ?domains ?drift_tol () =
@@ -1067,6 +1067,66 @@ let test_alert_pipeline_end_to_end () =
   check_int "no warm queries billed" 0 w;
   check_int "no cold queries billed" 0 k
 
+(* --- one MILP per structural event ---------------------------------------
+
+   On a point envelope the fast stage is the worst query itself: it
+   fills the query cache, the deep stage re-reads it, and so does the
+   next worst query. Solves are counted where they happen, in
+   Branch_bound. *)
+
+let point_envelope = Traffic.Envelope.fixed fig1_demand
+let capacity_event = Ev.Event (Ev.Capacity { lag = 0; link = 0; capacity = 10.; at = 1. })
+let worst_query = Ev.Query (Ev.Worst { budget = None; max_nodes = None })
+
+(* one structural event and one alert evaluation with a tolerance-0 and
+   an insensitive subscriber (the latter needs the deep stage); returns
+   the core and the evaluation's branch-and-bound solves *)
+let point_event ?time_limit envelope =
+  let core = Service.Core.create (make_config ?time_limit ~envelope ()) fig1 in
+  let al = Service.Core.alerting core in
+  Al.subscribe al ~id:1 ~tolerance:(Some 0.);
+  Al.subscribe al ~id:2 ~tolerance:(Some 1e6);
+  Alcotest.(check bool) "capacity accepted" true (is_ok (Service.Core.handle core capacity_event));
+  let s0 = Milp.Branch_bound.cumulative_solves () in
+  Service.Core.evaluate_alert core;
+  let solves = Milp.Branch_bound.cumulative_solves () - s0 in
+  check_int "the deep stage ran" 1 (Al.stats al).Al.deep_runs;
+  (core, solves)
+
+let test_point_envelope_one_solve () =
+  let core, solves = point_event point_envelope in
+  check_int "one branch-and-bound solve per structural event" 1 solves;
+  check_int "the tolerance-0 subscriber alerted" 1 (Al.stats (Service.Core.alerting core)).Al.alerts;
+  (* alert evaluations never touch the query tallies *)
+  let c, w, k = Service.Core.tally core in
+  check_int "no queries billed" 0 (c + w + k);
+  (* the next worst query re-serves the fast stage's answer, which is
+     what a fresh core solving cold says *)
+  let s0 = Milp.Branch_bound.cumulative_solves () in
+  let served = Service.Core.handle core worst_query in
+  check_int "the worst query solves nothing" 0 (Milp.Branch_bound.cumulative_solves () - s0);
+  check_str "served from the cache" "cached" (get_str "provenance" served);
+  let fresh = Service.Core.create (make_config ~envelope:point_envelope ()) fig1 in
+  ignore (Service.Core.handle fresh capacity_event);
+  let cold = Service.Core.handle fresh worst_query in
+  check_str "the fresh core solves cold" "cold" (get_str "provenance" cold);
+  check_str "cached answer = fresh cold answer" (project cold) (project served);
+  let c, w, k = Service.Core.tally core in
+  check_int "one cached query" 1 c;
+  check_int "no warm or cold query" 0 (w + k)
+
+(* A fast stage starved by its quarter budget leaves an unproven answer
+   in the cache, which the deep stage never re-reads: it re-solves. *)
+let test_point_envelope_starved_fast_stage () =
+  let _, solves = point_event ~time_limit:1e-9 point_envelope in
+  check_int "the deep stage re-solves the unproven fast answer" 2 solves
+
+(* A variable envelope keeps both stages: the fast one at the peak, the
+   deep one over the envelope. *)
+let test_variable_envelope_two_stages () =
+  let _, solves = point_event (Traffic.Envelope.around ~slack:0.5 fig1_demand) in
+  check_int "fast and deep solves" 2 solves
+
 (* --- framing regressions ------------------------------------------------ *)
 
 let with_server f =
@@ -1257,6 +1317,11 @@ let suite =
     ("alerting crossings", `Quick, test_alerting_crossings);
     ("alerting backpressure", `Quick, test_alerting_backpressure);
     ("alert pipeline end to end", `Quick, test_alert_pipeline_end_to_end);
+    ("point envelope: one solve per structural event", `Quick,
+      test_point_envelope_one_solve);
+    ("point envelope: a starved fast stage is re-solved", `Quick,
+      test_point_envelope_starved_fast_stage);
+    ("variable envelope: two stages", `Quick, test_variable_envelope_two_stages);
     ("framing split line", `Quick, test_framing_split_line);
     ("framing oversized line", `Quick, test_framing_oversized_line);
     ("framing events and now in one write", `Quick, test_framing_events_and_now_in_one_write);
