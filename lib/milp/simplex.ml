@@ -754,13 +754,41 @@ exception Refuted
    above the warm dual bound. *)
 let refute_margin cutoff = 1e-9 *. Float.max 1. (Float.abs cutoff)
 
-(* Weak duality on the dual simplex's path: from a dual-feasible basis,
-   the cost c'x of the current basic solution (nonbasics at their
-   bounds, A x = b) never exceeds the LP minimum, and it only rises
-   from pivot to pivot. So the run can stop at the first iterate whose
-   c'x reaches [floor], the cost at [refute_margin] below [cutoff]; dual
-   feasibility holds to the tolerance every warm node solve of
-   branch-and-bound trusts ([dual_feasible]). *)
+(* What the reduced costs [d] of the current basis fall short of dual
+   feasibility by, charged over each column's range: a nonbasic d_j
+   whose sign lets its column improve the cost, within [eps_dual] or
+   grown along the dual path (the ratio test reads |d_j|), lowers the
+   LP minimum below c'x by at most |d_j| (hi_j - lo_j). On an unbounded
+   range that is no bound at all, unless |d_j| is rounding noise: at
+   most [eps_degen], the size below which a dual pivot's reduced cost
+   counts as zero ([track_degeneracy]). An [At_zero] column is charged
+   over its whole range, which covers either side of 0. *)
+let dual_slip st d =
+  let charge dj range =
+    if range < Float.infinity then dj *. range
+    else if dj > eps_degen then Float.infinity
+    else 0.
+  in
+  let slip = ref 0. in
+  Array.iteri
+    (fun j s ->
+      let range = st.hi.(j) -. st.lo.(j) in
+      match s with
+      | At_lower -> if d.(j) < 0. then slip := !slip +. charge (-.d.(j)) range
+      | At_upper -> if d.(j) > 0. then slip := !slip +. charge d.(j) range
+      | At_zero -> slip := !slip +. charge (Float.abs d.(j)) range
+      | Basic -> ())
+    st.stat;
+  !slip
+
+(* Weak duality on the dual simplex's path: for every point x' of the
+   LP, c'x' - c'x = Σ_nonbasic d_j (x'_j - x_j) (basics priced at 0,
+   A x = b), so c'x less [dual_slip] bounds the LP minimum from below,
+   from any basis. On a dual-feasible path the slip is nil or tiny and
+   c'x only rises from pivot to pivot, so the cheap c'x is watched at
+   every iterate, and only once it reaches [floor] — the cost at
+   [refute_margin] below [cutoff] — are the reduced costs priced in
+   full and the slip charged before the run stops. *)
 let refute ?max_iters ~warm ~lb ~ub ~cutoff (prep : prepared) =
   let sp = prep.sp in
   if warm.bn <> sp.Sparse.n || warm.bnv <> sp.Sparse.nv then false
@@ -782,7 +810,10 @@ let refute ?max_iters ~warm ~lb ~ub ~cutoff (prep : prepared) =
              for j = 0 to sp.Sparse.n - 1 do
                z := !z +. (sp.Sparse.cost.(j) *. st.x.(j))
              done;
-             if !z >= floor then raise Refuted
+             (* [reduced_costs] caches for the basis, and the cached
+                d_j have the bits the next ratio test would price *)
+             if !z >= floor && !z -. dual_slip st (reduced_costs st) >= floor then
+               raise Refuted
            in
            ignore (run_dual ~watch st);
            false

@@ -115,9 +115,11 @@ val solve_prepared :
     minimizing model), exceeds [cutoff]: that a solve of it comes back
     infeasible or at most at [cutoff]. It re-installs [warm] under the
     new bounds and runs the dual simplex; at the start and after every
-    pivot the current basic solution's objective is a valid dual bound
-    (weak duality, to the dual-feasibility tolerance every warm solve
-    trusts), and the run answers [true] as soon as that bound sits a
+    pivot the current basic solution's objective, less what its
+    wrong-signed reduced costs could gain over their columns' ranges
+    (weak duality; no bound when such a column's range is unbounded and
+    its reduced cost exceeds rounding noise, [1e-10]), is a valid dual
+    bound, and the run answers [true] as soon as that bound sits a
     margin of [1e-9 * max 1 |cutoff|] below [cutoff] — room for the
     rounding by which a cold solve may land above the warm bound. It
     answers [false] — nothing proved — when [warm] has another shape or

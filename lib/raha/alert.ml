@@ -19,22 +19,27 @@ let fast_check ~options topo paths ~peak =
   Analysis.analyze ~options:(fast_options options) topo paths
     (Traffic.Envelope.fixed peak)
 
-(* [envelope] is [Envelope.fixed peak]: both corners hold exactly the
-   peak's entries, so both stages would build the same model *)
-let is_point envelope ~peak =
-  let at d = Traffic.Demand.entries d = Traffic.Demand.entries peak in
-  at envelope.Traffic.Envelope.lo && at envelope.Traffic.Envelope.hi
-
 let run ?(options = Analysis.default_options) ?(tolerance = 0.1) topo paths ~peak
     envelope =
-  let fast = fast_check ~options topo paths ~peak in
+  (* a point envelope at the peak: the one test ({!Traffic.Envelope.is_fixed})
+     by which the service's pipeline and the bi-level model's fixed
+     fast path also tell a point envelope *)
+  let point =
+    Traffic.Envelope.is_fixed envelope
+    && Traffic.Demand.entries envelope.Traffic.Envelope.hi = Traffic.Demand.entries peak
+  in
+  (* there the fast stage is the envelope's own worst case, so a proved
+     fast answer is the deep answer: the search is deterministic, and
+     only a budget could stop it *)
+  let fast =
+    if point then Analysis.analyze ~options:(fast_options options) topo paths envelope
+    else fast_check ~options topo paths ~peak
+  in
   if exceeds fast ~tolerance then
     { alert = true; stage = Some Fast_fixed_demand; fast; deep = None }
   else begin
-    (* a proved fast answer on the point envelope is the deep answer:
-       the search is deterministic, and only a budget could stop it *)
     let deep =
-      if is_point envelope ~peak && fast.Analysis.status = Milp.Solver.Optimal then fast
+      if point && fast.Analysis.status = Milp.Solver.Optimal then fast
       else Analysis.analyze ~options topo paths envelope
     in
     if exceeds deep ~tolerance then

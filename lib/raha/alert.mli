@@ -53,12 +53,14 @@ val fast_check :
 (** [run ~options ~tolerance topo paths ~peak envelope] executes the
     pipeline: {!fast_check}, then, unless it alerted,
     {!Analysis.analyze} under [options] (default
-    {!Analysis.default_options}) on [envelope]. When [envelope] is
-    {!Traffic.Envelope.fixed} [peak] (both corners hold exactly the
-    peak's entries) and the fast report is [Optimal], that report is
-    returned as [deep] instead: the deep solve would repeat the same
-    deterministic search. [tolerance] is in normalized degradation
-    units (fractions of the average LAG capacity, §8.1). *)
+    {!Analysis.default_options}) on [envelope]. On a point envelope at
+    the peak ({!Traffic.Envelope.is_fixed} [envelope], its upper corner
+    holding [peak]'s entries) the fast stage analyzes [envelope] itself
+    under {!fast_options}, as the service's pipeline does, and an
+    [Optimal] fast report is returned as [deep] too: the deep solve
+    would repeat the same deterministic search. [tolerance] is in
+    normalized degradation units (fractions of the average LAG
+    capacity, §8.1). *)
 val run :
   ?options:Analysis.options ->
   ?tolerance:float ->

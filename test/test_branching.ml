@@ -367,6 +367,37 @@ let test_refutation_sound () =
     ];
   family "differential MILPs" (List.init 200 random_hints)
 
+(* A reduced cost of the wrong sign but within the dual tolerance, on a
+   column with no upper bound, leaves the warm basis "dual feasible"
+   while the LP has no bound at all: max x + delta y s.t. x - y <= 1,
+   0 <= x <= 1, y >= 0. The optimal basis of delta = 0 warm-starts the
+   delta = 5e-7 LP, where c'x still reads 1; the refutation must charge
+   the slip over y's (or the row slack's) unbounded range and prove
+   nothing, though the same basis refutes the delta = 0 LP at once. *)
+let test_refutation_charges_slip () =
+  let lp delta =
+    let mdl = Milp.Model.create () in
+    let x = Milp.Model.continuous ~ub:1. mdl "x" and y = Milp.Model.continuous mdl "y" in
+    let t l = Milp.Linexpr.of_terms (List.map (fun (k, v) -> (k, v.Milp.Model.vid)) l) in
+    Milp.Model.add_cons mdl (t [ (1., x); (-1., y) ]) Milp.Model.Le 1.;
+    Milp.Model.set_objective mdl Milp.Model.Maximize (t [ (1., x); (delta, y) ]);
+    mdl
+  in
+  let flat = lp 0. and tilted = lp 5e-7 in
+  let warm =
+    match Milp.Simplex.solve_prepared (Milp.Simplex.prepare flat) with
+    | Milp.Simplex.Optimal _, Some b -> b
+    | _ -> Alcotest.fail "the delta = 0 LP solves to an optimal basis"
+  in
+  let refute mdl =
+    let lb, ub = Milp.Model.bounds mdl in
+    Milp.Simplex.refute ~warm ~lb ~ub ~cutoff:2. (Milp.Simplex.prepare mdl)
+  in
+  Alcotest.(check bool) "delta = 0: refuted below cutoff 2" true (refute flat);
+  Alcotest.(check bool) "delta = 5e-7: the cold LP is unbounded" true
+    (Milp.Simplex.solve tilted = Milp.Simplex.Unbounded);
+  Alcotest.(check bool) "delta = 5e-7: not refuted" false (refute tilted)
+
 (* The four analyze cells: refutation moves no answer bit and no node
    count, and skips the hints whose plunges the dive would discard. fig1
    kkt's hint LPs are never provably below the cutoff warm. The last
@@ -422,5 +453,6 @@ let suite =
     ("probes, pseudocosts and heuristics engage", `Quick, test_machinery_engages);
     ("corpus: reliability vs fractional", `Quick, test_branching_differential);
     ("refuted hints are sound", `Quick, test_refutation_sound);
+    ("refutation charges wrong-signed reduced costs", `Quick, test_refutation_charges_slip);
     ("refutation pins on the analyze cells", `Quick, test_refutation_pins);
   ]

@@ -215,7 +215,8 @@ let test_alert_stages_are_analyze () =
 
 (* On a point envelope the two stages pose the same problem: a proved
    fast answer is returned as the deep one, after one branch-and-bound
-   solve, with the bits a separate analyze of the envelope reports. *)
+   solve, with the bits a separate analyze of the envelope reports. A
+   variable envelope around the same peak still runs both stages. *)
 let test_alert_point_envelope () =
   let paths = fig1_paths () in
   let peak = Traffic.Demand.of_list [ ((1, 3), 12.); ((2, 3), 10.) ] in
@@ -237,7 +238,15 @@ let test_alert_point_envelope () =
     check_int "nodes" want.Raha.Analysis.nodes d.Raha.Analysis.nodes;
     Alcotest.(check (list (pair int int))) "scenario"
       (Failure.Scenario.links want.Raha.Analysis.scenario)
-      (Failure.Scenario.links d.Raha.Analysis.scenario)
+      (Failure.Scenario.links d.Raha.Analysis.scenario);
+    let s0 = Milp.Branch_bound.cumulative_solves () in
+    let v =
+      Raha.Alert.run ~options:k1_options ~tolerance:5. fig1 paths ~peak
+        (Traffic.Envelope.around ~slack:0.5 peak)
+    in
+    Alcotest.(check bool) "variable envelope: deep report" true (v.Raha.Alert.deep <> None);
+    check_int "variable envelope: two branch-and-bound solves" 2
+      (Milp.Branch_bound.cumulative_solves () - s0)
 
 (* --- baselines --------------------------------------------------------- *)
 
