@@ -117,11 +117,7 @@ let k_str = function Some k -> string_of_int k | None -> "inf"
    what its worker domains count back to the calling domain. *)
 
 let counter_hooks =
-  Milp.Solver.stats_counters
-  @ [
-      ("bb-rounds", Milp.Branch_bound.cumulative_rounds);
-      ("bb-solves", Milp.Branch_bound.cumulative_solves);
-    ]
+  Milp.Solver.stats_counters @ [ ("bb-rounds", Milp.Branch_bound.cumulative_rounds) ]
 
 (* [scoped f]: [f ()], the calling domain's counter deltas, wall time *)
 let scoped f =

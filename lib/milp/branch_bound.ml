@@ -51,11 +51,9 @@ let default =
 
 type outcome = Optimal | Feasible | No_incumbent | Infeasible | Unbounded
 
-(* owner-domain only, so not registered counters *)
+(* owner-domain only, so not a registered counter *)
 let rounds_key = Domain.DLS.new_key (fun () -> ref 0)
 let cumulative_rounds () = !(Domain.DLS.get rounds_key)
-let solves_key = Domain.DLS.new_key (fun () -> ref 0)
-let cumulative_solves () = !(Domain.DLS.get solves_key)
 
 (* --- pseudocost / reliability branching -------------------------------- *)
 
@@ -389,7 +387,7 @@ type task_result = {
 
 let solve ?(options = default) model =
   let t0 = Unix.gettimeofday () in
-  incr (Domain.DLS.get solves_key);
+  Lp_stats.incr Lp_stats.bb_solves;
   let sense, _ = Model.objective model in
   (* Work internally as maximization. *)
   let osign = match sense with Model.Maximize -> 1. | Model.Minimize -> -1. in

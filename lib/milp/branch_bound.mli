@@ -104,10 +104,6 @@ val better_key : float * int -> float * int -> bool
     count whatever pool (if any) ran the subtree tasks. *)
 val cumulative_rounds : unit -> int
 
-(** Domain-local cumulative count of {!solve} calls, counted on the
-    calling domain like {!cumulative_rounds}. *)
-val cumulative_solves : unit -> int
-
 type outcome =
   | Optimal  (** incumbent proven optimal within the gap *)
   | Feasible

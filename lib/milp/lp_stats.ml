@@ -32,6 +32,7 @@ let pseudocost_updates = C.make "pseudocost-updates"
 let heuristic_solutions = C.make "heuristic-solutions"
 let heuristic_rejections = C.make "heuristic-rejections"
 let hint_refutes = C.make "hint-refutes"
+let bb_solves = C.make "bb-solves"
 
 let incr = C.incr
 let add = C.add

@@ -10,14 +10,9 @@
        degraded.
 
     Both stages share one {!Analysis.options}; the fast stage gets a
-    quarter of its wall-clock budget ({!fast_options}).
-
-    On a point envelope ([lo = hi], the CLI's default [--slack 0]) the
-    two stages pose the same problem, so a proved fast answer is the
-    deep answer too: {!run} returns it as [deep] without a second
-    solve, and the service's pipeline ({!Service.Core}) serves the fast
-    stage through its worst-query cache, which the deep stage and the
-    next worst query then re-read. *)
+    quarter of its wall-clock budget. {!fast} is the one rule for what
+    the fast stage solves, used by {!run} (the CLI and the examples) and
+    by the service's push pipeline ({!Service.Core}). *)
 
 type stage = Fast_fixed_demand | Deep_variable_demand
 
@@ -35,32 +30,33 @@ type verdict = {
     applies it per-subscriber. *)
 val exceeds : Analysis.report -> tolerance:float -> bool
 
-(** The fast stage's options: [options] with a quarter of its
-    [time_limit]. *)
-val fast_options : Analysis.options -> Analysis.options
-
-(** The fast stage alone: {!Analysis.analyze} at
-    {!Traffic.Envelope.fixed} [peak] under {!fast_options}. The
-    service's push pipeline ({!Service.Core}) runs it after every
-    structural event on a variable envelope. *)
-val fast_check :
+(** [fast ~options ~worst topo paths ~peak envelope] is the fast stage,
+    on [options] with a quarter of its [time_limit]. On a point envelope
+    at the peak ({!Traffic.Envelope.is_fixed} [envelope], its upper
+    corner holding [peak]'s entries, as with the CLI's default
+    [--slack 0]) the fast stage poses the envelope's own worst-case
+    problem, so it is [worst] applied to those options: the caller
+    decides how the worst case is solved and whether a later stage may
+    re-read it. Otherwise it is {!Analysis.analyze} at
+    {!Traffic.Envelope.fixed} [peak], and [worst] is not called. *)
+val fast :
   options:Analysis.options ->
+  worst:(Analysis.options -> Analysis.report) ->
   Wan.Topology.t ->
   Netpath.Path_set.t ->
   peak:Traffic.Demand.t ->
+  Traffic.Envelope.t ->
   Analysis.report
 
 (** [run ~options ~tolerance topo paths ~peak envelope] executes the
-    pipeline: {!fast_check}, then, unless it alerted,
-    {!Analysis.analyze} under [options] (default
-    {!Analysis.default_options}) on [envelope]. On a point envelope at
-    the peak ({!Traffic.Envelope.is_fixed} [envelope], its upper corner
-    holding [peak]'s entries) the fast stage analyzes [envelope] itself
-    under {!fast_options}, as the service's pipeline does, and an
-    [Optimal] fast report is returned as [deep] too: the deep solve
-    would repeat the same deterministic search. [tolerance] is in
-    normalized degradation units (fractions of the average LAG
-    capacity, §8.1). *)
+    pipeline: {!fast}, then, unless it alerted, the deep stage under
+    [options] (default {!Analysis.default_options}). Both stages read
+    the envelope's worst case through one [worst] that runs
+    {!Analysis.analyze} on [envelope] and re-reads a proved ([Optimal])
+    answer, as the service's cache does: the search is deterministic, so
+    on a point envelope a proved fast answer is the deep answer, with no
+    second solve. [tolerance] is in normalized degradation units
+    (fractions of the average LAG capacity, §8.1). *)
 val run :
   ?options:Analysis.options ->
   ?tolerance:float ->

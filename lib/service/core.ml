@@ -10,23 +10,16 @@ type config = {
   alert_tolerance : float;
 }
 
-(* The cached worst-case answer, plus everything the invalidation
-   policy compares against: the estimates vector at solve time, the
-   structure generation, and the worst case's link support. *)
+(* The cached worst-case solve, plus everything the invalidation
+   policy compares against: the estimates vector at solve time and the
+   structure generation. An unproven (budget-starved) solve is kept for
+   telemetry but never re-served ({!worst_verdict}). *)
 type cached = {
-  answer : (string * Json.t) list;  (* the result fields, sans freshness *)
   report : Raha.Analysis.report;
-      (* the full solve report behind [answer] — the deep alert stage
-         re-reads it (normalized degradation, Report summary) without
-         re-deriving anything from the JSON *)
-  support : (int * int) list;
+  cert : string;  (* the solve's cert verdict, repeated on cached serves *)
   probs : float array;
   events_at : int;
   sgen_at : int;
-  proved : bool;
-      (* the cached solve proved optimality; a budget-starved Feasible
-         or Unknown answer is remembered (for its hints and telemetry)
-         but never re-served — the next query re-solves *)
 }
 
 type t = {
@@ -122,119 +115,105 @@ let freshness ~provenance ~events_at t =
     ("staleness", Json.Int (State.events_applied t.state - events_at));
   ]
 
-let solve_worst ?options t ~budget ~max_nodes =
-  let options = Option.value options ~default:t.cfg.options in
-  let topo = State.current_topology t.state in
-  let screen = engine_for t in
-  let options =
-    {
-      options with
-      Raha.Analysis.sx_iters =
-        (match budget with
-        | Some _ -> budget
-        | None -> options.Raha.Analysis.sx_iters);
-      max_nodes =
-        (match max_nodes with
-        | Some m -> min m options.Raha.Analysis.max_nodes
-        | None -> options.Raha.Analysis.max_nodes);
-    }
-  in
-  let r =
-    Raha.Analysis.analyze ?screen ~options topo t.cfg.paths (State.envelope t.state)
-  in
-  let support = Failure.Scenario.links r.Raha.Analysis.scenario in
-  let answer =
-    [
-      ("kind", Json.String "worst");
-      ("status", Json.String (status_str r.Raha.Analysis.status));
-      ("degradation", Json.float r.Raha.Analysis.degradation);
-      ("normalized", Json.float r.Raha.Analysis.normalized);
-      ("bound", Json.float r.Raha.Analysis.bound);
-      ("scenario", scenario_json support);
-      ("scenario_prob", Json.float r.Raha.Analysis.scenario_prob);
-      ("num_failed_links", Json.Int r.Raha.Analysis.num_failed_links);
-      ("nodes", Json.Int r.Raha.Analysis.nodes);
-    ]
-  in
-  t.cached <-
-    Some
-      {
-        answer;
-        report = r;
-        support;
-        probs = State.estimates t.state;
-        events_at = State.events_applied t.state;
-        sgen_at = State.structure_generation t.state;
-        proved = r.Raha.Analysis.status = Milp.Solver.Optimal;
-      };
-  (answer, r.Raha.Analysis.elapsed, r.Raha.Analysis.certificate)
+(* The worst answer's result fields, sans freshness *)
+let worst_fields c =
+  let r = c.report in
+  [
+    ("kind", Json.String "worst");
+    ("status", Json.String (status_str r.Raha.Analysis.status));
+    ("degradation", Json.float r.Raha.Analysis.degradation);
+    ("normalized", Json.float r.Raha.Analysis.normalized);
+    ("bound", Json.float r.Raha.Analysis.bound);
+    ("scenario", scenario_json (Failure.Scenario.links r.Raha.Analysis.scenario));
+    ("scenario_prob", Json.float r.Raha.Analysis.scenario_prob);
+    ("num_failed_links", Json.Int r.Raha.Analysis.num_failed_links);
+    ("nodes", Json.Int r.Raha.Analysis.nodes);
+    ("cert", Json.String c.cert);
+  ]
 
-(* The invalidation verdict a worst query (or a deep alert evaluation)
-   would act on right now. *)
-let worst_verdict t =
-  let est = State.estimates t.state in
-  let sgen = State.structure_generation t.state in
-  let verdict =
-    match t.cached with
-    | None ->
-      Policy.decide ~structural_changed:true ~drift:Float.infinity
-        ~drift_tol:t.cfg.drift_tol ~down_in_support:false
-    | Some c ->
-      Policy.decide
-        ~structural_changed:(c.sgen_at <> sgen)
-        ~drift:(Policy.drift est c.probs) ~drift_tol:t.cfg.drift_tol
-        ~down_in_support:
-          (List.exists
-             (fun l -> List.mem l c.support)
-             (State.live_down t.state))
-  in
-  (* an unproven cached answer (budget starvation) is never re-served *)
-  match (verdict, t.cached) with
-  | Policy.Cached, Some c when not c.proved -> Policy.Warm
-  | v, _ -> v
-
-(* Solve inside a counter scope, fold the cert verdict into the cached
-   answer, return the wire fields plus the scope report. *)
-let solve_scoped ?options t ~budget ~max_nodes =
+(* One worst-case solve of the live state inside a counter scope (engine
+   (re)build included); the entry it caches, and the scope report. *)
+let solve ~options t =
   let scope = Milp.Lp_stats.scope_enter () in
-  let answer, elapsed, certificate = solve_worst ?options t ~budget ~max_nodes in
+  let screen = engine_for t in
+  let r =
+    Raha.Analysis.analyze ?screen ~options (State.current_topology t.state) t.cfg.paths
+      (State.envelope t.state)
+  in
   let report = Milp.Lp_stats.scope_exit scope in
   let cert =
     (* the MILP's own certificate is authoritative; overlay/cut audit
        failures inside the scope also taint the verdict *)
-    match certificate with
+    match r.Raha.Analysis.certificate with
     | Some c when not c.Milp.Certify.ok -> "fail"
     | Some _ | None -> cert_of_counters report.Milp.Lp_stats.scope_counters
   in
-  let answer = answer @ [ ("cert", Json.String cert) ] in
-  (* fold the verdict into the cache so later cached serves repeat it *)
-  (match t.cached with
-  | Some c -> t.cached <- Some { c with answer }
-  | None -> ());
-  (answer, elapsed, report)
+  let c =
+    {
+      report = r;
+      cert;
+      probs = State.estimates t.state;
+      events_at = State.events_applied t.state;
+      sgen_at = State.structure_generation t.state;
+    }
+  in
+  t.cached <- Some c;
+  (c, report)
+
+(* The invalidation verdict a worst query (or a deep alert evaluation)
+   would act on right now. *)
+let worst_verdict t =
+  match t.cached with
+  | None -> Policy.Cold
+  | Some c -> (
+    match
+      Policy.decide
+        ~structural_changed:(c.sgen_at <> State.structure_generation t.state)
+        ~drift:(Policy.drift (State.estimates t.state) c.probs)
+        ~drift_tol:t.cfg.drift_tol
+        ~down_in_support:
+          (List.exists
+             (fun (lag, link) ->
+               Failure.Scenario.is_down c.report.Raha.Analysis.scenario ~lag ~link)
+             (State.live_down t.state))
+    with
+    (* an unproven cached answer (budget starvation) is never re-served *)
+    | Policy.Cached when c.report.Raha.Analysis.status <> Milp.Solver.Optimal -> Policy.Warm
+    | v -> v)
+
+(* The worst case under the policy: the cached entry under a Cached
+   verdict (no scope report: no solver work), a fresh solve under
+   [options] otherwise. *)
+let dispatch ~options t =
+  match (worst_verdict t, t.cached) with
+  | Policy.Cached, Some c -> (Policy.Cached, c, None)
+  | verdict, _ ->
+    let c, report = solve ~options t in
+    (verdict, c, Some report)
 
 let query_worst t ~budget ~max_nodes =
-  let verdict = worst_verdict t in
-  match (verdict, t.cached) with
-  | Policy.Cached, Some c ->
-    t.n_cached <- t.n_cached + 1;
-    (* no solver work; [c.answer] already carries the cached solve's
-       cert verdict *)
-    ok
-      (c.answer
-      @ freshness ~provenance:"cached" ~events_at:c.events_at t
-      @ [ ("elapsed", Json.float 0.); ("counters", Json.Obj []) ])
-  | _ ->
-    let answer, elapsed, report = solve_scoped t ~budget ~max_nodes in
-    (match verdict with
-    | Policy.Warm -> t.n_warm <- t.n_warm + 1
-    | Policy.Cached | Policy.Cold -> t.n_cold <- t.n_cold + 1);
-    ok
-      (answer
-      @ freshness
-          ~provenance:(Policy.verdict_name verdict)
-          ~events_at:(State.events_applied t.state) t
-      @ [ ("elapsed", Json.float elapsed); ("counters", counters_json report) ])
+  let o = t.cfg.options in
+  let options =
+    {
+      o with
+      Raha.Analysis.sx_iters = (match budget with None -> o.Raha.Analysis.sx_iters | b -> b);
+      max_nodes = Option.fold max_nodes ~none:o.max_nodes ~some:(min o.max_nodes);
+    }
+  in
+  let verdict, c, report = dispatch ~options t in
+  (match verdict with
+  | Policy.Cached -> t.n_cached <- t.n_cached + 1
+  | Policy.Warm -> t.n_warm <- t.n_warm + 1
+  | Policy.Cold -> t.n_cold <- t.n_cold + 1);
+  let elapsed, counters =
+    match report with
+    | None -> (0., Json.Obj [])
+    | Some report -> (c.report.Raha.Analysis.elapsed, counters_json report)
+  in
+  ok
+    (worst_fields c
+    @ freshness ~provenance:(Policy.verdict_name verdict) ~events_at:c.events_at t
+    @ [ ("elapsed", Json.float elapsed); ("counters", counters) ])
 
 (* One "now" query: a warm overlay solve of the persistent engine, run
    inline in its own counter scope (engine (re)build included), so the
@@ -284,72 +263,44 @@ let stage_fields t (r : Raha.Analysis.report) =
     ("clock", Json.float (State.clock t.state));
   ]
 
-let stage_of_report t r =
-  {
-    Alerting.fields = stage_fields t r;
-    exceeds = (fun tol -> Raha.Alert.exceeds r ~tolerance:tol);
-    usable = true;
-  }
+(* One alert stage's result; a solve that raised is an unusable stage. *)
+let stage t name ?(extra = fun _ -> []) solve =
+  match solve () with
+  | r ->
+    {
+      Alerting.fields = stage_fields t r @ extra r;
+      exceeds = (fun tol -> Raha.Alert.exceeds r ~tolerance:tol);
+      usable = true;
+    }
+  | exception e ->
+    Log.warn (fun f -> f "alert %s stage failed: %s" name (Printexc.to_string e));
+    { Alerting.fields = []; exceeds = (fun _ -> false); usable = false }
 
-let unusable_stage =
-  { Alerting.fields = []; exceeds = (fun _ -> false); usable = false }
-
-(* The worst-case report over the live envelope, under the query
-   invalidation policy and cache: a Cached verdict re-reads the cached
-   report, anything else solves under [options] (default the configured
-   ones) and refills the cache, which later worst queries then serve.
-   Alert evaluations keep their own tallies ({!Alerting.stats}), not the
+(* The worst-case report over the live envelope, through the query
+   dispatch, so later worst queries serve what it solved. Alert
+   evaluations keep their own tallies ({!Alerting.stats}), not the
    cached/warm/cold ones. *)
-let worst_report ?options t =
-  (match worst_verdict t with
-  | Policy.Cached -> ()
-  | Policy.Warm | Policy.Cold ->
-    ignore (solve_scoped ?options t ~budget:None ~max_nodes:None));
-  match t.cached with
-  | Some c -> c.report
-  | None -> assert false (* solve_scoped always fills the cache *)
-
-(* Fast stage (Raha.Alert stage 1): the worst case at the demand fixed
-   to the envelope's upper corner — the observed peak — on a quarter of
-   the budget. On a point envelope that is the worst query itself, so it
-   runs through the query cache with the screening engine: a proved
-   answer is what the deep stage and the next worst query re-read, an
-   unproven one makes the deep stage re-solve on the full budget. On a
-   variable envelope it is a separate solve without the engine, which
-   is built over the variable envelope, not this fixed one. *)
-let alert_fast t =
-  let envelope = State.envelope t.state in
-  if Traffic.Envelope.is_fixed envelope then
-    worst_report ~options:(Raha.Alert.fast_options t.cfg.options) t
-  else
-    Raha.Alert.fast_check ~options:t.cfg.options (State.current_topology t.state)
-      t.cfg.paths ~peak:envelope.Traffic.Envelope.hi
+let worst_report ~options t =
+  let _, c, _ = dispatch ~options t in
+  c.report
 
 let evaluate_alert ?(flush = fun () -> ()) t =
   if Alerting.subscribers t.alerting > 0 then begin
+    (* fast stage (stage 1) at the observed peak, the envelope's upper
+       corner; on a point envelope its worst case is the worst query *)
     let fast =
-      match alert_fast t with
-      | r -> stage_of_report t r
-      | exception e ->
-        Log.warn (fun f ->
-            f "alert fast stage failed: %s" (Printexc.to_string e));
-        unusable_stage
+      stage t "fast" (fun () ->
+          let envelope = State.envelope t.state in
+          Raha.Alert.fast ~options:t.cfg.options
+            ~worst:(fun options -> worst_report ~options t)
+            (State.current_topology t.state) t.cfg.paths
+            ~peak:envelope.Traffic.Envelope.hi envelope)
     in
+    (* deep stage (stage 2): the worst query over the live envelope *)
     let deep () =
-      (* deep stage (stage 2): the worst query over the live envelope *)
-      match worst_report t with
-      | r ->
-        let s = stage_of_report t r in
-        {
-          s with
-          Alerting.fields =
-            s.Alerting.fields
-            @ [ ("report", Json.String (Raha.Report.summary_row r)) ];
-        }
-      | exception e ->
-        Log.warn (fun f ->
-            f "alert deep stage failed: %s" (Printexc.to_string e));
-        unusable_stage
+      stage t "deep"
+        ~extra:(fun r -> [ ("report", Json.String (Raha.Report.summary_row r)) ])
+        (fun () -> worst_report ~options:t.cfg.options t)
     in
     Alerting.evaluate t.alerting ~fast ~deep ~flush
   end

@@ -65,13 +65,16 @@ val tally : t -> int * int * int
 val alerting : t -> Alerting.t
 
 (** Run {!Raha.Alert}'s two-stage pipeline over the current state and
-    every subscriber ({!Alerting.evaluate}): the fast stage solves the
-    worst case at the envelope's peak (upper corner) under a quarter of
-    the time budget; the deep stage is the worst query over the live
-    envelope, sharing its invalidation policy and cache. No-op with no
-    subscribers. [flush] is invoked after the fast-stage notifications
-    are queued, before the deep solve starts. Called by {!Server} after
-    each accepted {e structural} event. *)
+    every subscriber ({!Alerting.evaluate}). The fast stage is
+    {!Raha.Alert.fast} at the envelope's upper corner (the observed
+    peak), its worst case served like a worst query: on a point
+    envelope it is the worst query itself, on a quarter of the time
+    budget. The deep stage is the worst query over the live envelope.
+    Both share the query invalidation policy and cache, and neither is
+    billed to the served tallies ({!tally}). No-op with no subscribers.
+    [flush] is invoked after the fast-stage notifications are queued,
+    before the deep solve starts. Called by {!Server} after each
+    accepted {e structural} event. *)
 val evaluate_alert : ?flush:(unit -> unit) -> t -> unit
 
 (** Attach a journal: from now on every event {!handle} accepts is

@@ -260,7 +260,7 @@ let test_stats_counters_exported () =
       "presolve-ops"; "certify-checks"; "certify-failures"; "cuts-generated";
       "cuts-applied"; "cut-audit-failures"; "batch-prepares"; "batch-overlays";
       "batch-warm-hits"; "sb-probes"; "pseudocost-updates"; "heuristic-solutions";
-      "heuristic-rejections"; "hint-refutes";
+      "heuristic-rejections"; "hint-refutes"; "bb-solves";
     ]
     (List.map fst Solver.stats_counters);
   let rows0 = Lp_stats.read Lp_stats.presolve_rows () in

@@ -221,9 +221,9 @@ let test_alert_point_envelope () =
   let paths = fig1_paths () in
   let peak = Traffic.Demand.of_list [ ((1, 3), 12.); ((2, 3), 10.) ] in
   let envelope = Traffic.Envelope.fixed peak in
-  let s0 = Milp.Branch_bound.cumulative_solves () in
+  let s0 = Milp.Lp_stats.read Milp.Lp_stats.bb_solves () in
   let v = Raha.Alert.run ~options:k1_options ~tolerance:5. fig1 paths ~peak envelope in
-  check_int "one branch-and-bound solve" 1 (Milp.Branch_bound.cumulative_solves () - s0);
+  check_int "one branch-and-bound solve" 1 (Milp.Lp_stats.read Milp.Lp_stats.bb_solves () - s0);
   Alcotest.(check bool) "no alert" false v.Raha.Alert.alert;
   let want = Raha.Analysis.analyze ~options:k1_options fig1 paths envelope in
   match v.Raha.Alert.deep with
@@ -239,14 +239,44 @@ let test_alert_point_envelope () =
     Alcotest.(check (list (pair int int))) "scenario"
       (Failure.Scenario.links want.Raha.Analysis.scenario)
       (Failure.Scenario.links d.Raha.Analysis.scenario);
-    let s0 = Milp.Branch_bound.cumulative_solves () in
+    let s0 = Milp.Lp_stats.read Milp.Lp_stats.bb_solves () in
     let v =
       Raha.Alert.run ~options:k1_options ~tolerance:5. fig1 paths ~peak
         (Traffic.Envelope.around ~slack:0.5 peak)
     in
     Alcotest.(check bool) "variable envelope: deep report" true (v.Raha.Alert.deep <> None);
     check_int "variable envelope: two branch-and-bound solves" 2
-      (Milp.Branch_bound.cumulative_solves () - s0)
+      (Milp.Lp_stats.read Milp.Lp_stats.bb_solves () - s0)
+
+(* [Alert.fast] alone decides what the fast stage solves: on a point
+   envelope at the peak it hands the caller's [worst] a quarter of the
+   budget and solves nothing itself; on a variable envelope, or a point
+   one off the peak, it analyzes the peak and never calls [worst]. *)
+let test_alert_fast_rule () =
+  let paths = fig1_paths () in
+  let peak = Traffic.Demand.of_list [ ((1, 3), 12.); ((2, 3), 10.) ] in
+  let canned =
+    Raha.Analysis.analyze ~options:k1_options fig1 paths (Traffic.Envelope.fixed peak)
+  in
+  let budgets = ref [] in
+  let worst o =
+    budgets := o.Raha.Analysis.time_limit :: !budgets;
+    canned
+  in
+  let options = { k1_options with Raha.Analysis.time_limit = 8. } in
+  let solves () = Milp.Lp_stats.read Milp.Lp_stats.bb_solves () in
+  let fast envelope = Raha.Alert.fast ~options ~worst fig1 paths ~peak envelope in
+  let s0 = solves () in
+  let r = fast (Traffic.Envelope.fixed peak) in
+  check_int "no branch-and-bound solve of its own" 0 (solves () - s0);
+  Alcotest.(check (list (float 0.))) "worst called once, on a quarter budget" [ 2. ] !budgets;
+  Alcotest.(check bool) "the fast report is worst's" true (r == canned);
+  budgets := [];
+  let s0 = solves () in
+  ignore (fast (Traffic.Envelope.around ~slack:0.5 peak));
+  check_int "variable envelope: one solve at the peak" 1 (solves () - s0);
+  ignore (fast (Traffic.Envelope.fixed (Traffic.Demand.scale 0.5 peak)));
+  check_int "worst never called off a point envelope at the peak" 0 (List.length !budgets)
 
 (* --- baselines --------------------------------------------------------- *)
 
@@ -414,6 +444,7 @@ let suite =
     ("alert quiet", `Quick, test_alert_quiet);
     ("alert stages are analyze", `Quick, test_alert_stages_are_analyze);
     ("alert on a point envelope solves once", `Quick, test_alert_point_envelope);
+    ("alert fast stage rule", `Quick, test_alert_fast_rule);
     ("k failures monotone", `Quick, test_k_failures_monotone);
     ("worst failures at demand", `Quick, test_worst_failures_at_demand);
     ("fixed fast path equivalent", `Quick, test_fixed_fast_path_equivalent);

@@ -1087,9 +1087,9 @@ let point_event ?time_limit envelope =
   Al.subscribe al ~id:1 ~tolerance:(Some 0.);
   Al.subscribe al ~id:2 ~tolerance:(Some 1e6);
   Alcotest.(check bool) "capacity accepted" true (is_ok (Service.Core.handle core capacity_event));
-  let s0 = Milp.Branch_bound.cumulative_solves () in
+  let s0 = Milp.Lp_stats.read Milp.Lp_stats.bb_solves () in
   Service.Core.evaluate_alert core;
-  let solves = Milp.Branch_bound.cumulative_solves () - s0 in
+  let solves = Milp.Lp_stats.read Milp.Lp_stats.bb_solves () - s0 in
   check_int "the deep stage ran" 1 (Al.stats al).Al.deep_runs;
   (core, solves)
 
@@ -1102,9 +1102,9 @@ let test_point_envelope_one_solve () =
   check_int "no queries billed" 0 (c + w + k);
   (* the next worst query re-serves the fast stage's answer, which is
      what a fresh core solving cold says *)
-  let s0 = Milp.Branch_bound.cumulative_solves () in
+  let s0 = Milp.Lp_stats.read Milp.Lp_stats.bb_solves () in
   let served = Service.Core.handle core worst_query in
-  check_int "the worst query solves nothing" 0 (Milp.Branch_bound.cumulative_solves () - s0);
+  check_int "the worst query solves nothing" 0 (Milp.Lp_stats.read Milp.Lp_stats.bb_solves () - s0);
   check_str "served from the cache" "cached" (get_str "provenance" served);
   let fresh = Service.Core.create (make_config ~envelope:point_envelope ()) fig1 in
   ignore (Service.Core.handle fresh capacity_event);
@@ -1126,6 +1126,112 @@ let test_point_envelope_starved_fast_stage () =
 let test_variable_envelope_two_stages () =
   let _, solves = point_event (Traffic.Envelope.around ~slack:0.5 fig1_demand) in
   check_int "fast and deep solves" 2 solves
+
+(* --- wire-format pin --------------------------------------------------------
+
+   One core driven through a fixed script: worst queries served cold,
+   cached, warm after a down link in the support, warm after drift, and
+   unproven under a pivot budget or a node cap; now and status queries;
+   structural events, each followed by an alert evaluation past a
+   tolerance-0 subscriber and a default-tolerance one. Every response
+   (after [strip_volatile]) and every push line is digested, on a point
+   and on a variable envelope: a change to the query, cache or alert
+   paths must leave every byte as it was. *)
+
+(* a push line without wall clock: the deep stage's report row carries
+   the solve's elapsed seconds in its ninth column *)
+let stable_push line =
+  let mask row =
+    String.concat "," (List.mapi (fun i f -> if i = 8 then "-" else f) (String.split_on_char ',' row))
+  in
+  match J.of_string (String.trim line) with
+  | Ok (J.Obj kvs) ->
+    render
+      (J.Obj (List.map (function "report", J.String r -> ("report", J.String (mask r)) | kv -> kv) kvs))
+  | Ok _ | Error _ -> Alcotest.fail (Printf.sprintf "bad push line %S" line)
+
+(* the script's transcript and the provenance of its worst answers *)
+let wire_script ~envelope ~demand =
+  let core = Service.Core.create (make_config ~drift_tol:0.05 ~envelope ()) fig1 in
+  let al = Service.Core.alerting core in
+  Al.subscribe al ~id:1 ~tolerance:(Some 0.);
+  Al.subscribe al ~id:2 ~tolerance:None;
+  let out = Buffer.create 4096 and provenances = ref [] in
+  let handle req =
+    let j = Service.Core.handle core req in
+    Buffer.add_string out (render j ^ "\n");
+    if J.to_str (J.member "kind" j) = Some "worst" then
+      provenances := get_str "provenance" j :: !provenances;
+    j
+  in
+  let worst ?budget ?max_nodes () = handle (Ev.Query (Ev.Worst { budget; max_nodes })) in
+  let now down = ignore (handle (Ev.Query (Ev.Now { down }))) in
+  let status () = ignore (handle (Ev.Query Ev.Status)) in
+  let event e = Alcotest.(check bool) "event accepted" true (is_ok (handle (Ev.Event e))) in
+  let structural e =
+    event e;
+    Service.Core.evaluate_alert core;
+    List.iter
+      (fun id ->
+        List.iter
+          (fun l -> Buffer.add_string out (Printf.sprintf "push %d %s\n" id (stable_push l)))
+          (drain_sub al ~id))
+      [ 1; 2 ]
+  in
+  let lag, link =
+    match J.member "scenario" (worst ()) with
+    | J.List (J.List [ J.Int e; J.Int i ] :: _) -> (e, i)
+    | j -> Alcotest.fail (Printf.sprintf "empty worst-case support %s" (J.to_string j))
+  in
+  ignore (worst ());
+  now None;
+  event (Ev.Link_down { lag; link; at = 1e-3 });
+  status ();
+  ignore (worst ());
+  now None;
+  now (Some [ (1, 0) ]);
+  event (Ev.Link_up { lag; link; at = 2. });
+  event (Ev.Link_down { lag = 4; link = 0; at = 3. });
+  event (Ev.Link_up { lag = 4; link = 0; at = 4. });
+  status ();
+  ignore (worst ());
+  event (Ev.Link_down { lag = 3; link = 0; at = 5. });
+  event (Ev.Link_up { lag = 3; link = 0; at = 6. });
+  status ();
+  ignore (worst ~budget:2 ());
+  ignore (worst ~max_nodes:1 ());
+  ignore (worst ());
+  ignore (worst ());
+  structural (Ev.Capacity { lag = 0; link = 0; capacity = 10.; at = 7. });
+  ignore (worst ());
+  List.iter (fun (src, dst) -> structural (demand ~src ~dst)) [ (1, 3); (2, 3) ];
+  ignore (worst ());
+  now None;
+  status ();
+  (List.rev !provenances, Buffer.contents out)
+
+let test_wire_format_pin () =
+  let point ~src ~dst = Ev.Demand { src; dst; lo = 0.02; hi = 0.02; at = 8. } in
+  let variable ~src ~dst = Ev.Demand { src; dst; lo = 0.01; hi = 0.02; at = 8. } in
+  let p_prov, p_out = wire_script ~envelope:point_envelope ~demand:point in
+  let v_prov, v_out =
+    wire_script ~envelope:(Traffic.Envelope.around ~slack:0.5 fig1_demand) ~demand:variable
+  in
+  (* cold; cached; warm on a down link in the support (drift 0.01 is
+     under the tolerance); warm on drift; warm under a pivot budget,
+     whose unproven answer is never re-served, so the node-capped query
+     is warm too (on the variable envelope it is unproven again, and so
+     is warm once more); then cached. On the point envelope the fast
+     stage is the worst query, so the queries after structural events
+     are cached; on the variable one a fast stage that alerted leaves
+     the next query cold. *)
+  Alcotest.(check (list string)) "point envelope: worst provenances"
+    [ "cold"; "cached"; "warm"; "warm"; "warm"; "warm"; "cached"; "cached"; "cached"; "cached" ]
+    p_prov;
+  Alcotest.(check (list string)) "variable envelope: worst provenances"
+    [ "cold"; "cached"; "warm"; "warm"; "warm"; "warm"; "warm"; "cached"; "cold"; "cached" ]
+    v_prov;
+  check_str "wire digest" "98a0fbe175a04fc335326f51644b3f70" (Digest.to_hex (Digest.string (p_out ^ v_out)))
 
 (* --- framing regressions ------------------------------------------------ *)
 
@@ -1322,6 +1428,7 @@ let suite =
     ("point envelope: a starved fast stage is re-solved", `Quick,
       test_point_envelope_starved_fast_stage);
     ("variable envelope: two stages", `Quick, test_variable_envelope_two_stages);
+    ("wire-format pin", `Quick, test_wire_format_pin);
     ("framing split line", `Quick, test_framing_split_line);
     ("framing oversized line", `Quick, test_framing_oversized_line);
     ("framing events and now in one write", `Quick, test_framing_events_and_now_in_one_write);
