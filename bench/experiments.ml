@@ -999,7 +999,11 @@ let alerting_bench ctx =
     Service.Alerting.subscribe al ~id:2 ~tolerance:(Some 0.05);
     Service.Alerting.subscribe al ~id:3 ~tolerance:None;
     let pushes = ref 0 and bad_push = ref 0 in
+    (* per stage, the in-process time from the evaluation's start to
+       each push leaving the queue *)
+    let eval_t0 = ref 0. and latency = Hashtbl.create 3 in
     let drain () =
+      let now = Unix.gettimeofday () in
       List.iter
         (fun id ->
           let rec go () =
@@ -1011,7 +1015,12 @@ let alerting_bench ctx =
               (match Service.Json.of_string (String.trim line) with
               | Ok j
                 when Service.Json.to_str (Service.Json.member "push" j) <> None ->
-                ()
+                let stage =
+                  Option.value (Service.Json.to_str (Service.Json.member "stage" j)) ~default:"?"
+                in
+                Hashtbl.replace latency stage
+                  ((1000. *. (now -. !eval_t0))
+                  :: Option.value (Hashtbl.find_opt latency stage) ~default:[])
               | _ -> incr bad_push);
               go ()
           in
@@ -1052,6 +1061,7 @@ let alerting_bench ctx =
               | _ -> row "rejected event: %s@." (Service.Json.to_string resp));
               let before = (Service.Alerting.stats al).Service.Alerting.deep_runs in
               let t0 = Unix.gettimeofday () in
+              eval_t0 := t0;
               Service.Core.evaluate_alert ~flush:drain core;
               let dt = Unix.gettimeofday () -. t0 in
               drain ();
@@ -1081,16 +1091,29 @@ let alerting_bench ctx =
     row "%-10s %-22s %-8s %-10s@." "envelope" "stage mix" "evals" "ms/eval";
     row "%-10s %-22s %-8d %-10.1f@." arm "fast only" !fast_n (ms !fast_t !fast_n);
     row "%-10s %-22s %-8d %-10.1f@." arm "fast+deep" !deep_n (ms !deep_t !deep_n);
+    row "%-10s %-22s %-8s %-10s %-10s@." "envelope" "push stage" "pushes" "p50 ms" "max ms";
+    List.iter
+      (fun stage ->
+        match Hashtbl.find_opt latency stage with
+        | None -> row "%-10s %-22s %-8d %-10s %-10s@." arm stage 0 "-" "-"
+        | Some xs ->
+          let a = Array.of_list xs in
+          Array.sort Float.compare a;
+          let n = Array.length a in
+          let p50 = if n mod 2 = 1 then a.(n / 2) else 0.5 *. (a.((n / 2) - 1) +. a.(n / 2)) in
+          row "%-10s %-22s %-8d %-10.2f %-10.2f@." arm stage n p50 a.(n - 1))
+      [ "witness"; "fast"; "deep" ];
     row
-      "%d structural events -> %d evaluations, %d alerts / %d clears across 3 subscribers (%d deep stages, %d branch-and-bound solves), %d push lines, %d dropped@."
+      "%d structural events -> %d evaluations, %d alerts (%d from the witness) / %d clears across 3 subscribers (%d deep stages, %d branch-and-bound solves), %d push lines, %d dropped@."
       (List.length events) s.Service.Alerting.evaluations s.Service.Alerting.alerts
-      s.Service.Alerting.clears s.Service.Alerting.deep_runs (count counts "bb-solves")
+      s.Service.Alerting.witness s.Service.Alerting.clears s.Service.Alerting.deep_runs (count counts "bb-solves")
       !pushes s.Service.Alerting.dropped;
     row
-      "counters: alerting | %s | events=%d evaluations=%d solves=%d alerts=%d clears=%d deep=%d dropped=%d pushes=%d badpush=%d cert=%s@."
+      "counters: alerting | %s | events=%d evaluations=%d solves=%d alerts=%d witness=%d clears=%d deep=%d dropped=%d pushes=%d badpush=%d wbad=%d cert=%s@."
       arm (List.length events) s.Service.Alerting.evaluations (count counts "bb-solves")
-      s.Service.Alerting.alerts s.Service.Alerting.clears s.Service.Alerting.deep_runs
-      s.Service.Alerting.dropped !pushes !bad_push
+      s.Service.Alerting.alerts s.Service.Alerting.witness s.Service.Alerting.clears
+      s.Service.Alerting.deep_runs s.Service.Alerting.dropped !pushes !bad_push
+      s.Service.Alerting.wbad
       (if cert then "ok" else "FAIL")
   in
   let base = base_demand pairs in

@@ -352,12 +352,19 @@ let alert_cmd =
     in
     let stage =
       match v.Raha.Alert.stage with
+      | Some Raha.Alert.Witness_replay -> "witness (replayed scenario)"
       | Some Raha.Alert.Fast_fixed_demand -> "fast (fixed peak demand)"
       | Some Raha.Alert.Deep_variable_demand -> "deep (variable demand)"
       | None -> "none"
     in
-    Format.printf "alert=%b stage=%s@.fast check:@.%a@." v.Raha.Alert.alert stage
-      Raha.Analysis.pp_report v.Raha.Alert.fast;
+    Format.printf "alert=%b stage=%s@." v.Raha.Alert.alert stage;
+    (match v.Raha.Alert.witness with
+    | Some w ->
+      Format.printf "witness check: degradation %.4g (normalized %.4g) scenario: %a (p = %.3g)@."
+        w.Raha.Alert.degradation w.Raha.Alert.normalized Failure.Scenario.pp
+        w.Raha.Alert.scenario w.Raha.Alert.scenario_prob
+    | None -> Format.printf "witness check: none@.");
+    Format.printf "fast check:@.%a@." Raha.Analysis.pp_report v.Raha.Alert.fast;
     match v.Raha.Alert.deep with
     | Some d -> Format.printf "deep check:@.%a@." Raha.Analysis.pp_report d
     | None -> ()

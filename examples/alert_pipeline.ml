@@ -1,9 +1,11 @@
-(* Raha's two-stage online alerting (§1, §3).
+(* Raha's staged online alerting (§1, §3).
 
-   Stage 1 checks the observed peak demand under all probable failures
-   (fast); stage 2 checks every demand in the envelope (deep). The
-   example runs the pipeline at three operator tolerance levels to show
-   each outcome: fast alert, deep alert, and all-clear.
+   Stage 0 replays the screening candidates at the observed peak demand
+   (witness, no MILP); stage 1 checks the peak under all probable
+   failures (fast); stage 2 checks every demand in the envelope (deep).
+   The example runs the pipeline at three operator tolerance levels to
+   show how the earliest stage that exceeds raises the alert, and the
+   all-clear.
 
    Run with: dune exec examples/alert_pipeline.exe *)
 
@@ -31,6 +33,7 @@ let () =
   (* the fast stage gets a quarter of the time limit: 15 s here *)
   let options = { Raha.Analysis.default_options with spec; time_limit = 60. } in
   let stage_name = function
+    | Some Raha.Alert.Witness_replay -> "WITNESS (replayed scenario)"
     | Some Raha.Alert.Fast_fixed_demand -> "FAST (fixed peak demand)"
     | Some Raha.Alert.Deep_variable_demand -> "DEEP (variable demand)"
     | None -> "none"

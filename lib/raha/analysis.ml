@@ -65,41 +65,54 @@ let screening_engine ~spec topo paths envelope =
   Te.Simulate.prepare ~objective:spec.Bilevel.objective topo paths
     (screening_demand spec envelope)
 
-(* Candidate (scenario, demand) seeds: the empty scenario, each single
-   whole-LAG failure, and the greedy most-probable multi-failure scenario
-   — filtered by the spec's constraints and ranked by simulated impact.
-   Each becomes a plunge hint (a warm start for the MILP search). *)
-let seed_candidates ?screen spec topo paths envelope ~limit =
-  let admissible s =
-    (match spec.Bilevel.threshold with
-    | Some t -> Failure.Scenario.prob topo s >= t
-    | None -> true)
-    && (match spec.Bilevel.max_failures with
-       | Some k -> Failure.Scenario.num_failed s <= k
-       | None -> true)
-    && ((not spec.Bilevel.connected_enforced)
-       || List.for_all
-            (fun (p : Netpath.Path_set.pair) ->
-              List.exists
-                (fun path ->
-                  not (Failure.Scenario.path_down topo s (Netpath.Path.lag_list path)))
-                (Netpath.Path_set.all_paths p))
-            paths)
-  in
+(* A scenario the spec admits: probability at least the threshold under
+   the topology's estimates, at most [max_failures] failed links, and,
+   under connectivity enforcement, every pair keeps a path up. *)
+let admissible spec topo paths s =
+  (match spec.Bilevel.threshold with
+  | Some t -> Failure.Scenario.prob topo s >= t
+  | None -> true)
+  && (match spec.Bilevel.max_failures with
+     | Some k -> Failure.Scenario.num_failed s <= k
+     | None -> true)
+  && ((not spec.Bilevel.connected_enforced)
+     || List.for_all
+          (fun (p : Netpath.Path_set.pair) ->
+            List.exists
+              (fun path ->
+                not (Failure.Scenario.path_down topo s (Netpath.Path.lag_list path)))
+              (Netpath.Path_set.all_paths p))
+          paths)
+
+type candidates = {
+  c_goal : Bilevel.goal;
+  c_demand : Traffic.Demand.t;  (* the screening demand they were replayed at *)
+  seeds : (float * Failure.Scenario.t) list;  (* best first *)
+  pooled : (float * Failure.Scenario.t) list;
+}
+
+(* The candidate scenarios: the empty scenario, each single whole-LAG
+   failure and the greedy most-probable multi-failure scenario, plus the
+   caller's [pooled] ones that none of these equals — each kept only if
+   admissible, then replayed once at the screening demand and ranked by
+   simulated impact. The seeds (not the pooled ones) become plunge
+   hints, warm starts for the MILP search. *)
+let screen_candidates ?screen ?(pooled = []) ~spec topo paths envelope =
   let whole_lag e =
     let lag = Wan.Topology.lag topo e in
     Failure.Scenario.of_links topo
       (List.init (Wan.Lag.num_links lag) (fun i -> (e, i)))
   in
-  let candidates =
+  let seeds =
     Failure.Scenario.empty
     :: List.init (Wan.Topology.num_lags topo) whole_lag
     @ (match spec.Bilevel.threshold with
       | Some t -> [ snd (Failure.Probability.max_simultaneous_failures topo ~threshold:t) ]
       | None -> [])
   in
-  let candidates = List.filter admissible candidates in
-  let demand_for = screening_demand spec envelope in
+  let pooled =
+    List.filter (fun s -> not (List.exists (Failure.Scenario.equal s) seeds)) pooled
+  in
   (* one engine for the whole candidate sweep: prepare + healthy solve
      once, then a warm overlay per candidate. A caller holding a persistent engine for this
      (spec, topo, paths, envelope) — the always-on service — passes it
@@ -127,26 +140,54 @@ let seed_candidates ?screen spec topo paths envelope ~limit =
             -.r.Te.Simulate.performance)
         | None -> neg_infinity))
   in
-  let scored =
-    List.map (fun s -> (score s, s)) candidates
+  let scored l =
+    List.filter (admissible spec topo paths) l
+    |> List.map (fun s -> (score s, s))
     |> List.filter (fun (sc, _) -> sc > neg_infinity)
     |> List.sort (fun (a, _) (b, _) -> compare b a)
+  in
+  {
+    c_goal = spec.Bilevel.goal;
+    c_demand = screening_demand spec envelope;
+    seeds = scored seeds;
+    pooled = scored pooled;
+  }
+
+let best_candidate c =
+  match (c.c_goal, c.seeds @ c.pooled) with
+  | Bilevel.Min_failed_performance, _ | _, [] -> None
+  | Bilevel.Max_degradation, first :: rest ->
+    let d, s = List.fold_left (fun (a, x) (b, y) -> if b > a then (b, y) else (a, x)) first rest in
+    Some (s, d)
+
+(* The [limit] best seeds as plunge hints, from [candidates] when they
+   were replayed at this analysis's screening demand, else from a fresh
+   screening. *)
+let seed_candidates ?screen ?candidates spec topo paths envelope ~limit =
+  let demand = screening_demand spec envelope in
+  let c =
+    match candidates with
+    | Some c
+      when c.c_goal = spec.Bilevel.goal
+           && Traffic.Demand.entries c.c_demand = Traffic.Demand.entries demand ->
+      c
+    | _ -> screen_candidates ?screen ~spec topo paths envelope
   in
   let rec take n = function
     | [] -> []
     | _ when n = 0 -> []
-    | x :: tl -> x :: take (n - 1) tl
+    | (_, s) :: tl -> (s, demand) :: take (n - 1) tl
   in
-  List.map (fun (_, s) -> (s, demand_for)) (take limit scored)
+  take limit c.seeds
 
-let analyze_with ?screen ?pool ~options topo paths envelope =
+let analyze_with ?screen ?candidates ?pool ~options topo paths envelope =
   let built = Bilevel.build options.spec topo paths envelope in
   let hints =
     match options.seed_enumeration with
     | Some 0 -> []
     | limit ->
       let limit = Option.value limit ~default:6 in
-      seed_candidates ?screen options.spec topo paths envelope ~limit
+      seed_candidates ?screen ?candidates options.spec topo paths envelope ~limit
       |> List.map (fun (s, d) -> Bilevel.hint built ~scenario:s ~demand:d)
   in
   let solver_options =
@@ -272,13 +313,13 @@ let analyze_with ?screen ?pool ~options topo paths envelope =
    A caller-held pool ([?pool]) is borrowed instead; inside a pool task
    the pool gets one domain — the nested levels run their exact
    sequential paths, so results are identical either way. *)
-let analyze ?screen ?pool ?(options = default_options) topo paths
+let analyze ?screen ?candidates ?pool ?(options = default_options) topo paths
     envelope =
   match pool with
   | None when options.domains > 1 ->
     Parallel.Pool.with_pool ~domains:options.domains (fun pool ->
-        analyze_with ?screen ~pool ~options topo paths envelope)
-  | _ -> analyze_with ?screen ?pool ~options topo paths envelope
+        analyze_with ?screen ?candidates ~pool ~options topo paths envelope)
+  | _ -> analyze_with ?screen ?candidates ?pool ~options topo paths envelope
 
 let pp_report ppf r =
   Format.fprintf ppf

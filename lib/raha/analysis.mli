@@ -91,6 +91,33 @@ type report = {
   nodes : int;
 }
 
+(** The screening candidates of one analysis, each replayed once: the
+    empty scenario, each whole-LAG failure and the greedy most-probable
+    scenario (the {e seeds}), plus any [pooled] scenarios none of them
+    equals. Each is re-checked against [spec] on [topo]'s current
+    probabilities (threshold, [max_failures], connectivity) before it
+    is replayed at the screening demand (the envelope corner matching
+    [spec.goal]) on the engine [?screen] (as for {!analyze}) or one
+    prepared here. *)
+type candidates
+
+val screen_candidates :
+  ?screen:Te.Simulate.engine ->
+  ?pooled:Failure.Scenario.t list ->
+  spec:Bilevel.spec ->
+  Wan.Topology.t ->
+  Netpath.Path_set.t ->
+  Traffic.Envelope.t ->
+  candidates
+
+(** The candidate with the largest replayed degradation, pooled ones
+    included, and that degradation: an admissible point of the bi-level
+    problem at the screening demand, so a lower bound on its optimum
+    there. [None] under [Min_failed_performance] (candidates are ranked
+    by failed performance there, not degradation) or when no candidate
+    routes. *)
+val best_candidate : candidates -> (Failure.Scenario.t * float) option
+
 (** [analyze ~options topo paths envelope] solves the bi-level problem.
     Reports with [status = Feasible] carry a valid incumbent plus bound
     (timeout behaviour, §6); [Infeasible] means no scenario satisfies the
@@ -101,6 +128,13 @@ type report = {
     — {!screening_engine} builds one — skipping the per-call prepare; a
     long-lived caller keeps one engine across many analyses.
 
+    [?candidates] lends the screening pass itself: when they were
+    replayed at this analysis's screening demand (from
+    {!screen_candidates} on the same spec, topology and paths), the
+    best seeds become the plunge hints with no candidate replayed
+    again; the pooled ones never do. Otherwise they are ignored and the
+    candidates are screened here. Results are bit-identical either way.
+
     [?pool] lends an existing domain pool to the branch-and-bound
     rounds only; without it one pool is created per call when
     [options.domains > 1] (never from inside a pool task — nested calls
@@ -108,6 +142,7 @@ type report = {
     or without a pool, at any width. *)
 val analyze :
   ?screen:Te.Simulate.engine ->
+  ?candidates:candidates ->
   ?pool:Parallel.Pool.t ->
   ?options:options ->
   Wan.Topology.t ->

@@ -1,12 +1,15 @@
 type stage_result = {
   fields : (string * Json.t) list;
   exceeds : float -> bool;
+  degradation : float;
   usable : bool;
 }
 
 type stats = {
   evaluations : int;
   alerts : int;
+  witness : int;
+  wbad : int;
   clears : int;
   deep_runs : int;
   dropped : int;
@@ -27,6 +30,8 @@ type t = {
   mutable subs : sub list;  (* in subscription order, for determinism *)
   mutable evaluations : int;
   mutable alerts : int;
+  mutable witness : int;
+  mutable wbad : int;
   mutable clears : int;
   mutable deep_runs : int;
   mutable dropped : int;
@@ -39,6 +44,8 @@ let create ?(queue_cap = 64) ~tolerance () =
     subs = [];
     evaluations = 0;
     alerts = 0;
+    witness = 0;
+    wbad = 0;
     clears = 0;
     deep_runs = 0;
     dropped = 0;
@@ -99,55 +106,71 @@ let notification ~push ~stage ~tolerance fields =
         ]
        @ fields))
 
-let evaluate t ~fast ~deep ~flush =
+(* An alert from stage [name] to every quiet subscriber it exceeds,
+   flushed when any went out; the number sent. *)
+let alert_from t ~flush name (r : stage_result) =
+  let sent = ref 0 in
+  List.iter
+    (fun s ->
+      let tol = tolerance_of t s in
+      if r.usable && r.exceeds tol && not s.alerting then begin
+        s.alerting <- true;
+        t.alerts <- t.alerts + 1;
+        push t s (notification ~push:"alert" ~stage:name ~tolerance:tol r.fields);
+        incr sent
+      end)
+    t.subs;
+  if !sent > 0 then flush ();
+  !sent
+
+let evaluate t ~witness ~fast ~deep ~flush =
   if t.subs <> [] then begin
     t.evaluations <- t.evaluations + 1;
+    (* stage 0: the replayed witness alerts before any solve starts *)
+    t.witness <- t.witness + alert_from t ~flush "witness" witness;
     (* stage 1: fast exceeders alert immediately *)
-    let emitted = ref false in
-    List.iter
-      (fun s ->
-        let tol = tolerance_of t s in
-        if fast.usable && fast.exceeds tol && not s.alerting then begin
-          s.alerting <- true;
-          t.alerts <- t.alerts + 1;
-          push t s (notification ~push:"alert" ~stage:"fast" ~tolerance:tol fast.fields);
-          emitted := true
-        end)
-      t.subs;
-    if !emitted then flush ();
-    (* stage 2: anyone below the fast threshold needs the deep answer,
+    let fast = fast () in
+    if
+      witness.usable && fast.usable
+      && witness.degradation > fast.degradation +. (1e-6 *. Float.max 1. (Float.abs fast.degradation))
+    then t.wbad <- t.wbad + 1;
+    ignore (alert_from t ~flush "fast" fast);
+    let early tol = (witness.usable && witness.exceeds tol) || fast.exceeds tol in
+    (* stage 2: anyone below both early stages needs the deep answer,
        either to alert on it or to clear *)
     let needs_deep =
-      fast.usable
-      && List.exists (fun s -> not (fast.exceeds (tolerance_of t s))) t.subs
+      fast.usable && List.exists (fun s -> not (early (tolerance_of t s))) t.subs
     in
     if needs_deep then begin
       t.deep_runs <- t.deep_runs + 1;
       let d = deep () in
       if d.usable then begin
+        let sent = ref false in
         List.iter
           (fun s ->
             let tol = tolerance_of t s in
-            if not (fast.exceeds tol) then
+            if not (early tol) then
               if d.exceeds tol then begin
                 if not s.alerting then begin
                   s.alerting <- true;
                   t.alerts <- t.alerts + 1;
                   push t s
                     (notification ~push:"alert" ~stage:"deep" ~tolerance:tol
-                       d.fields)
+                       d.fields);
+                  sent := true
                 end
               end
               else if s.alerting then begin
-                (* both stages below tolerance: the degradation cleared *)
+                (* every stage below tolerance: the degradation cleared *)
                 s.alerting <- false;
                 t.clears <- t.clears + 1;
                 push t s
                   (notification ~push:"clear" ~stage:"deep" ~tolerance:tol
-                     d.fields)
+                     d.fields);
+                sent := true
               end)
           t.subs;
-        flush ()
+        if !sent then flush ()
       end
     end
   end
@@ -189,6 +212,8 @@ let stats t =
   {
     evaluations = t.evaluations;
     alerts = t.alerts;
+    witness = t.witness;
+    wbad = t.wbad;
     clears = t.clears;
     deep_runs = t.deep_runs;
     dropped = t.dropped;

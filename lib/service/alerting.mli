@@ -2,26 +2,31 @@
     per-subscriber outgoing queues.
 
     This module is deliberately independent of the solver types: a stage
-    result is just response fields plus an [exceeds] predicate, so the
-    crossing/backpressure logic is unit-testable with fabricated
-    results. {!Core} adapts {!Raha.Alert}'s two stages into
-    {!stage_result} values and calls {!evaluate} after every accepted
-    event; {!Server} owns the subscriber ids (its connection ids) and
-    drains the queues onto the sockets without ever blocking the event
-    loop.
+    result is just response fields, a degradation and an [exceeds]
+    predicate, so the crossing/backpressure logic is unit-testable with
+    fabricated results. {!Core} adapts {!Raha.Alert}'s three stages
+    into {!stage_result} values and calls {!evaluate} after every
+    accepted structural event; {!Server} owns the subscriber ids (its
+    connection ids) and drains the queues onto the sockets without ever
+    blocking the event loop.
 
     Crossing semantics, per subscriber (each may override the daemon
     tolerance): an {e alert} notification fires on the quiet→exceeding
-    transition — from the fast stage immediately when it exceeds the
-    subscriber's tolerance, else from the deep stage when that exceeds —
-    and a {e clear} fires on the alerting→quiet transition, which
-    requires {e both} stages below tolerance. While a subscriber stays
-    on one side no notification is repeated. The deep stage is computed
+    transition — from the witness stage (a replayed scenario, before
+    any solve) when it exceeds the subscriber's tolerance, else from the
+    fast stage, else from the deep stage — and a {e clear} fires on the
+    alerting→quiet transition, which requires {e every} stage below
+    tolerance. While a subscriber stays on one side no notification is
+    repeated, so a subscriber alerted by the witness gets no second
+    alert from the fast stage. Pushes go out in stage order, each
+    stage's flushed before the next stage's work starts. The fast stage
+    is computed after the witness pushes are flushed; the deep stage
     lazily, at most once per {!evaluate}, and only when some
-    subscriber's fast stage came in below tolerance (mirroring
-    {!Raha.Alert.run}, which skips the deep solve when the fast stage
-    already alerted). A stage with [usable = false] (solver failure)
-    freezes every affected subscriber's state — no spurious clears.
+    subscriber's witness and fast stages both came in below tolerance
+    (mirroring {!Raha.Alert.run}, which skips the deep solve when an
+    earlier stage already alerted). A stage with [usable = false]
+    (solver failure) freezes every affected subscriber's state — no
+    spurious clears.
 
     Backpressure: each subscriber has a bounded queue of outgoing lines
     (newline-terminated). Enqueueing onto a full queue drops the {e
@@ -37,12 +42,21 @@ type t
 type stage_result = {
   fields : (string * Json.t) list;
   exceeds : float -> bool;  (** applied to each subscriber's tolerance *)
+  degradation : float;
+      (** the stage's degradation ([nan] when it has none), for the
+          witness-vs-fast check ([stats.wbad]) *)
   usable : bool;
 }
 
 type stats = {
   evaluations : int;  (** {!evaluate} calls with >= 1 subscriber *)
   alerts : int;  (** alert notifications emitted (all subscribers) *)
+  witness : int;  (** of [alerts], those the witness stage emitted *)
+  wbad : int;
+      (** evaluations whose witness degradation exceeds the fast stage's
+          by more than 1e-6 relative (floor 1): zero unless the fast
+          stage stopped within its gap or budget below a replayed
+          admissible scenario ({!Raha.Alert}) *)
   clears : int;
   deep_runs : int;  (** times the lazy deep stage was actually solved *)
   dropped : int;  (** lines dropped to backpressure, all subscribers *)
@@ -64,13 +78,15 @@ val unsubscribe : t -> id:int -> unit
 val subscribed : t -> id:int -> bool
 val subscribers : t -> int
 
-(** Run the crossing logic over every subscriber. [deep] is invoked at
-    most once, and only if some subscriber needs it; [flush] is called
-    after the fast-stage emissions so the caller can push them onto the
-    wire before the (slow) deep solve runs. *)
+(** Run the crossing logic over every subscriber. [fast] is invoked
+    once, after the witness stage's emissions; [deep] at most once, and
+    only if some subscriber needs it. [flush] is called after each
+    stage that emitted something, so the caller can push its lines onto
+    the wire before the next stage's solve runs. *)
 val evaluate :
   t ->
-  fast:stage_result ->
+  witness:stage_result ->
+  fast:(unit -> stage_result) ->
   deep:(unit -> stage_result) ->
   flush:(unit -> unit) ->
   unit

@@ -32,6 +32,10 @@ type t = {
          records that the healthy network cannot route the screening
          demand — also a valid, cacheable fact *)
   mutable cached : cached option;
+  mutable pool : Failure.Scenario.t list;
+      (* the scenarios of the last proved worst-case and fast-stage
+         answers, newest first, distinct, at most [pool_cap]: the
+         witness stage replays them *)
   mutable n_cached : int;
   mutable n_warm : int;
   mutable n_cold : int;
@@ -45,12 +49,15 @@ let create cfg topo =
     journal = None;
     engine = None;
     cached = None;
+    pool = [];
     n_cached = 0;
     n_warm = 0;
     n_cold = 0;
   }
 
+let pool_cap = 4
 let tally t = (t.n_cached, t.n_warm, t.n_cold)
+let witness_pool t = t.pool
 let alerting t = t.alerting
 let attach_journal t j = t.journal <- Some j
 
@@ -131,15 +138,26 @@ let worst_fields c =
     ("cert", Json.String c.cert);
   ]
 
+(* A proved answer's scenario joins the witness pool, at its head. *)
+let remember t (r : Raha.Analysis.report) =
+  if r.status = Milp.Solver.Optimal then
+    t.pool <-
+      List.filteri
+        (fun i _ -> i < pool_cap)
+        (r.scenario :: List.filter (fun p -> not (Failure.Scenario.equal p r.scenario)) t.pool)
+
 (* One worst-case solve of the live state inside a counter scope (engine
-   (re)build included); the entry it caches, and the scope report. *)
-let solve ~options t =
+   (re)build included, and the candidate screening unless the witness
+   stage lends its [candidates]); the entry it caches, and the scope
+   report. *)
+let solve ?candidates ~options t =
   let scope = Milp.Lp_stats.scope_enter () in
   let screen = engine_for t in
   let r =
-    Raha.Analysis.analyze ?screen ~options (State.current_topology t.state) t.cfg.paths
-      (State.envelope t.state)
+    Raha.Analysis.analyze ?screen ?candidates ~options (State.current_topology t.state)
+      t.cfg.paths (State.envelope t.state)
   in
+  remember t r;
   let report = Milp.Lp_stats.scope_exit scope in
   let cert =
     (* the MILP's own certificate is authoritative; overlay/cut audit
@@ -184,11 +202,11 @@ let worst_verdict t =
 (* The worst case under the policy: the cached entry under a Cached
    verdict (no scope report: no solver work), a fresh solve under
    [options] otherwise. *)
-let dispatch ~options t =
+let dispatch ?candidates ~options t =
   match (worst_verdict t, t.cached) with
   | Policy.Cached, Some c -> (Policy.Cached, c, None)
   | verdict, _ ->
-    let c, report = solve ~options t in
+    let c, report = solve ?candidates ~options t in
     (verdict, c, Some report)
 
 let query_worst t ~budget ~max_nodes =
@@ -252,57 +270,108 @@ let now t down =
 (* ------------------------------------------------------------------ *)
 (* Push alerting                                                       *)
 
-let stage_fields t (r : Raha.Analysis.report) =
+let stage_fields t ~status ~degradation ~normalized ~scenario ~scenario_prob =
   [
-    ("status", Json.String (status_str r.Raha.Analysis.status));
-    ("degradation", Json.float r.Raha.Analysis.degradation);
-    ("normalized", Json.float r.Raha.Analysis.normalized);
-    ("scenario", scenario_json (Failure.Scenario.links r.Raha.Analysis.scenario));
-    ("scenario_prob", Json.float r.Raha.Analysis.scenario_prob);
+    ("status", Json.String (status_str status));
+    ("degradation", Json.float degradation);
+    ("normalized", Json.float normalized);
+    ("scenario", scenario_json (Failure.Scenario.links scenario));
+    ("scenario_prob", Json.float scenario_prob);
     ("events_applied", Json.Int (State.events_applied t.state));
     ("clock", Json.float (State.clock t.state));
   ]
 
+(* A stage that found nothing to alert on, and one that failed. *)
+let nothing = { Alerting.fields = []; exceeds = (fun _ -> false); degradation = nan; usable = true }
+let unusable = { nothing with usable = false }
+
 (* One alert stage's result; a solve that raised is an unusable stage. *)
 let stage t name ?(extra = fun _ -> []) solve =
   match solve () with
-  | r ->
+  | (r : Raha.Analysis.report) ->
     {
-      Alerting.fields = stage_fields t r @ extra r;
+      Alerting.fields =
+        stage_fields t ~status:r.status ~degradation:r.degradation ~normalized:r.normalized
+          ~scenario:r.scenario ~scenario_prob:r.scenario_prob
+        @ extra r;
       exceeds = (fun tol -> Raha.Alert.exceeds r ~tolerance:tol);
+      degradation = r.degradation;
       usable = true;
     }
   | exception e ->
     Log.warn (fun f -> f "alert %s stage failed: %s" name (Printexc.to_string e));
-    { Alerting.fields = []; exceeds = (fun _ -> false); usable = false }
+    unusable
+
+(* The witness stage: the screening candidates and the pool replayed at
+   the peak on the live engine, in a counter scope of their own; the
+   candidates for the solves that follow, and the stage. A replayed
+   scenario is a feasible point of the worst-case problem. A failed
+   overlay audit makes the stage unusable and drops the engine, so the
+   next solve prepares and screens inside its own scope, whose cert
+   verdict then shows the failure. *)
+let witness_stage t ~topo ~peak =
+  let scope = Milp.Lp_stats.scope_enter () in
+  match
+    Raha.Alert.witness ~options:t.cfg.options ?screen:(engine_for t) ~pooled:t.pool topo
+      t.cfg.paths ~peak
+  with
+  | exception e ->
+    Log.warn (fun f -> f "alert witness stage failed: %s" (Printexc.to_string e));
+    (None, unusable)
+  | candidates, best -> (
+    let report = Milp.Lp_stats.scope_exit scope in
+    if cert_of_counters report.Milp.Lp_stats.scope_counters <> "ok" then begin
+      t.engine <- None;
+      (None, unusable)
+    end
+    else
+      ( candidates,
+        match best with
+        | None -> nothing
+        | Some (w : Raha.Alert.witness) ->
+          {
+            Alerting.fields =
+              stage_fields t ~status:Milp.Solver.Feasible ~degradation:w.degradation
+                ~normalized:w.normalized ~scenario:w.scenario ~scenario_prob:w.scenario_prob;
+            exceeds = (fun tol -> Raha.Alert.witness_exceeds w ~tolerance:tol);
+            degradation = w.degradation;
+            usable = true;
+          } ))
 
 (* The worst-case report over the live envelope, through the query
    dispatch, so later worst queries serve what it solved. Alert
    evaluations keep their own tallies ({!Alerting.stats}), not the
    cached/warm/cold ones. *)
-let worst_report ~options t =
-  let _, c, _ = dispatch ~options t in
+let worst_report ?candidates ~options t =
+  let _, c, _ = dispatch ?candidates ~options t in
   c.report
 
 let evaluate_alert ?(flush = fun () -> ()) t =
   if Alerting.subscribers t.alerting > 0 then begin
-    (* fast stage (stage 1) at the observed peak, the envelope's upper
-       corner; on a point envelope its worst case is the worst query *)
-    let fast =
+    let topo = State.current_topology t.state and envelope = State.envelope t.state in
+    let peak = envelope.Traffic.Envelope.hi in
+    (* witness stage (stage 0), before any solve: the candidates
+       replayed at the observed peak, the envelope's upper corner *)
+    let candidates, witness = witness_stage t ~topo ~peak in
+    (* fast stage (stage 1) at the peak; on a point envelope its worst
+       case is the worst query *)
+    let fast () =
       stage t "fast" (fun () ->
-          let envelope = State.envelope t.state in
-          Raha.Alert.fast ~options:t.cfg.options
-            ~worst:(fun options -> worst_report ~options t)
-            (State.current_topology t.state) t.cfg.paths
-            ~peak:envelope.Traffic.Envelope.hi envelope)
+          let r =
+            Raha.Alert.fast ~options:t.cfg.options ?candidates
+              ~worst:(fun options -> worst_report ?candidates ~options t)
+              topo t.cfg.paths ~peak envelope
+          in
+          remember t r;
+          r)
     in
     (* deep stage (stage 2): the worst query over the live envelope *)
     let deep () =
       stage t "deep"
         ~extra:(fun r -> [ ("report", Json.String (Raha.Report.summary_row r)) ])
-        (fun () -> worst_report ~options:t.cfg.options t)
+        (fun () -> worst_report ?candidates ~options:t.cfg.options t)
     in
-    Alerting.evaluate t.alerting ~fast ~deep ~flush
+    Alerting.evaluate t.alerting ~witness ~fast ~deep ~flush
   end
 
 let query_status t =
@@ -340,6 +409,7 @@ let query_status t =
             ("subscribers", Json.Int (Alerting.subscribers t.alerting));
             ("evaluations", Json.Int s.Alerting.evaluations);
             ("alerts", Json.Int s.Alerting.alerts);
+            ("witness", Json.Int s.Alerting.witness);
             ("clears", Json.Int s.Alerting.clears);
             ("deep_runs", Json.Int s.Alerting.deep_runs);
             ("dropped", Json.Int s.Alerting.dropped);

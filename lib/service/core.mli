@@ -59,22 +59,32 @@ val strip_volatile : Json.t -> Json.t
 (** Served-query tallies: (cached, warm, cold). *)
 val tally : t -> int * int * int
 
+(** The witness pool: the scenarios of the last proved ([Optimal])
+    worst-case answers, the fast alert stage's included, newest first,
+    distinct, at most 4 (a fixed cap). {!evaluate_alert}'s witness
+    stage replays each one the spec still admits on the current
+    estimates. *)
+val witness_pool : t -> Failure.Scenario.t list
+
 (** The push-notification state (subscribers, queues, crossing logic).
     {!Server} registers subscribe verbs here and drains the queues onto
     the sockets. *)
 val alerting : t -> Alerting.t
 
-(** Run {!Raha.Alert}'s two-stage pipeline over the current state and
-    every subscriber ({!Alerting.evaluate}). The fast stage is
-    {!Raha.Alert.fast} at the envelope's upper corner (the observed
-    peak), its worst case served like a worst query: on a point
-    envelope it is the worst query itself, on a quarter of the time
-    budget. The deep stage is the worst query over the live envelope.
-    Both share the query invalidation policy and cache, and neither is
-    billed to the served tallies ({!tally}). No-op with no subscribers.
-    [flush] is invoked after the fast-stage notifications are queued,
-    before the deep solve starts. Called by {!Server} after each
-    accepted {e structural} event. *)
+(** Run {!Raha.Alert}'s pipeline over the current state and every
+    subscriber ({!Alerting.evaluate}). The witness stage is
+    {!Raha.Alert.witness} at the envelope's upper corner (the observed
+    peak) on the live screening engine, its pool the {!witness_pool};
+    its pushes are queued and [flush]ed before any branch-and-bound
+    solve starts. The fast stage is {!Raha.Alert.fast} at the peak, its
+    worst case served like a worst query: on a point envelope it is the
+    worst query itself, on a quarter of the time budget. The deep stage
+    is the worst query over the live envelope. Both take their plunge
+    hints from the witness stage's candidates, share the query
+    invalidation policy and cache, and neither is billed to the served
+    tallies ({!tally}). No-op with no subscribers. [flush] is invoked
+    after each stage's notifications are queued. Called by {!Server}
+    after each accepted {e structural} event. *)
 val evaluate_alert : ?flush:(unit -> unit) -> t -> unit
 
 (** Attach a journal: from now on every event {!handle} accepts is

@@ -27,6 +27,7 @@ Batch.prep                       observer: tests snapshot the shared prepared mo
 Branch_bound.better_key          observer: tests check the (bound, depth) order of the node heap
 Cluster.partition                observer: tests check the node clustering that Cluster.analyze solves block by block
 Cluster.wave_budget              observer: tests check the per-wave time split that Cluster.analyze uses
+Core.witness_pool                observer: tests check the cap and order of the scenarios the alert witness stage replays
 Cuts.active_cuts                 observer: tests read the cuts a separation round activated
 Cuts.eval_cut                    oracle: tests check cut validity at LP and MILP points with it
 Demand_io.of_csv                 fuzz target: tests feed malformed CSV to the parser behind Demand_io.load

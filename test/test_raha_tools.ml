@@ -151,14 +151,24 @@ let test_augment_new_lags () =
 (* --- alerts ------------------------------------------------------------ *)
 
 let test_alert_fast_stage () =
-  (* fig1 with tolerance below the fixed-peak degradation: fast alert *)
+  (* fig1 with tolerance below the fixed-peak degradation: on fig1's
+     single-link LAGs the worst single failure is a whole-LAG candidate,
+     so the replayed witness already reaches the fast optimum and raises
+     the alert; the fast stage still runs and agrees *)
   let peak = Traffic.Demand.of_list [ ((1, 3), 12.); ((2, 3), 10.) ] in
   let v =
     Raha.Alert.run ~options:k1_options ~tolerance:0.5 fig1 (fig1_paths ()) ~peak
       (fig1_envelope ())
   in
   Alcotest.(check bool) "alert" true v.Raha.Alert.alert;
-  Alcotest.(check bool) "fast stage" true (v.Raha.Alert.stage = Some Raha.Alert.Fast_fixed_demand);
+  Alcotest.(check bool) "witness stage" true (v.Raha.Alert.stage = Some Raha.Alert.Witness_replay);
+  Alcotest.(check bool) "the fast stage exceeds too" true
+    (Raha.Alert.exceeds v.Raha.Alert.fast ~tolerance:0.5);
+  (match v.Raha.Alert.witness with
+  | Some w ->
+    check_float "witness = fast optimum" v.Raha.Alert.fast.Raha.Analysis.degradation
+      w.Raha.Alert.degradation
+  | None -> Alcotest.fail "no witness");
   Alcotest.(check bool) "no deep run" true (v.Raha.Alert.deep = None)
 
 let test_alert_deep_stage () =
@@ -278,6 +288,61 @@ let test_alert_fast_rule () =
   ignore (fast (Traffic.Envelope.fixed (Traffic.Demand.scale 0.5 peak)));
   check_int "worst never called off a point envelope at the peak" 0 (List.length !budgets)
 
+(* Under Min_failed_performance the candidates rank failed performance,
+   not degradation: the witness stage replays nothing, and the pipeline
+   decides from its solving stages alone. *)
+let test_witness_skipped_min_failed () =
+  let spec = { spec_k1 with Raha.Bilevel.goal = Raha.Bilevel.Min_failed_performance } in
+  let options = { k1_options with Raha.Analysis.spec } in
+  let peak = Traffic.Demand.of_list [ ((1, 3), 12.); ((2, 3), 10.) ] in
+  let candidates, w = Raha.Alert.witness ~options fig1 (fig1_paths ()) ~peak in
+  Alcotest.(check bool) "no candidates" true (candidates = None);
+  Alcotest.(check bool) "no witness" true (w = None);
+  let v = Raha.Alert.run ~options ~tolerance:0. fig1 (fig1_paths ()) ~peak (fig1_envelope ()) in
+  Alcotest.(check bool) "never a witness alert" true (v.Raha.Alert.stage <> Some Raha.Alert.Witness_replay)
+
+(* The witness is an admissible point of the fast stage's problem, so
+   it never reads above the fast stage's proved optimum: small
+   africa-like WANs under each TE objective, at most two failures, the
+   fast stage at the peak of a variable envelope (lent the witness's
+   candidates, as the pipeline does). *)
+let prop_witness_below_fast =
+  QCheck2.Test.make ~name:"witness <= fast degradation" ~count:12
+    QCheck2.Gen.(
+      let* seed = int_range 0 200 in
+      let* k = int_range 1 2 in
+      let* objective =
+        oneofl
+          [
+            Te.Formulation.Total_flow;
+            Te.Formulation.Max_min { bins = 3; ratio = 1. };
+            Te.Formulation.Mlu { u_max = 10. };
+          ]
+      in
+      return (seed, k, objective))
+    (fun (seed, k, objective) ->
+      let topo = Wan.Generators.africa_like ~seed ~n:6 () in
+      let pairs = [ (0, 3); (1, 4) ] in
+      let paths = Netpath.Path_set.compute ~n_primary:1 ~n_backup:1 topo pairs in
+      let peak = Traffic.Demand.of_list (List.map (fun p -> (p, 70.)) pairs) in
+      let spec =
+        { Raha.Bilevel.default_spec with Raha.Bilevel.objective; max_failures = Some k }
+      in
+      let options = { Raha.Analysis.default_options with spec } in
+      let candidates, witness = Raha.Alert.witness ~options topo paths ~peak in
+      let fast =
+        Raha.Alert.fast ~options ?candidates
+          ~worst:(fun _ -> Alcotest.fail "a variable envelope never reads the worst case")
+          topo paths ~peak (Traffic.Envelope.around ~slack:0.3 peak)
+      in
+      match witness with
+      | None -> QCheck2.Test.fail_report "no witness under Max_degradation"
+      | Some w ->
+        let deg = fast.Raha.Analysis.degradation in
+        fast.Raha.Analysis.status = Milp.Solver.Optimal
+        && (w.Raha.Alert.degradation <= deg +. (1e-6 *. Float.max 1. (Float.abs deg))
+           || QCheck2.Test.fail_reportf "witness %.17g above fast %.17g" w.Raha.Alert.degradation deg))
+
 (* --- baselines --------------------------------------------------------- *)
 
 let test_k_failures_monotone () =
@@ -378,8 +443,10 @@ let test_report_csv () =
   let r = Raha.Analysis.analyze ~options fig1 paths (Traffic.Envelope.fixed d) in
   let summary = Raha.Report.summary_row r in
   (* status, degradation, normalized, bound, failed links, probability,
-     healthy, failed, elapsed, nodes *)
-  check_int "summary fields" 10 (List.length (String.split_on_char ',' summary));
+     healthy, failed, nodes: no wall clock *)
+  check_int "summary fields" 9 (List.length (String.split_on_char ',' summary));
+  Alcotest.(check string) "the same solve renders the same row" summary
+    (Raha.Report.summary_row (Raha.Analysis.analyze ~options fig1 paths (Traffic.Envelope.fixed d)));
   Alcotest.(check bool) "starts with status" true
     (String.length summary > 8 && String.sub summary 0 8 = "optimal,");
   (* per-pair losses (healthy - failed) sum to the degradation *)
@@ -452,4 +519,6 @@ let suite =
     ("explanation renders", `Quick, test_explanation_renders);
     QCheck_alcotest.to_alcotest prop_threshold_and_k_matches_oracle;
     QCheck_alcotest.to_alcotest prop_degradation_monotone_in_envelope;
+    ("witness skipped under min failed performance", `Quick, test_witness_skipped_min_failed);
+    QCheck_alcotest.to_alcotest prop_witness_below_fast;
   ]

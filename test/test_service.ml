@@ -12,15 +12,13 @@ let fig1 = Wan.Generators.fig1 ()
 
 let fig1_demand = Traffic.Demand.of_list [ ((1, 3), 12.); ((2, 3), 10.) ]
 
+let fig1_paths = Netpath.Path_set.compute ~n_primary:2 ~n_backup:0 fig1 [ (1, 3); (2, 3) ]
+
 let make_config ?(domains = 1) ?(drift_tol = 0.5) ?(cuts = Milp.Cuts.default)
     ?(envelope = Traffic.Envelope.around ~slack:0.5 fig1_demand)
-    ?(time_limit = Float.infinity) () =
-  let paths =
-    Netpath.Path_set.compute ~n_primary:2 ~n_backup:0 fig1 [ (1, 3); (2, 3) ]
-  in
-  let spec =
-    { Raha.Bilevel.default_spec with Raha.Bilevel.max_failures = Some 1 }
-  in
+    ?(time_limit = Float.infinity)
+    ?(spec = { Raha.Bilevel.default_spec with Raha.Bilevel.max_failures = Some 1 }) () =
+  let paths = fig1_paths in
   let options = { Raha.Analysis.default_options with spec; domains; cuts; time_limit } in
   { Service.Core.paths; envelope; options; drift_tol; alert_tolerance = 0.1 }
 
@@ -910,7 +908,10 @@ let test_demand_event_invalidates () =
 module Al = Service.Alerting
 
 let stage ?(usable = true) v =
-  { Al.fields = [ ("v", J.float v) ]; exceeds = (fun tol -> v > tol); usable }
+  { Al.fields = [ ("v", J.float v) ]; exceeds = (fun tol -> v > tol); degradation = v; usable }
+
+(* a witness stage that found no scenario *)
+let no_witness = stage neg_infinity
 
 let drain_sub al ~id =
   let rec go acc =
@@ -937,7 +938,7 @@ let test_alerting_crossings () =
   in
   let no_deep () = Alcotest.fail "deep stage must not run" in
   (* everyone's fast stage exceeds: both alert on fast, deep never runs *)
-  Al.evaluate al ~fast:(stage 3.0) ~deep:no_deep ~flush:(fun () -> ());
+  Al.evaluate al ~witness:no_witness ~fast:(fun () -> stage 3.0) ~deep:no_deep ~flush:(fun () -> ());
   Alcotest.(check (list (pair string string))) "sub 1 fast alert"
     [ ("alert", "fast") ]
     (List.map push_of (drain_sub al ~id:1));
@@ -945,16 +946,16 @@ let test_alerting_crossings () =
     [ ("alert", "fast") ]
     (List.map push_of (drain_sub al ~id:2));
   (* same result again: no re-notification while alerting *)
-  Al.evaluate al ~fast:(stage 3.0) ~deep:no_deep ~flush:(fun () -> ());
+  Al.evaluate al ~witness:no_witness ~fast:(fun () -> stage 3.0) ~deep:no_deep ~flush:(fun () -> ());
   check_int "no repeat for sub 1" 0 (List.length (drain_sub al ~id:1));
   (* fast drops below sub 2's tolerance but deep still exceeds it: sub 2
      stays alerting silently; sub 1 (alerting, fast 1.0 > 0.5) too *)
-  Al.evaluate al ~fast:(stage 1.0) ~deep:(deep 2.5) ~flush:(fun () -> ());
+  Al.evaluate al ~witness:no_witness ~fast:(fun () -> stage 1.0) ~deep:(deep 2.5) ~flush:(fun () -> ());
   check_int "deep ran once" 1 !deep_calls;
   check_int "sub 1 silent" 0 (List.length (drain_sub al ~id:1));
   check_int "sub 2 silent" 0 (List.length (drain_sub al ~id:2));
   (* both stages quiet: both clear *)
-  Al.evaluate al ~fast:(stage 0.1) ~deep:(deep 0.2) ~flush:(fun () -> ());
+  Al.evaluate al ~witness:no_witness ~fast:(fun () -> stage 0.1) ~deep:(deep 0.2) ~flush:(fun () -> ());
   Alcotest.(check (list (pair string string))) "sub 1 clears"
     [ ("clear", "deep") ]
     (List.map push_of (drain_sub al ~id:1));
@@ -962,13 +963,13 @@ let test_alerting_crossings () =
     [ ("clear", "deep") ]
     (List.map push_of (drain_sub al ~id:2));
   (* quiet -> deep-stage alert for the sensitive subscriber only *)
-  Al.evaluate al ~fast:(stage 0.3) ~deep:(deep 1.0) ~flush:(fun () -> ());
+  Al.evaluate al ~witness:no_witness ~fast:(fun () -> stage 0.3) ~deep:(deep 1.0) ~flush:(fun () -> ());
   Alcotest.(check (list (pair string string))) "sub 1 deep alert"
     [ ("alert", "deep") ]
     (List.map push_of (drain_sub al ~id:1));
   check_int "sub 2 stays quiet" 0 (List.length (drain_sub al ~id:2));
   (* an unusable stage freezes state: no spurious clear on solver failure *)
-  Al.evaluate al ~fast:(stage ~usable:false 0.) ~deep:no_deep
+  Al.evaluate al ~witness:no_witness ~fast:(fun () -> stage ~usable:false 0.) ~deep:no_deep
     ~flush:(fun () -> ());
   check_int "unusable fast: silent" 0 (List.length (drain_sub al ~id:1));
   let s = Al.stats al in
@@ -1127,6 +1128,120 @@ let test_variable_envelope_two_stages () =
   let _, solves = point_event (Traffic.Envelope.around ~slack:0.5 fig1_demand) in
   check_int "fast and deep solves" 2 solves
 
+(* --- witness stage ----------------------------------------------------------
+
+   On a structural event the replayed witness alerts before any
+   branch-and-bound solve starts: its push is queued and flushed while
+   the solve counter has not moved. The fast stage that follows still
+   solves, and sends the alerted subscriber nothing more. *)
+
+let test_witness_alert_before_milp () =
+  let core = Service.Core.create (make_config ~envelope:point_envelope ()) fig1 in
+  let al = Service.Core.alerting core in
+  Al.subscribe al ~id:1 ~tolerance:(Some 0.);
+  Alcotest.(check bool) "capacity accepted" true (is_ok (Service.Core.handle core capacity_event));
+  let solves () = Milp.Lp_stats.read Milp.Lp_stats.bb_solves () in
+  let overlays () = Milp.Lp_stats.read Milp.Lp_stats.batch_overlays () in
+  let s0 = solves () and o0 = overlays () in
+  let flushes = ref [] in
+  let flush () = flushes := (solves () - s0, drain_sub al ~id:1) :: !flushes in
+  Service.Core.evaluate_alert ~flush core;
+  (match List.rev !flushes with
+  | (before, [ line ]) :: rest ->
+    check_int "no branch-and-bound solve before the witness push" 0 before;
+    Alcotest.(check (pair string string)) "a witness alert" ("alert", "witness") (push_of line);
+    check_int "no second alert" 0 (List.length (List.concat_map snd rest))
+  | _ -> Alcotest.fail "the first flush carried no single alert");
+  check_int "the fast stage still solved" 1 (solves () - s0);
+  (* the engine's healthy solve and the 6 candidates (empty scenario,
+     5 whole-LAG failures), once each: the solve's plunge hints reuse
+     the witness stage's scores *)
+  check_int "no candidate replayed twice" 7 (overlays () - o0);
+  (* a second degrading event: the subscriber is still alerting *)
+  let again = Ev.Event (Ev.Capacity { lag = 0; link = 0; capacity = 9.; at = 2. }) in
+  Alcotest.(check bool) "capacity accepted" true (is_ok (Service.Core.handle core again));
+  Service.Core.evaluate_alert core;
+  check_int "nothing repeated" 0 (List.length (drain_sub al ~id:1));
+  let st = Al.stats al in
+  check_int "the witness push counts in alerts" 1 st.Al.alerts;
+  check_int "from the witness stage" 1 st.Al.witness;
+  check_int "no witness above the fast stage" 0 st.Al.wbad;
+  let status = Service.Core.handle core (Ev.Query Ev.Status) in
+  check_int "status reports it" 1 (get_int "witness" (J.member "alerting" status))
+
+(* The witness pool keeps the scenarios of the last proved worst
+   answers, distinct and at most 4, however many events pass. A pooled
+   scenario is re-checked before each replay: once telemetry pushes its
+   probability below the threshold it is not replayed (no overlay
+   solve), while an admissible one costs exactly one. *)
+let test_witness_pool () =
+  let spec =
+    { Raha.Bilevel.default_spec with Raha.Bilevel.max_failures = Some 2; threshold = Some 5e-5 }
+  in
+  let core =
+    Service.Core.create (make_config ~spec ~drift_tol:1e-3 ~envelope:point_envelope ()) fig1
+  in
+  Al.subscribe (Service.Core.alerting core) ~id:1 ~tolerance:(Some 1e6);
+  let seen = ref [] and clock = ref 0. in
+  let event e =
+    Alcotest.(check bool) "event accepted" true (is_ok (Service.Core.handle core (Ev.Event e)))
+  in
+  let record () =
+    match Service.Core.witness_pool core with
+    | s :: _ -> seen := s :: List.filter (fun p -> not (Failure.Scenario.equal p s)) !seen
+    | [] -> Alcotest.fail "a proved answer left the pool empty"
+  in
+  (* capacity changes move the worst pair of failures; each is a
+     structural event and an alert evaluation *)
+  List.iter
+    (fun (lag, capacity) ->
+      clock := !clock +. 1.;
+      event (Ev.Capacity { lag; link = 0; capacity; at = !clock });
+      Service.Core.evaluate_alert core;
+      record ())
+    [ (0, 2.); (0, 8.); (1, 2.); (1, 8.); (2, 1.); (2, 9.) ];
+  (* then links BD, CD and AD in turn fail once, briefly: each becomes
+     too reliable for a double failure to reach the threshold, and the
+     next worst query (warm on the drift) proves another pair *)
+  List.iter
+    (fun lag ->
+      event (Ev.Link_down { lag; link = 0; at = !clock +. 1. });
+      event (Ev.Link_up { lag; link = 0; at = !clock +. 1.001 });
+      clock := !clock +. 1000.;
+      event (Ev.Capacity { lag = 4; link = 0; capacity = 4.; at = !clock });
+      ignore (Service.Core.handle core worst_query);
+      record ())
+    [ 0; 1; 2 ];
+  let pool = Service.Core.witness_pool core in
+  check_int "capped at 4" (min 4 (List.length !seen)) (List.length pool);
+  Alcotest.(check bool) "more distinct proved answers than the cap" true (List.length !seen > 4);
+  Alcotest.(check bool) "the newest first" true
+    (List.for_all2 Failure.Scenario.equal pool (List.filteri (fun i _ -> i < 4) !seen));
+  (* a two-failure scenario that is no seed: it is replayed only while
+     the threshold admits it *)
+  let s = Failure.Scenario.of_links fig1 [ (2, 0); (4, 0) ] in
+  let state = Service.State.create ~envelope:point_envelope fig1 in
+  let overlays () =
+    let topo = Service.State.current_topology state in
+    let count pooled =
+      let n0 = Milp.Lp_stats.read Milp.Lp_stats.batch_overlays () in
+      let screen = Raha.Analysis.screening_engine ~spec topo fig1_paths point_envelope in
+      ignore (Raha.Analysis.screen_candidates ?screen ~pooled ~spec topo fig1_paths point_envelope);
+      Milp.Lp_stats.read Milp.Lp_stats.batch_overlays () - n0
+    in
+    count [ s ] - count []
+  in
+  check_int "admissible: replayed once" 1 (overlays ());
+  (* link AD fails once, briefly, then stays up: its estimate falls to
+     about 1e-6 and the scenario's probability below the threshold *)
+  List.iter
+    (fun e -> Alcotest.(check bool) "telemetry accepted" true (Service.State.apply state e |> Result.is_ok))
+    [ Ev.Link_down { lag = 2; link = 0; at = 1. }; Ev.Link_up { lag = 2; link = 0; at = 1.001 };
+      Ev.Link_down { lag = 0; link = 0; at = 1000. }; Ev.Link_up { lag = 0; link = 0; at = 1000.01 } ];
+  Alcotest.(check bool) "now below the threshold" true
+    (Failure.Scenario.prob (Service.State.current_topology state) s < 5e-5);
+  check_int "inadmissible: never replayed" 0 (overlays ())
+
 (* --- wire-format pin --------------------------------------------------------
 
    One core driven through a fixed script: worst queries served cold,
@@ -1134,21 +1249,10 @@ let test_variable_envelope_two_stages () =
    unproven under a pivot budget or a node cap; now and status queries;
    structural events, each followed by an alert evaluation past a
    tolerance-0 subscriber and a default-tolerance one. Every response
-   (after [strip_volatile]) and every push line is digested, on a point
-   and on a variable envelope: a change to the query, cache or alert
-   paths must leave every byte as it was. *)
-
-(* a push line without wall clock: the deep stage's report row carries
-   the solve's elapsed seconds in its ninth column *)
-let stable_push line =
-  let mask row =
-    String.concat "," (List.mapi (fun i f -> if i = 8 then "-" else f) (String.split_on_char ',' row))
-  in
-  match J.of_string (String.trim line) with
-  | Ok (J.Obj kvs) ->
-    render
-      (J.Obj (List.map (function "report", J.String r -> ("report", J.String (mask r)) | kv -> kv) kvs))
-  | Ok _ | Error _ -> Alcotest.fail (Printf.sprintf "bad push line %S" line)
+   (after [strip_volatile]) and every push line, as sent, is digested,
+   on a point and on a variable envelope: pushes carry no wall clock,
+   and a change to the query, cache or alert paths must leave every
+   byte as it was. *)
 
 (* the script's transcript and the provenance of its worst answers *)
 let wire_script ~envelope ~demand =
@@ -1174,7 +1278,7 @@ let wire_script ~envelope ~demand =
     List.iter
       (fun id ->
         List.iter
-          (fun l -> Buffer.add_string out (Printf.sprintf "push %d %s\n" id (stable_push l)))
+          (fun l -> Buffer.add_string out (Printf.sprintf "push %d %s" id l))
           (drain_sub al ~id))
       [ 1; 2 ]
   in
@@ -1231,7 +1335,7 @@ let test_wire_format_pin () =
   Alcotest.(check (list string)) "variable envelope: worst provenances"
     [ "cold"; "cached"; "warm"; "warm"; "warm"; "warm"; "warm"; "cached"; "cold"; "cached" ]
     v_prov;
-  check_str "wire digest" "98a0fbe175a04fc335326f51644b3f70" (Digest.to_hex (Digest.string (p_out ^ v_out)))
+  check_str "wire digest" "774425adf47fbe60a34c8cdf91fd9b02" (Digest.to_hex (Digest.string (p_out ^ v_out)))
 
 (* --- framing regressions ------------------------------------------------ *)
 
@@ -1428,6 +1532,8 @@ let suite =
     ("point envelope: a starved fast stage is re-solved", `Quick,
       test_point_envelope_starved_fast_stage);
     ("variable envelope: two stages", `Quick, test_variable_envelope_two_stages);
+    ("witness alert before the MILP", `Quick, test_witness_alert_before_milp);
+    ("witness pool", `Quick, test_witness_pool);
     ("wire-format pin", `Quick, test_wire_format_pin);
     ("framing split line", `Quick, test_framing_split_line);
     ("framing oversized line", `Quick, test_framing_oversized_line);
