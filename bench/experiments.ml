@@ -970,21 +970,24 @@ let service_bench ctx =
    shared with the query cache. The stream alternates capacity-degrade
    waves (heavy demand + a lag shaved to 1 unit) with relief waves
    (demand squeezed to ~0), so every sensitive subscriber crosses into
-   alert and back out repeatedly. Two arms: a variable envelope, whose
-   fast stage is a separate fixed-demand solve, and a point envelope
+   alert and back out repeatedly. Three arms: a variable envelope, whose
+   fast stage is a separate fixed-demand solve; a point envelope
    (lo = hi throughout), whose fast stage is the worst query itself, so
    each structural event costs one branch-and-bound solve (solves= must
-   equal evaluations=). Push lines drain through the same bounded
+   equal evaluations=); and a loaded variable envelope, whose relief
+   repairs the shaved link and leaves a loaded demand, so the bound
+   (the total demand) settles no one and every clear comes from the
+   deep stage (bound= must be 0). Push lines drain through the same bounded
    queues the socket server uses — the [counters:] lines carry only
    deterministic quantities and must show dropped=0. *)
 let alerting_bench ctx =
   section ctx ~id:"alerting"
     ~paper:"push alerting: two-stage crossing notifications on the live event stream (DESIGN.md §16)"
-    ~config:"africa-like WAN (8 nodes), degrade/relief waves, 3 subscribers (tol 0 / 0.05 / default 0.1), variable and point envelopes";
+    ~config:"africa-like WAN (8 nodes), degrade/relief waves, 3 subscribers (tol 0 / 0.05 / default 0.1), variable, point and loaded arms";
   let topo, pairs = wan_small () in
   let paths = paths_of topo pairs in
   let sp = spec ~max_failures:1 () in
-  let run_arm ~arm ~envelope ~heavy ~relief =
+  let run_arm ?(repair = false) ~arm ~envelope ~heavy ~relief () =
     let cfg =
       { Service.Core.paths; envelope; options = options ctx sp;
         drift_tol = 0.30; alert_tolerance = 0.1 }
@@ -1045,7 +1048,20 @@ let alerting_bench ctx =
       events :=
         Ev.Capacity { lag = (w - 1) mod nlags; link = 0; capacity = 1.; at = t0 +. 1. }
         :: !events;
-      (* relief: squeeze the demand to (near) zero — nothing left to lose *)
+      (* relief: the demand falls to [relief]; with [repair] the shaved
+         link also comes back first, so the network clears loaded *)
+      if repair then begin
+        let lag = (w - 1) mod nlags in
+        events :=
+          Ev.Capacity
+            {
+              lag;
+              link = 0;
+              capacity = (Wan.Topology.lag topo lag).Wan.Lag.links.(0).Wan.Lag.link_capacity;
+              at = t0 +. 1.5;
+            }
+          :: !events
+      end;
       demand_wave (t0 +. 2.) relief
     done;
     let events = List.rev !events in
@@ -1102,25 +1118,31 @@ let alerting_bench ctx =
           let n = Array.length a in
           let p50 = if n mod 2 = 1 then a.(n / 2) else 0.5 *. (a.((n / 2) - 1) +. a.(n / 2)) in
           row "%-10s %-22s %-8d %-10.2f %-10.2f@." arm stage n p50 a.(n - 1))
-      [ "witness"; "fast"; "deep" ];
+      [ "witness"; "bound"; "fast"; "deep" ];
     row
-      "%d structural events -> %d evaluations, %d alerts (%d from the witness) / %d clears across 3 subscribers (%d deep stages, %d branch-and-bound solves), %d push lines, %d dropped@."
+      "%d structural events -> %d evaluations, %d alerts (%d from the witness) / %d clears (%d from the bound) across 3 subscribers (%d deep stages, %d branch-and-bound solves), %d push lines, %d dropped@."
       (List.length events) s.Service.Alerting.evaluations s.Service.Alerting.alerts
-      s.Service.Alerting.witness s.Service.Alerting.clears s.Service.Alerting.deep_runs (count counts "bb-solves")
-      !pushes s.Service.Alerting.dropped;
+      s.Service.Alerting.witness s.Service.Alerting.clears s.Service.Alerting.bound
+      s.Service.Alerting.deep_runs (count counts "bb-solves") !pushes s.Service.Alerting.dropped;
     row
-      "counters: alerting | %s | events=%d evaluations=%d solves=%d alerts=%d witness=%d clears=%d deep=%d dropped=%d pushes=%d badpush=%d wbad=%d cert=%s@."
+      "counters: alerting | %s | events=%d evaluations=%d solves=%d alerts=%d witness=%d clears=%d bound=%d deep=%d dropped=%d pushes=%d badpush=%d wbad=%d bbad=%d cert=%s@."
       arm (List.length events) s.Service.Alerting.evaluations (count counts "bb-solves")
       s.Service.Alerting.alerts s.Service.Alerting.witness s.Service.Alerting.clears
-      s.Service.Alerting.deep_runs s.Service.Alerting.dropped !pushes !bad_push
-      s.Service.Alerting.wbad
+      s.Service.Alerting.bound s.Service.Alerting.deep_runs s.Service.Alerting.dropped !pushes
+      !bad_push s.Service.Alerting.wbad s.Service.Alerting.bbad
       (if cert then "ok" else "FAIL")
   in
   let base = base_demand pairs in
+  (* relief squeezes the demand to (near) zero: nothing left to lose *)
   run_arm ~arm:"variable" ~envelope:(Traffic.Envelope.around ~slack:0.3 base)
-    ~heavy:(42., 300.) ~relief:(0.01, 0.02);
+    ~heavy:(42., 300.) ~relief:(0.01, 0.02) ();
   run_arm ~arm:"point" ~envelope:(Traffic.Envelope.fixed base) ~heavy:(300., 300.)
-    ~relief:(0.02, 0.02);
+    ~relief:(0.02, 0.02) ();
+  (* relief repairs the shaved link and keeps a loaded demand, so the
+     bound (the total demand) settles no one and every clear waits for
+     the deep stage *)
+  run_arm ~repair:true ~arm:"loaded" ~envelope:(Traffic.Envelope.around ~slack:0.3 base)
+    ~heavy:(42., 300.) ~relief:(20., 30.) ();
   row
     "(the fast stage screens the envelope's high corner on a quarter of the      solve budget; the deep stage is the normal worst-case machinery and      shares its cache, so alert evaluations warm later queries and a quiet      network costs no MILP solves at all; on a point envelope the fast      stage is that worst query, one solve per structural event; dropped=0      must hold — nothing here outruns the drain)@."
 

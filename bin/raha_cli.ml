@@ -364,7 +364,15 @@ let alert_cmd =
         w.Raha.Alert.degradation w.Raha.Alert.normalized Failure.Scenario.pp
         w.Raha.Alert.scenario w.Raha.Alert.scenario_prob
     | None -> Format.printf "witness check: none@.");
-    Format.printf "fast check:@.%a@." Raha.Analysis.pp_report v.Raha.Alert.fast;
+    (match v.Raha.Alert.bound with
+    | Some b ->
+      Format.printf "bound check: degradation at most %.4g (normalized %.4g)%s@."
+        b.Raha.Alert.demand b.Raha.Alert.ceiling
+        (if Raha.Alert.bound_settles b ~tolerance then ", settled" else "")
+    | None -> Format.printf "bound check: none@.");
+    (match v.Raha.Alert.fast with
+    | Some f -> Format.printf "fast check:@.%a@." Raha.Analysis.pp_report f
+    | None -> Format.printf "fast check: skipped, settled by the bound@.");
     match v.Raha.Alert.deep with
     | Some d -> Format.printf "deep check:@.%a@." Raha.Analysis.pp_report d
     | None -> ()

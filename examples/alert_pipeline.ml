@@ -1,11 +1,12 @@
 (* Raha's staged online alerting (§1, §3).
 
    Stage 0 replays the screening candidates at the observed peak demand
-   (witness, no MILP); stage 1 checks the peak under all probable
-   failures (fast); stage 2 checks every demand in the envelope (deep).
-   The example runs the pipeline at three operator tolerance levels to
-   show how the earliest stage that exceeds raises the alert, and the
-   all-clear.
+   (witness, no MILP) and bounds every answer by the total demand at
+   the envelope's upper corner (bound, no MILP); stage 1 checks the peak
+   under all probable failures (fast); stage 2 checks every demand in
+   the envelope (deep). A tolerance the bound settles skips both. The example runs the pipeline at three operator tolerance
+   levels to show how the earliest stage that exceeds raises the alert,
+   and the all-clear.
 
    Run with: dune exec examples/alert_pipeline.exe *)
 
@@ -44,10 +45,17 @@ let () =
         Raha.Alert.run ~options ~tolerance topo paths ~peak envelope
       in
       Format.printf
-        "tolerance %.2f: alert=%b stage=%s (fast found %.3f normalized%s)@." tolerance
+        "tolerance %.2f: alert=%b stage=%s (%s%s%s)@." tolerance
         v.Raha.Alert.alert (stage_name v.Raha.Alert.stage)
-        v.Raha.Alert.fast.Raha.Analysis.normalized
+        (match v.Raha.Alert.fast with
+        | Some f -> Printf.sprintf "fast found %.3f normalized" f.Raha.Analysis.normalized
+        | None -> "fast skipped")
         (match v.Raha.Alert.deep with
         | Some d -> Printf.sprintf ", deep found %.3f" d.Raha.Analysis.normalized
+        | None -> "")
+        (match v.Raha.Alert.bound with
+        | Some b ->
+          Printf.sprintf ", bound %.3f%s" b.Raha.Alert.ceiling
+            (if Raha.Alert.bound_settles b ~tolerance then ": settled" else "")
         | None -> ""))
     [ 0.05; 0.45; 10. ]

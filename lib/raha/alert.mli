@@ -5,7 +5,10 @@
        candidates (plus any scenarios the caller pooled from earlier
        proved answers) replayed at the observed peak demand — alerts at
        once if an admissible scenario already degrades the network
-       beyond the operator's tolerance;
+       beyond the operator's tolerance; and a {e bound} check beside
+       it: when no answer can exceed the tolerance (below), the
+       pipeline is settled quiet before any MILP, and {!run} solves
+       neither stage below;
     1. a {e fast} check (budgeted ~10 minutes in production) with the
        demand fixed to the observed per-pair peak — alerts immediately if
        a probable failure scenario degrades the network beyond the
@@ -15,8 +18,8 @@
        degraded.
 
     Both solving stages share one {!Analysis.options}; the fast stage
-    gets a quarter of its wall-clock budget. {!witness} and {!fast} are
-    the one rule for what those stages do, used by {!run} (the CLI and
+    gets a quarter of its wall-clock budget. {!witness}, {!bound} and
+    {!fast} are the one rule for what those stages do, used by {!run} (the CLI and
     the examples) and by the service's push pipeline ({!Service.Core}).
 
     {b Soundness of the witness.} A witness is an admissible input of
@@ -35,7 +38,39 @@
 
     The witness applies only to [Max_degradation]: under
     [Min_failed_performance] the candidates are ranked by failed
-    performance, not degradation, and {!witness} finds none. *)
+    performance, not degradation, and {!witness} finds none.
+
+    {b The bound.} A witness is a lower bound, so it can raise an alert
+    but never clear one. When degradation is a difference of total
+    flows ([Total_flow] or [Max_min], under [Max_degradation]) an upper
+    bound is plain arithmetic: write H(d) for the healthy network's
+    total flow at demand d and F(d, s) for the failed network's under
+    scenario s. Every answer of either solving stage is some
+    deg(d, s) = H(d) − F(d, s) with d at most the peak (fast) or the
+    envelope's upper corner (deep), entrywise. Then
+    - deg(d, s) ≤ H(d), because F(d, s) ≥ 0 (flows are nonnegative);
+    - H(d) ≤ Σ d, because each pair's flow is at most its demand (the
+      [Σ f ≤ d] rows of the TE LP; max-min's bins partition [0, d]);
+    - Σ d ≤ Σ hi, with hi the entrywise maximum of the peak and the
+      envelope's upper corner.
+    So the total demand at hi, over the average LAG capacity, bounds the
+    normalized degradation of every witness, fast and deep answer, for
+    point and variable envelopes alike, and costs no LP. A tolerance at
+    or above it, that the witness does not exceed, is settled: nothing
+    can exceed it. (A solver answer may overshoot a proved bound by its
+    rounding; the service counts those as [bbad].)
+
+    The bound is tight only on a drained network: it settles a
+    tolerance only when the whole network's demand is at most
+    tolerance × the average LAG capacity (a tenth of one average LAG at
+    the default 0.1). That is the clear after demand is drained away
+    (maintenance, a traffic shift); on a loaded network it never
+    settles, and a clear still waits for the deep stage.
+
+    There is no bound under [Mlu] or [Min_failed_performance]: MLU
+    degradation is a difference of utilizations, which no demand total
+    bounds, and [Min_failed_performance] ranks failed performance, not
+    degradation. *)
 
 type stage = Witness_replay | Fast_fixed_demand | Deep_variable_demand
 
@@ -47,12 +82,24 @@ type witness = {
   scenario_prob : float;
 }
 
+(** A proved upper bound on every stage's degradation. *)
+type bound = {
+  demand : float;
+      (** the total demand at the bound's corner, absolute: no
+          answer's degradation exceeds it *)
+  ceiling : float;  (** [demand] / average LAG capacity *)
+}
+
 type verdict = {
   alert : bool;
   stage : stage option;  (** the earliest stage that raised the alert, if any *)
   witness : witness option;
-  fast : Analysis.report;  (** run even after a witness alert *)
-  deep : Analysis.report option;  (** [None] when an earlier stage alerted *)
+  bound : bound option;
+  fast : Analysis.report option;
+      (** [None] when the bound settled; run even after a witness alert,
+          to tell how far beyond the tolerance the peak degrades *)
+  deep : Analysis.report option;
+      (** [None] when an earlier stage alerted or the bound settled *)
 }
 
 (** The pipeline's threshold test: normalized degradation beyond
@@ -65,6 +112,21 @@ val exceeds : Analysis.report -> tolerance:float -> bool
 (** [witness_exceeds w ~tolerance]: the witness's normalized
     degradation is beyond [tolerance]. *)
 val witness_exceeds : witness -> tolerance:float -> bool
+
+(** [bound_settles b ~tolerance]: [b]'s ceiling is at or below
+    [tolerance], so no answer exceeds it. *)
+val bound_settles : bound -> tolerance:float -> bool
+
+(** [bound ~options topo ~peak envelope] is the bound stage: the
+    total demand at the entrywise maximum of [peak] and the envelope's
+    upper corner. [None] unless [options.spec] is [Total_flow] or
+    [Max_min] under [Max_degradation]. *)
+val bound :
+  options:Analysis.options ->
+  Wan.Topology.t ->
+  peak:Traffic.Demand.t ->
+  Traffic.Envelope.t ->
+  bound option
 
 (** [witness ~options ?screen ?pooled topo paths ~peak] is the witness
     stage: {!Analysis.screen_candidates} at [Traffic.Envelope.fixed
@@ -104,8 +166,10 @@ val fast :
   Analysis.report
 
 (** [run ~options ~tolerance topo paths ~peak envelope] executes the
-    pipeline: {!witness}, {!fast}, then, unless either alerted, the deep
-    stage under [options] (default {!Analysis.default_options}). Both
+    pipeline: {!witness} and {!bound}; then, unless the bound settled
+    [tolerance] (no alert, and nothing solved), {!fast}, and, unless the
+    witness or the fast stage alerted, the deep stage under [options]
+    (default {!Analysis.default_options}). Both
     solving stages take their plunge hints from the witness's
     candidates, and read the envelope's worst case through one [worst]
     that runs {!Analysis.analyze} on [envelope] and re-reads a proved ([Optimal])

@@ -11,6 +11,8 @@ type stats = {
   witness : int;
   wbad : int;
   clears : int;
+  bound : int;
+  bbad : int;
   deep_runs : int;
   dropped : int;
 }
@@ -33,6 +35,8 @@ type t = {
   mutable witness : int;
   mutable wbad : int;
   mutable clears : int;
+  mutable bound : int;
+  mutable bbad : int;
   mutable deep_runs : int;
   mutable dropped : int;
 }
@@ -47,6 +51,8 @@ let create ?(queue_cap = 64) ~tolerance () =
     witness = 0;
     wbad = 0;
     clears = 0;
+    bound = 0;
+    bbad = 0;
     deep_runs = 0;
     dropped = 0;
   }
@@ -106,73 +112,79 @@ let notification ~push ~stage ~tolerance fields =
         ]
        @ fields))
 
-(* An alert from stage [name] to every quiet subscriber it exceeds,
-   flushed when any went out; the number sent. *)
-let alert_from t ~flush name (r : stage_result) =
+type crossing = Alert | Clear
+
+(* Stage [name]'s crossings: [pick s tol] is the notification, if any,
+   subscriber [s] at tolerance [tol] gets, and its state flips to match.
+   Flushed when any went out; the number sent. *)
+let cross t ~flush name (r : stage_result) pick =
   let sent = ref 0 in
   List.iter
     (fun s ->
       let tol = tolerance_of t s in
-      if r.usable && r.exceeds tol && not s.alerting then begin
-        s.alerting <- true;
-        t.alerts <- t.alerts + 1;
-        push t s (notification ~push:"alert" ~stage:name ~tolerance:tol r.fields);
-        incr sent
-      end)
+      match pick s tol with
+      | None -> ()
+      | Some c ->
+        s.alerting <- c = Alert;
+        if c = Alert then t.alerts <- t.alerts + 1 else t.clears <- t.clears + 1;
+        push t s
+          (notification ~push:(if c = Alert then "alert" else "clear") ~stage:name
+             ~tolerance:tol r.fields);
+        incr sent)
     t.subs;
   if !sent > 0 then flush ();
   !sent
 
-let evaluate t ~witness ~fast ~deep ~flush =
+(* [a]'s degradation above [b]'s by more than 1e-6 relative (floor 1) *)
+let above (a : stage_result) (b : stage_result) =
+  a.usable && b.usable
+  && a.degradation > b.degradation +. (1e-6 *. Float.max 1. (Float.abs b.degradation))
+
+let evaluate t ~witness ~bound ~fast ~deep ~flush =
   if t.subs <> [] then begin
     t.evaluations <- t.evaluations + 1;
+    let alert_on (r : stage_result) s tol =
+      if r.usable && r.exceeds tol && not s.alerting then Some Alert else None
+    in
     (* stage 0: the replayed witness alerts before any solve starts *)
-    t.witness <- t.witness + alert_from t ~flush "witness" witness;
+    t.witness <- t.witness + cross t ~flush "witness" witness (alert_on witness);
+    let witnessed tol = witness.usable && witness.exceeds tol in
+    (* ... and the bound clears, before any solve, every alerting
+       subscriber it settles: no answer can exceed its tolerance *)
+    let settled tol = bound.usable && (not (bound.exceeds tol)) && not (witnessed tol) in
+    t.bound <-
+      t.bound
+      + cross t ~flush "bound" bound (fun s tol ->
+            if s.alerting && settled tol then Some Clear else None);
     (* stage 1: fast exceeders alert immediately *)
     let fast = fast () in
-    if
-      witness.usable && fast.usable
-      && witness.degradation > fast.degradation +. (1e-6 *. Float.max 1. (Float.abs fast.degradation))
-    then t.wbad <- t.wbad + 1;
-    ignore (alert_from t ~flush "fast" fast);
-    let early tol = (witness.usable && witness.exceeds tol) || fast.exceeds tol in
-    (* stage 2: anyone below both early stages needs the deep answer,
-       either to alert on it or to clear *)
+    if above witness fast then t.wbad <- t.wbad + 1;
+    ignore
+      (cross t ~flush "fast" fast (fun s tol ->
+           if settled tol then None else alert_on fast s tol));
+    let early tol = settled tol || witnessed tol || fast.exceeds tol in
+    (* stage 2: anyone neither settled nor above an early stage needs
+       the deep answer, either to alert on it or to clear *)
     let needs_deep =
       fast.usable && List.exists (fun s -> not (early (tolerance_of t s))) t.subs
     in
-    if needs_deep then begin
-      t.deep_runs <- t.deep_runs + 1;
-      let d = deep () in
-      if d.usable then begin
-        let sent = ref false in
-        List.iter
-          (fun s ->
-            let tol = tolerance_of t s in
-            if not (early tol) then
-              if d.exceeds tol then begin
-                if not s.alerting then begin
-                  s.alerting <- true;
-                  t.alerts <- t.alerts + 1;
-                  push t s
-                    (notification ~push:"alert" ~stage:"deep" ~tolerance:tol
-                       d.fields);
-                  sent := true
-                end
-              end
-              else if s.alerting then begin
-                (* every stage below tolerance: the degradation cleared *)
-                s.alerting <- false;
-                t.clears <- t.clears + 1;
-                push t s
-                  (notification ~push:"clear" ~stage:"deep" ~tolerance:tol
-                     d.fields);
-                sent := true
-              end)
-          t.subs;
-        if !sent then flush ()
+    let deep =
+      if needs_deep then begin
+        t.deep_runs <- t.deep_runs + 1;
+        let d = deep () in
+        if d.usable then
+          ignore
+            (cross t ~flush "deep" d (fun s tol ->
+                 if early tol then None
+                 else if d.exceeds tol then alert_on d s tol
+                 else if s.alerting then (* every stage below tolerance *) Some Clear
+                 else None));
+        Some d
       end
-    end
+      else None
+    in
+    if above fast bound || Option.fold deep ~none:false ~some:(fun d -> above d bound) then
+      t.bbad <- t.bbad + 1
   end
 
 let has_pending s = s.inflight <> None || not (Queue.is_empty s.queue)
@@ -215,6 +227,8 @@ let stats t =
     witness = t.witness;
     wbad = t.wbad;
     clears = t.clears;
+    bound = t.bound;
+    bbad = t.bbad;
     deep_runs = t.deep_runs;
     dropped = t.dropped;
   }

@@ -338,6 +338,25 @@ let witness_stage t ~topo ~peak =
             usable = true;
           } ))
 
+(* The bound stage: the total demand at the peak, which no stage's
+   degradation exceeds; arithmetic, so it cannot fail. *)
+let bound_stage t ~topo ~peak envelope =
+  match Raha.Alert.bound ~options:t.cfg.options topo ~peak envelope with
+  | None -> unusable
+  | Some b ->
+    {
+      Alerting.fields =
+        [
+          ("bound", Json.float b.Raha.Alert.demand);
+          ("normalized", Json.float b.Raha.Alert.ceiling);
+          ("events_applied", Json.Int (State.events_applied t.state));
+          ("clock", Json.float (State.clock t.state));
+        ];
+      exceeds = (fun tol -> not (Raha.Alert.bound_settles b ~tolerance:tol));
+      degradation = b.Raha.Alert.demand;
+      usable = true;
+    }
+
 (* The worst-case report over the live envelope, through the query
    dispatch, so later worst queries serve what it solved. Alert
    evaluations keep their own tallies ({!Alerting.stats}), not the
@@ -350,9 +369,11 @@ let evaluate_alert ?(flush = fun () -> ()) t =
   if Alerting.subscribers t.alerting > 0 then begin
     let topo = State.current_topology t.state and envelope = State.envelope t.state in
     let peak = envelope.Traffic.Envelope.hi in
-    (* witness stage (stage 0), before any solve: the candidates
-       replayed at the observed peak, the envelope's upper corner *)
+    (* witness and bound stages (stage 0), before any solve: the
+       candidates replayed at the observed peak, the envelope's upper
+       corner, and the total demand there *)
     let candidates, witness = witness_stage t ~topo ~peak in
+    let bound = bound_stage t ~topo ~peak envelope in
     (* fast stage (stage 1) at the peak; on a point envelope its worst
        case is the worst query *)
     let fast () =
@@ -371,7 +392,7 @@ let evaluate_alert ?(flush = fun () -> ()) t =
         ~extra:(fun r -> [ ("report", Json.String (Raha.Report.summary_row r)) ])
         (fun () -> worst_report ?candidates ~options:t.cfg.options t)
     in
-    Alerting.evaluate t.alerting ~witness ~fast ~deep ~flush
+    Alerting.evaluate t.alerting ~witness ~bound ~fast ~deep ~flush
   end
 
 let query_status t =
@@ -411,6 +432,7 @@ let query_status t =
             ("alerts", Json.Int s.Alerting.alerts);
             ("witness", Json.Int s.Alerting.witness);
             ("clears", Json.Int s.Alerting.clears);
+            ("bound", Json.Int s.Alerting.bound);
             ("deep_runs", Json.Int s.Alerting.deep_runs);
             ("dropped", Json.Int s.Alerting.dropped);
           ] );

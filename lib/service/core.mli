@@ -75,8 +75,10 @@ val alerting : t -> Alerting.t
     subscriber ({!Alerting.evaluate}). The witness stage is
     {!Raha.Alert.witness} at the envelope's upper corner (the observed
     peak) on the live screening engine, its pool the {!witness_pool};
-    its pushes are queued and [flush]ed before any branch-and-bound
-    solve starts. The fast stage is {!Raha.Alert.fast} at the peak, its
+    the bound stage is {!Raha.Alert.bound} there (the total demand, no
+    LP). Their pushes are queued and [flush]ed before any
+    branch-and-bound solve starts. The fast stage is
+    {!Raha.Alert.fast} at the peak, its
     worst case served like a worst query: on a point envelope it is the
     worst query itself, on a quarter of the time budget. The deep stage
     is the worst query over the live envelope. Both take their plunge

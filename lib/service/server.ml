@@ -119,20 +119,22 @@ let run ~socket core =
       let resp = Core.handle core req in
       respond conn resp;
       (* the push pipeline runs after each accepted structural ingest:
-         witness notifications hit the wire before the fast solve,
-         fast-stage ones before the deep solve. A socket write wakes
-         its reader on the writer's CPU when that CPU looks free, and
-         the reader then runs only once this loop blocks; so after a
-         stage's pushes are written the loop sleeps for one timer slack
+         witness and bound notifications hit the wire before the fast
+         solve, fast-stage ones before the deep solve. A socket write
+         wakes its reader on the writer's CPU when that CPU looks free,
+         and the reader then runs only once this loop blocks; so after
+         the event's ack, and after each stage that pushed, the loop
+         writes what is queued and sleeps for one timer slack
          (nanosleep 0, tens of microseconds), and a reader sharing the
-         CPU takes them (and the event's ack) before the next solve *)
+         CPU takes them before the next solve *)
+      let yield () =
+        flush_subscribers ();
+        Unix.sleepf 0.
+      in
       (match req with
-      | Event.Event _ when structural_ok resp ->
-        Core.evaluate_alert
-          ~flush:(fun () ->
-            flush_subscribers ();
-            Unix.sleepf 0.)
-          core
+      | Event.Event _ when structural_ok resp && Alerting.subscribers al > 0 ->
+        yield ();
+        Core.evaluate_alert ~flush:yield core
       | _ -> ());
       if req = Event.Shutdown then shutdown_requested := true
   in

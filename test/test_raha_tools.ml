@@ -162,13 +162,13 @@ let test_alert_fast_stage () =
   in
   Alcotest.(check bool) "alert" true v.Raha.Alert.alert;
   Alcotest.(check bool) "witness stage" true (v.Raha.Alert.stage = Some Raha.Alert.Witness_replay);
-  Alcotest.(check bool) "the fast stage exceeds too" true
-    (Raha.Alert.exceeds v.Raha.Alert.fast ~tolerance:0.5);
-  (match v.Raha.Alert.witness with
-  | Some w ->
-    check_float "witness = fast optimum" v.Raha.Alert.fast.Raha.Analysis.degradation
-      w.Raha.Alert.degradation
-  | None -> Alcotest.fail "no witness");
+  (match (v.Raha.Alert.witness, v.Raha.Alert.fast) with
+  | Some w, Some fast ->
+    Alcotest.(check bool) "the fast stage exceeds too" true
+      (Raha.Alert.exceeds fast ~tolerance:0.5);
+    check_float "witness = fast optimum" fast.Raha.Analysis.degradation w.Raha.Alert.degradation
+  | None, _ -> Alcotest.fail "no witness"
+  | _, None -> Alcotest.fail "the fast stage did not run");
   Alcotest.(check bool) "no deep run" true (v.Raha.Alert.deep = None)
 
 let test_alert_deep_stage () =
@@ -183,10 +183,12 @@ let test_alert_deep_stage () =
   Alcotest.(check bool) "deep stage" true
     (v.Raha.Alert.stage = Some Raha.Alert.Deep_variable_demand)
 
+(* tolerance 2: above the deep answer (9/6.8 ~ 1.32) and below the
+   bound (33/6.8 ~ 4.85), so only the deep stage can settle it *)
 let test_alert_quiet () =
   let peak = Traffic.Demand.of_list [ ((1, 3), 12.); ((2, 3), 10.) ] in
   let v =
-    Raha.Alert.run ~options:k1_options ~tolerance:5. fig1 (fig1_paths ()) ~peak
+    Raha.Alert.run ~options:k1_options ~tolerance:2. fig1 (fig1_paths ()) ~peak
       (fig1_envelope ())
   in
   Alcotest.(check bool) "no alert" true (not v.Raha.Alert.alert);
@@ -195,12 +197,14 @@ let test_alert_quiet () =
 (* Both stages are plain [analyze] calls under the caller's options:
    the fast one at the fixed peak with a quarter of the time limit, the
    deep one on the envelope. [o] turns cuts off, which moves the node
-   count on fig1, so an option the pipeline dropped would show. *)
+   count on fig1, so an option the pipeline dropped would show. The
+   tolerance lies between the deep answer and the bound, so both
+   stages run. *)
 let test_alert_stages_are_analyze () =
   let paths = fig1_paths () and envelope = fig1_envelope () in
   let peak = envelope.Traffic.Envelope.hi in
   let o = { k1_options with cuts = Milp.Cuts.disabled; time_limit = 60. } in
-  let v = Raha.Alert.run ~options:o ~tolerance:5. fig1 paths ~peak envelope in
+  let v = Raha.Alert.run ~options:o ~tolerance:2. fig1 paths ~peak envelope in
   let same what (want : Raha.Analysis.report) (got : Raha.Analysis.report) =
     Alcotest.(check int64) (what ^ " degradation bits")
       (Int64.bits_of_float want.Raha.Analysis.degradation)
@@ -214,7 +218,9 @@ let test_alert_stages_are_analyze () =
     Raha.Analysis.analyze ~options:{ o with time_limit = o.time_limit /. 4. } fig1 paths
       (Traffic.Envelope.fixed peak)
   in
-  same "fast" fast v.Raha.Alert.fast;
+  (match v.Raha.Alert.fast with
+  | Some f -> same "fast" fast f
+  | None -> Alcotest.fail "the fast stage did not run");
   let deep = Raha.Analysis.analyze ~options:o fig1 paths envelope in
   (match v.Raha.Alert.deep with
   | Some d -> same "deep" deep d
@@ -226,13 +232,15 @@ let test_alert_stages_are_analyze () =
 (* On a point envelope the two stages pose the same problem: a proved
    fast answer is returned as the deep one, after one branch-and-bound
    solve, with the bits a separate analyze of the envelope reports. A
-   variable envelope around the same peak still runs both stages. *)
+   variable envelope around the same peak still runs both stages.
+   Tolerance 2 lies above both answers (7/6.8 and 9/6.8) and below
+   both bounds (22/6.8 and 33/6.8), so the deep stage is needed. *)
 let test_alert_point_envelope () =
   let paths = fig1_paths () in
   let peak = Traffic.Demand.of_list [ ((1, 3), 12.); ((2, 3), 10.) ] in
   let envelope = Traffic.Envelope.fixed peak in
   let s0 = Milp.Lp_stats.read Milp.Lp_stats.bb_solves () in
-  let v = Raha.Alert.run ~options:k1_options ~tolerance:5. fig1 paths ~peak envelope in
+  let v = Raha.Alert.run ~options:k1_options ~tolerance:2. fig1 paths ~peak envelope in
   check_int "one branch-and-bound solve" 1 (Milp.Lp_stats.read Milp.Lp_stats.bb_solves () - s0);
   Alcotest.(check bool) "no alert" false v.Raha.Alert.alert;
   let want = Raha.Analysis.analyze ~options:k1_options fig1 paths envelope in
@@ -251,7 +259,7 @@ let test_alert_point_envelope () =
       (Failure.Scenario.links d.Raha.Analysis.scenario);
     let s0 = Milp.Lp_stats.read Milp.Lp_stats.bb_solves () in
     let v =
-      Raha.Alert.run ~options:k1_options ~tolerance:5. fig1 paths ~peak
+      Raha.Alert.run ~options:k1_options ~tolerance:2. fig1 paths ~peak
         (Traffic.Envelope.around ~slack:0.5 peak)
     in
     Alcotest.(check bool) "variable envelope: deep report" true (v.Raha.Alert.deep <> None);
@@ -342,6 +350,92 @@ let prop_witness_below_fast =
         fast.Raha.Analysis.status = Milp.Solver.Optimal
         && (w.Raha.Alert.degradation <= deg +. (1e-6 *. Float.max 1. (Float.abs deg))
            || QCheck2.Test.fail_reportf "witness %.17g above fast %.17g" w.Raha.Alert.degradation deg))
+
+(* The bound stage's proof (alert.mli): when degradation is a
+   difference of total flows no answer degrades more than the total
+   demand at the envelope's upper corner. Small africa-like WANs under
+   Total_flow and Max_min, at most one or two failures or any number,
+   light to capacity-bound demand, on a point envelope at the peak and
+   on envelopes around it: the bound is at or above the witness and the
+   fast and deep stages' proved degradations (1e-6 relative). With any
+   number of failures every path can be cut, so on light demand the
+   deep answer reaches the bound, above the total demand at the peak. *)
+let prop_bound_above_answers =
+  QCheck2.Test.make ~name:"bound >= witness, fast and deep degradation" ~count:12
+    QCheck2.Gen.(
+      let* seed = int_range 0 200 in
+      let* objective =
+        oneofl [ Te.Formulation.Total_flow; Te.Formulation.Max_min { bins = 3; ratio = 1. } ]
+      in
+      let* k = oneofl [ Some 1; Some 2; None ] in
+      let* volume = oneofl [ 20.; 70.; 150. ] in
+      let* slack = oneofl [ 0.; 0.2; 0.5 ] in
+      return (seed, objective, k, volume, slack))
+    (fun (seed, objective, max_failures, volume, slack) ->
+      let topo = Wan.Generators.africa_like ~seed ~n:6 () in
+      let pairs = [ (0, 3); (1, 4) ] in
+      let paths = Netpath.Path_set.compute ~n_primary:1 ~n_backup:1 topo pairs in
+      let peak = Traffic.Demand.of_list (List.map (fun p -> (p, volume)) pairs) in
+      let envelope =
+        if slack = 0. then Traffic.Envelope.fixed peak else Traffic.Envelope.around ~slack peak
+      in
+      let spec = { Raha.Bilevel.default_spec with Raha.Bilevel.objective; max_failures } in
+      let options = { Raha.Analysis.default_options with spec } in
+      match Raha.Alert.bound ~options topo ~peak envelope with
+      | None -> QCheck2.Test.fail_report "no bound on a total-flow degradation"
+      | Some b ->
+        let candidates, witness = Raha.Alert.witness ~options topo paths ~peak in
+        let worst o = Raha.Analysis.analyze ?candidates ~options:o topo paths envelope in
+        let fast = Raha.Alert.fast ~options ?candidates ~worst topo paths ~peak envelope in
+        let deep = worst options in
+        let at_most what x =
+          x <= b.Raha.Alert.demand +. (1e-6 *. Float.max 1. b.Raha.Alert.demand)
+          || QCheck2.Test.fail_reportf "%s %.17g above the bound %.17g" what x b.Raha.Alert.demand
+        in
+        let proved (r : Raha.Analysis.report) = r.Raha.Analysis.status = Milp.Solver.Optimal in
+        (proved fast && proved deep || QCheck2.Test.fail_report "an unproven stage")
+        && Option.fold witness ~none:true ~some:(fun w -> at_most "witness" w.Raha.Alert.degradation)
+        && at_most "fast" fast.Raha.Analysis.degradation
+        && at_most "deep" deep.Raha.Analysis.degradation)
+
+(* There is no bound under Mlu or Min_failed_performance, whose
+   degradation is not a difference of total flows; they keep the
+   pipeline's behaviour, so a tolerance the bound would settle still
+   runs both solving stages. Under Total_flow and Max_min the bound is
+   the total demand at the upper corner (18 + 15 on fig1's envelope),
+   and it settles that tolerance without solving anything. *)
+let test_bound_scope () =
+  let paths = fig1_paths () and envelope = fig1_envelope () in
+  let peak = Traffic.Demand.of_list [ ((1, 3), 12.); ((2, 3), 10.) ] in
+  let options spec = { k1_options with Raha.Analysis.spec } in
+  let bound spec = Raha.Alert.bound ~options:(options spec) fig1 ~peak envelope in
+  let solves () = Milp.Lp_stats.read Milp.Lp_stats.bb_solves () in
+  List.iter
+    (fun (what, spec) ->
+      (match bound spec with
+      | Some b -> check_float (what ^ ": total demand at the upper corner") 33. b.Raha.Alert.demand
+      | None -> Alcotest.fail (what ^ ": no bound"));
+      let s0 = solves () in
+      let v = Raha.Alert.run ~options:(options spec) ~tolerance:1e6 fig1 paths ~peak envelope in
+      Alcotest.(check bool) (what ^ ": settled quietly") false v.Raha.Alert.alert;
+      Alcotest.(check bool) (what ^ ": no solving stage") true
+        (v.Raha.Alert.fast = None && v.Raha.Alert.deep = None);
+      check_int (what ^ ": no branch-and-bound solve") 0 (solves () - s0))
+    [
+      ("Total_flow", spec_k1);
+      ("Max_min", { spec_k1 with Raha.Bilevel.objective = Te.Formulation.Max_min { bins = 3; ratio = 1. } });
+    ];
+  List.iter
+    (fun (what, spec) ->
+      Alcotest.(check bool) (what ^ ": no bound") true (bound spec = None);
+      let v = Raha.Alert.run ~options:(options spec) ~tolerance:1e6 fig1 paths ~peak envelope in
+      Alcotest.(check bool) (what ^ ": no bound in the verdict") true (v.Raha.Alert.bound = None);
+      Alcotest.(check bool) (what ^ ": both solving stages ran") true
+        (v.Raha.Alert.fast <> None && v.Raha.Alert.deep <> None))
+    [
+      ("Mlu", { spec_k1 with Raha.Bilevel.objective = Te.Formulation.Mlu { u_max = 10. } });
+      ("Min_failed_performance", { spec_k1 with Raha.Bilevel.goal = Raha.Bilevel.Min_failed_performance });
+    ]
 
 (* --- baselines --------------------------------------------------------- *)
 
@@ -521,4 +615,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_degradation_monotone_in_envelope;
     ("witness skipped under min failed performance", `Quick, test_witness_skipped_min_failed);
     QCheck_alcotest.to_alcotest prop_witness_below_fast;
+    ("bound only on total-flow degradation", `Quick, test_bound_scope);
+    QCheck_alcotest.to_alcotest prop_bound_above_answers;
   ]

@@ -910,8 +910,9 @@ module Al = Service.Alerting
 let stage ?(usable = true) v =
   { Al.fields = [ ("v", J.float v) ]; exceeds = (fun tol -> v > tol); degradation = v; usable }
 
-(* a witness stage that found no scenario *)
+(* a witness stage that found no scenario, and no bound *)
 let no_witness = stage neg_infinity
+let no_bound = stage ~usable:false nan
 
 let drain_sub al ~id =
   let rec go acc =
@@ -938,7 +939,7 @@ let test_alerting_crossings () =
   in
   let no_deep () = Alcotest.fail "deep stage must not run" in
   (* everyone's fast stage exceeds: both alert on fast, deep never runs *)
-  Al.evaluate al ~witness:no_witness ~fast:(fun () -> stage 3.0) ~deep:no_deep ~flush:(fun () -> ());
+  Al.evaluate al ~witness:no_witness ~bound:no_bound ~fast:(fun () -> stage 3.0) ~deep:no_deep ~flush:(fun () -> ());
   Alcotest.(check (list (pair string string))) "sub 1 fast alert"
     [ ("alert", "fast") ]
     (List.map push_of (drain_sub al ~id:1));
@@ -946,16 +947,16 @@ let test_alerting_crossings () =
     [ ("alert", "fast") ]
     (List.map push_of (drain_sub al ~id:2));
   (* same result again: no re-notification while alerting *)
-  Al.evaluate al ~witness:no_witness ~fast:(fun () -> stage 3.0) ~deep:no_deep ~flush:(fun () -> ());
+  Al.evaluate al ~witness:no_witness ~bound:no_bound ~fast:(fun () -> stage 3.0) ~deep:no_deep ~flush:(fun () -> ());
   check_int "no repeat for sub 1" 0 (List.length (drain_sub al ~id:1));
   (* fast drops below sub 2's tolerance but deep still exceeds it: sub 2
      stays alerting silently; sub 1 (alerting, fast 1.0 > 0.5) too *)
-  Al.evaluate al ~witness:no_witness ~fast:(fun () -> stage 1.0) ~deep:(deep 2.5) ~flush:(fun () -> ());
+  Al.evaluate al ~witness:no_witness ~bound:no_bound ~fast:(fun () -> stage 1.0) ~deep:(deep 2.5) ~flush:(fun () -> ());
   check_int "deep ran once" 1 !deep_calls;
   check_int "sub 1 silent" 0 (List.length (drain_sub al ~id:1));
   check_int "sub 2 silent" 0 (List.length (drain_sub al ~id:2));
   (* both stages quiet: both clear *)
-  Al.evaluate al ~witness:no_witness ~fast:(fun () -> stage 0.1) ~deep:(deep 0.2) ~flush:(fun () -> ());
+  Al.evaluate al ~witness:no_witness ~bound:no_bound ~fast:(fun () -> stage 0.1) ~deep:(deep 0.2) ~flush:(fun () -> ());
   Alcotest.(check (list (pair string string))) "sub 1 clears"
     [ ("clear", "deep") ]
     (List.map push_of (drain_sub al ~id:1));
@@ -963,19 +964,69 @@ let test_alerting_crossings () =
     [ ("clear", "deep") ]
     (List.map push_of (drain_sub al ~id:2));
   (* quiet -> deep-stage alert for the sensitive subscriber only *)
-  Al.evaluate al ~witness:no_witness ~fast:(fun () -> stage 0.3) ~deep:(deep 1.0) ~flush:(fun () -> ());
+  Al.evaluate al ~witness:no_witness ~bound:no_bound ~fast:(fun () -> stage 0.3) ~deep:(deep 1.0) ~flush:(fun () -> ());
   Alcotest.(check (list (pair string string))) "sub 1 deep alert"
     [ ("alert", "deep") ]
     (List.map push_of (drain_sub al ~id:1));
   check_int "sub 2 stays quiet" 0 (List.length (drain_sub al ~id:2));
   (* an unusable stage freezes state: no spurious clear on solver failure *)
-  Al.evaluate al ~witness:no_witness ~fast:(fun () -> stage ~usable:false 0.) ~deep:no_deep
+  Al.evaluate al ~witness:no_witness ~bound:no_bound ~fast:(fun () -> stage ~usable:false 0.) ~deep:no_deep
     ~flush:(fun () -> ());
   check_int "unusable fast: silent" 0 (List.length (drain_sub al ~id:1));
   let s = Al.stats al in
   check_int "alerts" 3 s.Al.alerts;
   check_int "clears" 2 s.Al.clears;
   check_int "nothing dropped" 0 s.Al.dropped
+
+(* The bound settles a subscriber whose tolerance it does not exceed:
+   an alerting one clears from the bound stage, flushed before the fast
+   stage runs, and neither later stage sends it anything; it no longer
+   needs the deep stage. A witness above the tolerance overrides the
+   bound, and a fast or deep answer above the bound counts in bbad. *)
+let test_alerting_bound () =
+  let al = Al.create ~tolerance:0.5 () in
+  Al.subscribe al ~id:1 ~tolerance:None;
+  Al.subscribe al ~id:2 ~tolerance:(Some 2.0);
+  let flush () = () in
+  let no_deep () = Alcotest.fail "deep stage must not run" in
+  Al.evaluate al ~witness:no_witness ~bound:no_bound ~fast:(fun () -> stage 3.0) ~deep:no_deep ~flush;
+  check_int "both alerted" 2 (List.length (drain_sub al ~id:1 @ drain_sub al ~id:2));
+  (* bound 1.5 settles sub 2 only: its clear is on the wire before the
+     fast stage starts; sub 1 still needs the deep stage *)
+  let flushed = ref [] in
+  let flush () = flushed := !flushed @ List.map push_of (drain_sub al ~id:2) in
+  let deep_calls = ref 0 in
+  Al.evaluate al ~witness:no_witness ~bound:(stage 1.5)
+    ~fast:(fun () ->
+      Alcotest.(check (list (pair string string))) "bound clear flushed before the fast stage"
+        [ ("clear", "bound") ] !flushed;
+      stage 0.2)
+    ~deep:(fun () ->
+      incr deep_calls;
+      stage 0.3)
+    ~flush;
+  check_int "the deep stage ran for sub 1" 1 !deep_calls;
+  Alcotest.(check (list (pair string string))) "sub 1 clears on the deep stage"
+    [ ("clear", "deep") ] (List.map push_of (drain_sub al ~id:1));
+  check_int "sub 2: nothing after the bound clear" 1 (List.length !flushed);
+  (* a bound at or below every tolerance settles everyone: no deep
+     stage, and a fast answer above the bound (rounding) alerts no one
+     but counts in bbad *)
+  Al.evaluate al ~witness:no_witness ~bound:(stage 0.5) ~fast:(fun () -> stage 0.7) ~deep:no_deep
+    ~flush:(fun () -> ());
+  check_int "settled: silent" 0 (List.length (drain_sub al ~id:1 @ drain_sub al ~id:2));
+  (* a witness above sub 2's tolerance overrides a (lower) bound *)
+  Al.evaluate al ~witness:(stage 2.5) ~bound:(stage 0.5) ~fast:(fun () -> stage 2.5)
+    ~deep:no_deep ~flush:(fun () -> ());
+  Alcotest.(check (list (pair string string))) "sub 2: witness alert"
+    [ ("alert", "witness") ] (List.map push_of (drain_sub al ~id:2));
+  Alcotest.(check (list (pair string string))) "sub 1: witness alert"
+    [ ("alert", "witness") ] (List.map push_of (drain_sub al ~id:1));
+  let s = Al.stats al in
+  check_int "clears" 2 s.Al.clears;
+  check_int "one from the bound" 1 s.Al.bound;
+  check_int "two answers above the bound" 2 s.Al.bbad;
+  check_int "one deep stage" 1 s.Al.deep_runs
 
 let test_alerting_backpressure () =
   let al = Al.create ~queue_cap:3 ~tolerance:0.5 () in
@@ -1079,14 +1130,17 @@ let point_envelope = Traffic.Envelope.fixed fig1_demand
 let capacity_event = Ev.Event (Ev.Capacity { lag = 0; link = 0; capacity = 10.; at = 1. })
 let worst_query = Ev.Query (Ev.Worst { budget = None; max_nodes = None })
 
-(* one structural event and one alert evaluation with a tolerance-0 and
-   an insensitive subscriber (the latter needs the deep stage); returns
-   the core and the evaluation's branch-and-bound solves *)
+(* one structural event and one alert evaluation with a tolerance-0
+   subscriber and one at tolerance 2, above the fast answer (0.97 on
+   the point envelope, 1.39 on the variable one) and below the bound
+   (the total demand, 3.06 and 4.58): no early stage decides it, so it
+   needs the deep stage; returns the core and the evaluation's
+   branch-and-bound solves *)
 let point_event ?time_limit envelope =
   let core = Service.Core.create (make_config ?time_limit ~envelope ()) fig1 in
   let al = Service.Core.alerting core in
   Al.subscribe al ~id:1 ~tolerance:(Some 0.);
-  Al.subscribe al ~id:2 ~tolerance:(Some 1e6);
+  Al.subscribe al ~id:2 ~tolerance:(Some 2.);
   Alcotest.(check bool) "capacity accepted" true (is_ok (Service.Core.handle core capacity_event));
   let s0 = Milp.Lp_stats.read Milp.Lp_stats.bb_solves () in
   Service.Core.evaluate_alert core;
@@ -1168,6 +1222,48 @@ let test_witness_alert_before_milp () =
   check_int "no witness above the fast stage" 0 st.Al.wbad;
   let status = Service.Core.handle core (Ev.Query Ev.Status) in
   check_int "status reports it" 1 (get_int "witness" (J.member "alerting" status))
+
+(* --- bound stage ----------------------------------------------------------
+
+   Once the demand drains, the total demand at the envelope's upper
+   corner, and with it every answer, is 0: the bound settles the
+   tolerance-0 subscriber, whose clear is queued and flushed while the
+   solve counter has not moved, and the deep stage is not needed. The
+   fast stage still solves, keeping the query cache warm. *)
+let test_bound_clear_before_milp () =
+  let core = Service.Core.create (make_config ~envelope:point_envelope ()) fig1 in
+  let al = Service.Core.alerting core in
+  Al.subscribe al ~id:1 ~tolerance:(Some 0.);
+  Alcotest.(check bool) "capacity accepted" true (is_ok (Service.Core.handle core capacity_event));
+  Service.Core.evaluate_alert core;
+  check_int "alerted" 1 (List.length (drain_sub al ~id:1));
+  List.iter
+    (fun (src, dst) ->
+      Alcotest.(check bool) "demand accepted" true
+        (is_ok
+           (Service.Core.handle core
+              (Ev.Event (Ev.Demand { src; dst; lo = 0.; hi = 0.; at = 2. })))))
+    [ (1, 3); (2, 3) ];
+  let solves () = Milp.Lp_stats.read Milp.Lp_stats.bb_solves () in
+  let deep0 = (Al.stats al).Al.deep_runs and s0 = solves () in
+  let flushes = ref [] in
+  let flush () = flushes := (solves () - s0, drain_sub al ~id:1) :: !flushes in
+  Service.Core.evaluate_alert ~flush core;
+  (match List.rev !flushes with
+  | [ (before, [ line ]) ] ->
+    check_int "no branch-and-bound solve before the bound push" 0 before;
+    Alcotest.(check (pair string string)) "a bound clear" ("clear", "bound") (push_of line);
+    let j = Result.get_ok (J.of_string (String.trim line)) in
+    Alcotest.(check (option (float 0.))) "the bound is 0" (Some 0.) (J.to_float (J.member "bound" j))
+  | _ -> Alcotest.fail "expected one flush carrying one clear");
+  check_int "the fast stage still solved" 1 (solves () - s0);
+  let st = Al.stats al in
+  check_int "no deep stage" deep0 st.Al.deep_runs;
+  check_int "one clear" 1 st.Al.clears;
+  check_int "from the bound" 1 st.Al.bound;
+  check_int "no answer above the bound" 0 st.Al.bbad;
+  let status = Service.Core.handle core (Ev.Query Ev.Status) in
+  check_int "status reports it" 1 (get_int "bound" (J.member "alerting" status))
 
 (* The witness pool keeps the scenarios of the last proved worst
    answers, distinct and at most 4, however many events pass. A pooled
@@ -1335,7 +1431,7 @@ let test_wire_format_pin () =
   Alcotest.(check (list string)) "variable envelope: worst provenances"
     [ "cold"; "cached"; "warm"; "warm"; "warm"; "warm"; "warm"; "cached"; "cold"; "cached" ]
     v_prov;
-  check_str "wire digest" "774425adf47fbe60a34c8cdf91fd9b02" (Digest.to_hex (Digest.string (p_out ^ v_out)))
+  check_str "wire digest" "668394261a842ad01e13cbb8baee4301" (Digest.to_hex (Digest.string (p_out ^ v_out)))
 
 (* --- framing regressions ------------------------------------------------ *)
 
@@ -1538,4 +1634,6 @@ let suite =
     ("framing split line", `Quick, test_framing_split_line);
     ("framing oversized line", `Quick, test_framing_oversized_line);
     ("framing events and now in one write", `Quick, test_framing_events_and_now_in_one_write);
+    ("alerting: the bound settles", `Quick, test_alerting_bound);
+    ("bound clear before the MILP", `Quick, test_bound_clear_before_milp);
   ]
