@@ -4,7 +4,7 @@
      raha info     print a topology and its probable-failure profile
      raha analyze  find the worst probable (failure, demand) combination
      raha augment  add capacity until no probable failure degrades the WAN
-     raha alert    run the two-stage online alert pipeline
+     raha alert    run the staged online alert pipeline
 
    Examples:
      raha analyze -t fig1 --pairs 1-3,2-3 --primary 2 --max-failures 1 --slack 0.5
@@ -350,25 +350,30 @@ let alert_cmd =
       Raha.Alert.run ~options:setup.options ~tolerance setup.topo setup.paths
         ~peak:setup.envelope.Traffic.Envelope.hi setup.envelope
     in
-    let stage =
-      match v.Raha.Alert.stage with
-      | Some Raha.Alert.Witness_replay -> "witness (replayed scenario)"
-      | Some Raha.Alert.Fast_fixed_demand -> "fast (fixed peak demand)"
-      | Some Raha.Alert.Deep_variable_demand -> "deep (variable demand)"
-      | None -> "none"
+    let alert, stage =
+      Raha.Alert.(
+        match (v.decision, v.stage) with
+        | Exceeded, Some Witness_replay -> ("true", "witness (replayed scenario)")
+        | Exceeded, Some Fast_fixed_demand -> ("true", "fast (fixed peak demand)")
+        | Exceeded, _ -> ("true", "deep (variable demand)")
+        | Within, _ -> ("false", "none")
+        | Open, _ -> ("undecided", "none"))
     in
-    Format.printf "alert=%b stage=%s@." v.Raha.Alert.alert stage;
+    Format.printf "alert=%s stage=%s@." alert stage;
+    let evidence = Raha.Alert.evidence setup.topo in
     (match v.Raha.Alert.witness with
     | Some w ->
+      let e = evidence (Raha.Alert.Replayed w) in
       Format.printf "witness check: degradation %.4g (normalized %.4g) scenario: %a (p = %.3g)@."
-        w.Raha.Alert.degradation w.Raha.Alert.normalized Failure.Scenario.pp
-        w.Raha.Alert.scenario w.Raha.Alert.scenario_prob
+        w.Raha.Alert.degradation (e.lo /. e.per) Failure.Scenario.pp w.Raha.Alert.scenario
+        w.Raha.Alert.scenario_prob
     | None -> Format.printf "witness check: none@.");
     (match v.Raha.Alert.bound with
     | Some b ->
-      Format.printf "bound check: degradation at most %.4g (normalized %.4g)%s@."
-        b.Raha.Alert.demand b.Raha.Alert.ceiling
-        (if Raha.Alert.bound_settles b ~tolerance then ", settled" else "")
+      let e = evidence (Raha.Alert.Ceiling b) in
+      Format.printf "bound check: degradation at most %.4g (normalized %.4g)%s@." b
+        (e.hi /. e.per)
+        (if v.Raha.Alert.stage = Some Raha.Alert.Bound_total_demand then ", settled" else "")
     | None -> Format.printf "bound check: none@.");
     (match v.Raha.Alert.fast with
     | Some f -> Format.printf "fast check:@.%a@." Raha.Analysis.pp_report f
@@ -378,7 +383,7 @@ let alert_cmd =
     | None -> ()
   in
   Cmd.v
-    (Cmd.info "alert" ~doc:"Two-stage online alert: fixed peak first, then any demand.")
+    (Cmd.info "alert" ~doc:"Staged online alert; prints alert=true, false or undecided.")
     Term.(const run $ setup_term $ tolerance_arg)
 
 let socket_arg =

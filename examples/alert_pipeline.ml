@@ -4,9 +4,10 @@
    (witness, no MILP) and bounds every answer by the total demand at
    the envelope's upper corner (bound, no MILP); stage 1 checks the peak
    under all probable failures (fast); stage 2 checks every demand in
-   the envelope (deep). A tolerance the bound settles skips both. The example runs the pipeline at three operator tolerance
-   levels to show how the earliest stage that exceeds raises the alert,
-   and the all-clear.
+   the envelope (deep). A tolerance the bound settles skips both; one
+   that no stage's proved answer decides reads "undecided". The example
+   runs the pipeline at three operator tolerance levels to show how the
+   earliest stage that exceeds raises the alert, and the all-clear.
 
    Run with: dune exec examples/alert_pipeline.exe *)
 
@@ -33,11 +34,14 @@ let () =
   in
   (* the fast stage gets a quarter of the time limit: 15 s here *)
   let options = { Raha.Analysis.default_options with spec; time_limit = 60. } in
-  let stage_name = function
-    | Some Raha.Alert.Witness_replay -> "WITNESS (replayed scenario)"
-    | Some Raha.Alert.Fast_fixed_demand -> "FAST (fixed peak demand)"
-    | Some Raha.Alert.Deep_variable_demand -> "DEEP (variable demand)"
-    | None -> "none"
+  let alert (v : Raha.Alert.verdict) =
+    Raha.Alert.(
+      match (v.decision, v.stage) with
+      | Exceeded, Some Witness_replay -> "true stage=WITNESS (replayed scenario)"
+      | Exceeded, Some Fast_fixed_demand -> "true stage=FAST (fixed peak demand)"
+      | Exceeded, _ -> "true stage=DEEP (variable demand)"
+      | Within, _ -> "false stage=none"
+      | Open, _ -> "undecided stage=none")
   in
   List.iter
     (fun tolerance ->
@@ -45,8 +49,7 @@ let () =
         Raha.Alert.run ~options ~tolerance topo paths ~peak envelope
       in
       Format.printf
-        "tolerance %.2f: alert=%b stage=%s (%s%s%s)@." tolerance
-        v.Raha.Alert.alert (stage_name v.Raha.Alert.stage)
+        "tolerance %.2f: alert=%s (%s%s%s)@." tolerance (alert v)
         (match v.Raha.Alert.fast with
         | Some f -> Printf.sprintf "fast found %.3f normalized" f.Raha.Analysis.normalized
         | None -> "fast skipped")
@@ -55,7 +58,8 @@ let () =
         | None -> "")
         (match v.Raha.Alert.bound with
         | Some b ->
-          Printf.sprintf ", bound %.3f%s" b.Raha.Alert.ceiling
-            (if Raha.Alert.bound_settles b ~tolerance then ": settled" else "")
+          let e = Raha.Alert.evidence topo (Raha.Alert.Ceiling b) in
+          Printf.sprintf ", bound %.3f%s" (e.hi /. e.per)
+            (if v.Raha.Alert.stage = Some Raha.Alert.Bound_total_demand then ": settled" else "")
         | None -> ""))
     [ 0.05; 0.45; 10. ]

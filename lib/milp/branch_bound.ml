@@ -705,8 +705,11 @@ let solve ?(options = default) model =
   let sequential_step () =
     match Heap.pop heap with
     | None -> status := `Exhausted
-    | Some { key = parent_key; node; _ } ->
-      if not (stop_at parent_key) then begin
+    | Some ({ key = parent_key; node; _ } as elt) ->
+      (* a budget stop puts the unexplored node back: its key stays in
+         the final bound *)
+      if stop_at parent_key then (if !status = `Limit then Heap.push heap elt)
+      else begin
         incr nodes;
         Lp_stats.incr Lp_stats.bb_nodes;
         match node_lp !prep node with

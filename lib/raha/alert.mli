@@ -3,24 +3,20 @@
     Operationally Raha runs after every failure/topology change:
     0. a {e witness} check, before any MILP: the analysis's screening
        candidates (plus any scenarios the caller pooled from earlier
-       proved answers) replayed at the observed peak demand — alerts at
-       once if an admissible scenario already degrades the network
-       beyond the operator's tolerance; and a {e bound} check beside
-       it: when no answer can exceed the tolerance (below), the
-       pipeline is settled quiet before any MILP, and {!run} solves
-       neither stage below;
+       proved answers) replayed at the observed peak demand; and a
+       {e bound} check beside it, the total demand (below);
     1. a {e fast} check (budgeted ~10 minutes in production) with the
-       demand fixed to the observed per-pair peak — alerts immediately if
-       a probable failure scenario degrades the network beyond the
-       operator's tolerance;
-    2. otherwise a {e deep} check (budgeted ~1 hour) over the whole
-       demand envelope, which alerts if {e any} admissible demand can be
-       degraded.
+       demand fixed to the observed per-pair peak;
+    2. a {e deep} check (budgeted ~1 hour) over the whole demand
+       envelope.
 
-    Both solving stages share one {!Analysis.options}; the fast stage
-    gets a quarter of its wall-clock budget. {!witness}, {!bound} and
-    {!fast} are the one rule for what those stages do, used by {!run} (the CLI and
-    the examples) and by the service's push pipeline ({!Service.Core}).
+    Each stage states the interval it proves on the worst-case
+    degradation ({!evidence}), and one rule over those intervals
+    ({!decide}) decides every crossing. Both solving stages share one
+    {!Analysis.options}; the fast stage gets a quarter of its
+    wall-clock budget. {!witness}, {!bound} and {!fast} are the one
+    rule for what those stages do, used by {!run} (the CLI and the
+    examples) and by the service's push pipeline ({!Service.Core}).
 
     {b Soundness of the witness.} A witness is an admissible input of
     the fast stage's own problem: a scenario that passes the spec's
@@ -55,13 +51,12 @@
       envelope's upper corner.
     So the total demand at hi, over the average LAG capacity, bounds the
     normalized degradation of every witness, fast and deep answer, for
-    point and variable envelopes alike, and costs no LP. A tolerance at
-    or above it, that the witness does not exceed, is settled: nothing
-    can exceed it. (A solver answer may overshoot a proved bound by its
-    rounding; the service counts those as [bbad].)
+    point and variable envelopes alike, and costs no LP: the upper end
+    of the bound stage's {!evidence}. (A solver answer may overshoot a
+    proved bound by its rounding; the service counts those as [bbad].)
 
-    The bound is tight only on a drained network: it settles a
-    tolerance only when the whole network's demand is at most
+    The bound is tight only on a drained network: it settles (decides
+    [Within]) a tolerance only when the whole network's demand is at most
     tolerance × the average LAG capacity (a tenth of one average LAG at
     the default 0.1). That is the clear after demand is drained away
     (maintenance, a traffic shift); on a loaded network it never
@@ -72,61 +67,64 @@
     bounds, and [Min_failed_performance] ranks failed performance, not
     degradation. *)
 
-type stage = Witness_replay | Fast_fixed_demand | Deep_variable_demand
+type stage = Witness_replay | Bound_total_demand | Fast_fixed_demand | Deep_variable_demand
 
 (** The best replayed admissible scenario at the peak demand. *)
 type witness = {
   scenario : Failure.Scenario.t;
   degradation : float;  (** replayed, absolute *)
-  normalized : float;  (** degradation / average LAG capacity *)
   scenario_prob : float;
 }
 
-(** A proved upper bound on every stage's degradation. *)
-type bound = {
-  demand : float;
-      (** the total demand at the bound's corner, absolute: no
-          answer's degradation exceeds it *)
-  ceiling : float;  (** [demand] / average LAG capacity *)
-}
+(** {b Evidence.} What one stage proves: the worst-case degradation
+    lies in [[lo, hi]], absolute ([neg_infinity]/[infinity] on a side
+    it does not prove); [per], the average LAG capacity, normalizes it. *)
+type evidence = { lo : float; hi : float; per : float }
+
+(** A stage's answer, and what it proves. *)
+type answer =
+  | Replayed of witness  (** at least its replayed degradation *)
+  | Ceiling of float  (** the bound stage: at most this total demand *)
+  | Fast of Analysis.report  (** at least its answer when solved ([Optimal]/[Feasible]) *)
+  | Deep of Analysis.report  (** at least its answer when solved, at most it when [Optimal] *)
+
+(** [evidence topo a] is what [a] proves, [per] from [topo]. A stage
+    that raised, or has no bound ([Mlu], [Min_failed_performance]),
+    has no answer and proves nothing. *)
+val evidence : Wan.Topology.t -> answer -> evidence
+
+type decision = Exceeded | Within | Open
+
+(** {b The rule}, the one every caller decides crossings by ({!run},
+    {!Augment}, the service's push pipeline): a tolerance (normalized
+    degradation) is [Exceeded] when the normalized lower end is above
+    it, [Within] when the normalized upper end is at or below it, and
+    [Open] otherwise. Within one evaluation the first stage, in the
+    order witness, bound, fast, deep, whose evidence decides a
+    tolerance decides it, and later stages leave it alone; the deep
+    stage runs only while some tolerance is still open after a fast
+    stage that did not raise. So an unproven answer below the
+    tolerance leaves it open: it never clears an alert. *)
+val decide : evidence -> tolerance:float -> decision
 
 type verdict = {
-  alert : bool;
-  stage : stage option;  (** the earliest stage that raised the alert, if any *)
+  decision : decision;  (** [Open]: no stage decided (an undecided alert) *)
+  stage : stage option;  (** the stage that decided, if any *)
   witness : witness option;
-  bound : bound option;
+  bound : float option;  (** the bound stage's total demand *)
   fast : Analysis.report option;
-      (** [None] when the bound settled; run even after a witness alert,
+      (** [None] when the bound decided; run even after a witness alert,
           to tell how far beyond the tolerance the peak degrades *)
-  deep : Analysis.report option;
-      (** [None] when an earlier stage alerted or the bound settled *)
+  deep : Analysis.report option;  (** [None] when an earlier stage decided *)
 }
 
-(** The pipeline's threshold test: normalized degradation beyond
-    [tolerance], on a solved ([Optimal]/[Feasible]) report only — an
-    [Unknown]/[Infeasible] answer never raises an alert by itself.
-    Exposed for the service's push pipeline ({!Service.Core}), which
-    applies it per-subscriber. *)
-val exceeds : Analysis.report -> tolerance:float -> bool
-
-(** [witness_exceeds w ~tolerance]: the witness's normalized
-    degradation is beyond [tolerance]. *)
-val witness_exceeds : witness -> tolerance:float -> bool
-
-(** [bound_settles b ~tolerance]: [b]'s ceiling is at or below
-    [tolerance], so no answer exceeds it. *)
-val bound_settles : bound -> tolerance:float -> bool
-
-(** [bound ~options topo ~peak envelope] is the bound stage: the
-    total demand at the entrywise maximum of [peak] and the envelope's
-    upper corner. [None] unless [options.spec] is [Total_flow] or
-    [Max_min] under [Max_degradation]. *)
+(** [bound ~options ~peak envelope] is the bound stage: the total
+    demand at the entrywise maximum of [peak] and the envelope's upper
+    corner, absolute; no answer's degradation exceeds it. [None] unless
+    [options.spec] is [Total_flow] or [Max_min] under
+    [Max_degradation]. *)
 val bound :
-  options:Analysis.options ->
-  Wan.Topology.t ->
-  peak:Traffic.Demand.t ->
-  Traffic.Envelope.t ->
-  bound option
+  options:Analysis.options -> peak:Traffic.Demand.t -> Traffic.Envelope.t -> float option
 
 (** [witness ~options ?screen ?pooled topo paths ~peak] is the witness
     stage: {!Analysis.screen_candidates} at [Traffic.Envelope.fixed
@@ -166,10 +164,10 @@ val fast :
   Analysis.report
 
 (** [run ~options ~tolerance topo paths ~peak envelope] executes the
-    pipeline: {!witness} and {!bound}; then, unless the bound settled
-    [tolerance] (no alert, and nothing solved), {!fast}, and, unless the
-    witness or the fast stage alerted, the deep stage under [options]
-    (default {!Analysis.default_options}). Both
+    pipeline under {!decide}: {!witness} and {!bound}; then, unless the
+    bound decided [tolerance] (no alert, and nothing solved), {!fast},
+    and, unless an earlier stage decided, the deep stage under
+    [options] (default {!Analysis.default_options}). Both
     solving stages take their plunge hints from the witness's
     candidates, and read the envelope's worst case through one [worst]
     that runs {!Analysis.analyze} on [envelope] and re-reads a proved ([Optimal])

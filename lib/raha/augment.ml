@@ -271,10 +271,11 @@ let links_added s =
   List.fold_left (fun a (_, k) -> a + k) 0 s.lag_links_added
   + List.fold_left (fun a (_, k) -> a + k) 0 s.new_lags_added
 
-(* The §7 loop shared by both families: analyze, stop once no probable
-   scenario exceeds [tolerance], else [grow] the topology so the network
-   under the worst scenario carries the healthy per-pair flows at the
-   worst demand, and repeat on the grown topology. *)
+(* The §7 loop shared by both families: analyze; stop, converged, once
+   the report proves [tolerance] is not exceeded ({!Alert.decide}), and
+   unconverged on an unproven report below it; else [grow] the topology
+   so the network under the worst scenario carries the healthy per-pair
+   flows at the worst demand, and repeat on the grown topology. *)
 let iterate ~options ~tolerance ~max_steps ~paths_of ~grow topo envelope =
   let rec loop topo steps n =
     let paths = paths_of topo in
@@ -284,8 +285,8 @@ let iterate ~options ~tolerance ~max_steps ~paths_of ~grow topo envelope =
       let total_links_added = List.fold_left (fun a s -> a + links_added s) 0 steps in
       { steps; final = report; topo; total_links_added; converged }
     in
-    if not (Alert.exceeds report ~tolerance) then finish true
-    else if n >= max_steps then finish false
+    let decision = Alert.(decide (evidence topo (Deep report)) ~tolerance) in
+    if decision <> Alert.Exceeded || n >= max_steps then finish (decision = Alert.Within)
     else
       match healthy_targets topo paths report.Analysis.worst_demand with
       | None -> finish false (* cannot even route on the healthy network *)

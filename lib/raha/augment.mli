@@ -2,13 +2,15 @@
 
     One iterative loop serves both families: run the analysis; if the
     worst probable failure scenario degrades performance beyond the
-    tolerance ({!Alert.exceeds}, the alert pipeline's test), solve for
-    the cheapest capacity addition that lets the failed network match
-    the healthy network's per-demand flows under that scenario; apply it
-    and repeat until no probable degradation remains (the paper observes
-    convergence in 2-6 steps). The loop also stops, unconverged, when
-    the healthy network cannot route the worst demand, when no addition
-    fixes the scenario, or after [max_steps] additions.
+    tolerance ({!Alert.decide} on the report as a deep answer, the alert
+    pipeline's rule), solve for the cheapest capacity addition that lets
+    the failed network match the healthy network's per-demand flows
+    under that scenario; apply it and repeat until the report proves the
+    tolerance is not exceeded (the paper observes convergence in 2-6
+    steps). The loop also stops, unconverged, on an unproven report
+    below the tolerance, when the healthy network cannot route the worst
+    demand, when no addition fixes the scenario, or after [max_steps]
+    additions.
 
     Two augment families:
     - {!augment_lags}: add links to existing LAGs (the preferred and
@@ -31,7 +33,7 @@ type result = {
   final : Analysis.report;  (** analysis of the augmented network *)
   topo : Wan.Topology.t;  (** the augmented topology *)
   total_links_added : int;  (** links added over all [steps], either family *)
-  converged : bool;  (** final report does not {!Alert.exceeds} the tolerance *)
+  converged : bool;  (** final report proves the tolerance {!Alert.Within} *)
 }
 
 (** [augment_lags ~options ~link_capacity topo paths envelope] runs the

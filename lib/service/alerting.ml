@@ -1,9 +1,4 @@
-type stage_result = {
-  fields : (string * Json.t) list;
-  exceeds : float -> bool;
-  degradation : float;
-  usable : bool;
-}
+type stage_result = { fields : (string * Json.t) list; evidence : Raha.Alert.evidence }
 
 type stats = {
   evaluations : int;
@@ -112,78 +107,63 @@ let notification ~push ~stage ~tolerance fields =
         ]
        @ fields))
 
-type crossing = Alert | Clear
+(* what a missing stage proves: nothing, so it decides no one *)
+let nothing = { fields = []; evidence = { Raha.Alert.lo = neg_infinity; hi = infinity; per = 1. } }
 
-(* Stage [name]'s crossings: [pick s tol] is the notification, if any,
-   subscriber [s] at tolerance [tol] gets, and its state flips to match.
-   Flushed when any went out; the number sent. *)
-let cross t ~flush name (r : stage_result) pick =
+(* One stage's crossings under {!Raha.Alert.decide}: each subscriber in
+   [undecided] that [r] decides leaves it, and gets an alert (exceeded)
+   or a clear (within) when that flips its state. Flushed when any went
+   out; the number sent. *)
+let cross t ~flush undecided name r =
   let sent = ref 0 in
-  List.iter
-    (fun s ->
-      let tol = tolerance_of t s in
-      match pick s tol with
-      | None -> ()
-      | Some c ->
-        s.alerting <- c = Alert;
-        if c = Alert then t.alerts <- t.alerts + 1 else t.clears <- t.clears + 1;
-        push t s
-          (notification ~push:(if c = Alert then "alert" else "clear") ~stage:name
-             ~tolerance:tol r.fields);
-        incr sent)
-    t.subs;
+  undecided :=
+    List.filter
+      (fun s ->
+        let tol = tolerance_of t s in
+        match Raha.Alert.decide r.evidence ~tolerance:tol with
+        | Raha.Alert.Open -> true
+        | d ->
+          let alert = d = Raha.Alert.Exceeded in
+          if alert <> s.alerting then begin
+            s.alerting <- alert;
+            if alert then t.alerts <- t.alerts + 1 else t.clears <- t.clears + 1;
+            push t s
+              (notification ~push:(if alert then "alert" else "clear") ~stage:name
+                 ~tolerance:tol r.fields);
+            incr sent
+          end;
+          false)
+      !undecided;
   if !sent > 0 then flush ();
   !sent
 
-(* [a]'s degradation above [b]'s by more than 1e-6 relative (floor 1) *)
-let above (a : stage_result) (b : stage_result) =
-  a.usable && b.usable
-  && a.degradation > b.degradation +. (1e-6 *. Float.max 1. (Float.abs b.degradation))
+(* [x] above [y] by more than 1e-6 relative (floor 1); an unproved end
+   (infinite) is above nothing and nothing is above it *)
+let above x y =
+  Float.is_finite x && Float.is_finite y && x > y +. (1e-6 *. Float.max 1. (Float.abs y))
 
 let evaluate t ~witness ~bound ~fast ~deep ~flush =
   if t.subs <> [] then begin
     t.evaluations <- t.evaluations + 1;
-    let alert_on (r : stage_result) s tol =
-      if r.usable && r.exceeds tol && not s.alerting then Some Alert else None
-    in
-    (* stage 0: the replayed witness alerts before any solve starts *)
-    t.witness <- t.witness + cross t ~flush "witness" witness (alert_on witness);
-    let witnessed tol = witness.usable && witness.exceeds tol in
-    (* ... and the bound clears, before any solve, every alerting
-       subscriber it settles: no answer can exceed its tolerance *)
-    let settled tol = bound.usable && (not (bound.exceeds tol)) && not (witnessed tol) in
-    t.bound <-
-      t.bound
-      + cross t ~flush "bound" bound (fun s tol ->
-            if s.alerting && settled tol then Some Clear else None);
-    (* stage 1: fast exceeders alert immediately *)
+    let undecided = ref t.subs in
+    let ev r = (Option.value r ~default:nothing).evidence in
+    let cross name r = cross t ~flush undecided name (Option.value r ~default:nothing) in
+    (* the witness alerts and the bound clears before any solve starts *)
+    t.witness <- t.witness + cross "witness" witness;
+    t.bound <- t.bound + cross "bound" bound;
     let fast = fast () in
-    if above witness fast then t.wbad <- t.wbad + 1;
-    ignore
-      (cross t ~flush "fast" fast (fun s tol ->
-           if settled tol then None else alert_on fast s tol));
-    let early tol = settled tol || witnessed tol || fast.exceeds tol in
-    (* stage 2: anyone neither settled nor above an early stage needs
-       the deep answer, either to alert on it or to clear *)
-    let needs_deep =
-      fast.usable && List.exists (fun s -> not (early (tolerance_of t s))) t.subs
-    in
+    ignore (cross "fast" fast);
+    if above (ev witness).lo (ev fast).lo then t.wbad <- t.wbad + 1;
     let deep =
-      if needs_deep then begin
+      if Option.is_some fast && !undecided <> [] then begin
         t.deep_runs <- t.deep_runs + 1;
         let d = deep () in
-        if d.usable then
-          ignore
-            (cross t ~flush "deep" d (fun s tol ->
-                 if early tol then None
-                 else if d.exceeds tol then alert_on d s tol
-                 else if s.alerting then (* every stage below tolerance *) Some Clear
-                 else None));
-        Some d
+        ignore (cross "deep" d);
+        d
       end
       else None
     in
-    if above fast bound || Option.fold deep ~none:false ~some:(fun d -> above d bound) then
+    if above (ev fast).lo (ev bound).hi || above (ev deep).lo (ev bound).hi then
       t.bbad <- t.bbad + 1
   end
 

@@ -270,92 +270,47 @@ let now t down =
 (* ------------------------------------------------------------------ *)
 (* Push alerting                                                       *)
 
-let stage_fields t ~status ~degradation ~normalized ~scenario ~scenario_prob =
-  [
-    ("status", Json.String (status_str status));
-    ("degradation", Json.float degradation);
-    ("normalized", Json.float normalized);
-    ("scenario", scenario_json (Failure.Scenario.links scenario));
-    ("scenario_prob", Json.float scenario_prob);
-    ("events_applied", Json.Int (State.events_applied t.state));
-    ("clock", Json.float (State.clock t.state));
-  ]
-
-(* A stage that found nothing to alert on, and one that failed. *)
-let nothing = { Alerting.fields = []; exceeds = (fun _ -> false); degradation = nan; usable = true }
-let unusable = { nothing with usable = false }
-
-(* One alert stage's result; a solve that raised is an unusable stage. *)
-let stage t name ?(extra = fun _ -> []) solve =
-  match solve () with
-  | (r : Raha.Analysis.report) ->
-    {
-      Alerting.fields =
-        stage_fields t ~status:r.status ~degradation:r.degradation ~normalized:r.normalized
-          ~scenario:r.scenario ~scenario_prob:r.scenario_prob
-        @ extra r;
-      exceeds = (fun tol -> Raha.Alert.exceeds r ~tolerance:tol);
-      degradation = r.degradation;
-      usable = true;
-    }
+(* One alert stage's result: the push fields of [compute]'s answer (its
+   own, then the event count and clock, then the deep stage's summary
+   row) and the evidence of that answer; [None] when it has no answer
+   or raised, which proves nothing. *)
+let stage t ~topo name compute =
+  let fields (e : Raha.Alert.evidence) (a : Raha.Alert.answer) =
+    let point status degradation normalized scenario scenario_prob =
+      [
+        ("status", Json.String (status_str status));
+        ("degradation", Json.float degradation);
+        ("normalized", Json.float normalized);
+        ("scenario", scenario_json (Failure.Scenario.links scenario));
+        ("scenario_prob", Json.float scenario_prob);
+      ]
+    in
+    let report (r : Raha.Analysis.report) =
+      point r.status r.degradation r.normalized r.scenario r.scenario_prob
+    in
+    let clock =
+      [
+        ("events_applied", Json.Int (State.events_applied t.state));
+        ("clock", Json.float (State.clock t.state));
+      ]
+    in
+    match a with
+    | Replayed w ->
+      point Milp.Solver.Feasible w.degradation (e.lo /. e.per) w.scenario w.scenario_prob
+      @ clock
+    | Ceiling b ->
+      [ ("bound", Json.float b); ("normalized", Json.float (e.hi /. e.per)) ] @ clock
+    | Fast r -> report r @ clock
+    | Deep r -> report r @ clock @ [ ("report", Json.String (Raha.Report.summary_row r)) ]
+  in
+  match compute () with
+  | Some a ->
+    let e = Raha.Alert.evidence topo a in
+    Some { Alerting.fields = fields e a; evidence = e }
+  | None -> None
   | exception e ->
     Log.warn (fun f -> f "alert %s stage failed: %s" name (Printexc.to_string e));
-    unusable
-
-(* The witness stage: the screening candidates and the pool replayed at
-   the peak on the live engine, in a counter scope of their own; the
-   candidates for the solves that follow, and the stage. A replayed
-   scenario is a feasible point of the worst-case problem. A failed
-   overlay audit makes the stage unusable and drops the engine, so the
-   next solve prepares and screens inside its own scope, whose cert
-   verdict then shows the failure. *)
-let witness_stage t ~topo ~peak =
-  let scope = Milp.Lp_stats.scope_enter () in
-  match
-    Raha.Alert.witness ~options:t.cfg.options ?screen:(engine_for t) ~pooled:t.pool topo
-      t.cfg.paths ~peak
-  with
-  | exception e ->
-    Log.warn (fun f -> f "alert witness stage failed: %s" (Printexc.to_string e));
-    (None, unusable)
-  | candidates, best -> (
-    let report = Milp.Lp_stats.scope_exit scope in
-    if cert_of_counters report.Milp.Lp_stats.scope_counters <> "ok" then begin
-      t.engine <- None;
-      (None, unusable)
-    end
-    else
-      ( candidates,
-        match best with
-        | None -> nothing
-        | Some (w : Raha.Alert.witness) ->
-          {
-            Alerting.fields =
-              stage_fields t ~status:Milp.Solver.Feasible ~degradation:w.degradation
-                ~normalized:w.normalized ~scenario:w.scenario ~scenario_prob:w.scenario_prob;
-            exceeds = (fun tol -> Raha.Alert.witness_exceeds w ~tolerance:tol);
-            degradation = w.degradation;
-            usable = true;
-          } ))
-
-(* The bound stage: the total demand at the peak, which no stage's
-   degradation exceeds; arithmetic, so it cannot fail. *)
-let bound_stage t ~topo ~peak envelope =
-  match Raha.Alert.bound ~options:t.cfg.options topo ~peak envelope with
-  | None -> unusable
-  | Some b ->
-    {
-      Alerting.fields =
-        [
-          ("bound", Json.float b.Raha.Alert.demand);
-          ("normalized", Json.float b.Raha.Alert.ceiling);
-          ("events_applied", Json.Int (State.events_applied t.state));
-          ("clock", Json.float (State.clock t.state));
-        ];
-      exceeds = (fun tol -> not (Raha.Alert.bound_settles b ~tolerance:tol));
-      degradation = b.Raha.Alert.demand;
-      usable = true;
-    }
+    None
 
 (* The worst-case report over the live envelope, through the query
    dispatch, so later worst queries serve what it solved. Alert
@@ -369,28 +324,52 @@ let evaluate_alert ?(flush = fun () -> ()) t =
   if Alerting.subscribers t.alerting > 0 then begin
     let topo = State.current_topology t.state and envelope = State.envelope t.state in
     let peak = envelope.Traffic.Envelope.hi in
+    let stage = stage t ~topo in
     (* witness and bound stages (stage 0), before any solve: the
        candidates replayed at the observed peak, the envelope's upper
        corner, and the total demand there *)
-    let candidates, witness = witness_stage t ~topo ~peak in
-    let bound = bound_stage t ~topo ~peak envelope in
+    let candidates = ref None in
+    let witness =
+      stage "witness" (fun () ->
+          (* in a counter scope of its own; a failed overlay audit drops
+             the engine, so the next solve prepares and screens inside
+             its own scope, whose cert verdict then shows the failure *)
+          let scope = Milp.Lp_stats.scope_enter () in
+          let c, best =
+            Raha.Alert.witness ~options:t.cfg.options ?screen:(engine_for t) ~pooled:t.pool
+              topo t.cfg.paths ~peak
+          in
+          let report = Milp.Lp_stats.scope_exit scope in
+          if cert_of_counters report.Milp.Lp_stats.scope_counters <> "ok" then begin
+            t.engine <- None;
+            failwith "overlay audit failed"
+          end;
+          candidates := c;
+          Option.map (fun w -> Raha.Alert.Replayed w) best)
+    in
+    let candidates = !candidates in
+    let bound =
+      stage "bound" (fun () ->
+          Option.map
+            (fun b -> Raha.Alert.Ceiling b)
+            (Raha.Alert.bound ~options:t.cfg.options ~peak envelope))
+    in
     (* fast stage (stage 1) at the peak; on a point envelope its worst
        case is the worst query *)
     let fast () =
-      stage t "fast" (fun () ->
+      stage "fast" (fun () ->
           let r =
             Raha.Alert.fast ~options:t.cfg.options ?candidates
               ~worst:(fun options -> worst_report ?candidates ~options t)
               topo t.cfg.paths ~peak envelope
           in
           remember t r;
-          r)
+          Some (Raha.Alert.Fast r))
     in
     (* deep stage (stage 2): the worst query over the live envelope *)
     let deep () =
-      stage t "deep"
-        ~extra:(fun r -> [ ("report", Json.String (Raha.Report.summary_row r)) ])
-        (fun () -> worst_report ?candidates ~options:t.cfg.options t)
+      stage "deep" (fun () ->
+          Some (Raha.Alert.Deep (worst_report ?candidates ~options:t.cfg.options t)))
     in
     Alerting.evaluate t.alerting ~witness ~bound ~fast ~deep ~flush
   end

@@ -72,21 +72,19 @@ val witness_pool : t -> Failure.Scenario.t list
 val alerting : t -> Alerting.t
 
 (** Run {!Raha.Alert}'s pipeline over the current state and every
-    subscriber ({!Alerting.evaluate}). The witness stage is
-    {!Raha.Alert.witness} at the envelope's upper corner (the observed
-    peak) on the live screening engine, its pool the {!witness_pool};
-    the bound stage is {!Raha.Alert.bound} there (the total demand, no
-    LP). Their pushes are queued and [flush]ed before any
-    branch-and-bound solve starts. The fast stage is
-    {!Raha.Alert.fast} at the peak, its
-    worst case served like a worst query: on a point envelope it is the
-    worst query itself, on a quarter of the time budget. The deep stage
-    is the worst query over the live envelope. Both take their plunge
-    hints from the witness stage's candidates, share the query
-    invalidation policy and cache, and neither is billed to the served
-    tallies ({!tally}). No-op with no subscribers. [flush] is invoked
-    after each stage's notifications are queued. Called by {!Server}
-    after each accepted {e structural} event. *)
+    subscriber ({!Alerting.evaluate}), at the envelope's upper corner
+    (the observed peak): the witness stage on the live screening engine,
+    its pool the {!witness_pool}, and the bound stage, both queued and
+    [flush]ed before any branch-and-bound solve starts; then the fast
+    stage, whose worst case is served like a worst query (on a point
+    envelope it is the worst query itself, on a quarter of the time
+    budget), and the deep stage, the worst query over the live
+    envelope. Both take their plunge hints from the witness stage's
+    candidates, share the query invalidation policy and cache, and
+    neither is billed to the served tallies ({!tally}). No-op with no
+    subscribers. [flush] is invoked after each stage's notifications
+    are queued. Called by {!Server} after each accepted {e structural}
+    event. *)
 val evaluate_alert : ?flush:(unit -> unit) -> t -> unit
 
 (** Attach a journal: from now on every event {!handle} accepts is

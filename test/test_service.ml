@@ -907,12 +907,20 @@ let test_demand_event_invalidates () =
 
 module Al = Service.Alerting
 
-let stage ?(usable = true) v =
-  { Al.fields = [ ("v", J.float v) ]; exceeds = (fun tol -> v > tol); degradation = v; usable }
+(* A stage answer [v] and the interval it proves, normalized by 1: a
+   replayed witness or a fast answer proves a lower end only, the bound
+   an upper end only, a proved deep answer both. *)
+let proves ?(lo = neg_infinity) ?(hi = infinity) v =
+  Some { Al.fields = [ ("v", J.float v) ]; evidence = { Raha.Alert.lo; hi; per = 1. } }
 
-(* a witness stage that found no scenario, and no bound *)
-let no_witness = stage neg_infinity
-let no_bound = stage ~usable:false nan
+let lower v = proves ~lo:v v
+let upper v = proves ~hi:v v
+let both v = proves ~lo:v ~hi:v v
+
+(* a witness stage that found no scenario, no bound, a failed stage *)
+let no_witness = None
+let no_bound = None
+let failed = None
 
 let drain_sub al ~id =
   let rec go acc =
@@ -935,11 +943,11 @@ let test_alerting_crossings () =
   let deep_calls = ref 0 in
   let deep v () =
     incr deep_calls;
-    stage v
+    both v
   in
   let no_deep () = Alcotest.fail "deep stage must not run" in
   (* everyone's fast stage exceeds: both alert on fast, deep never runs *)
-  Al.evaluate al ~witness:no_witness ~bound:no_bound ~fast:(fun () -> stage 3.0) ~deep:no_deep ~flush:(fun () -> ());
+  Al.evaluate al ~witness:no_witness ~bound:no_bound ~fast:(fun () -> lower 3.0) ~deep:no_deep ~flush:(fun () -> ());
   Alcotest.(check (list (pair string string))) "sub 1 fast alert"
     [ ("alert", "fast") ]
     (List.map push_of (drain_sub al ~id:1));
@@ -947,16 +955,16 @@ let test_alerting_crossings () =
     [ ("alert", "fast") ]
     (List.map push_of (drain_sub al ~id:2));
   (* same result again: no re-notification while alerting *)
-  Al.evaluate al ~witness:no_witness ~bound:no_bound ~fast:(fun () -> stage 3.0) ~deep:no_deep ~flush:(fun () -> ());
+  Al.evaluate al ~witness:no_witness ~bound:no_bound ~fast:(fun () -> lower 3.0) ~deep:no_deep ~flush:(fun () -> ());
   check_int "no repeat for sub 1" 0 (List.length (drain_sub al ~id:1));
   (* fast drops below sub 2's tolerance but deep still exceeds it: sub 2
      stays alerting silently; sub 1 (alerting, fast 1.0 > 0.5) too *)
-  Al.evaluate al ~witness:no_witness ~bound:no_bound ~fast:(fun () -> stage 1.0) ~deep:(deep 2.5) ~flush:(fun () -> ());
+  Al.evaluate al ~witness:no_witness ~bound:no_bound ~fast:(fun () -> lower 1.0) ~deep:(deep 2.5) ~flush:(fun () -> ());
   check_int "deep ran once" 1 !deep_calls;
   check_int "sub 1 silent" 0 (List.length (drain_sub al ~id:1));
   check_int "sub 2 silent" 0 (List.length (drain_sub al ~id:2));
   (* both stages quiet: both clear *)
-  Al.evaluate al ~witness:no_witness ~bound:no_bound ~fast:(fun () -> stage 0.1) ~deep:(deep 0.2) ~flush:(fun () -> ());
+  Al.evaluate al ~witness:no_witness ~bound:no_bound ~fast:(fun () -> lower 0.1) ~deep:(deep 0.2) ~flush:(fun () -> ());
   Alcotest.(check (list (pair string string))) "sub 1 clears"
     [ ("clear", "deep") ]
     (List.map push_of (drain_sub al ~id:1));
@@ -964,13 +972,13 @@ let test_alerting_crossings () =
     [ ("clear", "deep") ]
     (List.map push_of (drain_sub al ~id:2));
   (* quiet -> deep-stage alert for the sensitive subscriber only *)
-  Al.evaluate al ~witness:no_witness ~bound:no_bound ~fast:(fun () -> stage 0.3) ~deep:(deep 1.0) ~flush:(fun () -> ());
+  Al.evaluate al ~witness:no_witness ~bound:no_bound ~fast:(fun () -> lower 0.3) ~deep:(deep 1.0) ~flush:(fun () -> ());
   Alcotest.(check (list (pair string string))) "sub 1 deep alert"
     [ ("alert", "deep") ]
     (List.map push_of (drain_sub al ~id:1));
   check_int "sub 2 stays quiet" 0 (List.length (drain_sub al ~id:2));
   (* an unusable stage freezes state: no spurious clear on solver failure *)
-  Al.evaluate al ~witness:no_witness ~bound:no_bound ~fast:(fun () -> stage ~usable:false 0.) ~deep:no_deep
+  Al.evaluate al ~witness:no_witness ~bound:no_bound ~fast:(fun () -> failed) ~deep:no_deep
     ~flush:(fun () -> ());
   check_int "unusable fast: silent" 0 (List.length (drain_sub al ~id:1));
   let s = Al.stats al in
@@ -989,21 +997,21 @@ let test_alerting_bound () =
   Al.subscribe al ~id:2 ~tolerance:(Some 2.0);
   let flush () = () in
   let no_deep () = Alcotest.fail "deep stage must not run" in
-  Al.evaluate al ~witness:no_witness ~bound:no_bound ~fast:(fun () -> stage 3.0) ~deep:no_deep ~flush;
+  Al.evaluate al ~witness:no_witness ~bound:no_bound ~fast:(fun () -> lower 3.0) ~deep:no_deep ~flush;
   check_int "both alerted" 2 (List.length (drain_sub al ~id:1 @ drain_sub al ~id:2));
   (* bound 1.5 settles sub 2 only: its clear is on the wire before the
      fast stage starts; sub 1 still needs the deep stage *)
   let flushed = ref [] in
   let flush () = flushed := !flushed @ List.map push_of (drain_sub al ~id:2) in
   let deep_calls = ref 0 in
-  Al.evaluate al ~witness:no_witness ~bound:(stage 1.5)
+  Al.evaluate al ~witness:no_witness ~bound:(upper 1.5)
     ~fast:(fun () ->
       Alcotest.(check (list (pair string string))) "bound clear flushed before the fast stage"
         [ ("clear", "bound") ] !flushed;
-      stage 0.2)
+      lower 0.2)
     ~deep:(fun () ->
       incr deep_calls;
-      stage 0.3)
+      both 0.3)
     ~flush;
   check_int "the deep stage ran for sub 1" 1 !deep_calls;
   Alcotest.(check (list (pair string string))) "sub 1 clears on the deep stage"
@@ -1012,11 +1020,11 @@ let test_alerting_bound () =
   (* a bound at or below every tolerance settles everyone: no deep
      stage, and a fast answer above the bound (rounding) alerts no one
      but counts in bbad *)
-  Al.evaluate al ~witness:no_witness ~bound:(stage 0.5) ~fast:(fun () -> stage 0.7) ~deep:no_deep
+  Al.evaluate al ~witness:no_witness ~bound:(upper 0.5) ~fast:(fun () -> lower 0.7) ~deep:no_deep
     ~flush:(fun () -> ());
   check_int "settled: silent" 0 (List.length (drain_sub al ~id:1 @ drain_sub al ~id:2));
   (* a witness above sub 2's tolerance overrides a (lower) bound *)
-  Al.evaluate al ~witness:(stage 2.5) ~bound:(stage 0.5) ~fast:(fun () -> stage 2.5)
+  Al.evaluate al ~witness:(lower 2.5) ~bound:(upper 0.5) ~fast:(fun () -> lower 2.5)
     ~deep:no_deep ~flush:(fun () -> ());
   Alcotest.(check (list (pair string string))) "sub 2: witness alert"
     [ ("alert", "witness") ] (List.map push_of (drain_sub al ~id:2));
@@ -1027,6 +1035,30 @@ let test_alerting_bound () =
   check_int "one from the bound" 1 s.Al.bound;
   check_int "two answers above the bound" 2 s.Al.bbad;
   check_int "one deep stage" 1 s.Al.deep_runs
+
+(* Only a proved deep answer clears: an unproven one (a lower end only,
+   as a budget-stopped solve proves) below the tolerance leaves the
+   subscriber open, so it stays alerting and gets nothing; the deep
+   stage still ran. A proved answer at the same value then clears. *)
+let test_alerting_unproven_deep () =
+  let al = Al.create ~tolerance:0.5 () in
+  Al.subscribe al ~id:1 ~tolerance:None;
+  let flush () = () in
+  Al.evaluate al ~witness:no_witness ~bound:no_bound ~fast:(fun () -> lower 3.0)
+    ~deep:(fun () -> Alcotest.fail "deep stage must not run") ~flush;
+  Alcotest.(check (list (pair string string))) "fast alert"
+    [ ("alert", "fast") ] (List.map push_of (drain_sub al ~id:1));
+  Al.evaluate al ~witness:no_witness ~bound:no_bound ~fast:(fun () -> lower 0.1)
+    ~deep:(fun () -> lower 0.2) ~flush;
+  check_int "unproven deep: nothing sent" 0 (List.length (drain_sub al ~id:1));
+  let s = Al.stats al in
+  check_int "the deep stage ran" 1 s.Al.deep_runs;
+  check_int "no clear" 0 s.Al.clears;
+  Al.evaluate al ~witness:no_witness ~bound:no_bound ~fast:(fun () -> lower 0.1)
+    ~deep:(fun () -> both 0.2) ~flush;
+  Alcotest.(check (list (pair string string))) "still alerting: a proved answer clears"
+    [ ("clear", "deep") ] (List.map push_of (drain_sub al ~id:1));
+  check_int "two deep stages" 2 (Al.stats al).Al.deep_runs
 
 let test_alerting_backpressure () =
   let al = Al.create ~queue_cap:3 ~tolerance:0.5 () in
@@ -1431,7 +1463,7 @@ let test_wire_format_pin () =
   Alcotest.(check (list string)) "variable envelope: worst provenances"
     [ "cold"; "cached"; "warm"; "warm"; "warm"; "warm"; "warm"; "cached"; "cold"; "cached" ]
     v_prov;
-  check_str "wire digest" "668394261a842ad01e13cbb8baee4301" (Digest.to_hex (Digest.string (p_out ^ v_out)))
+  check_str "wire digest" "2036d3ba0185939f6cfa1496538c0afb" (Digest.to_hex (Digest.string (p_out ^ v_out)))
 
 (* --- framing regressions ------------------------------------------------ *)
 
@@ -1635,5 +1667,6 @@ let suite =
     ("framing oversized line", `Quick, test_framing_oversized_line);
     ("framing events and now in one write", `Quick, test_framing_events_and_now_in_one_write);
     ("alerting: the bound settles", `Quick, test_alerting_bound);
+    ("alerting: an unproven deep answer never clears", `Quick, test_alerting_unproven_deep);
     ("bound clear before the MILP", `Quick, test_bound_clear_before_milp);
   ]
