@@ -10,9 +10,9 @@ type ctx = {
   full : bool;
   quick : bool;  (** trimmed grids for smoke runs *)
   domains : int;
-      (** OCaml domains for the scenario-sweep experiments and the MILP
-          core (parallel branch-and-bound rounds, concurrent cluster
-          blocks); results are bit-identical for any value *)
+      (** OCaml domains for the grid experiments' cells and the
+          concurrent blocks of a clustered analysis; results are
+          bit-identical for any value *)
 }
 
 let default_ctx = { budget = 10.; full = false; quick = false; domains = 1 }
@@ -111,17 +111,11 @@ let k_str = function Some k -> string_of_int k | None -> "inf"
    Every run sits inside a counter scope and prints a table row (with
    its wall time) and a [counters:] line carrying the fields the
    experiment names — deterministic quantities only, so CI runs the
-   experiments twice and diffs the lines. An arm runs sequentially
-   unless it asks for a pool; a pooled arm runs at ctx.domains. Either
-   way the scope sees all the work of the run, since the pool credits
-   what its worker domains count back to the calling domain. *)
-
-let counter_hooks =
-  Milp.Solver.stats_counters @ [ ("bb-rounds", Milp.Branch_bound.cumulative_rounds) ]
+   experiments twice and diffs the lines. *)
 
 (* [scoped f]: [f ()], the calling domain's counter deltas, wall time *)
 let scoped f =
-  let scope = Milp.Lp_stats.scope_enter ~hooks:counter_hooks () in
+  let scope = Milp.Lp_stats.scope_enter () in
   let t0 = Unix.gettimeofday () in
   let x = f () in
   let wall = Unix.gettimeofday () -. t0 in
@@ -136,7 +130,7 @@ let counter_fields =
     ("eta", "eta-updates"); ("gen", "cuts-generated"); ("app", "cuts-applied");
     ("aud", "cut-audit-failures"); ("sb", "sb-probes"); ("pcu", "pseudocost-updates");
     ("hs", "heuristic-solutions"); ("hr", "heuristic-rejections");
-    ("refuted", "hint-refutes"); ("rounds", "bb-rounds");
+    ("refuted", "hint-refutes");
     ("bwarm", "batch-warm-hits"); ("overlays", "batch-overlays");
     ("prepares", "batch-prepares");
   ]
@@ -155,12 +149,6 @@ let report_fields (r : Raha.Analysis.report) =
     ("nodes", string_of_int r.Raha.Analysis.nodes); ("cert", cert_str r);
   ]
 
-(* what the domains 1 vs N gate diffs: degradation and bound bits,
-   result nodes, pivots, warm starts, rounds, certificate and its check
-   counts, cut audits *)
-let identity_fields =
-  [ "deg"; "bound"; "nodes"; "pivots"; "warm"; "rounds"; "cert"; "certify"; "aud" ]
-
 let print_header fields =
   row "%-14s %-10s %-8s%s@." "cell" "arm" "time(s)"
     (String.concat "" (List.map (Printf.sprintf " %-9s") fields))
@@ -176,13 +164,9 @@ let print_run ?(budget_hit = false) ~id ~cell ~arm ~fields ~wall values =
     (if budget_hit then "budget-limited"
      else String.concat " " (List.map (fun (f, v) -> f ^ "=" ^ v) picked))
 
-type arm = {
-  arm : string;
-  set : Raha.Analysis.options -> Raha.Analysis.options;
-  pooled : bool;  (** run on a ctx.domains-wide pool *)
-}
+type arm = { arm : string; set : Raha.Analysis.options -> Raha.Analysis.options }
 
-let arm ?(pooled = false) arm set = { arm; set; pooled }
+let arm arm set = { arm; set }
 
 (* Run every arm on every (name, spec, topo, paths, envelope) cell;
    returns, per cell, each arm's report and counter deltas. *)
@@ -193,18 +177,9 @@ let ablate ctx ~id ~fields cells arms =
       ( name,
         List.map
           (fun a ->
-            let domains = if a.pooled then ctx.domains else 1 in
-            let options = a.set { (options ctx sp) with Raha.Analysis.domains } in
-            let solve pool =
-              scoped (fun () -> Raha.Analysis.analyze ?pool ~options topo paths env)
-            in
+            let options = a.set (options ctx sp) in
             let r, counts, wall =
-              if domains <= 1 then solve None
-              else
-                Parallel.Pool.with_pool ~domains (fun pool ->
-                    let run = solve (Some pool) in
-                    row "%a@." Parallel.Pool.pp_stats (Parallel.Pool.stats pool);
-                    run)
+              scoped (fun () -> Raha.Analysis.analyze ~options topo paths env)
             in
             print_run ~id ~cell:name ~arm:a.arm ~fields ~wall
               ~budget_hit:(r.Raha.Analysis.elapsed >= options.Raha.Analysis.time_limit)
@@ -221,25 +196,6 @@ let total ?(keep = fun _ -> true) runs k =
         (fun acc (a, (_, counts)) -> if keep a then acc + count counts k else acc)
         acc arms)
     0 runs
-
-(* Per cell, whether its two arms agree bit for bit on everything a
-   pooled run must not change. *)
-let print_identity ~id runs =
-  List.iter
-    (fun (name, arms) ->
-      match arms with
-      | [ (_, (a, ca)); (_, (b, cb)) ] ->
-        let identical =
-          Int64.bits_of_float a.Raha.Analysis.degradation
-          = Int64.bits_of_float b.Raha.Analysis.degradation
-          && bound_bits a = bound_bits b
-          && a.Raha.Analysis.nodes = b.Raha.Analysis.nodes
-          && count ca "bb-rounds" = count cb "bb-rounds"
-          && Failure.Scenario.equal a.Raha.Analysis.scenario b.Raha.Analysis.scenario
-        in
-        row "counters: %s | %s | identical=%b@." id name identical
-      | _ -> invalid_arg "print_identity: two arms per cell")
-    runs
 
 (* The solver experiments' cells: the §2.1 worked example under both
    encodings and the africa-like WAN. *)

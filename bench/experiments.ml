@@ -677,18 +677,10 @@ let montecarlo ctx =
   let peak = Traffic.Demand.scale 1.3 (base_demand pairs) in
   let samples = if ctx.quick then 2000 else 20_000 in
   let avg_cap = Wan.Topology.avg_lag_capacity topo in
-  let degs, scens, oracle =
-    Parallel.Pool.with_pool ~domains:ctx.domains (fun pool ->
-        let degs, scens =
-          Te.Monte_carlo.sample_degradations ~pool ~seed:1 ~samples topo paths peak
-        in
-        (* brute-force enumeration to k=2 on the same pool: the oracle
-           the sampled tail is compared against *)
-        let oracle = Raha.Baselines.enumerate_failures ~pool ~k:2 topo paths peak in
-        if ctx.domains > 1 then
-          row "%a@." Parallel.Pool.pp_stats (Parallel.Pool.stats pool);
-        (degs, scens, oracle))
-  in
+  let degs, scens = Te.Monte_carlo.sample_degradations ~seed:1 ~samples topo paths peak in
+  (* brute-force enumeration to k=2: the oracle the sampled tail is
+     compared against *)
+  let oracle = Raha.Baselines.enumerate_failures ~k:2 topo paths peak in
   let s = Te.Monte_carlo.summarize degs scens in
   row "monte carlo (%d samples): mean %.3f p99 %.3f max %.3f (normalized)@."
     s.Te.Monte_carlo.samples
@@ -765,49 +757,6 @@ let batch_bench ctx =
     (if ctx.quick then [ 1 ] else [ 1; 2 ]);
   row
     "(bwarm counts warm dual overlay solves, certify the Batch.check audits —      failures must be 0)@."
-
-(* ----------------------------------------------------------- bb-parallel *)
-
-(* Parallel rounds engage on these small trees at this width and grain. *)
-let small_rounds o = { o with Raha.Analysis.bb_width = 2; bb_grain = 4 }
-
-(* Parallel branch-and-bound (DESIGN.md §14): bilevel cells solved twice
-   — sequentially (no pool, rounds run inline) and on a ctx.domains
-   pool — with a tiny round width/grain so the parallel scheduler
-   engages. Both arms print only schedule-independent fields, so CI runs
-   the experiment at --domains 1 and --domains 4 and diffs the lines;
-   the per-cell [identical=] flag also compares the two arms of one run
-   bit for bit. The cells cover every solver cell (fig1 k=1 is
-   fig1 / sd:5): pseudocost tables are frozen during parallel rounds
-   and merged in frontier order, so reliability branching must give
-   identical=true at any pool width. Wall-clock and the pool's
-   busy/wall overlap are plain rows (not diffed), recorded in
-   BENCH_bb_parallel.json. *)
-let bb_parallel ctx =
-  section ctx ~id:"bb-parallel"
-    ~paper:"parallel branch-and-bound: subtree rounds, shared incumbent (DESIGN.md §14)"
-    ~config:"fig1 + africa-like bilevel cells, bb_width=2 bb_grain=4, domains 1 vs N";
-  let cells = solver_cells () in
-  let named name (_, sp, topo, paths, env) = (name, sp, topo, paths, env) in
-  let _, sp5, f1, f1_paths, f1_env = List.hd cells in
-  let topo, pairs = wan_small () in
-  let runs =
-    ablate ctx ~id:"bb-parallel" ~fields:identity_fields
-      [
-        ("fig1 k=1", sp5, f1, f1_paths, f1_env);
-        ("fig1 k=2", { sp5 with Raha.Bilevel.max_failures = Some 2 }, f1, f1_paths, f1_env);
-        ("africa", spec ~threshold:1e-4 ~max_failures:2 (), topo, paths_of topo pairs,
-         Traffic.Envelope.from_zero ~slack:0.2 (base_demand pairs));
-        named "fig1 kkt" (List.nth cells 1);
-        List.nth cells 2;
-      ]
-      [ arm "dom=1" small_rounds; arm ~pooled:true "dom=N" small_rounds ]
-  in
-  print_identity ~id:"bb-parallel" runs;
-  let rounds = total ~keep:(( = ) "dom=N") runs "bb-rounds" in
-  row "counters: bb-parallel | total | rounds=%d engaged=%b@." rounds (rounds > 0);
-  row
-    "(both arms run the same round scheduler — it engages on frontier width, the      pool only moves where subtrees solve — so every line above must be identical      at --domains 1 and --domains 4, and aud must be 0)@."
 
 (* ---------------------------------------------------------------- service *)
 
@@ -1207,7 +1156,6 @@ let all : (string * string * (ctx -> unit)) list =
     ("solver", "solver layers: defaults vs no cuts, dense tableau, most-fractional", solver_bench);
     ("montecarlo", "Monte Carlo sampling vs Raha's worst case (§1)", montecarlo);
     ("batch", "batched scenario engine (overlay + warm) vs the Simulate oracle", batch_bench);
-    ("bb-parallel", "parallel branch-and-bound rounds, domains 1 vs N", bb_parallel);
     ("service", "always-on service vs cold-solve-per-query replay", service_bench);
     ("alerting", "push alerting: crossings, deep-solve sharing, backpressure", alerting_bench);
     ("ffc", "FFC-protected network still degrades beyond k (§2.2)", ffc);

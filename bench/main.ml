@@ -8,11 +8,11 @@
      dune exec bench/main.exe -- --quick      trimmed grids (smoke run)
      dune exec bench/main.exe -- --full       larger topologies and budgets
      dune exec bench/main.exe -- --budget 30  per-solve budget (seconds)
-     dune exec bench/main.exe -- --domains 4  parallelism of the sweeps and the MILP core
+     dune exec bench/main.exe -- --domains 4  domains for grid cells and cluster waves
      dune exec bench/main.exe -- --skip-micro skip the Bechamel timings
 
    These seven options are the whole interface. Solver layers have no
-   flags: each on/off experiment (solver, bb-parallel, ablation) runs
+   flags: each on/off experiment (solver, ablation) runs
    its arms as overrides of the one Raha.Analysis.options record
    (README, "Solver options"). *)
 
@@ -27,7 +27,7 @@ let () =
       ("--only", Arg.String (fun s -> only := String.split_on_char ',' s), "IDS comma-separated ids");
       ("--budget", Arg.Set_float budget, "SECONDS per-solve budget (default 10)");
       ("--domains", Arg.Set_int domains,
-       "N OCaml domains for the scenario sweeps and the MILP core (default: all cores; 1 = sequential; results bit-identical either way)");
+       "N OCaml domains for the grid experiments' cells and the blocks of a cluster wave (default: all cores; 1 = sequential; results bit-identical either way)");
       ("--quick", Arg.Set quick, " trimmed grids");
       ("--full", Arg.Set full, " larger topologies and budgets");
       ("--skip-micro", Arg.Set skip_micro, " skip the Bechamel micro-benchmarks");

@@ -165,7 +165,7 @@ let domains_arg =
     & opt int (Domain.recommended_domain_count ())
     & info [ "domains" ]
         ~doc:
-          "OCaml domains used for scenario-evaluation sweeps and the MILP core               (parallel branch-and-bound subtree rounds, concurrent cluster-block               waves). Default: all cores; $(b,1) forces the sequential path —               results are bit-identical either way.")
+          "OCaml domains on which $(b,--clusters) solves the blocks of one wave               concurrently; every other solve runs on one domain. Default: all               cores; $(b,1) forces the sequential path — results are               bit-identical either way.")
 
 let clusters_arg =
   Arg.(value & opt int 1 & info [ "clusters" ] ~doc:"Clusters for Algorithm 1 (1 = off).")

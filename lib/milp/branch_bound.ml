@@ -17,7 +17,7 @@ type options = {
   engine : Simplex.engine;
   sx_iters : int option;
   cuts : Cuts.options;
-  pool : Parallel.Pool.t option;
+  pool : unit option;
   par_width : int;
   par_grain : int;
   branching : branching;
@@ -41,8 +41,8 @@ let default =
     sx_iters = None;
     cuts = Cuts.default;
     pool = None;
-    par_width = 32;
-    par_grain = 64;
+    par_width = 0;
+    par_grain = 0;
     branching = Reliability;
     heuristics = true;
     rins_freq = 200;
@@ -51,9 +51,7 @@ let default =
 
 type outcome = Optimal | Feasible | No_incumbent | Infeasible | Unbounded
 
-(* owner-domain only, so not a registered counter *)
-let rounds_key = Domain.DLS.new_key (fun () -> ref 0)
-let cumulative_rounds () = !(Domain.DLS.get rounds_key)
+let cumulative_rounds () = 0
 
 (* --- pseudocost / reliability branching -------------------------------- *)
 
@@ -72,10 +70,6 @@ type pc = {
 let pc_create n =
   { dn_sum = Array.make n 0.; dn_cnt = Array.make n 0;
     up_sum = Array.make n 0.; up_cnt = Array.make n 0 }
-
-let pc_copy pc =
-  { dn_sum = Array.copy pc.dn_sum; dn_cnt = Array.copy pc.dn_cnt;
-    up_sum = Array.copy pc.up_sum; up_cnt = Array.copy pc.up_cnt }
 
 let pc_update pc pos ~up g =
   if up then begin
@@ -176,7 +170,6 @@ type stats = {
   nodes : int;
   simplex_iters : int;
   elapsed : float;
-  rounds : int;
   dropped : int;
   dropped_key : float;
 }
@@ -275,8 +268,6 @@ module Heap = struct
   let best_key h = if h.len = 0 then None else Some h.a.(0).key
 end
 
-(* --- node expansion, shared by the owner's step and the round tasks --- *)
-
 (* Gap test against the incumbent objective [best], which is
    [neg_infinity] exactly while no incumbent exists. *)
 let within_gap options ~best k =
@@ -292,16 +283,11 @@ let within_gap options ~best k =
 let lift_warm node prep = Option.bind node.pbasis (fun b -> Simplex.extend_basis b prep)
 
 (* Pseudocost observation: a child's own LP measures the true bound
-   degradation of its parent's branching decision. The observation
-   (position, direction, gain per unit of fractional distance) is
-   returned so a round task can log it for the barrier merge. *)
+   degradation of its parent's branching decision. *)
 let observe_child pc ~ipos ~osign ~int_tol node obj =
-  let pos = ipos.(node.bvar) in
   let g = Float.max 0. (node.parent_bound -. (osign *. obj)) in
-  let gpf = g /. Float.max node.bfrac int_tol in
-  pc_update pc pos ~up:node.bup gpf;
-  Lp_stats.incr Lp_stats.pseudocost_updates;
-  (pos, node.bup, gpf)
+  pc_update pc ipos.(node.bvar) ~up:node.bup (g /. Float.max node.bfrac int_tol);
+  Lp_stats.incr Lp_stats.pseudocost_updates
 
 (* Push [node]'s two children branching on [id], whose LP value in
    [values] is fractional. [gd]/[gu] are strong-branching gains of the
@@ -311,7 +297,7 @@ let observe_child pc ~ipos ~osign ~int_tol node obj =
    and an infinite gain (probe-infeasible child) skips the push. The
    child toward the rounded value goes first (heap tiebreak on depth
    dives there). *)
-let push_children push node ~bound ~fbasis id values (gd, gu) =
+let push_children heap node ~bound ~fbasis id values (gd, gu) =
   let x = values.(id) in
   let fl = Float.floor x and ce = Float.ceil x in
   let child up =
@@ -321,7 +307,7 @@ let push_children push node ~bound ~fbasis id values (gd, gu) =
     let key = if Float.is_nan g then bound else bound -. g in
     let depth = node.depth + 1 in
     if nlb.(id) <= nub.(id) +. 1e-12 && key > neg_infinity then
-      push
+      Heap.push heap
         {
           Heap.key;
           depth;
@@ -344,46 +330,9 @@ let push_children push node ~bound ~fbasis id values (gd, gu) =
    count, and the tightest parent bound over them. *)
 type drops = { mutable dcount : int; mutable dkey : float }
 
-let drop ?(n = 1) d key =
-  d.dcount <- d.dcount + n;
+let drop d key =
+  d.dcount <- d.dcount + 1;
   if key > d.dkey then d.dkey <- key
-
-(* --- shared incumbent for concurrent subtree solves -------------------- *)
-
-(* An incumbent candidate offered by a subtree task. [iorigin] is the
-   task's frontier index — the canonical ordinal of the subtree in the
-   round's deterministic pop order. Candidates are totally ordered:
-   higher objective wins, ties go to the smaller origin (the subtree the
-   sequential algorithm would have reached first). The final cell value
-   is the maximum under that order, independent of CAS interleaving, so
-   the merged incumbent is bit-identical across domain counts. *)
-type inc_cand = { iobj : float; iorigin : int; ivalues : float array }
-
-(* Monotone CAS publish: retry until [cand] is installed or provably not
-   better than the current value under the total order. *)
-let rec offer_incumbent cell cand =
-  let cur = Atomic.get cell in
-  let better =
-    match cur with
-    | None -> true
-    | Some c ->
-      cand.iobj > c.iobj || (cand.iobj = c.iobj && cand.iorigin < c.iorigin)
-  in
-  if better && not (Atomic.compare_and_set cell cur (Some cand)) then
-    offer_incumbent cell cand
-
-(* What a subtree task hands back at the round barrier. [tr_left] holds
-   the open nodes the task did not process (grain budget or task-local
-   gap stop), in the task's canonical best-first order. *)
-type task_result = {
-  tr_nodes : int;
-  tr_drops : drops;
-  tr_left : Heap.elt list;
-  tr_pc : (int * bool * float) list;
-      (* pseudocost observations (position, direction, gain-per-frac) in
-         the task's generation order, merged into the master table at
-         the barrier in frontier index order *)
-}
 
 let solve ?(options = default) model =
   let t0 = Unix.gettimeofday () in
@@ -424,17 +373,15 @@ let solve ?(options = default) model =
       prep := Simplex.prepare xm;
       xrows := rows_of xm
   in
-  (* [keep_factor]: bases extracted here are shared across child nodes —
-     and, in parallel rounds, across concurrently solved subtrees — so
-     publish the snapshot eagerly. Taking it costs no factorization,
-     every warm start reinstates it without one, and the factorization
-     counter stays schedule-independent. *)
+  (* [keep_factor]: bases extracted here are shared across child nodes,
+     so publish the snapshot eagerly. Taking it costs no factorization,
+     and every warm start reinstates it without one. *)
   let solve_lp ?warm prep ~lb ~ub =
     Simplex.solve_prepared ~engine:options.engine ?max_iters:options.sx_iters
       ?warm ~keep_factor:true ~lb ~ub prep
   in
-  let node_lp prep node =
-    solve_lp ?warm:(lift_warm node prep) prep ~lb:node.nlb ~ub:node.nub
+  let node_lp node =
+    solve_lp ?warm:(lift_warm node !prep) !prep ~lb:node.nlb ~ub:node.nub
   in
   (* Nodes whose LP hit the iteration budget are dropped from the search,
      but their subtree is unexplored: remember the tightest parent bound
@@ -561,10 +508,10 @@ let solve ?(options = default) model =
     branch_candidates ~int_tol:options.int_tol ~priority:options.branch_priority
       int_ids values
   in
-  (* The branching rule, shared by the owner and the round tasks: [None]
-     when [values] is integral, else the branching variable and its
-     children's strong-branching gains ([nan] = not probed). *)
-  let select pc ?gains cands values =
+  (* The branching rule: [None] when [values] is integral, else the
+     branching variable and its children's strong-branching gains
+     ([nan] = not probed). *)
+  let select ?gains cands values =
     if not reliability then
       Option.map (fun id -> (id, (nan, nan))) (most_fractional cands values)
     else
@@ -573,12 +520,12 @@ let solve ?(options = default) model =
           (cands.(k), match gains with Some g -> g.(k) | None -> (nan, nan)))
         (pc_select pc ~ipos ?gains cands values)
   in
-  (* Reliability branching, owner-side: strong-branching probes
+  (* Reliability branching: strong-branching probes
      initialize the pseudocosts of unreliable candidates (most
      fractional first, a bounded number per node); [select] then scores
      every candidate under the product rule. Probes are ordinary
      dual-warm LP solves against the current prepared LP, so their
-     iterations land in the owner's deterministic meter. *)
+     iterations land in the solve's deterministic meter. *)
   let strong_branch ~nlb ~nub ~fbasis ~bound cands values =
     let gains = Array.make (Array.length cands) (nan, nan) in
     let order = Array.init (Array.length cands) Fun.id in
@@ -620,7 +567,7 @@ let solve ?(options = default) model =
       order;
     gains
   in
-  (* Heuristic schedule, owner-side: dive at the root, periodically
+  (* Heuristic schedule: dive at the root, periodically
      until an incumbent exists and occasionally after (the original
      plunge cadence); the feasibility pump backs the dive up while no
      incumbent exists; RINS explores the incumbent/relaxation
@@ -690,19 +637,15 @@ let solve ?(options = default) model =
   Heap.push heap { key = infinity; depth = 0; node = root };
   let status = ref `Running in
   let time_up () = Unix.gettimeofday () -. t0 > options.time_limit in
-  (* Loop head of both the sequential step and the round scheduler: true,
-     with [status] set, when the search stops before the node(s) at
+  (* True, with [status] set, when the search stops before the node at
      [key]. *)
   let stop_at key =
     if within_gap options ~best:!incumbent_obj key then (status := `Gap_closed; true)
     else if !nodes >= options.max_nodes || time_up () then (status := `Limit; true)
     else false
   in
-  (* One legacy best-first node step: pop, solve, separate, branch. This
-     is the exact sequential algorithm; it also serves as the ramp-up
-     and narrow-frontier path of the parallel scheduler below, so small
-     trees behave exactly as before. *)
-  let sequential_step () =
+  (* One best-first node step: pop, solve, separate, branch. *)
+  let step () =
     match Heap.pop heap with
     | None -> status := `Exhausted
     | Some ({ key = parent_key; node; _ } as elt) ->
@@ -712,7 +655,7 @@ let solve ?(options = default) model =
       else begin
         incr nodes;
         Lp_stats.incr Lp_stats.bb_nodes;
-        match node_lp !prep node with
+        match node_lp node with
         | Simplex.Infeasible, _ -> ()
         | Simplex.Iter_limit, _ ->
           (* Unresolved node: re-queueing would loop, so the node is
@@ -725,7 +668,7 @@ let solve ?(options = default) model =
           if node.depth = 0 && !incumbent = None then status := `Unbounded_root
         | Simplex.Optimal { obj; values }, fbasis ->
           if reliability && node.bvar >= 0 then
-            ignore (observe_child pc ~ipos ~osign ~int_tol:options.int_tol node obj);
+            observe_child pc ~ipos ~osign ~int_tol:options.int_tol node obj;
           if osign *. obj <= !incumbent_obj +. options.abs_gap then () (* pruned *)
           else begin
             match separate node obj values fbasis with
@@ -752,153 +695,18 @@ let solve ?(options = default) model =
                          values)
                   else None
                 in
-                match select pc ?gains cands values with
+                match select ?gains cands values with
                 | None -> consider_incumbent values bound
                 | Some (id, g) ->
                   run_heuristics ~fbasis ~values ~nlb:node.nlb ~nub:node.nub;
                   if bound > !incumbent_obj +. options.abs_gap then
-                    push_children (Heap.push heap) node ~bound ~fbasis id values g
+                    push_children heap node ~bound ~fbasis id values g
               end
           end
       end
   in
-  (* --- parallel rounds --------------------------------------------------
-     When the frontier is wide enough, a round drains the heap in
-     canonical pop order into an array of subtree tasks. Each task is a
-     pure function of (its root node, the round-start incumbent, the
-     frozen LP): it explores its subtree best-first up to
-     [par_grain] nodes with the same pruning rule, publishing incumbent
-     candidates to a shared cell (monotone CAS under a total order) but
-     never reading it mid-round. At the barrier, results merge in
-     frontier index order — node counts, dropped-subtree accounting and
-     the adopted incumbent are therefore bit-identical whether the tasks
-     ran inline, on 2 domains or on 8. Cut separation runs only at the
-     root, always a sequential step; plunging and the incumbent audit
-     stay owner-side (sequential steps and barriers), so the pool,
-     [prep] and the incumbent refs are never touched concurrently. *)
-  let par_width = max 2 options.par_width in
-  let par_grain = max 1 options.par_grain in
-  let rounds = ref 0 in
-  let parallel_round () =
-    match Heap.best_key heap with
-    | None -> status := `Exhausted
-    | Some top_key ->
-      if not (stop_at top_key) then begin
-        incr rounds;
-        incr (Domain.DLS.get rounds_key);
-        (* bound the round by the remaining node budget so [max_nodes]
-           cannot be overshot by more than one round's grain *)
-        let budget_tasks =
-          let remaining = options.max_nodes - !nodes in
-          max 1 ((remaining + par_grain - 1) / par_grain)
-        in
-        let ntasks = min heap.Heap.len (min (4 * par_width) budget_tasks) in
-        let frontier = Array.make ntasks Heap.dummy in
-        for i = 0 to ntasks - 1 do
-          match Heap.pop heap with
-          | Some e -> frontier.(i) <- e
-          | None -> assert false
-        done;
-        (* freeze the LP for the round: tasks solve against [prep0]
-           read-only *)
-        let prep0 = !prep in
-        let inc0_obj = !incumbent_obj in
-        let cell = Atomic.make None in
-        let task i (elt : Heap.elt) =
-          let lheap = Heap.create () in
-          Heap.push lheap elt;
-          (* Pseudocost state is frozen for the round like the cut pool:
-             each task branches on a private copy of the table extended
-             by its own observations only, and hands the observation log
-             back for a deterministic frontier-order merge. The master
-             table is read-only until the barrier, so the copies are
-             identical whether tasks run inline or on any pool width. *)
-          let lpc = if reliability then pc_copy pc else pc in
-          let tpc = ref [] in
-          let tn = ref 0 and tdrops = { dcount = 0; dkey = neg_infinity } in
-          let lbest = ref inc0_obj in
-          let left = ref [] in
-          let stop = ref false in
-          while not !stop do
-            match Heap.pop lheap with
-            | None -> stop := true
-            | Some ({ key; node; _ } as e) ->
-              (* a gap-closed top or an exhausted grain stops the task;
-                 the node goes back unprocessed (the local heap is
-                 best-first, so everything below it is no better) *)
-              if within_gap options ~best:!lbest key || !tn >= par_grain then begin
-                left := [ e ];
-                stop := true
-              end
-              else begin
-                incr tn;
-                Lp_stats.incr Lp_stats.bb_nodes;
-                match node_lp prep0 node with
-                | Simplex.Infeasible, _ -> ()
-                | Simplex.Unbounded, _ ->
-                  (* in-tree nodes only (the root is always processed in
-                     the sequential ramp), same as the sequential step *)
-                  ()
-                | Simplex.Iter_limit, _ -> drop tdrops key
-                | Simplex.Optimal { obj; values }, fbasis ->
-                  if reliability && node.bvar >= 0 then
-                    tpc :=
-                      observe_child lpc ~ipos ~osign ~int_tol:options.int_tol node obj
-                      :: !tpc;
-                  let bound = osign *. obj in
-                  if bound <= !lbest +. options.abs_gap then () (* pruned *)
-                  else begin
-                    (* no probes in-task (the frozen LP would make them
-                       owner-state-dependent): the same rule on the
-                       task's pseudocost table *)
-                    match select lpc (candidates values) values with
-                    | None ->
-                      if bound > !lbest then begin
-                        lbest := bound;
-                        offer_incumbent cell
-                          { iobj = bound; iorigin = i; ivalues = Array.copy values }
-                      end
-                    | Some (id, g) ->
-                      push_children (Heap.push lheap) node ~bound ~fbasis id values g
-                  end
-              end
-          done;
-          let rec drain acc =
-            match Heap.pop lheap with
-            | None -> List.rev acc
-            | Some e -> drain (e :: acc)
-          in
-          {
-            tr_nodes = !tn;
-            tr_drops = tdrops;
-            tr_left = !left @ drain [];
-            tr_pc = List.rev !tpc;
-          }
-        in
-        let results =
-          match options.pool with
-          | Some pool -> Parallel.Pool.mapi_array pool task frontier
-          | None -> Array.mapi task frontier
-        in
-        Array.iter
-          (fun tr ->
-            nodes := !nodes + tr.tr_nodes;
-            drop ~n:tr.tr_drops.dcount dropped tr.tr_drops.dkey;
-            (* merge pseudocost observations in frontier index order —
-               the counter was already bumped at generation time *)
-            List.iter (fun (pos, up, g) -> pc_update pc pos ~up g) tr.tr_pc;
-            List.iter (fun e -> Heap.push heap e) tr.tr_left)
-          results;
-        (* adopt the round's merged incumbent last: the cut audit inside
-           may drop cuts and re-prepare a smaller LP, onto which the
-           leftover nodes' bases no longer extend (they cold-start) *)
-        match Atomic.get cell with
-        | Some w -> consider_incumbent w.ivalues w.iobj
-        | None -> ()
-      end
-  in
   while !status = `Running do
-    if heap.Heap.len >= par_width then parallel_round () else sequential_step ()
+    step ()
   done;
   let elapsed = Unix.gettimeofday () -. t0 in
   let best_bound =
@@ -914,10 +722,8 @@ let solve ?(options = default) model =
   let stats =
     {
       nodes = !nodes;
-      (* the pool credits task pivots to this domain *)
       simplex_iters = Lp_stats.read Lp_stats.pivots () - simplex0;
       elapsed;
-      rounds = !rounds;
       dropped = dropped.dcount;
       dropped_key = dropped.dkey;
     }

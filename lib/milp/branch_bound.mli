@@ -14,14 +14,15 @@ type branching =
           warm-started probes of both children until a variable has
           enough observations to be reliable, then maintained from every
           child LP solved in the tree. Ties break on (score, lowest id),
-          so the selection is deterministic and bit-identical across
-          pool widths. Default. *)
+          so the selection is deterministic. Default. *)
   | Fractional
       (** Legacy most-fractional rule: branch on the variable whose LP
           value is furthest from an integer. *)
 
 type options = {
-  max_nodes : int;  (** node budget; default 200_000 *)
+  max_nodes : int;
+      (** node budget: the search solves at most this many node LPs;
+          default 200_000 *)
   time_limit : float;  (** wall-clock seconds; default [infinity] *)
   abs_gap : float;  (** stop when [bound - incumbent <= abs_gap] *)
   rel_gap : float;  (** stop on relative gap; default 1e-6 *)
@@ -54,21 +55,13 @@ type options = {
           {!Cuts.default}; [Cuts.disabled] restores the pre-cut search
           exactly. A cut that fails its incumbent audit is dropped and
           taints the outcome ([Optimal] -> [Feasible]). *)
-  pool : Parallel.Pool.t option;
-      (** Domain pool for concurrent subtree solves; default [None]
-          (rounds run inline). The round scheduler is the same algorithm
-          either way — it engages purely on frontier width — so results
-          and all counters are bit-identical for any pool width,
-          including no pool at all. *)
-  par_width : int;
-      (** Open-node frontier size at which the search switches from
-          sequential best-first steps to parallel subtree rounds
-          (clamped to [>= 2] so the root is always processed
-          sequentially). Default 32. *)
+  pool : unit option;  (** Ignored; the search runs on the calling domain. *)
+  par_width : int;  (** Ignored. *)
   par_grain : int;
-      (** Per-task node budget within one round: each frontier subtree
-          explores at most this many nodes before handing its open
-          nodes back at the barrier. Default 64. *)
+      (** Ignored. [pool], [par_width] and [par_grain] configured the
+          parallel subtree rounds the search no longer has; they stay
+          only while the repository benchmark's options literal sets
+          them. *)
   branching : branching;
       (** Branching-variable selection rule; default {!Reliability}.
           [Fractional] restores the pre-pseudocost search exactly (no
@@ -98,10 +91,8 @@ val default : options
     tiebreak (exposed for unit tests). *)
 val better_key : float * int -> float * int -> bool
 
-(** Domain-local cumulative count of parallel subtree rounds. Rounds
-    are scheduled by the solve's owner domain, so reading this before
-    and after a solve on the calling domain gives that solve's round
-    count whatever pool (if any) ran the subtree tasks. *)
+(** Always [0]: the search has no parallel subtree rounds. Kept only
+    while the repository benchmark's trace hooks read it. *)
 val cumulative_rounds : unit -> int
 
 type outcome =
@@ -117,11 +108,8 @@ type outcome =
 type stats = {
   nodes : int;
   simplex_iters : int;
-      (** the calling domain's pivot-counter delta over the solve; the
-          pool credits tasks' pivots back to it, so it is identical
-          across pool widths *)
+      (** the calling domain's pivot-counter delta over the solve *)
   elapsed : float;
-  rounds : int;  (** parallel subtree rounds executed (0 = pure sequential) *)
   dropped : int;  (** subtrees dropped on a per-LP iteration budget *)
   dropped_key : float;
       (** tightest parent bound over the dropped subtrees, in the

@@ -22,7 +22,7 @@ let eps_cost = 1e-9
 let eps_feas = 1e-7
 
 (* Pivots are counted into the shared domain-local counter so dense and
-   revised solves aggregate identically under Parallel.Pool hooks. *)
+   revised solves aggregate identically in a counter scope. *)
 
 type tab = {
   m : int; (* rows *)

@@ -22,10 +22,8 @@
     tolerance (the same tolerance the certifier enforces) before it can
     become the incumbent.
 
-    All heuristics run owner-side in the search (never inside parallel
-    subtree tasks) and read the shared incumbent only through
-    {!env.cutoff}, so they preserve the bit-identity of results across
-    pool widths. *)
+    All heuristics read the search's incumbent only through
+    {!env.cutoff}. *)
 
 type env = {
   lp :

@@ -618,11 +618,9 @@ let run_dual ?watch st =
 let extract_basis ?(keep_factor = false) st =
   (* [keep_factor] publishes the basis snapshot (LU plus eta file, no
      refactorization) at extraction time instead of on first warm use.
-     A basis shared across concurrent subtree solves then carries its
+     A basis shared by several later solves then carries its
      factorization from birth: every sharer reinstates it without
-     factorizing (Basis.of_snapshot), and the factorization counter
-     stays independent of which domain warms first — a lazy fill would
-     let racing sharers each pay (and count) a Basis.create. *)
+     factorizing (Basis.of_snapshot). *)
   let bfactor =
     if keep_factor then Atomic.make (Some (Basis.snapshot st.bas))
     else Atomic.make None

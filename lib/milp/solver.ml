@@ -15,7 +15,7 @@ type options = Branch_bound.options = {
   engine : Simplex.engine;
   sx_iters : int option;
   cuts : Cuts.options;
-  pool : Parallel.Pool.t option;
+  pool : unit option;
   par_width : int;
   par_grain : int;
   branching : Branch_bound.branching;

@@ -18,7 +18,7 @@ type options = Branch_bound.options = {
   engine : Simplex.engine;
   sx_iters : int option;
   cuts : Cuts.options;
-  pool : Parallel.Pool.t option;
+  pool : unit option;
   par_width : int;
   par_grain : int;
   branching : Branch_bound.branching;
@@ -63,8 +63,7 @@ type solution = {
 
     [?presolve] (default [true]) runs {!Presolve} first; the solution is
     postsolved back to the original indexing, so this is externally
-    invisible apart from speed. A solve issued from inside a pool task
-    never re-enters [options.pool] (its rounds run inline). *)
+    invisible apart from speed. *)
 val solve : ?presolve:bool -> ?options:options -> Model.t -> solution
 
 (** [value sol v] reads variable [v] from the solution point. *)

@@ -49,9 +49,8 @@ type t = {
    instead of fanning out again, and a pool created then gets no
    workers: a nested parallel sweep would oversubscribe the machine and
    can deadlock on the same pool, while a sequential one composes — a
-   scenario sweep may call the parallel branch-and-bound and vice
-   versa, and both degrade to the exact sequential path at the inner
-   level. *)
+   benchmark cell on a pool may run a clustered analysis, whose waves
+   degrade to the exact sequential path at the inner level. *)
 let in_task = Domain.DLS.new_key (fun () -> false)
 
 let inside_task () = Domain.DLS.get in_task
@@ -214,7 +213,7 @@ let run_items t n run =
     | None -> ()
   end
 
-let mapi_array t f a =
+let map_array t f a =
   let n = Array.length a in
   if n = 0 then [||]
   else begin
@@ -224,16 +223,14 @@ let mapi_array t f a =
        task of a parallel pool, so a nested map from inside it stays
        inline, and recorded nowhere inside an enclosing task. *)
     let r0 =
-      if t.workers = [] then timed t ~items:1 (fun () -> f 0 a.(0))
-      else if Domain.DLS.get in_task then f 0 a.(0)
-      else timed t ~items:1 (fun () -> as_task (fun () -> f 0 a.(0)))
+      if t.workers = [] then timed t ~items:1 (fun () -> f a.(0))
+      else if Domain.DLS.get in_task then f a.(0)
+      else timed t ~items:1 (fun () -> as_task (fun () -> f a.(0)))
     in
     let out = Array.make n r0 in
-    run_items t (n - 1) (fun i -> out.(i + 1) <- f (i + 1) a.(i + 1));
+    run_items t (n - 1) (fun i -> out.(i + 1) <- f a.(i + 1));
     out
   end
-
-let map_array t f a = mapi_array t (fun _ x -> f x) a
 
 let stats t =
   Mutex.lock t.mutex;

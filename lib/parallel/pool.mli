@@ -1,9 +1,9 @@
-(** Fixed-size [Domain] worker pool for scenario-level parallelism.
+(** Fixed-size [Domain] worker pool for coarse-grained parallelism.
 
-    Raha's sweeps — Monte Carlo sampling, scenario enumeration, grid
-    experiments — are embarrassingly parallel: many independent LP/MILP
-    solves over a shared, immutable topology. This pool runs such sweeps
-    across OCaml 5 domains with chunked work-stealing over arrays.
+    The block solves of one [Raha.Cluster] wave, and the cells of a
+    benchmark grid, are independent MILP solves over a shared, immutable
+    topology. This pool runs such sweeps across OCaml 5 domains with
+    chunked work-stealing over arrays.
 
     Contract:
     - results are position-stable: [map_array pool f a] returns exactly
@@ -25,8 +25,8 @@
     domain instead of fanning out again, and a pool created inside a
     task gets one domain — fanning out would oversubscribe the machine,
     and re-entering the same pool could deadlock. Both nesting
-    directions compose this way: a scenario sweep may call the parallel
-    branch-and-bound and vice versa; the inner level takes the exact
+    directions compose this way: a benchmark cell run on a pool may
+    itself run a clustered analysis, whose waves then take the exact
     sequential path, so results are unchanged. Nested work is accounted
     to the enclosing chunk's busy time and counter deltas, not recorded
     as separate tasks. Sequential pools ([~domains:1]) record their own
@@ -47,9 +47,6 @@ type stats = {
     The first exception raised by [f] is re-raised (with its backtrace)
     after outstanding chunks are cancelled. *)
 val map_array : t -> ('a -> 'b) -> 'a array -> 'b array
-
-(** [mapi_array pool f a] is [Array.mapi f a], evaluated in parallel. *)
-val mapi_array : t -> (int -> 'a -> 'b) -> 'a array -> 'b array
 
 (** [inside_task ()] is [true] while the calling domain is executing a
     pool task (any pool). *)

@@ -28,8 +28,8 @@ let default_options =
     dense_simplex = false;
     cuts = Milp.Cuts.default;
     sx_iters = None;
-    bb_width = Milp.Branch_bound.default.par_width;
-    bb_grain = Milp.Branch_bound.default.par_grain;
+    bb_width = 0;
+    bb_grain = 0;
     branching = Milp.Branch_bound.default.branching;
     heuristics = Milp.Branch_bound.default.heuristics;
     rins_freq = Milp.Branch_bound.default.rins_freq;
@@ -180,7 +180,7 @@ let seed_candidates ?screen ?candidates spec topo paths envelope ~limit =
   in
   take limit c.seeds
 
-let analyze_with ?screen ?candidates ?pool ~options topo paths envelope =
+let analyze ?screen ?candidates ?(options = default_options) topo paths envelope =
   let built = Bilevel.build options.spec topo paths envelope in
   let hints =
     match options.seed_enumeration with
@@ -202,9 +202,6 @@ let analyze_with ?screen ?candidates ?pool ~options topo paths envelope =
       engine = (if options.dense_simplex then Milp.Simplex.Dense else Milp.Simplex.Revised);
       cuts = options.cuts;
       sx_iters = options.sx_iters;
-      pool;
-      par_width = options.bb_width;
-      par_grain = options.bb_grain;
       branching = options.branching;
       heuristics = options.heuristics;
       rins_freq = options.rins_freq;
@@ -307,19 +304,6 @@ let analyze_with ?screen ?candidates ?pool ~options topo paths envelope =
     elapsed = sol.Milp.Solver.elapsed;
     nodes = sol.Milp.Solver.nodes;
   }
-
-(* One pool per analysis, for the branch-and-bound subtree rounds (the
-   candidate screening is a few microsecond overlays and runs inline).
-   A caller-held pool ([?pool]) is borrowed instead; inside a pool task
-   the pool gets one domain — the nested levels run their exact
-   sequential paths, so results are identical either way. *)
-let analyze ?screen ?candidates ?pool ?(options = default_options) topo paths
-    envelope =
-  match pool with
-  | None when options.domains > 1 ->
-    Parallel.Pool.with_pool ~domains:options.domains (fun pool ->
-        analyze_with ?screen ?candidates ~pool ~options topo paths envelope)
-  | _ -> analyze_with ?screen ?candidates ?pool ~options topo paths envelope
 
 let pp_report ppf r =
   Format.fprintf ppf

@@ -19,11 +19,8 @@ type options = {
           fed to the solver as warm-start hints. [None] defaults to 6;
           [Some 0] disables seeding. *)
   domains : int;
-      (** OCaml domains for the MILP core: one pool per {!analyze}
-          runs the branch-and-bound subtree rounds
-          ({!Milp.Branch_bound.options.pool}); {!Cluster} also solves a
-          wave's blocks on it. The seed-candidate screening (a few
-          microsecond overlay solves) always runs inline. [1] (the
+      (** OCaml domains on which {!Cluster.analyze} solves a wave's
+          blocks; {!analyze} itself runs on the calling domain. [1] (the
           default) is the exact sequential path; results are identical
           for any value. *)
   dense_simplex : bool;
@@ -43,14 +40,11 @@ type options = {
           Exhaustion degrades the status honestly ([Optimal] →
           [Feasible], no incumbent → [Unknown]) — the per-query
           admission budget of the serving layer. *)
-  bb_width : int;
-      (** frontier width at which branch-and-bound switches to parallel
-          subtree rounds ({!Milp.Branch_bound.options.par_width}); default 32.
-          Results are bit-identical for any value — this only moves the
-          sequential/parallel crossover. *)
+  bb_width : int;  (** Ignored. *)
   bb_grain : int;
-      (** per-subtree node budget within one parallel round
-          ({!Milp.Branch_bound.options.par_grain}); default 64. *)
+      (** Ignored. [bb_width] and [bb_grain] configured the parallel
+          subtree rounds branch-and-bound no longer has; they stay only
+          while the repository benchmark reads them. *)
   branching : Milp.Branch_bound.branching;
       (** branching-variable rule for the bilevel MILP
           ({!Milp.Branch_bound.options.branching}); default
@@ -133,17 +127,10 @@ val best_candidate : candidates -> (Failure.Scenario.t * float) option
     {!screen_candidates} on the same spec, topology and paths), the
     best seeds become the plunge hints with no candidate replayed
     again; the pooled ones never do. Otherwise they are ignored and the
-    candidates are screened here. Results are bit-identical either way.
-
-    [?pool] lends an existing domain pool to the branch-and-bound
-    rounds only; without it one pool is created per call when
-    [options.domains > 1] (never from inside a pool task — nested calls
-    run their exact sequential paths). Results are bit-identical with
-    or without a pool, at any width. *)
+    candidates are screened here. Results are bit-identical either way. *)
 val analyze :
   ?screen:Te.Simulate.engine ->
   ?candidates:candidates ->
-  ?pool:Parallel.Pool.t ->
   ?options:options ->
   Wan.Topology.t ->
   Netpath.Path_set.t ->

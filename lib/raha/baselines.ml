@@ -5,8 +5,7 @@ type enumeration = {
   elapsed : float;
 }
 
-let enumerate_failures ?(objective = Te.Formulation.Total_flow) ?pool ~k topo paths
-    demand =
+let enumerate_failures ?(objective = Te.Formulation.Total_flow) ~k topo paths demand =
   let t0 = Unix.gettimeofday () in
   let scenarios = Array.of_list (Failure.Enumerate.up_to_k topo ~k) in
   (* One engine for the whole sweep: the formulation, CSC structure,
@@ -20,7 +19,7 @@ let enumerate_failures ?(objective = Te.Formulation.Total_flow) ?pool ~k topo pa
     | Some eng ->
       Array.map
         (Option.value ~default:neg_infinity)
-        (Te.Simulate.degradations_prepared ?pool eng scenarios)
+        (Te.Simulate.degradations_prepared eng scenarios)
   in
   (* deterministic arg-max: first index attaining the maximum *)
   let worst_i = ref 0 in

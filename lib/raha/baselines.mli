@@ -21,9 +21,8 @@ type enumeration = {
 (** [enumerate_failures ~k topo paths demand] is the brute-force variant
     of the "up to k failures" baseline: enumerate
     {!Failure.Enumerate.up_to_k} and route every scenario with
-    {!Te.Simulate} at the fixed [demand], in parallel on [pool] (inline
-    without one). The result is identical for any parallelism (ties
-    break toward the first scenario in enumeration order).
+    {!Te.Simulate} at the fixed [demand]. Ties break toward the first
+    scenario in enumeration order.
 
     Scenarios go through the batched engine
     ({!Te.Simulate.degradations_prepared}): one prepare, one healthy
@@ -34,7 +33,6 @@ type enumeration = {
     {!Failure.Enumerate.up_to_k}). *)
 val enumerate_failures :
   ?objective:Te.Formulation.objective ->
-  ?pool:Parallel.Pool.t ->
   k:int ->
   Wan.Topology.t ->
   Netpath.Path_set.t ->

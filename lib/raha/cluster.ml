@@ -165,14 +165,11 @@ let analyze ?(options = Analysis.default_options) ~clusters topo paths envelope 
           remaining := Float.max 0. (!remaining -. !wave_elapsed)
     done;
     (* final fixed-demand solve for the failure scenario, on the whole
-       pool (its branch-and-bound runs the parallel subtree rounds) and
-       the whole unspent budget *)
+       unspent budget *)
     let budget = wave_budget ~remaining:!remaining ~solves_left:!solves_left in
     budgets := budget :: !budgets;
     let options = { options with Analysis.time_limit = budget } in
-    let report =
-      Analysis.analyze ?pool ~options topo paths (Traffic.Envelope.fixed !current)
-    in
+    let report = Analysis.analyze ~options topo paths (Traffic.Envelope.fixed !current) in
     incr solves;
     elapsed := !elapsed +. report.Analysis.elapsed;
     {

@@ -47,8 +47,9 @@ val wave_budget : remaining:float -> solves_left:int -> float
     matrix — and solve concurrently on one pool of [options.domains]
     domains per call (none at one domain); their demands are adopted in
     destination order, so the assembled matrix does not depend on the
-    execution schedule. The final fixed-demand solve runs
-    the parallel branch-and-bound on the same pool. *)
+    execution schedule. These waves are the only domain pool in the
+    analysis: each block solve, and the final fixed-demand solve, runs
+    its branch-and-bound on one domain. *)
 val analyze :
   ?options:Analysis.options ->
   clusters:int ->

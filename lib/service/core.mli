@@ -9,10 +9,8 @@
     {!handle} maps every protocol request to a response
     deterministically: replaying the same request sequence yields
     bit-identical responses (after {!strip_volatile}) whatever the
-    domain count — only the branch-and-bound rounds inside
-    {!Raha.Analysis.analyze} use a domain pool, and they are
-    order-preserving; a "now" query is one warm overlay solve run
-    inline on the calling domain.
+    domain count: every solve, {!Raha.Analysis.analyze} and a "now"
+    query's warm overlay alike, runs on the calling domain.
 
     Query answers carry, besides the result itself:
     - ["cert"]: ["ok"] when the independent audits ({!Milp.Certify} for

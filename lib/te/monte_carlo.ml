@@ -21,15 +21,12 @@ let sample_scenario rng topo =
   Failure.Scenario.of_links topo !links
 
 (* Samples are drawn in fixed blocks of [rng_block], each from its own
-   RNG seeded with [| seed; block |]. The draw never depends on the
-   pool, and Simulate.degradations_prepared returns the same bits at
-   any pool width, so a run is bit-identical with or without a [~pool]
-   given the same [~seed] — the determinism contract DESIGN.md
-   documents. *)
+   RNG seeded with [| seed; block |], so a run is bit-identical given
+   the same [~seed] — the determinism contract DESIGN.md documents. *)
 let rng_block = 64
 
-let sample_degradations ?(objective = Formulation.Total_flow) ?pool ~seed ~samples
-    topo paths demand =
+let sample_degradations ?(objective = Formulation.Total_flow) ~seed ~samples topo
+    paths demand =
   if samples <= 0 then invalid_arg "Monte_carlo.sample_degradations: samples <= 0";
   let eng =
     match Simulate.prepare ~objective topo paths demand with
@@ -50,7 +47,7 @@ let sample_degradations ?(objective = Formulation.Total_flow) ?pool ~seed ~sampl
   let degradations =
     Array.map
       (Option.value ~default:healthy)
-      (Simulate.degradations_prepared ?pool eng scenarios)
+      (Simulate.degradations_prepared eng scenarios)
   in
   (degradations, scenarios)
 

@@ -29,13 +29,10 @@ type summary = {
     only the draw. The scenarios are then solved through the batched
     engine by {!Simulate.degradations_prepared}: one shared prepared
     structure, and one warm dual solve from the healthy basis per
-    distinct overlay, on [pool] (inline without one). Neither the draw
-    nor the solves depend on the parallelism, so the returned arrays
-    are bit-identical for a given [seed] with or without a pool of any
-    width. *)
+    distinct overlay. The returned arrays are bit-identical for a
+    given [seed]. *)
 val sample_degradations :
   ?objective:Formulation.objective ->
-  ?pool:Parallel.Pool.t ->
   seed:int ->
   samples:int ->
   Wan.Topology.t ->

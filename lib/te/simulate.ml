@@ -268,10 +268,9 @@ module Patch_tbl = Hashtbl.Make (struct
   let hash p = List.fold_left (fun h (r, v) -> Hashtbl.hash (h, r, v)) 0 p
 end)
 
-let degradations_prepared ?pool eng scenarios =
-  (* group equal patches in first-occurrence order before any fan-out,
-     so the overlays solved (and every counter) do not depend on the
-     pool *)
+let degradations_prepared eng scenarios =
+  (* group equal patches in first-occurrence order, then solve each
+     distinct one once *)
   let slot = Patch_tbl.create 64 in
   let distinct = ref [] in
   let owner =
@@ -288,11 +287,7 @@ let degradations_prepared ?pool eng scenarios =
       scenarios
   in
   let distinct = Array.of_list (List.rev !distinct) in
-  let results =
-    match pool with
-    | Some pool -> Parallel.Pool.map_array pool (degradation_of_patch eng) distinct
-    | None -> Array.map (degradation_of_patch eng) distinct
-  in
+  let results = Array.map (degradation_of_patch eng) distinct in
   Array.map (fun i -> results.(i)) owner
 
 let degradation ?(objective = Formulation.Total_flow) ?reaction topo paths demand scenario =

@@ -114,13 +114,9 @@ val route_prepared : engine -> Failure.Scenario.t -> result option
     (Mlu). [None] when the scenario LP is infeasible. *)
 val degradation_prepared : engine -> Failure.Scenario.t -> float option
 
-(** [degradations_prepared ?pool eng scenarios] is
+(** [degradations_prepared eng scenarios] is
     [Array.map (degradation_prepared eng) scenarios], bit for bit, but
     solves each distinct overlay once: scenarios whose failures give
     the same rhs (most often the healthy one, when no failed link lies
-    on a path) share one solve and its audit. The distinct overlays are
-    found before any work is fanned out, then solved on [pool] (inline
-    without one), so the overlays solved and every counter are the same
-    at any pool width. *)
-val degradations_prepared :
-  ?pool:Parallel.Pool.t -> engine -> Failure.Scenario.t array -> float option array
+    on a path) share one solve and its audit. *)
+val degradations_prepared : engine -> Failure.Scenario.t array -> float option array

@@ -1,22 +1,13 @@
 (* Differential tests for the batched scenario engine (DESIGN.md §12).
 
-   Two contracts. Determinism: every scenario warm-starts from the same
-   shared healthy basis, so Monte Carlo and enumeration sweeps return
-   the very same float bits on a pool of any width as with no pool at
-   all. Correctness: every overlay answer agrees with the independent
-   Te.Simulate.degradation oracle (its own formulation, cold solve) to
-   solver tolerance — the LPs differ structurally, so vertices and last
-   bits may differ, objective values may not. The warm=cold property is
-   checked at objective/status level over the random-LP corpus. *)
+   Every overlay answer of a Monte Carlo or enumeration sweep agrees
+   with the independent Te.Simulate.degradation oracle (its own
+   formulation, cold solve) to solver tolerance — the LPs differ
+   structurally, so vertices and last bits may differ, objective values
+   may not. The warm=cold property is checked at objective/status level
+   over the random-LP corpus. *)
 
 let bits = Array.map Int64.bits_of_float
-
-(* run [f] inline when [domains = 1], else on a fresh pool that wide *)
-let on_domains domains f =
-  if domains <= 1 then f None
-  else
-    Parallel.Pool.with_pool ~domains (fun pool ->
-        f (Some pool))
 
 let wan () =
   let topo = Wan.Generators.africa_like ~seed:5 ~n:8 () in
@@ -30,8 +21,6 @@ let wan () =
 
 let scenario_eq = Failure.Scenario.equal
 
-let pooled_domains = [ 2; 4 ]
-
 (* [engine] against the oracle for [scenario], within 1e-6 relative;
    [infeasible] is the value the sweep reports when the oracle finds no
    routing *)
@@ -44,7 +33,7 @@ let check_oracle ~objective ~what ~infeasible (topo, paths, demand) scenario eng
     if Int64.bits_of_float engine <> Int64.bits_of_float infeasible then
       Alcotest.failf "%s: oracle infeasible, engine %.12g" what engine
 
-(* --- Monte Carlo: pooled == no pool, and == the oracle ----------------- *)
+(* --- Monte Carlo == the oracle -------------------------------------------- *)
 
 (* [wan ()] with every link failing with probability 0.3: a sample
    often takes a whole LAG down, which opens the backup of a pair whose
@@ -72,27 +61,10 @@ let test_mc_differential objective () =
   let ref_degs, ref_scens =
     Te.Monte_carlo.sample_degradations ~objective ~seed:7 ~samples topo paths demand
   in
-  (* the warm path must actually have been taken, not cold-fallen-back
-     (the counter is domain-local, so only the no-pool run counts here) *)
+  (* the warm path must actually have been taken, not cold-fallen-back *)
   Alcotest.(check bool)
     "nonzero batched warm hits" true
     (Milp.Lp_stats.read Milp.Lp_stats.batch_warm_hits () > wh0);
-  List.iter
-    (fun domains ->
-      let degs, scens =
-        on_domains domains (fun pool ->
-            Te.Monte_carlo.sample_degradations ~objective ?pool ~seed:7 ~samples topo
-              paths demand)
-      in
-      let what = Printf.sprintf "domains=%d" domains in
-      Alcotest.(check bool)
-        (what ^ ": scenarios identical")
-        true
-        (Array.for_all2 scenario_eq scens ref_scens);
-      Alcotest.(check (array int64))
-        (what ^ ": degradations bit-identical")
-        (bits ref_degs) (bits degs))
-    pooled_domains;
   let healthy =
     match Te.Simulate.prepare ~objective topo paths demand with
     | Some eng -> (Te.Simulate.engine_healthy eng).Te.Simulate.performance
@@ -115,37 +87,20 @@ let test_mc_differential objective () =
     (Printf.sprintf "a quarter of the samples open a backup (%d of %d)" opening samples)
     true (4 * opening >= samples)
 
-(* --- enumeration: pooled == no pool, worst case == the oracle ---------- *)
+(* --- enumeration: worst case == the oracle ------------------------------ *)
 
 let test_enum_differential () =
   let ((topo, paths, demand) as net) = wan () in
   List.iter
     (fun k ->
-      let r0 = Raha.Baselines.enumerate_failures ~k topo paths demand in
+      let r = Raha.Baselines.enumerate_failures ~k topo paths demand in
+      Alcotest.(check int)
+        (Printf.sprintf "k=%d: scenario count" k)
+        (List.length (Failure.Enumerate.up_to_k topo ~k))
+        r.Raha.Baselines.scenarios_evaluated;
       check_oracle ~objective:Te.Formulation.Total_flow
         ~what:(Printf.sprintf "k=%d worst" k) ~infeasible:neg_infinity net
-        r0.Raha.Baselines.worst_scenario r0.Raha.Baselines.worst;
-      List.iter
-        (fun domains ->
-          let r =
-            on_domains domains (fun pool ->
-                Raha.Baselines.enumerate_failures ?pool ~k topo paths demand)
-          in
-          let what = Printf.sprintf "k=%d domains=%d" k domains in
-          Alcotest.(check int)
-            (what ^ ": scenario count")
-            r0.Raha.Baselines.scenarios_evaluated
-            r.Raha.Baselines.scenarios_evaluated;
-          Alcotest.(check int64)
-            (what ^ ": worst degradation bit-identical")
-            (Int64.bits_of_float r0.Raha.Baselines.worst)
-            (Int64.bits_of_float r.Raha.Baselines.worst);
-          Alcotest.(check bool)
-            (what ^ ": worst scenario identical")
-            true
-            (scenario_eq r0.Raha.Baselines.worst_scenario
-               r.Raha.Baselines.worst_scenario))
-        pooled_domains)
+        r.Raha.Baselines.worst_scenario r.Raha.Baselines.worst)
     [ 1; 2 ]
 
 (* --- engine vs the independent Simulate.route path -------------------- *)
@@ -278,21 +233,15 @@ let test_sweep_equals_map () =
       let eng = prepared ~objective topo paths demand in
       let one = Array.map (Te.Simulate.degradation_prepared eng) scenarios in
       let show = Array.map (function Some d -> Printf.sprintf "%h" d | None -> "none") in
-      List.iter
-        (fun domains ->
-          let sweep =
-            on_domains domains (fun pool ->
-                Te.Simulate.degradations_prepared ?pool eng scenarios)
-          in
-          Alcotest.(check (array string))
-            (Printf.sprintf "%s, domains=%d: sweep = map" name domains)
-            (show one) (show sweep))
-        [ 1; 4 ])
+      Alcotest.(check (array string))
+        (Printf.sprintf "%s: sweep = map" name)
+        (show one)
+        (show (Te.Simulate.degradations_prepared eng scenarios)))
     objectives
 
 (* 40 copies of one on-path failure among failures of links no path
    crosses: two distinct patches (the healthy one and the on-path one),
-   so two overlays and two audits, at any pool width. *)
+   so two overlays and two audits. *)
 let test_sweep_solves_distinct_patches () =
   let topo, paths, demand = wan () in
   let on_path, off_path = lags_by_use topo paths in
@@ -312,17 +261,11 @@ let test_sweep_solves_distinct_patches () =
   List.iter
     (fun (name, objective) ->
       let eng = prepared ~objective topo paths demand in
-      List.iter
-        (fun domains ->
-          let o0 = read Milp.Lp_stats.batch_overlays
-          and c0 = read Milp.Lp_stats.certify_checks in
-          ignore
-            (on_domains domains (fun pool ->
-                 Te.Simulate.degradations_prepared ?pool eng scenarios));
-          let what = Printf.sprintf "%s, domains=%d" name domains in
-          Alcotest.(check int) (what ^ ": overlays") 2 (read Milp.Lp_stats.batch_overlays - o0);
-          Alcotest.(check int) (what ^ ": audits") 2 (read Milp.Lp_stats.certify_checks - c0))
-        [ 1; 4 ])
+      let o0 = read Milp.Lp_stats.batch_overlays
+      and c0 = read Milp.Lp_stats.certify_checks in
+      ignore (Te.Simulate.degradations_prepared eng scenarios);
+      Alcotest.(check int) (name ^ ": overlays") 2 (read Milp.Lp_stats.batch_overlays - o0);
+      Alcotest.(check int) (name ^ ": audits") 2 (read Milp.Lp_stats.certify_checks - c0))
     objectives
 
 (* --- delta patches == the full patches of a healthy-agnostic base ------ *)

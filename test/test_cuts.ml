@@ -281,8 +281,7 @@ let test_incumbent_audit () =
 (* Past the root the search separates nothing, so a full solve generates
    exactly the root's candidates. The model is the KKT encoding of the
    6-node africa-like WAN under variable demand, whose tree passes 200
-   nodes; [par_width] beyond any frontier makes every node a sequential
-   step, the only place separation can run. *)
+   nodes. *)
 let test_root_only () =
   let topo = Wan.Generators.africa_like ~seed:5 ~n:6 () in
   let pairs = [ (0, 4); (1, 5) ] in
@@ -298,7 +297,6 @@ let test_root_only () =
   let options =
     {
       Milp.Solver.default_options with
-      par_width = max_int;
       branch_priority = built.Raha.Bilevel.branch_priority;
     }
   in

@@ -17,7 +17,7 @@ let () =
       ("batch", Test_batch.suite);
       ("certify", Test_certify.suite);
       ("parallel", Test_parallel.suite);
-      ("bb parallel", Test_bb_parallel.suite);
+      ("bb limits", Test_bb_limits.suite);
       ("branching", Test_branching.suite);
       ("service", Test_service.suite);
     ]

@@ -1,7 +1,10 @@
-(* The Domain worker pool, and the determinism contract of the parallel
-   sweeps: for a fixed seed, results must be bit-identical whatever the
-   domain count. The parallel side runs on [RAHA_TEST_DOMAINS] domains
-   (default 4) — the CI alias pins it to 2 so both widths get exercised. *)
+(* The Domain worker pool, and the determinism contract of the
+   analysis: results must be bit-identical whatever the domain count,
+   both for the clustered analysis (the pool's one library user) and for
+   the unclustered one, which runs on the calling domain. The parallel side runs on
+   [RAHA_TEST_DOMAINS] domains (default 4) — the CI alias pins it to 2
+   so both widths get exercised. Also the block layout of the seeded
+   Monte Carlo draw. *)
 
 let domains =
   match Sys.getenv_opt "RAHA_TEST_DOMAINS" with
@@ -14,9 +17,8 @@ let check_int = Alcotest.(check int)
 
 let test_empty_input () =
   Parallel.Pool.with_pool ~domains (fun pool ->
-      check_int "map of empty" 0 (Array.length (Parallel.Pool.map_array pool succ [||]));
-      check_int "mapi of empty" 0
-        (Array.length (Parallel.Pool.mapi_array pool (fun _ _ -> Alcotest.fail "called on empty") [||]));
+      check_int "map of empty" 0
+        (Array.length (Parallel.Pool.map_array pool (fun _ -> Alcotest.fail "called on empty") [||]));
       let s = Parallel.Pool.stats pool in
       check_int "no items recorded" 0 s.Parallel.Pool.items)
 
@@ -34,8 +36,8 @@ let test_order_preserved () =
   let input = Array.init 1000 (fun i -> i) in
   let expected = Array.map (fun i -> i * i) input in
   Parallel.Pool.with_pool ~domains (fun pool ->
-      Alcotest.(check (array int)) "mapi order" expected
-        (Parallel.Pool.mapi_array pool (fun i x -> ignore x; i * i) input))
+      Alcotest.(check (array int)) "map order" expected
+        (Parallel.Pool.map_array pool (fun i -> i * i) input))
 
 exception Boom of int
 
@@ -213,14 +215,15 @@ let test_create_rejects_nonpositive () =
   | _ -> Alcotest.fail "domains:0 accepted"
   | exception Invalid_argument _ -> ()
 
-(* --- sequential-vs-parallel equivalence --------------------------------- *)
+(* --- the seeded Monte Carlo draw ---------------------------------------- *)
 
 let fig1 = Wan.Generators.fig1 ()
 
+let fig1_paths () =
+  Netpath.Path_set.compute ~n_primary:2 ~n_backup:0 fig1 [ (1, 3); (2, 3) ]
+
 let fig1_setup () =
-  let paths = Netpath.Path_set.compute ~n_primary:2 ~n_backup:0 fig1 [ (1, 3); (2, 3) ] in
-  let d = Traffic.Demand.of_list [ ((1, 3), 12.); ((2, 3), 10.) ] in
-  (fig1, paths, d)
+  (fig1, fig1_paths (), Traffic.Demand.of_list [ ((1, 3), 12.); ((2, 3), 10.) ])
 
 let africa_setup () =
   let topo = Wan.Generators.africa_like ~seed:5 ~n:8 () in
@@ -229,73 +232,98 @@ let africa_setup () =
   let d = Traffic.Demand.of_list (List.map (fun p -> (p, 60.)) pairs) in
   (topo, paths, d)
 
-let check_identical_runs ~seeds ~samples (topo, paths, d) () =
+let draw ~seed ~samples (topo, paths, d) =
+  snd (Te.Monte_carlo.sample_degradations ~seed ~samples topo paths d)
+
+let scenario_string s =
+  String.concat ";"
+    (List.map (fun (e, i) -> Printf.sprintf "%d.%d" e i) (Failure.Scenario.links s))
+
+let digest runs =
+  Digest.to_hex
+    (Digest.string
+       (String.concat "|"
+          (List.map (fun r -> String.concat "," (Array.to_list (Array.map scenario_string r))) runs)))
+
+(* Samples come in 64-sample blocks, each from its own RNG seeded
+   [| seed; block |]. The scenarios of these runs match the digests
+   recorded when the sweep still ran on a pool, so no sampled scenario
+   has moved. 200 samples span four blocks, 150 three. *)
+let test_mc_draw_pinned_fig1 () =
+  Alcotest.(check string) "fig1 scenario digest" "8753c7c333aeabae5881694d8a15373c"
+    (digest (List.map (fun seed -> draw ~seed ~samples:200 (fig1_setup ())) [ 1; 2; 3 ]))
+
+let test_mc_draw_pinned_africa () =
+  Alcotest.(check string) "africa scenario digest" "fbfb02de841f3bcd94ab62490d0755c3"
+    (digest (List.map (fun seed -> draw ~seed ~samples:150 (africa_setup ())) [ 1; 7 ]))
+
+(* a longer run extends a shorter one block by block *)
+let test_mc_blocks_extend () =
+  let long = draw ~seed:2 ~samples:200 (fig1_setup ()) in
   List.iter
-    (fun seed ->
-      let seq_deg, seq_scen = Te.Monte_carlo.sample_degradations ~seed ~samples topo paths d in
-      let par_deg, par_scen =
-        Parallel.Pool.with_pool ~domains (fun pool ->
-            Te.Monte_carlo.sample_degradations ~pool ~seed ~samples topo paths d)
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf "degradations bit-identical (seed %d, %d vs 1 domains)" seed domains)
-        true (seq_deg = par_deg);
-      check_int "scenario count" (Array.length seq_scen) (Array.length par_scen);
-      Alcotest.(check bool)
-        (Printf.sprintf "scenarios identical (seed %d)" seed)
-        true
-        (Array.for_all2 Failure.Scenario.equal seq_scen par_scen))
-    seeds
+    (fun samples ->
+      Alcotest.(check (array string))
+        (Printf.sprintf "a %d-sample run is a prefix of a 200-sample run" samples)
+        (Array.map scenario_string (draw ~seed:2 ~samples (fig1_setup ())))
+        (Array.map scenario_string (Array.sub long 0 samples)))
+    [ 64; 100 ]
 
-let test_mc_equivalence_fig1 () =
-  (* 200 samples spans four 64-sample RNG blocks, so chunking kicks in *)
-  check_identical_runs ~seeds:[ 1; 2; 3 ] ~samples:200 (fig1_setup ()) ()
+(* --- the unclustered analysis ignores the domain count ------------------- *)
 
-let test_mc_equivalence_africa () =
-  check_identical_runs ~seeds:[ 1; 7 ] ~samples:150 (africa_setup ()) ()
+let fig1_envelope () =
+  Traffic.Envelope.around ~slack:0.5
+    (Traffic.Demand.of_list [ ((1, 3), 12.); ((2, 3), 10.) ])
 
-let test_mc_shared_pool_equivalence () =
-  (* a caller-supplied pool gives the same draw *)
-  let topo, paths, d = fig1_setup () in
-  let seq, _ = Te.Monte_carlo.sample_degradations ~seed:9 ~samples:200 topo paths d in
-  Parallel.Pool.with_pool ~domains (fun pool ->
-      let par, _ =
-        Te.Monte_carlo.sample_degradations ~pool ~seed:9 ~samples:200 topo paths d
-      in
-      Alcotest.(check bool) "pool draw identical" true (seq = par))
+let spec_k1 =
+  {
+    Raha.Bilevel.default_spec with
+    Raha.Bilevel.max_failures = Some 1;
+    encoding = Raha.Bilevel.Strong_duality { levels = 5 };
+  }
 
-let test_enumeration_equivalence () =
-  let topo, paths, d = fig1_setup () in
-  let seq = Raha.Baselines.enumerate_failures ~k:2 topo paths d in
-  let par =
-    Parallel.Pool.with_pool ~domains (fun pool ->
-        Raha.Baselines.enumerate_failures ~pool ~k:2 topo paths d)
-  in
-  check_int "scenarios evaluated"
-    seq.Raha.Baselines.scenarios_evaluated par.Raha.Baselines.scenarios_evaluated;
-  Alcotest.(check (float 0.)) "worst degradation identical"
-    seq.Raha.Baselines.worst par.Raha.Baselines.worst;
-  Alcotest.(check bool) "same arg-max scenario" true
-    (Failure.Scenario.equal seq.Raha.Baselines.worst_scenario
-       par.Raha.Baselines.worst_scenario)
+let check_bits what a b =
+  if Int64.bits_of_float a <> Int64.bits_of_float b then
+    Alcotest.failf "%s: %.17g <> %.17g (not bit-identical)" what a b
 
-let test_analysis_equivalence () =
-  let topo, paths, d = fig1_setup () in
+let check_analysis_identical ~what (seq : Raha.Analysis.report) (par : Raha.Analysis.report) =
+  let tag fmt = Printf.sprintf "%s %s" what fmt in
+  Alcotest.(check bool) (tag "status") true (par.Raha.Analysis.status = seq.Raha.Analysis.status);
+  check_bits (tag "degradation") seq.Raha.Analysis.degradation par.Raha.Analysis.degradation;
+  check_bits (tag "bound") seq.Raha.Analysis.bound par.Raha.Analysis.bound;
+  check_int (tag "nodes") seq.Raha.Analysis.nodes par.Raha.Analysis.nodes;
+  Alcotest.(check bool) (tag "scenario") true
+    (Failure.Scenario.equal seq.Raha.Analysis.scenario par.Raha.Analysis.scenario);
+  Alcotest.(check bool) (tag "worst demand") true
+    (Traffic.Demand.entries seq.Raha.Analysis.worst_demand
+    = Traffic.Demand.entries par.Raha.Analysis.worst_demand)
+
+let analysis_across_domains ~spec envelope =
+  let topo, paths, _ = fig1_setup () in
   let run domains =
-    let spec = { Raha.Bilevel.default_spec with Raha.Bilevel.max_failures = Some 1 } in
     let options = { Raha.Analysis.default_options with spec; domains } in
-    Raha.Analysis.analyze ~options topo paths (Traffic.Envelope.fixed d)
+    Raha.Analysis.analyze ~options topo paths envelope
   in
-  let seq = run 1 and par = run domains in
-  Alcotest.(check (float 0.)) "degradation identical"
-    seq.Raha.Analysis.degradation par.Raha.Analysis.degradation;
-  Alcotest.(check bool) "same scenario" true
-    (Failure.Scenario.equal seq.Raha.Analysis.scenario par.Raha.Analysis.scenario)
+  let seq = run 1 in
+  Alcotest.(check bool) "sequential run solved" true
+    (seq.Raha.Analysis.status = Milp.Solver.Optimal);
+  List.iter
+    (fun d -> check_analysis_identical ~what:(Printf.sprintf "domains=%d" d) seq (run d))
+    [ 2; 4 ]
 
-(* A counter scope sees all the work of a call at any domain count: the
-   pool credits what worker domains did back to the submitter, so the
-   scope deltas of a parallel analysis equal the sequential ones and its
-   bb-nodes delta is the report's node count. *)
+(* the default encoding under a fixed demand *)
+let test_analysis_equivalence () =
+  let _, _, d = fig1_setup () in
+  analysis_across_domains
+    ~spec:{ Raha.Bilevel.default_spec with Raha.Bilevel.max_failures = Some 1 }
+    (Traffic.Envelope.fixed d)
+
+(* five-level strong duality under a demand envelope *)
+let test_bilevel_analysis_identical () =
+  analysis_across_domains ~spec:spec_k1 (fig1_envelope ())
+
+(* A counter scope sees all the work of an unclustered analysis at any
+   domain count: its bb-nodes delta is the report's node count, and the
+   scope deltas do not depend on [domains]. *)
 let test_analysis_scope_counters () =
   let topo = Wan.Generators.africa_like ~seed:5 ~n:8 () in
   let pairs = [ (0, 5); (1, 6); (2, 7) ] in
@@ -313,9 +341,7 @@ let test_analysis_scope_counters () =
     }
   in
   let run domains =
-    let options =
-      { Raha.Analysis.default_options with spec; domains; bb_width = 2; bb_grain = 4 }
-    in
+    let options = { Raha.Analysis.default_options with spec; domains } in
     let scope = Milp.Lp_stats.scope_enter () in
     let r = Raha.Analysis.analyze ~options topo paths envelope in
     (r, (Milp.Lp_stats.scope_exit scope).Milp.Lp_stats.scope_counters)
@@ -328,6 +354,97 @@ let test_analysis_scope_counters () =
     (Printf.sprintf "domains %d: scope bb-nodes = report nodes" domains)
     par.Raha.Analysis.nodes
     (List.assoc "bb-nodes" par_counters);
+  Alcotest.(check (list (pair string int)))
+    (Printf.sprintf "scope deltas, domains 1 vs %d" domains)
+    seq_counters par_counters
+
+(* --- cluster waves ------------------------------------------------------ *)
+
+let test_wave_budget () =
+  let check_budget what expected got = Alcotest.(check (float 0.)) what expected got in
+  check_budget "even split" 20. (Raha.Cluster.wave_budget ~remaining:100. ~solves_left:5);
+  (* a fast early wave leaves its unused share to the remaining solves *)
+  check_budget "redistribution" 30. (Raha.Cluster.wave_budget ~remaining:90. ~solves_left:3);
+  check_budget "infinity passes through" Float.infinity
+    (Raha.Cluster.wave_budget ~remaining:Float.infinity ~solves_left:4);
+  check_budget "clamps at zero" 0. (Raha.Cluster.wave_budget ~remaining:(-1.) ~solves_left:2);
+  check_budget "last solve takes everything" 7.5
+    (Raha.Cluster.wave_budget ~remaining:7.5 ~solves_left:1);
+  check_budget "solves_left floor" 7.5
+    (Raha.Cluster.wave_budget ~remaining:7.5 ~solves_left:0)
+
+let test_cluster_identical_across_domains () =
+  let run domains =
+    let options = { Raha.Analysis.default_options with spec = spec_k1; domains } in
+    Raha.Cluster.analyze ~options ~clusters:2 fig1 (fig1_paths ()) (fig1_envelope ())
+  in
+  let seq = run 1 in
+  Alcotest.(check bool) "sequential run solved" true
+    (seq.Raha.Cluster.report.Raha.Analysis.status = Milp.Solver.Optimal);
+  List.iter
+    (fun domains ->
+      let par = run domains in
+      let tag fmt = Printf.sprintf "domains=%d %s" domains fmt in
+      check_bits (tag "degradation")
+        seq.Raha.Cluster.report.Raha.Analysis.degradation
+        par.Raha.Cluster.report.Raha.Analysis.degradation;
+      check_int (tag "block solves") seq.Raha.Cluster.block_solves
+        par.Raha.Cluster.block_solves;
+      Alcotest.(check bool) (tag "assembled demand") true
+        (Traffic.Demand.entries seq.Raha.Cluster.demand
+        = Traffic.Demand.entries par.Raha.Cluster.demand);
+      check_int (tag "wave count")
+        (List.length seq.Raha.Cluster.wave_budgets)
+        (List.length par.Raha.Cluster.wave_budgets))
+    [ 2; 4 ]
+
+let test_cluster_first_wave_budget () =
+  (* with an untouched budget the first wave's share is exactly
+     time_limit / n_solves — the redistribution baseline *)
+  let options =
+    {
+      Raha.Analysis.default_options with
+      spec = spec_k1;
+      time_limit = 100_000.;
+    }
+  in
+  let r =
+    Raha.Cluster.analyze ~options ~clusters:2 fig1 (fig1_paths ()) (fig1_envelope ())
+  in
+  match r.Raha.Cluster.wave_budgets with
+  | [] -> Alcotest.fail "no wave budgets recorded"
+  | first :: _ ->
+    Alcotest.(check (float 0.))
+      "first wave budget = time_limit / n_solves"
+      (100_000. /. float_of_int r.Raha.Cluster.block_solves)
+      first
+
+(* A counter scope sees all the work of a clustered analysis at any
+   domain count: the pool credits what worker domains did back to the
+   submitter, so the scope deltas of a parallel run equal the
+   sequential ones. *)
+let test_cluster_scope_counters () =
+  let topo, paths, d = africa_setup () in
+  let envelope = Traffic.Envelope.from_zero ~slack:0.2 d in
+  let spec =
+    {
+      Raha.Bilevel.default_spec with
+      Raha.Bilevel.threshold = Some 1e-4;
+      max_failures = Some 2;
+      encoding = Raha.Bilevel.Strong_duality { levels = 3 };
+    }
+  in
+  let run domains =
+    let options = { Raha.Analysis.default_options with spec; domains } in
+    let scope = Milp.Lp_stats.scope_enter () in
+    let r = Raha.Cluster.analyze ~options ~clusters:2 topo paths envelope in
+    (r, (Milp.Lp_stats.scope_exit scope).Milp.Lp_stats.scope_counters)
+  in
+  let seq, seq_counters = run 1 in
+  let _, par_counters = run domains in
+  (* a wave with two blocks is what the pool runs concurrently *)
+  Alcotest.(check bool) "some wave solves two blocks" true
+    (seq.Raha.Cluster.block_solves > List.length seq.Raha.Cluster.wave_budgets);
   Alcotest.(check (list (pair string int)))
     (Printf.sprintf "scope deltas, domains 1 vs %d" domains)
     seq_counters par_counters
@@ -348,10 +465,14 @@ let suite =
     ("pool: sequential pool runs inline", `Quick, test_sequential_pool_inline);
     ("pool: with_pool re-raises", `Quick, test_with_pool_reraises);
     ("pool: create rejects domains < 1", `Quick, test_create_rejects_nonpositive);
-    ("monte carlo equivalence (fig1)", `Quick, test_mc_equivalence_fig1);
-    ("monte carlo equivalence (africa)", `Quick, test_mc_equivalence_africa);
-    ("monte carlo equivalence (shared pool)", `Quick, test_mc_shared_pool_equivalence);
-    ("enumeration equivalence", `Quick, test_enumeration_equivalence);
+    ("monte carlo draw pinned (fig1)", `Quick, test_mc_draw_pinned_fig1);
+    ("monte carlo draw pinned (africa)", `Quick, test_mc_draw_pinned_africa);
+    ("monte carlo blocks extend", `Quick, test_mc_blocks_extend);
     ("analysis equivalence", `Quick, test_analysis_equivalence);
-    ("analysis scope sees pool work", `Quick, test_analysis_scope_counters);
+    ("bilevel analysis identical across domains", `Quick, test_bilevel_analysis_identical);
+    ("analysis scope sees all work", `Quick, test_analysis_scope_counters);
+    ("wave budget redistribution", `Quick, test_wave_budget);
+    ("cluster identical across domains", `Quick, test_cluster_identical_across_domains);
+    ("cluster first wave budget", `Quick, test_cluster_first_wave_budget);
+    ("cluster scope sees pool work", `Quick, test_cluster_scope_counters);
   ]

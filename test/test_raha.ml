@@ -83,13 +83,11 @@ let test_fig1_kkt_matches () =
 
 (* Every solver field of Raha.Analysis.options reaches the solve: each
    override moves the counter of the layer it configures, so a dropped
-   or swapped field in the options mapping fails here. Seeding is off
-   in every arm so the screening overlays add no warm starts. *)
+   or swapped field in the options mapping fails here; the two ignored
+   fields move nothing. Seeding is off in every arm so the screening
+   overlays add no warm starts. *)
 let test_options_reach_solver () =
   let spec = spec_k1 Raha.Bilevel.Max_degradation Raha.Bilevel.Kkt in
-  let hooks =
-    Milp.Solver.stats_counters @ [ ("bb-rounds", Milp.Branch_bound.cumulative_rounds) ]
-  in
   let envelope =
     Traffic.Envelope.around ~slack:0.5
       (Traffic.Demand.of_list [ ((1, 3), 12.); ((2, 3), 10.) ])
@@ -98,16 +96,17 @@ let test_options_reach_solver () =
     let options =
       override { Raha.Analysis.default_options with spec; seed_enumeration = Some 0 }
     in
-    let scope = Milp.Lp_stats.scope_enter ~hooks () in
+    let scope = Milp.Lp_stats.scope_enter () in
     let r = Raha.Analysis.analyze ~options fig1 (fig1_paths ()) envelope in
-    let counters = (Milp.Lp_stats.scope_exit scope).Milp.Lp_stats.scope_counters in
-    (r.Raha.Analysis.degradation, fun name -> List.assoc name counters)
+    (r, (Milp.Lp_stats.scope_exit scope).Milp.Lp_stats.scope_counters)
   in
-  let base_deg, base = run Fun.id in
+  let base_r, base_counters = run Fun.id in
+  let base name = List.assoc name base_counters in
   let arm what override =
-    let deg, c = run override in
-    check_float ~eps:1e-6 (what ^ ": degradation") base_deg deg;
-    c
+    let r, counters = run override in
+    check_float ~eps:1e-6 (what ^ ": degradation") base_r.Raha.Analysis.degradation
+      r.Raha.Analysis.degradation;
+    fun name -> List.assoc name counters
   in
   let drops what counter override =
     let c = arm what override in
@@ -118,16 +117,18 @@ let test_options_reach_solver () =
   drops "cuts off" "cuts-generated" (fun o -> { o with Raha.Analysis.cuts = Milp.Cuts.disabled });
   drops "fractional" "sb-probes" (fun o ->
       { o with Raha.Analysis.branching = Milp.Branch_bound.Fractional });
-  Alcotest.(check int) "default: no rounds" 0 (base "bb-rounds");
-  (* a swapped mapping would read bb_width = 2 as the grain and keep the
-     default width: no rounds *)
-  let w = (arm "bb_width" (fun o -> { o with Raha.Analysis.bb_width = 2 })) "bb-rounds" in
-  Alcotest.(check bool) "bb_width = 2: rounds" true (w > 0);
-  let wg =
-    (arm "bb_width + bb_grain" (fun o -> { o with Raha.Analysis.bb_width = 2; bb_grain = 4 }))
-      "bb-rounds"
-  in
-  Alcotest.(check bool) "bb_grain = 4: more rounds than the default grain" true (wg > w)
+  let r, counters = run (fun o -> { o with Raha.Analysis.bb_width = 2; bb_grain = 4 }) in
+  Alcotest.(check (list (pair string int))) "bb_width, bb_grain: counters" base_counters counters;
+  List.iter
+    (fun (what, get) ->
+      Alcotest.(check int64) ("bb_width, bb_grain: " ^ what)
+        (Int64.bits_of_float (get base_r)) (Int64.bits_of_float (get r)))
+    [ ("degradation", fun r -> r.Raha.Analysis.degradation);
+      ("bound", fun r -> r.Raha.Analysis.bound);
+      ("normalized", fun r -> r.Raha.Analysis.normalized) ];
+  Alcotest.(check int) "bb_width, bb_grain: nodes" base_r.Raha.Analysis.nodes r.Raha.Analysis.nodes;
+  Alcotest.(check bool) "bb_width, bb_grain: scenario" true
+    (Failure.Scenario.equal base_r.Raha.Analysis.scenario r.Raha.Analysis.scenario)
 
 let test_fig1_verified_by_simulation () =
   (* whatever the MILP reports must replay exactly in the simulator *)
