@@ -704,16 +704,18 @@ let montecarlo ctx =
 
 (* Batched scenario engine (DESIGN.md §12): Monte Carlo and
    k-enumeration sweeps solved through one shared prepared structure +
-   rhs overlays + warm dual solves from the healthy basis. Every sampled
+   rhs and bound overlays + warm dual solves from the healthy basis. Every sampled
    scenario and every enumeration worst case is re-routed by the
    independent Te.Simulate.degradation oracle (its own formulation and
    cold solve, outside the counter scope); the "agree(oracle)=" line
    asserts they match within 1e-6 relative. The sweeps run on one
    domain so the scope counters see every scenario; CI gates on bwarm
-   (batched warm hits) staying nonzero, cert=ok (zero Batch.check audit
-   failures), agree(oracle)=true and the mc cell solving fewer overlays
-   than it has scenarios (a sweep solves each distinct overlay once). Measured scenarios/sec rows are
-   recorded in BENCH_batch.json. *)
+   (batched warm hits) being overlays - 1 (only the healthy overlay of
+   the prepare solves cold), cert=ok (zero Batch.check audit failures),
+   agree(oracle)=true and the mc cell solving fewer overlays than it has
+   scenarios (a sweep solves each distinct overlay once); piv= records
+   the cell's simplex pivots. Measured scenarios/sec rows are recorded
+   in BENCH_batch.json. *)
 let batch_bench ctx =
   section ctx ~id:"batch"
     ~paper:"batched scenario engine: one symbolic factorization, warm overlay solves (DESIGN.md §12)"
@@ -722,7 +724,9 @@ let batch_bench ctx =
   let paths = paths_of topo pairs in
   let peak = Traffic.Demand.scale 1.3 (base_demand pairs) in
   let mc_samples = if ctx.quick then 512 else 2048 in
-  let fields = [ "scen"; "warm"; "bwarm"; "overlays"; "prepares"; "fact"; "certify"; "cert" ] in
+  let fields =
+    [ "scen"; "warm"; "bwarm"; "overlays"; "piv"; "prepares"; "fact"; "certify"; "cert" ]
+  in
   print_header fields;
   let agrees (deg, scenario) =
     match Te.Simulate.degradation topo paths peak scenario with
@@ -733,6 +737,7 @@ let batch_bench ctx =
     let checked, counts, wall = scoped solve in
     print_run ~id:"batch" ~cell:name ~arm:"on" ~fields ~wall
       (("scen", string_of_int scen)
+      :: ("piv", string_of_int (count counts "simplex"))
       :: ("cert", if count counts "certify-failures" = 0 then "ok" else "FAIL")
       :: count_fields counts);
     let agree = Array.for_all agrees checked in

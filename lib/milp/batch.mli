@@ -1,23 +1,28 @@
 (** Batched scenario solves: one {!Simplex.prepare}, many cheap
-    right-hand-side overlays (DESIGN.md §12).
+    overlays of the row right-hand sides and the column upper bounds
+    (DESIGN.md §12).
 
     Scenario-heavy workloads (Monte Carlo sampling, failure
     enumeration, sweep grids) solve near-identical LPs that differ only
-    in a few row right-hand sides — link capacities and path
-    availability caps. A {!t} pays the CSC build and symbolic
-    factorization work once; {!solve} then patches the rhs vector and
-    re-solves through [Simplex.solve_prepared ?b ?warm]. Because duals
-    and reduced costs never depend on the rhs, an optimal basis of the
-    base problem stays dual feasible for {e every} overlay, so
-    warm-started solves finish in a handful of dual pivots (with the
-    cold-primal fallback on numerical trouble built into the simplex
+    in a few row right-hand sides (link capacities) and column upper
+    bounds (paths a failure opens or blocks). A {!t} pays the CSC build
+    and symbolic factorization work once; {!solve} then patches the rhs
+    and upper-bound vectors and re-solves through
+    [Simplex.solve_prepared ?b ?ub ?warm]. Duals and reduced costs never
+    depend on either, so an optimal basis of the base problem stays dual
+    feasible under {e every} rhs overlay; under a bound overlay the only
+    columns it can leave dual infeasible are nonbasic columns whose
+    range the overlay widened, and when each is boxed the warm path
+    flips it to its other bound and stays warm. Warm-started solves
+    finish in a handful of dual pivots (with the cold-primal fallback on
+    numerical trouble or an unflippable column built into the simplex
     driver).
 
     A [t] is immutable and safe to share read-only across domains:
     every {!solve} works on fresh copies, and its pivot sequence
-    depends only on (structure, bounds, patched rhs, warm basis) — the
-    determinism that keeps batched sweeps bit-identical across batch
-    sizes and domain counts. *)
+    depends only on (structure, patched bounds, patched rhs, warm
+    basis) — the determinism that keeps batched sweeps bit-identical
+    across batch sizes and domain counts. *)
 
 type t
 
@@ -30,8 +35,8 @@ type outcome = {
 }
 
 (** [prepare model] builds the shared structure ([Simplex.prepare] +
-    a private copy of the base rhs). Bumps the batch-prepares
-    counter. *)
+    private copies of the base rhs and of the model's upper bounds).
+    Bumps the batch-prepares counter. *)
 val prepare : Model.t -> t
 
 (** The underlying prepared model (shared, do not mutate). *)
@@ -40,24 +45,28 @@ val prep : t -> Simplex.prepared
 (** Fresh copy of the base rhs (row order = model constraint order). *)
 val base_rhs : t -> float array
 
-(** [solve ?warm ?patch t] solves the overlay whose rhs is the base rhs
-    with each [(row, value)] of [patch] substituted (later entries win).
-    [?warm] is typically the base problem's optimal basis.
-    @raise Invalid_argument on an out-of-range patch row. *)
+(** [solve ?warm ?patch ?ub t] solves the overlay whose rhs is the
+    base rhs with each [(row, value)] of [patch] substituted, and whose
+    upper bounds are the model's with each [(column, value)] of [ub]
+    substituted (later entries win in both). [?warm] is typically the
+    base problem's optimal basis.
+    @raise Invalid_argument on an out-of-range patch row or column. *)
 val solve :
   ?warm:Simplex.basis ->
   ?patch:(int * float) list ->
+  ?ub:(int * float) list ->
   t ->
   outcome
 
-(** [check ?patch ~obj ~values t] independently re-validates a claimed
-    overlay optimum: {!Certify.check_point} at the default certification
-    tolerances, with the patched rhs substituted and integrality not
-    checked (an overlay solves the LP relaxation). Bumps the
-    certify-checks/failures counters. [Error] carries the first failed
-    check. *)
+(** [check ?patch ?ub ~obj ~values t] independently re-validates a
+    claimed overlay optimum: {!Certify.check_point} at the default
+    certification tolerances, with the patched rhs and upper bounds
+    substituted and integrality not checked (an overlay solves the LP
+    relaxation). Bumps the certify-checks/failures counters. [Error]
+    carries the first failed check. *)
 val check :
   ?patch:(int * float) list ->
+  ?ub:(int * float) list ->
   obj:float ->
   values:float array ->
   t ->

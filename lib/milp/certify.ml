@@ -96,7 +96,7 @@ type point = {
   acts : float array;
 }
 
-let check_point ?rhs ?obj ~tols model values =
+let check_point ?rhs ?ub ?obj ~tols model values =
   let nv = Model.num_vars model and m = Model.num_cons model in
   if Array.length values <> nv then
     { row_residual = infinity; bound_residual = infinity; int_residual = infinity;
@@ -128,18 +128,18 @@ let check_point ?rhs ?obj ~tols model values =
     let bound_res = ref 0. and int_res = ref 0. in
     for j = 0 to nv - 1 do
       let v = Model.var_of_id model j and x = values.(j) in
+      let vub = match ub with Some u -> u.(j) | None -> v.Model.ub in
       let res =
         if Float.is_nan x then infinity
         else
           Float.max
             (if Float.is_finite v.Model.lb then (v.Model.lb -. x) /. (1. +. Float.abs v.Model.lb)
              else 0.)
-            (if Float.is_finite v.Model.ub then (x -. v.Model.ub) /. (1. +. Float.abs v.Model.ub)
-             else 0.)
+            (if Float.is_finite vub then (x -. vub) /. (1. +. Float.abs vub) else 0.)
       in
       if res > !bound_res then bound_res := res;
       if res > tols.feas_tol then
-        fail "%s = %g outside [%g, %g]: residual %.3e" v.Model.vname x v.Model.lb v.Model.ub res;
+        fail "%s = %g outside [%g, %g]: residual %.3e" v.Model.vname x v.Model.lb vub res;
       if v.Model.kind <> Model.Continuous then begin
         let frac = Float.abs (x -. Float.round x) in
         if frac > !int_res then int_res := frac;

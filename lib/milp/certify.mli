@@ -76,12 +76,19 @@ type point = {
   acts : float array;  (** row activities *)
 }
 
-(** [check_point ?rhs ?obj ~tols model values] checks [values] against
-    [model]'s rows (with right-hand sides [rhs] when given), bounds,
+(** [check_point ?rhs ?ub ?obj ~tols model values] checks [values]
+    against [model]'s rows (with right-hand sides [rhs] when given),
+    bounds (with upper bounds [ub], indexed by variable id, when given),
     integrality and, with [obj], the claimed objective. A point of the
     wrong length fails with infinite residuals. Bumps no counter. *)
 val check_point :
-  ?rhs:float array -> ?obj:float -> tols:tolerances -> Model.t -> float array -> point
+  ?rhs:float array ->
+  ?ub:float array ->
+  ?obj:float ->
+  tols:tolerances ->
+  Model.t ->
+  float array ->
+  point
 
 type t = {
   ok : bool;  (** every applicable check passed *)

@@ -12,7 +12,10 @@
    solve re-installs the caller's basis and runs the dual simplex —
    after a branch-and-bound bound change the parent's optimal basis
    stays dual feasible, so children typically need a handful of dual
-   pivots. Any numerical trouble in the warm path falls back to the
+   pivots. A bound overlay that widens a boxed nonbasic column's range
+   can leave its reduced cost on the wrong side; the warm path flips
+   such columns to their other bound first. Any numerical trouble in
+   the warm path, or a violation no flip repairs, falls back to the
    cold primal within the same iteration budget.
 
    A dual pivot makes one sweep over the factors: the duals y and the
@@ -491,6 +494,41 @@ let dual_feasible st d =
     st.stat;
   !ok
 
+(* Make a warm start dual feasible by bound flips (as in Koberstein's
+   dual simplex, Paderborn 2005): a nonbasic column whose reduced cost
+   has the wrong sign for the bound it rests at, and whose range is
+   finite, moves to its other bound, where that sign is the right one. A flip moves no column in or
+   out of the basis, so the reduced costs stand; only x_B moves, and it
+   is recomputed once for all flips. This is the case of a bound overlay
+   that widens a column's range, as a batched scenario opening a path
+   the base had closed: the column rested at its upper bound 0, which
+   is now its lower one. Answers [false], with nothing changed, when
+   some violation cannot be flipped: its other bound is infinite or it
+   rests at 0 as a free column. With no violation it flips nothing and
+   answers [true], exactly where [dual_feasible] does. *)
+let flip_to_dual_feasible st d =
+  let flips = ref [] and flippable = ref true in
+  Array.iteri
+    (fun j s ->
+      if !flippable && s <> Basic && st.hi.(j) -. st.lo.(j) > 1e-12 then
+        match s with
+        | At_lower when d.(j) < -.eps_dual ->
+          if Float.is_finite st.hi.(j) then flips := j :: !flips else flippable := false
+        | At_upper when d.(j) > eps_dual ->
+          if Float.is_finite st.lo.(j) then flips := j :: !flips else flippable := false
+        | At_zero when Float.abs d.(j) > eps_dual -> flippable := false
+        | Basic | At_lower | At_upper | At_zero -> ())
+    st.stat;
+  if !flippable && !flips <> [] then begin
+    List.iter
+      (fun j ->
+        st.stat.(j) <- (if st.stat.(j) = At_lower then At_upper else At_lower);
+        st.x.(j) <- nonbasic_value st j)
+      !flips;
+    compute_xb st
+  end;
+  !flippable
+
 (* Dual simplex loop: repair primal feasibility while keeping dual
    feasibility. Assumes the caller verified dual feasibility. [watch],
    when given, sees the state at the head of every iteration, so before
@@ -711,7 +749,7 @@ let solve_prepared ?(engine = Revised) ?lb ?ub ?b ?max_iters ?degen_limit ?warm
         let attempt =
           try
             let st = warm_state prep ~rhs bounds wb ~max_iters ~degen_limit in
-            if not (dual_feasible st (reduced_costs st)) then
+            if not (flip_to_dual_feasible st (reduced_costs st)) then
               `Cold max_iters
             else begin
               match run_dual st with

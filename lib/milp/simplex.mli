@@ -9,9 +9,10 @@
     phase 2. A warm solve re-installs a caller-supplied basis and runs
     the dual simplex: after a branch-and-bound bound change the
     parent's optimal basis stays dual feasible, so children typically
-    finish in a handful of dual pivots. Numerical trouble on the warm
-    path falls back to a cold primal solve on the remaining iteration
-    budget.
+    finish in a handful of dual pivots; under bounds that widen a boxed
+    column's range, the warm path first flips that column to its other
+    bound. Numerical trouble on the warm path falls back to a cold
+    primal solve on the remaining iteration budget.
 
     The legacy dense tableau ({!Dense_simplex}) remains reachable
     through [~engine:Dense] ({!Branch_bound.options.engine}) for
@@ -80,12 +81,20 @@ val solve :
 
     [?b] overlays the row right-hand sides (length = rows) without
     rebuilding the CSC structure — the batched scenario path
-    ({!Batch}). Duals and reduced costs never depend on the rhs, so any
-    dual-feasible basis (in particular an optimal one) stays dual
-    feasible under an overlay, making [?warm] + [?b] the cheap re-solve
-    combination. Revised engine only; with an overlay the pathological
-    dense-tableau degradation is unavailable and {!Basis.Singular}
-    propagates instead.
+    ({!Batch}), which overlays [?ub] as well. Duals and reduced costs
+    never depend on the rhs or the bounds, so any dual-feasible basis
+    (in particular an optimal one) stays dual feasible under an rhs
+    overlay, making [?warm] + [?b] the cheap re-solve combination.
+    Under new bounds the warm basis keeps its dual values but a
+    nonbasic column may now rest at a bound its reduced cost does not
+    suit (a column fixed at 0 in the basis' problem that [?ub] unfixes,
+    say). When every such column has finite bounds on both sides, the
+    warm path flips each to its other bound, recomputes the basic
+    values and runs the dual simplex; otherwise it solves cold. Bounds
+    that only tighten, as in branch-and-bound, leave nothing to flip.
+    Revised engine only; with an overlay the pathological dense-tableau
+    degradation is unavailable and {!Basis.Singular} propagates
+    instead.
 
     [?keep_factor] (default [false]) publishes the returned basis'
     factorization snapshot ({!Basis.snapshot}: LU plus eta file, no

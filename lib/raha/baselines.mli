@@ -26,9 +26,9 @@ type enumeration = {
 
     Scenarios go through the batched engine
     ({!Te.Simulate.degradations_prepared}): one prepare, one healthy
-    solve, and one rhs overlay warm-started from the healthy basis per
-    distinct overlay; scenarios that change the same rows alike (e.g.
-    failures of links no path crosses) share a solve.
+    solve, and one overlay warm-started from the healthy basis per
+    distinct overlay; scenarios that change the same rows and bounds
+    alike (e.g. failures of links no path crosses) share a solve.
     @raise Invalid_argument when the scenario count explodes (see
     {!Failure.Enumerate.up_to_k}). *)
 val enumerate_failures :

@@ -17,7 +17,6 @@ type index = {
   pair_arr : pair_cols array;
   u_col : int option;
   cap_rows : int array;
-  ext_rows : int array array;
 }
 
 let rhs_of_value = function
@@ -157,9 +156,6 @@ let build ~objective ~topo ~paths ~lag_cap ~demand ?path_cap ~d_max () =
   | Mlu { u_max }, Some u -> add_row "u_cap" [ (u, 1.) ] Lp_spec.Le (Lp_spec.Const u_max) u_max
   | _ -> ());
   (* path extension capacity rows (Eq. 5) *)
-  let ext_rows =
-    Array.map (fun pc -> Array.make (Array.length pc.path_cols) (-1)) pair_arr
-  in
   (match path_cap with
   | None -> ()
   | Some f ->
@@ -170,7 +166,6 @@ let build ~objective ~topo ~paths ~lag_cap ~demand ?path_cap ~d_max () =
             match f ~pair:k ~path:j with
             | None -> ()
             | Some v ->
-              ext_rows.(k).(j) <- !n_rows;
               add_row
                 (Printf.sprintf "ext_k%d_p%d" k j)
                 [ (col, 1.) ]
@@ -191,7 +186,7 @@ let build ~objective ~topo ~paths ~lag_cap ~demand ?path_cap ~d_max () =
       dual_bound;
     }
   in
-  (spec, { pair_arr; u_col; cap_rows; ext_rows })
+  (spec, { pair_arr; u_col; cap_rows })
 
 let add_rows spec extra =
   { spec with Lp_spec.rows = Array.append spec.Lp_spec.rows (Array.of_list extra) }

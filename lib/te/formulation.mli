@@ -42,9 +42,6 @@ type index = {
           rows are scenario-independent, Appendix A). Row indices match
           the model-constraint / sparse-rhs order {!Lp_spec.to_model}
           preserves: what {!Milp.Batch} patches. *)
-  ext_rows : int array array;
-      (** per (pair, path): spec-row index of the extension-capacity
-          row, [-1] when [path_cap] returned [None] for it *)
 }
 
 (** [build ~objective ~topo ~paths ~lag_cap ~demand ?path_cap ~d_max ()]
@@ -54,8 +51,9 @@ type index = {
     [demand ~src ~dst] the demand volume; [path_cap ~pair ~path], when
     [Some], adds the extension-capacity row [f_kp <= path_cap] (Eq. 5's
     C_kp) — return [None] for paths that need no row (always-available
-    primaries). [d_max] bounds every demand from above (big-M
-    tightness).
+    primaries). The batched engine ({!Simulate.prepare}), whose caps are
+    constants, passes none and bounds the path columns instead. [d_max]
+    bounds every demand from above (big-M tightness).
 
     @raise Invalid_argument if [Mlu] is combined with non-constant
     [lag_cap] (Appendix A keeps MLU capacity rows constant). *)

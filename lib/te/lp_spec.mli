@@ -66,10 +66,12 @@ val row_lhs : Milp.Model.var array -> row -> Milp.Linexpr.t
     [prefix_pr<i>_<name>]; without, both keep their spec names. *)
 val embed : ?prefix:string -> Milp.Model.t -> t -> Milp.Model.var array * Milp.Linexpr.t
 
-(** [to_model t] builds a standalone {!Milp.Model} through {!embed}.
+(** [to_model ?ub t] builds a standalone {!Milp.Model} as {!embed}
+    does, column [i] bounded above by [ub.(i)] when [ub] is given.
     Returns the model and the column variables.
-    @raise Invalid_argument on an [Outer] right-hand side. *)
-val to_model : t -> Milp.Model.t * Milp.Model.var array
+    @raise Invalid_argument on an [Outer] right-hand side or an [ub] of
+    another length than the columns. *)
+val to_model : ?ub:float array -> t -> Milp.Model.t * Milp.Model.var array
 
 (** [solve t] solves the standalone LP. *)
 val solve : t -> [ `Optimal of float * float array | `Infeasible | `Unbounded ]

@@ -86,15 +86,23 @@ let healthy ?objective topo paths demand =
 (* ------------------------------------------------------------------ *)
 (* Batched scenario engine (DESIGN.md §12)
 
-   One base LP is built for the healthy network: healthy LAG
-   capacities, every extension-capacity row present, open paths' rows
-   at d_max (= unconstrained) and rows of paths blocked with nothing
-   failed (the backups) at 0. A scenario is then a pure rhs delta
-   against that base: only the capacity rows of LAGs it touches and the
-   extension rows of paths it opens or blocks. The matrix never
-   changes, so one Milp.Batch prepare (CSC + symbolic factorization)
-   serves every scenario, warm-started from the healthy network's
-   optimal basis. *)
+   One base LP is built for the healthy network: healthy LAG capacities
+   and no extension-capacity rows. In a simulation Eq. 5's path caps are
+   constants, so each is an upper bound on its path's column: d_max (=
+   unconstrained) for a path available with nothing failed, 0 for one
+   that is not (the backups). A scenario is then a delta against that
+   base: the rhs of the capacity rows of LAGs it touches and the upper
+   bounds of the paths it opens or blocks. The matrix never changes, so
+   one Milp.Batch prepare (CSC + symbolic factorization) serves every
+   scenario, warm-started from the healthy network's optimal basis. A
+   path a scenario opens is a column the healthy basis holds nonbasic at
+   0 with a reduced cost that may now want it up: the warm start flips
+   it to its new upper bound (Simplex.solve_prepared) and the dual
+   simplex carries on. *)
+
+(* A scenario's overlay: rhs entries by row, upper bounds by column,
+   each sorted *)
+type patch = { rows : (int * float) list; ubs : (int * float) list }
 
 type engine = {
   eng_topo : Wan.Topology.t;
@@ -105,6 +113,7 @@ type engine = {
   eng_index : Formulation.index;
   eng_batch : Milp.Batch.t;
   eng_base : float array;  (* the base (healthy) rhs *)
+  eng_base_ub : float array;  (* the base upper bound of every spec column *)
   eng_lag_pairs : int list array;  (* per LAG, the pairs with a path across it *)
   eng_healthy : result;
   eng_basis : Milp.Simplex.basis option;
@@ -114,19 +123,22 @@ let is_mlu = function Formulation.Mlu _ -> true | _ -> false
 
 let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
-(* Scenario overlay as a delta against the healthy base, sorted by row.
-   Only failed links can move a row: a LAG with a failed link gets its
-   live capacity (MLU keeps no capacity rows), and a pair with a path
-   across a fully-down LAG gets its availability recomputed, its
-   extension rows 0 when blocked and d_max when open. An entry whose
-   value has the base's bits is dropped, so the patch is exactly the
-   rows whose rhs differs from the healthy network's: equal right-hand
-   sides give equal patches, and the healthy overlay's patch is []. *)
+let by_index l = List.sort (fun (a, _) (b, _) -> Int.compare a b) l
+
+(* Scenario overlay as a delta against the healthy base. Only failed
+   links can move an entry: a LAG with a failed link gets its live
+   capacity (MLU keeps no capacity rows), and a pair with a path across
+   a fully-down LAG gets its availability recomputed, its path columns'
+   upper bounds 0 when blocked and d_max when open. An entry whose value
+   has the base's bits is dropped, so the patch is exactly the rows and
+   columns that differ from the healthy network's: equal overlays give
+   equal patches, and the healthy overlay's patch is empty. *)
 let scenario_patch eng scenario =
   let topo = eng.eng_topo and index = eng.eng_index in
   let mlu = is_mlu eng.eng_objective in
-  let patch = ref [] in
-  let set row v = if not (same_bits v eng.eng_base.(row)) then patch := (row, v) :: !patch in
+  let rows = ref [] and ubs = ref [] in
+  let set row v = if not (same_bits v eng.eng_base.(row)) then rows := (row, v) :: !rows in
+  let set_ub col v = if not (same_bits v eng.eng_base_ub.(col)) then ubs := (col, v) :: !ubs in
   let affected = Array.make (Array.length eng.eng_pairs) false in
   (* [links] is sorted by (lag, link), so each touched LAG comes once *)
   let last = ref (-1) in
@@ -144,6 +156,7 @@ let scenario_patch eng scenario =
     (fun k hit ->
       if hit then begin
         let p = eng.eng_pairs.(k) in
+        let cols = index.Formulation.pair_arr.(k).Formulation.path_cols in
         let avail = availability topo p scenario in
         List.iteri
           (fun j path ->
@@ -152,28 +165,33 @@ let scenario_patch eng scenario =
               || (mlu
                  && Failure.Scenario.path_down topo scenario (Netpath.Path.lag_list path))
             in
-            set index.Formulation.ext_rows.(k).(j) (if blocked then 0. else eng.eng_d_max))
+            set_ub cols.(j) (if blocked then 0. else eng.eng_d_max))
           (Netpath.Path_set.all_paths p)
       end)
     affected;
-  List.sort (fun (a, _) (b, _) -> Int.compare a b) !patch
+  { rows = by_index !rows; ubs = by_index !ubs }
 
-(* The base build: healthy capacities and every extension row present,
-   at d_max for a path available with nothing failed and at 0 for one
-   that is not. MLU's utilization rows bake the constant capacities
-   into the matrix. *)
+(* The base build: healthy capacities and no extension rows; a path
+   column's upper bound is d_max when the path is available with nothing
+   failed and 0 when it is not, and every other column is unbounded
+   above. MLU's utilization rows bake the constant capacities into the
+   matrix. Returns the spec, its index and the column upper bounds. *)
 let base_build ~objective topo paths demand =
   let d_max = d_max_of demand in
   let lag_cap e = Formulation.C (Wan.Lag.capacity (Wan.Topology.lag topo e)) in
   let demand_f ~src ~dst = Formulation.C (Traffic.Demand.volume demand ~src ~dst) in
-  let open_ =
-    Array.of_list (List.map (fun p -> availability topo p Failure.Scenario.empty) paths)
+  let spec, index =
+    Formulation.build ~objective ~topo ~paths ~lag_cap ~demand:demand_f ~d_max ()
   in
-  let path_cap ~pair ~path =
-    Some (Formulation.C (if open_.(pair).(path) then d_max else 0.))
-  in
-  Formulation.build ~objective ~topo ~paths ~lag_cap ~demand:demand_f ~path_cap
-    ~d_max ()
+  let ub = Array.make (Array.length spec.Lp_spec.cols) infinity in
+  List.iteri
+    (fun k p ->
+      let avail = availability topo p Failure.Scenario.empty in
+      Array.iteri
+        (fun j col -> ub.(col) <- (if avail.(j) then d_max else 0.))
+        index.Formulation.pair_arr.(k).Formulation.path_cols)
+    paths;
+  (spec, index, ub)
 
 let finish_result eng = function
   | Milp.Simplex.Optimal { obj = _; values } ->
@@ -194,16 +212,16 @@ let finish_result eng = function
    gates on — a failed audit must never pass silently as a solved
    scenario. *)
 let solve_overlay ?warm batch patch =
-  let out = Milp.Batch.solve ?warm ~patch batch in
+  let out = Milp.Batch.solve ?warm ~patch:patch.rows ~ub:patch.ubs batch in
   (match out.Milp.Batch.result with
   | Milp.Simplex.Optimal { obj; values } ->
-    ignore (Milp.Batch.check ~patch ~obj ~values batch)
+    ignore (Milp.Batch.check ~patch:patch.rows ~ub:patch.ubs ~obj ~values batch)
   | _ -> ());
   out
 
 let prepare ?(objective = Formulation.Total_flow) topo paths demand =
-  let spec, index = base_build ~objective topo paths demand in
-  let model, _vars = Lp_spec.to_model spec in
+  let spec, index, ub = base_build ~objective topo paths demand in
+  let model, _vars = Lp_spec.to_model ~ub spec in
   let batch = Milp.Batch.prepare model in
   let pairs = Array.of_list paths in
   (* pairs are visited in order, so a pair already listed for a LAG is
@@ -231,6 +249,7 @@ let prepare ?(objective = Formulation.Total_flow) topo paths demand =
       eng_index = index;
       eng_batch = batch;
       eng_base = Milp.Batch.base_rhs batch;
+      eng_base_ub = ub;
       eng_lag_pairs = lag_pairs;
       eng_healthy =
         { performance = nan; flows = [||]; index } (* placeholder *);
@@ -239,7 +258,7 @@ let prepare ?(objective = Formulation.Total_flow) topo paths demand =
   in
   (* cold-solve the healthy overlay (the base itself): its optimal basis
      is the shared warm seed for every scenario *)
-  let out = solve_overlay batch [] in
+  let out = solve_overlay batch { rows = []; ubs = [] } in
   match finish_result eng0 out.Milp.Batch.result with
   | None -> None
   | Some h -> Some { eng0 with eng_healthy = h; eng_basis = out.Milp.Batch.basis }
@@ -260,12 +279,14 @@ let route_prepared eng scenario = route_patch eng (scenario_patch eng scenario)
 
 let degradation_prepared eng scenario = degradation_of_patch eng (scenario_patch eng scenario)
 
-(* Patches compare by row and value bits. *)
+(* Patches compare by index and value bits. *)
 module Patch_tbl = Hashtbl.Make (struct
-  type t = (int * float) list
+  type t = patch
 
-  let equal = List.equal (fun (r, v) (r', v') -> r = r' && same_bits v v')
-  let hash p = List.fold_left (fun h (r, v) -> Hashtbl.hash (h, r, v)) 0 p
+  let entries_equal = List.equal (fun (i, v) (i', v') -> i = i' && same_bits v v')
+  let equal p q = entries_equal p.rows q.rows && entries_equal p.ubs q.ubs
+  let hash_entries h l = List.fold_left (fun h (i, v) -> Hashtbl.hash (h, i, v)) h l
+  let hash p = hash_entries (hash_entries 0 p.rows) p.ubs
 end)
 
 let degradations_prepared eng scenarios =

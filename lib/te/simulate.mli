@@ -70,20 +70,22 @@ val degradation :
 
     One symbolic factorization, thousands of warm-started scenario
     solves (DESIGN.md §12). [prepare] builds the TE LP of the healthy
-    network once, with every extension-capacity row present, and runs
-    one cold solve of it; each scenario is then a pure rhs delta on
-    that base ([Milp.Batch]), solved by the dual simplex warm-started
-    from the healthy optimal basis. An engine is immutable after
-    [prepare] and safe to share across domains. *)
+    network once, without extension-capacity rows: Eq. 5's path caps
+    are constants here, so each is an upper bound on its path's column.
+    It runs one cold solve of that base; each scenario is then a delta
+    of capacity-row right-hand sides and path-column upper bounds on
+    it ([Milp.Batch]), solved by the dual simplex warm-started from the
+    healthy optimal basis. An engine is immutable after [prepare] and
+    safe to share across domains. *)
 
 type engine
 
 (** [prepare ~objective topo paths demand] builds the shared structure
     and solves the healthy network (the warm-start seed), audited by
-    {!Milp.Batch.check} like every overlay. The base rhs is the healthy
-    network's: live LAG capacities, extension rows at [d_max] for the
-    paths available with nothing failed and at 0 for the rest (the
-    backups), so the healthy overlay patches nothing. [None] when
+    {!Milp.Batch.check} like every overlay. The base is the healthy
+    network: live LAG capacities, and path columns bounded above by
+    [d_max] for the paths available with nothing failed and by 0 for the
+    rest (the backups), so the healthy overlay patches nothing. [None] when
     even the healthy network cannot route the demand (same condition as
     {!healthy} returning [None]). Only [Optimal_failover] reactions are
     supported — naive fail-over changes the row structure per scenario. *)
@@ -95,18 +97,18 @@ val prepare :
   engine option
 
 (** The healthy-network routing computed by [prepare]. Its performance
-    can differ from {!healthy}'s last bits: the engine's LP carries
-    extension rows for every path whereas {!route} omits rows for open
-    paths, so the simplex may stop at a different optimal vertex. The
-    optimal objective value is the same up to solver tolerance. *)
+    can differ from {!healthy}'s last bits: the engine's LP bounds every
+    path column where {!route} writes extension rows for blocked paths,
+    so the simplex may stop at a different optimal vertex. The optimal
+    objective value is the same up to solver tolerance. *)
 val engine_healthy : engine -> result
 
 (** [route_prepared eng scenario] routes the engine's demand under
     [scenario]: one overlay solve, warm-started from the healthy basis
-    and audited by {!Milp.Batch.check}. The overlay patches only the
-    rows whose rhs differs from the healthy network's: the capacity
-    rows of LAGs with a failed link (none under MLU) and the extension
-    rows of paths that a fully-down LAG opens or blocks. *)
+    and audited by {!Milp.Batch.check}. The overlay patches only what
+    differs from the healthy network: the rhs of the capacity rows of
+    LAGs with a failed link (none under MLU) and the upper bounds of
+    the path columns that a fully-down LAG opens or blocks. *)
 val route_prepared : engine -> Failure.Scenario.t -> result option
 
 (** {!degradation} against the engine's healthy baseline: healthy minus
@@ -117,6 +119,6 @@ val degradation_prepared : engine -> Failure.Scenario.t -> float option
 (** [degradations_prepared eng scenarios] is
     [Array.map (degradation_prepared eng) scenarios], bit for bit, but
     solves each distinct overlay once: scenarios whose failures give
-    the same rhs (most often the healthy one, when no failed link lies
-    on a path) share one solve and its audit. *)
+    the same rhs and bounds (most often the healthy ones, when no
+    failed link lies on a path) share one solve and its audit. *)
 val degradations_prepared : engine -> Failure.Scenario.t array -> float option array

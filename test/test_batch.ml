@@ -57,14 +57,23 @@ let opens_backup topo paths s =
 let test_mc_differential objective () =
   let ((topo, paths, demand) as net) = flaky_wan () in
   let samples = 512 in
-  let wh0 = Milp.Lp_stats.read Milp.Lp_stats.batch_warm_hits () in
+  let read c = Milp.Lp_stats.read c () in
+  let wh0 = read Milp.Lp_stats.batch_warm_hits
+  and o0 = read Milp.Lp_stats.batch_overlays
+  and f0 = read Milp.Lp_stats.certify_failures in
   let ref_degs, ref_scens =
     Te.Monte_carlo.sample_degradations ~objective ~seed:7 ~samples topo paths demand
   in
-  (* the warm path must actually have been taken, not cold-fallen-back *)
-  Alcotest.(check bool)
-    "nonzero batched warm hits" true
-    (Milp.Lp_stats.read Milp.Lp_stats.batch_warm_hits () > wh0);
+  (* the warm path must actually have been taken, not cold-fallen-back:
+     only the healthy overlay of the prepare solves cold *)
+  Alcotest.(check int)
+    "every overlay but the healthy one warm-hits"
+    (read Milp.Lp_stats.batch_overlays - o0 - 1)
+    (read Milp.Lp_stats.batch_warm_hits - wh0);
+  (* every overlay passed its audit against the patched rhs and upper
+     bounds: under MLU a path across a down LAG is closed by its bound
+     alone, and the audit sees flow on it *)
+  Alcotest.(check int) "no overlay audit failed" 0 (read Milp.Lp_stats.certify_failures - f0);
   let healthy =
     match Te.Simulate.prepare ~objective topo paths demand with
     | Some eng -> (Te.Simulate.engine_healthy eng).Te.Simulate.performance
@@ -114,10 +123,11 @@ let lag_scenarios topo =
   in
   Failure.Scenario.empty :: List.init (Wan.Topology.num_lags topo) whole_lag
 
-(* The per-scenario path builds a structurally different LP (no
-   extension rows for open paths), so vertices — hence flows — may
-   differ; the optimal objective value must agree to solver tolerance,
-   here over the empty scenario and every whole-LAG failure. *)
+(* The per-scenario path builds a structurally different LP (extension
+   rows for blocked paths, where the engine bounds columns), so
+   vertices — hence flows — may differ; the optimal objective value must
+   agree to solver tolerance, here over the empty scenario and every
+   whole-LAG failure. *)
 let test_engine_vs_route objective () =
   let topo, paths, demand = wan () in
   let eng =
@@ -270,11 +280,13 @@ let test_sweep_solves_distinct_patches () =
 
 (* --- delta patches == the full patches of a healthy-agnostic base ------ *)
 
-(* An engine built from public calls with the full-patch layout: every
-   extension row open at d_max in the base, and every overlay rewriting
-   every capacity row (live capacities) and every blocked extension row
-   (to 0). The engine's delta patches on the healthy base must give the
-   same right-hand sides, hence the same flows, bit for bit. *)
+(* An engine built from public calls with the full-patch layout: the
+   engine's bounded base (no extension rows, each path's cap an upper
+   bound on its column) but with every path open at d_max, and every
+   overlay rewriting every capacity row (live capacities) and every path
+   column's upper bound (0 when blocked, d_max when open). The engine's
+   delta patches on the healthy base must give the same right-hand sides
+   and bounds, hence the same flows, bit for bit. *)
 let full_patch_flows ~objective topo paths demand =
   let d_max =
     List.fold_left (fun acc (_, v) -> Float.max acc v) 1. (Traffic.Demand.entries demand)
@@ -283,10 +295,21 @@ let full_patch_flows ~objective topo paths demand =
     Te.Formulation.build ~objective ~topo ~paths
       ~lag_cap:(fun e -> Te.Formulation.C (Wan.Lag.capacity (Wan.Topology.lag topo e)))
       ~demand:(fun ~src ~dst -> Te.Formulation.C (Traffic.Demand.volume demand ~src ~dst))
-      ~path_cap:(fun ~pair:_ ~path:_ -> Some (Te.Formulation.C d_max))
       ~d_max ()
   in
-  let model, _ = Te.Lp_spec.to_model spec in
+  let path_cols =
+    List.concat
+      (List.mapi
+         (fun k p ->
+           List.mapi
+             (fun j path ->
+               (index.Te.Formulation.pair_arr.(k).Te.Formulation.path_cols.(j), p, j, path))
+             (Netpath.Path_set.all_paths p))
+         paths)
+  in
+  let ub = Array.make (Array.length spec.Te.Lp_spec.cols) infinity in
+  List.iter (fun (col, _, _, _) -> ub.(col) <- d_max) path_cols;
+  let model, _ = Te.Lp_spec.to_model ~ub spec in
   let batch = Milp.Batch.prepare model in
   let mlu = match objective with Te.Formulation.Mlu _ -> true | _ -> false in
   let full_patch s =
@@ -298,32 +321,29 @@ let full_patch_flows ~objective topo paths demand =
             if row >= 0 then Some (row, Failure.Scenario.lag_capacity topo s e) else None)
           (List.mapi (fun e row -> (e, row)) (Array.to_list index.Te.Formulation.cap_rows))
     in
-    let blocked =
-      List.concat
-        (List.mapi
-           (fun k p ->
-             let avail = Te.Simulate.availability topo p s in
-             List.concat
-               (List.mapi
-                  (fun j path ->
-                    if
-                      (not avail.(j))
-                      || mlu
-                         && Failure.Scenario.path_down topo s (Netpath.Path.lag_list path)
-                    then [ (index.Te.Formulation.ext_rows.(k).(j), 0.) ]
-                    else [])
-                  (Netpath.Path_set.all_paths p)))
-           paths)
+    let ubs =
+      List.map
+        (fun (col, p, j, path) ->
+          let blocked =
+            (not (Te.Simulate.availability topo p s).(j))
+            || mlu && Failure.Scenario.path_down topo s (Netpath.Path.lag_list path)
+          in
+          (col, if blocked then 0. else d_max))
+        path_cols
     in
-    caps @ blocked
+    (caps, ubs)
+  in
+  let solve ?warm s =
+    let patch, ub = full_patch s in
+    Milp.Batch.solve ?warm ~patch ~ub batch
   in
   let warm =
-    match Milp.Batch.solve ~patch:(full_patch Failure.Scenario.empty) batch with
+    match solve Failure.Scenario.empty with
     | { Milp.Batch.basis = Some b; _ } -> b
     | _ -> Alcotest.fail "full-patch engine: healthy solve has no basis"
   in
   fun s ->
-    match (Milp.Batch.solve ~warm ~patch:(full_patch s) batch).Milp.Batch.result with
+    match (solve ~warm s).Milp.Batch.result with
     | Milp.Simplex.Optimal { values; _ } ->
       Some (Array.sub values 0 (Array.length spec.Te.Lp_spec.cols))
     | _ -> None
@@ -416,6 +436,151 @@ let prop_warm_equals_cold =
           (s rc));
       true)
 
+(* --- bound overlays: an unfixed column warm-hits ------------------------ *)
+
+(* max 3x + 2y s.t. x + y <= 4, x <= 3, x and y in [0, 10], with x fixed
+   at 0 in the base (upper bound 0): the base optimum routes y = 4 and
+   leaves x nonbasic at 0 with an attractive reduced cost. Unfixing x
+   leaves the base's optimal basis dual infeasible only on x, a boxed
+   column, so the warm start flips it to 10 and the dual simplex reaches
+   x = 3, y = 1 (objective 11) without a cold restart. *)
+let test_unfixed_column_warm_hits () =
+  let m = Milp.Model.create () in
+  let x = Milp.Model.continuous ~ub:10. m "x" and y = Milp.Model.continuous ~ub:10. m "y" in
+  let e l =
+    Milp.Linexpr.of_terms (List.map (fun (k, (v : Milp.Model.var)) -> (k, v.Milp.Model.vid)) l)
+  in
+  Milp.Model.add_cons m (e [ (1., x); (1., y) ]) Milp.Model.Le 4.;
+  Milp.Model.add_cons m (e [ (1., x) ]) Milp.Model.Le 3.;
+  Milp.Model.set_objective m Milp.Model.Maximize (e [ (3., x); (2., y) ]);
+  let batch = Milp.Batch.prepare m in
+  let fixed = [ (x.Milp.Model.vid, 0.) ] in
+  let warm =
+    match Milp.Batch.solve ~ub:fixed batch with
+    | { Milp.Batch.result = Milp.Simplex.Optimal { obj; _ }; basis = Some b; _ } ->
+      Alcotest.(check (float 1e-12)) "base objective" 8. obj;
+      b
+    | _ -> Alcotest.fail "base solve not optimal"
+  in
+  let unfix = [ (x.Milp.Model.vid, 10.) ] in
+  let w = Milp.Batch.solve ~warm ~ub:unfix batch and c = Milp.Batch.solve ~ub:unfix batch in
+  Alcotest.(check bool) "warm hit" true w.Milp.Batch.warm_hit;
+  match (w.Milp.Batch.result, c.Milp.Batch.result) with
+  | ( Milp.Simplex.Optimal { obj = ow; values = vw },
+      Milp.Simplex.Optimal { obj = oc; values = vc } ) ->
+    Alcotest.(check (float 1e-12)) "warm objective" 11. ow;
+    Alcotest.(check (float 1e-12)) "cold objective" oc ow;
+    Alcotest.(check (array (float 1e-12))) "warm point = cold point" vc vw;
+    Alcotest.(check bool) "audit passes" true
+      (Milp.Batch.check ~ub:unfix ~obj:ow ~values:vw batch = Ok ());
+    (* the base bound still closes x: the same point fails that audit *)
+    Alcotest.(check bool) "audit against the base bound fails" true
+      (Milp.Batch.check ~ub:fixed ~obj:ow ~values:vw batch <> Ok ())
+  | _ -> Alcotest.fail "overlay not optimal"
+
+(* Over the random-LP corpus (finite bounds, [Le] rows with nonnegative
+   rhs, so x = 0 is feasible and every overlay is bounded): fix random
+   columns at 0 in the base, then solve the overlay that unfixes them
+   warm from the fixed base's optimal basis. Every violation of dual
+   feasibility sits on a boxed column, so the warm start must flip and
+   hit, and agree with a cold solve of the same overlay. *)
+let prop_unfix_warm_hits =
+  QCheck2.Test.make ~name:"unfixing columns warm-hits and equals cold" ~count:64
+    QCheck2.Gen.(pair (int_range 0 63) int)
+    (fun (case, pseed) ->
+      let mdl = Test_revised.random_milp case in
+      let batch = Milp.Batch.prepare mdl in
+      let rng = Random.State.make [| 0xf11b; case; pseed |] in
+      let fixed =
+        List.filter_map
+          (fun j -> if Random.State.bool rng then Some (j, 0.) else None)
+          (List.init (Milp.Model.num_vars mdl) Fun.id)
+      in
+      let warm =
+        match Milp.Batch.solve ~ub:fixed batch with
+        | { Milp.Batch.result = Milp.Simplex.Optimal _; basis = Some b; _ } -> b
+        | _ -> QCheck2.Test.fail_reportf "case %d: fixed base not optimal" case
+      in
+      let w = Milp.Batch.solve ~warm batch and c = Milp.Batch.solve batch in
+      if not w.Milp.Batch.warm_hit then
+        QCheck2.Test.fail_reportf "case %d: unfixing %d columns fell back cold" case
+          (List.length fixed);
+      (match (w.Milp.Batch.result, c.Milp.Batch.result) with
+      | Milp.Simplex.Optimal { obj = ow; values }, Milp.Simplex.Optimal { obj = oc; _ } ->
+        if Float.abs (ow -. oc) > 1e-9 *. (1. +. Float.abs oc) then
+          QCheck2.Test.fail_reportf "case %d: warm obj %.17g vs cold %.17g" case ow oc;
+        (match Milp.Batch.check ~obj:ow ~values batch with
+        | Ok () -> ()
+        | Error msg -> QCheck2.Test.fail_reportf "case %d: warm audit failed: %s" case msg)
+      | _ -> QCheck2.Test.fail_reportf "case %d: unfixed overlay not optimal" case);
+      true)
+
+(* --- the engine == the row-form oracle on the Zoo topologies ----------- *)
+
+(* Cogentco and Uninett2010 with 8 fixed pairs each, each pair
+   demanding 1.2 average LAG capacities so that most failures degrade,
+   for every objective: the engine (path caps as column bounds, warm
+   overlays) against Te.Simulate.degradation (extension rows, cold
+   solves), on every whole-LAG failure of a LAG some path crosses and
+   every pair of consecutive such failures, within 1e-9 relative to the
+   healthy performance. *)
+let zoo_net topo =
+  let rng = Random.State.make [| 0x200; Wan.Topology.num_nodes topo |] in
+  let nn = Wan.Topology.num_nodes topo in
+  let rec draw acc =
+    if List.length acc = 8 then List.rev acc
+    else
+      let a = Random.State.int rng nn and b = Random.State.int rng nn in
+      if a = b || List.mem (a, b) acc || List.mem (b, a) acc then draw acc else draw ((a, b) :: acc)
+  in
+  let pairs = draw [] in
+  let paths = Netpath.Path_set.compute ~n_primary:2 ~n_backup:1 topo pairs in
+  let vol = Wan.Topology.avg_lag_capacity topo *. 1.2 in
+  (topo, paths, Traffic.Demand.of_list (List.map (fun p -> (p, vol)) pairs))
+
+let test_zoo_differential () =
+  List.iter
+    (fun (net, topo) ->
+      let topo, paths, demand = zoo_net topo in
+      let on_path, _ = lags_by_use topo paths in
+      let singles = List.map (whole_lag topo) on_path in
+      let rec doubles = function
+        | a :: (b :: _ as rest) ->
+          Failure.Scenario.of_links topo (Failure.Scenario.links a @ Failure.Scenario.links b)
+          :: doubles rest
+        | _ -> []
+      in
+      let doubles = doubles singles in
+      let scenarios = (Failure.Scenario.empty :: singles) @ doubles in
+      List.iter
+        (fun (name, objective) ->
+          let read c = Milp.Lp_stats.read c () in
+          let o0 = read Milp.Lp_stats.batch_overlays
+          and wh0 = read Milp.Lp_stats.batch_warm_hits in
+          let eng = prepared ~objective topo paths demand in
+          let scale = 1. +. Float.abs (Te.Simulate.engine_healthy eng).Te.Simulate.performance in
+          List.iteri
+            (fun i s ->
+              let what = Printf.sprintf "%s, %s, scenario %d" net name i in
+              match
+                (Te.Simulate.degradation ~objective topo paths demand s,
+                 Te.Simulate.degradation_prepared eng s)
+              with
+              | Some d, Some e ->
+                if Float.abs (d -. e) > 1e-9 *. scale then
+                  Alcotest.failf "%s: oracle %.17g vs engine %.17g" what d e
+              | None, None -> ()
+              | _ -> Alcotest.failf "%s: feasibility verdicts disagree" what)
+            scenarios;
+          (* the oracle solves outside Milp.Batch, so these count the
+             engine's overlays alone: only the healthy one solves cold *)
+          Alcotest.(check int)
+            (Printf.sprintf "%s, %s: every overlay but the healthy one warm-hits" net name)
+            (read Milp.Lp_stats.batch_overlays - o0 - 1)
+            (read Milp.Lp_stats.batch_warm_hits - wh0))
+        objectives)
+    [ ("cogentco", Wan.Zoo.cogentco ()); ("uninett2010", Wan.Zoo.uninett2010 ()) ]
+
 (* --- shared structure is immutable under concurrent overlays ---------- *)
 
 let test_shared_structure_immutable () =
@@ -487,6 +652,10 @@ let suite =
     ("sweep solves each distinct patch once", `Quick, test_sweep_solves_distinct_patches);
     ("delta patches equal full patches bit for bit", `Quick, test_delta_patch_exact);
     QCheck_alcotest.to_alcotest prop_warm_equals_cold;
+    ("an unfixed attractive column warm-hits", `Quick, test_unfixed_column_warm_hits);
+    QCheck_alcotest.to_alcotest prop_unfix_warm_hits;
+    ("engine agrees with the row-form oracle on Cogentco and Uninett2010", `Quick,
+      test_zoo_differential);
     ( "shared CSC structure immutable under concurrent overlays",
       `Quick,
       test_shared_structure_immutable );
