@@ -1,7 +1,8 @@
 module S = Set.Make (struct
   type t = int * int
 
-  let compare = compare
+  (* lexicographic, as polymorphic compare orders int pairs *)
+  let compare (a, i) (b, j) = match Int.compare a b with 0 -> Int.compare i j | c -> c
 end)
 
 type t = S.t

@@ -14,6 +14,12 @@
    warm path, or a column no flip repairs, falls back to the cold primal
    inside solve_prepared itself.
 
+   The solved LP may leave out rows the caller proves redundant under
+   every overlay it will solve (prepare ?keep): patches stay in the
+   model's row numbering, an entry for a dropped row reaches only the
+   audit, and the audit checks every answer against the whole model,
+   so a row dropped wrongly shows as a failed check.
+
    Thread-safety / determinism: a [t] is immutable after [prepare] and
    may be shared read-only across domains — each [solve] call builds
    fresh rhs and bound copies and a fresh solver state, and
@@ -25,9 +31,12 @@
    counts. *)
 
 type t = {
-  prep : Simplex.prepared;
-  base_b : float array; (* private copy of the base rhs, length m *)
+  prep : Simplex.prepared; (* the solved LP: the kept rows *)
+  solved_b : float array; (* private copy of the solved LP's base rhs *)
+  solved_of : int array; (* per model row, its solved row, or -1 if dropped *)
+  base_b : float array; (* the model's rhs, every row *)
   base_ub : float array; (* the model's upper bounds, length nv *)
+  audit : Certify.compiled; (* the whole model, dropped rows included *)
 }
 
 type outcome = {
@@ -36,30 +45,78 @@ type outcome = {
   warm_hit : bool;
 }
 
-let of_prepared prep =
+(* [model] with only the rows [keep] accepts; variable ids, bounds and
+   the objective are the model's, so a point of one is a point of the
+   other *)
+let restrict model keep =
+  let sub = Model.create ~name:(Model.name model) () in
+  Array.iter
+    (fun (v : Model.var) ->
+      ignore (Model.add_var sub ~name:v.Model.vname ~kind:v.Model.kind ~lb:v.Model.lb ~ub:v.Model.ub))
+    (Model.vars model);
+  Array.iteri
+    (fun i (c : Model.cons) ->
+      if keep i then Model.add_cons sub ~name:c.Model.cname c.Model.lhs c.Model.rel c.Model.rhs)
+    (Model.conss model);
+  let sense, obj = Model.objective model in
+  Model.set_objective sub sense obj;
+  sub
+
+let prepare ?keep model =
+  let m = Model.num_cons model in
+  let solved, solved_of =
+    match keep with
+    | None -> (model, Array.init m Fun.id)
+    | Some keep ->
+      let next = ref 0 in
+      let solved_of =
+        Array.init m (fun i ->
+            if keep i then begin
+              incr next;
+              !next - 1
+            end
+            else -1)
+      in
+      (restrict model keep, solved_of)
+  in
+  let prep = Simplex.prepare solved in
   let sp = Simplex.prep_sparse prep in
   Lp_stats.incr Lp_stats.batch_prepares;
-  { prep; base_b = Array.sub sp.Sparse.b 0 sp.Sparse.m;
-    base_ub = snd (Model.bounds (Simplex.prep_model prep)) }
-
-let prepare model = of_prepared (Simplex.prepare model)
+  {
+    prep;
+    solved_b = Array.sub sp.Sparse.b 0 sp.Sparse.m;
+    solved_of;
+    base_b = Array.map (fun (c : Model.cons) -> c.Model.rhs) (Model.conss model);
+    base_ub = snd (Model.bounds model);
+    audit = Certify.compile model;
+  }
 
 let prep t = t.prep
 let base_rhs t = Array.copy t.base_b
+let rows t = (Array.length t.solved_b, Array.length t.base_b)
+
+let out_of_range what = invalid_arg ("Batch: patch " ^ what ^ " out of range")
 
 (* [base] with each [(i, v)] of [patch] substituted, in a fresh copy *)
 let overlay base patch ~what =
   let a = Array.copy base in
   List.iter
     (fun (i, v) ->
-      if i < 0 || i >= Array.length a then
-        invalid_arg ("Batch: patch " ^ what ^ " out of range");
+      if i < 0 || i >= Array.length a then out_of_range what;
       a.(i) <- v)
     patch;
   a
 
 let solve ?warm ?(patch = []) ?(ub = []) t =
-  let b = overlay t.base_b patch ~what:"row" in
+  (* the patch is in model rows; a dropped row's entry reaches only the
+     audit *)
+  let b = Array.copy t.solved_b in
+  List.iter
+    (fun (i, v) ->
+      if i < 0 || i >= Array.length t.solved_of then out_of_range "row";
+      let r = t.solved_of.(i) in
+      if r >= 0 then b.(r) <- v)
+    patch;
   let ub = overlay t.base_ub ub ~what:"column" in
   Lp_stats.incr Lp_stats.batch_overlays;
   (* [solve_prepared] bumps warm_hits exactly when the dual-simplex warm
@@ -75,21 +132,23 @@ let solve ?warm ?(patch = []) ?(ub = []) t =
 (* ------------------------------------------------------------------ *)
 (* Independent overlay audit                                           *)
 
-(* Re-validate an overlay's claimed optimum against the original model
-   with the patched rhs and upper bounds substituted, through the
-   certifier's point check at its default tolerances (integrality
-   aside: an overlay solves the LP relaxation). Purely from model data
-   and the patch — none of the solver's internal state is trusted, so a
-   column the overlay closes (upper bound 0) is audited to carry
-   nothing. Bumps the certify counters so batched sweeps show up in the
-   same audit accounting as certified MILP solves. *)
+(* Re-validate an overlay's claimed optimum against the whole model,
+   the rows the solve left out included, with the patched rhs and upper
+   bounds substituted, through the certifier's point check at its
+   default tolerances (integrality aside: an overlay solves the LP
+   relaxation). Purely from model data and the patch — none of the
+   solver's internal state is trusted, so a column the overlay closes
+   (upper bound 0) is audited to carry nothing, and a dropped row the
+   answer violates fails the audit. Bumps the certify counters so
+   batched sweeps show up in the same audit accounting as certified
+   MILP solves. *)
 let tols = { Certify.default_tolerances with Certify.int_tol = infinity }
 
 let check ?(patch = []) ?(ub = []) ~obj ~values t =
   Lp_stats.incr Lp_stats.certify_checks;
   let rhs = overlay t.base_b patch ~what:"row" in
   let ub = overlay t.base_ub ub ~what:"column" in
-  let p = Certify.check_point ~rhs ~ub ~obj ~tols (Simplex.prep_model t.prep) values in
+  let p = Certify.check_compiled ~rhs ~ub ~obj ~tols t.audit values in
   match p.Certify.failure with
   | None -> Ok ()
   | Some reason ->

@@ -34,22 +34,35 @@ type outcome = {
   warm_hit : bool;
 }
 
-(** [prepare model] builds the shared structure ([Simplex.prepare] +
-    private copies of the base rhs and of the model's upper bounds).
-    Bumps the batch-prepares counter. *)
-val prepare : Model.t -> t
+(** [prepare ?keep model] builds the shared structure: [Simplex.prepare]
+    of the solved LP, private copies of the base rhs and of the model's
+    upper bounds, and the model compiled for the audit
+    ({!Certify.compile}). The solved LP is [model] with only the rows
+    [keep] accepts (default: every row), the same variables, bounds and
+    objective. Leaving a row out is the caller's claim that no overlay
+    it solves can make that row bind; {!check} audits every answer
+    against the whole model, so a wrong claim fails the audit. Bumps
+    the batch-prepares counter. *)
+val prepare : ?keep:(int -> bool) -> Model.t -> t
 
-(** The underlying prepared model (shared, do not mutate). *)
+(** The underlying prepared LP, the kept rows only (shared, do not
+    mutate). *)
 val prep : t -> Simplex.prepared
 
-(** Fresh copy of the base rhs (row order = model constraint order). *)
+(** Fresh copy of the base rhs of every model row, the dropped ones
+    included (row order = model constraint order). *)
 val base_rhs : t -> float array
+
+(** [(solved, full)]: the rows of the solved LP and of the model. *)
+val rows : t -> int * int
 
 (** [solve ?warm ?patch ?ub t] solves the overlay whose rhs is the
     base rhs with each [(row, value)] of [patch] substituted, and whose
     upper bounds are the model's with each [(column, value)] of [ub]
-    substituted (later entries win in both). [?warm] is typically the
-    base problem's optimal basis.
+    substituted (later entries win in both). Rows are numbered as in
+    the model; an entry for a row the solved LP left out changes only
+    what {!check} audits. [?warm] is typically the base problem's
+    optimal basis.
     @raise Invalid_argument on an out-of-range patch row or column. *)
 val solve :
   ?warm:Simplex.basis ->
@@ -59,10 +72,11 @@ val solve :
   outcome
 
 (** [check ?patch ?ub ~obj ~values t] independently re-validates a
-    claimed overlay optimum: {!Certify.check_point} at the default
-    certification tolerances, with the patched rhs and upper bounds
-    substituted and integrality not checked (an overlay solves the LP
-    relaxation). Bumps the certify-checks/failures counters. [Error]
+    claimed overlay optimum against the whole model, rows the solved LP
+    left out included: {!Certify.check_compiled} on the model compiled
+    at {!prepare}, at the default certification tolerances, with the
+    patched rhs and upper bounds substituted and integrality not
+    checked (an overlay solves the LP relaxation). Bumps the certify-checks/failures counters. [Error]
     carries the first failed check. *)
 val check :
   ?patch:(int * float) list ->

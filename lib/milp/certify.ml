@@ -65,27 +65,73 @@ let gate_tolerances ~int_tol =
 let gap_allowance ~abs_gap ~rel_gap obj =
   Float.max abs_gap (rel_gap *. Float.max 1. (Float.abs obj))
 
-(* Kahan-compensated evaluation of a linear expression at a point; [scale]
+(* The audit's view of a model, compiled once: each row's terms (and
+   the objective's) as flat arrays in Linexpr.iter order, so a check
+   walks arrays where it would walk a Map per row, with the same terms
+   in the same order. *)
+type flat = { ids : int array; coefs : float array; const : float }
+
+type compiled = {
+  rows : flat array;
+  rhs : float array;
+  rels : Model.rel array;
+  cnames : string array;
+  lbs : float array;
+  ubs : float array;
+  ints : bool array;  (* integer-constrained *)
+  vnames : string array;
+  objective : flat;
+}
+
+let flatten e =
+  let n = ref 0 in
+  Linexpr.iter (fun _ _ -> incr n) e;
+  let ids = Array.make !n 0 and coefs = Array.make !n 0. in
+  let t = ref 0 in
+  Linexpr.iter
+    (fun id k ->
+      ids.(!t) <- id;
+      coefs.(!t) <- k;
+      incr t)
+    e;
+  { ids; coefs; const = Linexpr.constant e }
+
+let compile model =
+  let conss = Model.conss model and vars = Model.vars model in
+  let lbs, ubs = Model.bounds model in
+  {
+    rows = Array.map (fun (c : Model.cons) -> flatten c.Model.lhs) conss;
+    rhs = Array.map (fun (c : Model.cons) -> c.Model.rhs) conss;
+    rels = Array.map (fun (c : Model.cons) -> c.Model.rel) conss;
+    cnames = Array.map (fun (c : Model.cons) -> c.Model.cname) conss;
+    lbs;
+    ubs;
+    ints = Array.map (fun (v : Model.var) -> v.Model.kind <> Model.Continuous) vars;
+    vnames = Array.map (fun (v : Model.var) -> v.Model.vname) vars;
+    objective = flatten (snd (Model.objective model));
+  }
+
+(* Kahan-compensated evaluation of a flat expression at a point; [scale]
    ends as the largest |term| seen, the natural scale for the residual
    tolerance of the row it came from. An all-float record keeps the
    running sums unboxed. *)
 type kahan = { mutable sum : float; mutable comp : float; mutable scale : float }
 
-let kahan_eval acc values e =
+let kahan_eval acc values f =
   acc.sum <- 0.;
   acc.comp <- 0.;
   acc.scale <- 0.;
-  Linexpr.iter
-    (fun id k ->
-      let term = k *. values.(id) in
-      let a = Float.abs term in
-      if a > acc.scale then acc.scale <- a;
-      let y = term -. acc.comp in
-      let t = acc.sum +. y in
-      acc.comp <- (t -. acc.sum) -. y;
-      acc.sum <- t)
-    e;
-  acc.sum +. (Linexpr.constant e -. acc.comp)
+  let ids = f.ids and coefs = f.coefs in
+  for t = 0 to Array.length ids - 1 do
+    let term = coefs.(t) *. values.(ids.(t)) in
+    let a = Float.abs term in
+    if a > acc.scale then acc.scale <- a;
+    let y = term -. acc.comp in
+    let s = acc.sum +. y in
+    acc.comp <- (s -. acc.sum) -. y;
+    acc.sum <- s
+  done;
+  acc.sum +. (f.const -. acc.comp)
 
 type point = {
   row_residual : float;
@@ -96,8 +142,8 @@ type point = {
   acts : float array;
 }
 
-let check_point ?rhs ?ub ?obj ~tols model values =
-  let nv = Model.num_vars model and m = Model.num_cons model in
+let check_compiled ?rhs ?ub ?obj ~tols cm values =
+  let nv = Array.length cm.lbs and m = Array.length cm.rows in
   if Array.length values <> nv then
     { row_residual = infinity; bound_residual = infinity; int_residual = infinity;
       obj_error = infinity; failure = Some "claimed point has the wrong length"; acts = [||] }
@@ -106,51 +152,49 @@ let check_point ?rhs ?ub ?obj ~tols model values =
        so none is boxed); only failures are formatted. *)
     let failure = ref None in
     let fail fmt = Printf.ksprintf (fun s -> if !failure = None then failure := Some s) fmt in
-    let conss = Model.conss model in
     let acc = { sum = 0.; comp = 0.; scale = 0. } in
     let acts = Array.make m 0. in
+    let rhs = match rhs with Some b -> b | None -> cm.rhs in
     let row_res = ref 0. in
     for i = 0 to m - 1 do
-      let c = conss.(i) in
-      let lhs = kahan_eval acc values c.Model.lhs in
+      let lhs = kahan_eval acc values cm.rows.(i) in
       acts.(i) <- lhs;
-      let b = match rhs with Some b -> b.(i) | None -> c.Model.rhs in
+      let b = rhs.(i) in
       let viol =
-        match c.Model.rel with
+        match cm.rels.(i) with
         | Model.Le -> lhs -. b
         | Model.Ge -> b -. lhs
         | Model.Eq -> Float.abs (lhs -. b)
       in
       let res = Float.max 0. viol /. (1. +. Float.abs b +. acc.scale) in
       if res > !row_res then row_res := res;
-      if res > tols.feas_tol then fail "row %d (%s): residual %.3e" i c.Model.cname res
+      if res > tols.feas_tol then fail "row %d (%s): residual %.3e" i cm.cnames.(i) res
     done;
+    let ub = match ub with Some u -> u | None -> cm.ubs in
     let bound_res = ref 0. and int_res = ref 0. in
     for j = 0 to nv - 1 do
-      let v = Model.var_of_id model j and x = values.(j) in
-      let vub = match ub with Some u -> u.(j) | None -> v.Model.ub in
+      let x = values.(j) and lb = cm.lbs.(j) and vub = ub.(j) in
       let res =
         if Float.is_nan x then infinity
         else
           Float.max
-            (if Float.is_finite v.Model.lb then (v.Model.lb -. x) /. (1. +. Float.abs v.Model.lb)
-             else 0.)
+            (if Float.is_finite lb then (lb -. x) /. (1. +. Float.abs lb) else 0.)
             (if Float.is_finite vub then (x -. vub) /. (1. +. Float.abs vub) else 0.)
       in
       if res > !bound_res then bound_res := res;
       if res > tols.feas_tol then
-        fail "%s = %g outside [%g, %g]: residual %.3e" v.Model.vname x v.Model.lb vub res;
-      if v.Model.kind <> Model.Continuous then begin
+        fail "%s = %g outside [%g, %g]: residual %.3e" cm.vnames.(j) x lb vub res;
+      if cm.ints.(j) then begin
         let frac = Float.abs (x -. Float.round x) in
         if frac > !int_res then int_res := frac;
-        if frac > tols.int_tol then fail "%s = %g not integral: frac %.3e" v.Model.vname x frac
+        if frac > tols.int_tol then fail "%s = %g not integral: frac %.3e" cm.vnames.(j) x frac
       end
     done;
     let obj_error =
       match obj with
       | None -> 0.
       | Some obj ->
-        let recomputed = kahan_eval acc values (snd (Model.objective model)) in
+        let recomputed = kahan_eval acc values cm.objective in
         let err = Float.abs (recomputed -. obj) /. (1. +. Float.abs obj) in
         if not (err <= tols.obj_tol) then
           fail "objective mismatch: reported %.9g, recomputed %.9g" obj recomputed;
@@ -159,6 +203,9 @@ let check_point ?rhs ?ub ?obj ~tols model values =
     { row_residual = !row_res; bound_residual = !bound_res; int_residual = !int_res;
       obj_error; failure = !failure; acts }
   end
+
+let check_point ?rhs ?ub ?obj ~tols model values =
+  check_compiled ?rhs ?ub ?obj ~tols (compile model) values
 
 let point_feasible ~tols p =
   p.row_residual <= tols.feas_tol

@@ -22,9 +22,10 @@
     Certificates are toleranced, not exact rational proofs: a pass means
     the answer is consistent with the model to the stated tolerances.
 
-    {!check_point} is the one feasibility rule of the solver: the point
-    section of {!check}, the overlay audit {!Batch.check} and the
-    branch-and-bound incumbent gate all call it. *)
+    {!check_compiled} is the one feasibility rule of the solver: the
+    point section of {!check} and the branch-and-bound incumbent gate
+    call it through {!check_point}, and the overlay audit {!Batch.check}
+    calls it on the model it compiled once at prepare. *)
 
 type tolerances = {
   feas_tol : float;
@@ -76,11 +77,32 @@ type point = {
   acts : float array;  (** row activities *)
 }
 
-(** [check_point ?rhs ?ub ?obj ~tols model values] checks [values]
-    against [model]'s rows (with right-hand sides [rhs] when given),
-    bounds (with upper bounds [ub], indexed by variable id, when given),
-    integrality and, with [obj], the claimed objective. A point of the
-    wrong length fails with infinite residuals. Bumps no counter. *)
+(** A model compiled for repeated point checks: each row's terms and
+    the objective's as flat arrays in [Linexpr.iter] order, with the
+    right-hand sides, senses, bounds, integrality and names. Built once
+    per model; checking against it walks arrays instead of a map per
+    row, with the same terms in the same order. *)
+type compiled
+
+val compile : Model.t -> compiled
+
+(** [check_compiled ?rhs ?ub ?obj ~tols cm values] checks [values]
+    against the compiled model's rows (with right-hand sides [rhs] when
+    given), bounds (with upper bounds [ub], indexed by variable id,
+    when given), integrality and, with [obj], the claimed objective. A
+    point of the wrong length fails with infinite residuals. Bumps no
+    counter. *)
+val check_compiled :
+  ?rhs:float array ->
+  ?ub:float array ->
+  ?obj:float ->
+  tols:tolerances ->
+  compiled ->
+  float array ->
+  point
+
+(** [check_point ?rhs ?ub ?obj ~tols model values] is
+    [check_compiled ?rhs ?ub ?obj ~tols (compile model) values]. *)
 val check_point :
   ?rhs:float array ->
   ?ub:float array ->

@@ -63,7 +63,6 @@ let eps_degen = 1e-10
 let prepare model = { pmodel = model; sp = Sparse.of_model model }
 
 let prep_sparse prep = prep.sp
-let prep_model prep = prep.pmodel
 
 let var_statuses b = Array.sub b.bstat 0 b.bnv
 

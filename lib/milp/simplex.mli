@@ -54,10 +54,6 @@ val prepare : Model.t -> prepared
     access through {!Basis}/{!Sparse}. *)
 val prep_sparse : prepared -> Sparse.t
 
-(** The model a prepared form was built from (the audit target for
-    {!Batch.check}). *)
-val prep_model : prepared -> Model.t
-
 (** [solve ?engine ?lb ?ub ?max_iters model] solves the LP relaxation
     of [model] (integrality is ignored). [lb]/[ub] override the model's
     variable bounds. The default iteration budget is

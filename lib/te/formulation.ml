@@ -126,28 +126,38 @@ let build ~objective ~topo ~paths ~lag_cap ~demand ?path_cap ~d_max () =
      rhs (MLU keeps its utilization rows constant, Appendix A), so only
      those get a row index for the batch overlay path *)
   let cap_rows = Array.make num_lags (-1) in
+  (* one pass over the paths: each path's column is prepended to the
+     terms of every LAG it crosses (once, even if the path listed a LAG
+     twice), so each LAG's terms come in reverse (pair, path) order *)
+  let lag_terms = Array.make num_lags [] in
+  Array.iter
+    (fun pc ->
+      Array.iteri
+        (fun j (path : Netpath.Path.t) ->
+          let col = pc.path_cols.(j) in
+          Array.iter
+            (fun e ->
+              match lag_terms.(e) with
+              | (c, _) :: _ when c = col -> ()
+              | l -> lag_terms.(e) <- (col, 1.) :: l)
+            path.Netpath.Path.lag_ids)
+        pc.paths)
+    pair_arr;
   for e = 0 to num_lags - 1 do
-    let terms = ref [] in
-    Array.iter
-      (fun pc ->
-        Array.iteri
-          (fun j path ->
-            if Netpath.Path.mem_lag path e then terms := (pc.path_cols.(j), 1.) :: !terms)
-          pc.paths)
-      pair_arr;
-    if !terms <> [] then
+    let terms = lag_terms.(e) in
+    if terms <> [] then
       match objective with
       | Total_flow | Max_min _ ->
         let cap = lag_cap e in
         let bound = match cap with C c -> c | E _ -> Wan.Lag.capacity (Wan.Topology.lag topo e) in
         cap_rows.(e) <- !n_rows;
-        add_row (Printf.sprintf "cap_e%d" e) !terms Lp_spec.Le (rhs_of_value cap) bound
+        add_row (Printf.sprintf "cap_e%d" e) terms Lp_spec.Le (rhs_of_value cap) bound
       | Mlu { u_max } -> (
         match lag_cap e with
         | C cap ->
           let u = Option.get u_col in
           add_row (Printf.sprintf "util_e%d" e)
-            ((u, -.cap) :: !terms)
+            ((u, -.cap) :: terms)
             Lp_spec.Le (Lp_spec.Const 0.) (cap *. u_max)
         | E _ -> invalid_arg "Formulation: MLU requires constant LAG capacities")
   done;

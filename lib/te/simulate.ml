@@ -98,7 +98,10 @@ let healthy ?objective topo paths demand =
    path a scenario opens is a column the healthy basis holds nonbasic at
    0 with a reduced cost that may now want it up: the warm start flips
    it to its new upper bound (Simplex.solve_prepared) and the dual
-   simplex carries on. *)
+   simplex carries on. The solve leaves out the capacity rows no
+   scenario can make bind (redundant_rows); patches keep the whole
+   LP's row numbering, and every answer is audited against the whole
+   LP. *)
 
 (* A scenario's overlay: rhs entries by row, upper bounds by column,
    each sorted *)
@@ -115,11 +118,10 @@ type engine = {
   eng_base : float array;  (* the base (healthy) rhs *)
   eng_base_ub : float array;  (* the base upper bound of every spec column *)
   eng_lag_pairs : int list array;  (* per LAG, the pairs with a path across it *)
+  eng_rowless : bool array;  (* per LAG, no solved row carries its capacity *)
   eng_healthy : result;
   eng_basis : Milp.Simplex.basis option;
 }
-
-let is_mlu = function Formulation.Mlu _ -> true | _ -> false
 
 let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
@@ -127,19 +129,25 @@ let by_index l = List.sort (fun (a, _) (b, _) -> Int.compare a b) l
 
 (* Scenario overlay as a delta against the healthy base. Only failed
    links can move an entry: a LAG with a failed link gets its live
-   capacity (MLU keeps no capacity rows), and a pair with a path across
-   a fully-down LAG gets its availability recomputed, its path columns'
-   upper bounds 0 when blocked and d_max when open. An entry whose value
-   has the base's bits is dropped, so the patch is exactly the rows and
-   columns that differ from the healthy network's: equal overlays give
-   equal patches, and the healthy overlay's patch is empty. *)
+   capacity (when it has a capacity row: MLU keeps none), and a pair
+   with a path across a fully-down LAG gets its availability
+   recomputed, its path columns' upper bounds 0 when blocked and d_max
+   when open. A path is blocked when it is unavailable, or when it
+   crosses a down LAG whose capacity no solved row carries (every LAG
+   under MLU, the dropped rows' LAGs otherwise): there the bound says
+   what the row's rhs 0 would. An entry whose value has the base's bits
+   is dropped, so the patch is exactly the rows and columns that differ
+   from the healthy network's: equal overlays give equal patches, and
+   the healthy overlay's patch is empty. Rows are numbered as in the
+   whole LP, dropped rows included. *)
 let scenario_patch eng scenario =
   let topo = eng.eng_topo and index = eng.eng_index in
-  let mlu = is_mlu eng.eng_objective in
   let rows = ref [] and ubs = ref [] in
   let set row v = if not (same_bits v eng.eng_base.(row)) then rows := (row, v) :: !rows in
   let set_ub col v = if not (same_bits v eng.eng_base_ub.(col)) then ubs := (col, v) :: !ubs in
   let affected = Array.make (Array.length eng.eng_pairs) false in
+  (* the down LAGs whose paths the bounds must close *)
+  let closing = ref [] in
   (* [links] is sorted by (lag, link), so each touched LAG comes once *)
   let last = ref (-1) in
   List.iter
@@ -147,11 +155,16 @@ let scenario_patch eng scenario =
       if e <> !last then begin
         last := e;
         let row = index.Formulation.cap_rows.(e) in
-        if (not mlu) && row >= 0 then set row (Failure.Scenario.lag_capacity topo scenario e);
-        if Failure.Scenario.lag_down topo scenario e then
+        if row >= 0 then set row (Failure.Scenario.lag_capacity topo scenario e);
+        if Failure.Scenario.lag_down topo scenario e then begin
+          if eng.eng_rowless.(e) then closing := e :: !closing;
           List.iter (fun k -> affected.(k) <- true) eng.eng_lag_pairs.(e)
+        end
       end)
     (Failure.Scenario.links scenario);
+  let closed (path : Netpath.Path.t) =
+    !closing <> [] && Array.exists (fun e -> List.mem e !closing) path.Netpath.Path.lag_ids
+  in
   Array.iteri
     (fun k hit ->
       if hit then begin
@@ -160,11 +173,7 @@ let scenario_patch eng scenario =
         let avail = availability topo p scenario in
         List.iteri
           (fun j path ->
-            let blocked =
-              (not avail.(j))
-              || (mlu
-                 && Failure.Scenario.path_down topo scenario (Netpath.Path.lag_list path))
-            in
+            let blocked = (not avail.(j)) || closed path in
             set_ub cols.(j) (if blocked then 0. else eng.eng_d_max))
           (Netpath.Path_set.all_paths p)
       end)
@@ -219,26 +228,63 @@ let solve_overlay ?warm batch patch =
   | _ -> ());
   out
 
-let prepare ?(objective = Formulation.Total_flow) topo paths demand =
-  let spec, index, ub = base_build ~objective topo paths demand in
-  let model, _vars = Lp_spec.to_model ~ub spec in
-  let batch = Milp.Batch.prepare model in
-  let pairs = Array.of_list paths in
-  (* pairs are visited in order, so a pair already listed for a LAG is
-     at the head of that LAG's list *)
-  let lag_pairs = Array.make (Wan.Topology.num_lags topo) [] in
+(* Per LAG, the pairs with a path (primary or backup) across it. Pairs
+   are visited in order, so a pair already listed for a LAG is at the
+   head of that LAG's list. *)
+let lag_pairs topo pairs =
+  let lp = Array.make (Wan.Topology.num_lags topo) [] in
   Array.iteri
     (fun k p ->
       List.iter
         (fun path ->
           List.iter
-            (fun e ->
-              match lag_pairs.(e) with
-              | k' :: _ when k' = k -> ()
-              | l -> lag_pairs.(e) <- k :: l)
+            (fun e -> match lp.(e) with k' :: _ when k' = k -> () | l -> lp.(e) <- k :: l)
             (Netpath.Path.lag_list path))
         (Netpath.Path_set.all_paths p))
     pairs;
+  lp
+
+(* The capacity rows no scenario can make bind (DESIGN.md §12), as a
+   per-row flag. Each pair routes at most its demand (Total_flow's
+   demand row is <=; under Max_min the flow is the sum of bins of
+   widths summing to 1), so LAG e's row carries at most D_e, the summed
+   demand of the pairs with a path across e. While e is up its rhs is
+   at least its smallest link, so D_e <= that floor leaves the row
+   slack; when e is fully down every path across it is closed by its
+   column bound, which is the row's rhs 0 in another form. MLU has no
+   capacity-row index (its utilization rows bind through U), so it
+   drops nothing. *)
+let redundant_rows topo pairs demand lag_pairs index n_rows =
+  let drop = Array.make n_rows false in
+  Array.iteri
+    (fun e row ->
+      if row >= 0 then begin
+        let d_e =
+          List.fold_left
+            (fun acc k ->
+              let p = pairs.(k) in
+              acc
+              +. Traffic.Demand.volume demand ~src:p.Netpath.Path_set.src
+                   ~dst:p.Netpath.Path_set.dst)
+            0. lag_pairs.(e)
+        in
+        let floor_e =
+          Array.fold_left
+            (fun acc (l : Wan.Lag.link) -> Float.min acc l.Wan.Lag.link_capacity)
+            infinity (Wan.Topology.lag topo e).Wan.Lag.links
+        in
+        if d_e <= floor_e then drop.(row) <- true
+      end)
+    index.Formulation.cap_rows;
+  drop
+
+let prepare ?(objective = Formulation.Total_flow) topo paths demand =
+  let spec, index, ub = base_build ~objective topo paths demand in
+  let model, _vars = Lp_spec.to_model ~ub spec in
+  let pairs = Array.of_list paths in
+  let lag_pairs = lag_pairs topo pairs in
+  let drop = redundant_rows topo pairs demand lag_pairs index (Array.length spec.Lp_spec.rows) in
+  let batch = Milp.Batch.prepare ~keep:(fun i -> not drop.(i)) model in
   let eng0 =
     {
       eng_topo = topo;
@@ -251,6 +297,7 @@ let prepare ?(objective = Formulation.Total_flow) topo paths demand =
       eng_base = Milp.Batch.base_rhs batch;
       eng_base_ub = ub;
       eng_lag_pairs = lag_pairs;
+      eng_rowless = Array.map (fun row -> row < 0 || drop.(row)) index.Formulation.cap_rows;
       eng_healthy =
         { performance = nan; flows = [||]; index } (* placeholder *);
       eng_basis = None;
@@ -262,6 +309,8 @@ let prepare ?(objective = Formulation.Total_flow) topo paths demand =
   match finish_result eng0 out.Milp.Batch.result with
   | None -> None
   | Some h -> Some { eng0 with eng_healthy = h; eng_basis = out.Milp.Batch.basis }
+
+let engine_rows eng = Milp.Batch.rows eng.eng_batch
 
 let engine_healthy eng = eng.eng_healthy
 

@@ -75,8 +75,16 @@ val degradation :
     It runs one cold solve of that base; each scenario is then a delta
     of capacity-row right-hand sides and path-column upper bounds on
     it ([Milp.Batch]), solved by the dual simplex warm-started from the
-    healthy optimal basis. An engine is immutable after [prepare] and
-    safe to share across domains. *)
+    healthy optimal basis.
+
+    Under Total_flow and Max_min the solved LP leaves out the capacity
+    row of every LAG whose pairs' summed demand is at most its smallest
+    link: each pair routes at most its demand, so no scenario makes
+    that row bind while the LAG is up, and a fully-down LAG closes its
+    paths through their column bounds. MLU keeps every row. Each
+    answer is still audited against the whole LP, dropped rows
+    included ({!Milp.Batch.check}). An engine is immutable after
+    [prepare] and safe to share across domains. *)
 
 type engine
 
@@ -95,6 +103,10 @@ val prepare :
   Netpath.Path_set.t ->
   Traffic.Demand.t ->
   engine option
+
+(** [(solved, full)]: the rows of the LP the engine solves and of the
+    whole LP its answers are audited against. *)
+val engine_rows : engine -> int * int
 
 (** The healthy-network routing computed by [prepare]. Its performance
     can differ from {!healthy}'s last bits: the engine's LP bounds every

@@ -524,18 +524,18 @@ let prop_unfix_warm_hits =
    solves), on every whole-LAG failure of a LAG some path crosses and
    every pair of consecutive such failures, within 1e-9 relative to the
    healthy performance. *)
-let zoo_net topo =
+let zoo_net ?(n = 8) ?(share = 1.2) topo =
   let rng = Random.State.make [| 0x200; Wan.Topology.num_nodes topo |] in
   let nn = Wan.Topology.num_nodes topo in
   let rec draw acc =
-    if List.length acc = 8 then List.rev acc
+    if List.length acc = n then List.rev acc
     else
       let a = Random.State.int rng nn and b = Random.State.int rng nn in
       if a = b || List.mem (a, b) acc || List.mem (b, a) acc then draw acc else draw ((a, b) :: acc)
   in
   let pairs = draw [] in
   let paths = Netpath.Path_set.compute ~n_primary:2 ~n_backup:1 topo pairs in
-  let vol = Wan.Topology.avg_lag_capacity topo *. 1.2 in
+  let vol = Wan.Topology.avg_lag_capacity topo *. share in
   (topo, paths, Traffic.Demand.of_list (List.map (fun p -> (p, vol)) pairs))
 
 let test_zoo_differential () =
@@ -580,6 +580,372 @@ let test_zoo_differential () =
             (read Milp.Lp_stats.batch_warm_hits - wh0))
         objectives)
     [ ("cogentco", Wan.Zoo.cogentco ()); ("uninett2010", Wan.Zoo.uninett2010 ()) ]
+
+(* --- capacity rows no failure can bind are left out of the solve ------- *)
+
+(* The rule, restated from DESIGN.md §12: LAG e's capacity row is left
+   out when the summed demand of the pairs with a path across e is at
+   most [floor e]; the engine's floor is e's smallest link. *)
+let smallest_link (lag : Wan.Lag.t) =
+  Array.fold_left (fun a (l : Wan.Lag.link) -> Float.min a l.Wan.Lag.link_capacity) infinity
+    lag.Wan.Lag.links
+
+let droppable ?(floor = smallest_link) topo paths demand =
+  List.filter
+    (fun e ->
+      let crossing =
+        List.filter
+          (fun p ->
+            List.exists (fun path -> Netpath.Path.mem_lag path e) (Netpath.Path_set.all_paths p))
+          paths
+      in
+      crossing <> []
+      && List.fold_left
+           (fun acc (p : Netpath.Path_set.pair) ->
+             acc +. Traffic.Demand.volume demand ~src:p.Netpath.Path_set.src ~dst:p.Netpath.Path_set.dst)
+           0. crossing
+         <= floor (Wan.Topology.lag topo e))
+    (List.init (Wan.Topology.num_lags topo) Fun.id)
+
+(* [eng] against the row-form oracle (Simulate.route, healthy routed
+   once) on [scenarios], within 1e-9 relative to the healthy
+   performance. The engine's routing must also fit the failed network
+   as the test reads it from the topology: each LAG's load at most its
+   live capacity (0 when down). No overlay audit may fail. *)
+let agree_with_oracle ~objective ~what (topo, paths, demand) eng scenarios =
+  let healthy =
+    match Te.Simulate.healthy ~objective topo paths demand with
+    | Some h -> h.Te.Simulate.performance
+    | None -> Alcotest.failf "%s: the oracle cannot route the healthy network" what
+  in
+  let scale = 1. +. Float.abs healthy in
+  let f0 = Milp.Lp_stats.read Milp.Lp_stats.certify_failures () in
+  List.iteri
+    (fun i s ->
+      let oracle =
+        Option.map
+          (fun r -> Te.Formulation.degradation objective ~healthy ~failed:r.Te.Simulate.performance)
+          (Te.Simulate.route ~objective topo paths demand s)
+      in
+      let routed = Te.Simulate.route_prepared eng s in
+      let show = Format.asprintf "%a" Failure.Scenario.pp s in
+      Option.iter
+        (fun (r : Te.Simulate.result) ->
+          let load = Array.make (Wan.Topology.num_lags topo) 0. in
+          Array.iter
+            (fun (pc : Te.Formulation.pair_cols) ->
+              Array.iteri
+                (fun j (path : Netpath.Path.t) ->
+                  let x = r.Te.Simulate.flows.(pc.Te.Formulation.path_cols.(j)) in
+                  List.iter (fun e -> load.(e) <- load.(e) +. x) (Netpath.Path.lag_list path))
+                pc.Te.Formulation.paths)
+            r.Te.Simulate.index.Te.Formulation.pair_arr;
+          Array.iteri
+            (fun e l ->
+              let cap = Failure.Scenario.lag_capacity topo s e in
+              if l > cap +. (1e-6 *. (1. +. cap)) then
+                Alcotest.failf "%s, scenario %d %s: LAG %d carries %.17g over its capacity %g"
+                  what i show e l cap)
+            load)
+        routed;
+      let engine =
+        Option.map
+          (fun (r : Te.Simulate.result) ->
+            Te.Formulation.degradation objective
+              ~healthy:(Te.Simulate.engine_healthy eng).Te.Simulate.performance
+              ~failed:r.Te.Simulate.performance)
+          routed
+      in
+      match (oracle, engine) with
+      | Some d, Some e ->
+        if Float.abs (d -. e) > 1e-9 *. scale then
+          Alcotest.failf "%s, scenario %d %s: oracle %.17g vs engine %.17g" what i show d e
+      | None, None -> ()
+      | _ -> Alcotest.failf "%s, scenario %d: feasibility verdicts disagree" what i)
+    scenarios;
+  Alcotest.(check int) (what ^ ": no overlay audit failed") 0
+    (Milp.Lp_stats.read Milp.Lp_stats.certify_failures () - f0)
+
+(* Cogentco and Uninett2010 at the sweep workload's shape (24 and 16
+   pairs, half an average LAG each): about half the capacity rows are
+   left out, and the engine still equals the oracle on every whole-LAG
+   failure of a dropped LAG, on consecutive pairs of them and on the
+   first link of each, under Total_flow and Max_min. Some dropped LAG
+   carries healthy flow, so a failure of it moves flow that only the
+   column bounds stop. *)
+let test_dropped_rows_oracle () =
+  List.iter
+    (fun (net, topo, n) ->
+      let ((topo, paths, demand) as nd) = zoo_net ~n ~share:0.5 topo in
+      let dropped = droppable topo paths demand in
+      let singles = List.map (whole_lag topo) dropped in
+      let rec doubles = function
+        | a :: (b :: _ as rest) ->
+          Failure.Scenario.of_links topo (Failure.Scenario.links a @ Failure.Scenario.links b)
+          :: doubles rest
+        | _ -> []
+      in
+      let firsts = List.map (fun e -> Failure.Scenario.of_links topo [ (e, 0) ]) dropped in
+      let scenarios = (Failure.Scenario.empty :: singles) @ doubles singles @ firsts in
+      List.iter
+        (fun (name, objective) ->
+          let what = Printf.sprintf "%s, %s" net name in
+          let eng = prepared ~objective topo paths demand in
+          let solved, full = Te.Simulate.engine_rows eng in
+          Alcotest.(check int) (what ^ ": rows left out") (List.length dropped) (full - solved);
+          Alcotest.(check bool) (what ^ ": a third of the rows or more left out") true
+            (3 * List.length dropped >= full);
+          let flows = (Te.Simulate.engine_healthy eng).Te.Simulate.flows in
+          let index = (Te.Simulate.engine_healthy eng).Te.Simulate.index in
+          Alcotest.(check bool) (what ^ ": a dropped LAG carries healthy flow") true
+            (Array.exists
+               (fun (pc : Te.Formulation.pair_cols) ->
+                 Array.exists Fun.id
+                   (Array.mapi
+                      (fun j path ->
+                        flows.(pc.Te.Formulation.path_cols.(j)) > 0.
+                        && List.exists (Netpath.Path.mem_lag path) dropped)
+                      pc.Te.Formulation.paths))
+               index.Te.Formulation.pair_arr);
+          agree_with_oracle ~objective ~what nd eng scenarios)
+        [ List.nth objectives 0; List.nth objectives 1 ];
+      (* MLU's utilization rows bind through U: none is left out *)
+      let eng = prepared ~objective:(Te.Formulation.Mlu { u_max = 10. }) topo paths demand in
+      let solved, full = Te.Simulate.engine_rows eng in
+      Alcotest.(check int) (net ^ ", mlu: every row solved") full solved)
+    [ ("cogentco", Wan.Zoo.cogentco (), 24); ("uninett2010", Wan.Zoo.uninett2010 (), 16) ]
+
+(* The bench's africa-like WAN has multi-link LAGs: the floor (smallest
+   link) leaves one of its capacity rows out, where the LAG's capacity
+   would leave out ten, and a partial failure would then make a row
+   bind that the solve no longer sees. Every single-link and whole-LAG
+   failure must agree with the oracle and pass the audit. *)
+let test_dropped_rows_multi_link () =
+  let topo = Wan.Generators.africa_like ~seed:5 ~n:8 () in
+  let pairs = [ (0, 5); (1, 6); (2, 7) ] in
+  let paths = Netpath.Path_set.compute ~n_primary:2 ~n_backup:1 topo pairs in
+  let demand = Traffic.Demand.of_list (List.map (fun p -> (p, 78.)) pairs) in
+  let on_path, _ = lags_by_use topo paths in
+  Alcotest.(check int) "rows the floor leaves out" 1 (List.length (droppable topo paths demand));
+  Alcotest.(check int) "rows the LAG's capacity would leave out" 10
+    (List.length (droppable ~floor:Wan.Lag.capacity topo paths demand));
+  Alcotest.(check bool) "multi-link LAGs on the paths" true
+    (List.exists (fun e -> Wan.Lag.num_links (Wan.Topology.lag topo e) > 1) on_path);
+  let links =
+    List.concat_map
+      (fun e ->
+        List.init (Wan.Lag.num_links (Wan.Topology.lag topo e)) (fun i ->
+            Failure.Scenario.of_links topo [ (e, i) ]))
+      on_path
+  in
+  let scenarios = (Failure.Scenario.empty :: links) @ List.map (whole_lag topo) on_path in
+  List.iter
+    (fun (name, objective) ->
+      let eng = prepared ~objective topo paths demand in
+      agree_with_oracle ~objective ~what:name (topo, paths, demand) eng scenarios;
+      let solved, full = Te.Simulate.engine_rows eng in
+      Alcotest.(check int) (name ^ ": one row left out") 1 (full - solved))
+    [ List.nth objectives 0; List.nth objectives 1 ]
+
+(* max x + y s.t. x + y <= 10 (left out of the solve), x <= 3, y <= 4:
+   the solve sees only the last two rows. A patch of the dropped row
+   reaches only the audit, which checks every row: at rhs 5 the
+   answer (3, 4) violates the dropped row alone and fails. *)
+let test_dropped_row_audited () =
+  let m = Milp.Model.create () in
+  let x = Milp.Model.continuous m "x" and y = Milp.Model.continuous m "y" in
+  let e l =
+    Milp.Linexpr.of_terms (List.map (fun (k, (v : Milp.Model.var)) -> (k, v.Milp.Model.vid)) l)
+  in
+  Milp.Model.add_cons m ~name:"sum" (e [ (1., x); (1., y) ]) Milp.Model.Le 10.;
+  Milp.Model.add_cons m (e [ (1., x) ]) Milp.Model.Le 3.;
+  Milp.Model.add_cons m (e [ (1., y) ]) Milp.Model.Le 4.;
+  Milp.Model.set_objective m Milp.Model.Maximize (e [ (1., x); (1., y) ]);
+  let batch = Milp.Batch.prepare ~keep:(fun i -> i <> 0) m in
+  Alcotest.(check (pair int int)) "solved/full rows" (2, 3) (Milp.Batch.rows batch);
+  Alcotest.(check (array (float 0.))) "base rhs of every row" [| 10.; 3.; 4. |]
+    (Milp.Batch.base_rhs batch);
+  let patch = [ (0, 5.) ] in
+  match ((Milp.Batch.solve batch).Milp.Batch.result, (Milp.Batch.solve ~patch batch).Milp.Batch.result) with
+  | Milp.Simplex.Optimal { obj; values }, Milp.Simplex.Optimal { obj = obj'; values = values' } ->
+    Alcotest.(check (float 1e-12)) "objective" 7. obj;
+    Alcotest.(check (array int64)) "the dropped row's patch leaves the solve as it was"
+      (bits values) (bits values');
+    Alcotest.(check (float 0.)) "same objective" obj obj';
+    Alcotest.(check bool) "audit passes at the base rhs" true
+      (Milp.Batch.check ~obj ~values batch = Ok ());
+    (match Milp.Batch.check ~patch ~obj ~values batch with
+    | Ok () -> Alcotest.fail "a point violating the dropped row passed the audit"
+    | Error reason ->
+      Alcotest.(check bool) ("the dropped row is named: " ^ reason) true
+        (String.length reason >= 9 && String.sub reason 0 9 = "row 0 (su"))
+  | _ -> Alcotest.fail "overlay not optimal"
+
+(* --- the compiled audit equals the Linexpr-walking check, bit for bit -- *)
+
+(* The point check as it was written over the model's Linexpr rows:
+   Kahan sums in Linexpr.iter order, row residuals normalized by
+   1 + |rhs| + max |term|, bound residuals by 1 + |bound|, the first
+   failure's message. Certify.check_point must give the same bits. *)
+let reference_check ?rhs ?ub ?obj ~(tols : Milp.Certify.tolerances) model values =
+  let kahan e =
+    let sum = ref 0. and comp = ref 0. and scale = ref 0. in
+    Milp.Linexpr.iter
+      (fun id k ->
+        let term = k *. values.(id) in
+        let a = Float.abs term in
+        if a > !scale then scale := a;
+        let y = term -. !comp in
+        let t = !sum +. y in
+        comp := (t -. !sum) -. y;
+        sum := t)
+      e;
+    (!sum +. (Milp.Linexpr.constant e -. !comp), !scale)
+  in
+  let failure = ref None in
+  let fail fmt = Printf.ksprintf (fun s -> if !failure = None then failure := Some s) fmt in
+  let conss = Milp.Model.conss model in
+  let acts = Array.make (Array.length conss) 0. in
+  let row_res = ref 0. in
+  Array.iteri
+    (fun i (c : Milp.Model.cons) ->
+      let lhs, scale = kahan c.Milp.Model.lhs in
+      acts.(i) <- lhs;
+      let b = match rhs with Some b -> b.(i) | None -> c.Milp.Model.rhs in
+      let viol =
+        match c.Milp.Model.rel with
+        | Milp.Model.Le -> lhs -. b
+        | Milp.Model.Ge -> b -. lhs
+        | Milp.Model.Eq -> Float.abs (lhs -. b)
+      in
+      let res = Float.max 0. viol /. (1. +. Float.abs b +. scale) in
+      if res > !row_res then row_res := res;
+      if res > tols.Milp.Certify.feas_tol then
+        fail "row %d (%s): residual %.3e" i c.Milp.Model.cname res)
+    conss;
+  let bound_res = ref 0. and int_res = ref 0. in
+  Array.iter
+    (fun (v : Milp.Model.var) ->
+      let j = v.Milp.Model.vid in
+      let x = values.(j) and lb = v.Milp.Model.lb in
+      let vub = match ub with Some u -> u.(j) | None -> v.Milp.Model.ub in
+      let res =
+        if Float.is_nan x then infinity
+        else
+          Float.max
+            (if Float.is_finite lb then (lb -. x) /. (1. +. Float.abs lb) else 0.)
+            (if Float.is_finite vub then (x -. vub) /. (1. +. Float.abs vub) else 0.)
+      in
+      if res > !bound_res then bound_res := res;
+      if res > tols.Milp.Certify.feas_tol then
+        fail "%s = %g outside [%g, %g]: residual %.3e" v.Milp.Model.vname x lb vub res;
+      if v.Milp.Model.kind <> Milp.Model.Continuous then begin
+        let frac = Float.abs (x -. Float.round x) in
+        if frac > !int_res then int_res := frac;
+        if frac > tols.Milp.Certify.int_tol then
+          fail "%s = %g not integral: frac %.3e" v.Milp.Model.vname x frac
+      end)
+    (Milp.Model.vars model);
+  let obj_error =
+    match obj with
+    | None -> 0.
+    | Some obj ->
+      let recomputed, _ = kahan (snd (Milp.Model.objective model)) in
+      let err = Float.abs (recomputed -. obj) /. (1. +. Float.abs obj) in
+      if not (err <= tols.Milp.Certify.obj_tol) then
+        fail "objective mismatch: reported %.9g, recomputed %.9g" obj recomputed;
+      err
+  in
+  (!row_res, !bound_res, !int_res, obj_error, !failure, acts)
+
+(* a random model with every row sense, integer and binary columns,
+   infinite bounds and an objective constant, and a point near its
+   box: about one coordinate in thirty is NaN *)
+let random_check_case seed =
+  let rng = Random.State.make [| 0xc0b1; seed |] in
+  let f a b = a +. Random.State.float rng (b -. a) in
+  let m = Milp.Model.create () in
+  let n = 1 + Random.State.int rng 12 in
+  let vars =
+    Array.init n (fun i ->
+        let name = Printf.sprintf "v%d" i in
+        match Random.State.int rng 4 with
+        | 0 -> Milp.Model.binary m name
+        | 1 -> Milp.Model.integer ~lb:(Float.round (f (-5.) 0.)) ~ub:(Float.round (f 0. 5.)) m name
+        | 2 -> Milp.Model.continuous ~lb:Float.neg_infinity m name
+        | _ -> Milp.Model.continuous ~lb:(f (-3.) 0.) ~ub:(f 0. 1e4) m name)
+  in
+  let expr () =
+    Milp.Linexpr.of_terms
+      (List.filter_map
+         (fun (v : Milp.Model.var) ->
+           if Random.State.int rng 3 = 0 then None
+           else Some (f (-1e3) 1e3 *. Float.pow 10. (f (-6.) 0.), v.Milp.Model.vid))
+         (Array.to_list vars))
+  in
+  let rows = Random.State.int rng 10 in
+  for _ = 1 to rows do
+    let rel = [| Milp.Model.Le; Milp.Model.Ge; Milp.Model.Eq |].(Random.State.int rng 3) in
+    Milp.Model.add_cons m (expr ()) rel (f (-50.) 50.)
+  done;
+  Milp.Model.set_objective m
+    (if Random.State.bool rng then Milp.Model.Maximize else Milp.Model.Minimize)
+    (Milp.Linexpr.add (expr ()) (Milp.Linexpr.const (f (-10.) 10.)));
+  let values =
+    Array.map
+      (fun (v : Milp.Model.var) ->
+        if Random.State.int rng 30 = 0 then nan
+        else
+          let lo = if Float.is_finite v.Milp.Model.lb then v.Milp.Model.lb else -10.
+          and hi = if Float.is_finite v.Milp.Model.ub then v.Milp.Model.ub else 10. in
+          f (lo -. 0.01) (hi +. 0.01))
+      vars
+  in
+  let len = if Random.State.int rng 20 = 0 then n + 1 else n in
+  let values = Array.init len (fun i -> if i < n then values.(i) else 0.) in
+  let rhs =
+    if Random.State.bool rng then
+      Some (Array.map (fun (c : Milp.Model.cons) -> c.Milp.Model.rhs +. f (-1.) 1.) (Milp.Model.conss m))
+    else None
+  in
+  let ub =
+    if Random.State.bool rng then
+      Some (Array.map (fun (v : Milp.Model.var) -> Float.max v.Milp.Model.lb (f 0. 20.)) vars)
+    else None
+  in
+  let obj = if Random.State.bool rng then Some (f (-1e4) 1e4) else None in
+  let tols =
+    if Random.State.bool rng then Milp.Certify.default_tolerances
+    else { Milp.Certify.default_tolerances with Milp.Certify.feas_tol = 1e-2; int_tol = 1e-1 }
+  in
+  (m, values, rhs, ub, obj, tols)
+
+let prop_compiled_check_bits =
+  QCheck2.Test.make ~name:"compiled point check equals the Linexpr walk bit for bit" ~count:500
+    QCheck2.Gen.int
+    (fun seed ->
+      let m, values, rhs, ub, obj, tols = random_check_case seed in
+      let p = Milp.Certify.check_point ?rhs ?ub ?obj ~tols m values in
+      let b = Int64.bits_of_float in
+      if Array.length values <> Milp.Model.num_vars m then
+        p.Milp.Certify.failure = Some "claimed point has the wrong length"
+        && p.Milp.Certify.row_residual = infinity
+      else begin
+        let rr, br, ir, oe, failure, acts = reference_check ?rhs ?ub ?obj ~tols m values in
+        if
+          not
+            (b rr = b p.Milp.Certify.row_residual
+            && b br = b p.Milp.Certify.bound_residual
+            && b ir = b p.Milp.Certify.int_residual
+            && b oe = b p.Milp.Certify.obj_error
+            && failure = p.Milp.Certify.failure
+            && bits acts = bits p.Milp.Certify.acts)
+        then
+          QCheck2.Test.fail_reportf "seed %d: residuals or verdict differ (%s vs %s)" seed
+            (Option.value failure ~default:"ok")
+            (Option.value p.Milp.Certify.failure ~default:"ok");
+        true
+      end)
 
 (* --- shared structure is immutable under concurrent overlays ---------- *)
 
@@ -656,6 +1022,12 @@ let suite =
     QCheck_alcotest.to_alcotest prop_unfix_warm_hits;
     ("engine agrees with the row-form oracle on Cogentco and Uninett2010", `Quick,
       test_zoo_differential);
+    ("engine leaves out rows no failure binds, equals the oracle", `Quick,
+      test_dropped_rows_oracle);
+    ("the floor keeps multi-link LAG rows a partial failure binds", `Quick,
+      test_dropped_rows_multi_link);
+    ("a point violating only a dropped row fails the audit", `Quick, test_dropped_row_audited);
+    QCheck_alcotest.to_alcotest prop_compiled_check_bits;
     ( "shared CSC structure immutable under concurrent overlays",
       `Quick,
       test_shared_structure_immutable );
