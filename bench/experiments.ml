@@ -628,18 +628,18 @@ let presolve_bench ctx =
 let no_cuts o = { o with Raha.Analysis.cuts = Milp.Cuts.disabled }
 
 (* Solver-layer ablation: the solver cells under the defaults (revised
-   engine, cut pool, reliability branching, pump/RINS heuristics) and
-   three arms that each turn a layer back: no-cuts; dense, no-cuts on
-   the legacy dense tableau (a pure engine ablation against no-cuts);
-   frac, most-fractional branching with plunge-only incumbents. Every
-   arm solves the same MILPs to optimality, so degradations must agree.
-   warm is dual-simplex hits/attempts; gen/app/aud count cut
-   candidates, admitted cuts and incumbent-audit failures; sb/pcu
-   strong-branching probes and pseudocost updates; hs/hr heuristic
-   incumbents accepted/rejected by the unified-tolerance re-check;
-   refuted plunge hints skipped after a warm dual refutation. aud
-   and hr must be 0. Measured rows are recorded in
-   BENCH_revised.json, BENCH_cuts.json and BENCH_branching.json. *)
+   engine, cut pool, reliability branching, diving) and three arms that
+   each turn a layer back: no-cuts; dense, no-cuts on the legacy dense
+   tableau (a pure engine ablation against no-cuts); frac,
+   most-fractional branching. Every arm solves the same MILPs to
+   optimality, so degradations must agree. warm is dual-simplex
+   hits/attempts; gen/app/aud count cut candidates, admitted cuts and
+   incumbent-audit failures; sb/pcu strong-branching probes and
+   pseudocost updates; hs/hr dive incumbents accepted/rejected by the
+   unified-tolerance re-check; refuted plunge hints skipped after a
+   warm dual refutation. aud and hr must be 0. Measured rows are
+   recorded in BENCH_revised.json, BENCH_cuts.json and
+   BENCH_branching.json. *)
 let solver_bench ctx =
   section ctx ~id:"solver"
     ~paper:"solver layers: revised simplex, cut pool, reliability branching (DESIGN.md §9, §11, §15)"
@@ -654,8 +654,7 @@ let solver_bench ctx =
         arm "default" Fun.id;
         arm "no-cuts" no_cuts;
         arm "dense" (fun o -> { (no_cuts o) with Raha.Analysis.dense_simplex = true });
-        arm "frac" (fun o ->
-            { o with Raha.Analysis.branching = Milp.Branch_bound.Fractional; heuristics = false });
+        arm "frac" (fun o -> { o with Raha.Analysis.branching = Milp.Branch_bound.Fractional });
       ]
   in
   let default = total ~keep:(( = ) "default") runs in
@@ -744,7 +743,21 @@ let batch_bench ctx =
         Printf.sprintf "%d/%d" solved full
       | None -> "-"
     in
-    let checked, counts, wall = scoped solve in
+    (* The first call's scope gives the counters; the call repeats until
+       50 ms have passed, and the median per-call wall gives the rate
+       (one call of an 8-node cell takes 0.1-2 ms, too short to time
+       alone). *)
+    let checked, counts, first = scoped solve in
+    let walls = ref [ first ] and spent = ref first in
+    while !spent < 0.05 do
+      let t0 = Unix.gettimeofday () in
+      ignore (solve ());
+      let w = Unix.gettimeofday () -. t0 in
+      walls := w :: !walls;
+      spent := !spent +. w
+    done;
+    let calls = List.length !walls in
+    let wall = List.nth (List.sort Float.compare !walls) (calls / 2) in
     print_run ~id:"batch" ~cell:name ~arm:"on" ~fields ~wall
       (("scen", string_of_int scen)
       :: ("rows", rows)
@@ -757,7 +770,8 @@ let batch_bench ctx =
       | None -> false
     in
     let agree = Array.for_all agrees checked in
-    row "%s: %.2fs, %.0f scen/s, oracle %s@." name wall
+    row "%s: %.3f ms per call (median of %d), %.0f scen/s, oracle %s@." name (wall *. 1e3)
+      calls
       (float_of_int scen /. Float.max 1e-9 wall)
       (if agree then "agrees" else "MISMATCH");
     row "counters: batch | %s | agree(oracle)=%b@." name agree
@@ -806,11 +820,15 @@ let batch_bench ctx =
    stream with interleaved worst-case / "now" / status queries, replayed
    through the Service.Core ingestion + invalidation + incremental
    re-solve loop (service arm) versus an arm that reconstructs state and
-   solves cold for every query (cold arm). The service arm is run at
-   domains=1 and domains=4 and the two stripped answer sequences must be
-   bit-identical; the per-worst-query solve-relevant fields must also
-   agree between the service and cold arms — an answer is only ever
-   reused when a full re-solve would have said the same thing. The
+   solves cold for every query (cold arm). The service arm runs twice,
+   on two fresh Cores in this process, and the two stripped answer
+   sequences must be bit-identical: [identical(domains 1v4)] keeps the
+   name it had when the two Cores ran at domains=1 and domains=4, but
+   the service no longer reads the domain count, so it checks that a
+   replay is deterministic. The per-worst-query solve-relevant fields
+   must also agree between the service and cold arms — an answer is
+   only ever reused when a full re-solve would have said the same
+   thing. The
    [counters:] lines carry no wall clock (CI double-runs and diffs
    them); measured queries/sec rows go to BENCH_service.json. *)
 let service_bench ctx =

@@ -423,18 +423,74 @@ let solve ?(options = default) model =
   | Some v when gate v = None ->
     consider_incumbent v (osign *. Model.objective_value model v)
   | Some _ | None -> ());
-  (* Primal heuristics ({!Heuristics}): LP-guided diving (the original
-     plunge), a feasibility pump, and RINS. They produce integral
-     incumbents early, which best-first search alone can fail to do. *)
-  let heur_env =
-    {
-      Heuristics.lp = (fun warm ~lb ~ub -> solve_lp ?warm !prep ~lb ~ub);
-      int_ids;
-      int_tol = options.int_tol;
-      abs_gap = options.abs_gap;
-      osign;
-      cutoff = (fun () -> !incumbent_obj);
-    }
+  (* LP-guided diving, the search's primal heuristic: from the LP
+     optimum under [lb, ub], repeatedly fix the most fractional integer
+     variable to its rounded value and re-solve, with one flip retry per
+     variable on infeasibility. Each fixing only tightens bounds, so the
+     previous step's optimal basis warm-starts the next LP in the dual
+     simplex. [on_basis] sees each final basis. Returns [(point, obj)]
+     in the internal maximization sense when the dive reaches a point
+     integral within [int_tol] that beats the incumbent by more than
+     [abs_gap]; the bounds arrays are not modified. *)
+  let dive ?basis ?(on_basis = ignore) lb ub =
+    let lb = Array.copy lb and ub = Array.copy ub in
+    let budget = (2 * nint) + 20 in
+    let warm = ref basis in
+    let lp_step () =
+      let r, fb = solve_lp ?warm:!warm !prep ~lb ~ub in
+      Option.iter (fun b -> warm := Some b; on_basis b) fb;
+      r
+    in
+    (* [go] consumes the LP result of the current bounds, so each fixing
+       costs exactly one LP solve *)
+    let rec go iters res =
+      if iters > budget then None
+      else
+        match res with
+        | Simplex.Infeasible | Simplex.Unbounded | Simplex.Iter_limit -> None
+        | Simplex.Optimal { obj; values } ->
+          let bound = osign *. obj in
+          if bound <= !incumbent_obj +. options.abs_gap then None
+          else begin
+            let best = ref (-1) and best_frac = ref options.int_tol in
+            Array.iter
+              (fun id ->
+                let f = frac values id in
+                if f > !best_frac then begin
+                  best := id;
+                  best_frac := f
+                end)
+              int_ids;
+            if !best < 0 then Some (values, bound)
+            else begin
+              let id = !best in
+              let r = Float.round values.(id) in
+              let saved_lb = lb.(id) and saved_ub = ub.(id) in
+              lb.(id) <- r;
+              ub.(id) <- r;
+              match lp_step () with
+              | Simplex.Optimal _ as res' -> go (iters + 1) res'
+              | Simplex.Infeasible | Simplex.Unbounded | Simplex.Iter_limit ->
+                (* flip once, if the other rounding is inside the
+                   variable's bounds to within [int_tol] *)
+                let r' =
+                  if r > values.(id) then Float.floor values.(id)
+                  else Float.ceil values.(id)
+                in
+                if
+                  r' >= saved_lb -. options.int_tol
+                  && r' <= saved_ub +. options.int_tol
+                  && r' <> r
+                then begin
+                  lb.(id) <- r';
+                  ub.(id) <- r';
+                  go (iters + 1) (lp_step ())
+                end
+                else None
+            end
+          end
+    in
+    go 0 (lp_step ())
   in
   (* Every heuristic candidate passes the same gate as the warm start.
      A candidate failing it is counted and dropped instead of silently
@@ -455,23 +511,13 @@ let solve ?(options = default) model =
               f "%s incumbent rejected at node %d: %s" what !nodes reason))
   in
   (* Seed incumbents from caller-provided partial assignments: fix the
-     hinted variables and plunge. When a hint fixes all the structural
-     binaries the plunge is a single LP solve. Once an incumbent exists,
+     hinted variables and dive. When a hint fixes all the structural
+     binaries the dive is a single LP solve. Once an incumbent exists,
      a hint is first refuted warm ({!Simplex.refute}) from the final
-     basis of the last hint plunge: a proof that its LP bound passes
-     the dive's own cutoff test skips exactly a plunge that
-     {!Heuristics.dive} would end at its first LP. *)
+     basis of the last hint dive: a proof that its LP bound passes the
+     dive's own cutoff test skips exactly a dive that would end at its
+     first LP. *)
   let hint_basis = ref None in
-  let hint_env =
-    {
-      heur_env with
-      Heuristics.lp =
-        (fun warm ~lb ~ub ->
-          let ((_, fb) as res) = heur_env.Heuristics.lp warm ~lb ~ub in
-          (match fb with Some _ -> hint_basis := fb | None -> ());
-          res);
-    }
-  in
   let refuted lb ub =
     match !hint_basis with
     | Some warm when !incumbent_obj > neg_infinity ->
@@ -501,7 +547,9 @@ let solve ?(options = default) model =
             ub.(id) <- v)
           hint;
         if refuted lb ub then Lp_stats.incr Lp_stats.hint_refutes
-        else try_candidate ~what:"hint dive" (Heuristics.dive hint_env lb ub)
+        else
+          try_candidate ~what:"hint dive"
+            (dive ~on_basis:(fun b -> hint_basis := Some b) lb ub)
       end)
     options.plunge_hints;
   let candidates values =
@@ -567,33 +615,11 @@ let solve ?(options = default) model =
       order;
     gains
   in
-  (* Heuristic schedule: dive at the root, periodically
-     until an incumbent exists and occasionally after (the original
-     plunge cadence); the feasibility pump backs the dive up while no
-     incumbent exists; RINS explores the incumbent/relaxation
-     neighborhood every [rins_freq] nodes. *)
-  let run_heuristics ~fbasis ~values ~nlb ~nub =
-    let dive_now =
-      !nodes = 1
-      || (!incumbent = None && !nodes mod 40 = 0)
-      || !nodes mod 400 = 0
-    in
-    if dive_now then begin
-      try_candidate ~what:"dive" (Heuristics.dive heur_env ?basis:fbasis nlb nub);
-      if options.heuristics && !incumbent = None then
-        try_candidate ~what:"pump"
-          (Heuristics.pump heur_env ?basis:fbasis ~relax:values nlb nub)
-    end;
-    if
-      options.heuristics && options.rins_freq > 0 && !nodes > 1
-      && !nodes mod options.rins_freq = 0
-    then
-      match !incumbent with
-      | Some inc ->
-        try_candidate ~what:"rins"
-          (Heuristics.rins heur_env ?basis:fbasis ~incumbent:inc ~relax:values
-             nlb nub)
-      | None -> ()
+  (* The dive schedule: at the root, every 40 nodes while no incumbent
+     exists, and every 400 nodes. *)
+  let run_heuristics ~fbasis ~nlb ~nub =
+    if !nodes = 1 || (!incumbent = None && !nodes mod 40 = 0) || !nodes mod 400 = 0
+    then try_candidate ~what:"dive" (dive ?basis:fbasis nlb nub)
   in
   (* Cutting planes at the root: up to [Cuts.root_rounds] rounds. Each
      separates at the LP optimum, re-prepares the extended LP and
@@ -698,7 +724,7 @@ let solve ?(options = default) model =
                 match select ?gains cands values with
                 | None -> consider_incumbent values bound
                 | Some (id, g) ->
-                  run_heuristics ~fbasis ~values ~nlb:node.nlb ~nub:node.nub;
+                  run_heuristics ~fbasis ~nlb:node.nlb ~nub:node.nub;
                   if bound > !incumbent_obj +. options.abs_gap then
                     push_children heap node ~bound ~fbasis id values g
               end

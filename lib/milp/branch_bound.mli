@@ -4,7 +4,14 @@
     (the Raha encodings branch on link-failure binaries first), an optional
     warm-start incumbent, and node/time limits. Time limits make the solver
     return its best incumbent together with the remaining bound — this is
-    the "timeout" behaviour §6 of the paper relies on. *)
+    the "timeout" behaviour §6 of the paper relies on.
+
+    The one primal heuristic is LP-guided diving (fix the most
+    fractional integer variable, re-solve warm, repeat). It runs from
+    each plunge hint, at the root, every 40 nodes while no incumbent
+    exists and every 400 nodes. Every dive candidate is re-checked
+    against the model at [int_tol] (a gate {!Certify} implies) before it
+    can become the incumbent. *)
 
 (** Branching-variable selection rule. *)
 type branching =
@@ -35,7 +42,7 @@ type options = {
           initial incumbent. *)
   plunge_hints : (int * float) list list;
       (** Partial assignments [(var id, value)]: each is fixed into the
-          root bounds and plunged for an initial incumbent. Raha seeds
+          root bounds and dived from for an initial incumbent. Raha seeds
           these with concrete candidate failure scenarios. *)
   engine : Simplex.engine;
       (** LP kernel for node relaxations; default {!Simplex.Revised}.
@@ -66,16 +73,12 @@ type options = {
       (** Branching-variable selection rule; default {!Reliability}.
           [Fractional] restores the pre-pseudocost search exactly (no
           probes, no pseudocost bookkeeping). *)
-  heuristics : bool;
-      (** Enable the feasibility pump and RINS ({!Heuristics});
-          default [true]. [false] keeps only the legacy diving cadence.
-          Every heuristic candidate is re-checked against the model at
-          [int_tol] — the same tolerance {!Certify} enforces — before it
-          can become the incumbent, so heuristics can never admit an
-          incumbent the certifier would reject. *)
+  heuristics : bool;  (** Ignored. *)
   rins_freq : int;
-      (** Run RINS every this many nodes once an incumbent exists;
-          [<= 0] disables RINS. Default 200. *)
+      (** Ignored. [heuristics] and [rins_freq] configured the
+          feasibility pump and RINS the search no longer has; they stay
+          only while the repository benchmark's options literal sets
+          them. *)
   on_incumbent : (float array -> unit) option;
       (** Called with each accepted incumbent point (after the
           feasibility re-check, before cut audit); default [None].

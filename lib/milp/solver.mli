@@ -84,9 +84,10 @@ val has_point : solution -> bool
     verdicts ([certify-checks]/[certify-failures]), cutting-plane
     activity ([cuts-generated]/[cuts-applied]/[cut-audit-failures]),
     batched overlays ([batch-prepares]/[batch-overlays]/
-    [batch-warm-hits]) and branching ([sb-probes],
-    [pseudocost-updates], [heuristic-solutions],
-    [heuristic-rejections]). Each reads the calling domain's cumulative
+    [batch-warm-hits]), branching ([sb-probes],
+    [pseudocost-updates]) and diving ([heuristic-solutions]/
+    [heuristic-rejections]: dive incumbents the gate admitted or
+    rejected). Each reads the calling domain's cumulative
     value, which includes pool work credited back from worker domains;
     {!Lp_stats.scope_enter} reads these by default. *)
 val stats_counters : (string * (unit -> int)) list

@@ -203,8 +203,6 @@ let analyze ?screen ?candidates ?(options = default_options) topo paths envelope
       cuts = options.cuts;
       sx_iters = options.sx_iters;
       branching = options.branching;
-      heuristics = options.heuristics;
-      rins_freq = options.rins_freq;
     }
   in
   let sol = Milp.Solver.solve ~options:solver_options built.Bilevel.model in

@@ -49,12 +49,12 @@ type options = {
       (** branching-variable rule for the bilevel MILP
           ({!Milp.Branch_bound.options.branching}); default
           {!Milp.Branch_bound.Reliability}. *)
-  heuristics : bool;
-      (** enable the feasibility-pump and RINS primal heuristics
-          ({!Milp.Branch_bound.options.heuristics}); default [true]. *)
+  heuristics : bool;  (** Ignored. *)
   rins_freq : int;
-      (** RINS cadence in branch-and-bound nodes; [<= 0] disables
-          ({!Milp.Branch_bound.options.rins_freq}); default 200. *)
+      (** Ignored. [heuristics] and [rins_freq] configured primal
+          heuristics branch-and-bound no longer has
+          ({!Milp.Branch_bound.options.rins_freq}); they stay only while
+          the repository benchmark reads them. *)
 }
 
 val default_options : options

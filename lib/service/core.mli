@@ -28,7 +28,9 @@ type config = {
       (** the {e configured} demand envelope; {!Event.Demand} events
           re-forecast it per pair from then on ({!State.envelope}) *)
   options : Raha.Analysis.options;
-      (** per-solve options; [spec], [domains], budgets *)
+      (** per-solve options: [spec] and budgets. [domains] is not read:
+          every solve runs {!Raha.Analysis.analyze} on the calling
+          domain. *)
   drift_tol : float;
       (** max per-link probability-estimate drift a cached answer
           survives ({!Policy.decide}) *)

@@ -33,6 +33,67 @@ let check_oracle ~objective ~what ~infeasible (topo, paths, demand) scenario eng
     if Int64.bits_of_float engine <> Int64.bits_of_float infeasible then
       Alcotest.failf "%s: oracle infeasible, engine %.12g" what engine
 
+let prepared ~objective topo paths demand =
+  match Te.Simulate.prepare ~objective topo paths demand with
+  | Some e -> e
+  | None -> Alcotest.fail "healthy network must route the demand"
+
+(* The flow audit: routing [r] must fit the failed network as the test
+   reads it from the topology, the scenario and the demand alone, not
+   from the engine's LP:
+   - each LAG's load is at most its live capacity; under MLU the
+     capacity rows stay at full capacity scaled by the utilization U
+     (Appendix A), so a LAG that is not fully down may carry U times
+     its capacity, U being the answer's performance;
+   - a path across a fully-down LAG carries nothing;
+   - each pair carries at most its demand. *)
+let check_flows ~objective ~what topo demand s (r : Te.Simulate.result) =
+  let tol x = 1e-6 *. (1. +. x) in
+  let show = Format.asprintf "%a" Failure.Scenario.pp s in
+  let load = Array.make (Wan.Topology.num_lags topo) 0. in
+  Array.iter
+    (fun (pc : Te.Formulation.pair_cols) ->
+      let vol = Traffic.Demand.volume demand ~src:pc.Te.Formulation.src ~dst:pc.dst in
+      let carried = ref 0. in
+      Array.iteri
+        (fun j (path : Netpath.Path.t) ->
+          let x = r.Te.Simulate.flows.(pc.Te.Formulation.path_cols.(j)) in
+          let lags = Netpath.Path.lag_list path in
+          if Failure.Scenario.path_down topo s lags && x > tol 0. then
+            Alcotest.failf "%s, %s: pair %d-%d carries %.17g on path %d across a down LAG"
+              what show pc.src pc.dst x j;
+          carried := !carried +. x;
+          List.iter (fun e -> load.(e) <- load.(e) +. x) lags)
+        pc.Te.Formulation.paths;
+      if !carried > vol +. tol vol then
+        Alcotest.failf "%s, %s: pair %d-%d carries %.17g over its demand %g" what show pc.src
+          pc.dst !carried vol)
+    r.Te.Simulate.index.Te.Formulation.pair_arr;
+  Array.iteri
+    (fun e l ->
+      let cap =
+        match objective with
+        | Te.Formulation.Mlu _ ->
+          if Failure.Scenario.lag_down topo s e then 0.
+          else r.Te.Simulate.performance *. Wan.Lag.capacity (Wan.Topology.lag topo e)
+        | Te.Formulation.Total_flow | Te.Formulation.Max_min _ ->
+          Failure.Scenario.lag_capacity topo s e
+      in
+      if l > cap +. tol cap then
+        Alcotest.failf "%s, %s: LAG %d carries %.17g over its capacity %g" what show e l cap)
+    load
+
+(* [Simulate.degradation_prepared eng s], bit for bit, with the routing
+   behind it through the flow audit *)
+let degradation_checked ~objective ~what topo demand eng s =
+  Option.map
+    (fun (r : Te.Simulate.result) ->
+      check_flows ~objective ~what topo demand s r;
+      Te.Formulation.degradation objective
+        ~healthy:(Te.Simulate.engine_healthy eng).Te.Simulate.performance
+        ~failed:r.Te.Simulate.performance)
+    (Te.Simulate.route_prepared eng s)
+
 (* --- Monte Carlo == the oracle -------------------------------------------- *)
 
 (* [wan ()] with every link failing with probability 0.3: a sample
@@ -74,15 +135,19 @@ let test_mc_differential objective () =
      bounds: under MLU a path across a down LAG is closed by its bound
      alone, and the audit sees flow on it *)
   Alcotest.(check int) "no overlay audit failed" 0 (read Milp.Lp_stats.certify_failures - f0);
-  let healthy =
-    match Te.Simulate.prepare ~objective topo paths demand with
-    | Some eng -> (Te.Simulate.engine_healthy eng).Te.Simulate.performance
-    | None -> Alcotest.fail "healthy network must route the demand"
-  in
+  let eng = prepared ~objective topo paths demand in
+  let healthy = (Te.Simulate.engine_healthy eng).Te.Simulate.performance in
   Array.iteri
     (fun i s ->
       check_oracle ~objective ~what:(Printf.sprintf "sample %d" i) ~infeasible:healthy net
         s ref_degs.(i))
+    ref_scens;
+  (* the engine's routing of every sample passes the flow audit *)
+  Array.iteri
+    (fun i s ->
+      Option.iter
+        (check_flows ~objective ~what:(Printf.sprintf "sample %d" i) topo demand s)
+        (Te.Simulate.route_prepared eng s))
     ref_scens;
   (* the oracle must have seen more than whole-LAG failures, and many
      samples that open a backup path *)
@@ -127,18 +192,14 @@ let lag_scenarios topo =
    rows for blocked paths, where the engine bounds columns), so
    vertices — hence flows — may differ; the optimal objective value must
    agree to solver tolerance, here over the empty scenario and every
-   whole-LAG failure. *)
+   whole-LAG failure, and the engine's flows must pass the flow audit. *)
 let test_engine_vs_route objective () =
   let topo, paths, demand = wan () in
-  let eng =
-    match Te.Simulate.prepare ~objective topo paths demand with
-    | Some e -> e
-    | None -> Alcotest.fail "healthy network must route the demand"
-  in
+  let eng = prepared ~objective topo paths demand in
   List.iteri
     (fun i s ->
       let legacy = Te.Simulate.degradation ~objective topo paths demand s in
-      let engine = Te.Simulate.degradation_prepared eng s in
+      let engine = degradation_checked ~objective ~what:"wan" topo demand eng s in
       match (legacy, engine) with
       | None, None -> ()
       | Some dl, Some de ->
@@ -182,11 +243,6 @@ let objectives =
     ("max-min", Te.Formulation.Max_min { bins = 3; ratio = 1. });
     ("mlu", Te.Formulation.Mlu { u_max = 10. });
   ]
-
-let prepared ~objective topo paths demand =
-  match Te.Simulate.prepare ~objective topo paths demand with
-  | Some e -> e
-  | None -> Alcotest.fail "healthy network must route the demand"
 
 let whole_lag topo e =
   Failure.Scenario.of_links topo
@@ -523,7 +579,8 @@ let prop_unfix_warm_hits =
    overlays) against Te.Simulate.degradation (extension rows, cold
    solves), on every whole-LAG failure of a LAG some path crosses and
    every pair of consecutive such failures, within 1e-9 relative to the
-   healthy performance. *)
+   healthy performance, and every engine routing passes the flow
+   audit. *)
 let zoo_net ?(n = 8) ?(share = 1.2) topo =
   let rng = Random.State.make [| 0x200; Wan.Topology.num_nodes topo |] in
   let nn = Wan.Topology.num_nodes topo in
@@ -564,7 +621,7 @@ let test_zoo_differential () =
               let what = Printf.sprintf "%s, %s, scenario %d" net name i in
               match
                 (Te.Simulate.degradation ~objective topo paths demand s,
-                 Te.Simulate.degradation_prepared eng s)
+                 degradation_checked ~objective ~what topo demand eng s)
               with
               | Some d, Some e ->
                 if Float.abs (d -. e) > 1e-9 *. scale then
@@ -609,9 +666,8 @@ let droppable ?(floor = smallest_link) topo paths demand =
 
 (* [eng] against the row-form oracle (Simulate.route, healthy routed
    once) on [scenarios], within 1e-9 relative to the healthy
-   performance. The engine's routing must also fit the failed network
-   as the test reads it from the topology: each LAG's load at most its
-   live capacity (0 when down). No overlay audit may fail. *)
+   performance. The engine's routing must also pass the flow audit
+   ([check_flows]). No overlay audit may fail. *)
 let agree_with_oracle ~objective ~what (topo, paths, demand) eng scenarios =
   let healthy =
     match Te.Simulate.healthy ~objective topo paths demand with
@@ -627,41 +683,14 @@ let agree_with_oracle ~objective ~what (topo, paths, demand) eng scenarios =
           (fun r -> Te.Formulation.degradation objective ~healthy ~failed:r.Te.Simulate.performance)
           (Te.Simulate.route ~objective topo paths demand s)
       in
-      let routed = Te.Simulate.route_prepared eng s in
-      let show = Format.asprintf "%a" Failure.Scenario.pp s in
-      Option.iter
-        (fun (r : Te.Simulate.result) ->
-          let load = Array.make (Wan.Topology.num_lags topo) 0. in
-          Array.iter
-            (fun (pc : Te.Formulation.pair_cols) ->
-              Array.iteri
-                (fun j (path : Netpath.Path.t) ->
-                  let x = r.Te.Simulate.flows.(pc.Te.Formulation.path_cols.(j)) in
-                  List.iter (fun e -> load.(e) <- load.(e) +. x) (Netpath.Path.lag_list path))
-                pc.Te.Formulation.paths)
-            r.Te.Simulate.index.Te.Formulation.pair_arr;
-          Array.iteri
-            (fun e l ->
-              let cap = Failure.Scenario.lag_capacity topo s e in
-              if l > cap +. (1e-6 *. (1. +. cap)) then
-                Alcotest.failf "%s, scenario %d %s: LAG %d carries %.17g over its capacity %g"
-                  what i show e l cap)
-            load)
-        routed;
-      let engine =
-        Option.map
-          (fun (r : Te.Simulate.result) ->
-            Te.Formulation.degradation objective
-              ~healthy:(Te.Simulate.engine_healthy eng).Te.Simulate.performance
-              ~failed:r.Te.Simulate.performance)
-          routed
-      in
+      let at = Printf.sprintf "%s, scenario %d" what i in
+      let engine = degradation_checked ~objective ~what:at topo demand eng s in
       match (oracle, engine) with
       | Some d, Some e ->
         if Float.abs (d -. e) > 1e-9 *. scale then
-          Alcotest.failf "%s, scenario %d %s: oracle %.17g vs engine %.17g" what i show d e
+          Alcotest.failf "%s %a: oracle %.17g vs engine %.17g" at Failure.Scenario.pp s d e
       | None, None -> ()
-      | _ -> Alcotest.failf "%s, scenario %d: feasibility verdicts disagree" what i)
+      | _ -> Alcotest.failf "%s: feasibility verdicts disagree" at)
     scenarios;
   Alcotest.(check int) (what ^ ": no overlay audit failed") 0
     (Milp.Lp_stats.read Milp.Lp_stats.certify_failures () - f0)

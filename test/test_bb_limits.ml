@@ -3,7 +3,7 @@
    per-LP pivot budget drops its subtree without a false claim, the
    node budget is never overshot, an expired time limit returns the
    incumbent in hand, and the options of the removed parallel rounds
-   change nothing. *)
+   and primal heuristics change nothing. *)
 
 let solve_corpus ?(options = Milp.Branch_bound.default) ?sx_iters
     ?(max_nodes = Milp.Branch_bound.default.max_nodes) ?(cuts = Milp.Cuts.default)
@@ -99,13 +99,22 @@ let test_expired_time_limit () =
     true (!kept >= 32)
 
 (* [pool], [par_width] and [par_grain] configured the parallel subtree
-   rounds the search no longer has: setting them to what used to force
-   rounds on these small trees changes no outcome, bit or counter, under
-   either branching rule, and no solve reports a round. *)
+   rounds the search no longer has, [heuristics] and [rins_freq] the
+   feasibility pump and RINS: setting them to force rounds on these
+   small trees, to switch the pump off and to run RINS at every node
+   changes no outcome, bit, node count or pivot count under either
+   branching rule, and no solve reports a round. *)
 let test_parallel_options_ignored () =
   let rounds0 = Milp.Branch_bound.cumulative_rounds () in
   let parallel =
-    { Milp.Branch_bound.default with pool = Some (); par_width = 2; par_grain = 4 }
+    {
+      Milp.Branch_bound.default with
+      pool = Some ();
+      par_width = 2;
+      par_grain = 4;
+      heuristics = false;
+      rins_freq = 1;
+    }
   in
   List.iter
     (fun (name, branching) ->

@@ -1,4 +1,4 @@
-(* Tests for reliability branching, the primal heuristics and the
+(* Tests for reliability branching, the dive heuristic and the
    incumbent gate.
 
    The gate admits a heuristic or warm-start incumbent only when the
@@ -89,11 +89,11 @@ let test_warm_start_gate () =
         sol.Milp.Solver.obj)
     int_tols
 
-(* Corpus property: every heuristic-produced incumbent (dive, pump,
-   RINS — surfaced through the on_incumbent hook, which fires only on
-   the heuristic acceptance path) passes Certify.check under the
-   solver's own tolerances. This is the post-fix guarantee: no admitted
-   incumbent can later be certify-rejected. *)
+(* Corpus property: every heuristic-produced incumbent (the node dive
+   and the hint dive — surfaced through the on_incumbent hook, which
+   fires only on the heuristic acceptance path) passes Certify.check
+   under the solver's own tolerances. This is the post-fix guarantee:
+   no admitted incumbent can later be certify-rejected. *)
 let prop_heuristic_incumbents_certified =
   QCheck2.Test.make ~name:"heuristic incumbents pass Certify.check" ~count:64
     QCheck2.Gen.(int_range 0 63)
@@ -105,9 +105,8 @@ let prop_heuristic_incumbents_certified =
         {
           Milp.Branch_bound.default with
           int_tol;
-          rins_freq = 4;
           (* root cut rounds solve most corpus cases outright; disable
-             them so the search actually branches and the heuristics run *)
+             them so the search actually branches and the dives run *)
           cuts = Milp.Cuts.disabled;
           on_incumbent = Some (fun v -> produced := Array.copy v :: !produced);
         }
