@@ -79,18 +79,30 @@ let analyze ctx sp topo paths envelope =
   Raha.Analysis.analyze ~options:(options ctx sp) topo paths envelope
 
 (* Evaluate one independent cell per array entry across ctx.domains
-   domains, order-preserving, and emit the per-sweep stats line. Cells
-   carry options.domains = ctx.domains, but a pool created inside a
-   pool task gets one domain — nested scopes run their exact
+   domains, order-preserving, and emit the sweep's stats line: busy is
+   the summed wall time of the cells, so busy/wall is the overlap the
+   domains achieved. Cells carry options.domains = ctx.domains, but a
+   map inside a map task runs inline — nested scopes take their exact
    sequential paths — so the parallelism stays at the sweep level here
    and results match the sequential run bit for bit. *)
 let par_cells ctx f cells =
   if ctx.domains <= 1 || Array.length cells < 2 then Array.map f cells
-  else
-    Parallel.Pool.with_pool ~domains:ctx.domains (fun pool ->
-        let out = Parallel.Pool.map_array pool f cells in
-        row "%a@." Parallel.Pool.pp_stats (Parallel.Pool.stats pool);
-        out)
+  else begin
+    let t0 = Unix.gettimeofday () in
+    let timed =
+      Parallel.Pool.map ~domains:ctx.domains
+        (fun c ->
+          let t = Unix.gettimeofday () in
+          let r = f c in
+          (r, Unix.gettimeofday () -. t))
+        cells
+    in
+    let wall = Unix.gettimeofday () -. t0 in
+    let busy = Array.fold_left (fun acc (_, dt) -> acc +. dt) 0. timed in
+    row "[parallel: %d domains, %d items, busy %.2fs, wall %.2fs]@." ctx.domains
+      (Array.length cells) busy wall;
+    Array.map fst timed
+  end
 
 (* Normalized degradation string with a gap marker when the solve hit its
    budget (the paper's timeout behaviour, §6). *)
@@ -103,6 +115,12 @@ let deg_str (r : Raha.Analysis.report) =
   | Milp.Solver.Unknown -> "?"
 
 let k_str = function Some k -> string_of_int k | None -> "inf"
+
+(* A clustered analysis's block solves and waves, its final fixed-demand
+   solve (and that solve's budget) left out. *)
+let blocks_str (c : Raha.Cluster.result) =
+  Printf.sprintf "blocks=%d waves=%d" (c.Raha.Cluster.block_solves - 1)
+    (List.length c.Raha.Cluster.wave_budgets - 1)
 
 (* --- ablation harness ----------------------------------------------------
 

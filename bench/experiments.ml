@@ -240,8 +240,8 @@ let fig8 ctx =
       let clustered =
         Raha.Cluster.analyze ~options:(options ctx sp) ~clusters:2 topo paths envelope
       in
-      row "%-12g %-14s %-14s@." thr (deg_str plain)
-        (deg_str clustered.Raha.Cluster.report))
+      row "%-12g %-14s %-14s %s@." thr (deg_str plain)
+        (deg_str clustered.Raha.Cluster.report) (blocks_str clustered))
     (if ctx.quick then [ 1e-3 ] else [ 1e-1; 1e-3; 1e-5 ]);
   row "(paper: without clustering the solver stalls below threshold 1e-4)@."
 
@@ -261,14 +261,13 @@ let fig9 ctx =
       let sp = spec ~threshold:1e-7 ~levels:5 () in
       let opt = { (options ctx sp) with Raha.Analysis.time_limit = total_budget } in
       let t0 = Unix.gettimeofday () in
-      let r =
-        if clusters = 1 then
-          let rep = Raha.Analysis.analyze ~options:opt topo paths envelope in
-          rep
+      let r, blocks =
+        if clusters = 1 then (Raha.Analysis.analyze ~options:opt topo paths envelope, "")
         else
-          (Raha.Cluster.analyze ~options:opt ~clusters topo paths envelope).Raha.Cluster.report
+          let c = Raha.Cluster.analyze ~options:opt ~clusters topo paths envelope in
+          (c.Raha.Cluster.report, " " ^ blocks_str c)
       in
-      row "%-10d %-14s %-12.1f@." clusters (deg_str r) (Unix.gettimeofday () -. t0))
+      row "%-10d %-14s %-12.1f%s@." clusters (deg_str r) (Unix.gettimeofday () -. t0) blocks)
     (if ctx.quick then [ 1; 2 ] else [ 1; 2; 4; 8 ]);
   row "(paper: clustering trades ~15%% degradation for ~69%% less runtime)@."
 
@@ -528,7 +527,7 @@ let tab4 ctx =
       let r =
         Raha.Cluster.analyze ~options:(options ctx sp) ~clusters topo paths envelope
       in
-      row "%-12g %-8s %-14s@." thr (k_str k) (deg_str r.Raha.Cluster.report))
+      row "%-12g %-8s %-14s %s@." thr (k_str k) (deg_str r.Raha.Cluster.report) (blocks_str r))
     (if ctx.quick then [ (1e-4, Some 2); (1e-4, None) ]
      else
        [ (1e-4, Some 1); (1e-4, Some 2); (1e-4, Some 4); (1e-4, None); (1e-6, None) ]);

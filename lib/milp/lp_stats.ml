@@ -1,8 +1,8 @@
 (* The solver counters, each declared once with its name.
 
    Every counter is a Parallel.Counter: a per-domain cumulative int, so
-   concurrent solves never race, and a pool credits the work its worker
-   domains do back to the domain that submitted the sweep. Both the
+   concurrent solves never race, and Parallel.Pool.map credits the work
+   its worker domains do back to the calling domain. Both the
    revised engine and the legacy dense tableau bump [pivots]; the
    factorization/eta/dual/warm counters are revised-engine only. *)
 
@@ -46,8 +46,8 @@ let counters = List.map (fun c -> (C.name c, read c)) (C.registry ())
    A scope samples the calling domain's counters at entry and reports
    since-entry deltas at exit, leaving the cumulative values untouched,
    so two queries never smear into each other and the process-lifetime
-   telemetry survives. Pool work done on worker domains is credited to
-   the submitting domain, so a scope sees all the work of a call at any
+   telemetry survives. Work a map runs on worker domains is credited to
+   the calling domain, so a scope sees all the work of a call at any
    domain count. A scope is only its entry readings, so scopes may nest
    or overlap freely on their own domain. *)
 

@@ -88,7 +88,8 @@ val has_point : solution -> bool
     [pseudocost-updates]) and diving ([heuristic-solutions]/
     [heuristic-rejections]: dive incumbents the gate admitted or
     rejected). Each reads the calling domain's cumulative
-    value, which includes pool work credited back from worker domains;
+    value, which includes work credited back from the worker domains
+    of a {!Parallel.Pool.map};
     {!Lp_stats.scope_enter} reads these by default. *)
 val stats_counters : (string * (unit -> int)) list
 

@@ -1,17 +1,17 @@
-(** Named domain-local counters and the registry that lets a pool credit
-    work done on its worker domains back to the domain that submitted it.
+(** Named domain-local counters and the registry that lets {!Pool.map}
+    credit work done on its worker domains back to the calling domain.
 
     Each counter holds one cumulative int per domain, so concurrent
-    solves never race. {!Pool} snapshots the registry around every
-    chunk it runs on a worker domain and adds the summed deltas to the
-    submitting domain's counters when the sweep returns: reading a
-    counter on the submitter then covers all the work of a call, at any
-    domain count. *)
+    solves never race, and starts at zero on every new domain. A
+    {!Pool.map} worker domain therefore hands back its {!snapshot} as
+    its share of the work, and the caller {!credit}s it before [map]
+    returns: reading a counter on the caller then covers all the work
+    of a call, at any domain count. *)
 
 type t
 
 (** [make name] declares and registers a counter. Make counters at
-    module initialisation, before any pool runs a sweep. *)
+    module initialisation, before any {!Pool.map} runs. *)
 val make : string -> t
 
 val name : t -> string

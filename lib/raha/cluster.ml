@@ -96,90 +96,83 @@ let analyze ?(options = Analysis.default_options) ~clusters topo paths envelope 
   let current = ref (Traffic.Demand.of_list (List.map (fun p -> (p, 0.)) pairs)) in
   let solves = ref 0 and elapsed = ref 0. in
   let budgets = ref [] in
-  let run pool =
-    (* One wave per source cluster: its (ci, _) blocks free disjoint
-       demand sets and all read the pre-wave matrix, so they solve
-       concurrently on the pool (each block solve runs its inner
-       machinery sequentially — it is inside a task) and their demands
-       are adopted in destination order. The assembled matrix is
-       independent of the execution schedule. *)
-    for ci = 0 to k - 1 do
-      match wave_blocks ci with
-      | [] -> ()
-      | bs ->
-        let budget = wave_budget ~remaining:!remaining ~solves_left:!solves_left in
-        budgets := budget :: !budgets;
-        let options = { options with Analysis.time_limit = budget } in
-        let base = !current in
-        let solve_block cj =
-          (* free the block's demands, fix the rest at pre-wave values *)
-          let env' =
-            {
-              Traffic.Envelope.lo =
-                Traffic.Demand.map
-                  (fun ~src ~dst v ->
-                    if in_block ci cj (src, dst) then
-                      Traffic.Envelope.lo_volume envelope ~src ~dst
-                    else v)
-                  base;
-              hi =
-                Traffic.Demand.map
-                  (fun ~src ~dst v ->
-                    if in_block ci cj (src, dst) then
-                      Traffic.Envelope.hi_volume envelope ~src ~dst
-                    else v)
-                  base;
-            }
-          in
-          Analysis.analyze ~options topo paths env'
+  (* One wave per source cluster: its (ci, _) blocks free disjoint
+     demand sets and all read the pre-wave matrix, so they solve
+     concurrently on [options.domains] domains (each block solve runs
+     its inner machinery sequentially — it is inside a map task) and
+     their demands are adopted in destination order. The assembled
+     matrix is independent of the execution schedule. *)
+  for ci = 0 to k - 1 do
+    match wave_blocks ci with
+    | [] -> ()
+    | bs ->
+      let budget = wave_budget ~remaining:!remaining ~solves_left:!solves_left in
+      budgets := budget :: !budgets;
+      let options = { options with Analysis.time_limit = budget } in
+      let base = !current in
+      let solve_block cj =
+        (* free the block's demands, fix the rest at pre-wave values *)
+        let env' =
+          {
+            Traffic.Envelope.lo =
+              Traffic.Demand.map
+                (fun ~src ~dst v ->
+                  if in_block ci cj (src, dst) then
+                    Traffic.Envelope.lo_volume envelope ~src ~dst
+                  else v)
+                base;
+            hi =
+              Traffic.Demand.map
+                (fun ~src ~dst v ->
+                  if in_block ci cj (src, dst) then
+                    Traffic.Envelope.hi_volume envelope ~src ~dst
+                  else v)
+                base;
+          }
         in
-        let blocks = Array.of_list bs in
-        let results =
-          match pool with
-          | Some pool -> Parallel.Pool.map_array pool solve_block blocks
-          | None -> Array.map solve_block blocks
-        in
-        let wave_elapsed = ref 0. in
-        Array.iteri
-          (fun i (r : Analysis.report) ->
-            let cj = blocks.(i) in
-            incr solves;
-            wave_elapsed := !wave_elapsed +. r.Analysis.elapsed;
-            if
-              r.Analysis.status = Milp.Solver.Optimal
-              || r.Analysis.status = Milp.Solver.Feasible
-            then
-              (* adopt the block's demands (Algorithm 1 line 11) *)
-              List.iter
-                (fun (s, d) ->
-                  if in_block ci cj (s, d) then
-                    current :=
-                      Traffic.Demand.set !current ~src:s ~dst:d
-                        (Traffic.Demand.volume r.Analysis.worst_demand ~src:s
-                           ~dst:d))
-                pairs)
-          results;
-        elapsed := !elapsed +. !wave_elapsed;
-        solves_left := !solves_left - Array.length blocks;
-        if !remaining <> Float.infinity then
-          remaining := Float.max 0. (!remaining -. !wave_elapsed)
-    done;
-    (* final fixed-demand solve for the failure scenario, on the whole
-       unspent budget *)
-    let budget = wave_budget ~remaining:!remaining ~solves_left:!solves_left in
-    budgets := budget :: !budgets;
-    let options = { options with Analysis.time_limit = budget } in
-    let report = Analysis.analyze ~options topo paths (Traffic.Envelope.fixed !current) in
-    incr solves;
-    elapsed := !elapsed +. report.Analysis.elapsed;
-    {
-      report;
-      demand = !current;
-      block_solves = !solves;
-      total_elapsed = !elapsed;
-      wave_budgets = List.rev !budgets;
-    }
-  in
-  if options.Analysis.domains > 1 then
-    Parallel.Pool.with_pool ~domains:options.Analysis.domains (fun pool -> run (Some pool))
-  else run None
+        Analysis.analyze ~options topo paths env'
+      in
+      let blocks = Array.of_list bs in
+      let results =
+        Parallel.Pool.map ~domains:(max 1 options.Analysis.domains) solve_block blocks
+      in
+      let wave_elapsed = ref 0. in
+      Array.iteri
+        (fun i (r : Analysis.report) ->
+          let cj = blocks.(i) in
+          incr solves;
+          wave_elapsed := !wave_elapsed +. r.Analysis.elapsed;
+          if
+            r.Analysis.status = Milp.Solver.Optimal
+            || r.Analysis.status = Milp.Solver.Feasible
+          then
+            (* adopt the block's demands (Algorithm 1 line 11) *)
+            List.iter
+              (fun (s, d) ->
+                if in_block ci cj (s, d) then
+                  current :=
+                    Traffic.Demand.set !current ~src:s ~dst:d
+                      (Traffic.Demand.volume r.Analysis.worst_demand ~src:s
+                         ~dst:d))
+              pairs)
+        results;
+      elapsed := !elapsed +. !wave_elapsed;
+      solves_left := !solves_left - Array.length blocks;
+      if !remaining <> Float.infinity then
+        remaining := Float.max 0. (!remaining -. !wave_elapsed)
+  done;
+  (* final fixed-demand solve for the failure scenario, on the whole
+     unspent budget *)
+  let budget = wave_budget ~remaining:!remaining ~solves_left:!solves_left in
+  budgets := budget :: !budgets;
+  let options = { options with Analysis.time_limit = budget } in
+  let report = Analysis.analyze ~options topo paths (Traffic.Envelope.fixed !current) in
+  incr solves;
+  elapsed := !elapsed +. report.Analysis.elapsed;
+  {
+    report;
+    demand = !current;
+    block_solves = !solves;
+    total_elapsed = !elapsed;
+    wave_budgets = List.rev !budgets;
+  }

@@ -44,12 +44,12 @@ val wave_budget : remaining:float -> solves_left:int -> float
 
     The (source, destination) blocks of one source cluster are
     independent — they free disjoint demand sets and read the pre-wave
-    matrix — and solve concurrently on one pool of [options.domains]
-    domains per call (none at one domain); their demands are adopted in
-    destination order, so the assembled matrix does not depend on the
-    execution schedule. These waves are the only domain pool in the
-    analysis: each block solve, and the final fixed-demand solve, runs
-    its branch-and-bound on one domain. *)
+    matrix — and solve concurrently, one {!Parallel.Pool.map} over
+    [options.domains] domains per wave (inline at one domain); their
+    demands are adopted in destination order, so the assembled matrix
+    does not depend on the execution schedule. These waves are the only
+    parallel path in the analysis: each block solve, and the final
+    fixed-demand solve, runs its branch-and-bound on one domain. *)
 val analyze :
   ?options:Analysis.options ->
   clusters:int ->

@@ -5,7 +5,7 @@
     [select]. Requests that arrived in the same readiness round are
     answered one at a time, in arrival order, on the loop's own domain:
     a "now" query is a microsecond overlay solve, so fanning a run of
-    them out on a domain pool would cost more than it saves.
+    them out over domains would cost more than it saves.
 
     Framing: a partial line survives any split across [select] wakeups
     (the tail stays buffered until its newline arrives); a line longer

@@ -39,7 +39,6 @@ Journal.scan                     observer: tests read a journal without truncati
 Monte_carlo.prob_degradation_above observer: tests read the tail of sampled degradations
 Path_set.find                    observer: tests look up one pair's computed paths
 Path_set.total_paths             observer: tests count the paths Path_set.compute returns
-Pool.inside_task                 observer: tests check where pool tasks run
 Postsolve.reduced_of_orig        observer: tests check presolve's column mapping
 Postsolve.value_of_fixed         observer: tests check the values presolve fixed
 Probability.per_link_cost        observer: tests check the cost of an always-down link is +inf, not nan

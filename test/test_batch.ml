@@ -1001,18 +1001,15 @@ let test_shared_structure_immutable () =
         List.init (Array.length base) (fun r ->
             (r, base.(r) *. Random.State.float rng 2.)))
   in
-  Parallel.Pool.with_pool ~domains:4 (fun pool ->
-      let outcomes =
-        Parallel.Pool.map_array pool
-          (fun patch ->
-            match Milp.Batch.solve ~warm:warm_basis ~patch batch with
-            | { Milp.Batch.result = Milp.Simplex.Optimal _; _ } -> true
-            | _ -> false)
-          patches
-      in
-      Alcotest.(check bool)
-        "every overlay solved" true
-        (Array.for_all Fun.id outcomes));
+  let outcomes =
+    Parallel.Pool.map ~domains:4
+      (fun patch ->
+        match Milp.Batch.solve ~warm:warm_basis ~patch batch with
+        | { Milp.Batch.result = Milp.Simplex.Optimal _; _ } -> true
+        | _ -> false)
+      patches
+  in
+  Alcotest.(check bool) "every overlay solved" true (Array.for_all Fun.id outcomes);
   let check name snap now =
     Alcotest.(check bool) (name ^ " unchanged") true (snap = now)
   in

@@ -1,10 +1,10 @@
-(* The Domain worker pool, and the determinism contract of the
-   analysis: results must be bit-identical whatever the domain count,
-   both for the clustered analysis (the pool's one library user) and for
-   the unclustered one, which runs on the calling domain. The parallel side runs on
-   [RAHA_TEST_DOMAINS] domains (default 4) — the CI alias pins it to 2
-   so both widths get exercised. Also the block layout of the seeded
-   Monte Carlo draw. *)
+(* The fork-join map, and the determinism contract of the analysis:
+   results must be bit-identical whatever the domain count, both for the
+   clustered analysis (the map's one library user) and for the
+   unclustered one, which runs on the calling domain. The parallel side
+   runs on [RAHA_TEST_DOMAINS] domains (default 4) — the CI alias pins
+   it to 2 so both worker counts get exercised. Also the block layout
+   of the seeded Monte Carlo draw. *)
 
 let domains =
   match Sys.getenv_opt "RAHA_TEST_DOMAINS" with
@@ -13,205 +13,92 @@ let domains =
 
 let check_int = Alcotest.(check int)
 
-(* --- pool units --------------------------------------------------------- *)
+(* --- map units ---------------------------------------------------------- *)
 
-let test_empty_input () =
-  Parallel.Pool.with_pool ~domains (fun pool ->
-      check_int "map of empty" 0
-        (Array.length (Parallel.Pool.map_array pool (fun _ -> Alcotest.fail "called on empty") [||]));
-      let s = Parallel.Pool.stats pool in
-      check_int "no items recorded" 0 s.Parallel.Pool.items)
-
-let test_single_item () =
-  Parallel.Pool.with_pool ~domains (fun pool ->
-      Alcotest.(check (array int)) "one item" [| 42 |]
-        (Parallel.Pool.map_array pool (fun x -> x * 2) [| 21 |]))
-
-let test_more_domains_than_items () =
-  Parallel.Pool.with_pool ~domains:8 (fun pool ->
-      Alcotest.(check (array int)) "three items, eight domains" [| 1; 4; 9 |]
-        (Parallel.Pool.map_array pool (fun x -> x * x) [| 1; 2; 3 |]))
-
-let test_order_preserved () =
-  let input = Array.init 1000 (fun i -> i) in
-  let expected = Array.map (fun i -> i * i) input in
-  Parallel.Pool.with_pool ~domains (fun pool ->
-      Alcotest.(check (array int)) "map order" expected
-        (Parallel.Pool.map_array pool (fun i -> i * i) input))
-
-exception Boom of int
-
-let test_exception_propagation () =
-  Parallel.Pool.with_pool ~domains (fun pool ->
-      (match Parallel.Pool.map_array pool
-               (fun i -> if i = 17 then raise (Boom i))
-               (Array.init 100 Fun.id)
-       with
-      | _ -> Alcotest.fail "exception swallowed"
-      | exception Boom 17 -> ()
-      | exception e -> Alcotest.failf "wrong exception %s" (Printexc.to_string e));
-      (* the pool survives a failed sweep *)
-      Alcotest.(check (array int)) "pool still usable" [| 2; 4 |]
-        (Parallel.Pool.map_array pool (fun x -> 2 * x) [| 1; 2 |]))
-
-let test_nested_map_same_pool () =
-  (* re-entering the same pool from a task runs the inner sweep as an
-     inline sequential sub-scope — same results, no deadlock *)
-  Parallel.Pool.with_pool ~domains (fun pool ->
-      let r =
-        Parallel.Pool.map_array pool
-          (fun x ->
-            Array.fold_left ( + ) 0 (Parallel.Pool.map_array pool succ [| x; x |]))
-          (Array.init 64 Fun.id)
-      in
-      Alcotest.(check (array int)) "nested same-pool map"
-        (Array.init 64 (fun x -> 2 * (x + 1)))
-        r)
-
-let test_nested_map_other_pool () =
-  (* both nesting directions across two parallel pools: the outer sweep
-     owns the fan-out, the inner call degrades to sequential *)
-  Parallel.Pool.with_pool ~domains (fun outer ->
-      Parallel.Pool.with_pool ~domains (fun inner ->
-          (* Alcotest checks are not domain-safe: record inside_task in
-             the task, check it back on the calling domain *)
-          let r =
-            Parallel.Pool.map_array outer
-              (fun x ->
-                ( Parallel.Pool.inside_task (),
-                  Array.fold_left ( + ) 0
-                    (Parallel.Pool.map_array inner (fun y -> y * y) [| x; x + 1 |]) ))
-              (Array.init 48 Fun.id)
-          in
-          Alcotest.(check (array bool)) "inside task" (Array.make 48 true) (Array.map fst r);
-          Alcotest.(check (array int)) "outer-calls-inner"
-            (Array.init 48 (fun x -> (x * x) + ((x + 1) * (x + 1))))
-            (Array.map snd r);
-          (* and the reverse direction on the same two pools *)
-          let r' =
-            Parallel.Pool.map_array inner
-              (fun x ->
-                Array.fold_left ( + ) 0
-                  (Parallel.Pool.map_array outer (fun y -> y * y) [| x; x + 1 |]))
-              (Array.init 48 Fun.id)
-          in
-          Alcotest.(check (array int)) "inner-calls-outer"
-            (Array.init 48 (fun x -> (x * x) + ((x + 1) * (x + 1))))
-            r';
-          (* nested work, element 0 included, is not recorded as tasks *)
-          check_int "inner pool: only its own sweep recorded" 48
-            (Parallel.Pool.stats inner).Parallel.Pool.items;
-          check_int "outer pool: only its own sweep recorded" 48
-            (Parallel.Pool.stats outer).Parallel.Pool.items;
-          Alcotest.(check bool) "outside task" false (Parallel.Pool.inside_task ())))
-
-let test_nested_sequential_pool_ok () =
-  (* a [domains:1] pool runs inline and is legal anywhere, including
-     inside a task of a parallel pool *)
-  Parallel.Pool.with_pool ~domains:1 (fun inner ->
-      Parallel.Pool.with_pool ~domains (fun pool ->
-          let r =
-            Parallel.Pool.map_array pool
-              (fun x ->
-                Array.fold_left ( + ) 0 (Parallel.Pool.map_array inner succ [| x; x |]))
-              [| 1; 2; 3 |]
-          in
-          Alcotest.(check (array int)) "inline inner pool" [| 4; 6; 8 |] r))
+let map f a = Parallel.Pool.map ~domains f a
 
 (* a registered counter bumped by every item, wherever it runs *)
 let hits = Parallel.Counter.make "test-hits"
 
-let test_stats () =
-  Parallel.Pool.with_pool ~domains (fun pool ->
-      (* each item sleeps so the workers claim chunks too; sweeps repeat
-         until one did, and every sweep must credit each bump to the
-         submitter exactly once *)
-      let caller = Domain.self () in
-      let rec sweep k off_caller =
-        let before = Parallel.Counter.get hits in
-        let ran_on =
-          Parallel.Pool.map_array pool
-            (fun _ ->
-              Unix.sleepf 0.0005;
-              Parallel.Counter.incr hits;
-              Domain.self ())
-            (Array.init 64 Fun.id)
-        in
-        check_int (Printf.sprintf "sweep %d: credited once" k) 64
-          (Parallel.Counter.get hits - before);
-        let off_caller = off_caller || Array.exists (fun d -> d <> caller) ran_on in
-        if off_caller || k = 20 then off_caller else sweep (k + 1) off_caller
-      in
-      Alcotest.(check bool) "a worker domain ran items" true (sweep 1 false);
-      let s = Parallel.Pool.stats pool in
-      check_int "domains" domains s.Parallel.Pool.domains;
-      Alcotest.(check bool) "items" true (s.Parallel.Pool.items mod 64 = 0);
-      Alcotest.(check bool) "some tasks ran" true (s.Parallel.Pool.tasks >= 1);
-      let line = Format.asprintf "%a" Parallel.Pool.pp_stats s in
-      Alcotest.(check bool) ("stats line: " ^ line) true
-        (String.length line > 10 && String.sub line 0 10 = "[parallel:"))
+(* Sweeps of 64 items, each sleeping so the workers claim items too,
+   repeated until a worker domain ran one (at most 20); every sweep must
+   credit each bump to the caller exactly once. True when a worker ran
+   items. *)
+let sweeps_reach_a_worker () =
+  let caller = Domain.self () in
+  let rec sweep k =
+    let before = Parallel.Counter.get hits in
+    let ran_on =
+      map
+        (fun _ ->
+          Unix.sleepf 0.0005;
+          Parallel.Counter.incr hits;
+          Domain.self ())
+        (Array.init 64 Fun.id)
+    in
+    check_int (Printf.sprintf "sweep %d: credited once" k) 64
+      (Parallel.Counter.get hits - before);
+    Array.exists (fun d -> d <> caller) ran_on || (k < 20 && sweep (k + 1))
+  in
+  sweep 1
 
-let pool_domains pool = (Parallel.Pool.stats pool).Parallel.Pool.domains
+let test_empty_input () =
+  check_int "map of empty" 0 (Array.length (map (fun _ -> Alcotest.fail "called on empty") [||]))
 
-let test_pool_in_task_is_sequential () =
-  (* a pool created inside a task gets one domain and no workers *)
-  Parallel.Pool.with_pool ~domains (fun pool ->
-      let widths =
-        Parallel.Pool.map_array pool
-          (fun _ -> Parallel.Pool.with_pool ~domains pool_domains)
-          (Array.init 8 Fun.id)
-      in
-      Alcotest.(check (array int)) "nested pools" (Array.make 8 1) widths);
-  Parallel.Pool.with_pool ~domains (fun pool ->
-      check_int "outside a task" domains (pool_domains pool))
+let test_single_item () =
+  Alcotest.(check (array int)) "one item" [| 42 |] (map (fun x -> x * 2) [| 21 |])
 
-let test_stats_accumulate () =
-  (* one pool serves many sweeps: items add up across them and every
-     sweep's results are still position-stable *)
-  Parallel.Pool.with_pool ~domains (fun pool ->
-      let sizes = [ 1; 7; 64; 0; 300 ] in
-      List.iter
-        (fun n ->
-          let input = Array.init n (fun i -> n + i) in
-          Alcotest.(check (array int))
-            (Printf.sprintf "sweep of %d" n)
-            (Array.map (fun x -> x * 3) input)
-            (Parallel.Pool.map_array pool (fun x -> x * 3) input))
-        sizes;
-      let s = Parallel.Pool.stats pool in
-      check_int "items over all sweeps" (List.fold_left ( + ) 0 sizes) s.Parallel.Pool.items;
-      Alcotest.(check bool) "at least one task per non-empty sweep" true
-        (s.Parallel.Pool.tasks >= 4))
+let test_more_domains_than_items () =
+  Alcotest.(check (array int)) "three items, eight domains" [| 1; 4; 9 |]
+    (Parallel.Pool.map ~domains:8 (fun x -> x * x) [| 1; 2; 3 |])
+
+let test_order_preserved () =
+  let input = Array.init 1000 (fun i -> i) in
+  Alcotest.(check (array int)) "map order" (Array.map (fun i -> i * i) input)
+    (map (fun i -> i * i) input)
+
+exception Boom of int
+
+let test_exception_propagation () =
+  (match map (fun i -> if i = 17 then raise (Boom i)) (Array.init 100 Fun.id) with
+  | _ -> Alcotest.fail "exception swallowed"
+  | exception Boom 17 -> ()
+  | exception e -> Alcotest.failf "wrong exception %s" (Printexc.to_string e));
+  (* a failed sweep leaves nothing behind: the caller is not left
+     marked as inside a task, so a later map still fans out *)
+  Alcotest.(check (array int)) "a later map works" [| 2; 4 |] (map (fun x -> 2 * x) [| 1; 2 |]);
+  Alcotest.(check bool) "a later map reaches a worker" true (sweeps_reach_a_worker ())
+
+let test_nested_map_inline () =
+  (* a map issued from a map task runs inline on the task's domain — no
+     fan-out, same results. Alcotest checks are not domain-safe: record
+     the domains in the task, check them back on the calling domain. *)
+  let r =
+    map
+      (fun x ->
+        let inner = map (fun y -> (Domain.self (), y * y)) [| x; x + 1 |] in
+        (Domain.self (), inner))
+      (Array.init 48 Fun.id)
+  in
+  Alcotest.(check bool) "inner items on the task's domain" true
+    (Array.for_all (fun (d, inner) -> Array.for_all (fun (d', _) -> d' = d) inner) r);
+  Alcotest.(check (array int)) "nested results"
+    (Array.init 48 (fun x -> (x * x) + ((x + 1) * (x + 1))))
+    (Array.map (fun (_, inner) -> Array.fold_left (fun acc (_, v) -> acc + v) 0 inner) r)
+
+let test_counters_credited () =
+  Alcotest.(check bool) "a worker domain ran items" true (sweeps_reach_a_worker ())
 
 let test_sequential_pool_inline () =
-  (* a one-domain pool spawns no workers: every item runs on the caller *)
+  (* one domain spawns nothing: every item runs on the caller *)
   let caller = Domain.self () in
-  Parallel.Pool.with_pool ~domains:1 (fun pool ->
-      check_int "domains" 1 (pool_domains pool);
-      let ran_on =
-        Parallel.Pool.map_array pool (fun _ -> Domain.self ()) (Array.init 50 Fun.id)
-      in
-      Alcotest.(check bool) "all items on the calling domain" true
-        (Array.for_all (fun d -> d = caller) ran_on))
+  let ran_on = Parallel.Pool.map ~domains:1 (fun _ -> Domain.self ()) (Array.init 50 Fun.id) in
+  Alcotest.(check bool) "all items on the calling domain" true
+    (Array.for_all (fun d -> d = caller) ran_on)
 
-let test_with_pool_reraises () =
-  (* an exception from the body escapes with_pool unchanged, and the
-     caller is not left marked as inside a task *)
-  (match
-     Parallel.Pool.with_pool ~domains (fun pool ->
-         ignore (Parallel.Pool.map_array pool succ [| 1; 2; 3 |]);
-         raise (Boom 3))
-   with
-  | () -> Alcotest.fail "exception swallowed"
-  | exception Boom 3 -> ()
-  | exception e -> Alcotest.failf "wrong exception %s" (Printexc.to_string e));
-  Alcotest.(check bool) "not inside a task" false (Parallel.Pool.inside_task ());
-  Parallel.Pool.with_pool ~domains (fun pool ->
-      Alcotest.(check (array int)) "a fresh pool works" [| 2; 3 |]
-        (Parallel.Pool.map_array pool succ [| 1; 2 |]))
-
-let test_create_rejects_nonpositive () =
-  match Parallel.Pool.with_pool ~domains:0 ignore with
+let test_map_rejects_nonpositive () =
+  (* rejected even where it would otherwise run inline *)
+  match Parallel.Pool.map ~domains:0 succ [| 1 |] with
   | _ -> Alcotest.fail "domains:0 accepted"
   | exception Invalid_argument _ -> ()
 
@@ -373,14 +260,28 @@ let test_wave_budget () =
   check_budget "solves_left floor" 7.5
     (Raha.Cluster.wave_budget ~remaining:7.5 ~solves_left:0)
 
+(* africa_setup at 2 clusters gives 3 blocks over 2 waves, so one wave
+   runs two blocks at once *)
+let africa_cluster_spec =
+  {
+    Raha.Bilevel.default_spec with
+    Raha.Bilevel.threshold = Some 1e-4;
+    max_failures = Some 2;
+    encoding = Raha.Bilevel.Strong_duality { levels = 3 };
+  }
+
 let test_cluster_identical_across_domains () =
+  let topo, paths, d = africa_setup () in
+  let envelope = Traffic.Envelope.from_zero ~slack:0.2 d in
   let run domains =
-    let options = { Raha.Analysis.default_options with spec = spec_k1; domains } in
-    Raha.Cluster.analyze ~options ~clusters:2 fig1 (fig1_paths ()) (fig1_envelope ())
+    let options = { Raha.Analysis.default_options with spec = africa_cluster_spec; domains } in
+    Raha.Cluster.analyze ~options ~clusters:2 topo paths envelope
   in
   let seq = run 1 in
   Alcotest.(check bool) "sequential run solved" true
     (seq.Raha.Cluster.report.Raha.Analysis.status = Milp.Solver.Optimal);
+  Alcotest.(check bool) "some wave solves two blocks" true
+    (seq.Raha.Cluster.block_solves > List.length seq.Raha.Cluster.wave_budgets);
   List.iter
     (fun domains ->
       let par = run domains in
@@ -420,29 +321,21 @@ let test_cluster_first_wave_budget () =
       first
 
 (* A counter scope sees all the work of a clustered analysis at any
-   domain count: the pool credits what worker domains did back to the
-   submitter, so the scope deltas of a parallel run equal the
+   domain count: the map credits what worker domains did back to the
+   caller, so the scope deltas of a parallel run equal the
    sequential ones. *)
 let test_cluster_scope_counters () =
   let topo, paths, d = africa_setup () in
   let envelope = Traffic.Envelope.from_zero ~slack:0.2 d in
-  let spec =
-    {
-      Raha.Bilevel.default_spec with
-      Raha.Bilevel.threshold = Some 1e-4;
-      max_failures = Some 2;
-      encoding = Raha.Bilevel.Strong_duality { levels = 3 };
-    }
-  in
   let run domains =
-    let options = { Raha.Analysis.default_options with spec; domains } in
+    let options = { Raha.Analysis.default_options with spec = africa_cluster_spec; domains } in
     let scope = Milp.Lp_stats.scope_enter () in
     let r = Raha.Cluster.analyze ~options ~clusters:2 topo paths envelope in
     (r, (Milp.Lp_stats.scope_exit scope).Milp.Lp_stats.scope_counters)
   in
   let seq, seq_counters = run 1 in
   let _, par_counters = run domains in
-  (* a wave with two blocks is what the pool runs concurrently *)
+  (* a wave with two blocks is what the map runs concurrently *)
   Alcotest.(check bool) "some wave solves two blocks" true
     (seq.Raha.Cluster.block_solves > List.length seq.Raha.Cluster.wave_budgets);
   Alcotest.(check (list (pair string int)))
@@ -456,15 +349,10 @@ let suite =
     ("pool: more domains than items", `Quick, test_more_domains_than_items);
     ("pool: order preserved", `Quick, test_order_preserved);
     ("pool: exception propagation", `Quick, test_exception_propagation);
-    ("pool: nested map same pool", `Quick, test_nested_map_same_pool);
-    ("pool: nested map other pool", `Quick, test_nested_map_other_pool);
-    ("pool: nested sequential pool ok", `Quick, test_nested_sequential_pool_ok);
-    ("pool: stats and counters", `Quick, test_stats);
-    ("pool: pool inside a task is sequential", `Quick, test_pool_in_task_is_sequential);
-    ("pool: stats accumulate across sweeps", `Quick, test_stats_accumulate);
+    ("pool: nested map runs inline", `Quick, test_nested_map_inline);
+    ("pool: worker counters credited once", `Quick, test_counters_credited);
     ("pool: sequential pool runs inline", `Quick, test_sequential_pool_inline);
-    ("pool: with_pool re-raises", `Quick, test_with_pool_reraises);
-    ("pool: create rejects domains < 1", `Quick, test_create_rejects_nonpositive);
+    ("pool: map rejects domains < 1", `Quick, test_map_rejects_nonpositive);
     ("monte carlo draw pinned (fig1)", `Quick, test_mc_draw_pinned_fig1);
     ("monte carlo draw pinned (africa)", `Quick, test_mc_draw_pinned_africa);
     ("monte carlo blocks extend", `Quick, test_mc_blocks_extend);
