@@ -57,6 +57,12 @@ let test_order_preserved () =
   Alcotest.(check (array int)) "map order" (Array.map (fun i -> i * i) input)
     (map (fun i -> i * i) input)
 
+let test_each_item_once () =
+  (* every element is evaluated exactly once, whichever domain claims it *)
+  let calls = Array.init 500 (fun _ -> Atomic.make 0) in
+  ignore (map (fun i -> Atomic.incr calls.(i)) (Array.init 500 Fun.id));
+  Alcotest.(check (array int)) "one call per item" (Array.make 500 1) (Array.map Atomic.get calls)
+
 exception Boom of int
 
 let test_exception_propagation () =
@@ -69,25 +75,86 @@ let test_exception_propagation () =
   Alcotest.(check (array int)) "a later map works" [| 2; 4 |] (map (fun x -> 2 * x) [| 1; 2 |]);
   Alcotest.(check bool) "a later map reaches a worker" true (sweeps_reach_a_worker ())
 
-let test_nested_map_inline () =
-  (* a map issued from a map task runs inline on the task's domain — no
-     fan-out, same results. Alcotest checks are not domain-safe: record
-     the domains in the task, check them back on the calling domain. *)
+let test_failure_skips_unclaimed () =
+  (* once an item has raised, no domain claims another: when every item
+     raises, each of the [domains] domains runs at most one *)
+  let calls = Atomic.make 0 in
+  (match
+     map
+       (fun i ->
+         Atomic.incr calls;
+         raise (Boom i))
+       (Array.init 100 Fun.id)
+   with
+  | _ -> Alcotest.fail "exception swallowed"
+  | exception Boom _ -> ());
+  let n = Atomic.get calls in
+  Alcotest.(check bool) (Printf.sprintf "%d calls, at most %d" n domains) true
+    (n >= 1 && n <= domains)
+
+let test_nested_map_same_pool () =
+  (* a map issued from a map task at the same width runs inline — same
+     results, no deadlock *)
+  let r = map (fun x -> Array.fold_left ( + ) 0 (map succ [| x; x |])) (Array.init 64 Fun.id) in
+  Alcotest.(check (array int)) "nested same-width map" (Array.init 64 (fun x -> 2 * (x + 1))) r
+
+let test_nested_map_other_pool () =
+  (* both nesting directions between two widths: the outer sweep owns
+     the fan-out, the inner call runs inline *)
+  let wide f a = Parallel.Pool.map ~domains:(domains + 2) f a in
+  let squares_of x inner = Array.fold_left ( + ) 0 (inner (fun y -> y * y) [| x; x + 1 |]) in
+  let expected = Array.init 48 (fun x -> (x * x) + ((x + 1) * (x + 1))) in
+  Alcotest.(check (array int)) "narrow calls wide" expected
+    (map (fun x -> squares_of x wide) (Array.init 48 Fun.id));
+  Alcotest.(check (array int)) "wide calls narrow" expected
+    (wide (fun x -> squares_of x map) (Array.init 48 Fun.id))
+
+let test_nested_sequential_pool_ok () =
+  (* [domains:1] runs inline and is legal anywhere, including inside a
+     task of a parallel map *)
   let r =
     map
-      (fun x ->
-        let inner = map (fun y -> (Domain.self (), y * y)) [| x; x + 1 |] in
-        (Domain.self (), inner))
+      (fun x -> Array.fold_left ( + ) 0 (Parallel.Pool.map ~domains:1 succ [| x; x |]))
+      [| 1; 2; 3 |]
+  in
+  Alcotest.(check (array int)) "inline inner map" [| 4; 6; 8 |] r
+
+let test_pool_in_task_is_sequential () =
+  (* a map issued inside a task runs every item on the task's domain.
+     Alcotest checks are not domain-safe: record the domains in the
+     task, check them back on the calling domain. *)
+  let r =
+    map
+      (fun _ -> (Domain.self (), map (fun _ -> Domain.self ()) (Array.init 8 Fun.id)))
       (Array.init 48 Fun.id)
   in
   Alcotest.(check bool) "inner items on the task's domain" true
-    (Array.for_all (fun (d, inner) -> Array.for_all (fun (d', _) -> d' = d) inner) r);
-  Alcotest.(check (array int)) "nested results"
-    (Array.init 48 (fun x -> (x * x) + ((x + 1) * (x + 1))))
-    (Array.map (fun (_, inner) -> Array.fold_left (fun acc (_, v) -> acc + v) 0 inner) r)
+    (Array.for_all (fun (d, inner) -> Array.for_all (fun d' -> d' = d) inner) r);
+  (* outside a task the same call fans out again *)
+  Alcotest.(check bool) "outside a task a map reaches a worker" true (sweeps_reach_a_worker ())
 
 let test_counters_credited () =
   Alcotest.(check bool) "a worker domain ran items" true (sweeps_reach_a_worker ())
+
+let test_counters_accumulate () =
+  (* sweeps of any size, empty and single-item ones included, stay
+     position-stable and add every item's bump to the caller's counter *)
+  let sizes = [ 1; 7; 64; 0; 300 ] in
+  let before = Parallel.Counter.get hits in
+  List.iter
+    (fun n ->
+      let input = Array.init n (fun i -> n + i) in
+      Alcotest.(check (array int))
+        (Printf.sprintf "sweep of %d" n)
+        (Array.map (fun x -> x * 3) input)
+        (map
+           (fun x ->
+             Parallel.Counter.incr hits;
+             x * 3)
+           input))
+    sizes;
+  check_int "bumps over all sweeps" (List.fold_left ( + ) 0 sizes)
+    (Parallel.Counter.get hits - before)
 
 let test_sequential_pool_inline () =
   (* one domain spawns nothing: every item runs on the caller *)
@@ -348,9 +415,15 @@ let suite =
     ("pool: single item", `Quick, test_single_item);
     ("pool: more domains than items", `Quick, test_more_domains_than_items);
     ("pool: order preserved", `Quick, test_order_preserved);
+    ("pool: each item evaluated once", `Quick, test_each_item_once);
     ("pool: exception propagation", `Quick, test_exception_propagation);
-    ("pool: nested map runs inline", `Quick, test_nested_map_inline);
+    ("pool: failure skips unclaimed items", `Quick, test_failure_skips_unclaimed);
+    ("pool: nested map same pool", `Quick, test_nested_map_same_pool);
+    ("pool: nested map other pool", `Quick, test_nested_map_other_pool);
+    ("pool: nested sequential pool ok", `Quick, test_nested_sequential_pool_ok);
+    ("pool: pool inside a task is sequential", `Quick, test_pool_in_task_is_sequential);
     ("pool: worker counters credited once", `Quick, test_counters_credited);
+    ("pool: counters accumulate across sweeps", `Quick, test_counters_accumulate);
     ("pool: sequential pool runs inline", `Quick, test_sequential_pool_inline);
     ("pool: map rejects domains < 1", `Quick, test_map_rejects_nonpositive);
     ("monte carlo draw pinned (fig1)", `Quick, test_mc_draw_pinned_fig1);
