@@ -821,10 +821,8 @@ let batch_bench ctx =
    re-solve loop (service arm) versus an arm that reconstructs state and
    solves cold for every query (cold arm). The service arm runs twice,
    on two fresh Cores in this process, and the two stripped answer
-   sequences must be bit-identical: [identical(domains 1v4)] keeps the
-   name it had when the two Cores ran at domains=1 and domains=4, but
-   the service no longer reads the domain count, so it checks that a
-   replay is deterministic. The per-worst-query solve-relevant fields
+   sequences must be bit-identical ([identical(replay)]): a replay is
+   deterministic. The per-worst-query solve-relevant fields
    must also agree between the service and cold arms — an answer is
    only ever reused when a full re-solve would have said the same
    thing. The
@@ -838,11 +836,11 @@ let service_bench ctx =
   let paths = paths_of topo pairs in
   let envelope = Traffic.Envelope.around ~slack:0.3 (base_demand pairs) in
   let sp = spec ~max_failures:1 () in
-  let cfg domains =
+  let cfg =
     {
       Service.Core.paths;
       envelope;
-      options = { (options ctx sp) with Raha.Analysis.domains };
+      options = options ctx sp;
       drift_tol = 0.30;
       alert_tolerance = 0.1;
     }
@@ -909,8 +907,8 @@ let service_bench ctx =
               (fun k -> (k, Service.Json.member k j))
               [ "status"; "degradation"; "normalized"; "bound"; "scenario"; "num_failed_links" ]))
   in
-  let service_arm domains =
-    let core = Service.Core.create (cfg domains) topo in
+  let service_arm () =
+    let core = Service.Core.create cfg topo in
     let t0 = Unix.gettimeofday () in
     let out = List.map (fun r -> (r, render (Service.Core.handle core r))) script in
     let dt = Unix.gettimeofday () -. t0 in
@@ -929,7 +927,7 @@ let service_bench ctx =
             prefix := r :: !prefix;
             None
           | _ ->
-            let core = Service.Core.create (cfg 1) topo in
+            let core = Service.Core.create cfg topo in
             List.iter
               (fun e -> ignore (Service.Core.handle core e))
               (List.rev !prefix);
@@ -938,10 +936,10 @@ let service_bench ctx =
     in
     (out, Unix.gettimeofday () -. t0)
   in
-  let (out1, dt1, (n_cached, n_warm, n_cold)), counts1, _ = scoped (fun () -> service_arm 1) in
-  let out4, _, _ = service_arm 4 in
+  let (out1, dt1, (n_cached, n_warm, n_cold)), counts1, _ = scoped service_arm in
+  let out2, _, _ = service_arm () in
   let outc, dtc = cold_arm () in
-  let identical = out1 = out4 in
+  let identical = out1 = out2 in
   let worsts outs =
     List.filter_map
       (fun (r, o) -> match r with Ev.Query (Ev.Worst _) -> Some (stable o) | _ -> None)
@@ -960,7 +958,7 @@ let service_bench ctx =
     (dtc /. Float.max 1e-9 dt1)
     (n_cached + n_warm) n_worst n_cached n_warm n_cold;
   row
-    "counters: service | events=%d queries=%d worst=%d served c/w/k=%d/%d/%d refuted=%d cert=%s identical(domains 1v4)=%b agree(service=cold)=%b@."
+    "counters: service | events=%d queries=%d worst=%d served c/w/k=%d/%d/%d refuted=%d cert=%s identical(replay)=%b agree(service=cold)=%b@."
     n_events n_queries n_worst n_cached n_warm n_cold
     (count counts1 "hint-refutes")
     (if cert then "ok" else "FAIL")

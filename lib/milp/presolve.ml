@@ -260,12 +260,16 @@ let coefficient_tighten st r mx mx_inf =
     !applied
   end
 
-(* Implied per-variable bounds from one row's activity residuals. *)
-let propagate_row st r mn mn_inf mx mx_inf =
+(* Implied per-variable bounds from one row's activity residuals
+   [acts] (over the bounds [lb]/[ub]), for each term whose variable is
+   [live]: [set_ub j cap] / [set_lb j low] receive the implied bounds.
+   Presolve passes the global bounds and setters, a probe branch its
+   own arrays and setters. *)
+let implied_bounds r lb ub (mn, mn_inf, mx, mx_inf) ~live ~set_ub ~set_lb =
   for k = 0 to Array.length r.rvars - 1 do
     let a = r.coefs.(k) and j = r.rvars.(k) in
-    if a <> 0. && not st.is_fixed.(j) then begin
-      let l = st.lb.(j) and u = st.ub.(j) in
+    if a <> 0. && live j then begin
+      let l = lb.(j) and u = ub.(j) in
       (* <= direction: a x_j <= rhs - min(rest) *)
       let cmin_inf = if a > 0. then l = Float.neg_infinity else u = Float.infinity in
       let rest_known = if cmin_inf then mn_inf = 1 else mn_inf = 0 in
@@ -273,7 +277,7 @@ let propagate_row st r mn mn_inf mx mx_inf =
         let cmin = if cmin_inf then 0. else if a > 0. then a *. l else a *. u in
         let rest = if cmin_inf then mn else mn -. cmin in
         let cap = (r.rhs -. rest) /. a in
-        if a > 0. then tighten_ub st j cap else tighten_lb st j cap
+        if a > 0. then set_ub j cap else set_lb j cap
       end;
       (* equalities also bound from below: a x_j >= rhs - max(rest) *)
       if r.eq then begin
@@ -283,7 +287,7 @@ let propagate_row st r mn mn_inf mx mx_inf =
           let cmax = if cmax_inf then 0. else if a > 0. then a *. u else a *. l in
           let rest = if cmax_inf then mx else mx -. cmax in
           let low = (r.rhs -. rest) /. a in
-          if a > 0. then tighten_lb st j low else tighten_ub st j low
+          if a > 0. then set_lb j low else set_ub j low
         end
       end
     end
@@ -292,7 +296,7 @@ let propagate_row st r mn mn_inf mx mx_inf =
 (* One live row's reductions, in order: infeasibility, empty/redundant
    row, singleton, forcing, big-M tightening, else bound propagation. *)
 let process_row st r =
-  let mn, mn_inf, mx, mx_inf = activities st.lb st.ub r in
+  let ((mn, mn_inf, mx, mx_inf) as acts) = activities st.lb st.ub r in
   let scale =
     1. +. Float.abs r.rhs
     +. Float.max (if mn_inf = 0 then Float.abs mn else 0.) (if mx_inf = 0 then Float.abs mx else 0.)
@@ -347,7 +351,9 @@ let process_row st r =
     kill_row st r
   end
   else if not (coefficient_tighten st r mx mx_inf) then
-    propagate_row st r mn mn_inf mx mx_inf
+    implied_bounds r st.lb st.ub acts
+      ~live:(fun j -> not st.is_fixed.(j))
+      ~set_ub:(tighten_ub st) ~set_lb:(tighten_lb st)
 
 (* bound on fixpoint iterations per propagation phase *)
 let max_passes = 20
@@ -414,6 +420,13 @@ let probe_propagate st ix ~dirty ~touched ~stamp lb ub ~rounds =
     wrote := true;
     mark ix ~dirty ~touched ~stamp j
   in
+  let live j = lb.(j) < ub.(j) in
+  let set_ub j v =
+    if gen_tighten_ub st.kind lb ub j v ~infeas:Probe_infeasible then written j
+  in
+  let set_lb j v =
+    if gen_tighten_lb st.kind lb ub j v ~infeas:Probe_infeasible then written j
+  in
   let changed = ref true in
   let round = ref 0 in
   while !changed && !round < rounds do
@@ -426,40 +439,11 @@ let probe_propagate st ix ~dirty ~touched ~stamp lb ub ~rounds =
         dirty.(ri) <- 0;
         wrote := false;
         st.n_ops <- st.n_ops + 1;
-        let mn, mn_inf, mx, mx_inf = activities lb ub r in
+        let ((mn, mn_inf, mx, mx_inf) as acts) = activities lb ub r in
         let scale = 1. +. Float.abs r.rhs +. if mn_inf = 0 then Float.abs mn else 0. in
         if mn_inf = 0 && mn > r.rhs +. (1e-6 *. scale) then raise Probe_infeasible;
         if r.eq && mx_inf = 0 && mx < r.rhs -. (1e-6 *. scale) then raise Probe_infeasible;
-        for k = 0 to Array.length r.rvars - 1 do
-          let a = r.coefs.(k) and j = r.rvars.(k) in
-          if a <> 0. && lb.(j) < ub.(j) then begin
-            let l = lb.(j) and u = ub.(j) in
-            let cmin_inf = if a > 0. then l = Float.neg_infinity else u = Float.infinity in
-            let rest_known = if cmin_inf then mn_inf = 1 else mn_inf = 0 in
-            if rest_known then begin
-              let cmin = if cmin_inf then 0. else if a > 0. then a *. l else a *. u in
-              let rest = if cmin_inf then mn else mn -. cmin in
-              let cap = (r.rhs -. rest) /. a in
-              if
-                if a > 0. then gen_tighten_ub st.kind lb ub j cap ~infeas:Probe_infeasible
-                else gen_tighten_lb st.kind lb ub j cap ~infeas:Probe_infeasible
-              then written j
-            end;
-            if r.eq then begin
-              let cmax_inf = if a > 0. then u = Float.infinity else l = Float.neg_infinity in
-              let rest_known = if cmax_inf then mx_inf = 1 else mx_inf = 0 in
-              if rest_known then begin
-                let cmax = if cmax_inf then 0. else if a > 0. then a *. u else a *. l in
-                let rest = if cmax_inf then mx else mx -. cmax in
-                let low = (r.rhs -. rest) /. a in
-                if
-                  if a > 0. then gen_tighten_lb st.kind lb ub j low ~infeas:Probe_infeasible
-                  else gen_tighten_ub st.kind lb ub j low ~infeas:Probe_infeasible
-                then written j
-              end
-            end
-          end
-        done;
+        implied_bounds r lb ub acts ~live ~set_ub ~set_lb;
         if !wrote then changed := true else if untouched then ix.quiet.(ri) <- true
       end
     done

@@ -247,7 +247,7 @@ let analyze ?screen ?candidates ?(options = default_options) topo paths envelope
   in
   (* per-pair healthy/failed flows at the worst-case demand: from the
      embedded primal columns when present, otherwise (fixed-demand fast
-     path) by replaying the healthy network in the simulator *)
+     path) from the healthy routing the build solved *)
   let per_pair =
     if not have_point then []
     else begin
@@ -257,23 +257,16 @@ let analyze ?screen ?candidates ?(options = default_options) topo paths envelope
           built.Bilevel.failed.Inner.xs
       in
       let healthy_flow_of =
-        if Array.length built.Bilevel.healthy.Inner.xs > 0 then begin
+        match built.Bilevel.healthy_route with
+        | Some h ->
+          fun k -> Te.Formulation.pair_flow h.Te.Simulate.index k h.Te.Simulate.flows
+        | None ->
           let xs =
             Array.map
               (fun (v : Milp.Model.var) -> sol.Milp.Solver.values.(v.Milp.Model.vid))
               built.Bilevel.healthy.Inner.xs
           in
           fun k -> Te.Formulation.pair_flow built.Bilevel.healthy_index k xs
-        end
-        else begin
-          match
-            Te.Simulate.healthy ~objective:options.spec.Bilevel.objective topo paths
-              worst_demand
-          with
-          | Some h ->
-            fun k -> Te.Formulation.pair_flow h.Te.Simulate.index k h.Te.Simulate.flows
-          | None -> fun _ -> nan
-        end
       in
       Array.to_list
         (Array.mapi

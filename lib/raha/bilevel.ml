@@ -29,6 +29,7 @@ type built = {
   model : Milp.Model.t;
   fm : Failure_model.t;
   healthy : Inner.t;
+  healthy_route : Te.Simulate.result option;
   failed : Inner.t;
   demand_exprs : ((int * int) * Milp.Linexpr.t) list;
   degradation : Milp.Linexpr.t;
@@ -117,7 +118,7 @@ let build spec topo paths envelope =
       ~lag_cap:(fun e -> Te.Formulation.C (Wan.Lag.capacity (Wan.Topology.lag topo e)))
       ~demand:demand_of ~d_max ()
   in
-  let healthy =
+  let healthy, healthy_route =
     if fixed_fast then begin
       let d =
         Traffic.Demand.of_list
@@ -128,17 +129,17 @@ let build spec topo paths envelope =
       in
       match Te.Simulate.healthy ~objective:spec.objective topo paths d with
       | Some h ->
-        {
-          Inner.xs = [||];
-          duals = [||];
-          objective = Milp.Linexpr.const h.Te.Simulate.performance;
-        }
+        ( {
+            Inner.xs = [||];
+            duals = [||];
+            objective = Milp.Linexpr.const h.Te.Simulate.performance;
+          },
+          Some h )
       | None ->
         invalid_arg "Bilevel.build: the healthy network cannot route the fixed demand"
     end
-    else Inner.embed_primal m ~prefix:"h" healthy_spec
+    else (Inner.embed_primal m ~prefix:"h" healthy_spec, None)
   in
-  ignore healthy_spec;
   (* --- failed network --- *)
   let lag_cap e =
     if is_mlu then Te.Formulation.C (Wan.Lag.capacity (Wan.Topology.lag topo e))
@@ -255,6 +256,7 @@ let build spec topo paths envelope =
     model = m;
     fm;
     healthy;
+    healthy_route;
     failed;
     demand_exprs;
     degradation;

@@ -36,6 +36,9 @@ type built = {
   model : Milp.Model.t;
   fm : Failure_model.t;
   healthy : Inner.t;
+  healthy_route : Te.Simulate.result option;
+      (** the healthy network's routing, solved outside the MILP on the
+          fixed-demand fast path (§6); [None] when [healthy] is embedded *)
   failed : Inner.t;
   demand_exprs : ((int * int) * Milp.Linexpr.t) list;
   degradation : Milp.Linexpr.t;  (** the outer objective expression *)

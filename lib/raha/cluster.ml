@@ -62,117 +62,82 @@ type result = {
   report : Analysis.report;
   demand : Traffic.Demand.t;
   block_solves : int;
-  total_elapsed : float;
   wave_budgets : float list;
 }
 
-(* Per-solve time budget for the next wave: the unspent remainder of the
-   total limit spread evenly over the solves still to come. Fast early
-   blocks therefore hand their unused budget to the hard later ones —
-   deterministically, because waves are budgeted in a fixed order and
-   every solve of a wave gets the same figure. *)
+(* Per-solve time budget for the next wave: the time left before the
+   deadline spread evenly over the solves still to come, so fast early
+   blocks hand their unused time to the hard later ones. Every solve of
+   a wave gets the same figure. *)
 let wave_budget ~remaining ~solves_left =
   if remaining = Float.infinity then Float.infinity
   else Float.max 0. (remaining /. float_of_int (max 1 solves_left))
 
 let analyze ?(options = Analysis.default_options) ~clusters topo paths envelope =
+  let deadline = Unix.gettimeofday () +. options.Analysis.time_limit in
   let assign = partition topo ~clusters in
   let k = Array.fold_left max 0 assign + 1 in
   let pairs = Traffic.Envelope.pairs envelope in
   let in_block ci cj (s, d) = assign.(s) = ci && assign.(d) = cj in
-  (* destination clusters that actually hold pairs, per source wave *)
-  let wave_blocks ci =
-    List.filter
-      (fun cj -> List.exists (in_block ci cj) pairs)
-      (List.init k Fun.id)
+  (* [demand] with the volumes of block (ci, cj) read from [f] *)
+  let with_block ci cj f demand =
+    Traffic.Demand.map
+      (fun ~src ~dst v -> if in_block ci cj (src, dst) then f ~src ~dst else v)
+      demand
   in
-  let n_solves =
-    List.fold_left (fun acc ci -> acc + List.length (wave_blocks ci)) 1
-      (List.init k Fun.id)
+  (* one wave per source cluster holding pairs: its destination blocks *)
+  let clusters = List.init k Fun.id in
+  let waves =
+    List.filter_map
+      (fun ci ->
+        match List.filter (fun cj -> List.exists (in_block ci cj) pairs) clusters with
+        | [] -> None
+        | bs -> Some (ci, Array.of_list bs))
+      clusters
   in
-  let remaining = ref options.Analysis.time_limit in
-  let solves_left = ref n_solves in
-  (* demands found so far; start from zero (Algorithm 1 line 3) *)
-  let current = ref (Traffic.Demand.of_list (List.map (fun p -> (p, 0.)) pairs)) in
-  let solves = ref 0 and elapsed = ref 0. in
-  let budgets = ref [] in
+  let block_solves = List.fold_left (fun n (_, bs) -> n + Array.length bs) 1 waves in
+  (* the options of the next [solves_left] solves, with their budget *)
+  let budgeted ~solves_left =
+    let budget = wave_budget ~remaining:(deadline -. Unix.gettimeofday ()) ~solves_left in
+    (budget, { options with Analysis.time_limit = budget })
+  in
   (* One wave per source cluster: its (ci, _) blocks free disjoint
      demand sets and all read the pre-wave matrix, so they solve
      concurrently on [options.domains] domains (each block solve runs
      its inner machinery sequentially — it is inside a map task) and
      their demands are adopted in destination order. The assembled
      matrix is independent of the execution schedule. *)
-  for ci = 0 to k - 1 do
-    match wave_blocks ci with
-    | [] -> ()
-    | bs ->
-      let budget = wave_budget ~remaining:!remaining ~solves_left:!solves_left in
-      budgets := budget :: !budgets;
-      let options = { options with Analysis.time_limit = budget } in
-      let base = !current in
-      let solve_block cj =
-        (* free the block's demands, fix the rest at pre-wave values *)
-        let env' =
-          {
-            Traffic.Envelope.lo =
-              Traffic.Demand.map
-                (fun ~src ~dst v ->
-                  if in_block ci cj (src, dst) then
-                    Traffic.Envelope.lo_volume envelope ~src ~dst
-                  else v)
-                base;
-            hi =
-              Traffic.Demand.map
-                (fun ~src ~dst v ->
-                  if in_block ci cj (src, dst) then
-                    Traffic.Envelope.hi_volume envelope ~src ~dst
-                  else v)
-                base;
-          }
-        in
-        Analysis.analyze ~options topo paths env'
-      in
-      let blocks = Array.of_list bs in
-      let results =
-        Parallel.Pool.map ~domains:(max 1 options.Analysis.domains) solve_block blocks
-      in
-      let wave_elapsed = ref 0. in
-      Array.iteri
-        (fun i (r : Analysis.report) ->
-          let cj = blocks.(i) in
-          incr solves;
-          wave_elapsed := !wave_elapsed +. r.Analysis.elapsed;
-          if
-            r.Analysis.status = Milp.Solver.Optimal
-            || r.Analysis.status = Milp.Solver.Feasible
-          then
-            (* adopt the block's demands (Algorithm 1 line 11) *)
-            List.iter
-              (fun (s, d) ->
-                if in_block ci cj (s, d) then
-                  current :=
-                    Traffic.Demand.set !current ~src:s ~dst:d
-                      (Traffic.Demand.volume r.Analysis.worst_demand ~src:s
-                         ~dst:d))
-              pairs)
-        results;
-      elapsed := !elapsed +. !wave_elapsed;
-      solves_left := !solves_left - Array.length blocks;
-      if !remaining <> Float.infinity then
-        remaining := Float.max 0. (!remaining -. !wave_elapsed)
-  done;
-  (* final fixed-demand solve for the failure scenario, on the whole
-     unspent budget *)
-  let budget = wave_budget ~remaining:!remaining ~solves_left:!solves_left in
-  budgets := budget :: !budgets;
-  let options = { options with Analysis.time_limit = budget } in
-  let report = Analysis.analyze ~options topo paths (Traffic.Envelope.fixed !current) in
-  incr solves;
-  elapsed := !elapsed +. report.Analysis.elapsed;
+  let run_wave (current, solves_left, budgets) (ci, blocks) =
+    let budget, options = budgeted ~solves_left in
+    (* free the block's demands, fix the rest at pre-wave values *)
+    let solve cj =
+      let lo = with_block ci cj (Traffic.Envelope.lo_volume envelope) current
+      and hi = with_block ci cj (Traffic.Envelope.hi_volume envelope) current in
+      (cj, Analysis.analyze ~options topo paths { Traffic.Envelope.lo; hi })
+    in
+    (* adopt each solved block's demands (Algorithm 1 line 11) *)
+    let adopt current (cj, (r : Analysis.report)) =
+      match r.Analysis.status with
+      | Milp.Solver.Optimal | Milp.Solver.Feasible ->
+        with_block ci cj (Traffic.Demand.volume r.Analysis.worst_demand) current
+      | _ -> current
+    in
+    ( Array.fold_left adopt current
+        (Parallel.Pool.map ~domains:(max 1 options.Analysis.domains) solve blocks),
+      solves_left - Array.length blocks,
+      budget :: budgets )
+  in
+  (* demands start from zero (Algorithm 1 line 3) *)
+  let zero = Traffic.Demand.of_list (List.map (fun p -> (p, 0.)) pairs) in
+  let demand, solves_left, budgets =
+    List.fold_left run_wave (zero, block_solves, []) waves
+  in
+  (* final fixed-demand solve for the failure scenario, on all the time
+     left *)
+  let budget, options = budgeted ~solves_left in
   {
-    report;
-    demand = !current;
-    block_solves = !solves;
-    total_elapsed = !elapsed;
-    wave_budgets = List.rev !budgets;
+    report = Analysis.analyze ~options topo paths (Traffic.Envelope.fixed demand);
+    demand;
+    block_solves;
+    wave_budgets = List.rev (budget :: budgets);
   }

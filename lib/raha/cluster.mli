@@ -21,26 +21,31 @@ type result = {
   report : Analysis.report;  (** final full solve at the fixed demand *)
   demand : Traffic.Demand.t;  (** the assembled demand matrix *)
   block_solves : int;
-  total_elapsed : float;
+      (** the planned solves, all of which run: one per block that
+          holds pairs, plus the final solve *)
   wave_budgets : float list;
       (** per-solve time budget assigned to each wave (source clusters
-          in order, then the final solve) — exposes the deterministic
-          redistribution of unused budget for tests and reports *)
+          in order, then the final solve) — exposes the redistribution
+          of unused time for tests and reports *)
 }
 
 (** Per-solve budget for the next wave: [remaining] seconds spread
     evenly over [solves_left] upcoming solves ([infinity] passes
     through). {!analyze} re-evaluates this at every wave boundary, so
-    budget unused by fast early blocks flows to the remaining ones in
+    time unused by fast early blocks flows to the remaining ones in
     wave order (exposed for unit tests). *)
 val wave_budget : remaining:float -> solves_left:int -> float
 
-(** [analyze ~options ~clusters topo paths envelope] runs Algorithm 1.
-    [options.time_limit] is split across solver invocations: each wave's
-    solves get an even share of the budget still unspent when the wave
-    starts ({!wave_budget}), so hard late blocks inherit what fast early
-    blocks did not use. [clusters = 1] degenerates to a single
-    free-demand solve followed by a fixed-demand solve.
+(** [analyze ~options ~clusters topo paths envelope] runs Algorithm 1
+    within one wall-clock deadline, [options.time_limit] seconds after
+    the call starts. Each wave's solves get an even share of the time
+    left before the deadline when the wave starts ({!wave_budget}), and
+    the final solve gets all that is left, so hard late blocks inherit
+    what fast early blocks did not use, and concurrent blocks are
+    charged their wall time, not their summed solve times. Everything
+    a block solve does (build, screening, presolve, certify) counts.
+    [clusters = 1] degenerates to a single free-demand solve followed
+    by a fixed-demand solve.
 
     The (source, destination) blocks of one source cluster are
     independent — they free disjoint demand sets and read the pre-wave

@@ -366,26 +366,54 @@ let test_cluster_identical_across_domains () =
         (List.length par.Raha.Cluster.wave_budgets))
     [ 2; 4 ]
 
+(* Budgets come from one wall-clock deadline, [T] seconds after the
+   call starts, so a call that took [W] seconds shares out between
+   [T - W] and [T] seconds. *)
+let timed_cluster ~options ~clusters topo paths envelope =
+  let t0 = Unix.gettimeofday () in
+  let r = Raha.Cluster.analyze ~options ~clusters topo paths envelope in
+  (r, Unix.gettimeofday () -. t0)
+
 let test_cluster_first_wave_budget () =
-  (* with an untouched budget the first wave's share is exactly
-     time_limit / n_solves — the redistribution baseline *)
-  let options =
-    {
-      Raha.Analysis.default_options with
-      spec = spec_k1;
-      time_limit = 100_000.;
-    }
-  in
-  let r =
-    Raha.Cluster.analyze ~options ~clusters:2 fig1 (fig1_paths ()) (fig1_envelope ())
+  let t = 100_000. in
+  let options = { Raha.Analysis.default_options with spec = spec_k1; time_limit = t } in
+  let r, w =
+    timed_cluster ~options ~clusters:2 fig1 (fig1_paths ()) (fig1_envelope ())
   in
   match r.Raha.Cluster.wave_budgets with
   | [] -> Alcotest.fail "no wave budgets recorded"
   | first :: _ ->
-    Alcotest.(check (float 0.))
-      "first wave budget = time_limit / n_solves"
-      (100_000. /. float_of_int r.Raha.Cluster.block_solves)
-      first
+    let n = float_of_int r.Raha.Cluster.block_solves in
+    if not ((t -. w) /. n <= first && first <= t /. n) then
+      Alcotest.failf "first wave budget %.17g outside [(T - W) / n, T / n] = [%.17g, %.17g]"
+        first ((t -. w) /. n) (t /. n)
+
+(* On africa_setup's two-block wave the final solve still gets all the
+   time left, at least [T - W]: the wave is charged its wall time, not
+   the sum of its two solves. Every planned block runs. *)
+let test_cluster_deadline () =
+  let topo, paths, d = africa_setup () in
+  let envelope = Traffic.Envelope.from_zero ~slack:0.2 d in
+  let t = 100_000. in
+  let assign = Raha.Cluster.partition topo ~clusters:2 in
+  let planned =
+    List.sort_uniq compare
+      (List.map (fun (s, d) -> (assign.(s), assign.(d))) (Traffic.Envelope.pairs envelope))
+  in
+  List.iter
+    (fun domains ->
+      let options =
+        { Raha.Analysis.default_options with spec = africa_cluster_spec; domains; time_limit = t }
+      in
+      let r, w = timed_cluster ~options ~clusters:2 topo paths envelope in
+      check_int
+        (Printf.sprintf "domains=%d block solves = 1 + planned blocks" domains)
+        (1 + List.length planned) r.Raha.Cluster.block_solves;
+      let final = List.hd (List.rev r.Raha.Cluster.wave_budgets) in
+      if not (final >= t -. w && final < t) then
+        Alcotest.failf "domains=%d: final budget %.17g outside [T - W, T) = [%.17g, %.17g)"
+          domains final (t -. w) t)
+    [ 1; 2 ]
 
 (* A counter scope sees all the work of a clustered analysis at any
    domain count: the map credits what worker domains did back to the
@@ -435,5 +463,6 @@ let suite =
     ("wave budget redistribution", `Quick, test_wave_budget);
     ("cluster identical across domains", `Quick, test_cluster_identical_across_domains);
     ("cluster first wave budget", `Quick, test_cluster_first_wave_budget);
+    ("cluster budgets from one deadline", `Quick, test_cluster_deadline);
     ("cluster scope sees pool work", `Quick, test_cluster_scope_counters);
   ]
