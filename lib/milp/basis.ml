@@ -104,7 +104,15 @@ let push b i f =
    [q]: its row [nrow.(q)], position [ncol.(q)] and value [nval.(q)],
    linked into a doubly linked list of its row (from [rhead]) and one
    of its column (from [chead]); [-1] ends a list. Unlinked nodes are
-   not reused: [used] only grows. *)
+   not reused: [used] only grows.
+
+   The list code and [factorize]'s loops read and write unchecked. The
+   invariant: the seven node arrays have one length, which [link] grows
+   before it writes node [used], so every node on a list is below it;
+   rows and positions are below [m] (a basis column's row indices are,
+   and [create] and [replace] take only columns below [n]), in range of
+   [rhead], [chead] and every per-row or per-position work array,
+   which hold [max m 1] entries. *)
 type nodes = {
   mutable nrow : int array;
   mutable ncol : int array;
@@ -146,29 +154,31 @@ let link nd r k v =
   if nd.used = Array.length nd.nrow then grow nd;
   let q = nd.used in
   nd.used <- q + 1;
-  nd.nrow.(q) <- r;
-  nd.ncol.(q) <- k;
-  nd.nval.(q) <- v;
-  let h = nd.rhead.(r) in
-  nd.rprev.(q) <- -1;
-  nd.rnext.(q) <- h;
-  if h >= 0 then nd.rprev.(h) <- q;
-  nd.rhead.(r) <- q;
-  let h = nd.chead.(k) in
-  nd.cprev.(q) <- -1;
-  nd.cnext.(q) <- h;
-  if h >= 0 then nd.cprev.(h) <- q;
-  nd.chead.(k) <- q
+  Array.unsafe_set nd.nrow q r;
+  Array.unsafe_set nd.ncol q k;
+  Array.unsafe_set nd.nval q v;
+  let h = Array.unsafe_get nd.rhead r in
+  Array.unsafe_set nd.rprev q (-1);
+  Array.unsafe_set nd.rnext q h;
+  if h >= 0 then Array.unsafe_set nd.rprev h q;
+  Array.unsafe_set nd.rhead r q;
+  let h = Array.unsafe_get nd.chead k in
+  Array.unsafe_set nd.cprev q (-1);
+  Array.unsafe_set nd.cnext q h;
+  if h >= 0 then Array.unsafe_set nd.cprev h q;
+  Array.unsafe_set nd.chead k q
 
 let unlink_row nd q =
-  let p = nd.rprev.(q) and n = nd.rnext.(q) in
-  if p >= 0 then nd.rnext.(p) <- n else nd.rhead.(nd.nrow.(q)) <- n;
-  if n >= 0 then nd.rprev.(n) <- p
+  let p = Array.unsafe_get nd.rprev q and n = Array.unsafe_get nd.rnext q in
+  if p >= 0 then Array.unsafe_set nd.rnext p n
+  else Array.unsafe_set nd.rhead (Array.unsafe_get nd.nrow q) n;
+  if n >= 0 then Array.unsafe_set nd.rprev n p
 
 let unlink_col nd q =
-  let p = nd.cprev.(q) and n = nd.cnext.(q) in
-  if p >= 0 then nd.cnext.(p) <- n else nd.chead.(nd.ncol.(q)) <- n;
-  if n >= 0 then nd.cprev.(n) <- p
+  let p = Array.unsafe_get nd.cprev q and n = Array.unsafe_get nd.cnext q in
+  if p >= 0 then Array.unsafe_set nd.cnext p n
+  else Array.unsafe_set nd.chead (Array.unsafe_get nd.ncol q) n;
+  if n >= 0 then Array.unsafe_set nd.cprev n p
 
 (* Sort the indices [idx.(0 .. n-1)] ascending, then push each with its
    value from [vals]. An insertion sort: the callers fill [idx] nearly
@@ -237,19 +247,19 @@ let factorize a cols ~threshold =
      index order and each column's entries in list order; the scan
      stops at the first entry of cost 0. *)
   let consider k =
-    let nval = nd.nval and cnext = nd.cnext in
+    let nval = nd.nval and cnext = nd.cnext and nrow = nd.nrow in
     let colmax = ref 0. and q = ref nd.chead.(k) in
     while !q >= 0 do
-      colmax := Float.max !colmax (Float.abs nval.(!q));
-      q := cnext.(!q)
+      colmax := Float.max !colmax (Float.abs (Array.unsafe_get nval !q));
+      q := Array.unsafe_get cnext !q
     done;
     if !colmax > drop_tol then begin
       let lim = threshold *. !colmax and c1 = ccount.(k) - 1 in
       q := nd.chead.(k);
       while !q >= 0 do
-        let mag = Float.abs nval.(!q) in
+        let mag = Float.abs (Array.unsafe_get nval !q) in
         if mag >= lim then begin
-          let cost = (rcount.(nd.nrow.(!q)) - 1) * c1 in
+          let cost = (Array.unsafe_get rcount (Array.unsafe_get nrow !q) - 1) * c1 in
           if cost < !best_cost || (cost = !best_cost && mag > !best_mag) then begin
             best_cost := cost;
             best_mag := mag;
@@ -257,7 +267,7 @@ let factorize a cols ~threshold =
             if cost = 0 then raise Exit
           end
         end;
-        q := cnext.(!q)
+        q := Array.unsafe_get cnext !q
       done
     end
   in
@@ -298,13 +308,13 @@ let factorize a cols ~threshold =
        let n = rcount.(pr) - 1 in
        let j = ref n and q = ref nd.rhead.(pr) in
        while !q >= 0 do
-         let kc = nd.ncol.(!q) in
+         let kc = Array.unsafe_get nd.ncol !q in
          if kc <> pc then begin
            decr j;
-           idx.(!j) <- kc;
-           scratch.(kc) <- nd.nval.(!q)
+           Array.unsafe_set idx !j kc;
+           Array.unsafe_set scratch kc (Array.unsafe_get nd.nval !q)
          end;
-         q := nd.rnext.(!q)
+         q := Array.unsafe_get nd.rnext !q
        done;
        push_sorted ubuf idx scratch n;
        ustart.(step + 1) <- ubuf.len;
@@ -317,41 +327,45 @@ let factorize a cols ~threshold =
        let i = ref nl in
        q := nd.chead.(pc);
        while !q >= 0 do
-         let qc = !q and r = nd.nrow.(!q) in
-         q := nd.cnext.(qc);
+         let qc = !q in
+         let r = Array.unsafe_get nd.nrow qc in
+         q := Array.unsafe_get nd.cnext qc;
          if r <> pr then begin
-           let mult = nd.nval.(qc) /. v in
+           let mult = Array.unsafe_get nd.nval qc /. v in
            decr i;
-           idx.(!i) <- r;
-           scratch.(r) <- mult;
+           Array.unsafe_set idx !i r;
+           Array.unsafe_set scratch r mult;
            unlink_row nd qc;
            rcount.(r) <- rcount.(r) - 1;
            incr stamp;
            let qr = ref nd.rhead.(r) in
            while !qr >= 0 do
-             pos.(nd.ncol.(!qr)) <- !qr;
-             mark.(nd.ncol.(!qr)) <- !stamp;
-             qr := nd.rnext.(!qr)
+             let kc = Array.unsafe_get nd.ncol !qr in
+             Array.unsafe_set pos kc !qr;
+             Array.unsafe_set mark kc !stamp;
+             qr := Array.unsafe_get nd.rnext !qr
            done;
+           (* [upos]/[uval] hold the U row pushed above, at [u0 .. u1-1];
+              its positions are below [m] *)
            for p = u0 to u1 - 1 do
-             let kc = upos.(p) in
-             if mark.(kc) = !stamp then begin
-               let qk = pos.(kc) in
-               let nv = nd.nval.(qk) -. (mult *. uval.(p)) in
+             let kc = Array.unsafe_get upos p and u = Array.unsafe_get uval p in
+             if Array.unsafe_get mark kc = !stamp then begin
+               let qk = Array.unsafe_get pos kc in
+               let nv = Array.unsafe_get nd.nval qk -. (mult *. u) in
                if Float.abs nv <= drop_tol then begin
                  unlink_row nd qk;
                  unlink_col nd qk;
                  rcount.(r) <- rcount.(r) - 1;
-                 ccount.(kc) <- ccount.(kc) - 1
+                 Array.unsafe_set ccount kc (Array.unsafe_get ccount kc - 1)
                end
-               else nd.nval.(qk) <- nv
+               else Array.unsafe_set nd.nval qk nv
              end
              else begin
-               let nv = 0. -. (mult *. uval.(p)) in
+               let nv = 0. -. (mult *. u) in
                if not (Float.abs nv <= drop_tol) then begin
                  link nd r kc nv;
                  rcount.(r) <- rcount.(r) + 1;
-                 ccount.(kc) <- ccount.(kc) + 1
+                 Array.unsafe_set ccount kc (Array.unsafe_get ccount kc + 1)
                end
              end
            done;
@@ -369,12 +383,12 @@ let factorize a cols ~threshold =
        aprev.(anext.(pc)) <- aprev.(pc);
        q := nd.rhead.(pr);
        while !q >= 0 do
-         let kc = nd.ncol.(!q) in
+         let kc = Array.unsafe_get nd.ncol !q in
          if kc <> pc then begin
            unlink_col nd !q;
-           ccount.(kc) <- ccount.(kc) - 1
+           Array.unsafe_set ccount kc (Array.unsafe_get ccount kc - 1)
          end;
-         q := nd.rnext.(!q)
+         q := Array.unsafe_get nd.rnext !q
        done
      done
    with Exit -> ());
@@ -388,12 +402,15 @@ let factorize a cols ~threshold =
   done;
   let next = Array.copy cstart in
   let cstep = Array.make ubuf.len 0 and cval = Array.make ubuf.len 0. in
+  (* unchecked: [upos] holds positions below [m], and [next.(c)] stays
+     below [cstart.(c + 1)] <= [ubuf.len] *)
   for k = nsteps - 1 downto 0 do
     for p = ustart.(k) to ustart.(k + 1) - 1 do
-      let c = upos.(p) in
-      cstep.(next.(c)) <- k;
-      cval.(next.(c)) <- uval.(p);
-      next.(c) <- next.(c) + 1
+      let c = Array.unsafe_get upos p in
+      let at = Array.unsafe_get next c in
+      Array.unsafe_set cstep at k;
+      Array.unsafe_set cval at (Array.unsafe_get uval p);
+      Array.unsafe_set next c (at + 1)
     done
   done;
   let bad_rows = ref [] and bad_pos = ref [] in
@@ -551,7 +568,14 @@ let build_lu a cols =
   in
   attempt 0.01 0
 
+(* [factorize] reads the basis columns unchecked, so they are checked
+   here: [m] of them, each below [n]. *)
+let check_cols name a cols =
+  if Array.length cols <> a.Sparse.m then invalid_arg name;
+  Array.iter (fun c -> if c < 0 || c >= a.Sparse.n then invalid_arg name) cols
+
 let create a bcols =
+  check_cols "Basis.create" a bcols;
   let cols = Array.copy bcols in
   let lu = build_lu a cols in
   { a; cols; lu; etas = [||]; neta = 0; work = None }
@@ -669,25 +693,30 @@ let of_snapshot a s =
         neta = Array.length s.setas; work = None }
 
 let replace t ~r ~col ~w =
-  if Array.length w <> t.a.Sparse.m then invalid_arg "Basis.replace";
+  let m = t.a.Sparse.m in
+  if Array.length w <> m || r < 0 || r >= m || col < 0 || col >= t.a.Sparse.n then
+    invalid_arg "Basis.replace";
   t.cols.(r) <- col;
   if Float.abs w.(r) < stab_tol || t.neta >= max_eta then begin
     refactorize t;
     true
   end
   else begin
-    let keep i = i <> r && Float.abs w.(i) > drop_tol in
+    (* The eta keeps every row but [r] where |w_i| passes the drop
+       tolerance, by descending row, the order BTRAN sums in. Both
+       loops run over [w]'s [m] entries, and the second writes as many
+       entries as the first counted, so they read and write unchecked. *)
     let n = ref 0 in
-    for i = 0 to Array.length w - 1 do
-      if keep i then incr n
+    for i = 0 to m - 1 do
+      if i <> r && Float.abs (Array.unsafe_get w i) > drop_tol then incr n
     done;
     let idx = Array.make !n 0 and vals = Array.make !n 0. in
-    (* by descending row, the order BTRAN sums in *)
     let p = ref 0 in
-    for i = Array.length w - 1 downto 0 do
-      if keep i then begin
-        idx.(!p) <- i;
-        vals.(!p) <- w.(i);
+    for i = m - 1 downto 0 do
+      let wi = Array.unsafe_get w i in
+      if i <> r && Float.abs wi > drop_tol then begin
+        Array.unsafe_set idx !p i;
+        Array.unsafe_set vals !p wi;
         incr p
       end
     done;

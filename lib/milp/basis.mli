@@ -20,7 +20,10 @@ exception Singular of string
     [bcols.(0..m-1)] of [a] (the array is copied). Structurally or
     numerically singular selections are repaired by replacing the
     offending positions with their rows' slack columns — the repair is
-    visible through {!bcols}. *)
+    visible through {!bcols}. The factorization reads the columns
+    unchecked, so they are checked first.
+    @raise Invalid_argument unless [bcols] holds [m] columns, each in
+    [0 .. n-1]. *)
 val create : Sparse.t -> int array -> t
 
 (** Current basis column of every row position (fresh copy). *)
@@ -61,7 +64,9 @@ val btran2 : t -> float array -> float array -> out1:float array -> out2:float a
     selection (as in {!create}), so callers must then re-read {!bcols}
     to reconcile their own column/status bookkeeping and recompute
     values from scratch to shed accumulated drift.
-    @raise Invalid_argument if [w] does not have one entry per row. *)
+    @raise Invalid_argument if [w] does not have one entry per row, [r]
+    is not a position in [0 .. m-1] or [col] not a column in
+    [0 .. n-1]. *)
 val replace : t -> r:int -> col:int -> w:float array -> bool
 
 (** {1 Factorization snapshots}

@@ -52,7 +52,9 @@ type basis = {
          identical value. *)
 }
 
-type prepared = { pmodel : Model.t; sp : Sparse.t }
+(* [plb]/[pub]: the model's variable bounds, read once by [prepare];
+   every solve without an override starts from them *)
+type prepared = { pmodel : Model.t; sp : Sparse.t; plb : float array; pub : float array }
 
 let eps_cost = 1e-9
 let eps_pivot = 1e-9
@@ -60,7 +62,9 @@ let eps_feas = 1e-7
 let eps_dual = 1e-6
 let eps_degen = 1e-10
 
-let prepare model = { pmodel = model; sp = Sparse.of_model model }
+let prepare model =
+  let plb, pub = Model.bounds model in
+  { pmodel = model; sp = Sparse.of_model model; plb; pub }
 
 let prep_sparse prep = prep.sp
 
@@ -114,6 +118,14 @@ type work = {
   xb : float array; (* basic values by position *)
 }
 
+(* The sizes the unchecked loops below ([compute_xb], [reduced_costs],
+   [run_dual]) rely on: [lo] and [hi] ([fresh_bounds]), [x] and [stat]
+   are [n] long ([stat] copies a warm basis' statuses only when its
+   shape matches) and the [work] vectors as above; [bcols] holds [m]
+   columns below [n], since [Basis.create] and [Basis.replace] refuse
+   any other and a repair swaps in slack columns [nv + i]; and [sp]'s
+   [colptr] has [n + 1] offsets into [rowind] and [values], whose row
+   indices are below [m] (Sparse.of_model). *)
 type st = {
   sp : Sparse.t;
   rhs : float array; (* effective row rhs: sp.b or a caller overlay *)
@@ -136,9 +148,7 @@ exception Box_infeasible
 let fresh_bounds (prep : prepared) ?lb ?ub () =
   let sp = prep.sp in
   let nv = sp.Sparse.nv and m = sp.Sparse.m and n = sp.Sparse.n in
-  let mlb, mub = Model.bounds prep.pmodel in
-  let lb = match lb with Some a -> a | None -> mlb in
-  let ub = match ub with Some a -> a | None -> mub in
+  let lb = Option.value lb ~default:prep.plb and ub = Option.value ub ~default:prep.pub in
   let lo = Array.make n 0. and hi = Array.make n 0. in
   Array.blit lb 0 lo 0 nv;
   Array.blit ub 0 hi 0 nv;
@@ -151,21 +161,32 @@ let fresh_bounds (prep : prepared) ?lb ?ub () =
   done;
   (lo, hi)
 
+(* a_j . v, summed in Sparse.col_dot's order and read unchecked:
+   callers pass [j < n] and a [v] of [m] entries (sizes: see [st]) *)
+let col_dot sp j v =
+  let { Sparse.colptr; rowind; values; _ } = sp in
+  let acc = ref 0. in
+  for k = Array.unsafe_get colptr j to Array.unsafe_get colptr (j + 1) - 1 do
+    acc := !acc +. (Array.unsafe_get values k *. Array.unsafe_get v (Array.unsafe_get rowind k))
+  done;
+  !acc
+
 (* Recompute basic values from scratch: x_B = B^-1 (b - A_N x_N).
-   Called after every refactorization to shed accumulated drift. *)
+   Called after every refactorization to shed accumulated drift. The
+   loops read unchecked (sizes: see [st]). *)
 let compute_xb st =
   let sp = st.sp in
   let m = sp.Sparse.m in
   if m > 0 then begin
-    let rhs = st.wk.resid and xb = st.wk.xb in
+    let rhs = st.wk.resid and xb = st.wk.xb and stat = st.stat and x = st.x in
     Array.blit st.rhs 0 rhs 0 m;
     for j = 0 to sp.Sparse.n - 1 do
-      if st.stat.(j) <> Basic && st.x.(j) <> 0. then
-        Sparse.axpy_col sp j (-.st.x.(j)) rhs
+      let xj = Array.unsafe_get x j in
+      if Array.unsafe_get stat j <> Basic && xj <> 0. then Sparse.axpy_col sp j (-.xj) rhs
     done;
     Basis.ftran st.bas rhs ~out:xb;
     for r = 0 to m - 1 do
-      st.x.(st.bcols.(r)) <- xb.(r)
+      Array.unsafe_set x (Array.unsafe_get st.bcols r) (Array.unsafe_get xb r)
     done
   end
 
@@ -407,7 +428,7 @@ let run_primal st ~phase1 =
            for j = 0 to n - 1 do
              if st.stat.(j) <> Basic then begin
                let cj = if phase1 then 0. else sp.Sparse.cost.(j) in
-               let d = cj -. Sparse.col_dot sp j y in
+               let d = cj -. col_dot sp j y in
                let dir = entering_dir st j d in
                if dir <> 0. then
                  if st.bland then begin
@@ -461,36 +482,40 @@ let fill_basic_costs st cb =
    [y] = B^-T c_B. Every dual-side reduced cost is priced by this one
    expression, so a cached d_j and one priced on demand have the same
    bits. *)
-let reduced_cost sp y j = sp.Sparse.cost.(j) -. Sparse.col_dot sp j y
+let reduced_cost sp y j = sp.Sparse.cost.(j) -. col_dot sp j y
 
 (* Reduced costs of all columns, cached per basis. The warm path's
    dual-feasibility check fills the cache, its first dual pivot reads
    it, and the final check reuses it when the solve made no pivot.
-   Later dual pivots price only their ratio-test candidates. *)
+   Later dual pivots price only their ratio-test candidates. The loop
+   reads and writes unchecked (sizes: see [st]). *)
 let reduced_costs st =
   match st.dj with
   | Some d -> d
   | None ->
-    let sp = st.sp and { cb; y; d; _ } = st.wk in
+    let sp = st.sp and { cb; y; d; _ } = st.wk and stat = st.stat in
     fill_basic_costs st cb;
     Basis.btran st.bas cb ~out:y;
     for j = 0 to sp.Sparse.n - 1 do
-      d.(j) <- (if st.stat.(j) = Basic then 0. else reduced_cost sp y j)
+      Array.unsafe_set d j
+        (if Array.unsafe_get stat j = Basic then 0. else reduced_cost sp y j)
     done;
     st.dj <- Some d;
     d
 
 let dual_feasible st d =
-  let ok = ref true in
-  Array.iteri
-    (fun j s ->
-      if !ok && s <> Basic && st.hi.(j) -. st.lo.(j) > 1e-12 then
-        match s with
-        | At_lower -> if d.(j) < -.eps_dual then ok := false
-        | At_upper -> if d.(j) > eps_dual then ok := false
-        | At_zero -> if Float.abs d.(j) > eps_dual then ok := false
-        | Basic -> ())
-    st.stat;
+  let { stat; lo; hi; _ } = st in
+  let ok = ref true and j = ref 0 in
+  while !ok && !j < Array.length stat do
+    let j' = !j in
+    (if hi.(j') -. lo.(j') > 1e-12 then
+       match stat.(j') with
+       | At_lower -> if d.(j') < -.eps_dual then ok := false
+       | At_upper -> if d.(j') > eps_dual then ok := false
+       | At_zero -> if Float.abs d.(j') > eps_dual then ok := false
+       | Basic -> ());
+    incr j
+  done;
   !ok
 
 (* Make a warm start dual feasible by bound flips (as in Koberstein's
@@ -536,6 +561,10 @@ let run_dual ?watch st =
   let sp = st.sp in
   let m = sp.Sparse.m and n = sp.Sparse.n in
   let { cb; er; y; rho; _ } = st.wk in
+  (* the leaving scan, the pivot-row ratio loop and the basic-value
+     update read unchecked (sizes: see [st]) *)
+  let { x; lo; hi; stat; bcols; _ } = st in
+  let { Sparse.colptr; rowind; values; _ } = sp in
   let rec loop () =
     (match watch with Some f -> f () | None -> ());
     if st.iters <= 0 then `Iters
@@ -543,17 +572,20 @@ let run_dual ?watch st =
       (* leaving: the most violated basic variable *)
       let r = ref (-1) and viol = ref eps_feas and below = ref false in
       for i = 0 to m - 1 do
-        let b = st.bcols.(i) in
-        let xb = st.x.(b) in
-        if st.lo.(b) -. xb > !viol then begin
-          viol := st.lo.(b) -. xb;
+        let b = Array.unsafe_get bcols i in
+        let xb = Array.unsafe_get x b and lob = Array.unsafe_get lo b in
+        if lob -. xb > !viol then begin
+          viol := lob -. xb;
           r := i;
           below := true
         end
-        else if xb -. st.hi.(b) > !viol then begin
-          viol := xb -. st.hi.(b);
-          r := i;
-          below := false
+        else begin
+          let hib = Array.unsafe_get hi b in
+          if xb -. hib > !viol then begin
+            viol := xb -. hib;
+            r := i;
+            below := false
+          end
         end
       done;
       if !r < 0 then `Optimal
@@ -577,11 +609,21 @@ let run_dual ?watch st =
         and best_ratio = ref Float.infinity
         and best_mag = ref 0. in
         for j = 0 to n - 1 do
-          if st.stat.(j) <> Basic && st.hi.(j) -. st.lo.(j) > 1e-12 then begin
-            let alpha = Sparse.col_dot sp j rho in
+          let sj = Array.unsafe_get stat j in
+          if sj <> Basic && Array.unsafe_get hi j -. Array.unsafe_get lo j > 1e-12 then begin
+            (* alpha_j = rho . a_j, summed as [col_dot] sums, written
+               inline: this loop runs over every column of every pivot
+               row *)
+            let alpha = ref 0. in
+            for k = Array.unsafe_get colptr j to Array.unsafe_get colptr (j + 1) - 1 do
+              alpha :=
+                !alpha
+                +. (Array.unsafe_get values k *. Array.unsafe_get rho (Array.unsafe_get rowind k))
+            done;
+            let alpha = !alpha in
             if Float.abs alpha > eps_pivot then begin
               let eligible =
-                match (st.stat.(j), below) with
+                match (sj, below) with
                 | At_lower, true -> alpha < 0.
                 | At_lower, false -> alpha > 0.
                 | At_upper, true -> alpha > 0.
@@ -591,7 +633,9 @@ let run_dual ?watch st =
               in
               if eligible then begin
                 let d =
-                  match cached with Some d -> d.(j) | None -> reduced_cost sp y j
+                  match cached with
+                  | Some d -> Array.unsafe_get d j
+                  | None -> reduced_cost sp y j
                 in
                 let ratio = Float.abs d /. Float.abs alpha in
                 if st.bland then begin
@@ -630,8 +674,8 @@ let run_dual ?watch st =
             let bound = if below then st.lo.(out) else st.hi.(out) in
             let t = (st.x.(out) -. bound) /. w.(r) in
             for i = 0 to m - 1 do
-              let b = st.bcols.(i) in
-              st.x.(b) <- st.x.(b) -. (t *. w.(i))
+              let b = Array.unsafe_get bcols i in
+              Array.unsafe_set x b (Array.unsafe_get x b -. (t *. Array.unsafe_get w i))
             done;
             st.x.(q) <- st.x.(q) +. t;
             st.x.(out) <- bound;

@@ -42,9 +42,11 @@ type engine = Revised | Dense
     {!var_statuses} for the structural statuses. *)
 type basis
 
-(** A model together with its CSC standard form, built once and shared
-    across re-solves (the matrix depends only on the rows, never on
-    variable bounds, so it is safe to share across B&B nodes). *)
+(** A model together with its CSC standard form and its variable
+    bounds, read once and shared across re-solves (the matrix depends
+    only on the rows, never on variable bounds, so it is safe to share
+    across B&B nodes). A solve without [?lb]/[?ub] starts from the
+    bounds read here. *)
 type prepared
 
 val prepare : Model.t -> prepared

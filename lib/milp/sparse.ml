@@ -71,20 +71,33 @@ let of_model model =
   Linexpr.iter (fun id v -> cost.(id) <- osign *. v) obj;
   { m; n; nv; colptr; rowind; values; b; cost; slack_lo; slack_hi }
 
+(* The column loops read unchecked once [j] and the dense side pass
+   [check]: [of_model] sizes [colptr] to [n + 1] entries, ascending up
+   to [colptr.(n)] <= the length of [rowind] and [values], and every
+   stored row index is below [m], in range of a dense side of at least
+   [m] entries. *)
+let check name a j ~dense =
+  if j < 0 || j >= a.n || dense < a.m then invalid_arg name
+
 let col_iter a j f =
-  for k = a.colptr.(j) to a.colptr.(j + 1) - 1 do
-    f a.rowind.(k) a.values.(k)
+  if j < 0 || j >= a.n then invalid_arg "Sparse.col_iter";
+  for k = Array.unsafe_get a.colptr j to Array.unsafe_get a.colptr (j + 1) - 1 do
+    f (Array.unsafe_get a.rowind k) (Array.unsafe_get a.values k)
   done
 
 let col_dot a j y =
+  check "Sparse.col_dot" a j ~dense:(Array.length y);
   let acc = ref 0. in
-  for k = a.colptr.(j) to a.colptr.(j + 1) - 1 do
-    acc := !acc +. (a.values.(k) *. y.(a.rowind.(k)))
+  for k = Array.unsafe_get a.colptr j to Array.unsafe_get a.colptr (j + 1) - 1 do
+    acc :=
+      !acc
+      +. (Array.unsafe_get a.values k *. Array.unsafe_get y (Array.unsafe_get a.rowind k))
   done;
   !acc
 
 let axpy_col a j alpha x =
-  for k = a.colptr.(j) to a.colptr.(j + 1) - 1 do
-    let i = a.rowind.(k) in
-    x.(i) <- x.(i) +. (alpha *. a.values.(k))
+  check "Sparse.axpy_col" a j ~dense:(Array.length x);
+  for k = Array.unsafe_get a.colptr j to Array.unsafe_get a.colptr (j + 1) - 1 do
+    let i = Array.unsafe_get a.rowind k in
+    Array.unsafe_set x i (Array.unsafe_get x i +. (alpha *. Array.unsafe_get a.values k))
   done

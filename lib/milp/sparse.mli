@@ -26,6 +26,11 @@ type t = private {
     minimization ([Maximize] objectives are negated). *)
 val of_model : Model.t -> t
 
+(** The column functions validate their arguments once and then read
+    the CSC arrays unchecked.
+    @raise Invalid_argument when [j] is outside [0 .. n-1] or the dense
+    side has fewer than [m] entries. *)
+
 (** [col_iter a j f] applies [f row value] to every entry of column [j]. *)
 val col_iter : t -> int -> (int -> float -> unit) -> unit
 

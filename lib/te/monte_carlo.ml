@@ -8,16 +8,19 @@ type summary = {
   worst_scenario : Failure.Scenario.t;
 }
 
-let sample_scenario rng topo =
+(* One scenario: each link of [lags] (the topology's, in id order)
+   fails when its probability is positive and a uniform draw falls
+   below it, one draw per such link, in LAG and link order. *)
+let sample_scenario rng topo lags =
   let links = ref [] in
-  Array.iter
-    (fun (lag : Wan.Lag.t) ->
-      Array.iteri
-        (fun i (l : Wan.Lag.link) ->
-          if l.Wan.Lag.fail_prob > 0. && Random.State.float rng 1. < l.Wan.Lag.fail_prob
-          then links := (lag.Wan.Lag.lag_id, i) :: !links)
-        lag.Wan.Lag.links)
-    (Wan.Topology.lags topo);
+  for e = 0 to Array.length lags - 1 do
+    let lag = lags.(e) in
+    let ls = lag.Wan.Lag.links in
+    for i = 0 to Array.length ls - 1 do
+      let p = ls.(i).Wan.Lag.fail_prob in
+      if p > 0. && Random.State.float rng 1. < p then links := (lag.Wan.Lag.lag_id, i) :: !links
+    done
+  done;
   Failure.Scenario.of_links topo !links
 
 (* Samples are drawn in fixed blocks of [rng_block], each from its own
@@ -37,11 +40,12 @@ let sample_degradations ?(objective = Formulation.Total_flow) ~seed ~samples top
   (* draw every scenario up front, in the fixed block layout *)
   let n_blocks = (samples + rng_block - 1) / rng_block in
   let scenarios = Array.make samples Failure.Scenario.empty in
+  let lags = Wan.Topology.lags topo in
   for b = 0 to n_blocks - 1 do
     let rng = Random.State.make [| seed; b |] in
     let hi = min samples ((b + 1) * rng_block) in
     for i = b * rng_block to hi - 1 do
-      scenarios.(i) <- sample_scenario rng topo
+      scenarios.(i) <- sample_scenario rng topo lags
     done
   done;
   let degradations =

@@ -127,6 +127,17 @@ let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
 let by_index l = List.sort (fun (a, _) (b, _) -> Int.compare a b) l
 
+(* Whether the path with LAGs [ids] crosses one of [lags], from hop [i]
+   on: plain recursion with [Int.equal], no closure and no polymorphic
+   compare *)
+let rec mem_lag e = function [] -> false | e' :: tl -> Int.equal e e' || mem_lag e tl
+
+let rec crosses_from lags (ids : int array) i =
+  i < Array.length ids && (mem_lag ids.(i) lags || crosses_from lags ids (i + 1))
+
+let crosses lags (path : Netpath.Path.t) =
+  match lags with [] -> false | _ -> crosses_from lags path.Netpath.Path.lag_ids 0
+
 (* Scenario overlay as a delta against the healthy base. Only failed
    links can move an entry: a LAG with a failed link gets its live
    capacity (when it has a capacity row: MLU keeps none), and a pair
@@ -139,15 +150,21 @@ let by_index l = List.sort (fun (a, _) (b, _) -> Int.compare a b) l
    is dropped, so the patch is exactly the rows and columns that differ
    from the healthy network's: equal overlays give equal patches, and
    the healthy overlay's patch is empty. Rows are numbered as in the
-   whole LP, dropped rows included. *)
+   whole LP, dropped rows included.
+
+   Availability follows [availability]'s rule, read from the
+   scenario's fully-down LAGs, which are collected once: a path is down
+   when it crosses one of them (a LAG has at least one link, so only a
+   LAG with a failed link can be down). *)
 let scenario_patch eng scenario =
   let topo = eng.eng_topo and index = eng.eng_index in
   let rows = ref [] and ubs = ref [] in
   let set row v = if not (same_bits v eng.eng_base.(row)) then rows := (row, v) :: !rows in
   let set_ub col v = if not (same_bits v eng.eng_base_ub.(col)) then ubs := (col, v) :: !ubs in
   let affected = Array.make (Array.length eng.eng_pairs) false in
-  (* the down LAGs whose paths the bounds must close *)
-  let closing = ref [] in
+  (* the fully-down LAGs, and those of them whose paths the bounds must
+     close *)
+  let down = ref [] and closing = ref [] in
   (* [links] is sorted by (lag, link), so each touched LAG comes once *)
   let last = ref (-1) in
   List.iter
@@ -157,23 +174,28 @@ let scenario_patch eng scenario =
         let row = index.Formulation.cap_rows.(e) in
         if row >= 0 then set row (Failure.Scenario.lag_capacity topo scenario e);
         if Failure.Scenario.lag_down topo scenario e then begin
+          down := e :: !down;
           if eng.eng_rowless.(e) then closing := e :: !closing;
           List.iter (fun k -> affected.(k) <- true) eng.eng_lag_pairs.(e)
         end
       end)
     (Failure.Scenario.links scenario);
-  let closed (path : Netpath.Path.t) =
-    !closing <> [] && Array.exists (fun e -> List.mem e !closing) path.Netpath.Path.lag_ids
-  in
+  let down = !down and closing = !closing in
   Array.iteri
     (fun k hit ->
       if hit then begin
         let p = eng.eng_pairs.(k) in
         let cols = index.Formulation.pair_arr.(k).Formulation.path_cols in
-        let avail = availability topo p scenario in
+        let n_primary = Netpath.Path_set.num_primary p in
+        (* the down paths before path [j] *)
+        let failed = ref 0 in
         List.iteri
           (fun j path ->
-            let blocked = (not avail.(j)) || closed path in
+            let available = !failed + n_primary - j - 1 >= 0 in
+            let is_down = crosses down path in
+            if is_down then incr failed;
+            (* a closing LAG is down, so only a down path can cross one *)
+            let blocked = (not available) || (is_down && crosses closing path) in
             set_ub cols.(j) (if blocked then 0. else eng.eng_d_max))
           (Netpath.Path_set.all_paths p)
       end)

@@ -1021,6 +1021,86 @@ let test_shared_structure_immutable () =
   check "slack_lo" (bits snap_slo) (bits sp.Milp.Sparse.slack_lo);
   check "slack_hi" (bits snap_shi) (bits sp.Milp.Sparse.slack_hi)
 
+(* --- a golden pin of the engine's answers ------------------------------ *)
+
+(* One digest over the bits of every degradation and every flow the
+   engine returns on fixed sweeps, so a change to the engine or to the
+   LP kernel under it that moves one bit fails here:
+   (a) Monte Carlo at two seeds on Cogentco (128 samples, 24 pairs) and
+   Uninett2010 (512 samples, 16 pairs), and every k <= 1 scenario on
+   Uninett2010, under each objective at 0.5x and 1.2x the average LAG
+   capacity;
+   (b) the duplicate-heavy scenarios on the two multi-link nets of
+   [test_delta_patch_exact] at 0.1x, where the solved LP keeps 3 of 14
+   and 3 of 13 rows: the one input where partial LAG failures meet
+   dropped rows (both Zoo stand-ins have one link per LAG).
+   Flows come from [route_prepared], one overlay per scenario;
+   degradations from the sweeps themselves. *)
+let test_engine_golden () =
+  let buf = Buffer.create (1 lsl 20) in
+  let add x = Buffer.add_string buf (Printf.sprintf "%h," x) in
+  let answers ~objective (topo, paths, demand) scenarios degs =
+    let eng = prepared ~objective topo paths demand in
+    Array.iteri
+      (fun i s ->
+        (match degs.(i) with Some d -> add d | None -> Buffer.add_string buf "none,");
+        match Te.Simulate.route_prepared eng s with
+        | Some r -> Array.iter add r.Te.Simulate.flows
+        | None -> Buffer.add_string buf "infeasible,")
+      scenarios;
+    Buffer.add_char buf '\n'
+  in
+  let cogentco = Wan.Zoo.cogentco () and uninett = Wan.Zoo.uninett2010 () in
+  List.iter
+    (fun share ->
+      let c_net = zoo_net ~n:24 ~share cogentco and u_net = zoo_net ~n:16 ~share uninett in
+      let k1 = Array.of_list (Failure.Enumerate.up_to_k uninett ~k:1) in
+      List.iter
+        (fun (_, objective) ->
+          List.iter
+            (fun seed ->
+              List.iter
+                (fun (((topo, paths, demand) as net), samples) ->
+                  let degs, scenarios =
+                    Te.Monte_carlo.sample_degradations ~objective ~seed ~samples topo paths
+                      demand
+                  in
+                  answers ~objective net scenarios (Array.map Option.some degs))
+                [ (c_net, 128); (u_net, 512) ])
+            [ 1; 2 ];
+          let topo, paths, demand = u_net in
+          let eng = prepared ~objective topo paths demand in
+          answers ~objective u_net k1 (Te.Simulate.degradations_prepared eng k1))
+        objectives)
+    [ 0.5; 1.2 ];
+  let grid = Wan.Generators.grid ~links_per_lag:3 ~fail_prob:0.1 3 3 in
+  let rows = ref [] in
+  List.iter
+    (fun (topo, pairs) ->
+      let paths = Netpath.Path_set.compute ~n_primary:2 ~n_backup:1 topo pairs in
+      let demand =
+        Traffic.Demand.of_list
+          (List.map (fun p -> (p, Wan.Topology.avg_lag_capacity topo *. 0.1)) pairs)
+      in
+      let scenarios = duplicate_heavy topo 60 in
+      List.iter
+        (fun (_, objective) ->
+          let eng = prepared ~objective topo paths demand in
+          rows := Te.Simulate.engine_rows eng :: !rows;
+          answers ~objective (topo, paths, demand) scenarios
+            (Te.Simulate.degradations_prepared eng scenarios))
+        objectives)
+    [
+      (Wan.Generators.africa_like ~seed:5 ~n:8 (), [ (0, 5); (1, 6); (2, 7) ]);
+      (grid, [ (0, 8); (2, 6); (1, 7) ]);
+    ];
+  (* (solved, whole) rows of part (b)'s engines, by net and objective *)
+  Alcotest.(check (list (pair int int)))
+    "part (b) drops rows" [ (3, 14); (12, 23); (15, 15); (3, 13); (12, 22); (14, 14) ]
+    (List.rev !rows);
+  Alcotest.(check string) "engine answers digest" "06e66720aa9f46845c3035aad8cfa834"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 let suite =
   [
     ( "monte carlo batch == sequential (total flow)",
@@ -1043,6 +1123,7 @@ let suite =
     ("sweep equals per-scenario degradations", `Quick, test_sweep_equals_map);
     ("sweep solves each distinct patch once", `Quick, test_sweep_solves_distinct_patches);
     ("delta patches equal full patches bit for bit", `Quick, test_delta_patch_exact);
+    ("engine answers golden digest", `Quick, test_engine_golden);
     QCheck_alcotest.to_alcotest prop_warm_equals_cold;
     ("an unfixed attractive column warm-hits", `Quick, test_unfixed_column_warm_hits);
     QCheck_alcotest.to_alcotest prop_unfix_warm_hits;

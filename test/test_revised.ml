@@ -506,7 +506,44 @@ let test_tiny_bases () =
   Milp.Basis.btran bas v ~out:v;
   check "m = 1: btran in place" [| 4. |] v;
   Alcotest.check_raises "m = 1: a pivot column longer than m" (Invalid_argument "Basis.replace")
-    (fun () -> ignore (Milp.Basis.replace bas ~r:0 ~col:0 ~w:[| 1.; 1. |]))
+    (fun () -> ignore (Milp.Basis.replace bas ~r:0 ~col:0 ~w:[| 1.; 1. |]));
+  (* the CSC column loops and the factorization read unchecked too: a
+     column outside 0..n-1 (n = 2 here), a dense side shorter than m, a
+     basis of other than m columns and a position outside 0..m-1 are
+     refused at entry *)
+  let refused what name f = Alcotest.check_raises ("m = 1: " ^ what) (Invalid_argument name) f in
+  refused "col_dot of column -1" "Sparse.col_dot" (fun () ->
+      ignore (Milp.Sparse.col_dot sp (-1) one));
+  refused "col_dot of column n" "Sparse.col_dot" (fun () -> ignore (Milp.Sparse.col_dot sp 2 one));
+  refused "col_dot with a short dense side" "Sparse.col_dot" (fun () ->
+      ignore (Milp.Sparse.col_dot sp 0 [||]));
+  refused "axpy_col of column -1" "Sparse.axpy_col" (fun () ->
+      Milp.Sparse.axpy_col sp (-1) 1. one);
+  refused "axpy_col of column n" "Sparse.axpy_col" (fun () -> Milp.Sparse.axpy_col sp 2 1. one);
+  refused "axpy_col into a short dense side" "Sparse.axpy_col" (fun () ->
+      Milp.Sparse.axpy_col sp 0 1. [||]);
+  refused "col_iter of column -1" "Sparse.col_iter" (fun () ->
+      Milp.Sparse.col_iter sp (-1) (fun _ _ -> ()));
+  refused "col_iter of column n" "Sparse.col_iter" (fun () ->
+      Milp.Sparse.col_iter sp 2 (fun _ _ -> ()));
+  refused "create with column n" "Basis.create" (fun () -> ignore (Milp.Basis.create sp [| 2 |]));
+  refused "create with column -1" "Basis.create" (fun () ->
+      ignore (Milp.Basis.create sp [| -1 |]));
+  refused "create with two columns" "Basis.create" (fun () ->
+      ignore (Milp.Basis.create sp [| 0; 1 |]));
+  refused "create with no column" "Basis.create" (fun () -> ignore (Milp.Basis.create sp [||]));
+  refused "replace with column n" "Basis.replace" (fun () ->
+      ignore (Milp.Basis.replace bas ~r:0 ~col:2 ~w:[| 1. |]));
+  refused "replace with column -1" "Basis.replace" (fun () ->
+      ignore (Milp.Basis.replace bas ~r:0 ~col:(-1) ~w:[| 1. |]));
+  refused "replace at position m" "Basis.replace" (fun () ->
+      ignore (Milp.Basis.replace bas ~r:1 ~col:0 ~w:[| 1. |]));
+  refused "replace at position -1" "Basis.replace" (fun () ->
+      ignore (Milp.Basis.replace bas ~r:(-1) ~col:0 ~w:[| 1. |]));
+  (* and a refused call changes nothing *)
+  check "m = 1: ftran after the refused calls" [| 4. |] (ftran bas [| 4. |]);
+  Alcotest.(check (array int)) "m = 1: columns after the refused calls" [| 1 |]
+    (Milp.Basis.bcols bas)
 
 (* Reinstated copies share the snapshot's eta records. Driving one copy
    past the eta cap, through refactorizations, leaves a sibling and the
