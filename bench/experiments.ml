@@ -709,7 +709,8 @@ let montecarlo ctx =
    asserts they match within 1e-6 relative. The sweeps run on one
    domain so the scope counters see every scenario; CI gates on bwarm
    (batched warm hits) being overlays - 1 (only the healthy overlay of
-   the prepare solves cold), cert=ok (zero Batch.check audit failures),
+   the prepare solves cold), cert=ok (zero failures of the audit each
+   Batch.solve runs on its own answer),
    agree(oracle)=true and the mc cell solving fewer overlays than it has
    scenarios (a sweep solves each distinct overlay once); piv= records
    the cell's simplex pivots and rows= the rows of the LP the engine
@@ -811,7 +812,7 @@ let batch_bench ctx =
   in
   mc "mc cogentco" cogentco (if ctx.quick then 128 else 512);
   row
-    "(bwarm counts warm dual overlay solves, certify the Batch.check audits —      failures must be 0)@."
+    "(bwarm counts warm dual overlay solves, certify the audits inside Batch.solve —      failures must be 0)@."
 
 (* ---------------------------------------------------------------- service *)
 

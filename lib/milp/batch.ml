@@ -15,10 +15,11 @@
    inside solve_prepared itself.
 
    The solved LP may leave out rows the caller proves redundant under
-   every overlay it will solve (prepare ?keep): patches stay in the
-   model's row numbering, an entry for a dropped row reaches only the
-   audit, and the audit checks every answer against the whole model,
-   so a row dropped wrongly shows as a failed check.
+   every overlay it will solve (prepare ?keep). Patches stay in the
+   model's row numbering: [solve] patches the whole model's rhs and
+   bounds once, hands the simplex the kept rows and audits the answer
+   against the same whole arrays, so an entry for a dropped row reaches
+   only the audit and a row dropped wrongly shows as a failed check.
 
    Thread-safety / determinism: a [t] is immutable after [prepare] and
    may be shared read-only across domains — each [solve] call builds
@@ -32,17 +33,17 @@
 
 type t = {
   prep : Simplex.prepared; (* the solved LP: the kept rows *)
-  solved_b : float array; (* private copy of the solved LP's base rhs *)
-  solved_of : int array; (* per model row, its solved row, or -1 if dropped *)
+  kept : int array; (* per solved row, its model row *)
   base_b : float array; (* the model's rhs, every row *)
   base_ub : float array; (* the model's upper bounds, length nv *)
-  audit : Certify.compiled; (* the whole model, dropped rows included *)
+  whole : Certify.compiled; (* the whole model, dropped rows included *)
 }
 
 type outcome = {
   result : Simplex.result;
   basis : Simplex.basis option;
   warm_hit : bool;
+  audit : (unit, string) result option;
 }
 
 (* [model] with only the rows [keep] accepts; variable ids, bounds and
@@ -63,61 +64,57 @@ let restrict model keep =
   sub
 
 let prepare ?keep model =
-  let m = Model.num_cons model in
-  let solved, solved_of =
+  let rows = Seq.init (Model.num_cons model) Fun.id in
+  let solved, kept =
     match keep with
-    | None -> (model, Array.init m Fun.id)
-    | Some keep ->
-      let next = ref 0 in
-      let solved_of =
-        Array.init m (fun i ->
-            if keep i then begin
-              incr next;
-              !next - 1
-            end
-            else -1)
-      in
-      (restrict model keep, solved_of)
+    | None -> (model, Array.of_seq rows)
+    | Some keep -> (restrict model keep, Array.of_seq (Seq.filter keep rows))
   in
   let prep = Simplex.prepare solved in
-  let sp = Simplex.prep_sparse prep in
   Lp_stats.incr Lp_stats.batch_prepares;
   {
     prep;
-    solved_b = Array.sub sp.Sparse.b 0 sp.Sparse.m;
-    solved_of;
+    kept;
     base_b = Array.map (fun (c : Model.cons) -> c.Model.rhs) (Model.conss model);
     base_ub = snd (Model.bounds model);
-    audit = Certify.compile model;
+    whole = Certify.compile model;
   }
 
 let prep t = t.prep
 let base_rhs t = Array.copy t.base_b
-let rows t = (Array.length t.solved_b, Array.length t.base_b)
-
-let out_of_range what = invalid_arg ("Batch: patch " ^ what ^ " out of range")
+let rows t = (Array.length t.kept, Array.length t.base_b)
 
 (* [base] with each [(i, v)] of [patch] substituted, in a fresh copy *)
 let overlay base patch ~what =
   let a = Array.copy base in
   List.iter
     (fun (i, v) ->
-      if i < 0 || i >= Array.length a then out_of_range what;
+      if i < 0 || i >= Array.length a then invalid_arg ("Batch: patch " ^ what ^ " out of range");
       a.(i) <- v)
     patch;
   a
 
+(* The independent audit of an overlay's claimed optimum: the
+   certifier's point check against the whole model, the rows the solve
+   left out included, with the patched rhs and upper bounds
+   substituted, at the default certification tolerances (integrality
+   aside: an overlay solves the LP relaxation). Purely from model data
+   and the patch — none of the solver's internal state is trusted, so a
+   column the overlay closes (upper bound 0) is audited to carry
+   nothing, and a dropped row the answer violates fails the audit.
+   Bumps the certify counters so batched sweeps show up in the same
+   audit accounting as certified MILP solves. *)
+let tols = { Certify.default_tolerances with Certify.int_tol = infinity }
+
 let solve ?warm ?(patch = []) ?(ub = []) t =
   (* the patch is in model rows; a dropped row's entry reaches only the
      audit *)
-  let b = Array.copy t.solved_b in
-  List.iter
-    (fun (i, v) ->
-      if i < 0 || i >= Array.length t.solved_of then out_of_range "row";
-      let r = t.solved_of.(i) in
-      if r >= 0 then b.(r) <- v)
-    patch;
+  let rhs = overlay t.base_b patch ~what:"row" in
   let ub = overlay t.base_ub ub ~what:"column" in
+  let b = Array.create_float (Array.length t.kept) in
+  for i = 0 to Array.length b - 1 do
+    b.(i) <- rhs.(t.kept.(i))
+  done;
   Lp_stats.incr Lp_stats.batch_overlays;
   (* [solve_prepared] bumps warm_hits exactly when the dual-simplex warm
      attempt finished the solve; diffing the domain-local counter around
@@ -127,30 +124,15 @@ let solve ?warm ?(patch = []) ?(ub = []) t =
   let result, basis = Simplex.solve_prepared ~b ~ub ?warm t.prep in
   let warm_hit = Lp_stats.read Lp_stats.warm_hits () > wh0 in
   if warm_hit then Lp_stats.incr Lp_stats.batch_warm_hits;
-  { result; basis; warm_hit }
-
-(* ------------------------------------------------------------------ *)
-(* Independent overlay audit                                           *)
-
-(* Re-validate an overlay's claimed optimum against the whole model,
-   the rows the solve left out included, with the patched rhs and upper
-   bounds substituted, through the certifier's point check at its
-   default tolerances (integrality aside: an overlay solves the LP
-   relaxation). Purely from model data and the patch — none of the
-   solver's internal state is trusted, so a column the overlay closes
-   (upper bound 0) is audited to carry nothing, and a dropped row the
-   answer violates fails the audit. Bumps the certify counters so
-   batched sweeps show up in the same audit accounting as certified
-   MILP solves. *)
-let tols = { Certify.default_tolerances with Certify.int_tol = infinity }
-
-let check ?(patch = []) ?(ub = []) ~obj ~values t =
-  Lp_stats.incr Lp_stats.certify_checks;
-  let rhs = overlay t.base_b patch ~what:"row" in
-  let ub = overlay t.base_ub ub ~what:"column" in
-  let p = Certify.check_compiled ~rhs ~ub ~obj ~tols t.audit values in
-  match p.Certify.failure with
-  | None -> Ok ()
-  | Some reason ->
-    Lp_stats.incr Lp_stats.certify_failures;
-    Error reason
+  let audit =
+    match result with
+    | Simplex.Optimal { obj; values } -> (
+      Lp_stats.incr Lp_stats.certify_checks;
+      match (Certify.check_compiled ~rhs ~ub ~obj ~tols t.whole values).Certify.failure with
+      | None -> Some (Ok ())
+      | Some reason ->
+        Lp_stats.incr Lp_stats.certify_failures;
+        Some (Error reason))
+    | _ -> None
+  in
+  { result; basis; warm_hit; audit }

@@ -7,8 +7,9 @@
     in a few row right-hand sides (link capacities) and column upper
     bounds (paths a failure opens or blocks). A {!t} pays the CSC build
     and symbolic factorization work once; {!solve} then patches the rhs
-    and upper-bound vectors and re-solves through
-    [Simplex.solve_prepared ?b ?ub ?warm]. Duals and reduced costs never
+    and upper-bound vectors once, re-solves through
+    [Simplex.solve_prepared ?b ?ub ?warm] and audits the answer against
+    the same vectors. Duals and reduced costs never
     depend on either, so an optimal basis of the base problem stays dual
     feasible under {e every} rhs overlay; under a bound overlay the only
     columns it can leave dual infeasible are nonbasic columns whose
@@ -27,11 +28,15 @@
 type t
 
 (** Result of one overlay solve. [warm_hit] is true when the
-    dual-simplex warm attempt finished the solve (no cold fallback). *)
+    dual-simplex warm attempt finished the solve (no cold fallback).
+    [audit] is the verdict of the independent audit of an [Optimal]
+    answer ([None] for every other result): [Error] carries the first
+    failed check. *)
 type outcome = {
   result : Simplex.result;
   basis : Simplex.basis option;
   warm_hit : bool;
+  audit : (unit, string) result option;
 }
 
 (** [prepare ?keep model] builds the shared structure: [Simplex.prepare]
@@ -40,7 +45,7 @@ type outcome = {
     ({!Certify.compile}). The solved LP is [model] with only the rows
     [keep] accepts (default: every row), the same variables, bounds and
     objective. Leaving a row out is the caller's claim that no overlay
-    it solves can make that row bind; {!check} audits every answer
+    it solves can make that row bind; {!solve} audits every answer
     against the whole model, so a wrong claim fails the audit. Bumps
     the batch-prepares counter. *)
 val prepare : ?keep:(int -> bool) -> Model.t -> t
@@ -59,10 +64,17 @@ val rows : t -> int * int
 (** [solve ?warm ?patch ?ub t] solves the overlay whose rhs is the
     base rhs with each [(row, value)] of [patch] substituted, and whose
     upper bounds are the model's with each [(column, value)] of [ub]
-    substituted (later entries win in both). Rows are numbered as in
+    substituted (later entries win in both), then audits an [Optimal]
+    answer against the same patched arrays. Rows are numbered as in
     the model; an entry for a row the solved LP left out changes only
-    what {!check} audits. [?warm] is typically the base problem's
+    what the audit checks. [?warm] is typically the base problem's
     optimal basis.
+
+    The audit is {!Certify.check_compiled} on the whole model compiled
+    at {!prepare}, rows the solved LP left out included, at the default
+    certification tolerances with integrality not checked (an overlay
+    solves the LP relaxation). It bumps the certify-checks/failures
+    counters and never raises on a failed check.
     @raise Invalid_argument on an out-of-range patch row or column. *)
 val solve :
   ?warm:Simplex.basis ->
@@ -70,18 +82,3 @@ val solve :
   ?ub:(int * float) list ->
   t ->
   outcome
-
-(** [check ?patch ?ub ~obj ~values t] independently re-validates a
-    claimed overlay optimum against the whole model, rows the solved LP
-    left out included: {!Certify.check_compiled} on the model compiled
-    at {!prepare}, at the default certification tolerances, with the
-    patched rhs and upper bounds substituted and integrality not
-    checked (an overlay solves the LP relaxation). Bumps the certify-checks/failures counters. [Error]
-    carries the first failed check. *)
-val check :
-  ?patch:(int * float) list ->
-  ?ub:(int * float) list ->
-  obj:float ->
-  values:float array ->
-  t ->
-  (unit, string) result

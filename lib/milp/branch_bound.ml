@@ -416,9 +416,14 @@ let solve ?(options = default) model =
   (* The incumbent gate: the certifier's point check against the model
      being searched, at tolerances no looser than the final
      certification's in any component, so no admitted incumbent can
-     later be certify-rejected. *)
+     later be certify-rejected. The searched model is never mutated
+     (cuts extend a copy), so it is compiled once, on the first
+     candidate. *)
   let gate_tols = Certify.gate_tolerances ~int_tol:options.int_tol in
-  let gate values = (Certify.check_point ~tols:gate_tols model values).Certify.failure in
+  let gate_model = lazy (Certify.compile model) in
+  let gate values =
+    (Certify.check_compiled ~tols:gate_tols (Lazy.force gate_model) values).Certify.failure
+  in
   (match options.warm_start with
   | Some v when gate v = None ->
     consider_incumbent v (osign *. Model.objective_value model v)

@@ -204,9 +204,6 @@ let check_compiled ?rhs ?ub ?obj ~tols cm values =
       obj_error; failure = !failure; acts }
   end
 
-let check_point ?rhs ?ub ?obj ~tols model values =
-  check_compiled ?rhs ?ub ?obj ~tols (compile model) values
-
 let point_feasible ~tols p =
   p.row_residual <= tols.feas_tol
   && p.bound_residual <= tols.feas_tol
@@ -452,7 +449,7 @@ let check ?(tols = default_tolerances) ?(optimal = false) ~model ~obj ~bound
       (false, infinity, infinity, infinity, false, [||])
     end
     else begin
-      let p = check_point ~obj ~tols model values in
+      let p = check_compiled ~obj ~tols (compile model) values in
       Option.iter (fail "%s") p.failure;
       ( point_feasible ~tols p,
         Float.max p.row_residual p.bound_residual,

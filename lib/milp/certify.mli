@@ -23,9 +23,11 @@
     the answer is consistent with the model to the stated tolerances.
 
     {!check_compiled} is the one feasibility rule of the solver: the
-    point section of {!check} and the branch-and-bound incumbent gate
-    call it through {!check_point}, and the overlay audit {!Batch.check}
-    calls it on the model it compiled once at prepare. *)
+    point section of {!check} calls it on the model it certifies, the
+    branch-and-bound incumbent gate on the searched model it compiles
+    once per search, and the audit inside {!Batch.solve} on the model
+    it compiled once at prepare, with each overlay's patched rhs and
+    upper bounds. *)
 
 type tolerances = {
   feas_tol : float;
@@ -63,7 +65,7 @@ val gate_tolerances : int_tol:float -> tolerances
     as closed: [max abs_gap (rel_gap * max 1 |obj|)]. *)
 val gap_allowance : abs_gap:float -> rel_gap:float -> float -> float
 
-(** Verdict of {!check_point}. A row's violation is normalized by
+(** Verdict of {!check_compiled}. A row's violation is normalized by
     [1 + |rhs| + max |term|] (activities are Kahan sums), a bound's by
     [1 + |bound|]; a NaN coordinate violates its bounds infinitely. *)
 type point = {
@@ -98,17 +100,6 @@ val check_compiled :
   ?obj:float ->
   tols:tolerances ->
   compiled ->
-  float array ->
-  point
-
-(** [check_point ?rhs ?ub ?obj ~tols model values] is
-    [check_compiled ?rhs ?ub ?obj ~tols (compile model) values]. *)
-val check_point :
-  ?rhs:float array ->
-  ?ub:float array ->
-  ?obj:float ->
-  tols:tolerances ->
-  Model.t ->
   float array ->
   point
 

@@ -100,9 +100,9 @@ let build spec topo paths envelope =
   let demand_of ~src ~dst =
     match List.assoc_opt (src, dst) demand_exprs with
     | Some e ->
-      if Milp.Linexpr.is_constant e then Te.Formulation.C (Milp.Linexpr.constant e)
-      else Te.Formulation.E e
-    | None -> Te.Formulation.C 0.
+      if Milp.Linexpr.is_constant e then Te.Lp_spec.Const (Milp.Linexpr.constant e)
+      else Te.Lp_spec.Outer e
+    | None -> Te.Lp_spec.Const 0.
   in
   let d_max = Float.max 1e-9 (Traffic.Envelope.max_hi envelope) in
   (* --- healthy network: primaries only, full capacities, folded in.
@@ -115,7 +115,7 @@ let build spec topo paths envelope =
   in
   let healthy_spec, healthy_index =
     Te.Formulation.build ~objective:spec.objective ~topo ~paths:(primaries_only paths)
-      ~lag_cap:(fun e -> Te.Formulation.C (Wan.Lag.capacity (Wan.Topology.lag topo e)))
+      ~lag_cap:(fun e -> Te.Lp_spec.Const (Wan.Lag.capacity (Wan.Topology.lag topo e)))
       ~demand:demand_of ~d_max ()
   in
   let healthy, healthy_route =
@@ -142,8 +142,8 @@ let build spec topo paths envelope =
   in
   (* --- failed network --- *)
   let lag_cap e =
-    if is_mlu then Te.Formulation.C (Wan.Lag.capacity (Wan.Topology.lag topo e))
-    else Te.Formulation.E fm.Failure_model.lag_cap.(e)
+    if is_mlu then Te.Lp_spec.Const (Wan.Lag.capacity (Wan.Topology.lag topo e))
+    else Te.Lp_spec.Outer fm.Failure_model.lag_cap.(e)
   in
   (* MLU availability must combine Eq. 5 activation with the path being
      up (Appendix A: capacity rows stay constant, so a down path must be
@@ -157,7 +157,7 @@ let build spec topo paths envelope =
       if path < n_primary then None (* primaries: capacity rows suffice *)
       else
         match fm.Failure_model.avail.(pair).(path) with
-        | Some z -> Some (Te.Formulation.E (Milp.Linexpr.var ~coeff:d_max z.Milp.Model.vid))
+        | Some z -> Some (Te.Lp_spec.Outer (Milp.Linexpr.var ~coeff:d_max z.Milp.Model.vid))
         | None -> None
     end
     else begin
@@ -165,7 +165,7 @@ let build spec topo paths envelope =
       if path < n_primary then
         (* cap = d_max * (1 - u_kp) *)
         Some
-          (Te.Formulation.E
+          (Te.Lp_spec.Outer
              (Milp.Linexpr.of_terms ~const:d_max [ (-.d_max, u_kp.Milp.Model.vid) ]))
       else begin
         match fm.Failure_model.avail.(pair).(path) with
@@ -190,7 +190,7 @@ let build spec topo paths envelope =
               Hashtbl.replace mlu_avail (pair, path) a;
               a
           in
-          Some (Te.Formulation.E (Milp.Linexpr.var ~coeff:d_max a.Milp.Model.vid))
+          Some (Te.Lp_spec.Outer (Milp.Linexpr.var ~coeff:d_max a.Milp.Model.vid))
       end
     end
   in

@@ -14,7 +14,8 @@
 
     Query answers carry, besides the result itself:
     - ["cert"]: ["ok"] when the independent audits ({!Milp.Certify} for
-      the MILP, {!Milp.Batch.check} for warm overlays) all passed
+      the MILP, the audit inside {!Milp.Batch.solve} for warm
+      overlays) all passed
       inside this query's counter scope, ["fail"] otherwise;
     - freshness: ["events_applied"] (ingested events folded into the
       answer), ["staleness"] (events since the answer was computed — 0

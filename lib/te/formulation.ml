@@ -1,5 +1,3 @@
-type value = C of float | E of Milp.Linexpr.t
-
 type objective =
   | Total_flow
   | Mlu of { u_max : float }
@@ -19,13 +17,9 @@ type index = {
   cap_rows : int array;
 }
 
-let rhs_of_value = function
-  | C c -> Lp_spec.Const c
-  | E e -> Lp_spec.Outer e
-
 let scale_value k = function
-  | C c -> C (k *. c)
-  | E e -> E (Milp.Linexpr.scale k e)
+  | Lp_spec.Const c -> Lp_spec.Const (k *. c)
+  | Lp_spec.Outer e -> Lp_spec.Outer (Milp.Linexpr.scale k e)
 
 let build ~objective ~topo ~paths ~lag_cap ~demand ?path_cap ~d_max () =
   let cols = ref [] and n_cols = ref 0 in
@@ -94,9 +88,9 @@ let build ~objective ~topo ~paths ~lag_cap ~demand ?path_cap ~d_max () =
       match objective with
       | Mlu _ ->
         (* MLU routes the full demand (Appendix A) *)
-        add_row (Printf.sprintf "dem_k%d" k) terms Lp_spec.Eq (rhs_of_value dval) 0.
+        add_row (Printf.sprintf "dem_k%d" k) terms Lp_spec.Eq dval 0.
       | Total_flow ->
-        add_row (Printf.sprintf "dem_k%d" k) terms Lp_spec.Le (rhs_of_value dval) d_max
+        add_row (Printf.sprintf "dem_k%d" k) terms Lp_spec.Le dval d_max
       | Max_min { bins; ratio } ->
         (* flow equals the sum of bin allocations; bins partition [0, d] *)
         let t_terms = Array.to_list (Array.map (fun c -> (c, -1.)) bin_cols.(k)) in
@@ -116,7 +110,7 @@ let build ~objective ~topo ~paths ~lag_cap ~demand ?path_cap ~d_max () =
               (Printf.sprintf "bin_k%d_b%d" k i)
               [ (tcol, 1.) ]
               Lp_spec.Le
-              (rhs_of_value (scale_value widths.(i) dval))
+              (scale_value widths.(i) dval)
               d_max)
           bin_cols.(k))
     pair_arr;
@@ -149,17 +143,21 @@ let build ~objective ~topo ~paths ~lag_cap ~demand ?path_cap ~d_max () =
       match objective with
       | Total_flow | Max_min _ ->
         let cap = lag_cap e in
-        let bound = match cap with C c -> c | E _ -> Wan.Lag.capacity (Wan.Topology.lag topo e) in
+        let bound =
+          match cap with
+          | Lp_spec.Const c -> c
+          | Lp_spec.Outer _ -> Wan.Lag.capacity (Wan.Topology.lag topo e)
+        in
         cap_rows.(e) <- !n_rows;
-        add_row (Printf.sprintf "cap_e%d" e) terms Lp_spec.Le (rhs_of_value cap) bound
+        add_row (Printf.sprintf "cap_e%d" e) terms Lp_spec.Le cap bound
       | Mlu { u_max } -> (
         match lag_cap e with
-        | C cap ->
+        | Lp_spec.Const cap ->
           let u = Option.get u_col in
           add_row (Printf.sprintf "util_e%d" e)
             ((u, -.cap) :: terms)
             Lp_spec.Le (Lp_spec.Const 0.) (cap *. u_max)
-        | E _ -> invalid_arg "Formulation: MLU requires constant LAG capacities")
+        | Lp_spec.Outer _ -> invalid_arg "Formulation: MLU requires constant LAG capacities")
   done;
   (* MLU variable cap (keeps duals bounded) *)
   (match (objective, u_col) with
@@ -179,7 +177,7 @@ let build ~objective ~topo ~paths ~lag_cap ~demand ?path_cap ~d_max () =
               add_row
                 (Printf.sprintf "ext_k%d_p%d" k j)
                 [ (col, 1.) ]
-                Lp_spec.Le (rhs_of_value v) d_max)
+                Lp_spec.Le v d_max)
           pc.path_cols)
       pair_arr);
   let sense, dual_bound =

@@ -15,10 +15,6 @@
     MILP apply live here too: {!naive_failover_rows} and the
     {!degradation} sign rule. *)
 
-(** A model input that is either a constant (red in the paper's Table 2)
-    or an affine expression over the outer model's variables (blue). *)
-type value = C of float | E of Milp.Linexpr.t
-
 type objective =
   | Total_flow
   | Mlu of { u_max : float }  (** cap on the MLU variable *)
@@ -45,7 +41,9 @@ type index = {
 }
 
 (** [build ~objective ~topo ~paths ~lag_cap ~demand ?path_cap ~d_max ()]
-    assembles the LP.
+    assembles the LP. Each input is an {!Lp_spec.rhs}: a constant (red
+    in the paper's Table 2) or an affine expression over the outer
+    model's variables (blue).
 
     [lag_cap e] is LAG [e]'s capacity (variable under failures);
     [demand ~src ~dst] the demand volume; [path_cap ~pair ~path], when
@@ -61,9 +59,9 @@ val build :
   objective:objective ->
   topo:Wan.Topology.t ->
   paths:Netpath.Path_set.t ->
-  lag_cap:(int -> value) ->
-  demand:(src:int -> dst:int -> value) ->
-  ?path_cap:(pair:int -> path:int -> value option) ->
+  lag_cap:(int -> Lp_spec.rhs) ->
+  demand:(src:int -> dst:int -> Lp_spec.rhs) ->
+  ?path_cap:(pair:int -> path:int -> Lp_spec.rhs option) ->
   d_max:float ->
   unit ->
   Lp_spec.t * index

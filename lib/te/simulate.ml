@@ -26,13 +26,13 @@ let d_max_of demand =
 let route ?(objective = Formulation.Total_flow) ?(reaction = Optimal_failover) ?healthy
     topo paths demand scenario =
   let d_max = d_max_of demand in
-  let lag_cap e = Formulation.C (Failure.Scenario.lag_capacity topo scenario e) in
+  let lag_cap e = Lp_spec.Const (Failure.Scenario.lag_capacity topo scenario e) in
   let lag_cap =
     match objective with
     | Formulation.Mlu _ ->
       (* Appendix A: MLU keeps capacity rows constant; failures act via
          path availability only *)
-      fun e -> Formulation.C (Wan.Lag.capacity (Wan.Topology.lag topo e))
+      fun e -> Lp_spec.Const (Wan.Lag.capacity (Wan.Topology.lag topo e))
     | Formulation.Total_flow | Formulation.Max_min _ -> lag_cap
   in
   let avail =
@@ -58,9 +58,9 @@ let route ?(objective = Formulation.Total_flow) ?(reaction = Optimal_failover) ?
     let blocked =
       (not avail.(pair).(path)) || (is_mlu && down.(pair).(path))
     in
-    if blocked then Some (Formulation.C 0.) else None
+    if blocked then Some (Lp_spec.Const 0.) else None
   in
-  let demand_f ~src ~dst = Formulation.C (Traffic.Demand.volume demand ~src ~dst) in
+  let demand_f ~src ~dst = Lp_spec.Const (Traffic.Demand.volume demand ~src ~dst) in
   let spec, index =
     Formulation.build ~objective ~topo ~paths ~lag_cap ~demand:demand_f ~path_cap ~d_max ()
   in
@@ -209,8 +209,8 @@ let scenario_patch eng scenario =
    matrix. Returns the spec, its index and the column upper bounds. *)
 let base_build ~objective topo paths demand =
   let d_max = d_max_of demand in
-  let lag_cap e = Formulation.C (Wan.Lag.capacity (Wan.Topology.lag topo e)) in
-  let demand_f ~src ~dst = Formulation.C (Traffic.Demand.volume demand ~src ~dst) in
+  let lag_cap e = Lp_spec.Const (Wan.Lag.capacity (Wan.Topology.lag topo e)) in
+  let demand_f ~src ~dst = Lp_spec.Const (Traffic.Demand.volume demand ~src ~dst) in
   let spec, index =
     Formulation.build ~objective ~topo ~paths ~lag_cap ~demand:demand_f ~d_max ()
   in
@@ -224,31 +224,18 @@ let base_build ~objective topo paths demand =
     paths;
   (spec, index, ub)
 
-let finish_result eng = function
+(* The routing of an overlay answer; every overlay solve audits its
+   optimal answer (Milp.Batch.solve), and the verdict lands in the
+   certify counters, which the bench prints and CI gates on: a failed
+   audit must never pass silently as a solved scenario. *)
+let finish_result objective ~n_cols index = function
   | Milp.Simplex.Optimal { obj = _; values } ->
-    let xs = Array.sub values 0 eng.eng_n_cols in
-    Some
-      {
-        performance = Formulation.performance eng.eng_objective eng.eng_index xs;
-        flows = xs;
-        index = eng.eng_index;
-      }
+    let xs = Array.sub values 0 n_cols in
+    Some { performance = Formulation.performance objective index xs; flows = xs; index }
   | Milp.Simplex.Infeasible -> None
   | Milp.Simplex.Unbounded -> failwith "Simulate.route_prepared: unbounded TE LP"
   | Milp.Simplex.Iter_limit ->
     failwith "Simulate.route_prepared: simplex iteration limit"
-
-(* One overlay solve with its independent audit (Milp.Batch.check): the
-   verdict lands in the certify counters, which the bench prints and CI
-   gates on — a failed audit must never pass silently as a solved
-   scenario. *)
-let solve_overlay ?warm batch patch =
-  let out = Milp.Batch.solve ?warm ~patch:patch.rows ~ub:patch.ubs batch in
-  (match out.Milp.Batch.result with
-  | Milp.Simplex.Optimal { obj; values } ->
-    ignore (Milp.Batch.check ~patch:patch.rows ~ub:patch.ubs ~obj ~values batch)
-  | _ -> ());
-  out
 
 (* Per LAG, the pairs with a path (primary or backup) across it. Pairs
    are visited in order, so a pair already listed for a LAG is at the
@@ -307,37 +294,37 @@ let prepare ?(objective = Formulation.Total_flow) topo paths demand =
   let lag_pairs = lag_pairs topo pairs in
   let drop = redundant_rows topo pairs demand lag_pairs index (Array.length spec.Lp_spec.rows) in
   let batch = Milp.Batch.prepare ~keep:(fun i -> not drop.(i)) model in
-  let eng0 =
-    {
-      eng_topo = topo;
-      eng_pairs = pairs;
-      eng_objective = objective;
-      eng_d_max = d_max_of demand;
-      eng_n_cols = Array.length spec.Lp_spec.cols;
-      eng_index = index;
-      eng_batch = batch;
-      eng_base = Milp.Batch.base_rhs batch;
-      eng_base_ub = ub;
-      eng_lag_pairs = lag_pairs;
-      eng_rowless = Array.map (fun row -> row < 0 || drop.(row)) index.Formulation.cap_rows;
-      eng_healthy =
-        { performance = nan; flows = [||]; index } (* placeholder *);
-      eng_basis = None;
-    }
-  in
+  let n_cols = Array.length spec.Lp_spec.cols in
   (* cold-solve the healthy overlay (the base itself): its optimal basis
      is the shared warm seed for every scenario *)
-  let out = solve_overlay batch { rows = []; ubs = [] } in
-  match finish_result eng0 out.Milp.Batch.result with
-  | None -> None
-  | Some h -> Some { eng0 with eng_healthy = h; eng_basis = out.Milp.Batch.basis }
+  let out = Milp.Batch.solve batch in
+  Option.map
+    (fun healthy ->
+      {
+        eng_topo = topo;
+        eng_pairs = pairs;
+        eng_objective = objective;
+        eng_d_max = d_max_of demand;
+        eng_n_cols = n_cols;
+        eng_index = index;
+        eng_batch = batch;
+        eng_base = Milp.Batch.base_rhs batch;
+        eng_base_ub = ub;
+        eng_lag_pairs = lag_pairs;
+        eng_rowless = Array.map (fun row -> row < 0 || drop.(row)) index.Formulation.cap_rows;
+        eng_healthy = healthy;
+        eng_basis = out.Milp.Batch.basis;
+      })
+    (finish_result objective ~n_cols index out.Milp.Batch.result)
 
 let engine_rows eng = Milp.Batch.rows eng.eng_batch
 
 let engine_healthy eng = eng.eng_healthy
 
 let route_patch eng patch =
-  finish_result eng (solve_overlay ?warm:eng.eng_basis eng.eng_batch patch).Milp.Batch.result
+  finish_result eng.eng_objective ~n_cols:eng.eng_n_cols eng.eng_index
+    (Milp.Batch.solve ?warm:eng.eng_basis ~patch:patch.rows ~ub:patch.ubs eng.eng_batch)
+      .Milp.Batch.result
 
 let degradation_of_patch eng patch =
   Option.map

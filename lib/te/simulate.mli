@@ -82,15 +82,16 @@ val degradation :
     link: each pair routes at most its demand, so no scenario makes
     that row bind while the LAG is up, and a fully-down LAG closes its
     paths through their column bounds. MLU keeps every row. Each
-    answer is still audited against the whole LP, dropped rows
-    included ({!Milp.Batch.check}). An engine is immutable after
-    [prepare] and safe to share across domains. *)
+    overlay is patched, solved and audited in one pass
+    ({!Milp.Batch.solve}): its answer is checked against the whole LP,
+    dropped rows included. An engine is immutable after [prepare] and
+    safe to share across domains. *)
 
 type engine
 
 (** [prepare ~objective topo paths demand] builds the shared structure
-    and solves the healthy network (the warm-start seed), audited by
-    {!Milp.Batch.check} like every overlay. The base is the healthy
+    and solves the healthy network (the warm-start seed), audited inside
+    {!Milp.Batch.solve} like every overlay. The base is the healthy
     network: live LAG capacities, and path columns bounded above by
     [d_max] for the paths available with nothing failed and by 0 for the
     rest (the backups), so the healthy overlay patches nothing. [None] when
@@ -117,7 +118,7 @@ val engine_healthy : engine -> result
 
 (** [route_prepared eng scenario] routes the engine's demand under
     [scenario]: one overlay solve, warm-started from the healthy basis
-    and audited by {!Milp.Batch.check}. The overlay patches only what
+    and audited by that same {!Milp.Batch.solve} call. The overlay patches only what
     differs from the healthy network: the rhs of the capacity rows of
     LAGs with a failed link (none under MLU) and the upper bounds of
     the path columns that a fully-down LAG opens or blocks. *)

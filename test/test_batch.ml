@@ -349,8 +349,8 @@ let full_patch_flows ~objective topo paths demand =
   in
   let spec, index =
     Te.Formulation.build ~objective ~topo ~paths
-      ~lag_cap:(fun e -> Te.Formulation.C (Wan.Lag.capacity (Wan.Topology.lag topo e)))
-      ~demand:(fun ~src ~dst -> Te.Formulation.C (Traffic.Demand.volume demand ~src ~dst))
+      ~lag_cap:(fun e -> Te.Lp_spec.Const (Wan.Lag.capacity (Wan.Topology.lag topo e)))
+      ~demand:(fun ~src ~dst -> Te.Lp_spec.Const (Traffic.Demand.volume demand ~src ~dst))
       ~d_max ()
   in
   let path_cols =
@@ -442,8 +442,8 @@ let test_delta_patch_exact () =
 (* Perturb the base rhs (random scalings, plus hard zeros — the
    degenerate "capacity wiped out" case), then compare the warm dual
    solve from the base optimal basis against a cold solve of the same
-   overlay: status and objective must agree, and the independent
-   Batch.check audit must accept the warm answer. The corpus rows are
+   overlay: status and objective must agree, and the warm solve's own
+   independent audit must accept its answer. The corpus rows are
    [Le] with nonnegative rhs and finite variable bounds, so every
    overlay stays feasible and bounded. *)
 let prop_warm_equals_cold =
@@ -470,16 +470,16 @@ let prop_warm_equals_cold =
       let warm = Milp.Batch.solve ~warm:warm_basis ~patch batch in
       let cold = Milp.Batch.solve ~patch batch in
       (match (warm.Milp.Batch.result, cold.Milp.Batch.result) with
-      | Milp.Simplex.Optimal { obj = ow; values }, Milp.Simplex.Optimal { obj = oc; _ }
-        ->
+      | Milp.Simplex.Optimal { obj = ow; _ }, Milp.Simplex.Optimal { obj = oc; _ } ->
         let eps = 1e-6 *. (1. +. Float.abs oc) in
         if Float.abs (ow -. oc) > eps then
           QCheck2.Test.fail_reportf "case %d: warm obj %.12g vs cold %.12g" case
             ow oc;
-        (match Milp.Batch.check ~patch ~obj:ow ~values batch with
-        | Ok () -> ()
-        | Error msg ->
-          QCheck2.Test.fail_reportf "case %d: warm audit failed: %s" case msg)
+        (match warm.Milp.Batch.audit with
+        | Some (Ok ()) -> ()
+        | Some (Error msg) ->
+          QCheck2.Test.fail_reportf "case %d: warm audit failed: %s" case msg
+        | None -> QCheck2.Test.fail_reportf "case %d: optimal warm answer unaudited" case)
       | Milp.Simplex.Infeasible, Milp.Simplex.Infeasible -> ()
       | rw, rc ->
         let s = function
@@ -527,11 +527,14 @@ let test_unfixed_column_warm_hits () =
     Alcotest.(check (float 1e-12)) "warm objective" 11. ow;
     Alcotest.(check (float 1e-12)) "cold objective" oc ow;
     Alcotest.(check (array (float 1e-12))) "warm point = cold point" vc vw;
-    Alcotest.(check bool) "audit passes" true
-      (Milp.Batch.check ~ub:unfix ~obj:ow ~values:vw batch = Ok ());
+    Alcotest.(check bool) "audit passes" true (w.Milp.Batch.audit = Some (Ok ()));
     (* the base bound still closes x: the same point fails that audit *)
+    let base_ub = [| 10.; 10. |] in
+    base_ub.(x.Milp.Model.vid) <- 0.;
+    let tols = { Milp.Certify.default_tolerances with Milp.Certify.int_tol = infinity } in
+    let p = Milp.Certify.check_compiled ~ub:base_ub ~obj:ow ~tols (Milp.Certify.compile m) vw in
     Alcotest.(check bool) "audit against the base bound fails" true
-      (Milp.Batch.check ~ub:fixed ~obj:ow ~values:vw batch <> Ok ())
+      (p.Milp.Certify.failure <> None)
   | _ -> Alcotest.fail "overlay not optimal"
 
 (* Over the random-LP corpus (finite bounds, [Le] rows with nonnegative
@@ -562,12 +565,13 @@ let prop_unfix_warm_hits =
         QCheck2.Test.fail_reportf "case %d: unfixing %d columns fell back cold" case
           (List.length fixed);
       (match (w.Milp.Batch.result, c.Milp.Batch.result) with
-      | Milp.Simplex.Optimal { obj = ow; values }, Milp.Simplex.Optimal { obj = oc; _ } ->
+      | Milp.Simplex.Optimal { obj = ow; _ }, Milp.Simplex.Optimal { obj = oc; _ } ->
         if Float.abs (ow -. oc) > 1e-9 *. (1. +. Float.abs oc) then
           QCheck2.Test.fail_reportf "case %d: warm obj %.17g vs cold %.17g" case ow oc;
-        (match Milp.Batch.check ~obj:ow ~values batch with
-        | Ok () -> ()
-        | Error msg -> QCheck2.Test.fail_reportf "case %d: warm audit failed: %s" case msg)
+        (match w.Milp.Batch.audit with
+        | Some (Ok ()) -> ()
+        | Some (Error msg) -> QCheck2.Test.fail_reportf "case %d: warm audit failed: %s" case msg
+        | None -> QCheck2.Test.fail_reportf "case %d: optimal warm answer unaudited" case)
       | _ -> QCheck2.Test.fail_reportf "case %d: unfixed overlay not optimal" case);
       true)
 
@@ -779,7 +783,8 @@ let test_dropped_rows_multi_link () =
 (* max x + y s.t. x + y <= 10 (left out of the solve), x <= 3, y <= 4:
    the solve sees only the last two rows. A patch of the dropped row
    reaches only the audit, which checks every row: at rhs 5 the
-   answer (3, 4) violates the dropped row alone and fails. *)
+   answer (3, 4) violates the dropped row alone and the patched solve's
+   own audit fails. *)
 let test_dropped_row_audited () =
   let m = Milp.Model.create () in
   let x = Milp.Model.continuous m "x" and y = Milp.Model.continuous m "y" in
@@ -795,17 +800,19 @@ let test_dropped_row_audited () =
   Alcotest.(check (array (float 0.))) "base rhs of every row" [| 10.; 3.; 4. |]
     (Milp.Batch.base_rhs batch);
   let patch = [ (0, 5.) ] in
-  match ((Milp.Batch.solve batch).Milp.Batch.result, (Milp.Batch.solve ~patch batch).Milp.Batch.result) with
+  let base = Milp.Batch.solve batch and patched = Milp.Batch.solve ~patch batch in
+  match (base.Milp.Batch.result, patched.Milp.Batch.result) with
   | Milp.Simplex.Optimal { obj; values }, Milp.Simplex.Optimal { obj = obj'; values = values' } ->
     Alcotest.(check (float 1e-12)) "objective" 7. obj;
     Alcotest.(check (array int64)) "the dropped row's patch leaves the solve as it was"
       (bits values) (bits values');
     Alcotest.(check (float 0.)) "same objective" obj obj';
     Alcotest.(check bool) "audit passes at the base rhs" true
-      (Milp.Batch.check ~obj ~values batch = Ok ());
-    (match Milp.Batch.check ~patch ~obj ~values batch with
-    | Ok () -> Alcotest.fail "a point violating the dropped row passed the audit"
-    | Error reason ->
+      (base.Milp.Batch.audit = Some (Ok ()));
+    (match patched.Milp.Batch.audit with
+    | Some (Ok ()) -> Alcotest.fail "a point violating the dropped row passed the audit"
+    | None -> Alcotest.fail "the optimal patched answer went unaudited"
+    | Some (Error reason) ->
       Alcotest.(check bool) ("the dropped row is named: " ^ reason) true
         (String.length reason >= 9 && String.sub reason 0 9 = "row 0 (su"))
   | _ -> Alcotest.fail "overlay not optimal"
@@ -815,7 +822,7 @@ let test_dropped_row_audited () =
 (* The point check as it was written over the model's Linexpr rows:
    Kahan sums in Linexpr.iter order, row residuals normalized by
    1 + |rhs| + max |term|, bound residuals by 1 + |bound|, the first
-   failure's message. Certify.check_point must give the same bits. *)
+   failure's message. Certify.check_compiled must give the same bits. *)
 let reference_check ?rhs ?ub ?obj ~(tols : Milp.Certify.tolerances) model values =
   let kahan e =
     let sum = ref 0. and comp = ref 0. and scale = ref 0. in
@@ -954,7 +961,7 @@ let prop_compiled_check_bits =
     QCheck2.Gen.int
     (fun seed ->
       let m, values, rhs, ub, obj, tols = random_check_case seed in
-      let p = Milp.Certify.check_point ?rhs ?ub ?obj ~tols m values in
+      let p = Milp.Certify.check_compiled ?rhs ?ub ?obj ~tols (Milp.Certify.compile m) values in
       let b = Int64.bits_of_float in
       if Array.length values <> Milp.Model.num_vars m then
         p.Milp.Certify.failure = Some "claimed point has the wrong length"

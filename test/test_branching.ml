@@ -2,7 +2,7 @@
    incumbent gate.
 
    The gate admits a heuristic or warm-start incumbent only when the
-   certifier's point check (Certify.check_point) passes at
+   certifier's point check (Certify.check_compiled) passes at
    [Certify.gate_tolerances ~int_tol]: no component looser than the
    tolerances the final certificate runs at. An admitted incumbent can
    prune the tree, so one that later failed certification would cost
@@ -48,7 +48,7 @@ let test_gate_implies_certification () =
           List.iter
             (fun x ->
               let values = [| x |] in
-              let p = Milp.Certify.check_point ~tols:gate mdl values in
+              let p = Milp.Certify.check_compiled ~tols:gate (Milp.Certify.compile mdl) values in
               if p.Milp.Certify.failure = None then begin
                 incr admitted;
                 let cert =
@@ -116,7 +116,8 @@ let prop_heuristic_incumbents_certified =
         (fun v ->
           (* re-checked by the gate... *)
           (match
-             (Milp.Certify.check_point ~tols:(Milp.Certify.gate_tolerances ~int_tol) mdl v)
+             (Milp.Certify.check_compiled ~tols:(Milp.Certify.gate_tolerances ~int_tol)
+                (Milp.Certify.compile mdl) v)
                .Milp.Certify.failure
            with
           | None -> ()

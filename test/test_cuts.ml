@@ -430,8 +430,8 @@ let test_solver_differential () =
         (Printf.sprintf "case %d objective" case)
         off.Milp.Solver.obj on.Milp.Solver.obj;
       (match
-         (Milp.Certify.check_point ~tols:(Milp.Certify.gate_tolerances ~int_tol:1e-6)
-            mdl on.Milp.Solver.values)
+         (Milp.Certify.check_compiled ~tols:(Milp.Certify.gate_tolerances ~int_tol:1e-6)
+            (Milp.Certify.compile mdl) on.Milp.Solver.values)
            .Milp.Certify.failure
        with
       | None -> ()

@@ -270,7 +270,8 @@ let prop_lp_point_feasible =
       let m = build_lp spec in
       match Simplex.solve m with
       | Simplex.Optimal { obj; values } ->
-        (Certify.check_point ~tols:Certify.default_tolerances m values).Certify.failure = None
+        (Certify.check_compiled ~tols:Certify.default_tolerances (Certify.compile m) values)
+          .Certify.failure = None
         && feq ~eps:1e-5 obj (Model.objective_value m values)
       | Simplex.Infeasible | Simplex.Unbounded -> true
       | Simplex.Iter_limit -> false)
@@ -334,7 +335,8 @@ let prop_milp_point_feasible =
         (Linexpr.of_terms (List.mapi (fun j c -> (c, xs.(j).Model.vid)) obj));
       match Solver.solve m with
       | { Solver.status = Solver.Optimal; values; _ } ->
-        (Certify.check_point ~tols:Certify.default_tolerances m values).Certify.failure = None
+        (Certify.check_compiled ~tols:Certify.default_tolerances (Certify.compile m) values)
+          .Certify.failure = None
       | _ -> true)
 
 
@@ -370,7 +372,7 @@ let prop_linexpr_eval_linear =
 
 (* --- the shared point check ------------------------------------------------ *)
 
-(* One table over Certify.check_point, the feasibility rule of the
+(* One table over Certify.check_compiled, the feasibility rule of the
    certifier, the overlay audit and the incumbent gate: each case names
    the check that must fail first (or none), with and without an rhs
    override. The model: max x + y + z over x in [1, 5], y binary,
@@ -404,9 +406,10 @@ let test_check_point () =
       ("patch breaks Eq", Some [| 6.; -1.; 3. |], [| 4.; 1.; 1. |], None, Some "row 2 (eq)");
     ]
   in
+  let cm = Certify.compile m in
   List.iter
     (fun (name, rhs, values, obj, expected) ->
-      let p = Certify.check_point ?rhs ?obj ~tols m values in
+      let p = Certify.check_compiled ?rhs ?obj ~tols cm values in
       match (expected, p.Certify.failure) with
       | None, None -> ()
       | Some prefix, Some reason ->
@@ -417,18 +420,18 @@ let test_check_point () =
       | Some prefix, None -> Alcotest.failf "%s: expected a failure starting %S" name prefix)
     cases;
   (* the residuals are the normalized ones the failure reports *)
-  let p = Certify.check_point ~tols m [| 6.; 0.; 2. |] in
+  let p = Certify.check_compiled ~tols cm [| 6.; 0.; 2. |] in
   check_float "bound residual (6 - 5) / (1 + 5)" (1. /. 6.) p.Certify.bound_residual;
-  let p = Certify.check_point ~tols m [| 5.; 1.; 1. |] in
+  let p = Certify.check_compiled ~tols cm [| 5.; 1.; 1. |] in
   check_float "Le residual (7 - 6) / (1 + 6 + 5)" (1. /. 12.) p.Certify.row_residual;
   Alcotest.(check (array (float 0.))) "row activities" [| 7.; 4.; 2. |] p.Certify.acts;
-  let p = Certify.check_point ~tols m [| 4.; 0.5; 1.5 |] in
+  let p = Certify.check_compiled ~tols cm [| 4.; 0.5; 1.5 |] in
   check_float "integrality residual" 0.5 p.Certify.int_residual;
-  let p = Certify.check_point ~obj:7. ~tols m [| 4.; 1.; 1. |] in
+  let p = Certify.check_compiled ~obj:7. ~tols cm [| 4.; 1.; 1. |] in
   check_float "objective error |6 - 7| / (1 + 7)" (1. /. 8.) p.Certify.obj_error;
-  let p = Certify.check_point ~tols m [| 4.; nan; 1. |] in
+  let p = Certify.check_compiled ~tols cm [| 4.; nan; 1. |] in
   Alcotest.(check bool) "a NaN coordinate fails" true (p.Certify.failure <> None);
-  let p = Certify.check_point ~tols m [| 4.; 1. |] in
+  let p = Certify.check_compiled ~tols cm [| 4.; 1. |] in
   Alcotest.(check bool) "a short point fails" true (p.Certify.failure <> None)
 
 (* Te.Lp_spec.embed builds every row through add_cons_expr: for a

@@ -60,7 +60,7 @@ let test_fixed_substitution () =
     (Array.length sol.Solver.values);
   check_float "restored fixed value" 3. sol.Solver.values.(x.vid);
   Alcotest.(check bool) "restored point feasible on the original" true
-    ((Certify.check_point ~tols:Certify.default_tolerances m sol.Solver.values)
+    ((Certify.check_compiled ~tols:Certify.default_tolerances (Certify.compile m) sol.Solver.values)
        .Certify.failure = None)
 
 let test_redundant_row () =
@@ -334,7 +334,8 @@ let test_differential () =
         Alcotest.failf "case %d: obj %g with presolve, %g without" case
           on.Solver.obj off.Solver.obj;
       (match
-         (Certify.check_point ~tols:Certify.default_tolerances m on.Solver.values)
+         (Certify.check_compiled ~tols:Certify.default_tolerances (Certify.compile m)
+            on.Solver.values)
            .Certify.failure
        with
       | None -> ()

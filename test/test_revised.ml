@@ -100,8 +100,8 @@ let test_differential () =
         (Printf.sprintf "case %d objective" case)
         d.Milp.Solver.obj r.Milp.Solver.obj;
       (match
-         (Milp.Certify.check_point ~tols:(Milp.Certify.gate_tolerances ~int_tol:1e-6)
-            mdl r.Milp.Solver.values)
+         (Milp.Certify.check_compiled ~tols:(Milp.Certify.gate_tolerances ~int_tol:1e-6)
+            (Milp.Certify.compile mdl) r.Milp.Solver.values)
            .Milp.Certify.failure
        with
       | None -> ()

@@ -139,8 +139,8 @@ let test_random_lps () =
            m obj expected)
         expected obj;
       (match
-         (Milp.Certify.check_point ~tols:(Milp.Certify.gate_tolerances ~int_tol:1e-6)
-            model values)
+         (Milp.Certify.check_compiled ~tols:(Milp.Certify.gate_tolerances ~int_tol:1e-6)
+            (Milp.Certify.compile model) values)
            .Milp.Certify.failure
        with
       | None -> ()

@@ -112,8 +112,8 @@ let test_naive_failover_rows () =
   let paths = Netpath.Path_set.compute ~n_primary:2 ~n_backup:1 fig1 [ (1, 3); (2, 3) ] in
   let _, index =
     Te.Formulation.build ~objective:Te.Formulation.Total_flow ~topo:fig1 ~paths
-      ~lag_cap:(fun e -> Te.Formulation.C (Wan.Lag.capacity (Wan.Topology.lag fig1 e)))
-      ~demand:(fun ~src ~dst -> Te.Formulation.C (Traffic.Demand.volume d12_10 ~src ~dst))
+      ~lag_cap:(fun e -> Te.Lp_spec.Const (Wan.Lag.capacity (Wan.Topology.lag fig1 e)))
+      ~demand:(fun ~src ~dst -> Te.Lp_spec.Const (Traffic.Demand.volume d12_10 ~src ~dst))
       ~d_max:12. ()
   in
   let shift (pc : Te.Formulation.pair_cols) =
